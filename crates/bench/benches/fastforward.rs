@@ -162,26 +162,6 @@ fn isolated_compute(mode: Mode) -> Outcome {
     finish(&gpu)
 }
 
-/// The datacenter-trio golden scenario stepped serially or with concurrent
-/// SM domains (`GpuConfig::intra_parallel`). Fast-forward is on in both
-/// runs, so the stepping strategy is the only variable; the wall-clock
-/// ratio is the tentpole's win and the instruction checksum its safety.
-fn datacenter_trio_stepping(intra_parallel: bool) -> Outcome {
-    let mut cfg = GpuConfig::paper_table1();
-    cfg.fast_forward = true;
-    cfg.intra_parallel = intra_parallel;
-    let mut gpu = Gpu::new(cfg);
-    let q1 = gpu.launch(workloads::by_name("mri-q").expect("known"));
-    let q2 = gpu.launch(workloads::by_name("sad").expect("known"));
-    let be = gpu.launch(workloads::by_name("lbm").expect("known"));
-    let mut mgr = QosManager::new(QuotaScheme::Rollover)
-        .with_kernel(q1, QosSpec::qos(40.0))
-        .with_kernel(q2, QosSpec::qos(20.0))
-        .with_kernel(be, QosSpec::best_effort());
-    gpu.run(CYCLES, &mut mgr);
-    finish(&gpu)
-}
-
 fn time_min(f: impl Fn() -> Outcome) -> (f64, Outcome) {
     let mut best = f64::INFINITY;
     let mut outcome = Outcome { total_insts: 0, skipped: 0 };
@@ -254,20 +234,6 @@ fn main() {
             s.name, ff.skipped
         ));
     }
-    // Stepping-strategy leg: one machine, serial vs. concurrent SM-domain
-    // stepping. Lives under its own key, sibling to "scenarios", so the CI
-    // gate's schema over the fast-forward rows is untouched.
-    let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (serial_ms, serial) = time_min(|| datacenter_trio_stepping(false));
-    let (parallel_ms, parallel) = time_min(|| datacenter_trio_stepping(true));
-    assert_eq!(serial.total_insts, parallel.total_insts, "parallel stepping diverged from serial");
-    assert_eq!(serial.skipped, parallel.skipped, "parallel stepping skipped differently");
-    let stepping_speedup = serial_ms / parallel_ms;
-    println!(
-        "{:<24} serial {serial_ms:>8.1} ms   parallel {parallel_ms:>8.1} ms   \
-         {stepping_speedup:.2}x   ({host_threads} host thread(s))",
-        "datacenter_trio/step"
-    );
     // Dense-path leg (DESIGN.md §18.6): the busy scenarios' fast-forward
     // walls against the held pre-refactor baselines. `wall_ms` is this
     // run's measurement (what CI gates at 5%); `pre_refactor_ms` is the
@@ -288,9 +254,6 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"bench\": \"fastforward\",\n  \"cycles\": {CYCLES},\n  \"reps\": {REPS},\n  \
-         \"parallel_stepping\": {{\"scenario\": \"datacenter_trio\", \"host_threads\": \
-         {host_threads}, \"serial_ms\": {serial_ms:.3}, \"parallel_ms\": {parallel_ms:.3}, \
-         \"speedup\": {stepping_speedup:.3}, \"identical\": true}},\n  \
          \"dense_path\": [\n{}\n  ],\n  \
          \"scenarios\": [\n{}\n  ]\n}}\n",
         dense_rows.join(",\n"),

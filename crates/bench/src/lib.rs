@@ -17,6 +17,7 @@
 //! `simulator` also carries a `trace_replay` group timing the FGTR codec
 //! round trip and a replayed-trace kernel run against its synthetic twin.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

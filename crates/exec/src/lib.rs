@@ -1,31 +1,23 @@
-//! Shared scoped-thread executor (DESIGN.md §13).
+//! Shared scoped-thread executor.
 //!
-//! Two layers of the repo need bounded, dependency-free parallelism:
-//!
-//! * the harness sweeps independent cases (`repro sweep` warms and runs
-//!   hundreds of isolated simulations), and
-//! * the simulator steps per-SM execution domains concurrently within one
-//!   cycle when `GpuConfig::intra_parallel` is set.
-//!
+//! Two layers of the repo need bounded, dependency-free parallelism over
+//! independent work: the harness sweeps isolated cases (`repro sweep` warms
+//! and runs hundreds of simulations) and the fleet steps its busy devices.
 //! Both reduce to "claim indices from a shared counter, run a closure on
-//! each item". [`parallel_for_each`] covers the one-shot sweep shape, where
-//! spawning a thread per call is cheap relative to the seconds of work per
-//! item. [`scope`]/[`Pool`] cover the per-cycle shape, where the work per
-//! round is microseconds and threads must be spawned once and fed thousands
-//! of rounds through a mutex/condvar handshake instead.
+//! each item", which is all [`parallel_for_each`] does; a thread per call is
+//! cheap next to the milliseconds-to-seconds of work per item. Stepping
+//! *inside* one simulated machine is serial (DESIGN.md §13.3).
 //!
 //! The crate is deliberately free of dependencies (the workspace vendors its
 //! deps; rayon is not among them) and of any ordering policy: callers that
-//! need deterministic merges do them after a round completes, in their own
+//! need deterministic merges do them after the call returns, in their own
 //! stable order.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Runs `f` over every item with up to `threads` OS threads, claiming items
 /// from a shared counter so uneven item costs balance automatically.
@@ -53,246 +45,10 @@ pub fn parallel_for_each<T: Sync, F: Fn(&T) + Sync>(items: &[T], threads: usize,
     });
 }
 
-/// Spawns a pool of `threads - 1` workers (the caller participates too),
-/// runs `f` with a [`Pool`] handle, then tears the workers down.
-///
-/// With `threads <= 1` no thread is spawned and every subsequent
-/// [`Pool::run`] executes serially on the caller's thread — callers can
-/// wrap their whole run loop unconditionally and pay nothing in the serial
-/// configuration.
-pub fn scope<R>(threads: usize, f: impl FnOnce(&Pool) -> R) -> R {
-    let pool = Pool::new(threads);
-    if threads <= 1 {
-        return f(&pool);
-    }
-    std::thread::scope(|s| {
-        for _ in 1..threads {
-            s.spawn(|| pool.worker_loop());
-        }
-        // Shut the workers down even if `f` unwinds, or scope's implicit
-        // join would deadlock on workers still waiting for a round.
-        let _guard = ShutdownGuard(&pool);
-        f(&pool)
-    })
-}
-
-struct ShutdownGuard<'a>(&'a Pool);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// A round of work published to the workers: a type-erased view of the
-/// caller's `&mut [T]` plus the monomorphized trampoline that applies the
-/// caller's closure to one item.
-///
-/// Workers touch disjoint indices (the claim counter hands each index to
-/// exactly one thread), so aliasing `*mut T` across threads is sound; the
-/// pointers stay valid because [`Pool::run`] does not return until every
-/// worker has left the round (`active == 0`).
-#[derive(Clone, Copy)]
-struct Round {
-    data: *const (),
-    call: unsafe fn(*const (), usize),
-    len: usize,
-}
-
-// SAFETY: the raw pointers are only dereferenced while `Pool::run` keeps the
-// underlying borrow alive (it blocks until all workers exit the round), and
-// the index-claim protocol gives each index to exactly one thread.
-unsafe impl Send for Round {}
-
-struct PoolState {
-    /// Round generation; bumped at publish so a worker never re-enters a
-    /// round it already finished.
-    generation: u64,
-    round: Option<Round>,
-    /// Workers currently inside a round. `run` returns only when this is 0.
-    active: usize,
-    shutdown: bool,
-    panicked: bool,
-}
-
-/// A reusable worker pool for fine-grained rounds; obtained from [`scope`].
-///
-/// One round = one [`Pool::run`] call: items are claimed index-by-index
-/// from an atomic counter shared by the workers and the calling thread, and
-/// the call returns only after every item ran and every worker has left the
-/// round — the caller's barrier.
-pub struct Pool {
-    threads: usize,
-    state: Mutex<PoolState>,
-    work_ready: Condvar,
-    work_done: Condvar,
-    /// Next item index to claim. Lives here, not on `run`'s stack, so a
-    /// late worker racing the end of a round never touches freed memory.
-    next: AtomicUsize,
-    /// Items published but not yet completed this round.
-    pending: AtomicUsize,
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool").field("threads", &self.threads).finish_non_exhaustive()
-    }
-}
-
-impl Pool {
-    fn new(threads: usize) -> Self {
-        Pool {
-            threads,
-            state: Mutex::new(PoolState {
-                generation: 0,
-                round: None,
-                active: 0,
-                shutdown: false,
-                panicked: false,
-            }),
-            work_ready: Condvar::new(),
-            work_done: Condvar::new(),
-            next: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-        }
-    }
-
-    /// Applies `f` to every item, in parallel when the pool has workers.
-    ///
-    /// Blocks until all items completed and all workers left the round, so
-    /// on return the caller again has exclusive, fully synchronized access
-    /// to `items` (the mutex handshake publishes the workers' writes).
-    /// Item order of execution is unspecified; completion is total.
-    ///
-    /// # Panics
-    ///
-    /// If `f` panics on any thread the round still runs to completion
-    /// (remaining items are processed) and the first caller-thread panic is
-    /// re-raised — or, for worker-only panics, a summary panic is raised —
-    /// after the barrier, never leaving items half-stepped behind the
-    /// caller's back.
-    pub fn run<T: Send, F: Fn(usize, &mut T) + Sync>(&self, items: &mut [T], f: F) {
-        let len = items.len();
-        if self.threads <= 1 || len <= 1 {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
-
-        struct Ctx<'f, T, F> {
-            base: *mut T,
-            f: &'f F,
-        }
-        /// Trampoline: recovers `T`/`F` from the erased pointer and steps
-        /// item `i`.
-        ///
-        /// # Safety
-        ///
-        /// `data` must point at a live `Ctx<T, F>` whose `base` covers at
-        /// least `i + 1` items, and no other thread may hold a reference to
-        /// item `i`.
-        unsafe fn call<T, F: Fn(usize, &mut T) + Sync>(data: *const (), i: usize) {
-            let ctx = unsafe { &*data.cast::<Ctx<'_, T, F>>() };
-            (ctx.f)(i, unsafe { &mut *ctx.base.add(i) });
-        }
-
-        let ctx = Ctx { base: items.as_mut_ptr(), f: &f };
-        self.next.store(0, Ordering::Relaxed);
-        self.pending.store(len, Ordering::Relaxed);
-        {
-            let mut st = self.state.lock().expect("pool mutex");
-            st.generation += 1;
-            st.round =
-                Some(Round { data: std::ptr::from_ref(&ctx).cast(), call: call::<T, F>, len });
-            drop(st);
-            self.work_ready.notify_all();
-        }
-
-        // The calling thread claims items alongside the workers. Panics are
-        // deferred past the barrier: bailing out early would free `ctx` and
-        // the slice while workers still hold pointers into them.
-        let mut payload = None;
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= len {
-                break;
-            }
-            let item = unsafe { &mut *ctx.base.add(i) };
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| (ctx.f)(i, item))) {
-                payload.get_or_insert(p);
-            }
-            self.pending.fetch_sub(1, Ordering::Release);
-        }
-
-        let mut st = self.state.lock().expect("pool mutex");
-        st.round = None;
-        while self.pending.load(Ordering::Acquire) > 0 || st.active > 0 {
-            st = self.work_done.wait(st).expect("pool mutex");
-        }
-        let worker_panicked = std::mem::take(&mut st.panicked);
-        drop(st);
-        if let Some(p) = payload {
-            resume_unwind(p);
-        }
-        assert!(!worker_panicked, "pool worker panicked while stepping an item");
-    }
-
-    fn worker_loop(&self) {
-        let mut seen = 0u64;
-        loop {
-            let round = {
-                let mut st = self.state.lock().expect("pool mutex");
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    if st.generation != seen {
-                        if let Some(round) = st.round {
-                            seen = st.generation;
-                            st.active += 1;
-                            break round;
-                        }
-                        // Round already retired; don't re-check this
-                        // generation.
-                        seen = st.generation;
-                    }
-                    st = self.work_ready.wait(st).expect("pool mutex");
-                }
-            };
-            loop {
-                let i = self.next.fetch_add(1, Ordering::Relaxed);
-                if i >= round.len {
-                    break;
-                }
-                // SAFETY: `run` keeps the round's context alive until
-                // `active` drops to 0, and index `i` was claimed by this
-                // thread alone.
-                let step = || unsafe { (round.call)(round.data, i) };
-                if catch_unwind(AssertUnwindSafe(step)).is_err() {
-                    self.state.lock().expect("pool mutex").panicked = true;
-                }
-                self.pending.fetch_sub(1, Ordering::Release);
-            }
-            let mut st = self.state.lock().expect("pool mutex");
-            st.active -= 1;
-            drop(st);
-            self.work_done.notify_all();
-        }
-    }
-
-    fn shutdown(&self) {
-        let mut st = self.state.lock().expect("pool mutex");
-        st.shutdown = true;
-        drop(st);
-        self.work_ready.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn parallel_for_each_visits_every_item_once() {
@@ -313,125 +69,25 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_many_rounds_mutating_in_place() {
-        let mut items: Vec<u64> = vec![0; 23];
-        scope(4, |pool| {
-            for _ in 0..1_000 {
-                pool.run(&mut items, |_, v| *v += 1);
-            }
-        });
-        assert!(items.iter().all(|&v| v == 1_000));
-    }
-
-    #[test]
-    fn pool_serial_mode_spawns_nothing_and_still_runs() {
-        let mut items = [1u64, 2, 3];
-        scope(1, |pool| {
-            pool.run(&mut items, |i, v| *v += i as u64);
-        });
-        assert_eq!(items, [1, 3, 5]);
-    }
-
-    #[test]
-    fn pool_round_results_match_serial() {
-        let f = |i: usize, v: &mut u64| *v = (i as u64) * 31 + *v % 7;
-        let mut serial: Vec<u64> = (0..101).collect();
-        for (i, v) in serial.iter_mut().enumerate() {
-            f(i, v);
-        }
-        let mut parallel: Vec<u64> = (0..101).collect();
-        scope(3, |pool| pool.run(&mut parallel, f));
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn pool_reuses_workers_across_item_types() {
-        let mut a = [0u32; 8];
-        let mut b = [0u64; 5];
-        scope(2, |pool| {
-            pool.run(&mut a, |i, v| *v = i as u32);
-            pool.run(&mut b, |i, v| *v = i as u64 + 10);
-        });
-        assert_eq!(a[7], 7);
-        assert_eq!(b[4], 14);
-    }
-
-    #[test]
-    fn pool_scope_returns_closure_value() {
-        let got = scope(2, |pool| {
-            let mut items = [5u64; 4];
-            pool.run(&mut items, |_, v| *v *= 2);
-            items.iter().sum::<u64>()
-        });
-        assert_eq!(got, 40);
-    }
-
-    #[test]
-    fn pool_run_propagates_panics_after_the_barrier() {
-        let completed = AtomicU64::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            scope(2, |pool| {
-                let mut items = [0u8; 16];
-                pool.run(&mut items, |i, _| {
-                    assert!(i != 7, "boom on item 7");
-                    completed.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        }));
-        assert!(result.is_err(), "the item panic must propagate");
-        assert_eq!(completed.load(Ordering::Relaxed), 15, "the other items still ran");
-    }
-
-    #[test]
-    fn pool_run_survives_a_worker_only_panic_without_deadlocking() {
-        // Regression for the dead-fleet-device failure mode: a panic on a
-        // *worker* thread (never the caller, which defers and re-raises its
-        // own panics) must still be surfaced by the barrier as the summary
-        // panic, and the barrier itself must not deadlock on the worker's
-        // abandoned round slot. Panic only off the caller thread so the
-        // worker-only path is exercised deterministically.
+    fn parallel_for_each_propagates_a_worker_panic_after_all_items_ran() {
+        // The dead-fleet-device failure mode: every item runs on a spawned
+        // worker, so a panicking item kills that worker only. The survivors
+        // must still drain the claim counter, and the call must re-raise
+        // once they have joined rather than return as if nothing happened.
+        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
         let caller = std::thread::current().id();
-        let worker_fired = std::sync::atomic::AtomicBool::new(false);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            scope(2, |pool| {
-                let mut items = [0u8; 64];
-                pool.run(&mut items, |_, _| {
-                    if std::thread::current().id() != caller {
-                        worker_fired.store(true, Ordering::Release);
-                        panic!("worker-thread fault");
-                    }
-                    // Hold the caller on its first claim until the worker has
-                    // panicked at least once, so the caller cannot drain the
-                    // whole round before the worker wakes up.
-                    while !worker_fired.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                });
+        let on_worker = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(|| {
+            parallel_for_each(&hits, 4, |h| {
+                h.fetch_add(1, Ordering::Relaxed);
+                if std::ptr::eq(h, &hits[7]) {
+                    on_worker.store(std::thread::current().id() != caller, Ordering::Relaxed);
+                    panic!("boom on item 7");
+                }
             });
-        }));
-        let payload = result.expect_err("the worker panic must propagate to the caller");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .expect("panic carries a message");
-        assert!(
-            msg.contains("pool worker panicked"),
-            "worker-only panics surface as the summary panic, got: {msg}"
-        );
-        // The pool remains usable after the failed round: the scope below
-        // must complete (no wedged worker, no stuck barrier).
-        let mut items = [1u64; 8];
-        scope(2, |pool| pool.run(&mut items, |_, v| *v += 1));
-        assert!(items.iter().all(|&v| v == 2));
-    }
-
-    #[test]
-    fn pool_empty_round_is_a_no_op() {
-        scope(2, |pool| {
-            let mut items: [u64; 0] = [];
-            pool.run(&mut items, |_, _| unreachable!());
         });
+        assert!(result.is_err(), "the worker panic must propagate to the caller");
+        assert!(on_worker.load(Ordering::Relaxed), "item 7 ran off the caller thread");
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "every item ran exactly once");
     }
 }

@@ -36,6 +36,7 @@
 //! byte-identical [`Fleet::report`], whether the run was uninterrupted or
 //! SIGKILLed and resumed through [`Fleet::snapshot`] / [`Fleet::restore`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

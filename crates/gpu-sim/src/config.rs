@@ -211,15 +211,6 @@ pub struct GpuConfig {
     /// per-cycle loop (the differential oracle in `tests/properties.rs`
     /// compares both paths).
     pub fast_forward: bool,
-    /// Intra-machine parallel stepping (DESIGN.md §13): step the per-SM
-    /// execution domains on concurrent threads within each cycle (and each
-    /// fast-forward slice), synchronizing at the interconnect port-drain
-    /// barrier. Results are bit-identical to serial stepping — same record
-    /// hashes, event streams, counters, and snapshot blobs — because all
-    /// cross-domain traffic is merged in stable SM-index order; the flag
-    /// only changes wall-clock time, and is therefore excluded from config
-    /// fingerprints and snapshots. Off by default.
-    pub intra_parallel: bool,
     /// Flight-recorder configuration (DESIGN.md §12): event-trace level and
     /// ring capacity. Off by default; at `Off` the only simulated-path cost
     /// is one branch on a cached flag.
@@ -248,7 +239,6 @@ impl GpuConfig {
             health: HealthConfig::default(),
             faults: FaultPlan::default(),
             fast_forward: true,
-            intra_parallel: false,
             trace: TraceConfig::default(),
         }
     }
@@ -379,11 +369,6 @@ crate::impl_snap_struct!(PowerConfig {
 
 crate::impl_snap_struct!(PreemptConfig { context_bytes_per_cycle, drain_cycles });
 
-// `intra_parallel` selects a stepping strategy, not machine semantics:
-// serial and parallel stepping are bit-identical, so the flag is excluded
-// from the snap encoding. Config fingerprints and snapshot blobs therefore
-// match across stepping modes, and a checkpoint taken under one mode resumes
-// cleanly under the other.
 crate::impl_snap_struct!(GpuConfig {
     num_sms,
     core_mhz,
@@ -397,7 +382,7 @@ crate::impl_snap_struct!(GpuConfig {
     faults,
     fast_forward,
     trace,
-} skip { intra_parallel });
+});
 
 #[cfg(test)]
 mod tests {

@@ -182,34 +182,6 @@ impl Gpu {
     /// fires. On error `self` is left at the failing cycle so the state can
     /// be inspected.
     pub fn try_run(&mut self, cycles: Cycle, ctrl: &mut dyn Controller) -> Result<(), SimError> {
-        let threads = self.step_threads();
-        exec::scope(threads, |pool| self.run_loop(cycles, ctrl, pool))
-    }
-
-    /// Number of worker threads the run loop steps SM domains with: 1
-    /// (serial) unless [`GpuConfig::intra_parallel`] is set, in which case
-    /// the host's available parallelism, clamped to the SM count and to a
-    /// floor of 2 so the concurrent path is exercised even on single-core
-    /// hosts.
-    fn step_threads(&self) -> usize {
-        if !self.cfg.intra_parallel {
-            return 1;
-        }
-        let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        avail.min(self.cfg.num_sms as usize).max(2)
-    }
-
-    /// The run loop proper. Each iteration steps every SM domain (serially
-    /// or via `pool`), then drains the interconnect ports into the memory
-    /// domain in stable SM-index order — the same order the former
-    /// monolithic loop mutated the memory system in, which is what makes
-    /// the parallel path bit-identical to the serial one.
-    fn run_loop(
-        &mut self,
-        cycles: Cycle,
-        ctrl: &mut dyn Controller,
-        pool: &exec::Pool,
-    ) -> Result<(), SimError> {
         let end = self.cycle + cycles;
         let window = self.cfg.health.watchdog_window;
         let mut last_progress_cycle = self.cycle;
@@ -250,20 +222,13 @@ impl Gpu {
             }
             let issued_before_tick = self.total_issued();
             // Step every SM domain — each touches only its own state plus
-            // its interconnect port, so this is safe to run concurrently —
-            // then drain the ports into the shared memory domain in stable
-            // SM-index order (the bit-identity barrier; see `crate::icn`).
+            // its interconnect port — then drain the ports into the shared
+            // memory domain in stable SM-index order (see `crate::icn`).
             let t0 = self.prof.begin();
-            pool.run(&mut self.sms, |_, sm| sm.tick(now));
-            self.prof.end(ProfPhase::SmStep, t0);
-            if self.prof.is_enabled() {
-                // Harvest the warp-selection sub-span each SM timed inside
-                // its tick; it nests under the SmStep total just recorded.
-                for sm in &mut self.sms {
-                    let (nanos, calls) = sm.take_issue_select();
-                    self.prof.add_span(ProfPhase::IssueSelect, nanos, calls);
-                }
+            for sm in &mut self.sms {
+                sm.tick(now);
             }
+            self.prof.end(ProfPhase::SmStep, t0);
             for sm in &mut self.sms {
                 sm.drain_icn(&mut self.mem, now, &mut self.prof);
             }
@@ -295,9 +260,11 @@ impl Gpu {
                 let t0 = self.prof.begin();
                 if let Some(target) = self.fast_forward_target(end, next_check) {
                     let from = self.cycle;
-                    // Replay is per-SM private state only — no port traffic
-                    // — so the skip fan-out parallelizes without a drain.
-                    pool.run(&mut self.sms, |_, sm| sm.note_skipped_cycles(from, target));
+                    // Replay is per-SM private state only: no port traffic,
+                    // so nothing to drain.
+                    for sm in &mut self.sms {
+                        sm.note_skipped_cycles(from, target);
+                    }
                     self.ff_skipped += target - from;
                     self.cycle = target;
                 }
@@ -590,9 +557,6 @@ impl Gpu {
     /// host-only: never snapshotted, never part of any determinism surface.
     pub fn set_profiling(&mut self, on: bool) {
         self.prof.set_enabled(on);
-        for sm in &mut self.sms {
-            sm.set_issue_profiling(on);
-        }
     }
 
     /// The host-side self-profiler's accumulated phase totals.
@@ -798,18 +762,18 @@ impl Gpu {
         &self.sms
     }
 
-    /// Mutable access to one SM's control plane (quota counters, gating).
-    pub fn sm_mut(&mut self, id: SmId) -> &mut Sm {
+    /// Whole-SM mutable access, for tests that corrupt or poke state no
+    /// control-plane view exposes.
+    #[cfg(test)]
+    pub(crate) fn sm_mut(&mut self, id: SmId) -> &mut Sm {
         &mut self.sms[id.index()]
     }
 
     /// Control-plane view of one SM, scoped to the quota/gating knobs a
-    /// [`Controller`] is meant to turn. Policy code goes through this view
-    /// rather than [`Gpu::sm_mut`] so the surface a controller can mutate —
-    /// and therefore the cross-domain state the parallel stepping argument
-    /// must account for — stays explicit and small. Controllers run only
-    /// at epoch boundaries, outside the tick→drain window, so these writes
-    /// never race domain stepping.
+    /// [`Controller`] is meant to turn. Policy code gets this view and no
+    /// `&mut Sm`, so the surface a controller can mutate stays explicit and
+    /// small. Controllers run only at epoch boundaries, outside the
+    /// tick→drain window.
     pub fn sm_quota(&mut self, id: SmId) -> SmQuotaView<'_> {
         SmQuotaView { sm: &mut self.sms[id.index()] }
     }
@@ -1084,13 +1048,6 @@ impl Gpu {
         }
         self.cycle = cycle;
         self.sms = sms;
-        // Profiler state is host-only and never snapshotted; restored SMs
-        // decode with the flag off, so re-arm them from the live profiler.
-        if self.prof.is_enabled() {
-            for sm in &mut self.sms {
-                sm.set_issue_profiling(true);
-            }
-        }
         self.mem = mem;
         self.kernels = kernels;
         self.tb_sched = tb_sched;

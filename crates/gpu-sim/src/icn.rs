@@ -9,11 +9,7 @@
 //! [`PENDING`] meanwhile). After all SM domains have stepped, the machine
 //! drains every port in stable SM-index order — request order within a port
 //! is the SM's own scheduler order — so the shared queues and L2 state
-//! observe exactly the sequence the old serial loop produced, no matter how
-//! the SM domains were stepped. That stable-order merge is the whole
-//! determinism argument: parallel stepping is bit-identical to serial
-//! stepping because the cross-domain traffic is replayed in a canonical
-//! order at the barrier.
+//! observe one canonical sequence that depends on no SM's internals.
 
 use crate::types::{Addr, Cycle, KernelId};
 

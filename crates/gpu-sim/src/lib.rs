@@ -16,8 +16,7 @@
 //! * a partial-context-switch preemption engine ([`preempt`]),
 //! * a GPUWattch-style event-energy power model ([`power`]),
 //! * per-SM execution domains behind a typed interconnect boundary
-//!   ([`icn`]), steppable serially or concurrently
-//!   (`GpuConfig::intra_parallel`) with bit-identical results.
+//!   ([`icn`]), ticked then drained in SM-index order each cycle.
 //!
 //! Policy code (the QoS manager, the `Spart` hill-climbing baseline, …) lives
 //! in the `qos-core` crate and drives the simulator through the
@@ -45,6 +44,7 @@
 //! assert!(gpu.stats().kernel(kid).thread_insts > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -46,9 +46,6 @@ pub struct MemSystem {
     dram_queue: Vec<ServiceQueue>,
     traffic: MemTraffic,
     context_rr: usize,
-    // Reusable L1-miss scratch for `access_lines`, so out-of-domain callers
-    // get the same allocation-free steady state as the `IcnPort` path.
-    miss_scratch: Vec<Addr>,
 }
 
 impl MemSystem {
@@ -65,7 +62,6 @@ impl MemSystem {
                 .collect(),
             traffic: MemTraffic::default(),
             context_rr: 0,
-            miss_scratch: Vec::new(),
             cfg,
         }
     }
@@ -89,9 +85,7 @@ impl MemSystem {
     /// domain). Returns the completion cycle of the slowest transaction.
     ///
     /// This is the only entry point for SM-issued traffic; it is called from
-    /// the port drain in stable SM-index order, which makes the queue and L2
-    /// evolution — and therefore every returned cycle — independent of how
-    /// the SM domains were stepped (DESIGN.md §13).
+    /// the port drain in stable SM-index order (DESIGN.md §13).
     pub fn serve(
         &mut self,
         kernel: KernelId,
@@ -120,27 +114,6 @@ impl MemSystem {
         done
     }
 
-    /// Convenience wrapper around [`MemSystem::serve`] that performs the L1
-    /// lookups too: filters `lines` through the caller-owned `l1` and hands
-    /// the misses to the shared hierarchy. Kept for callers that sit outside
-    /// the per-SM domains (unit tests, standalone experiments); the simulator
-    /// core itself filters in the SM domain and drains through the `IcnPort`.
-    pub fn access_lines(
-        &mut self,
-        kernel: KernelId,
-        l1: &mut Cache,
-        lines: &[Addr],
-        now: Cycle,
-    ) -> Cycle {
-        let mut misses = std::mem::take(&mut self.miss_scratch);
-        misses.clear();
-        misses.extend(lines.iter().copied().filter(|&a| l1.access(a) == AccessOutcome::Miss));
-        let done = self.serve(kernel, &misses, lines.len() as u64, now);
-        // Hand the buffer back so the next access reuses the allocation.
-        self.miss_scratch = misses;
-        done
-    }
-
     /// Injects context save/restore traffic for a preemption of `kernel`:
     /// `bytes` of register/shared-memory state written to (or read from)
     /// device memory. Consumes DRAM bandwidth round-robin across channels
@@ -161,8 +134,8 @@ impl MemSystem {
     /// or `None` when the whole memory system is idle at `now`.
     ///
     /// The memory system holds no autonomous events: every transaction's
-    /// completion cycle is computed eagerly at [`MemSystem::access_lines`]
-    /// time and carried by the issuing warp's `ready_at`, so in-flight
+    /// completion cycle is computed eagerly at [`MemSystem::serve`] time
+    /// and carried by the issuing warp's `ready_at`, so in-flight
     /// requests complete correctly across any idle-cycle jump without the
     /// queues being ticked. Fast-forward consequently never clamps to this
     /// horizon — it is exposed for introspection and as the memory system's
@@ -214,11 +187,7 @@ crate::impl_snap_struct!(MemTraffic {
     context_transactions,
 });
 
-// `miss_scratch` is per-call scratch, always cleared before use, so a
-// restored memory system starts with an empty (re-growable) buffer.
-crate::impl_snap_struct!(MemSystem { cfg, l2, l2_queue, dram_queue, traffic, context_rr } skip {
-    miss_scratch
-});
+crate::impl_snap_struct!(MemSystem { cfg, l2, l2_queue, dram_queue, traffic, context_rr });
 
 #[cfg(test)]
 mod tests {
@@ -231,12 +200,26 @@ mod tests {
         (MemSystem::new(cfg), l1)
     }
 
+    /// What an SM does per memory instruction: filter `lines` through its
+    /// private `l1`, then hand the misses to [`MemSystem::serve`].
+    fn access_lines(
+        m: &mut MemSystem,
+        kernel: KernelId,
+        l1: &mut Cache,
+        lines: &[Addr],
+        now: Cycle,
+    ) -> Cycle {
+        let misses: Vec<Addr> =
+            lines.iter().copied().filter(|&a| l1.access(a) == AccessOutcome::Miss).collect();
+        m.serve(kernel, &misses, lines.len() as u64, now)
+    }
+
     #[test]
     fn l1_hit_is_fast() {
         let (mut m, mut l1) = sys();
         let k = KernelId::new(0);
-        let first = m.access_lines(k, &mut l1, &[0x1000], 0);
-        let second = m.access_lines(k, &mut l1, &[0x1000], first);
+        let first = access_lines(&mut m, k, &mut l1, &[0x1000], 0);
+        let second = access_lines(&mut m, k, &mut l1, &[0x1000], first);
         assert_eq!(second - first, u64::from(m.config().l1_hit_latency));
         assert!(first > second - first, "first access (miss) must be slower");
     }
@@ -245,7 +228,7 @@ mod tests {
     fn miss_path_goes_through_l2_and_dram() {
         let (mut m, mut l1) = sys();
         let k = KernelId::new(0);
-        m.access_lines(k, &mut l1, &[0x2000], 0);
+        access_lines(&mut m, k, &mut l1, &[0x2000], 0);
         let t = m.traffic();
         assert_eq!(t.l1_accesses[0], 1);
         assert_eq!(t.l2_accesses[0], 1);
@@ -256,9 +239,9 @@ mod tests {
     fn l2_hit_skips_dram() {
         let (mut m, mut l1) = sys();
         let k = KernelId::new(0);
-        m.access_lines(k, &mut l1, &[0x3000], 0);
+        access_lines(&mut m, k, &mut l1, &[0x3000], 0);
         l1.flush(); // force the next access to miss L1 but hit L2
-        m.access_lines(k, &mut l1, &[0x3000], 10_000);
+        access_lines(&mut m, k, &mut l1, &[0x3000], 10_000);
         assert_eq!(m.traffic().dram_accesses[0], 1, "second access must hit in L2");
         assert_eq!(m.traffic().l2_accesses[0], 2);
     }
@@ -282,13 +265,13 @@ mod tests {
         let line = u64::from(cfg.line_bytes);
         let nmc = u64::from(cfg.num_mcs);
         let flood: Vec<u64> = (0..64).map(|i| i * line * nmc).collect();
-        m.access_lines(ka, &mut l1a, &flood, 0);
+        access_lines(&mut m, ka, &mut l1a, &flood, 0);
         // Kernel B's single access to the same channel now queues.
         let solo_latency = {
             let (mut fresh, mut l1) = sys();
-            fresh.access_lines(kb, &mut l1, &[1 << 30], 0)
+            access_lines(&mut fresh, kb, &mut l1, &[1 << 30], 0)
         };
-        let contended = m.access_lines(kb, &mut l1b, &[(1u64 << 30) / nmc * nmc], 0);
+        let contended = access_lines(&mut m, kb, &mut l1b, &[(1u64 << 30) / nmc * nmc], 0);
         assert!(
             contended > solo_latency,
             "contended access ({contended}) must exceed solo latency ({solo_latency})"
@@ -308,10 +291,10 @@ mod tests {
     fn multi_line_access_completion_is_max() {
         let (mut m, mut l1) = sys();
         let k = KernelId::new(0);
-        let one = m.access_lines(k, &mut l1, &[0x10_0000], 0);
+        let one = access_lines(&mut m, k, &mut l1, &[0x10_0000], 0);
         let (mut m2, mut l1b) = sys();
         let many_addrs: Vec<u64> = (0..32u64).map(|i| 0x10_0000 + i * 32).collect();
-        let many = m2.access_lines(k, &mut l1b, &many_addrs, 0);
+        let many = access_lines(&mut m2, k, &mut l1b, &many_addrs, 0);
         assert!(many >= one, "32 transactions can't finish before 1");
     }
 }

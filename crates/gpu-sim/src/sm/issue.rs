@@ -21,94 +21,12 @@ use crate::MAX_KERNELS;
 use super::warp_table::mask_set;
 use super::Sm;
 
-/// Duty cycle of the `issue_select` span sampler: ticks whose cycle number
-/// is a multiple of this power of two are timed, and the measured time is
-/// scaled back up by the same factor. Timing every tick would cost several
-/// `Instant::now` syscalls per SM-tick — more than the span being measured —
-/// so the profiler samples instead; cycle-number selection keeps the choice
-/// deterministic and workload-independent.
-const SEL_SAMPLE_PERIOD: u64 = 64;
-
 /// Stack-accumulator bound of the fused dense-path gather: scheduler counts
 /// up to this (power-of-two) size compute all picks in one pass over the
 /// issuable words. Larger or non-power-of-two geometries fall back to the
 /// per-scheduler stripe scans (the fused path wants `slot & (n-1)` for the
 /// stripe-owner computation, not a division per candidate).
 const MAX_SCHEDS_FUSED: usize = 8;
-
-/// Reads the CPU timestamp counter — roughly an order of magnitude cheaper
-/// than `Instant::now`, which matters because a sampled span of ~100 ns
-/// would otherwise be mostly clock-read cost (then multiplied back up by
-/// [`SEL_SAMPLE_PERIOD`]). Falls back to `Instant` off x86_64.
-#[inline]
-fn sel_clock() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: RDTSC is unprivileged and side-effect free.
-        unsafe { std::arch::x86_64::_rdtsc() }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        use std::time::Instant;
-        static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-}
-
-/// Nanoseconds per [`sel_clock`] unit, calibrated once per process against
-/// the monotonic clock (a ~200 µs spin, paid only on the first sampled tick
-/// of a profiling run).
-fn sel_ns_per_unit() -> f64 {
-    static RATE: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *RATE.get_or_init(|| {
-        let t0 = std::time::Instant::now();
-        let c0 = sel_clock();
-        let mut spin = 0u64;
-        while t0.elapsed().as_micros() < 200 {
-            spin = spin.wrapping_add(1);
-        }
-        std::hint::black_box(spin);
-        let units = sel_clock().wrapping_sub(c0).max(1);
-        t0.elapsed().as_nanos() as f64 / units as f64
-    })
-}
-
-/// Pausable timestamp-counter accumulator for the `issue_select` profiling
-/// span. All methods are no-ops when profiling is off, so the hot path pays
-/// one predictable branch per call site.
-struct SelTimer {
-    on: bool,
-    units: u64,
-    since: Option<u64>,
-}
-
-impl SelTimer {
-    fn new(on: bool) -> Self {
-        SelTimer { on, units: 0, since: None }
-    }
-
-    #[inline]
-    fn resume(&mut self) {
-        if self.on {
-            self.since = Some(sel_clock());
-        }
-    }
-
-    #[inline]
-    fn pause(&mut self) {
-        if let Some(t) = self.since.take() {
-            self.units += sel_clock().wrapping_sub(t);
-        }
-    }
-
-    /// The accumulated span in nanoseconds (calibrates on first use).
-    fn nanos(&self) -> u64 {
-        if self.units == 0 {
-            return 0;
-        }
-        (self.units as f64 * sel_ns_per_unit()) as u64
-    }
-}
 
 impl Sm {
     /// The earliest future cycle at which this SM could change state, or
@@ -198,9 +116,8 @@ impl Sm {
     /// via [`Sm::next_event`] — and transitioning TBs stay un-issuable for
     /// the whole window because their completion is itself a horizon.
     ///
-    /// Touches only this SM's private state, so the machine may run it for
-    /// all domains concurrently under `intra_parallel`. Statistics do not
-    /// feed [`Sm::next_event`], so the wake cache survives the skip.
+    /// Touches only this SM's private state. Statistics do not feed
+    /// [`Sm::next_event`], so the wake cache survives the skip.
     pub(crate) fn note_skipped_cycles(&mut self, from: Cycle, target: Cycle) {
         if self.sched_frozen || self.used_threads == 0 {
             return;
@@ -243,9 +160,7 @@ impl Sm {
     ///
     /// Global-memory instructions do not reach the shared hierarchy here:
     /// they are parked in this SM's `IcnPort` and served when the machine
-    /// calls [`Sm::drain_icn`] at the end-of-cycle barrier. Because every
-    /// read and write stays inside the domain, the machine may tick all SMs
-    /// concurrently under `intra_parallel` with bit-identical results.
+    /// calls [`Sm::drain_icn`] once every SM has ticked.
     pub(crate) fn tick(&mut self, now: Cycle) {
         if !self.transitioning.is_empty() {
             self.process_transitions(now);
@@ -289,9 +204,6 @@ impl Sm {
                 return;
             }
         }
-
-        let mut sel = SelTimer::new(self.profile_issue && now.is_multiple_of(SEL_SAMPLE_PERIOD));
-        sel.resume();
 
         // Issuable candidate words for this cycle: occupied, not retired,
         // not parked at a barrier, owning TB in Active phase (`tb_active`
@@ -404,17 +316,10 @@ impl Sm {
                 if let Some(slot) = pick {
                     self.scheds[sid].greedy = Some(slot);
                     self.scheds[sid].rr_cursor = slot;
-                    sel.pause();
                     self.issue(slot, now);
                     self.issued_total += 1;
                     issued_any = true;
-                    sel.resume();
                 }
-            }
-            sel.pause();
-            if sel.on {
-                self.issue_select_nanos += sel.nanos() * SEL_SAMPLE_PERIOD;
-                self.issue_select_calls += 1;
             }
             if !issued_any && self.wake.get().is_none() {
                 let v = self.compute_next_event();
@@ -516,11 +421,9 @@ impl Sm {
                 self.scheds[sid].greedy = Some(slot);
                 self.scheds[sid].rr_cursor = slot;
             }
-            // The scavenger scan counts as selection; only the issue()
-            // execution is carved out of the span, so an issue-free tick
-            // costs exactly two clock reads. With no kernel gated the
-            // scavenger is a guaranteed miss (it only admits gated exhausted
-            // kernels), so the dense path skips the call.
+            // With no kernel gated the scavenger is a guaranteed miss (it
+            // only admits gated exhausted kernels), so the dense path skips
+            // the call.
             let pick = if all_allowed { pick } else { pick.or_else(|| self.scavenge(sid, now)) };
             if let Some(slot) = pick {
                 // Work-conserving slack reclamation (the scavenge arm): the
@@ -531,19 +434,10 @@ impl Sm {
                 // The issue still debits the quota counter, so epoch
                 // accounting and the section 3.5 feedback see the true
                 // consumption.
-                sel.pause();
                 self.issue(slot, now);
                 self.issued_total += 1;
                 issued_any = true;
-                sel.resume();
             }
-        }
-        sel.pause();
-        if sel.on {
-            // Scale the sampled span back to a full-rate estimate so the
-            // profile table's share column reads directly against wall time.
-            self.issue_select_nanos += sel.nanos() * SEL_SAMPLE_PERIOD;
-            self.issue_select_calls += 1;
         }
         // An issue-free slow tick means the SM just went (or stayed)
         // quiescent: refill the wake cache now so the following stalled
@@ -563,9 +457,8 @@ impl Sm {
     ///
     /// The machine calls this once per cycle, after all SM domains have
     /// ticked, iterating SMs in index order — so the shared queues observe
-    /// requests in exactly the order the old serial loop produced them
-    /// (SM 0's issues in scheduler order, then SM 1's, …), which is the
-    /// determinism argument for `intra_parallel` stepping (DESIGN.md §13).
+    /// requests in a fixed order (SM 0's issues in scheduler order, then
+    /// SM 1's, …; DESIGN.md §13).
     pub(crate) fn drain_icn(
         &mut self,
         mem: &mut MemSystem,

@@ -13,10 +13,8 @@
 //! counters, statistics, and the flight-recorder ring. The one piece of
 //! shared machine state an SM used to reach into — the L2/DRAM hierarchy —
 //! is behind the typed [`crate::icn::IcnPort`] boundary: [`Sm::tick`] takes
-//! no `MemSystem` and instead enqueues requests that the machine drains at
-//! the end-of-cycle barrier in stable SM-index order (DESIGN.md §13). That
-//! isolation is what lets `intra_parallel` stepping run SM domains on
-//! concurrent threads with bit-identical results.
+//! no `MemSystem` and instead enqueues requests that the machine drains
+//! once every SM has ticked, in stable SM-index order (DESIGN.md §13).
 //!
 //! Module map:
 //!
@@ -71,8 +69,7 @@ pub struct SmKernelCounters {
 /// notably across the repeated fast-forward probes of a quiescent SM — the
 /// cached value is returned without rescanning the warp table.
 ///
-/// Interior mutability (`Cell`) keeps `next_event` callable through `&self`;
-/// `Sm` only needs `Send` for pool stepping, which `Cell` satisfies.
+/// Interior mutability (`Cell`) keeps `next_event` callable through `&self`.
 #[derive(Debug)]
 struct WakeCache {
     valid: Cell<bool>,
@@ -208,14 +205,6 @@ pub struct Sm {
     stride_masks: Vec<Vec<u64>>,
     // Memoized next-event horizon (see `WakeCache`).
     wake: WakeCache,
-
-    // --- host-side profiling (opt-in, cascaded from `Gpu::set_profiling`) ---
-    // Accumulated wall-nanoseconds and span count of ready-warp selection,
-    // harvested by the machine after each stepping barrier. Skip-snapped:
-    // profiling state never travels through checkpoints.
-    profile_issue: bool,
-    issue_select_nanos: u64,
-    issue_select_calls: u64,
 }
 
 impl Sm {
@@ -283,31 +272,12 @@ impl Sm {
             live_buf: Vec::new(),
             stride_masks: Vec::new(),
             wake: WakeCache::default(),
-            profile_issue: false,
-            issue_select_nanos: 0,
-            issue_select_calls: 0,
         }
     }
 
     /// This SM's identifier.
     pub fn id(&self) -> SmId {
         self.id
-    }
-
-    /// Enables or disables ready-warp-selection profiling for this SM.
-    pub fn set_issue_profiling(&mut self, on: bool) {
-        self.profile_issue = on;
-        self.issue_select_nanos = 0;
-        self.issue_select_calls = 0;
-    }
-
-    /// Takes the accumulated `issue_select` span (nanos, calls), resetting
-    /// the accumulators. Harvested by the machine after a stepping barrier.
-    pub fn take_issue_select(&mut self) -> (u64, u64) {
-        let out = (self.issue_select_nanos, self.issue_select_calls);
-        self.issue_select_nanos = 0;
-        self.issue_select_calls = 0;
-        out
     }
 
     /// Builds the per-scheduler slot-stripe masks: bit `s` of
@@ -399,8 +369,5 @@ crate::impl_snap_struct!(Sm {
     bodies,
     live_buf,
     stride_masks,
-    wake,
-    profile_issue,
-    issue_select_nanos,
-    issue_select_calls
+    wake
 });

@@ -8,7 +8,7 @@ use super::*;
 use crate::config::GpuConfig;
 use crate::kernel::{AccessPattern, KernelDesc, Op};
 use crate::memsys::MemSystem;
-use crate::types::{KernelId, SmId, TbIndex};
+use crate::types::{Cycle, KernelId, SmId, TbIndex};
 
 fn setup(body: Vec<Op>, iters: u32) -> (Sm, MemSystem, Arc<KernelDesc>) {
     let cfg = GpuConfig::tiny();
@@ -307,6 +307,109 @@ fn reset_carry_drops_debt() {
     assert!(sm.quota(k) < 0);
     sm.set_epoch_quota(k, 100, QuotaCarry::Reset, 0);
     assert_eq!(sm.quota(k), 100, "reset ignores prior debt");
+}
+
+/// Drives the live warp picker: a lone SM with one scheduler under
+/// `policy` hosting one 10-warp TB (slots 0..10), either ungated (the fused
+/// dense-path gather) or quota-gated with ample quota (the per-scheduler
+/// stripe scan through `quota_allows`).
+struct Picker {
+    sm: Sm,
+    now: Cycle,
+}
+
+impl Picker {
+    fn new(policy: SchedPolicy, gated: bool) -> Self {
+        let mut cfg = GpuConfig::tiny();
+        cfg.sm.warp_schedulers = 1;
+        cfg.sm.sched_policy = policy;
+        let mut sm = Sm::new(SmId::new(0), &cfg);
+        let k = KernelId::new(0);
+        let desc = KernelDesc::builder("pick")
+            .threads_per_tb(320)
+            .regs_per_thread(16)
+            .iterations(100)
+            .body(vec![Op::alu(1, 100)])
+            .build();
+        sm.set_kernel_desc(k, Arc::new(desc));
+        sm.dispatch(k, TbIndex(0), None, 0, 0);
+        if gated {
+            sm.set_gated(k, true);
+            sm.set_qos_kernel(k, true);
+            sm.set_epoch_quota(k, 1 << 40, QuotaCarry::Reset, 0);
+        }
+        Picker { sm, now: 0 }
+    }
+
+    /// Ticks one cycle in which exactly the `(slot, age)` warps of `ready`
+    /// have their scoreboards released; returns the slot that issued.
+    fn pick(&mut self, ready: &[(u16, u64)]) -> Option<u16> {
+        self.now += 1;
+        self.sm.warps.ready_at.fill(Cycle::MAX / 2);
+        for &(slot, age) in ready {
+            self.sm.warps.ready_at[usize::from(slot)] = self.now;
+            self.sm.warps.age[usize::from(slot)] = age;
+        }
+        self.sm.wake.invalidate();
+        let issued = self.sm.issued_total;
+        self.sm.tick(self.now);
+        assert!(!self.sm.icn_in_flight(), "ALU-only body");
+        match self.sm.issued_total - issued {
+            0 => None,
+            1 => self.sm.scheds[0].greedy,
+            n => panic!("one scheduler issued {n} warps in a cycle"),
+        }
+    }
+}
+
+#[test]
+fn gto_sticks_with_greedy_warp() {
+    for gated in [false, true] {
+        let mut p = Picker::new(SchedPolicy::Gto, gated);
+        // First pick: oldest (age 10) = slot 7.
+        assert_eq!(p.pick(&[(3, 30), (7, 10), (9, 20)]), Some(7), "gated={gated}");
+        // Slot 7 still ready: stay greedy even though it is not the oldest now.
+        assert_eq!(p.pick(&[(3, 5), (7, 10)]), Some(7), "gated={gated}");
+    }
+}
+
+#[test]
+fn gto_falls_back_to_oldest() {
+    for gated in [false, true] {
+        let mut p = Picker::new(SchedPolicy::Gto, gated);
+        p.sm.scheds[0].greedy = Some(7);
+        assert_eq!(p.pick(&[(3, 30), (9, 20)]), Some(9), "gated={gated}");
+    }
+}
+
+#[test]
+fn gto_none_when_nothing_ready() {
+    for gated in [false, true] {
+        let mut p = Picker::new(SchedPolicy::Gto, gated);
+        assert_eq!(p.pick(&[]), None, "gated={gated}");
+        assert_eq!(p.sm.scheds[0].greedy, None, "an idle cycle leaves the scheduler state alone");
+    }
+}
+
+#[test]
+fn lrr_rotates() {
+    for gated in [false, true] {
+        let mut p = Picker::new(SchedPolicy::Lrr, gated);
+        let ready = [(0, 0), (4, 0), (8, 0)];
+        assert_eq!(p.pick(&ready), Some(4), "gated={gated}");
+        assert_eq!(p.pick(&ready), Some(8), "gated={gated}");
+        assert_eq!(p.pick(&ready), Some(0), "wraps (gated={gated})");
+        assert_eq!(p.pick(&ready), Some(4), "gated={gated}");
+    }
+}
+
+#[test]
+fn lrr_single_candidate() {
+    for gated in [false, true] {
+        let mut p = Picker::new(SchedPolicy::Lrr, gated);
+        assert_eq!(p.pick(&[(2, 0)]), Some(2), "gated={gated}");
+        assert_eq!(p.pick(&[(2, 0)]), Some(2), "gated={gated}");
+    }
 }
 
 mod preemption_properties {

@@ -11,10 +11,10 @@
 //!   from its checkpoint reproduces every bucket exactly.
 //! * [`TimeSeries`] — a bounded ring of periodic counter-registry samples
 //!   (one row per epoch or fleet tick). Also [`Snap`](crate::snap::Snap)-integrated and
-//!   bit-identical across serial/parallel stepping and the fast-forward
-//!   toggle, which is why samplers must exclude counters that describe the
-//!   *host strategy* rather than the simulated machine (`ff_skipped_cycles`
-//!   is the one such counter today — see [`TimeSeries::sample_deterministic`]).
+//!   bit-identical across the fast-forward toggle, which is why samplers
+//!   must exclude counters that describe the *host strategy* rather than
+//!   the simulated machine (`ff_skipped_cycles` is the one such counter
+//!   today — see [`TimeSeries::sample_deterministic`]).
 //! * [`HostProfiler`] — opt-in wall-clock attribution per simulator phase.
 //!   Host time is inherently nondeterministic, so the profiler is kept
 //!   strictly **outside** snapshots and `records_hash`: it is never encoded,
@@ -50,8 +50,8 @@ const MAX_BUCKETS: usize = 32 + (64 - LINEAR_BITS as usize) * SUB_BUCKETS as usi
 ///
 /// Everything is a `u64`: recording, merging, and quantile extraction use no
 /// floating point, so the histogram is byte-identical wherever the recorded
-/// value sequence is — across serial vs. parallel stepping, fast-forward
-/// on/off, and snapshot → SIGKILL → resume.
+/// value sequence is — across fast-forward on/off and snapshot → SIGKILL →
+/// resume.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Per-bucket counts, grown on demand; index via [`bucket_index`].
@@ -325,7 +325,7 @@ impl TimeSeries {
     /// `ff_skipped_cycles`, which legitimately differs across the
     /// fast-forward toggle while every simulated-state counter does not.
     /// This is what keeps a sampled series byte-identical across
-    /// serial/parallel stepping and fast-forward on/off.
+    /// fast-forward on/off.
     pub fn sample_deterministic(&mut self, stamp: u64, entries: &[CounterEntry]) {
         self.sample_filtered(stamp, entries, |e| e.name != "ff_skipped_cycles");
     }
@@ -339,14 +339,8 @@ impl TimeSeries {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum ProfPhase {
-    /// Stepping every SM domain for one cycle (serial or via the pool).
+    /// Stepping every SM domain for one cycle.
     SmStep,
-    /// Ready-warp selection inside the SM step: building the live-warp
-    /// bitmask and running the per-scheduler gather/choose passes. A
-    /// sub-span of [`ProfPhase::SmStep`] (its time is also inside that
-    /// total), attributed separately so dense-path reports show how much
-    /// of the step is scheduler selection versus issue execution.
-    IssueSelect,
     /// Draining SM interconnect ports: applying memory responses to warp
     /// scoreboards at the end-of-cycle barrier.
     IcnDrain,
@@ -370,9 +364,8 @@ pub enum ProfPhase {
 
 impl ProfPhase {
     /// Every phase, in display order.
-    pub const ALL: [ProfPhase; 10] = [
+    pub const ALL: [ProfPhase; 9] = [
         ProfPhase::SmStep,
-        ProfPhase::IssueSelect,
         ProfPhase::IcnDrain,
         ProfPhase::MemsysServe,
         ProfPhase::TbService,
@@ -387,7 +380,6 @@ impl ProfPhase {
     pub fn name(self) -> &'static str {
         match self {
             ProfPhase::SmStep => "sm_step",
-            ProfPhase::IssueSelect => "issue_select",
             ProfPhase::IcnDrain => "icn_drain",
             ProfPhase::MemsysServe => "memsys_serve",
             ProfPhase::TbService => "tb_service",
@@ -477,16 +469,9 @@ impl HostProfiler {
     /// Attributes `nanos` to `phase` directly (for externally timed spans
     /// such as checkpoint writes).
     pub fn add(&mut self, phase: ProfPhase, nanos: u64) {
-        self.add_span(phase, nanos, 1);
-    }
-
-    /// Attributes a pre-aggregated batch of `calls` spans totalling `nanos`
-    /// to `phase` (for spans timed inside concurrently stepped domains and
-    /// folded in at the barrier).
-    pub fn add_span(&mut self, phase: ProfPhase, nanos: u64, calls: u64) {
         let t = &mut self.totals[phase as usize];
         t.nanos = t.nanos.saturating_add(nanos);
-        t.calls += calls;
+        t.calls += 1;
     }
 
     /// Accumulated total of one phase.

@@ -4,7 +4,9 @@
 //! algorithm unmodified — quotas only *gate* which kernels are eligible.
 //! GTO (greedy-then-oldest, the Table 1 policy) keeps issuing from the same
 //! warp while it is ready and otherwise falls back to the oldest ready warp;
-//! LRR (loose round-robin) is provided for comparison and tests.
+//! LRR (loose round-robin) is provided for comparison and tests. The picks
+//! themselves are folded into the SM's bitmask ready-scan (`sm/issue.rs`);
+//! this module holds the policy selector and the per-scheduler state.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,94 +28,6 @@ pub struct SchedulerState {
     pub rr_cursor: u16,
 }
 
-/// A ready warp candidate: `(warp slot, dispatch age)`.
-pub type Candidate = (u16, u64);
-
-/// Picks the next warp under GTO: the previously issued warp if still ready,
-/// otherwise the oldest ready warp (smallest age).
-pub fn gto_choose(state: &SchedulerState, ready: &[Candidate]) -> Option<u16> {
-    if let Some(g) = state.greedy {
-        if ready.iter().any(|&(slot, _)| slot == g) {
-            return Some(g);
-        }
-    }
-    ready.iter().min_by_key(|&&(_, age)| age).map(|&(slot, _)| slot)
-}
-
-/// Picks the next warp under LRR: the first ready slot strictly after the
-/// cursor, wrapping around.
-pub fn lrr_choose(state: &SchedulerState, ready: &[Candidate]) -> Option<u16> {
-    if ready.is_empty() {
-        return None;
-    }
-    ready
-        .iter()
-        .map(|&(slot, _)| slot)
-        .filter(|&s| s > state.rr_cursor)
-        .min()
-        .or_else(|| ready.iter().map(|&(slot, _)| slot).min())
-}
-
-/// Dispatches on `policy` and updates the scheduler state.
-pub fn choose(policy: SchedPolicy, state: &mut SchedulerState, ready: &[Candidate]) -> Option<u16> {
-    let pick = match policy {
-        SchedPolicy::Gto => gto_choose(state, ready),
-        SchedPolicy::Lrr => lrr_choose(state, ready),
-    };
-    if let Some(slot) = pick {
-        state.greedy = Some(slot);
-        state.rr_cursor = slot;
-    }
-    pick
-}
-
 crate::impl_snap_enum!(SchedPolicy { Gto = 0, Lrr = 1 });
 
 crate::impl_snap_struct!(SchedulerState { greedy, rr_cursor });
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gto_sticks_with_greedy_warp() {
-        let mut st = SchedulerState::default();
-        let ready = vec![(3u16, 30u64), (7, 10), (9, 20)];
-        // First pick: oldest (age 10) = slot 7.
-        assert_eq!(choose(SchedPolicy::Gto, &mut st, &ready), Some(7));
-        // Slot 7 still ready: stay greedy even though it is not the oldest now.
-        let ready2 = vec![(3u16, 5u64), (7, 10)];
-        assert_eq!(choose(SchedPolicy::Gto, &mut st, &ready2), Some(7));
-    }
-
-    #[test]
-    fn gto_falls_back_to_oldest() {
-        let mut st = SchedulerState { greedy: Some(7), rr_cursor: 0 };
-        let ready = vec![(3u16, 30u64), (9, 20)];
-        assert_eq!(choose(SchedPolicy::Gto, &mut st, &ready), Some(9));
-    }
-
-    #[test]
-    fn gto_none_when_nothing_ready() {
-        let mut st = SchedulerState::default();
-        assert_eq!(choose(SchedPolicy::Gto, &mut st, &[]), None);
-    }
-
-    #[test]
-    fn lrr_rotates() {
-        let mut st = SchedulerState::default();
-        let ready = vec![(0u16, 0u64), (4, 0), (8, 0)];
-        assert_eq!(choose(SchedPolicy::Lrr, &mut st, &ready), Some(4));
-        assert_eq!(choose(SchedPolicy::Lrr, &mut st, &ready), Some(8));
-        assert_eq!(choose(SchedPolicy::Lrr, &mut st, &ready), Some(0), "wraps");
-        assert_eq!(choose(SchedPolicy::Lrr, &mut st, &ready), Some(4));
-    }
-
-    #[test]
-    fn lrr_single_candidate() {
-        let mut st = SchedulerState::default();
-        let ready = vec![(2u16, 0u64)];
-        assert_eq!(choose(SchedPolicy::Lrr, &mut st, &ready), Some(2));
-        assert_eq!(choose(SchedPolicy::Lrr, &mut st, &ready), Some(2));
-    }
-}

@@ -34,19 +34,6 @@ pub fn run_scenario_naive(name: &str) -> Vec<EpochRecord> {
     scenario_records(name, false)
 }
 
-/// Like [`run_scenario`] but stepping the SM domains concurrently
-/// (`GpuConfig::intra_parallel`); the corpus pins one record stream for
-/// every stepping mode, so this too must agree byte-for-byte.
-///
-/// # Panics
-///
-/// Panics on a name outside [`SCENARIOS`].
-pub fn run_scenario_parallel(name: &str) -> Vec<EpochRecord> {
-    let mut cfg = config(true);
-    cfg.intra_parallel = true;
-    scenario_run(name, cfg).1
-}
-
 /// Runs the named scenario with the cycle-level flight recorder enabled and
 /// returns the finished machine alongside the epoch records — the input to
 /// the Perfetto exporter (`repro trace`). Event recording never perturbs

@@ -53,6 +53,7 @@
 //! let _ = Policy::Spart;
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

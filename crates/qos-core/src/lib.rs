@@ -38,6 +38,7 @@
 //! assert!(gpu.stats().ipc(qos) > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -41,6 +41,7 @@
 //! assert_eq!(back.kernel(), desc, "replay rebuilds the identical kernel");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

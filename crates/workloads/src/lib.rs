@@ -25,6 +25,7 @@
 //! assert!(!sgemm.memory_intensive());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

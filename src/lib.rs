@@ -28,6 +28,7 @@
 //! assert!(stats.ipc(latency_job) > 0.0 && stats.ipc(batch_job) >= 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The cycle-level GPU simulator substrate (re-export of `gpu-sim`).

@@ -45,20 +45,3 @@ fn golden_hashes_are_stepping_independent() {
         );
     }
 }
-
-/// Concurrent SM-domain stepping (`intra_parallel`) must also reproduce the
-/// golden snapshots exactly — the parallel loop is a stepping strategy, not
-/// a behaviour change.
-#[test]
-fn golden_hashes_hold_under_parallel_stepping() {
-    use fgqos::sim::trace::records_hash;
-    for name in golden::SCENARIOS {
-        let hash = records_hash(&golden::run_scenario_parallel(name));
-        let contents =
-            std::fs::read_to_string(golden::golden_path(name)).expect("golden file readable");
-        assert!(
-            contents.contains(&format!("{hash:#018x}")),
-            "{name}: parallel-stepping records_hash {hash:#018x} not present in snapshot"
-        );
-    }
-}

@@ -217,7 +217,6 @@ struct RunSummary {
 #[allow(clippy::too_many_arguments)]
 fn run_differential_case(
     fast_forward: bool,
-    intra_parallel: bool,
     descs: &[KernelDesc],
     ctrl_sel: usize,
     goal: f64,
@@ -230,7 +229,6 @@ fn run_differential_case(
 
     let mut cfg = GpuConfig::tiny();
     cfg.fast_forward = fast_forward;
-    cfg.intra_parallel = intra_parallel;
     cfg.trace.level = fgqos::sim::TraceLevel::Events;
     cfg.health.audit = audit;
     cfg.health.watchdog_window = if watchdog { 2 * cfg.epoch_cycles } else { 0 };
@@ -323,10 +321,7 @@ proptest! {
     /// fast-forward run and a naive per-cycle run produce identical
     /// `Stats`, `Tracer` epoch records, cache/DRAM traffic, preemption
     /// counts and health outcomes (including watchdog reports and audit
-    /// verdicts) — and a third run with `intra_parallel` stepping (its own
-    /// fast-forward setting drawn independently, so the parallel × ff
-    /// matrix is covered) matches them bit-for-bit too, full event stream
-    /// and counter registry included.
+    /// verdicts), full event stream and counter registry included.
     #[test]
     fn fast_forward_matches_naive_stepping(
         nk in 1usize..4,
@@ -344,7 +339,6 @@ proptest! {
         audit in any::<bool>(),
         fault_sel in 0usize..4,
         fault_cycle in 500u64..6_000,
-        par_ff in any::<bool>(),
     ) {
         let descs: Vec<KernelDesc> = (0..nk)
             .map(|k| {
@@ -374,90 +368,11 @@ proptest! {
             _ => None,
         };
         let goal = goal_frac * 100.0;
-        let fast = run_differential_case(
-            true, false, &descs, ctrl_sel, goal, watchdog, audit, fault, cycles,
-        );
-        let naive = run_differential_case(
-            false, false, &descs, ctrl_sel, goal, watchdog, audit, fault, cycles,
-        );
+        let fast =
+            run_differential_case(true, &descs, ctrl_sel, goal, watchdog, audit, fault, cycles);
+        let naive =
+            run_differential_case(false, &descs, ctrl_sel, goal, watchdog, audit, fault, cycles);
         prop_assert_eq!(&fast, &naive);
-        let parallel = run_differential_case(
-            par_ff, true, &descs, ctrl_sel, goal, watchdog, audit, fault, cycles,
-        );
-        prop_assert_eq!(&parallel, &naive);
-    }
-}
-
-/// Cross-mode snapshot interchange: serial and `intra_parallel` stepping
-/// reach byte-identical machine state at epoch boundaries — the blobs,
-/// config fingerprint included, compare equal because `intra_parallel` is a
-/// stepping strategy and not part of the machine — and a blob taken under
-/// one mode restores into a machine stepping under the other and continues
-/// exactly as an uninterrupted run does.
-#[test]
-fn parallel_and_serial_snapshots_interchange() {
-    use fgqos::sim::snap::{decode_from_slice, encode_to_vec};
-    use fgqos::{QosManager, QosSpec, QuotaScheme};
-
-    fn state_digest(
-        gpu: &Gpu,
-    ) -> (
-        u64,
-        Vec<fgqos::sim::KernelStats>,
-        Vec<fgqos::sim::TraceEvent>,
-        Vec<fgqos::sim::CounterEntry>,
-    ) {
-        let stats = gpu.stats();
-        (
-            gpu.cycle(),
-            gpu.kernel_ids().map(|k| *stats.kernel(k)).collect(),
-            gpu.recent_events(usize::MAX),
-            gpu.counter_registry(),
-        )
-    }
-
-    let machine = |intra_parallel: bool| {
-        let mut cfg = GpuConfig::tiny();
-        cfg.intra_parallel = intra_parallel;
-        cfg.trace.level = fgqos::sim::TraceLevel::Events;
-        let mut gpu = Gpu::new(cfg);
-        let q = gpu.launch(workloads::by_name("sgemm").expect("known"));
-        let b = gpu.launch(workloads::by_name("lbm").expect("known"));
-        let ctrl = QosManager::new(QuotaScheme::Rollover)
-            .with_kernel(q, QosSpec::qos(200.0))
-            .with_kernel(b, QosSpec::best_effort());
-        (gpu, ctrl)
-    };
-    let half = 4 * GpuConfig::tiny().epoch_cycles;
-
-    let (mut serial, mut sctrl) = machine(false);
-    serial.run(half, &mut sctrl);
-    let sblob = serial.snapshot().expect("epoch-aligned");
-    let ctrl_bytes = encode_to_vec(&sctrl);
-
-    let (mut par, mut pctrl) = machine(true);
-    par.run(half, &mut pctrl);
-    let pblob = par.snapshot().expect("epoch-aligned");
-    assert_eq!(sblob.to_bytes(), pblob.to_bytes(), "cross-mode snapshot blobs differ");
-    assert_eq!(ctrl_bytes, encode_to_vec(&pctrl), "controllers diverged across modes");
-
-    // Reference: the serial machine never stops.
-    serial.run(half, &mut sctrl);
-    let reference = state_digest(&serial);
-
-    // Swap the blobs across modes and continue each restored machine under a
-    // round-tripped controller: both must land exactly on the reference.
-    for (blob, intra_parallel) in [(&pblob, false), (&sblob, true)] {
-        let (mut gpu, _) = machine(intra_parallel);
-        gpu.restore(blob).expect("cross-mode restore");
-        let mut ctrl: QosManager = decode_from_slice(&ctrl_bytes).expect("controller round-trips");
-        gpu.run(half, &mut ctrl);
-        assert_eq!(
-            state_digest(&gpu),
-            reference,
-            "restored {}-stepping continuation diverged",
-            if intra_parallel { "parallel" } else { "serial" },
-        );
     }
 }
 

@@ -2,8 +2,7 @@
 //!
 //! The contract under test: latency histograms and the counter time series
 //! are simulated state, not measurement noise — their `Snap` encodings are
-//! byte-identical across serial vs. concurrent SM-domain stepping
-//! (`intra_parallel`), across idle fast-forward on vs. off, and across a
+//! byte-identical across idle fast-forward on vs. off and across a
 //! snapshot → process-death → restore cut at any epoch boundary. The host
 //! profiler is the deliberate exception (wall-clock, host-only) and is
 //! asserted to stay *out* of snapshots.
@@ -28,10 +27,9 @@ fn telemetry_bytes(gpu: &Gpu) -> Vec<u8> {
 /// An SMK pair whose thread-block targets are squeezed mid-run, forcing
 /// deterministic preemptions (and thus non-empty save-latency histograms),
 /// with the counter series sampling every epoch.
-fn squeezed_pair(fast_forward: bool, intra_parallel: bool) -> Gpu {
+fn squeezed_pair(fast_forward: bool) -> Gpu {
     let mut cfg = GpuConfig::tiny();
     cfg.fast_forward = fast_forward;
-    cfg.intra_parallel = intra_parallel;
     let mut gpu = Gpu::new(cfg);
     let a = gpu.launch(fgqos::workloads::by_name("lbm").expect("known"));
     let b = gpu.launch(fgqos::workloads::by_name("spmv").expect("known"));
@@ -53,19 +51,13 @@ fn squeezed_pair(fast_forward: bool, intra_parallel: bool) -> Gpu {
 }
 
 #[test]
-fn histograms_and_series_are_identical_across_stepping_modes() {
-    let base = telemetry_bytes(&squeezed_pair(true, false));
+fn histograms_and_series_are_identical_with_and_without_fast_forward() {
+    let gpu = squeezed_pair(true);
     assert_eq!(
-        base,
-        telemetry_bytes(&squeezed_pair(true, true)),
-        "intra_parallel stepping changed telemetry bytes"
-    );
-    assert_eq!(
-        base,
-        telemetry_bytes(&squeezed_pair(false, false)),
+        telemetry_bytes(&gpu),
+        telemetry_bytes(&squeezed_pair(false)),
         "fast-forward changed telemetry bytes"
     );
-    let gpu = squeezed_pair(true, false);
     let recorded: u64 = gpu.kernel_ids().map(|k| gpu.preempt_save_histogram(k).count()).sum();
     assert!(recorded > 0, "squeeze produced no preemption saves — test lost its teeth");
     assert!(!gpu.metrics_series().rows().is_empty(), "series never sampled");
@@ -74,7 +66,7 @@ fn histograms_and_series_are_identical_across_stepping_modes() {
 #[test]
 fn telemetry_survives_snapshot_and_restore_byte_identically() {
     // Straight run.
-    let straight = squeezed_pair(true, false);
+    let straight = squeezed_pair(true);
     // Same run cut at the squeeze point: snapshot, "die", restore into a
     // fresh machine, continue.
     let mut cfg = GpuConfig::tiny();

@@ -2,10 +2,10 @@
 //!
 //! For every synthetic Parboil model: capture an FGTR trace, round-trip it
 //! through the codec, rebuild the kernel, and run original vs replayed
-//! side by side across the stepping matrix (serial and `intra_parallel`,
-//! fast-forward on and off). The epoch-record stream hash and the *entire*
-//! counter registry must agree exactly — replay is the same kernel, and the
-//! simulator is deterministic, so any divergence is a codec or rebuild bug.
+//! side by side with fast-forward on and off. The epoch-record stream hash
+//! and the *entire* counter registry must agree exactly — replay is the same
+//! kernel, and the simulator is deterministic, so any divergence is a codec
+//! or rebuild bug.
 
 use gpu_sim::trace::{records_hash, Tracer};
 use gpu_sim::{Gpu, GpuConfig, KernelDesc, NullController};
@@ -21,7 +21,7 @@ fn run_fingerprint(desc: &KernelDesc, cfg: &GpuConfig) -> (u64, Vec<gpu_sim::Cou
 }
 
 #[test]
-fn replayed_traces_match_their_kernels_across_the_stepping_matrix() {
+fn replayed_traces_match_their_kernels_with_and_without_fast_forward() {
     for name in workloads::NAMES {
         let desc = workloads::by_name(name).expect("known workload");
         let kt = trace::capture(&desc, &GpuConfig::tiny(), trace::DEFAULT_CAPTURE_CYCLES)
@@ -34,24 +34,19 @@ fn replayed_traces_match_their_kernels_across_the_stepping_matrix() {
             .kernel();
         assert_eq!(replayed, desc, "{name}: rebuild must be the identical kernel");
 
-        for intra_parallel in [false, true] {
-            for fast_forward in [false, true] {
-                let mut cfg = GpuConfig::tiny();
-                cfg.intra_parallel = intra_parallel;
-                cfg.fast_forward = fast_forward;
-                let (orig_hash, orig_counters) = run_fingerprint(&desc, &cfg);
-                let (replay_hash, replay_counters) = run_fingerprint(&replayed, &cfg);
-                assert_eq!(
-                    orig_hash, replay_hash,
-                    "{name}: records_hash diverged \
-                     (intra_parallel={intra_parallel}, fast_forward={fast_forward})"
-                );
-                assert_eq!(
-                    orig_counters, replay_counters,
-                    "{name}: counter registry diverged \
-                     (intra_parallel={intra_parallel}, fast_forward={fast_forward})"
-                );
-            }
+        for fast_forward in [false, true] {
+            let mut cfg = GpuConfig::tiny();
+            cfg.fast_forward = fast_forward;
+            let (orig_hash, orig_counters) = run_fingerprint(&desc, &cfg);
+            let (replay_hash, replay_counters) = run_fingerprint(&replayed, &cfg);
+            assert_eq!(
+                orig_hash, replay_hash,
+                "{name}: records_hash diverged (fast_forward={fast_forward})"
+            );
+            assert_eq!(
+                orig_counters, replay_counters,
+                "{name}: counter registry diverged (fast_forward={fast_forward})"
+            );
         }
     }
 }
