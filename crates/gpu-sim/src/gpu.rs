@@ -19,7 +19,7 @@ use crate::sm::{QuotaCarry, Sm};
 use crate::snap::{Snap, SnapError, SnapReader};
 use crate::stats::{EpochSnapshot, GpuStats, KernelStats};
 use crate::tb_sched::{KernelRuntime, SharingMode, TbScheduler};
-use crate::telemetry::{HostProfiler, LatencyHistogram, ProfPhase, TimeSeries};
+use crate::telemetry::{HostProfiler, LatencyHistogram, ProfPhase, TimeSeries, WorkCounters};
 use crate::types::{per_kernel, Cycle, KernelId, PerKernel, SmId};
 
 /// Cycles between TB-scheduler service passes (dispatch / preemption checks).
@@ -80,6 +80,10 @@ pub struct Gpu {
     // Host-side self-profiler. Deliberately NOT snapshotted: wall-clock
     // attribution is nondeterministic host state (DESIGN.md §17).
     prof: HostProfiler,
+    // Host-work counts; deterministic, but they describe how this process
+    // stepped the machine, not the machine, so they stay out of snapshots,
+    // digests and the counter registry like `prof`.
+    work: WorkCounters,
 }
 
 impl Gpu {
@@ -115,6 +119,7 @@ impl Gpu {
             was_idle: false,
             series: TimeSeries::disabled(),
             prof: HostProfiler::new(),
+            work: WorkCounters::default(),
             cycle: 0,
             cfg,
         }
@@ -182,7 +187,22 @@ impl Gpu {
     /// fires. On error `self` is left at the failing cycle so the state can
     /// be inspected.
     pub fn try_run(&mut self, cycles: Cycle, ctrl: &mut dyn Controller) -> Result<(), SimError> {
-        let end = self.cycle + cycles;
+        let outcome = self.run_until(self.cycle + cycles, ctrl);
+        // Every way out, `Err` included, leaves the SMs awake with nothing
+        // deferred: between runs their statistics are read and their quota
+        // state written through calls that carry no cycle to catch up to.
+        self.wake_sms(self.cycle);
+        outcome
+    }
+
+    /// Ends every SM's sleep at `now` (see [`Sm::catch_up`]).
+    fn wake_sms(&mut self, now: Cycle) {
+        for sm in &mut self.sms {
+            sm.catch_up(now);
+        }
+    }
+
+    fn run_until(&mut self, end: Cycle, ctrl: &mut dyn Controller) -> Result<(), SimError> {
         let window = self.cfg.health.watchdog_window;
         let mut last_progress_cycle = self.cycle;
         let mut last_issued = self.total_issued();
@@ -191,13 +211,23 @@ impl Gpu {
             Some(windows_elapsed) => (windows_elapsed + 1) * window,
             None => Cycle::MAX,
         };
+        // With fast-forward off no SM ever sleeps: every SM runs its full
+        // gather on every cycle, which is what makes that mode an oracle
+        // for this one (DESIGN.md §3.1).
+        let may_sleep = self.cfg.fast_forward;
+        let num_sms = self.sms.len() as u64;
         while self.cycle < end {
             let now = self.cycle;
-            if self.fault_cursor < self.cfg.faults.faults.len() {
+            if self.cfg.faults.faults.get(self.fault_cursor).is_some_and(|f| f.at_cycle <= now) {
+                // Faults rewrite quota and freeze state.
+                self.wake_sms(now);
                 self.apply_faults(now)?;
             }
             if now.is_multiple_of(self.cfg.epoch_cycles) {
                 let t0 = self.prof.begin();
+                // Epoch accounting and the controller read every counter and
+                // write quotas; a snapshot taken in there sees no sleep state.
+                self.wake_sms(now);
                 self.record(now, TraceEventKind::EpochBoundary { epoch: self.epoch_index });
                 self.finish_epoch(now);
                 if self.cfg.health.audit {
@@ -220,14 +250,26 @@ impl Gpu {
                 self.service(now);
                 self.prof.end(ProfPhase::TbService, t0);
             }
-            let issued_before_tick = self.total_issued();
-            // Step every SM domain — each touches only its own state plus
-            // its interconnect port — then drain the ports into the shared
-            // memory domain in stable SM-index order (see `crate::icn`).
+            // Step every SM domain that is due — each touches only its own
+            // state plus its interconnect port — then drain the ports into
+            // the shared memory domain in stable SM-index order (see
+            // `crate::icn`). A sleeping SM costs the one compare; an SM that
+            // issued stays awake (due at 0), so `horizon` ends above `now`
+            // only when the whole machine is asleep.
             let t0 = self.prof.begin();
+            let mut horizon = Cycle::MAX;
+            let mut ran = 0;
             for sm in &mut self.sms {
-                sm.tick(now);
+                if sm.wake_at() <= now {
+                    ran += 1;
+                    if !sm.tick(now) && may_sleep {
+                        sm.sleep_from(now + 1);
+                    }
+                }
+                horizon = horizon.min(sm.wake_at());
             }
+            self.work.sm_ticks_run += ran;
+            self.work.sm_ticks_slept += num_sms - ran;
             self.prof.end(ProfPhase::SmStep, t0);
             for sm in &mut self.sms {
                 sm.drain_icn(&mut self.mem, now, &mut self.prof);
@@ -251,83 +293,52 @@ impl Gpu {
                 next_check += window;
             }
             self.cycle += 1;
-            // Attempting a jump costs a machine-wide horizon scan, so only
-            // try when this cycle issued nothing — on an issuing cycle some
-            // warp almost certainly remains issuable next cycle. This is
-            // purely an attempt filter: `fast_forward_target` re-proves
-            // idleness itself, so skipping an attempt never affects results.
-            if self.cfg.fast_forward && self.total_issued() == issued_before_tick {
+            if horizon > self.cycle {
                 let t0 = self.prof.begin();
-                if let Some(target) = self.fast_forward_target(end, next_check) {
-                    let from = self.cycle;
-                    // Replay is per-SM private state only: no port traffic,
-                    // so nothing to drain.
-                    for sm in &mut self.sms {
-                        sm.note_skipped_cycles(from, target);
-                    }
-                    self.ff_skipped += target - from;
-                    self.cycle = target;
-                }
+                let target = self.jump_target(horizon, end, next_check);
+                let skipped = target - self.cycle;
+                self.ff_skipped += skipped;
+                self.work.sm_ticks_slept += skipped * num_sms;
+                self.cycle = target;
                 self.prof.end(ProfPhase::FastForward, t0);
             }
         }
         Ok(())
     }
 
-    /// Computes how far the run loop may jump from `self.cycle` without
-    /// changing any observable state, or `None` when the next cycle must be
-    /// simulated.
+    /// How far the clock may move from `self.cycle` when every SM sleeps
+    /// until `horizon` or later: nothing observable happens in between, and
+    /// the SMs account for the jumped cycles themselves when they wake.
     ///
-    /// The jump target is the earliest component horizon ([`Sm::next_event`]
-    /// wake-ups and context-transition completions), clamped so that every
-    /// externally observable event still fires on its exact cycle: epoch
-    /// boundaries, idle-warp sampling ticks, the watchdog's `next_check`,
-    /// the first still-pending `FaultPlan` entry, `DISPATCH_INTERVAL`
-    /// service points whenever a service pass could act
-    /// ([`TbScheduler::service_would_noop`]), and the end of the run. The
-    /// memory system contributes no horizon: transaction completions are
-    /// computed eagerly at access time and carried by warp scoreboards
-    /// (see [`MemSystem::next_event`]).
-    fn fast_forward_target(&self, end: Cycle, next_check: Cycle) -> Option<Cycle> {
-        /// Smallest multiple of `step` at or above `from` — boundary cycles
-        /// themselves are never skipped.
-        fn next_boundary(from: Cycle, step: Cycle) -> Cycle {
-            from.next_multiple_of(step)
-        }
+    /// `horizon` is clamped so that every externally observable event still
+    /// fires on its exact cycle: epoch boundaries, idle-warp sampling ticks,
+    /// the watchdog's `next_check`, the first still-pending `FaultPlan`
+    /// entry, `DISPATCH_INTERVAL` service points whenever a service pass
+    /// could act ([`TbScheduler::service_would_noop`]), and the end of the
+    /// run. The memory system contributes no horizon: transaction
+    /// completions are computed eagerly at access time and carried by warp
+    /// scoreboards (see [`MemSystem::next_event`]). None of the clamps lies
+    /// behind `self.cycle`; a result equal to it means "simulate the very
+    /// next cycle".
+    fn jump_target(&self, horizon: Cycle, end: Cycle, next_check: Cycle) -> Cycle {
         let from = self.cycle;
-        if from >= end {
-            return None;
-        }
-        // The busy scan runs first: on most simulated cycles some warp can
-        // issue, and `Sm::next_event` detects that with an early return,
-        // keeping the per-cycle overhead of a failed jump attempt small.
-        let mut target = Cycle::MAX;
-        for sm in &self.sms {
-            match sm.next_event(from) {
-                // A wake at or before `from` means some warp can issue now.
-                Some(busy) if busy <= from => return None,
-                Some(wake) => target = target.min(wake),
-                None => {}
-            }
-        }
-        target = target
+        // Boundary cycles themselves are never skipped: `next_multiple_of`
+        // is the smallest multiple at or above `from`.
+        let mut target = horizon
             .min(end)
-            .min(next_boundary(from, self.cfg.epoch_cycles))
-            .min(next_boundary(from, self.sample_interval))
+            .min(from.next_multiple_of(self.cfg.epoch_cycles))
+            .min(from.next_multiple_of(self.sample_interval))
             .min(next_check);
-        if self.fault_cursor < self.cfg.faults.faults.len() {
-            target = target.min(self.cfg.faults.faults[self.fault_cursor].at_cycle);
-        }
-        if target <= from {
-            return None;
+        if let Some(fault) = self.cfg.faults.faults.get(self.fault_cursor) {
+            target = target.min(fault.at_cycle);
         }
         // `service_would_noop` is the costliest predicate; consult it only
         // when the clamp it guards could actually shorten the jump.
-        let dispatch = next_boundary(from, DISPATCH_INTERVAL);
+        let dispatch = from.next_multiple_of(DISPATCH_INTERVAL);
         if target > dispatch && !self.tb_sched.service_would_noop(&self.sms, &self.kernels) {
-            target = target.min(dispatch);
+            target = dispatch;
         }
-        (target > from).then_some(target)
+        target
     }
 
     /// Applies every scheduled fault whose cycle has arrived.
@@ -562,6 +573,12 @@ impl Gpu {
     /// The host-side self-profiler's accumulated phase totals.
     pub fn profiler(&self) -> &HostProfiler {
         &self.prof
+    }
+
+    /// How many per-SM cycle steps this machine's run loop executed and how
+    /// many it skipped because the SM was asleep, since construction.
+    pub fn work_counters(&self) -> WorkCounters {
+        self.work
     }
 
     /// Mutable profiler access, for callers that attribute externally timed

@@ -89,7 +89,9 @@ pub use observe::{
 pub use snap::{Snap, SnapError, SnapReader};
 pub use stats::{EpochSnapshot, GpuStats, KernelStats};
 pub use tb_sched::SharingMode;
-pub use telemetry::{HostProfiler, LatencyHistogram, PhaseTotal, ProfPhase, SeriesRow, TimeSeries};
+pub use telemetry::{
+    HostProfiler, LatencyHistogram, PhaseTotal, ProfPhase, SeriesRow, TimeSeries, WorkCounters,
+};
 pub use trace::Tracer;
 pub use types::{Cycle, KernelId, SmId};
 pub use warp_sched::SchedPolicy;

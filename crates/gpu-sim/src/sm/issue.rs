@@ -1,14 +1,16 @@
 //! The SM front end: per-cycle scheduler gather/choose/issue, the
-//! work-conserving scavenger, interconnect-port traffic, and the
-//! fast-forward horizon protocol.
+//! work-conserving scavenger, interconnect-port traffic, and the sleep /
+//! catch-up protocol that lets the machine leave a stalled SM alone
+//! (DESIGN.md §3.1).
 //!
 //! Ready-warp selection is a branchless trailing-zeros scan over the warp
 //! table's packed bitmasks: one live-candidate word set is computed per tick
 //! (`occupied & !done & !at_barrier & tb_active`), then each scheduler scans
-//! `live & stride_mask[sid]`, visiting exactly the slots the old strided
-//! `Option`-walk visited, in the same increasing-slot order — which is what
-//! keeps the mutating `quota_allows` refill rules firing in the original
-//! sequence (DESIGN.md §18).
+//! `live & stride_mask[sid]` in increasing-slot order — the order of the
+//! strided `Option`-walk it replaced, which is what keeps the mutating
+//! `quota_allows` refill rules firing in the original sequence (DESIGN.md
+//! §18). Candidates of quota-inert kernels are counted by popcount instead of
+//! visited: their `quota_allows` is a `false` that mutates nothing (§3.1).
 
 use crate::icn::{self, IcnRequest, IcnResponse};
 use crate::kernel::{KernelDesc, MemSpace, Op};
@@ -29,32 +31,17 @@ use super::Sm;
 const MAX_SCHEDS_FUSED: usize = 8;
 
 impl Sm {
-    /// The earliest future cycle at which this SM could change state, or
-    /// `None` if it is fully quiescent.
+    /// The earliest future cycle at which this SM could change state by
+    /// itself, or `None` if it is fully quiescent.
     ///
     /// A returned cycle `<= now` means the SM is busy *right now* (some
-    /// non-inert warp can issue this cycle), so fast-forward must not skip
-    /// anything. Horizons come from two sources: in-flight context
-    /// transitions (whose completion mutates slot state in
-    /// `process_transitions`) and stalled warps' `ready_at` scoreboards.
-    /// Warps never hold the [`icn::PENDING`] sentinel here: the machine
-    /// drains every port before it consults horizons.
-    ///
-    /// The result does not depend on `now` (the caller compares it against
-    /// its own clock), so it is memoized in [`super::WakeCache`] and only
-    /// recomputed after a mutation of the horizon's inputs — the win that
-    /// lets repeated fast-forward probes of a quiescent SM cost one `Cell`
-    /// read instead of a warp-table scan.
-    pub(crate) fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        if let Some(v) = self.wake.get() {
-            return v;
-        }
-        let v = self.compute_next_event();
-        self.wake.put(v);
-        v
-    }
-
-    fn compute_next_event(&self) -> Option<Cycle> {
+    /// non-inert warp can issue this cycle), so it must not sleep. Horizons
+    /// come from two sources: in-flight context transitions (whose
+    /// completion mutates slot state in `process_transitions`) and stalled
+    /// warps' `ready_at` scoreboards. Warps never hold the [`icn::PENDING`]
+    /// sentinel here: only an issue parks a warp on it, and an SM is asked
+    /// for its horizon only after a tick that issued nothing.
+    fn next_event(&self) -> Option<Cycle> {
         let mut horizon: Option<Cycle> = None;
         let fold = |h: &mut Option<Cycle>, c: Cycle| {
             *h = Some(h.map_or(c, |v| v.min(c)));
@@ -70,7 +57,7 @@ impl Sm {
             // A frozen or empty SM never issues; only transitions can fire.
             return horizon;
         }
-        let inert: [bool; MAX_KERNELS] = std::array::from_fn(|k| self.quota_inert(k));
+        let inert = self.inert_kernels();
         let t = &self.warps;
         for wi in 0..t.words() {
             let mut inert_bits = 0u64;
@@ -103,29 +90,45 @@ impl Sm {
         horizon
     }
 
-    /// Accounts for the idle cycles `[from, target)` jumped over by
-    /// fast-forward, mirroring exactly what per-cycle [`Sm::tick`] calls
-    /// would have done: a hosted, unfrozen SM burns busy cycles and empty
-    /// issue slots even when no warp can issue, and the gather loop counts
-    /// every issuable-but-quota-denied warp once per cycle. Neither the
-    /// freeze/occupancy conditions nor kernel inertness can change
-    /// mid-window (they only move on simulated cycles), so the quota-blocked
-    /// tally is replayed per warp from its scoreboard release to the window
-    /// end. Only quota-inert kernels can own issuable warps inside a skipped
-    /// window — a non-inert issuable warp would have held fast-forward back
-    /// via [`Sm::next_event`] — and transitioning TBs stay un-issuable for
-    /// the whole window because their completion is itself a horizon.
-    ///
-    /// Touches only this SM's private state. Statistics do not feed
-    /// [`Sm::next_event`], so the wake cache survives the skip.
-    pub(crate) fn note_skipped_cycles(&mut self, from: Cycle, target: Cycle) {
-        if self.sched_frozen || self.used_threads == 0 {
+    /// The cycle this SM must next be ticked at: its sleep horizon, or 0
+    /// (always due) while it is awake.
+    #[inline]
+    pub(crate) fn wake_at(&self) -> Cycle {
+        self.sleep.map_or(0, |s| s.until)
+    }
+
+    /// Puts the SM to sleep from cycle `from` if nothing on it can change at
+    /// `from`. Call only right after a [`Sm::tick`] at `from - 1` that issued
+    /// nothing; whether SMs sleep at all is the machine's decision
+    /// (`GpuConfig::fast_forward`), which is why `tick` does not do this.
+    pub(crate) fn sleep_from(&mut self, from: Cycle) {
+        let until = self.next_event().unwrap_or(Cycle::MAX);
+        if until > from {
+            self.sleep = Some(super::Sleep { since: from, until });
+        }
+    }
+
+    /// Ends a sleep at `now`, accounting for the slept cycles `[since, now)`
+    /// exactly as per-cycle [`Sm::tick`] calls would have: a hosted,
+    /// unfrozen SM burns busy cycles and empty issue slots even when no warp
+    /// can issue, and the gather counts every issuable-but-quota-denied warp
+    /// once per cycle. Neither the freeze/occupancy conditions nor kernel
+    /// inertness can change while asleep — whatever would change them calls
+    /// this first — so the quota-blocked tally is replayed per warp from its
+    /// scoreboard release to `now`. Only quota-inert kernels can own
+    /// issuable warps inside the window (a non-inert one would have bounded
+    /// the horizon), and transitioning TBs stay un-issuable throughout
+    /// because their completion is itself a horizon. No-op while awake.
+    pub(crate) fn catch_up(&mut self, now: Cycle) {
+        let Some(super::Sleep { since, until }) = self.sleep.take() else { return };
+        debug_assert!(now <= until, "{} slept past its horizon {until} to {now}", self.id);
+        if now <= since || self.sched_frozen || self.used_threads == 0 {
             return;
         }
-        let skipped = target - from;
-        self.busy_cycles += skipped;
-        self.issue_slots += skipped * u64::from(self.num_scheds);
-        let inert: [bool; MAX_KERNELS] = std::array::from_fn(|k| self.quota_inert(k));
+        let slept = now - since;
+        self.busy_cycles += slept;
+        self.issue_slots += slept * u64::from(self.num_scheds);
+        let inert = self.inert_kernels();
         if !inert.iter().any(|&b| b) {
             return;
         }
@@ -145,9 +148,9 @@ impl Sm {
             while bits != 0 {
                 let slot = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let start = from.max(t.ready_at[slot]);
-                if start < target {
-                    blocked[t.kernel[slot].index()] += target - start;
+                let start = since.max(t.ready_at[slot]);
+                if start < now {
+                    blocked[t.kernel[slot].index()] += now - start;
                 }
             }
         }
@@ -156,17 +159,19 @@ impl Sm {
         }
     }
 
-    /// Advances the SM by one cycle, touching only domain-local state.
+    /// Advances the SM by one cycle, touching only domain-local state, and
+    /// reports whether any warp issued.
     ///
     /// Global-memory instructions do not reach the shared hierarchy here:
     /// they are parked in this SM's `IcnPort` and served when the machine
     /// calls [`Sm::drain_icn`] once every SM has ticked.
-    pub(crate) fn tick(&mut self, now: Cycle) {
+    pub(crate) fn tick(&mut self, now: Cycle) -> bool {
+        self.catch_up(now);
         if !self.transitioning.is_empty() {
             self.process_transitions(now);
         }
         if self.sched_frozen || self.used_threads == 0 {
-            return;
+            return false;
         }
         self.busy_cycles += 1;
         self.issue_slots += u64::from(self.num_scheds);
@@ -180,30 +185,9 @@ impl Sm {
         // the call — and the scavenger can never match (it only admits
         // *gated* exhausted kernels). Nothing inside the scheduler loop
         // changes these inputs — `issue` debits quota counters but never
-        // flips a gate — so the flag is computed once per tick. It also
-        // short-circuits `any_inert_resident` below (no kernel can be inert
-        // without a gate set).
+        // flips a gate — so the flag is computed once per tick.
         let all_allowed =
             !self.quota_frozen && !self.priority_block && !self.gated.iter().any(|&g| g);
-
-        // Quiescent-tick fast path. When the memoized wake horizon lies in
-        // the future, no non-inert warp can issue at `now`, so the slow path
-        // below would find no candidates, call no (mutating) quota check,
-        // issue nothing, and leave scheduler state untouched — its only
-        // effects are the busy/issue-slot counters incremented above. The
-        // one other thing a full gather does is count issuable warps of
-        // *inert* kernels into `quota_blocked`, so the shortcut additionally
-        // requires that no kernel is inert while owning resident warps
-        // (`quota_inert` guarantees `quota_allows` would be a mutation-free
-        // `false` for exactly those warps). Memory-bound SMs spend hundreds
-        // of consecutive cycles in this state; the cache makes each one a
-        // `Cell` read instead of a warp-table scan (DESIGN.md §18).
-        if let Some(cached) = self.wake.get() {
-            let busy_now = matches!(cached, Some(w) if w <= now);
-            if !busy_now && (all_allowed || !self.any_inert_resident()) {
-                return;
-            }
-        }
 
         // Issuable candidate words for this cycle: occupied, not retired,
         // not parked at a barrier, owning TB in Active phase (`tb_active`
@@ -321,11 +305,7 @@ impl Sm {
                     issued_any = true;
                 }
             }
-            if !issued_any && self.wake.get().is_none() {
-                let v = self.compute_next_event();
-                self.wake.put(v);
-            }
-            return;
+            return issued_any;
         }
         for sid in 0..n_scheds {
             // Gather issuable warps for this scheduler: a trailing-zeros
@@ -383,8 +363,19 @@ impl Sm {
                     }
                 }
             } else {
+                // Inert kernels' candidates are counted, not visited:
+                // `quota_allows` would deny each one without mutating
+                // anything, and no call made during this gather can end a
+                // kernel's inertness (see `quota_inert`). The rest are
+                // visited in the same increasing-slot order as ever.
+                let inert = self.inert_kernels();
                 for wi in 0..words {
                     let mut bits = self.live_buf[wi] & self.stride_masks[sid][wi];
+                    for k in (0..MAX_KERNELS).filter(|&k| inert[k]) {
+                        let owned = bits & self.warps.kernel_mask[k][wi];
+                        self.quota_blocked[k] += u64::from(owned.count_ones());
+                        bits &= !owned;
+                    }
                     while bits != 0 {
                         let slot = wi * 64 + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
@@ -439,17 +430,7 @@ impl Sm {
                 issued_any = true;
             }
         }
-        // An issue-free slow tick means the SM just went (or stayed)
-        // quiescent: refill the wake cache now so the following stalled
-        // cycles take the fast path above. Issuing ticks skip this — the
-        // issue invalidated the cache and the SM is busy anyway, so the
-        // recompute would be pure overhead on the compute-bound path. Safe
-        // before the drain barrier: an issue-free tick parked no warp on
-        // the [`icn::PENDING`] sentinel.
-        if !issued_any && self.wake.get().is_none() {
-            let v = self.compute_next_event();
-            self.wake.put(v);
-        }
+        issued_any
     }
 
     /// Drains this SM's interconnect port into the shared memory system and
@@ -468,8 +449,6 @@ impl Sm {
         if self.icn.requests.is_empty() {
             return;
         }
-        // Responses rewrite warp scoreboards, an input of `next_event`.
-        self.wake.invalidate();
         let t0 = prof.begin();
         let mut port = std::mem::take(&mut self.icn);
         for req in port.requests.drain(..) {
@@ -548,9 +527,6 @@ impl Sm {
     }
 
     fn issue(&mut self, slot: u16, now: Cycle) {
-        // Issue rewrites scoreboards (and possibly barrier/retire state),
-        // all inputs of `next_event`.
-        self.wake.invalidate();
         let i = usize::from(slot);
         let k = self.warps.kernel[i].index();
         // `Op` is `Copy` and the body length is all the control flow needs,

@@ -38,7 +38,6 @@ mod warp_table;
 pub use quota::QuotaCarry;
 pub use warp_table::WarpTable;
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::cache::Cache;
@@ -61,49 +60,14 @@ pub struct SmKernelCounters {
     pub warp_insts: u64,
 }
 
-/// Memoized result of [`Sm::next_event`].
-///
-/// The next-event horizon only changes when an input of the computation
-/// changes (a warp issues or wakes, a TB transitions, quota/fault state
-/// flips); every such mutation calls `invalidate`. Between mutations —
-/// notably across the repeated fast-forward probes of a quiescent SM — the
-/// cached value is returned without rescanning the warp table.
-///
-/// Interior mutability (`Cell`) keeps `next_event` callable through `&self`.
-#[derive(Debug)]
-struct WakeCache {
-    valid: Cell<bool>,
-    value: Cell<Option<Cycle>>,
-}
-
-impl Default for WakeCache {
-    // Invalid by default: a freshly decoded (skip-field) cache recomputes on
-    // first use, so restore never observes a stale horizon.
-    fn default() -> Self {
-        WakeCache { valid: Cell::new(false), value: Cell::new(None) }
-    }
-}
-
-impl WakeCache {
-    #[inline]
-    fn invalidate(&self) {
-        self.valid.set(false);
-    }
-
-    #[inline]
-    fn get(&self) -> Option<Option<Cycle>> {
-        if self.valid.get() {
-            Some(self.value.get())
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn put(&self, v: Option<Cycle>) {
-        self.value.set(v);
-        self.valid.set(true);
-    }
+/// An SM's sleep state: nothing on it can change before cycle `until`
+/// (`Cycle::MAX` when nothing ever will unprompted), and the cycles from
+/// `since` on are not yet in its statistics — [`Sm::catch_up`] replays them
+/// before anything mutates an input of the horizon (DESIGN.md §3.1).
+#[derive(Debug, Clone, Copy)]
+struct Sleep {
+    since: Cycle,
+    until: Cycle,
 }
 
 /// A streaming multiprocessor.
@@ -203,8 +167,10 @@ pub struct Sm {
     // Pure function of the geometry; lazily rebuilt when empty, so a
     // restored SM regenerates them on its first tick.
     stride_masks: Vec<Vec<u64>>,
-    // Memoized next-event horizon (see `WakeCache`).
-    wake: WakeCache,
+    // `Some` while asleep (see `Sleep`). Set only by `sleep_from`, on the
+    // machine's say-so; `None` at every epoch boundary and between runs, so
+    // restore-as-`None` is what a snapshot would have held anyway.
+    sleep: Option<Sleep>,
 }
 
 impl Sm {
@@ -271,7 +237,7 @@ impl Sm {
             saved: Vec::new(),
             live_buf: Vec::new(),
             stride_masks: Vec::new(),
-            wake: WakeCache::default(),
+            sleep: None,
         }
     }
 
@@ -310,8 +276,8 @@ crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 // `icn` is pure transit state, always empty outside the step→drain window of
 // one cycle (snapshots are taken at epoch boundaries, between cycles);
 // `stride_masks` is a pure function of the geometry, lazily rebuilt;
-// `wake` decodes invalid and recomputes on first use; the `profile_*`
-// accumulators are host-side instrumentation re-armed by `set_profiling`.
+// `sleep` is `None` wherever a snapshot can be taken (the machine wakes every
+// SM before an epoch boundary's controller call and on every exit of a run).
 // A restored SM therefore starts with empty/default values for all of them.
 crate::impl_snap_struct!(Sm {
     id,
@@ -369,5 +335,5 @@ crate::impl_snap_struct!(Sm {
     bodies,
     live_buf,
     stride_masks,
-    wake
+    sleep
 });

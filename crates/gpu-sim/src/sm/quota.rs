@@ -26,12 +26,21 @@ pub enum QuotaCarry {
 }
 
 impl Sm {
+    /// Every write below changes what a sleeping SM's horizon and deferred
+    /// `quota_blocked` replay were computed from, and none carries the cycle
+    /// [`Sm::catch_up`] needs — so the machine wakes every SM before it lets
+    /// a controller, a fault or a restore at them (DESIGN.md §3.1).
+    #[inline]
+    fn assert_awake(&self) {
+        assert!(self.sleep.is_none(), "quota or fault write on sleeping {}", self.id);
+    }
+
     /// Enables or disables quota gating for kernel `k` on this SM.
     pub fn set_gated(&mut self, k: KernelId, gated: bool) {
         if self.quota_frozen {
             return;
         }
-        self.wake.invalidate();
+        self.assert_awake();
         self.gated[k.index()] = gated;
     }
 
@@ -43,7 +52,7 @@ impl Sm {
         if self.quota_frozen {
             return;
         }
-        self.wake.invalidate();
+        self.assert_awake();
         let i = k.index();
         let old = self.quota[i];
         self.quota[i] = match carry {
@@ -63,7 +72,7 @@ impl Sm {
     /// Marks kernel `k` as a QoS kernel (affects mid-epoch refill rules and
     /// the Rollover-Time priority gate).
     pub fn set_qos_kernel(&mut self, k: KernelId, qos: bool) {
-        self.wake.invalidate();
+        self.assert_awake();
         self.is_qos[k.index()] = qos;
     }
 
@@ -73,14 +82,14 @@ impl Sm {
         if self.quota_frozen {
             return;
         }
-        self.wake.invalidate();
+        self.assert_awake();
         self.elastic = on;
     }
 
     /// Enables the Rollover-Time priority gate: non-QoS kernels may only
     /// issue when every gated QoS kernel has exhausted its quota.
     pub fn set_priority_block(&mut self, on: bool) {
-        self.wake.invalidate();
+        self.assert_awake();
         self.priority_block = on;
     }
 
@@ -114,8 +123,6 @@ impl Sm {
             // Elastic epoch: a new epoch starts early once *all* kernels
             // have consumed their quotas (Fig. 4b), carrying debt.
             if self.all_gated_exhausted() {
-                // Quota refills change which kernels are inert.
-                self.wake.invalidate();
                 for i in 0..MAX_KERNELS {
                     if self.gated[i] {
                         self.quota[i] += self.refill[i];
@@ -129,7 +136,6 @@ impl Sm {
         if !self.is_qos[k] && self.refill[k] > 0 && !self.any_qos_quota_positive() {
             // Naïve/Rollover mid-epoch rule: once every QoS kernel reached
             // its per-epoch goal, non-QoS kernels keep running (§3.4.1).
-            self.wake.invalidate();
             self.quota[k] += self.refill[k];
             self.quota_credit[k] += self.refill[k];
             return self.quota[k] > 0;
@@ -140,13 +146,17 @@ impl Sm {
     /// Whether a warp of kernel `k` that is otherwise issuable is *inert*:
     /// [`Sm::quota_allows`] would return `false` without mutating any state,
     /// and the scavenger can never pick it. Inert warps generate no events,
-    /// so they do not hold fast-forward back.
+    /// so they do not keep the SM awake.
     ///
     /// Every input here (quota counters, gates, QoS flags, elastic mode) only
-    /// changes through issues, epoch-boundary controller writes, or injected
-    /// faults — all of which happen on cycles fast-forward never skips — so
-    /// inertness computed at the start of an idle window holds throughout it.
-    pub(super) fn quota_inert(&self, k: usize) -> bool {
+    /// changes through this SM's own issues, epoch-boundary controller
+    /// writes, or injected faults — none of which reaches a sleeping SM
+    /// without waking it first — so inertness computed when a sleep ends
+    /// held throughout it. Between two issues it can only spread: the lazy
+    /// refills of [`Sm::quota_allows`] raise quotas, which never frees a
+    /// kernel from the priority gate and fire for no QoS kernel that was
+    /// inert, so one evaluation serves a whole scheduler's gather.
+    fn quota_inert(&self, k: usize) -> bool {
         if self.quota_frozen {
             // StarveQuota freezes refills too: gated kernels stay blocked.
             return self.gated[k];
@@ -167,26 +177,16 @@ impl Sm {
         !(self.elastic && self.all_gated_exhausted())
     }
 
-    /// Whether any kernel is quota-inert while owning resident warps on
-    /// this SM. Guards the quiescent-tick fast path: inert kernels' issuable
-    /// warps must keep accumulating `quota_blocked` every cycle, which only
-    /// the full gather does. The gate tests (`gated`/`priority_block`/
-    /// `quota_frozen`) run first because no kernel can be inert without one
-    /// of them set, and unmanaged scenarios set none.
-    #[inline]
-    pub(super) fn any_inert_resident(&self) -> bool {
-        if !self.quota_frozen && !self.priority_block && !self.gated.iter().any(|&g| g) {
-            return false;
-        }
-        (0..MAX_KERNELS)
-            .any(|k| self.quota_inert(k) && self.warps.kernel_mask[k].iter().any(|&w| w != 0))
+    /// [`Sm::quota_inert`] for every kernel slot at once.
+    pub(super) fn inert_kernels(&self) -> [bool; MAX_KERNELS] {
+        std::array::from_fn(|k| self.quota_inert(k))
     }
 
     /// Injected `StarveQuota` fault: gates every kernel at zero quota and
     /// freezes all quota writes and refill channels, so no controller can
     /// revive issue on this SM.
     pub(crate) fn freeze_all_quota(&mut self) {
-        self.wake.invalidate();
+        self.assert_awake();
         for i in 0..MAX_KERNELS {
             self.gated[i] = true;
             let old = self.quota[i];
@@ -201,7 +201,7 @@ impl Sm {
     /// Injected `FreezeScheduler` fault: the SM stops issuing forever
     /// (in-flight context transfers still retire).
     pub(crate) fn freeze_schedulers(&mut self) {
-        self.wake.invalidate();
+        self.assert_awake();
         self.sched_frozen = true;
     }
 
@@ -217,7 +217,7 @@ impl Sm {
     /// not carry them along. Quota counters and gates themselves are left
     /// untouched — they are workload state the controller owns.
     pub(crate) fn clear_fault_effects(&mut self) {
-        self.wake.invalidate();
+        self.assert_awake();
         self.sched_frozen = false;
         self.quota_frozen = false;
         self.preempt_stalled = false;
@@ -232,7 +232,7 @@ impl Sm {
     /// through a ledger channel, to prove the audit catches stray writes.
     #[cfg(test)]
     pub(crate) fn corrupt_quota_for_test(&mut self, k: KernelId, delta: i64) {
-        self.wake.invalidate();
+        self.assert_awake();
         self.quota[k.index()] += delta;
     }
 }

@@ -76,8 +76,8 @@ impl Sm {
     ) {
         let desc = self.descs[k.index()].as_ref().expect("kernel desc registered").clone();
         assert!(self.can_host(&desc), "dispatch without capacity on {}", self.id);
-        // New residency changes the horizon inputs.
-        self.wake.invalidate();
+        // New residency ends a sleep; the slept cycles ran without it.
+        self.catch_up(now);
         let resumed = resume.is_some();
         let warps_per_tb = desc.warps_per_tb() as u16;
         let tb_slot = self
@@ -150,7 +150,7 @@ impl Sm {
             .map(|slot| (slot, self.tbs.tb_index[usize::from(slot)].0))
             .max_by_key(|&(_, idx)| idx);
         let Some((slot, victim_tb)) = victim else { return false };
-        self.wake.invalidate();
+        self.catch_up(now);
         let i = usize::from(slot);
         self.tbs.phase[i] = TbPhase::Saving(now + save_cost);
         // Warps parked at a barrier would deadlock the saved context check;
@@ -183,13 +183,11 @@ impl Sm {
             if !self.tbs.is_occupied(slot) {
                 // The TB completed while transitioning bookkeeping was
                 // pending (cannot normally happen; defensive).
-                self.wake.invalidate();
                 self.transitioning.swap_remove(i);
                 continue;
             }
             match self.tbs.phase[usize::from(slot)] {
                 TbPhase::Loading(until) if now >= until => {
-                    self.wake.invalidate();
                     self.tbs.phase[usize::from(slot)] = TbPhase::Active;
                     let si = usize::from(slot);
                     for idx in 0..self.tbs.warp_slots[si].len() {
@@ -208,7 +206,6 @@ impl Sm {
     }
 
     fn finalize_save(&mut self, tb_slot: u16, now: Cycle) {
-        self.wake.invalidate();
         let i = usize::from(tb_slot);
         let kernel = self.tbs.kernel[i];
         let tb_index = self.tbs.tb_index[i];
@@ -241,7 +238,6 @@ impl Sm {
         self.tbs.barrier_arrived[i] += 1;
         let live = self.tbs.warp_slots[i].len() as u16 - self.tbs.warps_done[i];
         if self.tbs.barrier_arrived[i] >= live {
-            self.wake.invalidate();
             self.tbs.barrier_arrived[i] = 0;
             for idx in 0..self.tbs.warp_slots[i].len() {
                 let ws = self.tbs.warp_slots[i][idx];
@@ -258,7 +254,6 @@ impl Sm {
         let i = usize::from(tb_slot);
         self.tbs.warps_done[i] += 1;
         if self.tbs.finished(tb_slot) {
-            self.wake.invalidate();
             let kernel = self.tbs.kernel[i];
             let tb_index = self.tbs.tb_index[i];
             let desc = self.descs[kernel.index()].as_ref().expect("desc").clone();

@@ -350,7 +350,6 @@ impl Picker {
             self.sm.warps.ready_at[usize::from(slot)] = self.now;
             self.sm.warps.age[usize::from(slot)] = age;
         }
-        self.sm.wake.invalidate();
         let issued = self.sm.issued_total;
         self.sm.tick(self.now);
         assert!(!self.sm.icn_in_flight(), "ALU-only body");
@@ -410,6 +409,152 @@ fn lrr_single_candidate() {
         assert_eq!(p.pick(&[(2, 0)]), Some(2), "gated={gated}");
         assert_eq!(p.pick(&[(2, 0)]), Some(2), "gated={gated}");
     }
+}
+
+/// The machine's stepping protocol (`Gpu::try_run`) over a lone SM hosting
+/// an exhausted, gated QoS kernel `q` (ready warps, all quota-inert) beside
+/// a best-effort kernel `b` that spends most cycles stalled on long ALU and
+/// memory latencies: tick when due, go to sleep after an issue-free tick,
+/// move the clock when everything sleeps. With `sleepy` off every cycle
+/// runs the full gather — the reference the sleeping runs must equal.
+struct Sleeper {
+    sm: Sm,
+    mem: MemSystem,
+    now: Cycle,
+    sleepy: bool,
+    jumps: bool,
+}
+
+const Q: KernelId = KernelId(0);
+const B: KernelId = KernelId(1);
+
+impl Sleeper {
+    fn new(sleepy: bool, jumps: bool) -> Self {
+        let cfg = GpuConfig::tiny();
+        let mut sm = Sm::new(SmId::new(0), &cfg);
+        let desc = |name: &str, body: Vec<Op>| {
+            let b = KernelDesc::builder(name).threads_per_tb(64).regs_per_thread(16);
+            Arc::new(b.iterations(10_000).grid_tbs(8).body(body).build())
+        };
+        sm.set_kernel_desc(Q, desc("q", vec![Op::alu(1, 100)]));
+        let stalls = vec![Op::alu(90, 1), Op::mem_load(AccessPattern::random(1 << 20, 4))];
+        sm.set_kernel_desc(B, desc("b", stalls));
+        sm.dispatch(Q, TbIndex(0), None, 0, 0);
+        sm.dispatch(Q, TbIndex(1), None, 0, 0);
+        sm.dispatch(B, TbIndex(0), None, 0, 0);
+        sm.set_gated(Q, true);
+        sm.set_qos_kernel(Q, true);
+        sm.set_epoch_quota(Q, 640, QuotaCarry::Full, 0);
+        Sleeper { sm, mem: MemSystem::new(cfg.mem), now: 0, sleepy, jumps }
+    }
+
+    fn run_to(&mut self, end: Cycle) {
+        while self.now < end {
+            if self.sm.wake_at() <= self.now {
+                if !self.sm.tick(self.now) && self.sleepy {
+                    self.sm.sleep_from(self.now + 1);
+                }
+                self.sm.drain_icn(&mut self.mem, self.now, &mut Default::default());
+            }
+            self.now += 1;
+            if self.jumps && self.sm.wake_at() > self.now {
+                self.now = self.sm.wake_at().min(end);
+            }
+        }
+    }
+
+    /// Runs to `at` and checks the scenario is the one the case is about:
+    /// a sleepy SM is asleep there with `q` exhausted.
+    fn run_into_a_sleep(&mut self, at: Cycle) {
+        self.run_to(at);
+        assert!(self.sm.quota(Q) <= 0, "q exhausts its 640 lanes long before {at}");
+        assert_eq!(self.sm.wake_at() > at, self.sleepy, "asleep at {at} iff allowed to sleep");
+    }
+
+    /// What the run leaves behind once the machine's exit sync has run.
+    fn finish(mut self) -> [u64; 8] {
+        self.sm.catch_up(self.now);
+        let sm = &self.sm;
+        [
+            sm.quota_blocked_cycles(Q),
+            sm.quota_blocked_cycles(B),
+            sm.busy_cycles(),
+            sm.issue_slots(),
+            sm.counters(Q).thread_insts,
+            sm.counters(B).thread_insts,
+            sm.issued_total(),
+            sm.preempt_stats().transfer_cycles,
+        ]
+    }
+}
+
+/// Runs `script` under the naive reference, with sleep, and with sleep plus
+/// clock jumps (a machine-wide jump across the sleeping SM must not count
+/// its cycles a second time); all three must leave the same statistics.
+fn sleep_matches_naive(script: impl Fn(&mut Sleeper)) {
+    let run = |sleepy, jumps| {
+        let mut s = Sleeper::new(sleepy, jumps);
+        script(&mut s);
+        s.finish()
+    };
+    let naive = run(false, false);
+    assert!(naive[0] > 1_000, "q's ready warps are quota-blocked most cycles: {naive:?}");
+    assert_eq!(run(true, false), naive, "sleeping");
+    assert_eq!(run(true, true), naive, "sleeping with clock jumps");
+}
+
+#[test]
+fn sleep_ended_by_its_horizon_matches_naive() {
+    // Some twenty sleeps, each ended by b's next scoreboard release, and the
+    // run stops exactly on such a horizon: the last window is a whole one.
+    let mut probe = Sleeper::new(true, false);
+    probe.run_into_a_sleep(2_000);
+    let horizon = probe.sm.wake_at();
+    sleep_matches_naive(|s| s.run_to(horizon));
+}
+
+#[test]
+fn sleep_ended_by_the_end_of_the_run_matches_naive() {
+    sleep_matches_naive(|s| s.run_into_a_sleep(1_500));
+}
+
+#[test]
+fn sleep_ended_by_a_dispatch_matches_naive() {
+    sleep_matches_naive(|s| {
+        s.run_into_a_sleep(1_500);
+        s.sm.dispatch(B, TbIndex(1), None, 1_500, 7);
+        s.run_to(3_000);
+    });
+}
+
+#[test]
+fn sleep_ended_by_a_preemption_matches_naive() {
+    sleep_matches_naive(|s| {
+        s.run_into_a_sleep(1_500);
+        assert!(s.sm.start_preempt(Q, 1_500, 40));
+        s.run_to(3_000);
+    });
+}
+
+#[test]
+fn sleep_ended_by_an_epoch_sync_and_quota_write_matches_naive() {
+    sleep_matches_naive(|s| {
+        s.run_into_a_sleep(1_500);
+        s.sm.catch_up(1_500);
+        s.sm.set_epoch_quota(Q, 320, QuotaCarry::Full, 0);
+        s.run_into_a_sleep(2_200);
+        s.sm.catch_up(2_200);
+        s.sm.set_gated(Q, false);
+        s.run_to(3_000);
+    });
+}
+
+#[test]
+#[should_panic(expected = "write on sleeping")]
+fn quota_write_on_a_sleeping_sm_is_refused() {
+    let mut s = Sleeper::new(true, false);
+    s.run_into_a_sleep(1_500);
+    s.sm.set_epoch_quota(Q, 320, QuotaCarry::Full, 0);
 }
 
 mod preemption_properties {

@@ -91,6 +91,32 @@ pub trait Snap: Sized {
     ///
     /// [`SnapError`] when the stream is truncated or structurally invalid.
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+
+    /// Appends the encodings of `items` back to back — what sequences write
+    /// after their length. The integers override it (and
+    /// [`Snap::decode_vec`]) with bulk copies that produce the same bytes:
+    /// snapshot payloads and the cache and scoreboard columns are megabytes
+    /// of them.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decodes `len` values laid out back to back.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] as for [`Snap::decode`].
+    fn decode_vec(r: &mut SnapReader<'_>, len: usize) -> Result<Vec<Self>, SnapError> {
+        // Clamp pre-allocation so a corrupt length can't trigger a huge
+        // allocation before the first element decode fails on EOF.
+        let mut v = Vec::with_capacity(len.min(r.remaining()));
+        for _ in 0..len {
+            v.push(Self::decode(r)?);
+        }
+        Ok(v)
+    }
 }
 
 /// Encodes a value into a fresh byte vector.
@@ -139,11 +165,40 @@ macro_rules! impl_snap_int {
                 let bytes = r.take(std::mem::size_of::<$ty>())?;
                 Ok(<$ty>::from_le_bytes(bytes.try_into().expect("sized take")))
             }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                out.reserve(std::mem::size_of_val(items));
+                for item in items {
+                    out.extend_from_slice(&item.to_le_bytes());
+                }
+            }
+            fn decode_vec(r: &mut SnapReader<'_>, len: usize) -> Result<Vec<Self>, SnapError> {
+                const SIZE: usize = std::mem::size_of::<$ty>();
+                // `take` bounds the length against the stream before
+                // anything is allocated.
+                let bytes = r.take(len.checked_mul(SIZE).ok_or(SnapError::UnexpectedEof)?)?;
+                let item = |c: &[u8]| <$ty>::from_le_bytes(c.try_into().expect("exact chunk"));
+                Ok(bytes.chunks_exact(SIZE).map(item).collect())
+            }
         })+
     };
 }
 
-impl_snap_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64);
+impl_snap_int!(u16, u32, u64, u128, i8, i16, i32, i64);
+
+impl Snap for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(r.take(1)?[0])
+    }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn decode_vec(r: &mut SnapReader<'_>, len: usize) -> Result<Vec<Self>, SnapError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl Snap for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -191,19 +246,11 @@ impl Snap for String {
 impl<T: Snap> Snap for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = usize::decode(r)?;
-        // Clamp pre-allocation so a corrupt length can't trigger a huge
-        // allocation before the first element decode fails on EOF.
-        let mut v = Vec::with_capacity(len.min(r.remaining()));
-        for _ in 0..len {
-            v.push(T::decode(r)?);
-        }
-        Ok(v)
+        T::decode_vec(r, len)
     }
 }
 
@@ -250,16 +297,10 @@ impl<T: Snap, E: Snap> Snap for Result<T, E> {
 
 impl<T: Snap, const N: usize> Snap for [T; N] {
     fn encode(&self, out: &mut Vec<u8>) {
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut v = Vec::with_capacity(N);
-        for _ in 0..N {
-            v.push(T::decode(r)?);
-        }
-        v.try_into().map_err(|_| SnapError::Invalid("array length"))
+        T::decode_vec(r, N)?.try_into().map_err(|_| SnapError::Invalid("array length"))
     }
 }
 
@@ -378,6 +419,34 @@ mod tests {
         round_trip((42u64, "x".to_string()));
         round_trip(Ok::<u32, String>(5));
         round_trip(Err::<u32, String>("boom".to_string()));
+    }
+
+    #[test]
+    fn bulk_integer_sequences_keep_the_element_wise_wire_format() {
+        fn element_wise<T: Snap>(items: &[T]) -> Vec<u8> {
+            let mut out = encode_to_vec(&items.len());
+            for item in items {
+                item.encode(&mut out);
+            }
+            out
+        }
+        let bytes: Vec<u8> = (0..=255).collect();
+        assert_eq!(encode_to_vec(&bytes), element_wise(&bytes));
+        round_trip(bytes);
+        let words = vec![0u64, 1, u64::MAX, 0x0123_4567_89ab_cdef];
+        assert_eq!(encode_to_vec(&words), element_wise(&words));
+        let signed = vec![i16::MIN, -1, 0, i16::MAX];
+        assert_eq!(encode_to_vec(&signed), element_wise(&signed));
+        round_trip(signed);
+        assert_eq!(encode_to_vec(&[7u32, 8, 9]), element_wise(&[7u32, 8, 9])[8..]);
+        // A truncated bulk payload fails like a truncated element did.
+        let mut cut = encode_to_vec(&words);
+        cut.pop();
+        assert_eq!(decode_from_slice::<Vec<u64>>(&cut), Err(SnapError::UnexpectedEof));
+        assert_eq!(
+            decode_from_slice::<Vec<u8>>(&[2, 0, 0, 0, 0, 0, 0, 0, 9]),
+            Err(SnapError::UnexpectedEof)
+        );
     }
 
     #[test]

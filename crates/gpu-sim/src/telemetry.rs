@@ -19,7 +19,8 @@
 //!   Host time is inherently nondeterministic, so the profiler is kept
 //!   strictly **outside** snapshots and `records_hash`: it is never encoded,
 //!   never compared, and costs a single branch per phase boundary when
-//!   disabled.
+//!   disabled. [`WorkCounters`], the run loop's deterministic step counts,
+//!   ride beside it for the same reason `ff_skipped_cycles` is filtered.
 
 use std::fmt;
 use std::time::Instant;
@@ -496,6 +497,21 @@ impl HostProfiler {
             dst.calls += src.calls;
         }
     }
+}
+
+/// Deterministic counts of the work the run loop did on the host, as
+/// opposed to what the simulated machine did: `sm_ticks_run` per-SM cycle
+/// steps executed, `sm_ticks_slept` SM-cycles passed over because the SM was
+/// asleep (machine-wide jumps included). They sum to simulated cycles × SMs
+/// and repeat exactly from run to run, so a test can pin "it sleeps" without
+/// a clock. Like [`HostProfiler`], never snapshotted: the same simulated
+/// state is reached with different counts when fast-forward is off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Calls of the per-SM cycle step.
+    pub sm_ticks_run: u64,
+    /// SM-cycles that needed no step.
+    pub sm_ticks_slept: u64,
 }
 
 #[cfg(test)]

@@ -40,8 +40,8 @@ pub const METRICS_SCHEMA: &str = "fgqos-metrics-v1";
 /// the bench suite's constructions (paper-scale config, 80 k cycles).
 /// Fleet scenario names ([`fleet::scenarios::SCENARIOS`]) are also
 /// accepted by [`profile_scenario`].
-pub const PROFILE_SCENARIOS: [&str; 3] =
-    ["smk_memory_pair", "managed_rollover_pair", "isolated_compute"];
+pub const PROFILE_SCENARIOS: [&str; 4] =
+    ["smk_memory_pair", "managed_rollover_pair", "managed_rollover_trio", "isolated_compute"];
 
 /// Cycles each single-GPU profile scenario runs.
 pub const PROFILE_CYCLES: u64 = 80_000;
@@ -440,12 +440,34 @@ fn profile_gpu(name: &str) -> Option<(Gpu, Option<QosManager>)> {
                 .with_kernel(be, QosSpec::best_effort());
             Some((gpu, Some(mgr)))
         }
+        "managed_rollover_trio" => {
+            // Goals low enough to be met early in every epoch: the two QoS
+            // kernels then sit quota-exhausted beside a memory-bound lbm.
+            let mut gpu = Gpu::new(cfg);
+            let mut mgr = QosManager::new(QuotaScheme::Rollover);
+            for (name, spec) in [
+                ("mri-q", QosSpec::qos(40.0)),
+                ("sad", QosSpec::qos(20.0)),
+                ("lbm", QosSpec::best_effort()),
+            ] {
+                mgr = mgr.with_kernel(gpu.launch(workloads::by_name(name).expect("known")), spec);
+            }
+            Some((gpu, Some(mgr)))
+        }
         "isolated_compute" => {
             let mut gpu = Gpu::new(cfg);
             gpu.launch(workloads::by_name("sgemm").expect("known"));
             Some((gpu, None))
         }
         _ => None,
+    }
+}
+
+/// Runs a [`profile_gpu`] machine for [`PROFILE_CYCLES`] under its manager.
+fn run_profile_gpu(gpu: &mut Gpu, mgr: Option<QosManager>) {
+    match mgr {
+        Some(mut mgr) => gpu.run(PROFILE_CYCLES, &mut mgr),
+        None => gpu.run(PROFILE_CYCLES, &mut NullController),
     }
 }
 
@@ -461,12 +483,17 @@ pub fn profile_scenario(name: &str) -> Result<String, String> {
     if let Some((mut gpu, mgr)) = profile_gpu(name) {
         gpu.set_profiling(true);
         let started = Instant::now();
-        match mgr {
-            Some(mut mgr) => gpu.run(PROFILE_CYCLES, &mut mgr),
-            None => gpu.run(PROFILE_CYCLES, &mut NullController),
-        }
+        run_profile_gpu(&mut gpu, mgr);
         let wall = started.elapsed().as_nanos() as u64;
-        return Ok(render_hotspot_table(name, gpu.profiler(), wall));
+        let work = gpu.work_counters();
+        let asleep = 100.0 * work.sm_ticks_slept as f64
+            / (work.sm_ticks_run + work.sm_ticks_slept).max(1) as f64;
+        return Ok(format!(
+            "{}  sm steps: {} run, {} slept ({asleep:.1}% of SM-cycles asleep)\n",
+            render_hotspot_table(name, gpu.profiler(), wall),
+            work.sm_ticks_run,
+            work.sm_ticks_slept
+        ));
     }
     if let Some(cfg) = scenarios::by_name(name, scenarios::DEFAULT_SEED) {
         let mut fleet = Fleet::new(cfg);
@@ -543,6 +570,29 @@ mod tests {
         assert!(out.contains("fleet_tick"), "{out}");
         assert!(out.contains("device_step"), "{out}");
         assert!(out.contains("attributed"), "{out}");
+    }
+
+    /// "It sleeps", without a clock: the run loop's step counts repeat
+    /// exactly, so they are pinned. A change that moves them changed how
+    /// much host work a simulated cycle costs — re-pin only with the reason.
+    #[test]
+    fn sm_step_counts_are_pinned() {
+        for (name, run, slept) in [
+            // One ungated compute kernel at 76% issue utilisation: 12.6%
+            // asleep, in the tile-load stalls all of an SM's warps share.
+            ("isolated_compute", 1_118_713, 161_287),
+            // mri-q chases 600 IPC for most of each epoch: 36.0% asleep.
+            ("managed_rollover_pair", 819_753, 460_247),
+            // Both goals met early, exhausted QoS warps beside a stalled
+            // lbm: 72.9% asleep, which the old per-cycle gather all ran.
+            ("managed_rollover_trio", 346_991, 933_009),
+        ] {
+            let (mut gpu, mgr) = profile_gpu(name).expect("a profile scenario");
+            run_profile_gpu(&mut gpu, mgr);
+            let work = gpu.work_counters();
+            assert_eq!((work.sm_ticks_run, work.sm_ticks_slept), (run, slept), "{name}");
+            assert_eq!(run + slept, PROFILE_CYCLES * u64::from(gpu.config().num_sms), "{name}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use fgqos::sim::cache::{AccessOutcome, Cache};
 use fgqos::sim::dram::ServiceQueue;
-use fgqos::{Gpu, GpuConfig, KernelDesc, NullController};
+use fgqos::{Gpu, GpuConfig, KernelDesc, KernelId, NullController};
 use gpu_sim::{AccessPattern, Op};
 use proptest::prelude::*;
 use qos_core::scheme::{alpha, distribute_quota, epoch_quota};
@@ -212,6 +212,30 @@ struct RunSummary {
     // the replayed quota-blocked cycles — must match event-for-event.
     events: Vec<fgqos::sim::TraceEvent>,
     counters: Vec<fgqos::sim::CounterEntry>,
+    // What a sleeping SM defers and replays: per SM busy cycles, issue slots
+    // and per-kernel quota-blocked cycles, read through the controller hook
+    // at every epoch boundary — a replay that only came out right at the
+    // end of the run would show here.
+    sm_accounting_per_epoch: Vec<SmAccounting>,
+}
+
+type SmAccounting = (u64, u64, [u64; fgqos::sim::MAX_KERNELS]);
+
+/// Records every SM's deferred-and-replayed statistics before handing the
+/// epoch to the controller under test.
+struct AccountingProbe<'a> {
+    inner: Box<dyn fgqos::Controller>,
+    seen: &'a mut Vec<SmAccounting>,
+}
+
+impl fgqos::Controller for AccountingProbe<'_> {
+    fn on_epoch(&mut self, gpu: &mut Gpu, epoch: u64) {
+        self.seen.extend(gpu.sms().iter().map(|sm| {
+            let blocked = std::array::from_fn(|k| sm.quota_blocked_cycles(KernelId::new(k)));
+            (sm.busy_cycles(), sm.issue_slots(), blocked)
+        }));
+        self.inner.on_epoch(gpu, epoch);
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -269,16 +293,19 @@ fn run_differential_case(
             Box::new(m)
         }
     };
-    let mut tracer = fgqos::sim::Tracer::new(ctrl);
+    let mut sm_accounting_per_epoch = Vec::new();
+    let probe = AccountingProbe { inner: ctrl, seen: &mut sm_accounting_per_epoch };
+    let mut tracer = fgqos::sim::Tracer::new(probe);
     let outcome = gpu.try_run(cycles, &mut tracer);
+    let (_, records) = tracer.into_parts();
     let stats = gpu.stats();
     let traffic = gpu.mem().traffic();
     RunSummary {
         outcome,
         cycle: gpu.cycle(),
         kernels: kids.iter().map(|&k| *stats.kernel(k)).collect(),
-        records_hash: fgqos::sim::trace::records_hash(tracer.records()),
-        records: tracer.records().to_vec(),
+        records_hash: fgqos::sim::trace::records_hash(&records),
+        records,
         per_sm_busy_issued: gpu
             .sms()
             .iter()
@@ -310,6 +337,7 @@ fn run_differential_case(
             .into_iter()
             .filter(|e| e.name != "ff_skipped_cycles")
             .collect(),
+        sm_accounting_per_epoch,
     }
 }
 
@@ -333,13 +361,23 @@ proptest! {
         iters in 1u32..6,
         seed in 0u64..10_000,
         cycles in 3_000u64..10_000,
-        ctrl_sel in 0usize..6,
+        ctrl_sel in 0usize..8,
         goal_frac in 0.1f64..1.5,
         watchdog in any::<bool>(),
         audit in any::<bool>(),
         fault_sel in 0usize..4,
         fault_cycle in 500u64..6_000,
     ) {
+        // A quarter of the cases are Rollover trios whose two QoS goals (1
+        // to 15 and half that, in IPC) are met early in every epoch: their
+        // warps then sit quota-exhausted on SMs whose best-effort kernel
+        // stalls on memory at different times, so SMs sleep and wake
+        // independently with quota-blocked cycles to replay.
+        let (nk, ctrl_sel, goal) = if ctrl_sel >= 6 {
+            (3, 2, goal_frac * 10.0)
+        } else {
+            (nk, ctrl_sel, goal_frac * 100.0)
+        };
         let descs: Vec<KernelDesc> = (0..nk)
             .map(|k| {
                 let k16 = k as u16;
@@ -367,7 +405,6 @@ proptest! {
             3 => Some((fault_cycle, fgqos::sim::FaultKind::StallPreemption)),
             _ => None,
         };
-        let goal = goal_frac * 100.0;
         let fast =
             run_differential_case(true, &descs, ctrl_sel, goal, watchdog, audit, fault, cycles);
         let naive =
