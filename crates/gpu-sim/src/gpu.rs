@@ -576,9 +576,16 @@ impl Gpu {
     }
 
     /// How many per-SM cycle steps this machine's run loop executed and how
-    /// many it skipped because the SM was asleep, since construction.
+    /// many it skipped because the SM was asleep, and what its SMs' wake
+    /// queues did, since construction.
     pub fn work_counters(&self) -> WorkCounters {
-        self.work
+        let mut work = self.work;
+        for sm in &self.sms {
+            let (events, rebuilds) = sm.wake_counts();
+            work.wake_events += events;
+            work.ready_rebuilds += rebuilds;
+        }
+        work
     }
 
     /// Mutable profiler access, for callers that attribute externally timed
@@ -1064,6 +1071,8 @@ impl Gpu {
             )));
         }
         self.cycle = cycle;
+        // The outgoing SMs take their wake-queue counts with them.
+        self.work = self.work_counters();
         self.sms = sms;
         self.mem = mem;
         self.kernels = kernels;
@@ -1724,6 +1733,14 @@ mod tests {
         assert_eq!(resumed.stats().kernel(b).thread_insts, straight.stats().kernel(b).thread_insts);
         assert_eq!(resumed.preempt_stats(), straight.preempt_stats());
         assert_eq!(resumed.skipped_cycles(), straight.skipped_cycles());
+
+        // Wake queues are rebuilt, never restored: one build per SM per
+        // machine lifetime, one more per restore.
+        let sms = u64::from(gpu.config().num_sms);
+        assert_eq!(gpu.work_counters().ready_rebuilds, sms);
+        gpu.restore(&blob).expect("its own snapshot");
+        gpu.run(1_000, &mut NullController);
+        assert_eq!(gpu.work_counters().ready_rebuilds, 2 * sms);
     }
 
     #[test]

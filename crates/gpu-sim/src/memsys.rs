@@ -74,7 +74,11 @@ impl MemSystem {
     /// Maps a line address to its memory controller.
     #[inline]
     pub fn mc_for(&self, addr: Addr) -> usize {
-        ((addr >> self.cfg.line_bytes.trailing_zeros()) % u64::from(self.cfg.num_mcs)) as usize
+        let block = addr >> self.cfg.line_bytes.trailing_zeros();
+        let n = u64::from(self.cfg.num_mcs);
+        // Same mapping either way; the mask spares the hot miss path a
+        // 64-bit division by a runtime value.
+        (if n.is_power_of_two() { block & (n - 1) } else { block % n }) as usize
     }
 
     /// Serves one warp memory instruction arriving over the interconnect

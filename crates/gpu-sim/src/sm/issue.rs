@@ -4,13 +4,14 @@
 //! (DESIGN.md §3.1).
 //!
 //! Ready-warp selection is a branchless trailing-zeros scan over the warp
-//! table's packed bitmasks: one live-candidate word set is computed per tick
-//! (`occupied & !done & !at_barrier & tb_active`), then each scheduler scans
-//! `live & stride_mask[sid]` in increasing-slot order — the order of the
-//! strided `Option`-walk it replaced, which is what keeps the mutating
-//! `quota_allows` refill rules firing in the original sequence (DESIGN.md
-//! §18). Candidates of quota-inert kernels are counted by popcount instead of
-//! visited: their `quota_allows` is a `false` that mutates nothing (§3.1).
+//! table's packed bitmasks: one issuable word set is computed per tick
+//! (`occupied & !done & !at_barrier & tb_active & ready`, the last kept by
+//! the wake queue), then each scheduler scans `live & stride_mask[sid]` in
+//! increasing-slot order — the order of the strided `Option`-walk it
+//! replaced, which keeps the mutating `quota_allows` refill rules firing in
+//! the original sequence (DESIGN.md §18). Candidates of quota-inert kernels
+//! are popcounted, not visited: their `quota_allows` is a `false` that
+//! mutates nothing (§3.1).
 
 use crate::icn::{self, IcnRequest, IcnResponse};
 use crate::kernel::{KernelDesc, MemSpace, Op};
@@ -193,39 +194,30 @@ impl Sm {
         // not parked at a barrier, owning TB in Active phase (`tb_active`
         // mirrors the phase exactly; a Loading TB due this cycle was flipped
         // to Active by `process_transitions` above), scoreboard released
-        // (`ready_at <= now`). The ready sweep is a straight branchless pass
-        // over the `ready_at` column — the compare vectorizes and never
-        // mispredicts, where the old per-candidate `ready_at` branch inside
-        // the bit-scan was data-dependent and mispredict-heavy on the dense
-        // path. Mid-tick mutations (issue, barrier release, TB drain) never
-        // make a masked-out warp issuable at `now` — barrier releases push
-        // `ready_at` past `now`, drained TBs' warps are all done, and an
-        // issue only rewrites the issuing scheduler's own stripe, which is
-        // never revisited this tick — so one mask, filtered per slot by the
-        // quota checks alone, serves every scheduler (DESIGN.md §18).
-        let words = self.warps.words();
-        self.live_buf.resize(words, 0);
-        {
-            let t = &self.warps;
-            let live_buf = &mut self.live_buf;
-            for (wi, out) in live_buf.iter_mut().enumerate() {
-                let live = t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi] & t.tb_active[wi];
-                if live == 0 {
-                    *out = 0;
-                    continue;
-                }
-                // Sweep only up to the highest live slot: dispatch fills
-                // slots from the bottom, so a partially occupied SM (the
-                // common case — occupancy limits bite well below the 64-slot
-                // table) pays for the slots it uses, not the table size.
-                let top = 64 - live.leading_zeros() as usize;
-                let base = wi * 64;
-                let mut ready = 0u64;
-                for (b, &ra) in t.ready_at[base..base + top].iter().enumerate() {
-                    ready |= u64::from(ra <= now) << b;
-                }
-                *out = live & ready;
+        // (the wake queue's `ready`, brought to `now` across whatever this
+        // SM slept through). Mid-tick mutations (issue, barrier release, TB
+        // drain) never make a masked-out warp issuable at `now` — barrier
+        // releases push `ready_at` past `now`, drained TBs' warps are all
+        // done, and an issue only rewrites the issuing scheduler's own
+        // stripe, which is never revisited this tick — so one mask, filtered
+        // per slot by the quota checks alone, serves every scheduler
+        // (DESIGN.md §18).
+        self.warps.advance(now);
+        let t = &self.warps;
+        let words = t.words();
+        let live = |wi: usize| t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi] & t.tb_active[wi];
+        self.live_buf.clear();
+        self.live_buf.extend((0..words).map(|wi| live(wi) & t.wake.ready[wi]));
+        // Reference: the sweep of the column that the queue replaced. The dev
+        // profile keeps debug assertions on, so every tier-1 simulation runs
+        // it against the queue; release builds carry none of it.
+        #[cfg(debug_assertions)]
+        for (wi, &issuable) in self.live_buf.iter().enumerate() {
+            let mut swept = live(wi);
+            for (b, &ra) in t.ready_at[wi * 64..].iter().take(64).enumerate() {
+                swept &= !(u64::from(ra > now) << b);
             }
+            debug_assert_eq!(issuable, swept, "{} wake queue, word {wi} at cycle {now}", self.id);
         }
 
         let mut issued_any = false;
@@ -471,7 +463,7 @@ impl Sm {
             // been *reused* yet: dispatch only happens in the TB scheduler's
             // service pass, outside the tick→drain window.
             if self.warps.is_occupied(resp.warp_slot) {
-                self.warps.ready_at[usize::from(resp.warp_slot)] = resp.ready_at;
+                self.warps.set_ready_at(resp.warp_slot, resp.ready_at);
             }
         }
         // Hand the (now empty) buffers back so next cycle reuses the
@@ -551,25 +543,21 @@ impl Sm {
             };
         }
 
-        let lanes;
-        match op {
+        // The op's lanes and the cycle its result is ready.
+        let (lanes, ready_at) = match op {
             Op::Alu { latency, active_lanes, .. } => {
-                lanes = active_lanes;
-                self.warps.ready_at[i] = now + Cycle::from(latency.max(1));
                 self.alu_thread_insts[k] += u64::from(active_lanes);
+                (active_lanes, now + Cycle::from(latency.max(1)))
             }
             Op::Sfu { latency, active_lanes, .. } => {
-                lanes = active_lanes;
-                self.warps.ready_at[i] = now + Cycle::from(latency.max(1));
                 self.sfu_thread_insts[k] += u64::from(active_lanes);
+                (active_lanes, now + Cycle::from(latency.max(1)))
             }
             Op::Mem { space: MemSpace::Shared, active_lanes, .. } => {
-                lanes = active_lanes;
-                self.warps.ready_at[i] = now + Cycle::from(self.l1_hit_latency);
                 self.smem_accesses[k] += u64::from(active_lanes);
+                (active_lanes, now + Cycle::from(self.l1_hit_latency))
             }
             Op::Mem { space: MemSpace::Global, pattern, active_lanes, .. } => {
-                lanes = active_lanes;
                 let tb_index = self.tbs.tb_index[usize::from(self.warps.tb_slot[i])].0;
                 let mut buf = [0u64; 32];
                 let n = self.warps.addr_stream(slot).gen_lines(
@@ -599,13 +587,11 @@ impl Sm {
                     miss_start,
                     miss_len,
                 });
-                self.warps.ready_at[i] = icn::PENDING;
+                (active_lanes, icn::PENDING)
             }
-            Op::Bar => {
-                lanes = crate::WARP_SIZE as u8;
-                self.warps.ready_at[i] = now + 1;
-            }
-        }
+            Op::Bar => (crate::WARP_SIZE as u8, now + 1),
+        };
+        self.warps.set_ready_at(slot, ready_at);
 
         // Retire one dynamic instruction and advance the program counter.
         self.warps.rem[i] -= 1;

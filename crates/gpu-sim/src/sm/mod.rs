@@ -21,10 +21,10 @@
 //! | module       | owns                                                     |
 //! |--------------|----------------------------------------------------------|
 //! | `mod.rs`     | the [`Sm`] struct, construction, snapshot codec          |
-//! | `warp_table` | struct-of-arrays warp state + packed bitmasks            |
+//! | `warp_table` | struct-of-arrays warp state, packed bitmasks, wake queue  |
 //! | `slots`      | occupancy: TB dispatch, preemption, completion, audits   |
 //! | `quota`      | the EWS quota gate: carry rules, refills, fault freezes  |
-//! | `issue`      | the front end: bitmask ready-scan, issue, `IcnPort`      |
+//! | `issue`      | the front end: issuable-mask gather, issue, `IcnPort`    |
 //! | `observe`    | sampling, counters, and every read-only stats accessor   |
 
 mod issue;
@@ -159,9 +159,9 @@ pub struct Sm {
     completed: Vec<(KernelId, TbIndex)>,
     saved: Vec<(KernelId, SavedTb)>,
 
-    // Per-tick scratch: live-candidate mask words (occupied, not done, not
-    // at a barrier, TB active), computed once per tick and scanned per
-    // scheduler. Rebuilt every tick, so restore-as-empty is safe.
+    // Per-tick scratch: issuable mask words (occupied, not done, not at a
+    // barrier, TB active, scoreboard released), computed once per tick and
+    // scanned per scheduler. Rebuilt every tick, so restore-as-empty is safe.
     live_buf: Vec<u64>,
     // Per-scheduler slot-stripe masks (bit set iff slot % num_scheds == sid).
     // Pure function of the geometry; lazily rebuilt when empty, so a

@@ -107,6 +107,11 @@ impl Sm {
         self.issued_total
     }
 
+    /// Wake-queue hints drained and full queue builds (`WorkCounters`).
+    pub(crate) fn wake_counts(&self) -> (u64, u64) {
+        (self.warps.wake.wake_events, self.warps.wake.ready_rebuilds)
+    }
+
     /// TBs resident on this SM (all kernels, including transitioning ones).
     pub fn resident_tbs(&self) -> u32 {
         (self.max_tbs as usize - self.tbs.free_slots()) as u32

@@ -243,8 +243,8 @@ impl Sm {
                 let ws = self.tbs.warp_slots[i][idx];
                 if self.warps.is_occupied(ws) && mask_get(&self.warps.at_barrier, ws) {
                     mask_clear(&mut self.warps.at_barrier, ws);
-                    let w = usize::from(ws);
-                    self.warps.ready_at[w] = self.warps.ready_at[w].max(now + 1);
+                    let at = self.warps.ready_at[usize::from(ws)].max(now + 1);
+                    self.warps.set_ready_at(ws, at);
                 }
             }
         }

@@ -345,9 +345,11 @@ impl Picker {
     /// have their scoreboards released; returns the slot that issued.
     fn pick(&mut self, ready: &[(u16, u64)]) -> Option<u16> {
         self.now += 1;
-        self.sm.warps.ready_at.fill(Cycle::MAX / 2);
+        for slot in 0..self.sm.warps.capacity() as u16 {
+            self.sm.warps.set_ready_at(slot, Cycle::MAX / 2);
+        }
         for &(slot, age) in ready {
-            self.sm.warps.ready_at[usize::from(slot)] = self.now;
+            self.sm.warps.set_ready_at(slot, self.now);
             self.sm.warps.age[usize::from(slot)] = age;
         }
         let issued = self.sm.issued_total;
@@ -555,6 +557,58 @@ fn quota_write_on_a_sleeping_sm_is_refused() {
     let mut s = Sleeper::new(true, false);
     s.run_into_a_sleep(1_500);
     s.sm.set_epoch_quota(Q, 320, QuotaCarry::Full, 0);
+}
+
+#[test]
+fn dispatch_onto_a_sleeping_sm_issues_on_the_cycle_its_awake_twin_does() {
+    // A cycle at which the SM has slept for more than a turn of the wake
+    // wheel: the new TB's scoreboards (`at + 7`) are written while the
+    // queue's clock still stands at the last tick, so a hint filed by its
+    // distance from `at` would share a bucket with a cycle long due.
+    let mut probe = Sleeper::new(true, false);
+    probe.run_into_a_sleep(1_500);
+    let at = (1_500..3_000)
+        .find(|&t| {
+            probe.run_to(t);
+            probe.sm.sleep.is_some_and(|s| s.since + 70 <= t && t < s.until)
+        })
+        .expect("b's memory stalls last hundreds of cycles");
+    let issue_cycles = |sleepy, jumps| {
+        let mut s = Sleeper::new(sleepy, jumps);
+        s.run_into_a_sleep(at);
+        s.sm.dispatch(B, TbIndex(1), None, at, 7);
+        let mut cycles = Vec::new();
+        for end in at + 1..at + 200 {
+            let before = s.sm.counters(B).warp_insts;
+            s.run_to(end);
+            if s.sm.counters(B).warp_insts > before {
+                cycles.push(end - 1);
+            }
+        }
+        cycles
+    };
+    let awake = issue_cycles(false, false);
+    assert_eq!(awake.first(), Some(&(at + 7)), "b's old TB is stalled; the new one loads first");
+    assert_eq!(issue_cycles(true, false), awake, "sleeping");
+    assert_eq!(issue_cycles(true, true), awake, "sleeping with clock jumps");
+}
+
+#[test]
+fn sm_decoded_from_a_snapshot_ticks_bit_identically() {
+    use crate::snap::{decode_from_slice, encode_to_vec};
+    let mut live = Sleeper::new(false, false);
+    live.run_to(1_234);
+    let mut back = Sleeper::new(false, false);
+    back.sm = decode_from_slice(&encode_to_vec(&live.sm)).expect("sm decodes");
+    back.mem = decode_from_slice(&encode_to_vec(&live.mem)).expect("memsys decodes");
+    back.now = live.now;
+    assert_eq!(back.sm.wake_counts(), (0, 0), "the wake queue is rebuilt, not decoded");
+    for end in (1_300..3_000).step_by(100) {
+        live.run_to(end);
+        back.run_to(end);
+        assert_eq!(encode_to_vec(&back.sm), encode_to_vec(&live.sm), "at {end}");
+    }
+    assert_eq!((live.sm.wake_counts().1, back.sm.wake_counts().1), (1, 1), "one build each");
 }
 
 mod preemption_properties {

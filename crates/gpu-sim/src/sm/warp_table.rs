@@ -27,7 +27,22 @@
 //! a kill-and-resume run — encode byte-identical snapshots. The free-slot
 //! stack itself is encoded, and both histories produce the same stack
 //! because free-order is architecturally determined.
+//!
+//! ## Wake queue
+//!
+//! `ready_at` is the truth: snapshotted, and read by the sleep horizon and
+//! its replay. [`WakeQueue`] is derived from it and never encoded; for every
+//! occupied slot, `ready` bit ⇔ `ready_at[slot] <= clock`. Every write of the
+//! column goes through [`WarpTable::set_ready_at`], which files a wake *hint*
+//! relative to the queue's own clock (`dispatch` writes on SMs whose last
+//! tick is long past). [`WarpTable::advance`] drains the hints due and checks
+//! each against the column: a slot freed, re-allocated or rewritten
+//! meanwhile leaves its old hint behind (DESIGN.md §18.2).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use crate::icn;
 use crate::rng::SplitMix64;
 use crate::types::{Cycle, KernelId, PerKernel};
 use crate::warp::{AddrStream, WarpProgress};
@@ -50,6 +65,31 @@ pub(crate) fn mask_get(mask: &[u64], slot: u16) -> bool {
     mask[usize::from(slot) / 64] >> (usize::from(slot) % 64) & 1 == 1
 }
 
+/// Cycles the wake wheel spans: ALU, SFU, shared-memory and barrier
+/// latencies land inside it, memory responses go to the heap.
+const WHEEL_SPAN: Cycle = 64;
+
+/// Scoreboard releases as events. `Default` is the unbuilt state (`ready`
+/// empty), in which a fresh and a restored table both start: the first
+/// `advance` builds the queue from the column.
+#[derive(Debug, Default)]
+pub(crate) struct WakeQueue {
+    /// Bit = scoreboard released at `clock`.
+    pub(crate) ready: Vec<u64>,
+    /// Bucket `c % WHEEL_SPAN` (one mask-word set each) holds the hints for
+    /// cycle `c`, `clock < c < clock + WHEEL_SPAN`.
+    wheel: Vec<u64>,
+    /// Bit `b` = bucket `b` is non-empty: a long gap drains in O(hints due).
+    wheel_occ: u64,
+    /// Hints `WHEEL_SPAN` or more cycles out, earliest first.
+    far: BinaryHeap<Reverse<(Cycle, u16)>>,
+    /// The cycle `ready` is exact for.
+    clock: Cycle,
+    /// Hints drained / full builds from the column (`WorkCounters`).
+    pub(crate) wake_events: u64,
+    pub(crate) ready_rebuilds: u64,
+}
+
 /// Struct-of-arrays storage for every warp slot of one SM.
 #[derive(Debug)]
 pub struct WarpTable {
@@ -70,7 +110,8 @@ pub struct WarpTable {
     /// Remaining body iterations.
     pub(crate) iter: Vec<u32>,
     /// Cycle at which the warp's previous instruction completes
-    /// (`icn::PENDING` while a memory response is outstanding).
+    /// (`icn::PENDING` while a memory response is outstanding). Written only
+    /// through [`WarpTable::set_ready_at`].
     pub(crate) ready_at: Vec<Cycle>,
     /// Memory-access sequence number.
     pub(crate) seq: Vec<u64>,
@@ -89,6 +130,7 @@ pub struct WarpTable {
     /// Free-slot stack; built in reverse so slot 0 pops first, matching the
     /// allocation order of the previous per-slot `Option` layout.
     pub(crate) free: Vec<u16>,
+    pub(crate) wake: WakeQueue,
 }
 
 impl WarpTable {
@@ -115,6 +157,7 @@ impl WarpTable {
             tb_loading: vec![0; words],
             kernel_mask: crate::types::per_kernel(|_| vec![0; words]),
             free: (0..max_warps).rev().collect(),
+            wake: WakeQueue::default(),
         }
     }
 
@@ -164,7 +207,7 @@ impl WarpTable {
         self.pc[i] = progress.pc;
         self.rem[i] = progress.rem;
         self.iter[i] = progress.iter;
-        self.ready_at[i] = ready_at;
+        self.set_ready_at(slot, ready_at);
         self.seq[i] = progress.seq;
         self.rng[i] = progress.rng.clone();
         self.age[i] = age;
@@ -200,6 +243,79 @@ impl WarpTable {
         mask_clear(&mut self.tb_loading, slot);
         mask_clear(&mut self.kernel_mask[k], slot);
         self.free.push(slot);
+    }
+
+    /// Moves the scoreboard release of `slot` to `cycle`.
+    #[inline]
+    pub(crate) fn set_ready_at(&mut self, slot: u16, cycle: Cycle) {
+        self.ready_at[usize::from(slot)] = cycle;
+        let q = &mut self.wake;
+        if q.ready.is_empty() {
+            return;
+        }
+        if cycle <= q.clock {
+            mask_set(&mut q.ready, slot);
+            return;
+        }
+        mask_clear(&mut q.ready, slot);
+        if cycle - q.clock < WHEEL_SPAN {
+            let bucket = (cycle % WHEEL_SPAN) as usize;
+            mask_set(&mut q.wheel[bucket * q.ready.len()..], slot);
+            q.wheel_occ |= 1 << bucket;
+        } else if cycle != icn::PENDING {
+            q.far.push(Reverse((cycle, slot)));
+        }
+    }
+
+    /// Brings `wake.ready` to cycle `now`, at a cost proportional to the
+    /// hints that came due since the last call. Time running backwards (only
+    /// tests restart a clock) rebuilds like the unbuilt state does.
+    pub(crate) fn advance(&mut self, now: Cycle) {
+        if self.wake.ready.is_empty() || now < self.wake.clock {
+            self.wake.ready = vec![0; self.words()];
+            self.wake.wheel = vec![0; self.words() * WHEEL_SPAN as usize];
+            self.wake.wheel_occ = 0;
+            self.wake.far.clear();
+            self.wake.clock = now;
+            self.wake.ready_rebuilds += 1;
+            for slot in 0..self.capacity() as u16 {
+                self.set_ready_at(slot, self.ready_at[usize::from(slot)]);
+            }
+            return;
+        }
+        let WarpTable { wake: q, ready_at, .. } = self;
+        let words = q.ready.len();
+        // Buckets of the cycles `clock + 1 ..= now`: all, from a full turn on.
+        let gap = now - q.clock;
+        let due = if gap >= WHEEL_SPAN {
+            u64::MAX
+        } else {
+            ((1u64 << gap) - 1).rotate_left(((q.clock + 1) % WHEEL_SPAN) as u32)
+        };
+        let mut buckets = q.wheel_occ & due;
+        q.wheel_occ &= !due;
+        q.clock = now;
+        let mut wake = |slot: u16| {
+            q.wake_events += 1;
+            if ready_at[usize::from(slot)] <= now {
+                mask_set(&mut q.ready, slot);
+            }
+        };
+        while buckets != 0 {
+            let base = buckets.trailing_zeros() as usize * words;
+            buckets &= buckets - 1;
+            for wi in 0..words {
+                let mut bits = std::mem::take(&mut q.wheel[base + wi]);
+                while bits != 0 {
+                    wake((wi * 64) as u16 + bits.trailing_zeros() as u16);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        while q.far.peek().is_some_and(|&Reverse((cycle, _))| cycle <= now) {
+            let Reverse((_, slot)) = q.far.pop().expect("peeked");
+            wake(slot);
+        }
     }
 
     /// Captures the architectural progress of the warp in `slot` for a
@@ -263,6 +379,8 @@ crate::impl_snap_struct!(WarpTable {
     tb_loading,
     kernel_mask,
     free,
+} skip {
+    wake
 });
 
 #[cfg(test)]
@@ -334,5 +452,98 @@ mod tests {
         p.done = true;
         let s = t.alloc(KernelId::new(0), 0, 0, 0, &p, 0, 0).unwrap();
         assert!(mask_get(&t.done, s), "resumed retired warp keeps its done bit");
+    }
+
+    mod wake_queue {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `ready` against the brute-force pass it replaces.
+        fn ready_matches_column(t: &WarpTable, now: Cycle) -> Result<(), TestCaseError> {
+            for slot in (0..t.capacity() as u16).filter(|&s| t.is_occupied(s)) {
+                let swept = t.ready_at[usize::from(slot)] <= now;
+                prop_assert_eq!(mask_get(&t.wake.ready, slot), swept, "slot {} at {}", slot, now);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random writes of the column (in the past, now, inside, at and
+            /// beyond the wheel span, far out, `PENDING`), slots freed and
+            /// re-allocated under their old hints, and time moving by
+            /// nothing, a cycle, across the span edge and far beyond it.
+            #[test]
+            fn ready_mask_equals_the_swept_column(
+                ops in prop::collection::vec(any::<u64>(), 1..400),
+            ) {
+                const DELAYS: [u64; 7] = [0, 1, 63, 64, 65, 5_000, icn::PENDING];
+                const GAPS: [u64; 6] = [0, 1, 63, 64, 65, 10_000];
+                // Two mask words, the second partial; half the slots hosted.
+                let mut t = WarpTable::new(70);
+                let mut now: Cycle = 20_000;
+                for s in 0..35 {
+                    t.alloc(KernelId::new(0), 0, s, 0, &fresh_progress(), now + u64::from(s), 0);
+                }
+                for op in ops {
+                    let slot = (op >> 8) as u16 % 70;
+                    let pick = (op >> 32) as usize;
+                    let at = match DELAYS[pick % 7] {
+                        0 if pick & 8 == 0 => now - (op >> 40) % 100,
+                        icn::PENDING => icn::PENDING,
+                        d => now + d,
+                    };
+                    match op % 8 {
+                        0..=3 if t.is_occupied(slot) => t.set_ready_at(slot, at),
+                        4 if t.is_occupied(slot) => {
+                            // The free stack is LIFO: the same slot comes
+                            // back, still carrying its old hints.
+                            t.free_slot(slot);
+                            let p = fresh_progress();
+                            let got = t.alloc(KernelId::new(1), 0, 0, 0, &p, at.max(now + 2), 0);
+                            prop_assert_eq!(got, Some(slot));
+                        }
+                        5 if t.is_occupied(slot) => t.free_slot(slot),
+                        0..=5 => {
+                            t.alloc(KernelId::new(2), 0, 0, 0, &fresh_progress(), at, 0);
+                        }
+                        _ => {
+                            now += GAPS[pick % 6];
+                            t.advance(now);
+                            ready_matches_column(&t, now)?;
+                        }
+                    }
+                }
+                t.advance(now);
+                ready_matches_column(&t, now)?;
+                prop_assert_eq!(t.wake.ready_rebuilds, 1, "built once, drained ever after");
+            }
+        }
+
+        #[test]
+        fn time_running_backwards_rebuilds() {
+            let mut t = WarpTable::new(8);
+            let s = t.alloc(KernelId::new(0), 0, 0, 0, &fresh_progress(), 30, 0).unwrap();
+            t.advance(40);
+            assert!(mask_get(&t.wake.ready, s));
+            t.advance(10);
+            assert!(!mask_get(&t.wake.ready, s), "not released yet at cycle 10");
+            t.advance(30);
+            assert!(mask_get(&t.wake.ready, s), "the rebuild re-filed the hint");
+            assert_eq!(t.wake.ready_rebuilds, 2);
+        }
+
+        #[test]
+        fn a_snapshot_carries_the_column_not_the_queue() {
+            use crate::snap::{decode_from_slice, encode_to_vec};
+            let mut t = WarpTable::new(8);
+            t.alloc(KernelId::new(0), 0, 0, 0, &fresh_progress(), 30, 0).unwrap();
+            let unbuilt = encode_to_vec(&t);
+            t.advance(5);
+            assert_eq!(encode_to_vec(&t), unbuilt, "building the queue moves no snapshot byte");
+            let back: WarpTable = decode_from_slice(&unbuilt).expect("decodes");
+            assert!(back.wake.ready.is_empty(), "a restored table builds its queue anew");
+        }
     }
 }

@@ -512,6 +512,11 @@ pub struct WorkCounters {
     pub sm_ticks_run: u64,
     /// SM-cycles that needed no step.
     pub sm_ticks_slept: u64,
+    /// Wake-queue hints drained: the scoreboard work of all steps together.
+    pub wake_events: u64,
+    /// Wake queues built from the `ready_at` column: one per SM, plus one
+    /// per SM and restore — more would be an O(table) pass creeping back.
+    pub ready_rebuilds: u64,
 }
 
 #[cfg(test)]

@@ -489,10 +489,13 @@ pub fn profile_scenario(name: &str) -> Result<String, String> {
         let asleep = 100.0 * work.sm_ticks_slept as f64
             / (work.sm_ticks_run + work.sm_ticks_slept).max(1) as f64;
         return Ok(format!(
-            "{}  sm steps: {} run, {} slept ({asleep:.1}% of SM-cycles asleep)\n",
+            "{}  sm steps: {} run, {} slept ({asleep:.1}% of SM-cycles asleep); \
+             wake queue: {} hints drained, {} builds\n",
             render_hotspot_table(name, gpu.profiler(), wall),
             work.sm_ticks_run,
-            work.sm_ticks_slept
+            work.sm_ticks_slept,
+            work.wake_events,
+            work.ready_rebuilds
         ));
     }
     if let Some(cfg) = scenarios::by_name(name, scenarios::DEFAULT_SEED) {
@@ -572,26 +575,33 @@ mod tests {
         assert!(out.contains("attributed"), "{out}");
     }
 
-    /// "It sleeps", without a clock: the run loop's step counts repeat
-    /// exactly, so they are pinned. A change that moves them changed how
-    /// much host work a simulated cycle costs — re-pin only with the reason.
+    /// "It sleeps", and "a wake-up costs the hints due, not the table",
+    /// without a clock: the run loop's step counts and the wake queues'
+    /// drain counts repeat exactly, so they are pinned. A change that moves
+    /// them changed how much host work a simulated cycle costs — re-pin only
+    /// with the reason.
     #[test]
     fn sm_step_counts_are_pinned() {
-        for (name, run, slept) in [
+        for (name, run, slept, wakes) in [
             // One ungated compute kernel at 76% issue utilisation: 12.6%
             // asleep, in the tile-load stalls all of an SM's warps share.
-            ("isolated_compute", 1_118_713, 161_287),
+            ("isolated_compute", 1_118_713, 161_287, 3_990_716),
             // mri-q chases 600 IPC for most of each epoch: 36.0% asleep.
-            ("managed_rollover_pair", 819_753, 460_247),
+            ("managed_rollover_pair", 819_753, 460_247, 1_749_010),
             // Both goals met early, exhausted QoS warps beside a stalled
             // lbm: 72.9% asleep, which the old per-cycle gather all ran.
-            ("managed_rollover_trio", 346_991, 933_009),
+            ("managed_rollover_trio", 346_991, 933_009, 380_713),
         ] {
             let (mut gpu, mgr) = profile_gpu(name).expect("a profile scenario");
             run_profile_gpu(&mut gpu, mgr);
             let work = gpu.work_counters();
             assert_eq!((work.sm_ticks_run, work.sm_ticks_slept), (run, slept), "{name}");
             assert_eq!(run + slept, PROFILE_CYCLES * u64::from(gpu.config().num_sms), "{name}");
+            // About one hint per warp instruction, however long the SMs
+            // slept between them; and each queue was built from its column
+            // once, whatever the run length.
+            assert_eq!(work.wake_events, wakes, "{name}");
+            assert_eq!(work.ready_rebuilds, u64::from(gpu.config().num_sms), "{name}");
         }
     }
 
