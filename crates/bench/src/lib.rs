@@ -1,28 +1,18 @@
-//! Criterion benchmark crate.
+//! Wall-clock benches that CI's `bench-smoke` job runs and gates.
 //!
-//! The benches live in `benches/`:
+//! The benches live in `benches/` and time with `std::time` only:
 //!
-//! * `figures` — one benchmark per paper table/figure, running the
-//!   corresponding [`harness::experiments`] regenerator at
-//!   [`harness::RunScale::Bench`] scale and printing the same rows the
-//!   `repro` binary prints at larger scales,
-//! * `simulator` — micro-benchmarks of the simulator substrate (isolated
-//!   kernel runs, SMK co-runs, preemption churn),
 //! * `fastforward` — naive vs. idle fast-forward stepping (DESIGN.md §3.1)
 //!   over latency-bound, bandwidth-saturated, managed and compute-bound
-//!   scenarios, asserting bit-identical results and writing the timings to
-//!   `BENCH_fastforward.json` (CI uploads it; the repo root holds the
-//!   blessed baseline).
+//!   scenarios, traced and with the telemetry stack armed, asserting
+//!   bit-identical results and writing the timings to
+//!   `BENCH_fastforward.json`,
+//! * `fleet` — every fleet scenario run to completion twice (the reports
+//!   must be byte-identical), timings and serving counters written to
+//!   `BENCH_fleet.json`.
 //!
-//! `simulator` also carries a `trace_replay` group timing the FGTR codec
-//! round trip and a replayed-trace kernel run against its synthetic twin.
+//! CI uploads both files; the repo root holds the blessed baselines. The
+//! end-to-end and per-layer benchmark that speed claims are measured with
+//! is `fgqos-bench`, a package of its own under `src/bin/fgqos-bench/`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
-/// Re-exported so the benches share one definition of the bench scale.
-pub use harness::RunScale;
-
-/// The scale every figure bench runs at.
-pub const BENCH_SCALE: RunScale = RunScale::Bench;

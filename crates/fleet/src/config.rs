@@ -7,7 +7,6 @@ use std::fmt;
 use gpu_sim::snap::{Snap, SnapError, SnapReader};
 use gpu_sim::{FaultKind, FaultPlan, GpuConfig};
 use qos_core::TenantClass;
-use serde::{Deserialize, Serialize};
 use workloads::arrival::ArrivalModel;
 
 /// Which placement policy routes queued requests to idle devices.
@@ -16,7 +15,7 @@ use workloads::arrival::ArrivalModel;
 /// [`crate::placement`]; `Custom` resolves through the process-global
 /// registry ([`crate::placement::register_policy`]), letting external code
 /// plug in new policies the way `gpu_ext` registers policy objects.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Placement {
     /// Fill one device to its kernel/memory limits before using the next:
     /// maximizes idle (power-gateable) devices, worst tail latency.
@@ -60,7 +59,7 @@ impl Snap for Placement {
 /// sizing) and memory capacity, so a batch snapshot taken on one member
 /// restores on any other ([`GpuConfig::compat_fingerprint`]). Devices of
 /// *different* classes never exchange snapshots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceClass {
     /// Class name, for reports and traces.
     pub name: String,
@@ -90,7 +89,7 @@ impl DeviceClass {
 }
 
 /// Live-migration policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationConfig {
     /// Master switch. Off, the fleet falls back to evict + retry (the PR 6
     /// behavior).
@@ -115,7 +114,7 @@ gpu_sim::impl_snap_struct!(MigrationConfig { enabled, checkpoint_every_ticks, pa
 /// One planned rebalance: at `at_cycle`, `device` drains — its running
 /// batch is snapshotted at the tick boundary and migrated to a spare of the
 /// same class, and the device stops accepting work (maintenance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedDrain {
     /// Fleet cycle at which the drain begins.
     pub at_cycle: u64,
@@ -126,7 +125,7 @@ pub struct PlannedDrain {
 gpu_sim::impl_snap_struct!(PlannedDrain { at_cycle, device });
 
 /// One tenant's request stream and contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Tenant name; also labels its request kernels and RNG stream.
     pub name: String,
@@ -151,7 +150,7 @@ gpu_sim::impl_snap_struct!(TenantSpec { name, class, arrival, requests, grid_tbs
 /// Faults are injected into the device's *next* simulated batch (translated
 /// to device-relative cycles), so a fault aimed at an idle device is
 /// discovered on first use — the way real device loss is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetFault {
     /// Fleet cycle at which the fault is due.
     pub at_cycle: u64,
@@ -165,7 +164,7 @@ pub struct FleetFault {
 gpu_sim::impl_snap_struct!(FleetFault { at_cycle, device, kind });
 
 /// Top-level fleet configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// The device classes making up the fleet. Devices are numbered in
     /// class order: class 0's devices first, then class 1's, and so on.

@@ -42,7 +42,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::rng::{derive_seed, SplitMix64};
-use gpu_sim::snap::{self, Snap, SnapError, SnapReader};
+use gpu_sim::snap::{Snap, SnapError, SnapReader};
 use gpu_sim::telemetry::{HostProfiler, LatencyHistogram, ProfPhase, TimeSeries};
 use gpu_sim::{
     CounterEntry, CounterKind, CounterScope, FaultKind, FaultPlan, Gpu, KernelId, NullController,
@@ -1686,8 +1686,13 @@ impl Fleet {
         let evictions = u64::decode(&mut r).map_err(fail)?;
         let samples = Vec::<TickSample>::decode(&mut r).map_err(fail)?;
         let series = TimeSeries::decode(&mut r).map_err(fail)?;
-        let n_devices = u64::decode(&mut r).map_err(fail)? as usize;
-        let mut devices = Vec::with_capacity(n_devices);
+        // Both counts come from the stream; refuse a wrong one before it
+        // sizes an allocation (the bytes may be a re-sealed checkpoint file).
+        let n_devices = u64::decode(&mut r).map_err(fail)?;
+        if n_devices != u64::from(cfg.total_devices()) || tenants.len() != cfg.tenants.len() {
+            return Err("fleet snapshot shape does not match the configuration".to_string());
+        }
+        let mut devices = Vec::with_capacity(n_devices as usize);
         for _ in 0..n_devices {
             let id = u32::decode(&mut r).map_err(fail)?;
             let fate = DeviceFate::decode(&mut r).map_err(fail)?;
@@ -1742,9 +1747,6 @@ impl Fleet {
                 batch,
             });
         }
-        if devices.len() != cfg.total_devices() as usize || tenants.len() != cfg.tenants.len() {
-            return Err("fleet snapshot shape does not match the configuration".to_string());
-        }
         let policy = placement::resolve(&cfg.placement)
             .ok_or_else(|| "fleet snapshot: placement policy is unregistered".to_string())?;
         let class_compat: Vec<u64> =
@@ -1775,16 +1777,6 @@ impl Fleet {
             series,
             prof: HostProfiler::new(),
         })
-    }
-
-    /// Convenience: checksummed one-shot encoding of `snapshot` (FNV-1a
-    /// appended), for callers that persist fleet state without the
-    /// harness's framing.
-    pub fn snapshot_checksummed(&self) -> Vec<u8> {
-        let mut bytes = self.snapshot();
-        let sum = snap::fnv1a(&bytes);
-        sum.encode(&mut bytes);
-        bytes
     }
 }
 

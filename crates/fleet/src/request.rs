@@ -4,11 +4,10 @@
 use std::fmt;
 
 use gpu_sim::snap::{Snap, SnapError, SnapReader};
-use serde::{Deserialize, Serialize};
 
 /// Why a request was shed. Every non-completed request carries one of
 /// these — the fleet's zero-lost-requests accounting depends on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// Rejected at admission: projected occupancy would have broken a
     /// guaranteed tenant's SLO.
@@ -45,7 +44,7 @@ impl fmt::Display for ShedReason {
 }
 
 /// Where a request currently is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestState {
     /// Waiting for placement; not placeable before `not_before` (retry
     /// backoff — zero for fresh arrivals).
@@ -125,7 +124,7 @@ impl Snap for RequestState {
 }
 
 /// One tenant request, from arrival to a terminal state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Global request id (index into the fleet's request table).
     pub id: usize,

@@ -7,8 +7,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::health::{FaultPlan, HealthConfig};
 use crate::observe::TraceConfig;
 use crate::warp_sched::SchedPolicy;
@@ -27,7 +25,7 @@ impl fmt::Display for InvalidConfig {
 impl Error for InvalidConfig {}
 
 /// Per-SM static resource limits and issue configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmConfig {
     /// Register file size in bytes (Table 1: 256 KB).
     pub register_file_bytes: u64,
@@ -65,7 +63,7 @@ impl SmConfig {
 }
 
 /// Memory hierarchy configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemConfig {
     /// Number of memory controllers / L2 slices / DRAM channels (Table 1: 4).
     pub num_mcs: u32,
@@ -125,7 +123,7 @@ impl Default for MemConfig {
 /// Units are arbitrary energy units per event; only *relative*
 /// instructions-per-Watt numbers are reported (Fig. 14), so absolute
 /// calibration is unnecessary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerConfig {
     /// Static energy per SM per cycle while the SM hosts at least one TB.
     pub sm_static_per_cycle: f64,
@@ -161,7 +159,7 @@ impl Default for PowerConfig {
 }
 
 /// Preemption (partial context switch) cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreemptConfig {
     /// Context store/load bandwidth in bytes per cycle per SM.
     ///
@@ -180,7 +178,7 @@ impl Default for PreemptConfig {
 }
 
 /// Top-level simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
     pub num_sms: u32,

@@ -25,14 +25,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::observe::TraceEvent;
 use crate::types::Cycle;
 
 /// Health-layer knobs. The default disables everything (zero overhead,
 /// behavior identical to a simulator without the health layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthConfig {
     /// Forward-progress window in cycles; `0` disables the watchdog.
     ///
@@ -46,7 +44,7 @@ pub struct HealthConfig {
 }
 
 /// One scheduled fault in a [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Cycle at which the fault fires (clamped to the next simulated cycle
     /// if the plan is installed after `at_cycle` has passed).
@@ -56,7 +54,7 @@ pub struct FaultSpec {
 }
 
 /// The kinds of deterministic faults a plan can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Gate every kernel with zero quota on every SM and freeze all further
     /// quota writes and refills, producing a machine-wide quota-starvation
@@ -88,7 +86,7 @@ pub enum FaultKind {
 
 /// A deterministic schedule of injected faults, carried on
 /// [`GpuConfig`](crate::GpuConfig). Empty by default.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The scheduled faults. Order does not matter; the simulator applies
     /// them in `at_cycle` order.
@@ -120,7 +118,7 @@ impl FaultPlan {
 }
 
 /// Census of one SM's warp slots at report time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarpStallCounts {
     /// Warps that could issue this cycle (modulo quota gating).
     pub ready: u32,
@@ -141,7 +139,7 @@ impl WarpStallCounts {
 }
 
 /// Per-kernel slice of a [`HealthReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelHealth {
     /// Kernel id (launch order).
     pub kernel: usize,
@@ -170,7 +168,7 @@ impl KernelHealth {
 }
 
 /// Per-SM slice of a [`HealthReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmHealth {
     /// SM index.
     pub sm: usize,
@@ -184,7 +182,7 @@ pub struct SmHealth {
 
 /// Structured snapshot of machine health, produced when the watchdog trips
 /// (or on demand via [`Gpu::health_report`](crate::Gpu::health_report)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
     /// Cycle at which the snapshot was taken.
     pub cycle: Cycle,
@@ -270,7 +268,7 @@ impl fmt::Display for HealthReport {
 }
 
 /// The invariant families checked in audit mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditKind {
     /// Resident threads/registers/shared memory exceed the SM's limits, or
     /// do not match the sum over resident TBs.
@@ -299,7 +297,7 @@ impl fmt::Display for AuditKind {
 }
 
 /// A failed invariant check, reported by audit mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditViolation {
     /// Cycle of the epoch boundary at which the audit ran.
     pub cycle: Cycle,
@@ -331,7 +329,7 @@ impl fmt::Display for AuditViolation {
 
 /// Typed simulator failure, returned by
 /// [`Gpu::try_run`](crate::Gpu::try_run).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The forward-progress watchdog tripped; the report says why.
     Watchdog(Box<HealthReport>),

@@ -6,7 +6,7 @@
 //! shared L2/DRAM hierarchy. During its cycle step an SM performs its
 //! private L1 lookups locally and enqueues one [`IcnRequest`] per global
 //! memory instruction (the issuing warp's scoreboard is parked on
-//! [`PENDING`] meanwhile). After all SM domains have stepped, the machine
+//! `PENDING` meanwhile). After all SM domains have stepped, the machine
 //! drains every port in stable SM-index order — request order within a port
 //! is the SM's own scheduler order — so the shared queues and L2 state
 //! observe one canonical sequence that depends on no SM's internals.
@@ -29,7 +29,7 @@ pub struct IcnRequest {
     /// Coalesced line count before L1 filtering (the memory domain owns the
     /// L1-access ledger, so the count travels with the request).
     pub total_lines: u32,
-    /// Start of this request's miss addresses in [`IcnPort::lines`].
+    /// Start of this request's miss addresses in `IcnPort::lines`.
     pub miss_start: u32,
     /// Number of miss addresses (lines that missed the SM's private L1).
     pub miss_len: u32,

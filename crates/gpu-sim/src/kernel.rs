@@ -7,12 +7,10 @@
 //! are not modeled; what matters for the paper's mechanisms is instruction
 //! *count*, *latency class* and *memory behaviour*.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::Addr;
 
 /// Which address space a memory operation targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemSpace {
     /// Device (global) memory: goes through L1 → L2 → DRAM.
     Global,
@@ -21,7 +19,7 @@ pub enum MemSpace {
 }
 
 /// How a warp's 32 lanes touch global memory, and with what locality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessPattern {
     /// Locality class of the generated address stream.
     pub kind: PatternKind,
@@ -37,7 +35,7 @@ pub struct AccessPattern {
 }
 
 /// Locality classes for global-memory address streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatternKind {
     /// Sequential streaming: every warp walks fresh cache lines. Minimal
     /// reuse; bandwidth-bound (e.g. `lbm`, stream phases of `sgemm`).
@@ -81,7 +79,7 @@ impl AccessPattern {
 /// 4-cycle ALU instructions. `active_lanes` models branch divergence — the
 /// paper's quota counters decrement by the number of *active threads* in each
 /// warp instruction (≤ 32), so divergence directly affects quota consumption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// An arithmetic burst: `repeat` instructions of `latency` cycles each.
     Alu {
@@ -184,7 +182,7 @@ impl Op {
 ///
 /// Construct with [`KernelDesc::builder`]. The description is immutable once
 /// built; launching it on a [`crate::Gpu`] creates per-launch runtime state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
     name: String,
     threads_per_tb: u32,

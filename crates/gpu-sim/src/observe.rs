@@ -26,14 +26,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::health::FaultKind;
 use crate::snap::{Snap, SnapError, SnapReader};
 use crate::types::Cycle;
 
 /// How much event recording the machine performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
     /// No events are recorded; the flight-recorder rings stay empty. The
     /// per-cycle cost is one branch on a cached flag.
@@ -53,7 +51,7 @@ impl TraceLevel {
 }
 
 /// Flight-recorder configuration, carried on [`GpuConfig`](crate::GpuConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Event-recording level.
     pub level: TraceLevel,

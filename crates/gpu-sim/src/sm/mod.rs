@@ -12,7 +12,7 @@
 //! struct-of-arrays [`WarpTable`] and TB slab, the private L1, quota
 //! counters, statistics, and the flight-recorder ring. The one piece of
 //! shared machine state an SM used to reach into — the L2/DRAM hierarchy —
-//! is behind the typed [`crate::icn::IcnPort`] boundary: [`Sm::tick`] takes
+//! is behind the typed [`crate::icn::IcnPort`] boundary: `Sm::tick` takes
 //! no `MemSystem` and instead enqueues requests that the machine drains
 //! once every SM has ticked, in stable SM-index order (DESIGN.md §13).
 //!

@@ -1,11 +1,11 @@
 //! Snapshot codec: a small, dependency-free binary serialization layer.
 //!
 //! The checkpoint/restore subsystem needs every state-carrying struct in the
-//! simulator to round-trip through bytes bit-exactly. The vendored `serde`
-//! is a no-op stand-in (this environment has no registry access), so the
-//! derive surface is provided here instead: the [`Snap`] trait plus the
-//! [`impl_snap_struct!`] / [`impl_snap_enum!`] macros generate the same
-//! field-by-field encoders a `serde` derive would, without a proc macro.
+//! simulator to round-trip through bytes bit-exactly. The [`Snap`] trait plus
+//! the [`impl_snap_struct!`](crate::impl_snap_struct) /
+//! [`impl_snap_enum!`](crate::impl_snap_enum) macros generate field-by-field
+//! encoders without a proc macro or a dependency. [`frame`] wraps an encoded
+//! value in the one checksummed file frame every on-disk container uses.
 //!
 //! Format notes:
 //! * integers are little-endian fixed width; `usize` travels as `u64`,
@@ -21,6 +21,8 @@
 
 use std::fmt;
 use std::sync::Arc;
+
+pub mod frame;
 
 /// Error decoding a snapshot byte stream.
 #[derive(Debug, Clone, PartialEq, Eq)]

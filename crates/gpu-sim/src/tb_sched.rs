@@ -17,8 +17,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::PreemptConfig;
 use crate::kernel::KernelDesc;
 use crate::memsys::MemSystem;
@@ -27,7 +25,7 @@ use crate::sm::Sm;
 use crate::types::{per_kernel, Cycle, KernelId, PerKernel, TbIndex};
 
 /// How concurrently launched kernels share the GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharingMode {
     /// No sharing constraints: all kernels dispatch greedily everywhere.
     /// With one kernel launched this is the isolated-execution baseline.

@@ -6,13 +6,11 @@
 //! time-behaviour arguments (§3.5's "a kernel can behave differently during
 //! execution") and this repo's debugging examples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gpu::{Controller, Gpu};
 use crate::types::KernelId;
 
 /// One kernel's state at one epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelSample {
     /// Thread-level IPC over the elapsed epoch.
     pub epoch_ipc: f64,
@@ -25,7 +23,7 @@ pub struct KernelSample {
 }
 
 /// One epoch's record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
     /// Epoch index.
     pub epoch: u64,

@@ -8,10 +8,8 @@
 //! themselves are folded into the SM's bitmask ready-scan (`sm/issue.rs`);
 //! this module holds the policy selector and the per-scheduler state.
 
-use serde::{Deserialize, Serialize};
-
 /// Warp scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// Greedy-then-oldest (Table 1 default).
     Gto,

@@ -28,6 +28,7 @@
 
 use std::process::ExitCode;
 
+use gpu_sim::snap::frame::write_atomic;
 use harness::checkpoint::{
     self, load_failure, render_failure_snapshot, resume_sweep, run_sweep_checkpointed,
     CheckpointDir, DEFAULT_CHECKPOINT_EVERY,
@@ -275,9 +276,7 @@ fn cmd_trace(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
     match out {
         Some(path) => {
-            if let Err(e) =
-                harness::export::write_atomic(std::path::Path::new(&path), doc.as_bytes())
-            {
+            if let Err(e) = write_atomic(std::path::Path::new(&path), doc.as_bytes()) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -428,7 +427,7 @@ fn cmd_metrics(mut args: impl Iterator<Item = String>) -> ExitCode {
             let path = std::path::PathBuf::from(path);
             let prom_path = path.with_extension("prom");
             for (p, doc) in [(&path, &json), (&prom_path, &prom)] {
-                if let Err(e) = harness::export::write_atomic(p, doc.as_bytes()) {
+                if let Err(e) = write_atomic(p, doc.as_bytes()) {
                     eprintln!("cannot write {}: {e}", p.display());
                     return ExitCode::FAILURE;
                 }
@@ -503,9 +502,7 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) -> ExitCode {
         Ok(report) => {
             let table = report.render();
             if let Some(path) = out {
-                if let Err(e) =
-                    harness::export::write_atomic(std::path::Path::new(&path), table.as_bytes())
-                {
+                if let Err(e) = write_atomic(std::path::Path::new(&path), table.as_bytes()) {
                     eprintln!("cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }

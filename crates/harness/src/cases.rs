@@ -3,10 +3,9 @@
 
 use gpu_sim::rng::SplitMix64;
 use qos_core::QuotaScheme;
-use serde::{Deserialize, Serialize};
 
 /// Which GPU configuration a case runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfigKind {
     /// The paper's main Table 1 configuration (16 SMs).
     Table1,
@@ -25,7 +24,7 @@ impl ConfigKind {
 }
 
 /// The QoS management policy a case runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Spatial partitioning with hill climbing (the coarse-grained baseline).
     Spart,
@@ -52,7 +51,7 @@ impl Policy {
 }
 
 /// Ablation switches (§4.8) applied on top of a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ablations {
     /// Force history-based quota adjustment on/off (`None` = scheme default).
     pub history_adjust: Option<bool>,
@@ -69,7 +68,7 @@ impl Default for Ablations {
 }
 
 /// One simulation case: a set of co-running kernels, their goals, a policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseSpec {
     /// Benchmark names, in kernel-slot order.
     pub kernels: Vec<String>,

@@ -13,9 +13,9 @@
 //! equals the uninterrupted one's byte for byte.
 //!
 //! Robustness properties, each exercised by `tests/checkpoint.rs`:
-//! * writes are atomic (tmp + fsync + rename via [`crate::export::
-//!   write_atomic`]), so a crash mid-write never leaves a torn newest file;
-//! * every generation carries an FNV-1a checksum; a corrupt (bit-flipped)
+//! * writes are atomic ([`frame::write_atomic`]), so a crash mid-write
+//!   never leaves a torn newest file;
+//! * every generation is a checksummed [`frame`]; a corrupt (bit-flipped)
 //!   generation is detected, skipped with a warning, and the previous
 //!   generation is used instead ([`KEEP_GENERATIONS`] are retained);
 //! * a watchdog or audit failure persists the failing machine as a loadable
@@ -26,13 +26,13 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
+use gpu_sim::snap::frame;
 use gpu_sim::trace::{EpochRecord, Tracer};
 use gpu_sim::{Gpu, SimError, Snap, SnapshotBlob};
 use qos_core::QuotaScheme;
 
 use crate::cases::{pair_sweep, pairs, CaseSpec, Policy};
 use crate::error::{failure_digest, CaseError, FailedCase};
-use crate::export::write_atomic;
 use crate::metrics::{mean, qos_reach, CaseResult};
 use crate::runner::{
     build_controller, case_config, finish_case, panic_message, prepare_case, IsolatedCache,
@@ -153,48 +153,6 @@ pub struct FailureSnapshot {
 gpu_sim::impl_snap_struct!(FailureSnapshot { case_index, spec, error, gpu_blob });
 
 // ---------------------------------------------------------------------
-// File framing: magic + schema version + payload + FNV-1a checksum.
-// ---------------------------------------------------------------------
-
-fn frame(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(&magic);
-    CHECKPOINT_SCHEMA_VERSION.encode(&mut out);
-    out.extend_from_slice(payload);
-    let checksum = gpu_sim::snap::fnv1a(&out);
-    checksum.encode(&mut out);
-    out
-}
-
-fn unframe(magic: [u8; 4], bytes: &[u8]) -> Result<&[u8], String> {
-    let header = magic.len() + 4;
-    if bytes.len() < header + 8 {
-        return Err("file too short".to_string());
-    }
-    if bytes[..magic.len()] != magic {
-        return Err("bad magic".to_string());
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    let actual = gpu_sim::snap::fnv1a(body);
-    if stored != actual {
-        return Err(format!("checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"));
-    }
-    let version = u32::from_le_bytes(body[magic.len()..header].try_into().expect("4-byte version"));
-    if version != CHECKPOINT_SCHEMA_VERSION {
-        return Err(format!(
-            "schema version {version} (this binary writes {CHECKPOINT_SCHEMA_VERSION})"
-        ));
-    }
-    Ok(&body[header..])
-}
-
-fn decode_framed<T: Snap>(magic: [u8; 4], bytes: &[u8]) -> Result<T, String> {
-    let payload = unframe(magic, bytes)?;
-    gpu_sim::snap::decode_from_slice(payload).map_err(|e| e.to_string())
-}
-
-// ---------------------------------------------------------------------
 // The checkpoint directory: rotated generations + failure snapshots.
 // ---------------------------------------------------------------------
 
@@ -260,7 +218,10 @@ impl CheckpointDir {
         let generations = self.generations()?;
         let seq = generations.last().map_or(0, |&(seq, _)| seq + 1);
         let path = self.generation_path(seq);
-        write_atomic(&path, &frame(CHECKPOINT_MAGIC, &gpu_sim::snap::encode_to_vec(ckpt)))?;
+        frame::write_atomic(
+            &path,
+            &frame::seal(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, ckpt),
+        )?;
         if generations.len() + 1 > KEEP_GENERATIONS {
             for (_, stale) in &generations[..generations.len() + 1 - KEEP_GENERATIONS] {
                 let _ = std::fs::remove_file(stale);
@@ -288,7 +249,11 @@ impl CheckpointDir {
                     continue;
                 }
             };
-            match decode_framed::<SweepCheckpoint>(CHECKPOINT_MAGIC, &bytes) {
+            match frame::open::<SweepCheckpoint>(
+                CHECKPOINT_MAGIC,
+                CHECKPOINT_SCHEMA_VERSION,
+                &bytes,
+            ) {
                 Ok(ckpt) => return Ok((Some(ckpt), warnings)),
                 Err(why) => warnings.push(format!(
                     "skipping corrupt checkpoint {}: {why}; falling back to previous generation",
@@ -306,7 +271,7 @@ impl CheckpointDir {
     /// Propagates filesystem failures.
     pub fn save_failure(&self, snap: &FailureSnapshot) -> std::io::Result<PathBuf> {
         let path = self.root.join(format!("failure-case-{:04}.snap", snap.case_index));
-        write_atomic(&path, &frame(FAILURE_MAGIC, &gpu_sim::snap::encode_to_vec(snap)))?;
+        frame::write_atomic(&path, &frame::seal(FAILURE_MAGIC, CHECKPOINT_SCHEMA_VERSION, snap))?;
         Ok(path)
     }
 }
@@ -318,7 +283,7 @@ impl CheckpointDir {
 /// [`CheckpointError`] when the file is unreadable, torn, or checksum-bad.
 pub fn load_failure(path: &Path) -> Result<FailureSnapshot, CheckpointError> {
     let bytes = std::fs::read(path)?;
-    decode_framed(FAILURE_MAGIC, &bytes)
+    frame::open(FAILURE_MAGIC, CHECKPOINT_SCHEMA_VERSION, &bytes)
         .map_err(|why| CheckpointError::Corrupt(format!("{}: {why}", path.display())))
 }
 
@@ -887,28 +852,22 @@ mod tests {
 
     #[test]
     fn checkpoint_file_round_trips() {
+        let dir = CheckpointDir::create(tmp_dir("roundtrip")).expect("create");
         let ckpt = tiny_checkpoint(2);
-        let bytes = frame(CHECKPOINT_MAGIC, &gpu_sim::snap::encode_to_vec(&ckpt));
-        let back: SweepCheckpoint = decode_framed(CHECKPOINT_MAGIC, &bytes).expect("round trip");
+        let path = dir.save(&ckpt).expect("save");
+        let (back, warnings) = dir.load_latest().expect("load");
+        let back = back.expect("loadable");
+        assert!(warnings.is_empty());
         assert_eq!(back.sweep, ckpt.sweep);
         assert_eq!(back.plan_fingerprint, ckpt.plan_fingerprint);
         assert_eq!(back.completed.len(), 2);
-    }
-
-    #[test]
-    fn any_single_bit_flip_is_detected() {
-        let ckpt = tiny_checkpoint(1);
-        let bytes = frame(CHECKPOINT_MAGIC, &gpu_sim::snap::encode_to_vec(&ckpt));
-        // Flip one bit at a sample of positions across the file (every byte
-        // would be slow for big payloads; the checksum covers them all
-        // identically).
-        for pos in (0..bytes.len()).step_by(7) {
-            let mut evil = bytes.clone();
-            evil[pos] ^= 0x10;
-            assert!(
-                decode_framed::<SweepCheckpoint>(CHECKPOINT_MAGIC, &evil).is_err(),
-                "bit flip at byte {pos} went undetected"
-            );
-        }
+        // Wired to the shared frame: a sweep checkpoint is not a failure
+        // snapshot, whatever its payload would decode to.
+        let err = load_failure(&path).expect_err("FGCK is not FGFS");
+        assert!(
+            matches!(&err, CheckpointError::Corrupt(why) if why.contains("bad magic")),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(dir.path());
     }
 }

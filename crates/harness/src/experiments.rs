@@ -638,7 +638,7 @@ impl Session {
         out
     }
 
-    /// Epoch-length sensitivity (the paper fixes 10K cycles per [17]; this
+    /// Epoch-length sensitivity (the paper fixes 10K cycles per \[17\]; this
     /// ablation shows the choice is robust). Not part of `repro all`.
     pub fn ablation_epoch_length(&self) -> String {
         let mut out = preamble(

@@ -6,48 +6,16 @@
 //! spreadsheet-friendly.
 //!
 //! All on-disk artifacts (CSVs, reports, golden traces, checkpoints) go
-//! through [`write_atomic`]: write to a temporary sibling, fsync, rename.
-//! A crash mid-write — the exact scenario the checkpoint subsystem recovers
-//! from — can therefore never leave a torn file under the final name.
+//! through [`write_atomic`], so a crash mid-write — the exact scenario the
+//! checkpoint subsystem recovers from — can never leave a torn file under
+//! the final name.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::Path;
 
-use crate::metrics::CaseResult;
+use gpu_sim::snap::frame::write_atomic;
 
-/// Writes `contents` to `path` atomically: a unique temporary file in the
-/// same directory is written, flushed and fsynced, then renamed over `path`.
-/// Readers see either the old contents or the new — never a torn mix.
-///
-/// # Errors
-///
-/// Propagates filesystem errors; the temporary file is removed on failure.
-pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    // Unique per process so concurrent writers never clobber each other's
-    // temporary; the final rename is the only race, and it is atomic.
-    let tmp_name = format!(
-        ".{}.tmp.{}",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("export"),
-        std::process::id()
-    );
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
+use crate::metrics::CaseResult;
 
 /// Serializes `results` to CSV and writes the file atomically.
 ///

@@ -2,23 +2,21 @@
 //! named fleet scenarios.
 //!
 //! The fleet serializes its own state ([`fleet::Fleet::snapshot`]); this
-//! module wraps those bytes in a small framed file — magic, frame version,
-//! scenario name, seed, checkpoint cadence, payload, FNV-1a checksum — and
-//! persists it through [`crate::export::write_atomic`], so a SIGKILL at any
-//! moment leaves either the previous complete checkpoint or the new one,
-//! never a torn file. `repro fleet resume <DIR>` rebuilds the scenario
-//! config from the frame header and continues; because every scheduler
-//! decision is a pure function of config, seed, and tick, the resumed run's
-//! final report is byte-identical to an uninterrupted run's.
+//! module seals those bytes, with the scenario name, seed and checkpoint
+//! cadence, in a [`frame`] and persists it through [`frame::write_atomic`],
+//! so a SIGKILL at any moment leaves either the previous complete checkpoint
+//! or the new one, never a torn file. `repro fleet resume <DIR>` rebuilds
+//! the scenario config from the checkpoint's name and seed and continues;
+//! because every scheduler decision is a pure function of config, seed, and
+//! tick, the resumed run's final report is byte-identical to an
+//! uninterrupted run's.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use fleet::{scenarios, Fleet};
-use gpu_sim::snap::{fnv1a, Snap, SnapReader};
+use gpu_sim::snap::frame::{self, write_atomic};
 use gpu_sim::telemetry::ProfPhase;
-
-use crate::export::write_atomic;
 
 /// File name of the fleet checkpoint inside a checkpoint directory. A
 /// single rolling generation: [`write_atomic`] makes each save all-or-
@@ -29,7 +27,7 @@ pub const FLEET_CHECKPOINT_FILE: &str = "fleet-ckpt.bin";
 /// Default checkpoint cadence, in fleet ticks.
 pub const DEFAULT_FLEET_EVERY: u64 = 5;
 
-const MAGIC: &[u8; 4] = b"FGFL";
+const MAGIC: [u8; 4] = *b"FGFL";
 const FRAME_VERSION: u32 = 1;
 
 /// A framed fleet checkpoint: everything needed to resume a run.
@@ -45,51 +43,7 @@ pub struct FleetCheckpoint {
     pub state: Vec<u8>,
 }
 
-fn frame(ckpt: &FleetCheckpoint) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ckpt.state.len() + 64);
-    out.extend_from_slice(MAGIC);
-    FRAME_VERSION.encode(&mut out);
-    ckpt.scenario.encode(&mut out);
-    ckpt.seed.encode(&mut out);
-    ckpt.every_ticks.encode(&mut out);
-    ckpt.state.encode(&mut out);
-    let sum = fnv1a(&out);
-    sum.encode(&mut out);
-    out
-}
-
-/// Parses a framed fleet checkpoint, verifying magic, version and checksum.
-///
-/// # Errors
-///
-/// A description of the first structural problem.
-pub fn unframe(bytes: &[u8]) -> Result<FleetCheckpoint, String> {
-    if bytes.len() < MAGIC.len() + 12 || &bytes[..MAGIC.len()] != MAGIC {
-        return Err("not a fleet checkpoint (bad magic)".to_string());
-    }
-    let body_len = bytes.len() - 8;
-    let mut tail = SnapReader::new(&bytes[body_len..]);
-    let stored = u64::decode(&mut tail).map_err(|e| format!("checksum field: {e}"))?;
-    if fnv1a(&bytes[..body_len]) != stored {
-        return Err("fleet checkpoint is corrupt (checksum mismatch)".to_string());
-    }
-    let mut r = SnapReader::new(&bytes[MAGIC.len()..body_len]);
-    let fail = |e: gpu_sim::snap::SnapError| format!("fleet checkpoint frame: {e}");
-    let version = u32::decode(&mut r).map_err(fail)?;
-    if version != FRAME_VERSION {
-        return Err(format!(
-            "fleet checkpoint frame version {version}, this build expects {FRAME_VERSION}"
-        ));
-    }
-    let scenario = String::decode(&mut r).map_err(fail)?;
-    let seed = u64::decode(&mut r).map_err(fail)?;
-    let every_ticks = u64::decode(&mut r).map_err(fail)?;
-    let state = Vec::<u8>::decode(&mut r).map_err(fail)?;
-    if !r.is_exhausted() {
-        return Err("fleet checkpoint frame has trailing bytes".to_string());
-    }
-    Ok(FleetCheckpoint { scenario, seed, every_ticks, state })
-}
+gpu_sim::impl_snap_struct!(FleetCheckpoint { scenario, seed, every_ticks, state });
 
 /// Atomically persists `ckpt` into `dir` (creating it if needed) and
 /// returns the file path.
@@ -100,7 +54,7 @@ pub fn unframe(bytes: &[u8]) -> Result<FleetCheckpoint, String> {
 pub fn save_checkpoint(dir: &Path, ckpt: &FleetCheckpoint) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(FLEET_CHECKPOINT_FILE);
-    write_atomic(&path, &frame(ckpt))?;
+    write_atomic(&path, &frame::seal(MAGIC, FRAME_VERSION, ckpt))?;
     Ok(path)
 }
 
@@ -113,7 +67,7 @@ pub fn save_checkpoint(dir: &Path, ckpt: &FleetCheckpoint) -> std::io::Result<Pa
 pub fn load_checkpoint(dir: &Path) -> Result<FleetCheckpoint, String> {
     let path = dir.join(FLEET_CHECKPOINT_FILE);
     let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    unframe(&bytes)
+    frame::open(MAGIC, FRAME_VERSION, &bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Outcome of a fleet run: the rendered report plus whether the run held
@@ -291,30 +245,37 @@ mod tests {
 
     #[test]
     fn checkpoint_frame_round_trips() {
+        let dir = tmp_dir("frame");
         let ckpt = FleetCheckpoint {
             scenario: "chaos".to_string(),
             seed: 42,
             every_ticks: 5,
             state: vec![1, 2, 3, 4, 5],
         };
-        let back = unframe(&frame(&ckpt)).expect("round trip");
-        assert_eq!(back, ckpt);
+        save_checkpoint(&dir, &ckpt).expect("save");
+        assert_eq!(load_checkpoint(&dir), Ok(ckpt));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_frame_is_rejected_by_checksum() {
+        let dir = tmp_dir("corrupt");
         let ckpt = FleetCheckpoint {
             scenario: "steady".to_string(),
             seed: 1,
             every_ticks: 1,
             state: vec![9; 64],
         };
-        let mut bytes = frame(&ckpt);
+        let path = save_checkpoint(&dir, &ckpt).expect("save");
+        let mut bytes = std::fs::read(&path).expect("read");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
-        let err = unframe(&bytes).expect_err("must reject");
+        std::fs::write(&path, &bytes).expect("corrupt");
+        let err = load_checkpoint(&dir).expect_err("must reject");
         assert!(err.contains("checksum"), "{err}");
-        assert!(unframe(b"nope").is_err(), "bad magic");
+        std::fs::write(&path, b"nope").expect("garbage");
+        assert!(load_checkpoint(&dir).is_err(), "not a frame");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub fn golden_path(name: &str) -> PathBuf {
 pub fn bless_all() -> std::io::Result<()> {
     std::fs::create_dir_all(golden_dir())?;
     for name in SCENARIOS {
-        crate::export::write_atomic(
+        gpu_sim::snap::frame::write_atomic(
             &golden_path(name),
             render(name, &run_scenario(name)).as_bytes(),
         )?;

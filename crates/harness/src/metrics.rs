@@ -1,11 +1,9 @@
 //! Result records and the paper's evaluation metrics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cases::CaseSpec;
 
 /// Outcome of one simulated case.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseResult {
     /// The case that was run.
     pub spec: CaseSpec,

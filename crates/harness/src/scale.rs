@@ -1,15 +1,13 @@
 //! Run scales: trading evaluation fidelity for wall-clock time.
 //!
 //! The paper simulates 2 M cycles per case (§4.1, accurate past 1 M cycles
-//! per [1]); with 900 pair-cases per policy that is hours of wall-clock even
+//! per \[1\]); with 900 pair-cases per policy that is hours of wall-clock even
 //! parallelised. The reduced scales keep the full methodology — same case
 //! enumeration, same goal sweeps — but shorten runs and (for `Smoke` /
 //! `Bench`) subsample the pair/trio sets.
 
-use serde::{Deserialize, Serialize};
-
 /// How big an experiment run should be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunScale {
     /// Criterion-bench scale: a handful of cases, tiny cycle budget.
     Bench,

@@ -438,7 +438,7 @@ pub fn bless_dir(dir: &Path) -> Result<(), String> {
     let cfg = GpuConfig::tiny();
     let actual: Vec<KernelMetrics> = lib.traces().iter().map(|t| replay_metrics(t, &cfg)).collect();
     let path = expectations_in(dir);
-    crate::export::write_atomic(&path, render_expectations(&actual).as_bytes())
+    gpu_sim::snap::frame::write_atomic(&path, render_expectations(&actual).as_bytes())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 

@@ -1,0 +1,178 @@
+//! Length-bomb drill for every entry point that accepts bytes.
+//!
+//! FNV-1a is not a MAC: anyone can re-seal a frame, so every decoder behind
+//! `frame::open` sees attacker-chosen payloads, and the unframed ones
+//! (`Fleet::restore`, `SnapshotBlob::from_bytes` → `Gpu::restore`) see them
+//! directly. Each drill takes a real encoding, overwrites one 8-byte window
+//! at a time with an absurd little-endian length, and requires the decoder
+//! to answer `Ok` or `Err` — never a panic, and never an allocation sized by
+//! the stream (an abort, which takes this whole test binary with it).
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+
+use fleet::{scenarios, Fleet};
+use gpu_sim::snap::frame;
+use gpu_sim::snap::{Snap, SnapError, SnapReader};
+use gpu_sim::{Gpu, GpuConfig, NullController, SnapshotBlob};
+use harness::checkpoint::{
+    run_sweep_checkpointed, CheckpointDir, SweepCheckpoint, CHECKPOINT_MAGIC,
+    CHECKPOINT_SCHEMA_VERSION,
+};
+use harness::fleet_cli::{save_checkpoint, FleetCheckpoint};
+use harness::scale::RunScale;
+
+const BOMB: [u8; 8] = 0x0fff_ffff_ffff_ffff_u64.to_le_bytes();
+
+/// Window offsets into an encoding of `len` bytes: every offset of the first
+/// and last 2 KiB, where headers and the small trailing fields sit at any
+/// alignment, and every eighth between — a stride at which every 8-byte
+/// field of the encoding has its high bytes overwritten by some window.
+fn windows(len: usize) -> Vec<usize> {
+    const EDGE: usize = 2048;
+    let last = len.saturating_sub(BOMB.len());
+    if last <= 2 * EDGE {
+        return (0..=last).collect();
+    }
+    (0..EDGE).chain((EDGE..last - EDGE).step_by(BOMB.len())).chain(last - EDGE..=last).collect()
+}
+
+/// Runs `decode` on `real` with each window overwritten; returns how many
+/// windows were tried. `decode` reports nothing: returning at all is passing.
+fn drill(what: &str, real: &[u8], decode: impl Fn(&[u8])) -> usize {
+    decode(real);
+    let offsets = windows(real.len());
+    for &at in &offsets {
+        let mut evil = real.to_vec();
+        evil[at..at + BOMB.len()].copy_from_slice(&BOMB);
+        if catch_unwind(AssertUnwindSafe(|| decode(&evil))).is_err() {
+            panic!("{what}: decoder panicked on the window at byte {at} of {}", real.len());
+        }
+    }
+    offsets.len()
+}
+
+/// A payload that is already bytes: encodes as itself, so `frame::seal`
+/// re-seals a tampered payload exactly as an attacker would.
+struct Raw(Vec<u8>);
+
+impl Snap for Raw {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Raw(r.take(r.remaining())?.to_vec()))
+    }
+}
+
+/// [`drill`] on the payload of a framed file, re-sealing each tampered
+/// payload under the file's own magic and version so that the checksum
+/// passes and `decode` is what has to cope.
+fn drill_resealed(what: &str, file: &[u8], decode: impl Fn([u8; 4], u32, &[u8])) -> usize {
+    let magic: [u8; 4] = file[..4].try_into().expect("magic");
+    let version = frame::peek_version(magic, file).expect("a real frame");
+    let Raw(payload) = frame::open(magic, version, file).expect("a real frame");
+    drill(what, &payload, |evil| {
+        decode(magic, version, &frame::seal(magic, version, &Raw(evil.to_vec())));
+    })
+}
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fgqos-hostile-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The chaos fleet at the first tick that ends with a device mid-batch, so
+/// that the snapshot embeds machine blobs next to queued requests, pending
+/// faults and tenant counters.
+fn fleet_snapshot() -> Vec<u8> {
+    let mut fleet = Fleet::new(scenarios::chaos(99));
+    while !fleet.step() {
+        let bytes = fleet.snapshot();
+        if bytes.windows(4).any(|w| w == b"FGQS") {
+            return bytes;
+        }
+    }
+    panic!("no tick of the chaos scenario ends with a busy device");
+}
+
+fn restore_fleet(bytes: &[u8]) {
+    let _ = Fleet::restore(scenarios::chaos(99), bytes);
+}
+
+#[test]
+fn fleet_restore_survives_length_bombs() {
+    let tried = drill("Fleet::restore", &fleet_snapshot(), restore_fleet);
+    assert!(tried > 1_000, "{tried} windows");
+}
+
+#[test]
+fn gpu_restore_survives_length_bombs() {
+    let cfg = GpuConfig::tiny();
+    let mut gpu = Gpu::new(cfg.clone());
+    gpu.launch(workloads::by_name("sgemm").expect("known workload"));
+    gpu.launch(workloads::by_name("lbm").expect("known workload"));
+    gpu.run(2 * cfg.epoch_cycles, &mut NullController);
+    let blob = gpu.snapshot().expect("epoch boundary").to_bytes();
+    let tried = drill("SnapshotBlob::from_bytes -> Gpu::restore", &blob, |evil| {
+        if let Ok(blob) = SnapshotBlob::from_bytes(evil) {
+            let _ = Gpu::new(cfg.clone()).restore(&blob);
+        }
+    });
+    assert!(tried > 1_000, "{tried} windows");
+}
+
+#[test]
+fn resealed_trace_survives_length_bombs() {
+    let file = std::fs::read(harness::validate::validate_dir().join("sgemm.fgtr")).expect("corpus");
+    let tried = drill_resealed("FGTR", &file, |_, _, evil| {
+        let _ = trace::from_bytes(evil);
+    });
+    assert!(tried > 100, "{tried} windows");
+}
+
+#[test]
+fn resealed_sweep_checkpoint_survives_length_bombs() {
+    let dir = CheckpointDir::create(tmp_dir("fgck")).expect("create");
+    run_sweep_checkpointed("smoke", RunScale::Bench, &dir, 1).expect("sweep runs");
+    // A mid-case generation: journal, controller state and epoch records
+    // all present. Its machine blob (1.4 MB that
+    // `open` copies and never looks into) is cut short to keep 6,000
+    // re-seals affordable; `gpu_restore_survives_length_bombs` covers it.
+    let mut ckpt = dir
+        .generations()
+        .expect("list")
+        .into_iter()
+        .map(|(_, path)| std::fs::read(path).expect("read"))
+        .map(|file| frame::open(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &file))
+        .map(|ckpt: Result<SweepCheckpoint, _>| ckpt.expect("the sweep's own file"))
+        .find(|ckpt| ckpt.in_progress.is_some())
+        .expect("a mid-case generation among those kept");
+    ckpt.in_progress.as_mut().expect("mid-case").gpu_blob.truncate(64);
+    let file = frame::seal(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &ckpt);
+    let tried = drill_resealed("FGCK", &file, |magic, version, evil| {
+        let _ = frame::open::<SweepCheckpoint>(magic, version, evil);
+    });
+    assert!(tried > 1_000, "{tried} windows");
+    let _ = std::fs::remove_dir_all(dir.path());
+}
+
+#[test]
+fn resealed_fleet_checkpoint_survives_length_bombs() {
+    let dir = tmp_dir("fgfl");
+    let ckpt = FleetCheckpoint {
+        scenario: "chaos".to_string(),
+        seed: 99,
+        every_ticks: 5,
+        state: fleet_snapshot(),
+    };
+    let file = std::fs::read(save_checkpoint(&dir, &ckpt).expect("save")).expect("read");
+    let tried = drill_resealed("FGFL", &file, |magic, version, evil| {
+        if let Ok(ckpt) = frame::open::<FleetCheckpoint>(magic, version, evil) {
+            restore_fleet(&ckpt.state);
+        }
+    });
+    assert!(tried > 1_000, "{tried} windows");
+    let _ = std::fs::remove_dir_all(&dir);
+}

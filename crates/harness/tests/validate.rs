@@ -50,16 +50,12 @@ fn perturbed_config_fails_the_gates() {
 #[test]
 fn bless_refuses_a_foreign_trace_schema() {
     let dir = temp_dir("foreign");
-    // A structurally intact frame stamped with a future schema version,
-    // checksum re-sealed so only the version check can reject it.
+    // An intact frame sealed under a future schema version, so only the
+    // version check can reject it.
     let desc = workloads::by_name("sgemm").expect("known workload");
     let kt =
         trace::capture(&desc, &GpuConfig::tiny(), trace::DEFAULT_CAPTURE_CYCLES).expect("capture");
-    let mut bytes = trace::to_bytes(&kt);
-    bytes[4..8].copy_from_slice(&(TRACE_SCHEMA_VERSION + 1).to_le_bytes());
-    let body_len = bytes.len() - 8;
-    let sum = gpu_sim::snap::fnv1a(&bytes[..body_len]);
-    bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+    let bytes = gpu_sim::snap::frame::seal(trace::TRACE_MAGIC, TRACE_SCHEMA_VERSION + 1, &kt);
     std::fs::write(dir.join("sgemm.fgtr"), &bytes).expect("write");
 
     let err = bless_dir(&dir).expect_err("bless must refuse a foreign schema");

@@ -12,10 +12,8 @@
 //! The evaluation then expresses goals as a percentage of the kernel's
 //! isolated IPC, which [`GoalTranslation`] reproduces.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-kernel QoS specification handed to a [`crate::QosManager`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosSpec {
     goal_ipc: Option<f64>,
 }
@@ -60,7 +58,7 @@ impl Default for QosSpec {
 /// management: the application's deadline minus data-transfer and queueing
 /// time gives the kernel-execution budget, which together with the predicted
 /// instruction count yields the IPC goal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoalTranslation {
     /// GPU core clock in MHz.
     pub core_mhz: u32,
@@ -127,7 +125,7 @@ impl GoalTranslation {
 /// Attainment is tracked in parts-per-million so the floor check is pure
 /// integer arithmetic — byte-identical across runs and platforms, which the
 /// fleet's deterministic reports depend on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloTarget {
     /// Per-request latency deadline, in fleet cycles (arrival to completion).
     pub deadline_cycles: u64,
@@ -191,7 +189,7 @@ impl SloTarget {
 /// The same `Option` shape as [`QosSpec`], one level up: `QosSpec` classifies
 /// a *kernel* on one GPU, `TenantClass` classifies a *request stream* across
 /// a fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantClass {
     slo: Option<SloTarget>,
 }

@@ -1,10 +1,9 @@
 //! The quota-allocation schemes of §3.4 and their carry-over semantics.
 
 use gpu_sim::sm::QuotaCarry;
-use serde::{Deserialize, Serialize};
 
 /// Which quota-allocation scheme the [`crate::QosManager`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuotaScheme {
     /// §3.4.1 — fixed quota each epoch, surplus discarded, no history
     /// adjustment.

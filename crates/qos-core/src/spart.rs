@@ -1,5 +1,5 @@
 //! The coarse-grained baseline: spatial partitioning with hill climbing
-//! (`Spart`, after Aguilera et al. [3]).
+//! (`Spart`, after Aguilera et al. \[3\]).
 //!
 //! Each kernel owns a disjoint set of SMs. Once per epoch the controller
 //! takes one hill-climbing step: a lagging QoS kernel steals an SM from the

@@ -1,18 +1,15 @@
-//! FGTR file framing and the strict reader.
+//! The FGTR trace file: [`gpu_sim::snap::frame`] under [`TRACE_MAGIC`] and
+//! [`TRACE_SCHEMA_VERSION`] around a [`KernelTrace`] payload.
 //!
-//! A trace file is framed exactly like the snapshot and checkpoint codecs
-//! (DESIGN.md §11): 4-byte magic, little-endian `u32` schema version, the
-//! [`Snap`]-encoded [`KernelTrace`] payload, and a trailing little-endian
-//! `u64` FNV-1a checksum over everything before it. The reader verifies
-//! length, magic, checksum, then version — in that order, so corruption is
-//! reported as corruption rather than as a bogus version — and finally runs
+//! The frame rejects truncated, damaged, foreign-version and over-long
+//! files; what is particular to a trace is that the reader then runs
 //! [`KernelTrace::validate`], so a successfully loaded trace is always
 //! semantically replayable.
 
 use std::fmt;
 use std::path::Path;
 
-use gpu_sim::snap::{self, Snap, SnapError, SnapReader};
+use gpu_sim::snap::frame::{self, FrameError};
 
 use crate::format::KernelTrace;
 
@@ -28,37 +25,8 @@ pub const TRACE_SCHEMA_VERSION: u32 = 1;
 /// Why a trace could not be read (or written).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The input is shorter than the fixed frame (magic + version +
-    /// checksum); nothing else can be checked.
-    Truncated {
-        /// Bytes present.
-        got: usize,
-        /// Minimum bytes a well-formed frame needs.
-        needed: usize,
-    },
-    /// The leading four bytes are not [`TRACE_MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 4],
-    },
-    /// The trailing FNV-1a checksum does not match the frame body — the
-    /// file was truncated mid-payload or corrupted.
-    ChecksumMismatch {
-        /// Checksum stored in the trailer.
-        stored: u64,
-        /// Checksum computed over the body.
-        computed: u64,
-    },
-    /// The frame is intact but written by a different schema version.
-    VersionMismatch {
-        /// Version found in the frame.
-        found: u32,
-        /// Version this binary reads and writes.
-        expected: u32,
-    },
-    /// The payload bytes do not decode as a [`KernelTrace`] (possible only
-    /// on a checksum collision or a same-version encoding bug).
-    Malformed(SnapError),
+    /// The bytes are not an intact, same-version FGTR frame.
+    Frame(FrameError),
     /// The decoded trace violates a semantic invariant (named).
     Invalid(&'static str),
     /// A filesystem error while loading or saving (stringified).
@@ -68,20 +36,7 @@ pub enum TraceError {
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::Truncated { got, needed } => {
-                write!(f, "truncated trace: {got} bytes, frame needs at least {needed}")
-            }
-            TraceError::BadMagic { found } => {
-                write!(f, "not an FGTR trace (magic {found:02x?})")
-            }
-            TraceError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "trace checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-            ),
-            TraceError::VersionMismatch { found, expected } => {
-                write!(f, "trace schema version {found} (this binary reads and writes {expected})")
-            }
-            TraceError::Malformed(e) => write!(f, "malformed trace payload: {e:?}"),
+            TraceError::Frame(e) => write!(f, "unreadable trace: {e}"),
             TraceError::Invalid(what) => write!(f, "invalid trace: {what}"),
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
         }
@@ -90,71 +45,33 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Smallest well-formed frame: magic + version + empty payload + checksum.
-const MIN_FRAME: usize = TRACE_MAGIC.len() + 4 + 8;
-
 /// Serializes a trace into a framed FGTR byte string.
 #[must_use]
 pub fn to_bytes(trace: &KernelTrace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128 + trace.tbs.len() * 32);
-    out.extend_from_slice(&TRACE_MAGIC);
-    TRACE_SCHEMA_VERSION.encode(&mut out);
-    trace.encode(&mut out);
-    let checksum = snap::fnv1a(&out);
-    checksum.encode(&mut out);
-    out
+    frame::seal(TRACE_MAGIC, TRACE_SCHEMA_VERSION, trace)
 }
 
 /// Strictly decodes a framed FGTR byte string.
 ///
 /// # Errors
 ///
-/// Every way the input can be wrong maps to a distinct [`TraceError`]
-/// variant; see the module docs for the check order.
+/// [`TraceError::Frame`] for anything the frame rejects, then
+/// [`TraceError::Invalid`] from [`KernelTrace::validate`].
 pub fn from_bytes(bytes: &[u8]) -> Result<KernelTrace, TraceError> {
-    if bytes.len() < MIN_FRAME {
-        return Err(TraceError::Truncated { got: bytes.len(), needed: MIN_FRAME });
-    }
-    let found: [u8; 4] = bytes[..4].try_into().expect("4-byte magic");
-    if found != TRACE_MAGIC {
-        return Err(TraceError::BadMagic { found });
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte checksum"));
-    let computed = snap::fnv1a(body);
-    if stored != computed {
-        return Err(TraceError::ChecksumMismatch { stored, computed });
-    }
-    let version = u32::from_le_bytes(body[4..8].try_into().expect("4-byte version"));
-    if version != TRACE_SCHEMA_VERSION {
-        return Err(TraceError::VersionMismatch { found: version, expected: TRACE_SCHEMA_VERSION });
-    }
-    let mut r = SnapReader::new(&body[8..]);
-    let trace = KernelTrace::decode(&mut r).map_err(TraceError::Malformed)?;
-    if !r.is_exhausted() {
-        return Err(TraceError::Malformed(SnapError::Invalid("trailing payload bytes")));
-    }
+    let trace: KernelTrace =
+        frame::open(TRACE_MAGIC, TRACE_SCHEMA_VERSION, bytes).map_err(TraceError::Frame)?;
     trace.validate()?;
     Ok(trace)
 }
 
 /// Reads just the schema version of a framed trace, without verifying the
-/// checksum or decoding the payload — what `repro validate --bless` uses to
-/// refuse blessing a corpus written by a different schema version.
+/// checksum or decoding the payload.
 ///
 /// # Errors
 ///
-/// [`TraceError::Truncated`] / [`TraceError::BadMagic`] if the fixed header
-/// is not present.
+/// [`TraceError::Frame`] if the fixed header is not present.
 pub fn peek_version(bytes: &[u8]) -> Result<u32, TraceError> {
-    if bytes.len() < MIN_FRAME {
-        return Err(TraceError::Truncated { got: bytes.len(), needed: MIN_FRAME });
-    }
-    let found: [u8; 4] = bytes[..4].try_into().expect("4-byte magic");
-    if found != TRACE_MAGIC {
-        return Err(TraceError::BadMagic { found });
-    }
-    Ok(u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte version")))
+    frame::peek_version(TRACE_MAGIC, bytes).map_err(TraceError::Frame)
 }
 
 /// Loads and strictly decodes a trace file.
@@ -168,36 +85,15 @@ pub fn load(path: &Path) -> Result<KernelTrace, TraceError> {
     from_bytes(&bytes)
 }
 
-/// Writes a trace file atomically (tmp + fsync + rename, the checkpoint
-/// write discipline), so a crash mid-write never leaves a torn corpus file.
+/// Writes a trace file through [`frame::write_atomic`], so a crash mid-write
+/// never leaves a torn corpus file.
 ///
 /// # Errors
 ///
 /// [`TraceError::Io`] on filesystem errors.
 pub fn save_atomic(path: &Path, trace: &KernelTrace) -> Result<(), TraceError> {
-    use std::io::Write as _;
-    let bytes = to_bytes(trace);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp_name = format!(
-        ".{}.tmp.{}",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("trace"),
-        std::process::id()
-    );
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result.map_err(|e| TraceError::Io(format!("cannot write {}: {e}", path.display())))
+    frame::write_atomic(path, &to_bytes(trace))
+        .map_err(|e| TraceError::Io(format!("cannot write {}: {e}", path.display())))
 }
 
 #[cfg(test)]
@@ -244,58 +140,44 @@ mod tests {
         assert_eq!(peek_version(&bytes), Ok(TRACE_SCHEMA_VERSION));
     }
 
+    /// The corruption drill lives with `frame::open`; this pins that the
+    /// FGTR reader goes through it under the FGTR magic and version, passes
+    /// each of its verdicts on, and validates what it decoded.
     #[test]
     fn reader_rejects_truncation_magic_checksum_and_version() {
-        let bytes = to_bytes(&sample());
+        let kt = sample();
+        let bytes = to_bytes(&kt);
+        let frame_err = |bytes: &[u8]| match from_bytes(bytes) {
+            Err(TraceError::Frame(e)) => e,
+            other => panic!("expected a frame error, got {other:?}"),
+        };
 
-        assert!(matches!(from_bytes(&bytes[..10]), Err(TraceError::Truncated { got: 10, .. })));
-
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert_eq!(
-            from_bytes(&bad_magic),
-            Err(TraceError::BadMagic { found: *b"XGTR" }),
-            "magic is checked before anything else"
-        );
-
+        assert!(matches!(frame_err(&bytes[..10]), FrameError::Truncated { got: 10, .. }));
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
-        assert!(matches!(from_bytes(&flipped), Err(TraceError::ChecksumMismatch { .. })));
+        assert!(matches!(frame_err(&flipped), FrameError::Checksum { .. }));
 
-        // A version mismatch must be reported as such, which requires
-        // re-sealing the frame with a valid checksum.
-        let mut other_version = bytes[..bytes.len() - 8].to_vec();
-        other_version[4..8].copy_from_slice(&(TRACE_SCHEMA_VERSION + 1).to_le_bytes());
-        let checksum = snap::fnv1a(&other_version);
-        checksum.encode(&mut other_version);
+        let other_magic = frame::seal(*b"FGCK", TRACE_SCHEMA_VERSION, &kt);
+        let bad_magic = FrameError::BadMagic { found: *b"FGCK", expected: TRACE_MAGIC };
+        assert_eq!(frame_err(&other_magic), bad_magic);
+        assert_eq!(peek_version(&other_magic), Err(TraceError::Frame(bad_magic)));
+
+        let foreign = frame::seal(TRACE_MAGIC, TRACE_SCHEMA_VERSION + 1, &kt);
         assert_eq!(
-            from_bytes(&other_version),
-            Err(TraceError::VersionMismatch {
-                found: TRACE_SCHEMA_VERSION + 1,
-                expected: TRACE_SCHEMA_VERSION
-            })
+            frame_err(&foreign),
+            FrameError::Version { found: TRACE_SCHEMA_VERSION + 1, expected: TRACE_SCHEMA_VERSION }
         );
-        assert_eq!(peek_version(&other_version), Ok(TRACE_SCHEMA_VERSION + 1));
+        assert_eq!(peek_version(&foreign), Ok(TRACE_SCHEMA_VERSION + 1));
 
-        // Dropping payload bytes (keeping the frame length ≥ MIN_FRAME)
-        // breaks the checksum, never panics the decoder.
-        let short = &bytes[..bytes.len() - 9];
-        assert!(matches!(from_bytes(short), Err(TraceError::ChecksumMismatch { .. })));
-    }
+        let trailing = frame::seal(TRACE_MAGIC, TRACE_SCHEMA_VERSION, &(kt.clone(), 0u8));
+        assert!(matches!(frame_err(&trailing), FrameError::Payload(_)));
 
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let kt = sample();
-        let mut body = TRACE_MAGIC.to_vec();
-        TRACE_SCHEMA_VERSION.encode(&mut body);
-        kt.encode(&mut body);
-        body.push(0); // one stray byte after the payload
-        let checksum = snap::fnv1a(&body);
-        checksum.encode(&mut body);
+        let mut invalid = kt;
+        invalid.warp_ops.clear();
         assert_eq!(
-            from_bytes(&body),
-            Err(TraceError::Malformed(SnapError::Invalid("trailing payload bytes")))
+            from_bytes(&to_bytes(&invalid)),
+            Err(TraceError::Invalid("empty warp-op stream"))
         );
     }
 
@@ -307,17 +189,14 @@ mod tests {
         let path = dir.join("sample.fgtr");
         save_atomic(&path, &kt).expect("save");
         assert_eq!(load(&path), Ok(kt));
+        assert!(matches!(load(&dir.join("absent.fgtr")), Err(TraceError::Io(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn every_error_displays() {
         for e in [
-            TraceError::Truncated { got: 1, needed: 16 },
-            TraceError::BadMagic { found: *b"ABCD" },
-            TraceError::ChecksumMismatch { stored: 1, computed: 2 },
-            TraceError::VersionMismatch { found: 2, expected: 1 },
-            TraceError::Malformed(SnapError::UnexpectedEof),
+            TraceError::Frame(FrameError::Truncated { got: 1, needed: 16 }),
             TraceError::Invalid("nope"),
             TraceError::Io("gone".into()),
         ] {

@@ -8,14 +8,13 @@
 //!
 //! Three modules:
 //!
-//! * [`format`] — the trace content: provenance metadata, the traced
+//! * [`mod@format`] — the trace content: provenance metadata, the traced
 //!   kernel's static shape, its per-warp instruction-mix/locality events,
 //!   and the observed per-TB lifecycle records;
-//! * [`frame`] — the `FGTR` file framing (magic, schema version, `Snap`
-//!   payload, FNV-1a checksum — the same discipline as the snapshot and
-//!   checkpoint codecs) with a strict reader that rejects truncation,
-//!   corruption, and version mismatches with a typed [`TraceError`];
-//! * [`capture`] — recording a trace by running a kernel on a [`gpu_sim`]
+//! * [`frame`] — the `FGTR` file: the shared [`gpu_sim::snap::frame`]
+//!   under this format's magic and schema version, plus a reader that
+//!   validates what it decoded; failures are a typed [`TraceError`];
+//! * [`mod@capture`] — recording a trace by running a kernel on a [`gpu_sim`]
 //!   machine with the flight recorder on and pairing its TB dispatch/drain
 //!   events. No CUDA anywhere: the synthetic models bootstrap the corpus.
 //!

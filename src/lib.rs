@@ -5,7 +5,7 @@
 //! with SMK fine-grained sharing and partial-context-switch preemption
 //! ([`sim`]), Parboil-like workload models ([`workloads`]), the paper's
 //! quota-based QoS manager and its baselines ([`qos`]), and the experiment
-//! harness that regenerates every table and figure ([`bench`]).
+//! harness that regenerates every table and figure ([`mod@bench`]).
 //!
 //! This crate is a facade: each component is its own crate under `crates/`
 //! and is re-exported here so applications can depend on one name.

@@ -1,10 +1,11 @@
-//! Property-based round-trip and corruption drill for the FGTR trace codec.
+//! Property-based round trip for the FGTR trace codec, the committed corpus
+//! as a format pin, and the FGTR-specific ends of the strict reader.
 //!
-//! Mirrors the checkpoint corruption drill: arbitrary valid traces must
-//! survive `to_bytes`/`from_bytes` bit-exactly, and every single-byte flip
-//! or truncation of a framed trace must surface as a *typed* [`TraceError`]
-//! — never a panic, never a silently different trace.
+//! The corruption drill (truncations, bit flips, trailing bytes) is
+//! `gpu_sim::snap::frame`'s own proptest, which every container inherits;
+//! here only what is particular to a trace is checked.
 
+use gpu_sim::snap::frame::{self, FrameError};
 use gpu_sim::{AccessPattern, Op};
 use proptest::prelude::*;
 use trace::{
@@ -92,64 +93,6 @@ proptest! {
         prop_assert_eq!(&back, &kt);
         prop_assert_eq!(to_bytes(&back), bytes, "re-encode is byte-identical");
     }
-
-    /// Any single flipped byte is rejected with a typed error: a flip inside
-    /// the magic is [`TraceError::BadMagic`]; anywhere else the FNV-1a
-    /// checksum catches it first.
-    #[test]
-    fn every_flipped_byte_is_rejected(
-        seed in any::<u64>(),
-        op_codes in prop::collection::vec(any::<u8>(), 0..12),
-        tb_entropy in prop::collection::vec(any::<u64>(), 0..10),
-        pos_salt in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let kt = build_trace(seed, 8, 2, 2, &op_codes, &tb_entropy);
-        let bytes = to_bytes(&kt);
-        // One deterministic position per case plus a sweep stride, so the
-        // whole frame gets covered across the run.
-        for pos in (pos_salt as usize % bytes.len()..bytes.len()).step_by(7) {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= flip;
-            let err = from_bytes(&corrupt).expect_err("flip must be detected");
-            if pos < TRACE_MAGIC.len() {
-                prop_assert!(
-                    matches!(err, TraceError::BadMagic { .. }),
-                    "magic flip at {pos} gave {err:?}"
-                );
-            } else {
-                prop_assert!(
-                    matches!(err, TraceError::ChecksumMismatch { .. }),
-                    "body flip at {pos} gave {err:?}"
-                );
-            }
-        }
-    }
-
-    /// Every truncation is rejected: below the minimum frame as
-    /// [`TraceError::Truncated`], otherwise by the checksum (the stored
-    /// checksum tail moved) — and never accepted.
-    #[test]
-    fn every_truncation_is_rejected(
-        seed in any::<u64>(),
-        op_codes in prop::collection::vec(any::<u8>(), 0..12),
-        cut_salt in any::<u64>(),
-    ) {
-        let kt = build_trace(seed, 4, 1, 1, &op_codes, &[42]);
-        let bytes = to_bytes(&kt);
-        for cut in (cut_salt as usize % bytes.len()..bytes.len()).step_by(5) {
-            let err = from_bytes(&bytes[..cut]).expect_err("truncation must be detected");
-            prop_assert!(
-                matches!(
-                    err,
-                    TraceError::Truncated { .. }
-                        | TraceError::ChecksumMismatch { .. }
-                        | TraceError::Malformed(_)
-                ),
-                "cut at {cut} gave {err:?}"
-            );
-        }
-    }
 }
 
 /// The version check fires only on an otherwise-intact frame (checksum is
@@ -157,22 +100,38 @@ proptest! {
 #[test]
 fn future_schema_version_is_rejected_with_both_versions_named() {
     let kt = build_trace(3, 4, 1, 1, &[0, 2], &[42]);
-    let mut bytes = to_bytes(&kt);
     let future = TRACE_SCHEMA_VERSION + 1;
-    bytes[4..8].copy_from_slice(&future.to_le_bytes());
-    // Re-seal: the checksum covers the version field, so recompute it.
-    let body_len = bytes.len() - 8;
-    let sum = gpu_sim::snap::fnv1a(&bytes[..body_len]);
-    bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+    let bytes = frame::seal(TRACE_MAGIC, future, &kt);
     assert_eq!(peek_version(&bytes), Ok(future));
     assert_eq!(
         from_bytes(&bytes),
-        Err(TraceError::VersionMismatch { found: future, expected: TRACE_SCHEMA_VERSION })
+        Err(TraceError::Frame(FrameError::Version {
+            found: future,
+            expected: TRACE_SCHEMA_VERSION
+        }))
     );
 }
 
-/// A frame whose payload decodes but leaves trailing bytes is malformed:
-/// the reader demands the payload be exhausted exactly.
+/// The committed corpus pins the format: every file decodes, and
+/// re-encoding what it decoded to reproduces the file byte for byte.
+#[test]
+fn committed_corpus_re_encodes_byte_identically() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/validate");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&dir).expect("corpus directory") {
+        let path = entry.expect("entry").path();
+        if path.extension().is_none_or(|ext| ext != "fgtr") {
+            continue;
+        }
+        let file = std::fs::read(&path).expect("read");
+        let kt = from_bytes(&file).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(to_bytes(&kt) == file, "{} does not re-encode to itself", path.display());
+        seen += 1;
+    }
+    assert!(seen > 0, "no .fgtr under {}", dir.display());
+}
+
+/// A payload the frame accepts is still refused when it is not replayable.
 #[test]
 fn semantically_invalid_payload_is_rejected_after_decoding() {
     let mut kt = build_trace(5, 4, 1, 1, &[0], &[42]);
