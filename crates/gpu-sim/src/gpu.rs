@@ -577,13 +577,14 @@ impl Gpu {
 
     /// How many per-SM cycle steps this machine's run loop executed and how
     /// many it skipped because the SM was asleep, and what its SMs' wake
-    /// queues did, since construction.
+    /// queues and quota gates did, since construction.
     pub fn work_counters(&self) -> WorkCounters {
         let mut work = self.work;
         for sm in &self.sms {
             let (events, rebuilds) = sm.wake_counts();
             work.wake_events += events;
             work.ready_rebuilds += rebuilds;
+            work.gate_evals += sm.gate_evals();
         }
         work
     }

@@ -10,14 +10,14 @@
 //! increasing-slot order — the order of the strided `Option`-walk it
 //! replaced, which keeps the mutating `quota_allows` refill rules firing in
 //! the original sequence (DESIGN.md §18). Candidates of quota-inert kernels
-//! are popcounted, not visited: their `quota_allows` is a `false` that
-//! mutates nothing (§3.1).
+//! are popcounted once per tick, not visited: their `quota_allows` is a
+//! `false` that mutates nothing (§3.1).
 
 use crate::icn::{self, IcnRequest, IcnResponse};
 use crate::kernel::{KernelDesc, MemSpace, Op};
 use crate::memsys::MemSystem;
 use crate::observe::TraceEventKind;
-use crate::types::{per_kernel, Cycle, PerKernel};
+use crate::types::Cycle;
 use crate::warp_sched::SchedPolicy;
 use crate::MAX_KERNELS;
 
@@ -61,13 +61,8 @@ impl Sm {
         let inert = self.inert_kernels();
         let t = &self.warps;
         for wi in 0..t.words() {
-            let mut inert_bits = 0u64;
-            for (k, &is_inert) in inert.iter().enumerate() {
-                if is_inert {
-                    inert_bits |= t.kernel_mask[k][wi];
-                }
-            }
-            let waiting = t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi] & !inert_bits;
+            let waiting =
+                t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi] & !self.inert_bits(wi, &inert);
             // Warps of Active TBs wake at their scoreboard release.
             let mut bits = waiting & t.tb_active[wi];
             while bits != 0 {
@@ -115,8 +110,9 @@ impl Sm {
     /// can issue, and the gather counts every issuable-but-quota-denied warp
     /// once per cycle. Neither the freeze/occupancy conditions nor kernel
     /// inertness can change while asleep — whatever would change them calls
-    /// this first — so the quota-blocked tally is replayed per warp from its
-    /// scoreboard release to `now`. Only quota-inert kernels can own
+    /// this first — so the quota-blocked tally is replayed: every slept cycle
+    /// for a warp the wake queue already held ready, from its scoreboard
+    /// release to `now` for the others. Only quota-inert kernels can own
     /// issuable warps inside the window (a non-inert one would have bounded
     /// the horizon), and transitioning TBs stay un-issuable throughout
     /// because their completion is itself a horizon. No-op while awake.
@@ -133,30 +129,38 @@ impl Sm {
         if !inert.iter().any(|&b| b) {
             return;
         }
-        let mut blocked: PerKernel<u64> = per_kernel(|_| 0);
-        let t = &self.warps;
-        for wi in 0..t.words() {
-            let mut inert_bits = 0u64;
-            for (k, &is_inert) in inert.iter().enumerate() {
-                if is_inert {
-                    inert_bits |= t.kernel_mask[k][wi];
-                }
-            }
+        for wi in 0..self.warps.words() {
+            let t = &self.warps;
             // `tb_active` mirrors `phase == Active` exactly (maintained at
             // every transition), matching the old per-warp phase test.
-            let mut bits =
-                t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi] & t.tb_active[wi] & inert_bits;
+            let bits = t.occupied[wi]
+                & !t.done[wi]
+                & !t.at_barrier[wi]
+                & t.tb_active[wi]
+                & self.inert_bits(wi, &inert);
+            // Ready at the last tick, before `since`: denied every cycle.
+            let ready = bits & t.wake.ready[wi];
+            self.count_blocked(&inert, wi, ready, slept);
+            // The rest are released inside the window or after it.
+            let mut bits = bits & !ready;
             while bits != 0 {
                 let slot = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let start = since.max(t.ready_at[slot]);
+                let start = since.max(self.warps.ready_at[slot]);
                 if start < now {
-                    blocked[t.kernel[slot].index()] += now - start;
+                    self.quota_blocked[self.warps.kernel[slot].index()] += now - start;
                 }
             }
         }
-        for (k, b) in blocked.iter().enumerate() {
-            self.quota_blocked[k] += b;
+    }
+
+    /// Adds `times` to `quota_blocked` for every warp of `bits` (slots of
+    /// word `wi`) that an `inert` kernel owns.
+    #[inline]
+    fn count_blocked(&mut self, inert: &[bool; MAX_KERNELS], wi: usize, bits: u64, times: u64) {
+        for k in (0..MAX_KERNELS).filter(|&k| inert[k]) {
+            let owned = bits & self.warps.kernel_mask[k][wi];
+            self.quota_blocked[k] += times * u64::from(owned.count_ones());
         }
     }
 
@@ -299,6 +303,11 @@ impl Sm {
             }
             return issued_any;
         }
+        // The quota gate is decided once per tick, in mask space: the inert
+        // kernels' candidates leave the gather (`gate.open`) and are counted
+        // by `tally_blocked`, schedulers `tallied..` still owed (§3.1).
+        let mut inert = if all_allowed { [false; MAX_KERNELS] } else { self.open_gate() };
+        let mut tallied = 0;
         for sid in 0..n_scheds {
             // Gather issuable warps for this scheduler: a trailing-zeros
             // scan over this scheduler's slot stripe, yielding slots in
@@ -355,19 +364,16 @@ impl Sm {
                     }
                 }
             } else {
-                // Inert kernels' candidates are counted, not visited:
-                // `quota_allows` would deny each one without mutating
-                // anything, and no call made during this gather can end a
-                // kernel's inertness (see `quota_inert`). The rest are
-                // visited in the same increasing-slot order as ever.
-                let inert = self.inert_kernels();
+                // Only open candidates are visited, in the same slot order
+                // as ever; a stripe without one has nothing to pick or to
+                // scavenge. A kernel turned inert since the evaluation is
+                // still open: `quota_allows` denies it, mutating nothing.
+                let stripe = &self.stride_masks[sid];
+                if (0..words).all(|wi| self.gate.open[wi] & stripe[wi] == 0) {
+                    continue;
+                }
                 for wi in 0..words {
-                    let mut bits = self.live_buf[wi] & self.stride_masks[sid][wi];
-                    for k in (0..MAX_KERNELS).filter(|&k| inert[k]) {
-                        let owned = bits & self.warps.kernel_mask[k][wi];
-                        self.quota_blocked[k] += u64::from(owned.count_ones());
-                        bits &= !owned;
-                    }
+                    let mut bits = self.gate.open[wi] & self.stride_masks[sid][wi];
                     while bits != 0 {
                         let slot = wi * 64 + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
@@ -407,7 +413,7 @@ impl Sm {
             // With no kernel gated the scavenger is a guaranteed miss (it
             // only admits gated exhausted kernels), so the dense path skips
             // the call.
-            let pick = if all_allowed { pick } else { pick.or_else(|| self.scavenge(sid, now)) };
+            let pick = if all_allowed { pick } else { pick.or_else(|| self.scavenge(sid)) };
             if let Some(slot) = pick {
                 // Work-conserving slack reclamation (the scavenge arm): the
                 // slot would idle -- no admissible warp is ready -- so a
@@ -417,12 +423,53 @@ impl Sm {
                 // The issue still debits the quota counter, so epoch
                 // accounting and the section 3.5 feedback see the true
                 // consumption.
+                let k = self.warps.kernel[usize::from(slot)].index();
+                let exhaustions = self.quota_exhaustions[k];
                 self.issue(slot, now);
                 self.issued_total += 1;
                 issued_any = true;
+                let exhausted = self.quota_exhaustions[k] != exhaustions;
+                #[cfg(test)]
+                let exhausted = exhausted && !self.gate.stale_hoist;
+                if exhausted {
+                    // `issue` counted a quota taken from positive to spent,
+                    // the one event that can end inertness inside a tick
+                    // (see `quota_inert`): the schedulers so far were served
+                    // under the old set, the rest see the new one.
+                    self.tally_blocked(&inert, tallied..sid + 1);
+                    tallied = sid + 1;
+                    inert = self.open_gate();
+                }
             }
         }
+        self.tally_blocked(&inert, tallied..n_scheds);
         issued_any
+    }
+
+    /// Evaluates the quota gate: returns the inert kernels and leaves their
+    /// candidates out of `gate.open`.
+    fn open_gate(&mut self) -> [bool; MAX_KERNELS] {
+        let inert = self.inert_kernels();
+        self.gate.evals += 1;
+        self.gate.open.clear();
+        for wi in 0..self.live_buf.len() {
+            self.gate.open.push(self.live_buf[wi] & !self.inert_bits(wi, &inert));
+        }
+        inert
+    }
+
+    /// Counts what schedulers `scheds` denied without a visit: one per
+    /// issuable warp of an `inert` kernel in their stripes. `live_buf` is
+    /// fixed for the tick and an inert kernel frees no slot, so the masks
+    /// are the ones those schedulers saw.
+    fn tally_blocked(&mut self, inert: &[bool; MAX_KERNELS], scheds: std::ops::Range<usize>) {
+        if !inert.iter().any(|&b| b) {
+            return;
+        }
+        for wi in 0..self.live_buf.len() {
+            let stripes = scheds.clone().fold(0, |m, sid| m | self.stride_masks[sid][wi]);
+            self.count_blocked(inert, wi, self.live_buf[wi] & stripes, 1);
+        }
     }
 
     /// Drains this SM's interconnect port into the shared memory system and
@@ -484,7 +531,7 @@ impl Sm {
     /// Oldest issuable non-QoS warp whose kernel is only blocked by an
     /// exhausted quota; `None` under the Rollover-Time priority gate while
     /// QoS quota remains (strict time multiplexing is that scheme's point).
-    fn scavenge(&self, sid: usize, _now: Cycle) -> Option<u16> {
+    fn scavenge(&self, sid: usize) -> Option<u16> {
         if self.quota_frozen {
             return None;
         }
@@ -501,8 +548,8 @@ impl Sm {
         let mut best: Option<(u16, u64)> = None;
         let t = &self.warps;
         for wi in 0..t.words() {
-            // `live_buf` already folds in the `ready_at <= now` test.
-            let mut bits = self.live_buf[wi] & self.stride_masks[sid][wi];
+            // A scavengeable kernel is never inert: its warps are open.
+            let mut bits = self.gate.open[wi] & self.stride_masks[sid][wi];
             while bits != 0 {
                 let slot = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;

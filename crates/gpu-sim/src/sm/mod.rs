@@ -70,6 +70,20 @@ struct Sleep {
     until: Cycle,
 }
 
+/// Scratch of the quota-gated gather (DESIGN.md §3.1); never encoded.
+#[derive(Debug, Default)]
+struct Gate {
+    /// `live_buf` minus the warps of the kernels found quota-inert at the
+    /// last evaluation: the candidates a scheduler has to visit.
+    open: Vec<u64>,
+    /// `inert_kernels()` evaluations made by `tick` (`WorkCounters`).
+    evals: u64,
+    /// Mutation switch: keep the tick-start set across a quota exhaustion,
+    /// the inexact hoist the oracle in `tests.rs` must catch.
+    #[cfg(test)]
+    stale_hoist: bool,
+}
+
 /// A streaming multiprocessor.
 #[derive(Debug)]
 pub struct Sm {
@@ -163,6 +177,7 @@ pub struct Sm {
     // barrier, TB active, scoreboard released), computed once per tick and
     // scanned per scheduler. Rebuilt every tick, so restore-as-empty is safe.
     live_buf: Vec<u64>,
+    gate: Gate,
     // Per-scheduler slot-stripe masks (bit set iff slot % num_scheds == sid).
     // Pure function of the geometry; lazily rebuilt when empty, so a
     // restored SM regenerates them on its first tick.
@@ -236,6 +251,7 @@ impl Sm {
             completed: Vec::new(),
             saved: Vec::new(),
             live_buf: Vec::new(),
+            gate: Gate::default(),
             stride_masks: Vec::new(),
             sleep: None,
         }
@@ -272,7 +288,7 @@ impl Sm {
 crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 
 // `bodies` is a pure mirror of `descs`, rebuilt lazily by `issue`;
-// `live_buf` is per-tick scratch, always rebuilt before use;
+// `live_buf` and `gate` are per-tick scratch, always rebuilt before use;
 // `icn` is pure transit state, always empty outside the step→drain window of
 // one cycle (snapshots are taken at epoch boundaries, between cycles);
 // `stride_masks` is a pure function of the geometry, lazily rebuilt;
@@ -334,6 +350,7 @@ crate::impl_snap_struct!(Sm {
     icn,
     bodies,
     live_buf,
+    gate,
     stride_masks,
     sleep
 });

@@ -112,6 +112,11 @@ impl Sm {
         (self.warps.wake.wake_events, self.warps.wake.ready_rebuilds)
     }
 
+    /// Quota-gate evaluations made by `tick` (`WorkCounters`).
+    pub(crate) fn gate_evals(&self) -> u64 {
+        self.gate.evals
+    }
+
     /// TBs resident on this SM (all kernels, including transitioning ones).
     pub fn resident_tbs(&self) -> u32 {
         (self.max_tbs as usize - self.tbs.free_slots()) as u32

@@ -152,10 +152,15 @@ impl Sm {
     /// changes through this SM's own issues, epoch-boundary controller
     /// writes, or injected faults — none of which reaches a sleeping SM
     /// without waking it first — so inertness computed when a sleep ends
-    /// held throughout it. Between two issues it can only spread: the lazy
-    /// refills of [`Sm::quota_allows`] raise quotas, which never frees a
-    /// kernel from the priority gate and fire for no QoS kernel that was
-    /// inert, so one evaluation serves a whole scheduler's gather.
+    /// held throughout it. Inside a tick only the counters move, and every
+    /// clause below reads a counter's sign. The lazy refills of
+    /// [`Sm::quota_allows`] raise counters: inertness can only spread (a
+    /// raise never frees a kernel from the priority gate and fires for no
+    /// QoS kernel that was inert). An issue lowers one, and only the issue
+    /// that takes a quota from positive to exhausted can *end* inertness
+    /// (the priority gate opens, or an elastic restart falls due). So
+    /// `tick` evaluates the set once and again after each such issue
+    /// (DESIGN.md §3.1).
     fn quota_inert(&self, k: usize) -> bool {
         if self.quota_frozen {
             // StarveQuota freezes refills too: gated kernels stay blocked.
@@ -180,6 +185,14 @@ impl Sm {
     /// [`Sm::quota_inert`] for every kernel slot at once.
     pub(super) fn inert_kernels(&self) -> [bool; MAX_KERNELS] {
         std::array::from_fn(|k| self.quota_inert(k))
+    }
+
+    /// Word `wi` of the warp slots owned by `inert` kernels.
+    #[inline]
+    pub(super) fn inert_bits(&self, wi: usize, inert: &[bool; MAX_KERNELS]) -> u64 {
+        (0..MAX_KERNELS)
+            .filter(|&k| inert[k])
+            .fold(0, |bits, k| bits | self.warps.kernel_mask[k][wi])
     }
 
     /// Injected `StarveQuota` fault: gates every kernel at zero quota and

@@ -517,6 +517,9 @@ pub struct WorkCounters {
     /// Wake queues built from the `ready_at` column: one per SM, plus one
     /// per SM and restore — more would be an O(table) pass creeping back.
     pub ready_rebuilds: u64,
+    /// Evaluations of the quota-inert kernel set by the SM step: one per
+    /// step with a gated kernel, plus one per quota exhaustion.
+    pub gate_evals: u64,
 }
 
 #[cfg(test)]

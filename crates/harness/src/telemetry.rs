@@ -490,12 +490,13 @@ pub fn profile_scenario(name: &str) -> Result<String, String> {
             / (work.sm_ticks_run + work.sm_ticks_slept).max(1) as f64;
         return Ok(format!(
             "{}  sm steps: {} run, {} slept ({asleep:.1}% of SM-cycles asleep); \
-             wake queue: {} hints drained, {} builds\n",
+             wake queue: {} hints drained, {} builds; quota gate: {} evaluations\n",
             render_hotspot_table(name, gpu.profiler(), wall),
             work.sm_ticks_run,
             work.sm_ticks_slept,
             work.wake_events,
-            work.ready_rebuilds
+            work.ready_rebuilds,
+            work.gate_evals
         ));
     }
     if let Some(cfg) = scenarios::by_name(name, scenarios::DEFAULT_SEED) {
@@ -582,15 +583,15 @@ mod tests {
     /// with the reason.
     #[test]
     fn sm_step_counts_are_pinned() {
-        for (name, run, slept, wakes) in [
+        for (name, run, slept, wakes, gates) in [
             // One ungated compute kernel at 76% issue utilisation: 12.6%
             // asleep, in the tile-load stalls all of an SM's warps share.
-            ("isolated_compute", 1_118_713, 161_287, 3_990_716),
+            ("isolated_compute", 1_118_713, 161_287, 3_990_716, 0),
             // mri-q chases 600 IPC for most of each epoch: 36.0% asleep.
-            ("managed_rollover_pair", 819_753, 460_247, 1_749_010),
+            ("managed_rollover_pair", 819_753, 460_247, 1_749_010, 824_838),
             // Both goals met early, exhausted QoS warps beside a stalled
             // lbm: 72.9% asleep, which the old per-cycle gather all ran.
-            ("managed_rollover_trio", 346_991, 933_009, 380_713),
+            ("managed_rollover_trio", 346_991, 933_009, 380_713, 353_182),
         ] {
             let (mut gpu, mgr) = profile_gpu(name).expect("a profile scenario");
             run_profile_gpu(&mut gpu, mgr);
@@ -602,6 +603,17 @@ mod tests {
             // once, whatever the run length.
             assert_eq!(work.wake_events, wakes, "{name}");
             assert_eq!(work.ready_rebuilds, u64::from(gpu.config().num_sms), "{name}");
+            // The quota gate is evaluated once per step that has a gated
+            // kernel (every step of the managed scenarios, none of the
+            // first) and once more per quota exhaustion (5,085 and 6,191);
+            // it used to be once per scheduler, four to the step.
+            assert_eq!(work.gate_evals, gates, "{name}");
+            let exhaustions: u64 = (0..gpu_sim::MAX_KERNELS)
+                .flat_map(|k| {
+                    gpu.sms().iter().map(move |sm| sm.quota_exhaustions(gpu_sim::KernelId::new(k)))
+                })
+                .sum();
+            assert_eq!(gates, if gates == 0 { 0 } else { run + exhaustions }, "{name}");
         }
     }
 
