@@ -5,13 +5,12 @@
 //! telemetry stack armed (counter time series + host profiler) — verifies
 //! the runs are observably identical, and writes the timings to
 //! `BENCH_fastforward.json` (override the path with the first CLI
-//! argument). CI's bench-smoke job uploads that file so the perf trajectory
-//! of the simulator is tracked from PR to PR; the committed baseline at the
-//! repo root records the speedup this change landed with. The
-//! `trace_overhead` column bounds the cost of the disabled recorder and
-//! `telemetry_overhead` the cost of the armed telemetry stack: bench-smoke
-//! fails if the telemetry-off path (`fast_forward_ms`, telemetry compiled
-//! in but disarmed) regresses more than 5% against the committed baseline.
+//! argument). CI's bench-smoke job runs it for the identity assertion and
+//! uploads that file; the committed copy at the repo root is one run on one
+//! host. The `trace_overhead` column is the cost of the recorder and
+//! `telemetry_overhead` that of the armed telemetry stack. Nothing here is
+//! gated (the 5% wall-clock gate went in PR 13): this bench is superseded by
+//! `fgqos-bench`, which compares parent and change as interleaved pairs.
 
 use std::time::Instant;
 
@@ -32,9 +31,7 @@ const REPS: u32 = 3;
 /// median of the alternating rounds (EXPERIMENTS.md has the raw tables and
 /// methodology — interleaving is the only way the 1-core bench host yields
 /// comparable numbers). Hard-coded so the `dense_path` rows keep reporting
-/// the refactor's speedup after the pre-refactor binary is gone; the CI
-/// gate compares `wall_ms` against the committed baseline JSON instead,
-/// so these constants never mask a fresh regression.
+/// the refactor's speedup after the pre-refactor binary is gone.
 const DENSE_PATH_BASELINES: [(&str, f64); 2] =
     [("smk_memory_pair", 239.7), ("isolated_compute", 338.8)];
 
@@ -236,7 +233,7 @@ fn main() {
     }
     // Dense-path leg (DESIGN.md §18.6): the busy scenarios' fast-forward
     // walls against the held pre-refactor baselines. `wall_ms` is this
-    // run's measurement (what CI gates at 5%); `pre_refactor_ms` is the
+    // run's measurement (recorded, not gated); `pre_refactor_ms` is the
     // frozen baseline and `speedup` the layout refactor's standing win.
     let mut dense_rows = Vec::new();
     for (name, pre_ms) in DENSE_PATH_BASELINES {

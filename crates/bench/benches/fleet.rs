@@ -9,9 +9,9 @@
 //! triangle-wave load with a device loss and a planned drain mid-run, so
 //! the timing covers checkpoint refreshes, migrations, and working-set
 //! admission — the full serving hot path, not just device stepping.
-//! CI's bench-smoke job uploads the file and fails if any scenario's
-//! wall-clock regresses more than 5% against the committed baseline at
-//! the repo root.
+//! CI's bench-smoke job runs it for the identity assertion and uploads the
+//! file; no wall-clock is gated, and `fgqos-bench`'s `fleet_diurnal`
+//! workload supersedes the timings.
 
 use std::time::Instant;
 

@@ -1,4 +1,8 @@
-//! Wall-clock benches that CI's `bench-smoke` job runs and gates.
+//! The legacy wall-clock benches. CI's `bench-smoke` job runs them for what
+//! they assert (bit-identical results across stepping modes and repeated
+//! runs) and uploads their timings; no wall-clock is gated (the 5% gate
+//! went in PR 13: a runner's numbers do not compare with a baseline
+//! committed from another machine).
 //!
 //! The benches live in `benches/` and time with `std::time` only:
 //!
@@ -11,8 +15,9 @@
 //!   must be byte-identical), timings and serving counters written to
 //!   `BENCH_fleet.json`.
 //!
-//! CI uploads both files; the repo root holds the blessed baselines. The
-//! end-to-end and per-layer benchmark that speed claims are measured with
-//! is `fgqos-bench`, a package of its own under `src/bin/fgqos-bench/`.
+//! The repo root holds one committed run of each. Both are superseded by
+//! `fgqos-bench`, a package of its own under `src/bin/fgqos-bench/`: the
+//! end-to-end and per-layer benchmark every speed claim is measured with,
+//! as interleaved parent/change pairs.
 
 #![forbid(unsafe_code)]

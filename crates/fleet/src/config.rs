@@ -4,17 +4,12 @@
 use std::error::Error;
 use std::fmt;
 
-use gpu_sim::snap::{Snap, SnapError, SnapReader};
 use gpu_sim::{FaultKind, FaultPlan, GpuConfig};
 use qos_core::TenantClass;
 use workloads::arrival::ArrivalModel;
 
-/// Which placement policy routes queued requests to idle devices.
-///
-/// The built-in names resolve to the policy objects in
-/// [`crate::placement`]; `Custom` resolves through the process-global
-/// registry ([`crate::placement::register_policy`]), letting external code
-/// plug in new policies the way `gpu_ext` registers policy objects.
+/// Which placement policy routes queued requests to idle devices; each name
+/// resolves to its policy object in [`crate::placement`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Placement {
     /// Fill one device to its kernel/memory limits before using the next:
@@ -26,32 +21,9 @@ pub enum Placement {
     /// Queue-aware: route to the device with the fewest live requests,
     /// breaking ties toward the fewest batches served (coldest device).
     LeastLoaded,
-    /// A policy registered at run time under this name.
-    Custom(String),
 }
 
-impl Snap for Placement {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Placement::Binpack => out.push(0),
-            Placement::Spread => out.push(1),
-            Placement::LeastLoaded => out.push(2),
-            Placement::Custom(name) => {
-                out.push(3);
-                name.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(Placement::Binpack),
-            1 => Ok(Placement::Spread),
-            2 => Ok(Placement::LeastLoaded),
-            3 => Ok(Placement::Custom(String::decode(r)?)),
-            _ => Err(SnapError::Invalid("Placement")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(Placement { Binpack = 0, Spread = 1, LeastLoaded = 2 });
 
 /// One class of identical devices — the unit of migration compatibility.
 ///
@@ -292,11 +264,6 @@ pub enum FleetConfigError {
         /// How many devices exist.
         devices: u32,
     },
-    /// `placement` names a policy that is neither built in nor registered.
-    UnknownPlacement {
-        /// The unresolved name.
-        name: String,
-    },
     /// A class expands to a [`GpuConfig`] that fails its own validation.
     BadDeviceConfig {
         /// Name of the offending class.
@@ -337,9 +304,6 @@ impl fmt::Display for FleetConfigError {
             }
             FleetConfigError::DrainBeyondFleet { device, devices } => {
                 write!(f, "drain targets nonexistent device {device} (fleet has {devices})")
-            }
-            FleetConfigError::UnknownPlacement { name } => {
-                write!(f, "placement policy {name:?} is neither built in nor registered")
             }
             FleetConfigError::BadDeviceConfig { class, error } => {
                 write!(f, "device class {class:?} expands to an invalid GPU config: {error}")
@@ -468,13 +432,6 @@ impl FleetConfig {
             if d.device >= devices {
                 return Err(FleetConfigError::DrainBeyondFleet { device: d.device, devices });
             }
-        }
-        if crate::placement::resolve(&self.placement).is_none() {
-            let name = match &self.placement {
-                Placement::Custom(name) => name.clone(),
-                other => format!("{other:?}"),
-            };
-            return Err(FleetConfigError::UnknownPlacement { name });
         }
         for (ci, class) in self.classes.iter().enumerate() {
             self.device_config(ci, FaultPlan::none()).validate().map_err(|e| {
@@ -637,12 +594,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_custom_placement_is_typed() {
-        let mut cfg = base();
-        cfg.placement = Placement::Custom("no-such-policy".into());
+    fn retired_custom_placement_tag_no_longer_decodes() {
+        // Tag 3 was `Placement::Custom(name)`, resolved through a registry
+        // nothing used; a stream that still carries it is refused.
+        let custom = [&[3u8][..], &gpu_sim::snap::encode_to_vec(&"pin-highest".to_string())];
         assert_eq!(
-            cfg.validate(),
-            Err(FleetConfigError::UnknownPlacement { name: "no-such-policy".into() })
+            gpu_sim::snap::decode_from_slice::<Placement>(&custom.concat()),
+            Err(gpu_sim::snap::SnapError::Invalid("Placement"))
         );
     }
 

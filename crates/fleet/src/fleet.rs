@@ -101,34 +101,12 @@ impl DeviceFate {
     }
 }
 
-impl Snap for DeviceFate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            DeviceFate::Healthy => out.push(0),
-            DeviceFate::Lost { at } => {
-                out.push(1);
-                at.encode(out);
-            }
-            DeviceFate::Wedged { at } => {
-                out.push(2);
-                at.encode(out);
-            }
-            DeviceFate::Drained { at } => {
-                out.push(3);
-                at.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(DeviceFate::Healthy),
-            1 => Ok(DeviceFate::Lost { at: u64::decode(r)? }),
-            2 => Ok(DeviceFate::Wedged { at: u64::decode(r)? }),
-            3 => Ok(DeviceFate::Drained { at: u64::decode(r)? }),
-            _ => Err(SnapError::Invalid("DeviceFate")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(DeviceFate {
+    Healthy = 0,
+    Lost { at } = 1,
+    Wedged { at } = 2,
+    Drained { at } = 3,
+});
 
 /// A batch's migration checkpoint: a serialized device snapshot plus the
 /// device-relative cycle it was taken at (needed to translate fleet-cycle
@@ -396,7 +374,7 @@ impl Fleet {
     /// Panics if the configuration does not validate.
     pub fn new(cfg: FleetConfig) -> Self {
         cfg.validate().expect("fleet config must validate");
-        let policy = placement::resolve(&cfg.placement).expect("validated placement resolves");
+        let policy = placement::resolve(&cfg.placement);
         let class_compat: Vec<u64> =
             (0..cfg.classes.len()).map(|ci| cfg.class_compat_fingerprint(ci)).collect();
         let line_bytes: Vec<u32> = (0..cfg.classes.len())
@@ -1610,8 +1588,7 @@ impl Fleet {
         self.shedding.encode(&mut out);
         self.finished.encode(&mut out);
         self.requests.encode(&mut out);
-        let queue: Vec<u64> = self.queue.iter().map(|&id| id as u64).collect();
-        queue.encode(&mut out);
+        Vec::from_iter(self.queue.iter().copied()).encode(&mut out);
         self.streams.encode(&mut out);
         self.tenants.encode(&mut out);
         self.ws.encode(&mut out);
@@ -1633,8 +1610,7 @@ impl Fleet {
                 None => out.push(0),
                 Some(b) => {
                     out.push(1);
-                    let ids: Vec<u64> = b.requests.iter().map(|&id| id as u64).collect();
-                    ids.encode(&mut out);
+                    b.requests.encode(&mut out);
                     b.active.encode(&mut out);
                     b.started_at.encode(&mut out);
                     b.fault_base.encode(&mut out);
@@ -1675,8 +1651,7 @@ impl Fleet {
         let shedding = bool::decode(&mut r).map_err(fail)?;
         let finished = bool::decode(&mut r).map_err(fail)?;
         let requests = Vec::<Request>::decode(&mut r).map_err(fail)?;
-        let queue: VecDeque<usize> =
-            Vec::<u64>::decode(&mut r).map_err(fail)?.into_iter().map(|id| id as usize).collect();
+        let queue = VecDeque::from(Vec::<usize>::decode(&mut r).map_err(fail)?);
         let streams = Vec::<ArrivalStream>::decode(&mut r).map_err(fail)?;
         let tenants = Vec::<TenantCounters>::decode(&mut r).map_err(fail)?;
         let ws = Vec::<WorkingSetTracker>::decode(&mut r).map_err(fail)?;
@@ -1688,9 +1663,10 @@ impl Fleet {
         let series = TimeSeries::decode(&mut r).map_err(fail)?;
         // Both counts come from the stream; refuse a wrong one before it
         // sizes an allocation (the bytes may be a re-sealed checkpoint file).
+        let misshapen = || "fleet snapshot shape does not match the configuration".to_string();
         let n_devices = u64::decode(&mut r).map_err(fail)?;
         if n_devices != u64::from(cfg.total_devices()) || tenants.len() != cfg.tenants.len() {
-            return Err("fleet snapshot shape does not match the configuration".to_string());
+            return Err(misshapen());
         }
         let mut devices = Vec::with_capacity(n_devices as usize);
         for _ in 0..n_devices {
@@ -1701,17 +1677,13 @@ impl Fleet {
             let pending_faults = Vec::<FleetFault>::decode(&mut r).map_err(fail)?;
             let pending_drains = Vec::<u64>::decode(&mut r).map_err(fail)?;
             if id >= cfg.total_devices() {
-                return Err("fleet snapshot shape does not match the configuration".to_string());
+                return Err(misshapen());
             }
             let class = cfg.class_of(id);
             let batch = match u8::decode(&mut r).map_err(fail)? {
                 0 => None,
                 1 => {
-                    let ids: Vec<usize> = Vec::<u64>::decode(&mut r)
-                        .map_err(fail)?
-                        .into_iter()
-                        .map(|id| id as usize)
-                        .collect();
+                    let ids = Vec::<usize>::decode(&mut r).map_err(fail)?;
                     let active = Vec::<bool>::decode(&mut r).map_err(fail)?;
                     let started_at = u64::decode(&mut r).map_err(fail)?;
                     let fault_base = u64::decode(&mut r).map_err(fail)?;
@@ -1747,8 +1719,42 @@ impl Fleet {
                 batch,
             });
         }
-        let policy = placement::resolve(&cfg.placement)
-            .ok_or_else(|| "fleet snapshot: placement policy is unregistered".to_string())?;
+        // `step` indexes its tables with every id the stream carried and
+        // does arithmetic on its clock and arrival models; what the
+        // configuration fixes must equal it and every id must point inside
+        // its table, or the bytes are refused here, not met there.
+        let request_ok = |id: usize| id < requests.len();
+        let device_ok = |id: u32| id < cfg.total_devices();
+        let batches = || devices.iter().filter_map(|d: &Device| d.batch.as_ref());
+        let in_range = tick_index <= cfg.max_ticks
+            && tick_index.checked_mul(cfg.tick_cycles) == Some(cycle)
+            && streams.len() == tenants.len()
+            && streams
+                .iter()
+                .zip(&cfg.tenants)
+                .all(|(s, t)| s.model() == t.arrival && s.total() == t.requests)
+            && ws.len() == tenants.len()
+            && queue.iter().all(|&id| request_ok(id))
+            && requests.iter().all(|req| {
+                req.tenant < tenants.len()
+                    && match req.state {
+                        RequestState::Running { device, .. }
+                        | RequestState::Migrating { from: device, .. } => device_ok(device),
+                        _ => true,
+                    }
+            })
+            && pending_migrations.iter().all(|pm| {
+                pm.active.len() == pm.slots.len()
+                    && device_ok(pm.from_device)
+                    && pm.slots.iter().all(|&id| id < requests.len() as u64)
+            })
+            && batches().all(|b| {
+                b.active.len() == b.requests.len() && b.requests.iter().all(|&id| request_ok(id))
+            });
+        if !in_range {
+            return Err(misshapen());
+        }
+        let policy = placement::resolve(&cfg.placement);
         let class_compat: Vec<u64> =
             (0..cfg.classes.len()).map(|ci| cfg.class_compat_fingerprint(ci)).collect();
         let line_bytes: Vec<u32> = (0..cfg.classes.len())

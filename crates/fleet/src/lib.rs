@@ -55,5 +55,5 @@ pub use fleet::{
     DeviceFate, Fleet, TenantCounters, TenantSample, TickSample, FLEET_SNAPSHOT_VERSION,
 };
 pub use migrate::{MigrationReason, MigrationRecord, PendingMigration};
-pub use placement::{register_policy, DeviceView, PlacementCtx, PlacementPolicy, RequestView};
+pub use placement::{DeviceView, PlacementCtx, PlacementPolicy, RequestView};
 pub use request::{Request, RequestState, ShedReason};

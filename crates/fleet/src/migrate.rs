@@ -13,8 +13,6 @@
 //! configured patience falls back to the bounded-retry path, so the queue
 //! can never hold work forever.
 
-use gpu_sim::snap::{Snap, SnapError, SnapReader};
-
 /// Why a batch left its device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationReason {
@@ -43,25 +41,12 @@ impl std::fmt::Display for MigrationReason {
     }
 }
 
-impl Snap for MigrationReason {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            MigrationReason::DeviceLost => 0,
-            MigrationReason::DeviceWedged => 1,
-            MigrationReason::Drain => 2,
-            MigrationReason::ShedPressure => 3,
-        });
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(MigrationReason::DeviceLost),
-            1 => Ok(MigrationReason::DeviceWedged),
-            2 => Ok(MigrationReason::Drain),
-            3 => Ok(MigrationReason::ShedPressure),
-            _ => Err(SnapError::Invalid("MigrationReason")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(MigrationReason {
+    DeviceLost = 0,
+    DeviceWedged = 1,
+    Drain = 2,
+    ShedPressure = 3,
+});
 
 /// A batch waiting for a compatible spare, with everything needed to
 /// resume it: the slot→request map, the snapshot blob, and the timing

@@ -9,13 +9,10 @@
 //! so a buggy policy can degrade placement quality but never oversubscribe
 //! a device or corrupt accounting.
 //!
-//! Built-in policies ([`Placement::Binpack`], [`Placement::Spread`],
-//! [`Placement::LeastLoaded`]) resolve directly; [`Placement::Custom`]
-//! names resolve through a process-global registry, mirroring how `gpu_ext`
-//! registers scheduling policy objects with the simulator.
+//! [`resolve`] maps each [`Placement`] name to its policy object.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::config::Placement;
 
@@ -71,9 +68,6 @@ pub struct PlacementCtx<'a> {
 /// functions of their inputs — the fleet's replay and snapshot/resume
 /// guarantees depend on it.
 pub trait PlacementPolicy: fmt::Debug + Send + Sync {
-    /// The policy's registry name.
-    fn name(&self) -> &str;
-
     /// Chooses a device for `req`, or `None` to leave it queued this tick.
     /// Returning a device that lacks capacity is safe: the fleet
     /// re-validates and treats it as `None`.
@@ -86,9 +80,6 @@ pub trait PlacementPolicy: fmt::Debug + Send + Sync {
 pub struct Binpack;
 
 impl PlacementPolicy for Binpack {
-    fn name(&self) -> &str {
-        "binpack"
-    }
     fn assign(&self, req: &RequestView, ctx: &PlacementCtx<'_>) -> Option<u32> {
         ctx.devices
             .iter()
@@ -103,9 +94,6 @@ impl PlacementPolicy for Binpack {
 pub struct Spread;
 
 impl PlacementPolicy for Spread {
-    fn name(&self) -> &str {
-        "spread"
-    }
     fn assign(&self, req: &RequestView, ctx: &PlacementCtx<'_>) -> Option<u32> {
         ctx.devices
             .iter()
@@ -121,9 +109,6 @@ impl PlacementPolicy for Spread {
 pub struct LeastLoaded;
 
 impl PlacementPolicy for LeastLoaded {
-    fn name(&self) -> &str {
-        "least-loaded"
-    }
     fn assign(&self, req: &RequestView, ctx: &PlacementCtx<'_>) -> Option<u32> {
         ctx.devices
             .iter()
@@ -138,34 +123,12 @@ impl PlacementPolicy for LeastLoaded {
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<dyn PlacementPolicy>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<dyn PlacementPolicy>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Registers a custom policy under its [`PlacementPolicy::name`].
-/// Re-registering a name replaces the earlier object (last write wins), so
-/// tests can shadow each other safely.
-pub fn register_policy(policy: Arc<dyn PlacementPolicy>) {
-    let mut reg = registry().lock().expect("placement registry poisoned");
-    reg.retain(|p| p.name() != policy.name());
-    reg.push(policy);
-}
-
-/// Resolves a [`Placement`] selector to its policy object: built-ins
-/// directly, `Custom` through the registry. `None` means the name is
-/// unknown ([`crate::FleetConfigError::UnknownPlacement`]).
-pub fn resolve(placement: &Placement) -> Option<Arc<dyn PlacementPolicy>> {
+/// Resolves a [`Placement`] selector to its policy object.
+pub fn resolve(placement: &Placement) -> Arc<dyn PlacementPolicy> {
     match placement {
-        Placement::Binpack => Some(Arc::new(Binpack)),
-        Placement::Spread => Some(Arc::new(Spread)),
-        Placement::LeastLoaded => Some(Arc::new(LeastLoaded)),
-        Placement::Custom(name) => registry()
-            .lock()
-            .expect("placement registry poisoned")
-            .iter()
-            .find(|p| p.name() == name.as_str())
-            .cloned(),
+        Placement::Binpack => Arc::new(Binpack),
+        Placement::Spread => Arc::new(Spread),
+        Placement::LeastLoaded => Arc::new(LeastLoaded),
     }
 }
 
@@ -226,27 +189,5 @@ mod tests {
             "least-loaded breaks the tie toward the coldest device"
         );
         assert_eq!(Spread.assign(&req(u64::MAX), &ctx(&v)), None, "nothing fits");
-    }
-
-    #[test]
-    fn custom_policies_register_and_resolve() {
-        #[derive(Debug)]
-        struct PinHighest;
-        impl PlacementPolicy for PinHighest {
-            fn name(&self) -> &str {
-                "pin-highest"
-            }
-            fn assign(&self, _req: &RequestView, ctx: &PlacementCtx<'_>) -> Option<u32> {
-                ctx.devices.last().map(|d| d.device)
-            }
-        }
-
-        assert!(resolve(&Placement::Custom("pin-highest".into())).is_none());
-        register_policy(Arc::new(PinHighest));
-        let policy = resolve(&Placement::Custom("pin-highest".into())).expect("registered");
-        let v = views();
-        assert_eq!(policy.assign(&req(64), &ctx(&v)), Some(2));
-        assert!(resolve(&Placement::Binpack).is_some());
-        assert!(resolve(&Placement::LeastLoaded).is_some());
     }
 }

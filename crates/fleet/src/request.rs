@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use gpu_sim::snap::{Snap, SnapError, SnapReader};
-
 /// Why a request was shed. Every non-completed request carries one of
 /// these — the fleet's zero-lost-requests accounting depends on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,45 +81,13 @@ pub enum RequestState {
     },
 }
 
-impl Snap for RequestState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            RequestState::Queued { not_before } => {
-                out.push(0);
-                not_before.encode(out);
-            }
-            RequestState::Running { device, started_at } => {
-                out.push(1);
-                device.encode(out);
-                started_at.encode(out);
-            }
-            RequestState::Done { finished_at } => {
-                out.push(2);
-                finished_at.encode(out);
-            }
-            RequestState::Shed { reason, at } => {
-                out.push(3);
-                reason.encode(out);
-                at.encode(out);
-            }
-            RequestState::Migrating { from, started_at } => {
-                out.push(4);
-                from.encode(out);
-                started_at.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(RequestState::Queued { not_before: u64::decode(r)? }),
-            1 => Ok(RequestState::Running { device: u32::decode(r)?, started_at: u64::decode(r)? }),
-            2 => Ok(RequestState::Done { finished_at: u64::decode(r)? }),
-            3 => Ok(RequestState::Shed { reason: ShedReason::decode(r)?, at: u64::decode(r)? }),
-            4 => Ok(RequestState::Migrating { from: u32::decode(r)?, started_at: u64::decode(r)? }),
-            _ => Err(SnapError::Invalid("RequestState")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(RequestState {
+    Queued { not_before } = 0,
+    Running { device, started_at } = 1,
+    Done { finished_at } = 2,
+    Shed { reason, at } = 3,
+    Migrating { from, started_at } = 4,
+});
 
 /// One tenant request, from arrival to a terminal state.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1263,10 +1263,7 @@ impl SnapshotBlob {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + 32);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
-        self.version.encode(&mut out);
-        self.config_fingerprint.encode(&mut out);
-        self.compat_fingerprint.encode(&mut out);
-        self.payload.encode(&mut out);
+        self.encode(&mut out);
         out
     }
 
@@ -1277,22 +1274,12 @@ impl SnapshotBlob {
     /// [`SnapshotError::BadMagic`] when the stream is not a snapshot, and
     /// [`SnapshotError::Corrupt`] when the framing fails to decode.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < SNAPSHOT_MAGIC.len() || bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapReader::new(&bytes[SNAPSHOT_MAGIC.len()..]);
-        let version = u32::decode(&mut r)?;
-        let config_fingerprint = u64::decode(&mut r)?;
-        let compat_fingerprint = u64::decode(&mut r)?;
-        let payload = Vec::<u8>::decode(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapshotError::Corrupt(SnapError::Invalid(
-                "trailing bytes after snapshot payload",
-            )));
-        }
-        Ok(SnapshotBlob { version, config_fingerprint, compat_fingerprint, payload })
+        let framed = bytes.strip_prefix(&SNAPSHOT_MAGIC).ok_or(SnapshotError::BadMagic)?;
+        Ok(crate::snap::decode_from_slice(framed)?)
     }
 }
+
+crate::impl_snap_struct!(SnapshotBlob { version, config_fingerprint, compat_fingerprint, payload });
 
 #[cfg(test)]
 mod tests {

@@ -368,36 +368,16 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-use crate::snap::{Snap, SnapError, SnapReader};
-
 crate::impl_snap_struct!(HealthConfig { watchdog_window, audit });
 
-impl Snap for FaultKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            FaultKind::StarveQuota => out.push(0),
-            FaultKind::FreezeScheduler { sm } => {
-                out.push(1);
-                sm.encode(out);
-            }
-            FaultKind::StallPreemption => out.push(2),
-            FaultKind::Panic => out.push(3),
-            FaultKind::DeviceLoss => out.push(4),
-            FaultKind::DeviceWedge => out.push(5),
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(FaultKind::StarveQuota),
-            1 => Ok(FaultKind::FreezeScheduler { sm: usize::decode(r)? }),
-            2 => Ok(FaultKind::StallPreemption),
-            3 => Ok(FaultKind::Panic),
-            4 => Ok(FaultKind::DeviceLoss),
-            5 => Ok(FaultKind::DeviceWedge),
-            _ => Err(SnapError::Invalid("FaultKind")),
-        }
-    }
-}
+crate::impl_snap_enum!(FaultKind {
+    StarveQuota = 0,
+    FreezeScheduler { sm } = 1,
+    StallPreemption = 2,
+    Panic = 3,
+    DeviceLoss = 4,
+    DeviceWedge = 5,
+});
 
 crate::impl_snap_struct!(FaultSpec { at_cycle, kind });
 
@@ -437,32 +417,7 @@ crate::impl_snap_enum!(AuditKind {
 
 crate::impl_snap_struct!(AuditViolation { cycle, sm, kind, detail });
 
-impl Snap for SimError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SimError::Watchdog(report) => {
-                out.push(0);
-                (**report).encode(out);
-            }
-            SimError::Audit(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            SimError::DeviceLost(report) => {
-                out.push(2);
-                (**report).encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(SimError::Watchdog(Box::new(HealthReport::decode(r)?))),
-            1 => Ok(SimError::Audit(AuditViolation::decode(r)?)),
-            2 => Ok(SimError::DeviceLost(Box::new(HealthReport::decode(r)?))),
-            _ => Err(SnapError::Invalid("SimError")),
-        }
-    }
-}
+crate::impl_snap_enum!(SimError { Watchdog(report) = 0, Audit(violation) = 1, DeviceLost(report) = 2 });
 
 #[cfg(test)]
 mod tests {

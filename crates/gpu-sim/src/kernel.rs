@@ -405,62 +405,18 @@ impl KernelDescBuilder {
     }
 }
 
-use crate::snap::{Snap, SnapError, SnapReader};
-
 crate::impl_snap_enum!(MemSpace { Global = 0, Shared = 1 });
 
 crate::impl_snap_enum!(PatternKind { Stream = 0, Tile = 1, Random = 2, Stencil = 3 });
 
 crate::impl_snap_struct!(AccessPattern { kind, footprint_bytes, transactions });
 
-impl Snap for Op {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            Op::Alu { latency, repeat, active_lanes } => {
-                out.push(0);
-                latency.encode(out);
-                repeat.encode(out);
-                active_lanes.encode(out);
-            }
-            Op::Sfu { latency, repeat, active_lanes } => {
-                out.push(1);
-                latency.encode(out);
-                repeat.encode(out);
-                active_lanes.encode(out);
-            }
-            Op::Mem { space, store, pattern, active_lanes } => {
-                out.push(2);
-                space.encode(out);
-                store.encode(out);
-                pattern.encode(out);
-                active_lanes.encode(out);
-            }
-            Op::Bar => out.push(3),
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(Op::Alu {
-                latency: u16::decode(r)?,
-                repeat: u16::decode(r)?,
-                active_lanes: u8::decode(r)?,
-            }),
-            1 => Ok(Op::Sfu {
-                latency: u16::decode(r)?,
-                repeat: u16::decode(r)?,
-                active_lanes: u8::decode(r)?,
-            }),
-            2 => Ok(Op::Mem {
-                space: MemSpace::decode(r)?,
-                store: bool::decode(r)?,
-                pattern: AccessPattern::decode(r)?,
-                active_lanes: u8::decode(r)?,
-            }),
-            3 => Ok(Op::Bar),
-            _ => Err(SnapError::Invalid("Op")),
-        }
-    }
-}
+crate::impl_snap_enum!(Op {
+    Alu { latency, repeat, active_lanes } = 0,
+    Sfu { latency, repeat, active_lanes } = 1,
+    Mem { space, store, pattern, active_lanes } = 2,
+    Bar = 3,
+});
 
 crate::impl_snap_struct!(KernelDesc {
     name,

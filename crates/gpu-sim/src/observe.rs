@@ -27,7 +27,6 @@
 use std::fmt;
 
 use crate::health::FaultKind;
-use crate::snap::{Snap, SnapError, SnapReader};
 use crate::types::Cycle;
 
 /// How much event recording the machine performs.
@@ -177,66 +176,17 @@ impl fmt::Display for TraceEventKind {
     }
 }
 
-impl Snap for TraceEventKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TraceEventKind::QuotaExhausted { kernel } => {
-                out.push(0);
-                kernel.encode(out);
-            }
-            TraceEventKind::PreemptStart { kernel, tb } => {
-                out.push(1);
-                kernel.encode(out);
-                tb.encode(out);
-            }
-            TraceEventKind::PreemptComplete { kernel, tb } => {
-                out.push(2);
-                kernel.encode(out);
-                tb.encode(out);
-            }
-            TraceEventKind::TbDispatch { kernel, tb, resumed } => {
-                out.push(3);
-                kernel.encode(out);
-                tb.encode(out);
-                resumed.encode(out);
-            }
-            TraceEventKind::TbDrain { kernel, tb } => {
-                out.push(4);
-                kernel.encode(out);
-                tb.encode(out);
-            }
-            TraceEventKind::EpochBoundary { epoch } => {
-                out.push(5);
-                epoch.encode(out);
-            }
-            TraceEventKind::IdleStart => out.push(6),
-            TraceEventKind::IdleEnd => out.push(7),
-            TraceEventKind::FaultInjected { fault } => {
-                out.push(8);
-                fault.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::decode(r)? {
-            0 => TraceEventKind::QuotaExhausted { kernel: u32::decode(r)? },
-            1 => TraceEventKind::PreemptStart { kernel: u32::decode(r)?, tb: u32::decode(r)? },
-            2 => TraceEventKind::PreemptComplete { kernel: u32::decode(r)?, tb: u32::decode(r)? },
-            3 => TraceEventKind::TbDispatch {
-                kernel: u32::decode(r)?,
-                tb: u32::decode(r)?,
-                resumed: bool::decode(r)?,
-            },
-            4 => TraceEventKind::TbDrain { kernel: u32::decode(r)?, tb: u32::decode(r)? },
-            5 => TraceEventKind::EpochBoundary { epoch: u64::decode(r)? },
-            6 => TraceEventKind::IdleStart,
-            7 => TraceEventKind::IdleEnd,
-            8 => TraceEventKind::FaultInjected { fault: FaultKind::decode(r)? },
-            _ => return Err(SnapError::Invalid("TraceEventKind")),
-        })
-    }
-}
+crate::impl_snap_enum!(TraceEventKind {
+    QuotaExhausted { kernel } = 0,
+    PreemptStart { kernel, tb } = 1,
+    PreemptComplete { kernel, tb } = 2,
+    TbDispatch { kernel, tb, resumed } = 3,
+    TbDrain { kernel, tb } = 4,
+    EpochBoundary { epoch } = 5,
+    IdleStart = 6,
+    IdleEnd = 7,
+    FaultInjected { fault } = 8,
+});
 
 /// One cycle-stamped flight-recorder event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

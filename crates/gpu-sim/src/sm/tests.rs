@@ -977,3 +977,61 @@ fn rollover_carry_keeps_surplus_discard_drops_it() {
     sm.set_epoch_quota(k, 100, QuotaCarry::DiscardSurplus, 0);
     assert_eq!(sm.quota(k), 100, "discard drops the surplus");
 }
+
+/// A scheduler count outside the fused gather's powers of two: three
+/// schedulers over two ungated kernels (ALU bursts, SFU, global loads, a
+/// barrier). Pins, per policy, how many instructions each scheduler issued,
+/// the SM's counters, and a digest of the whole encoded SM after every cycle.
+#[test]
+fn odd_scheduler_count_matches_pinned_digest() {
+    use crate::snap::{encode_to_vec, fnv1a};
+    use crate::warp_sched::SchedPolicy;
+    const CYCLES: Cycle = 3_000;
+    let run = |policy| {
+        let mut cfg = GpuConfig::tiny();
+        cfg.sm.warp_schedulers = 3;
+        cfg.sm.sched_policy = policy;
+        let mut sm = Sm::new(SmId::new(0), &cfg);
+        let mut mem = MemSystem::new(cfg.mem.clone());
+        let desc = |name: &str, threads, body| {
+            let b = KernelDesc::builder(name).threads_per_tb(threads).regs_per_thread(16);
+            Arc::new(b.iterations(10_000).grid_tbs(8).body(body).build())
+        };
+        sm.set_kernel_desc(Q, desc("q", 128, vec![Op::alu(4, 3), Op::Bar, Op::sfu(20, 1)]));
+        let loads = vec![Op::alu(2, 2), Op::mem_load(AccessPattern::random(1 << 20, 4))];
+        sm.set_kernel_desc(B, desc("b", 64, loads));
+        for (tb, k) in [Q, B, Q, B, B].into_iter().enumerate() {
+            sm.dispatch(k, TbIndex(tb as u32), None, 0, 0);
+        }
+        // No TB finishes inside the run, so an issue always moves its slot's
+        // (pc, rem, iter) and nothing else does.
+        let progress = |sm: &Sm| -> Vec<(u16, u16, u32)> {
+            let t = &sm.warps;
+            (0..t.capacity()).map(|s| (t.pc[s], t.rem[s], t.iter[s])).collect()
+        };
+        let mut per_sched = [0u64; 3];
+        let mut digest = 0u64;
+        for now in 0..CYCLES {
+            let before = progress(&sm);
+            sm.step(now, &mut mem);
+            for (slot, (b, a)) in before.iter().zip(progress(&sm)).enumerate() {
+                per_sched[slot % 3] += u64::from(*b != a);
+            }
+            let state = [digest.to_le_bytes().to_vec(), encode_to_vec(&sm)].concat();
+            digest = fnv1a(&state);
+        }
+        assert_eq!(per_sched.iter().sum::<u64>(), sm.issued_total(), "every issue was seen");
+        let counters = [
+            sm.busy_cycles(),
+            sm.issue_slots(),
+            sm.counters(Q).thread_insts,
+            sm.counters(B).thread_insts,
+            sm.quota_blocked_cycles(Q) + sm.quota_blocked_cycles(B),
+        ];
+        (per_sched, counters, digest)
+    };
+    let gto = run(SchedPolicy::Gto);
+    let lrr = run(SchedPolicy::Lrr);
+    assert_eq!(gto, ([1788, 962, 935], [3000, 9000, 112_768, 5152, 0], 0xdbce_f3e4_f0e1_1db0));
+    assert_eq!(lrr, ([1687, 911, 884], [3000, 9000, 106_240, 5184, 0], 0x8f45_9ffc_cebe_0278));
+}

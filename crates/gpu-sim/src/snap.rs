@@ -143,9 +143,8 @@ pub fn decode_from_slice<T: Snap>(bytes: &[u8]) -> Result<T, SnapError> {
     Ok(value)
 }
 
-/// FNV-1a over a byte slice — the same constants as
-/// [`crate::trace::records_hash`], reused for snapshot checksums and config
-/// fingerprints.
+/// FNV-1a over a byte slice: frame checksums, config fingerprints and
+/// [`crate::trace::records_hash`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -329,6 +328,16 @@ impl<T: Snap> Snap for Arc<T> {
     }
 }
 
+/// `Box` is transparent on the wire: the inner value's bytes, nothing else.
+impl<T: Snap> Snap for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Box::new(T::decode(r)?))
+    }
+}
+
 /// Implements [`Snap`] for a struct by encoding the listed fields in order.
 ///
 /// Must be invoked inside the module that can see the fields. An optional
@@ -358,22 +367,37 @@ macro_rules! impl_snap_struct {
     };
 }
 
-/// Implements [`Snap`] for a fieldless enum as a tagged `u8`.
+/// Implements [`Snap`] for an enum as a `u8` tag followed by the variant's
+/// fields in the order written — the one place that layout is decided.
+///
+/// Each variant is declared in its own shape with its tag: `Unit = 0`,
+/// `Struct { a, b } = 1`, `Tuple(x) = 2` (a tuple variant's names are only
+/// bindings). An undeclared tag decodes to [`SnapError::Invalid`] naming the
+/// type.
 #[macro_export]
 macro_rules! impl_snap_enum {
-    ($ty:ty { $($variant:ident = $tag:literal),+ $(,)? }) => {
+    ($ty:ty { $(
+        $variant:ident $({ $($field:ident),+ $(,)? })? $(( $($elem:ident),+ $(,)? ))? = $tag:literal
+    ),+ $(,)? }) => {
         impl $crate::snap::Snap for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                let tag: u8 = match self {
-                    $(Self::$variant => $tag,)+
-                };
-                $crate::snap::Snap::encode(&tag, out);
+                match self {
+                    $(Self::$variant $({ $($field),+ })? $(( $($elem),+ ))? => {
+                        out.push($tag);
+                        $($($crate::snap::Snap::encode($field, out);)+)?
+                        $($($crate::snap::Snap::encode($elem, out);)+)?
+                    })+
+                }
             }
             fn decode(
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> Result<Self, $crate::snap::SnapError> {
                 match <u8 as $crate::snap::Snap>::decode(r)? {
-                    $($tag => Ok(Self::$variant),)+
+                    $($tag => {
+                        $($(let $field = $crate::snap::Snap::decode(r)?;)+)?
+                        $($(let $elem = $crate::snap::Snap::decode(r)?;)+)?
+                        Ok(Self::$variant $({ $($field),+ })? $(( $($elem),+ ))?)
+                    })+
                     _ => Err($crate::snap::SnapError::Invalid(stringify!($ty))),
                 }
             }
@@ -513,19 +537,60 @@ mod tests {
     }
 
     #[derive(Debug, PartialEq)]
-    enum Tri {
-        X,
-        Y,
-        Z,
+    enum Shape {
+        Unit,
+        Struct { a: u32, b: Vec<u8> },
+        Tuple(u64, Box<Option<u16>>),
     }
-    crate::impl_snap_enum!(Tri { X = 0, Y = 1, Z = 2 });
+    crate::impl_snap_enum!(Shape { Unit = 0, Struct { a, b } = 4, Tuple(x, y) = 2 });
 
     #[test]
     fn enum_macro_round_trips_and_rejects_bad_tags() {
-        for v in [Tri::X, Tri::Y, Tri::Z] {
-            let bytes = encode_to_vec(&v);
-            assert_eq!(decode_from_slice::<Tri>(&bytes).expect("decode"), v);
+        // The tag, then the fields in the order declared.
+        let s = Shape::Struct { a: 0x0102, b: vec![9] };
+        let t = Shape::Tuple(7, Box::new(Some(3)));
+        assert_eq!(encode_to_vec(&Shape::Unit), [0]);
+        assert_eq!(encode_to_vec(&s), [4, 2, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9]);
+        assert_eq!(encode_to_vec(&t), [2, 7, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0]);
+        for v in [Shape::Unit, s, t] {
+            round_trip(v);
         }
-        assert!(decode_from_slice::<Tri>(&[3]).is_err());
+        assert_eq!(decode_from_slice::<Shape>(&[3]), Err(SnapError::Invalid("Shape")));
+    }
+
+    mod enum_macro_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Every variant shape round-trips, every proper prefix of an
+            /// encoding is refused, and so is every tag not declared.
+            #[test]
+            fn declared_enums_round_trip_and_refuse_the_rest(
+                pick in 0u8..3,
+                a in any::<u32>(),
+                b in proptest::collection::vec(any::<u8>(), 0..9),
+                x in any::<u64>(),
+                y in any::<u16>(),
+                tag in any::<u8>(),
+            ) {
+                let value = match pick {
+                    0 => Shape::Unit,
+                    1 => Shape::Struct { a, b },
+                    _ => Shape::Tuple(x, Box::new(y.is_multiple_of(2).then_some(y))),
+                };
+                let bytes = encode_to_vec(&value);
+                prop_assert_eq!(decode_from_slice::<Shape>(&bytes), Ok(value));
+                for cut in 0..bytes.len() {
+                    prop_assert!(decode_from_slice::<Shape>(&bytes[..cut]).is_err(), "cut {}", cut);
+                }
+                if ![0, 4, 2].contains(&tag) {
+                    let mut undeclared = bytes;
+                    undeclared[0] = tag;
+                    let refused = decode_from_slice::<Shape>(&undeclared);
+                    prop_assert_eq!(refused, Err(SnapError::Invalid("Shape")));
+                }
+            }
+        }
     }
 }

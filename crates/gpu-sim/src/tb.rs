@@ -155,31 +155,7 @@ impl TbSlab {
     }
 }
 
-use crate::snap::Snap;
-
-impl Snap for TbPhase {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            TbPhase::Loading(until) => {
-                out.push(0);
-                until.encode(out);
-            }
-            TbPhase::Active => out.push(1),
-            TbPhase::Saving(until) => {
-                out.push(2);
-                until.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(TbPhase::Loading(Cycle::decode(r)?)),
-            1 => Ok(TbPhase::Active),
-            2 => Ok(TbPhase::Saving(Cycle::decode(r)?)),
-            _ => Err(crate::snap::SnapError::Invalid("TbPhase")),
-        }
-    }
-}
+crate::impl_snap_enum!(TbPhase { Loading(until) = 0, Active = 1, Saving(until) = 2 });
 
 crate::impl_snap_struct!(TbSlab {
     kernel,
@@ -195,6 +171,7 @@ crate::impl_snap_struct!(TbSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::Snap;
 
     fn slab_with_one(phase: TbPhase) -> (TbSlab, u16) {
         let mut s = TbSlab::new(4);

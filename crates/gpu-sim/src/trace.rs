@@ -35,31 +35,29 @@ pub struct EpochRecord {
     pub preemption_saves: u64,
 }
 
-/// A stable 64-bit FNV-1a hash over a full record stream.
+/// A stable 64-bit FNV-1a hash ([`crate::snap::fnv1a`]) over a full record
+/// stream, each field a little-endian `u64`.
 ///
 /// Every field is folded in bit-exactly (`f64` samples via `to_bits`), so
 /// two runs hash equal iff their entire epoch telemetry is identical — the
 /// determinism and differential tests compare runs through this.
 pub fn records_hash(records: &[EpochRecord]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn fold(h: u64, v: u64) -> u64 {
-        v.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
-    }
-    let mut h = fold(OFFSET, records.len() as u64);
+    let mut stream = Vec::new();
+    let mut fold = |v: u64| stream.extend_from_slice(&v.to_le_bytes());
+    fold(records.len() as u64);
     for r in records {
-        h = fold(h, r.epoch);
-        h = fold(h, r.cycle);
-        h = fold(h, r.preemption_saves);
-        h = fold(h, r.kernels.len() as u64);
+        fold(r.epoch);
+        fold(r.cycle);
+        fold(r.preemption_saves);
+        fold(r.kernels.len() as u64);
         for s in &r.kernels {
-            h = fold(h, s.epoch_ipc.to_bits());
-            h = fold(h, u64::from(s.hosted_tbs));
-            h = fold(h, s.quota_total as u64);
-            h = fold(h, s.preempted as u64);
+            fold(s.epoch_ipc.to_bits());
+            fold(u64::from(s.hosted_tbs));
+            fold(s.quota_total as u64);
+            fold(s.preempted as u64);
         }
     }
-    h
+    crate::snap::fnv1a(&stream)
 }
 
 /// A controller wrapper that records an [`EpochRecord`] per epoch.

@@ -215,24 +215,7 @@ pub fn trio_sweep(
 
 gpu_sim::impl_snap_enum!(ConfigKind { Table1 = 0, Sm56 = 1 });
 
-impl gpu_sim::Snap for Policy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Policy::Spart => out.push(0),
-            Policy::Quota(scheme) => {
-                out.push(1);
-                gpu_sim::Snap::encode(scheme, out);
-            }
-        }
-    }
-    fn decode(r: &mut gpu_sim::SnapReader<'_>) -> Result<Self, gpu_sim::SnapError> {
-        match <u8 as gpu_sim::Snap>::decode(r)? {
-            0 => Ok(Policy::Spart),
-            1 => Ok(Policy::Quota(<QuotaScheme as gpu_sim::Snap>::decode(r)?)),
-            _ => Err(gpu_sim::SnapError::Invalid("Policy")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(Policy { Spart = 0, Quota(scheme) = 1 });
 
 gpu_sim::impl_snap_struct!(Ablations { history_adjust, static_adjust, free_preemption });
 

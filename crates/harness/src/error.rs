@@ -65,36 +65,11 @@ impl From<SimError> for CaseError {
     }
 }
 
-impl gpu_sim::Snap for CaseError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CaseError::UnknownBenchmark { name } => {
-                out.push(0);
-                gpu_sim::Snap::encode(name, out);
-            }
-            CaseError::Sim(err) => {
-                out.push(1);
-                gpu_sim::Snap::encode(err, out);
-            }
-            CaseError::Panicked { payload, attempts } => {
-                out.push(2);
-                gpu_sim::Snap::encode(payload, out);
-                gpu_sim::Snap::encode(attempts, out);
-            }
-        }
-    }
-    fn decode(r: &mut gpu_sim::SnapReader<'_>) -> Result<Self, gpu_sim::SnapError> {
-        match <u8 as gpu_sim::Snap>::decode(r)? {
-            0 => Ok(CaseError::UnknownBenchmark { name: <String as gpu_sim::Snap>::decode(r)? }),
-            1 => Ok(CaseError::Sim(<SimError as gpu_sim::Snap>::decode(r)?)),
-            2 => Ok(CaseError::Panicked {
-                payload: <String as gpu_sim::Snap>::decode(r)?,
-                attempts: <u32 as gpu_sim::Snap>::decode(r)?,
-            }),
-            _ => Err(gpu_sim::SnapError::Invalid("CaseError")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(CaseError {
+    UnknownBenchmark { name } = 0,
+    Sim(err) = 1,
+    Panicked { payload, attempts } = 2,
+});
 
 /// One failed case of a sweep, recorded for the failure digest.
 #[derive(Debug, Clone, PartialEq)]

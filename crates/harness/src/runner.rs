@@ -152,27 +152,7 @@ impl Controller for CaseController {
     }
 }
 
-impl gpu_sim::Snap for CaseController {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CaseController::Spart(c) => {
-                out.push(0);
-                gpu_sim::Snap::encode(c, out);
-            }
-            CaseController::Quota(m) => {
-                out.push(1);
-                gpu_sim::Snap::encode(m, out);
-            }
-        }
-    }
-    fn decode(r: &mut gpu_sim::SnapReader<'_>) -> Result<Self, gpu_sim::SnapError> {
-        match <u8 as gpu_sim::Snap>::decode(r)? {
-            0 => Ok(CaseController::Spart(<SpartController as gpu_sim::Snap>::decode(r)?)),
-            1 => Ok(CaseController::Quota(<QosManager as gpu_sim::Snap>::decode(r)?)),
-            _ => Err(gpu_sim::SnapError::Invalid("CaseController")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(CaseController { Spart(controller) = 0, Quota(manager) = 1 });
 
 /// A case's simulation state right after construction, before any cycle has
 /// run: the machine, the launched kernel ids, and the per-kernel isolated /

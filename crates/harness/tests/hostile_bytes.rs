@@ -97,14 +97,73 @@ fn fleet_snapshot() -> Vec<u8> {
     panic!("no tick of the chaos scenario ends with a busy device");
 }
 
-fn restore_fleet(bytes: &[u8]) {
-    let _ = Fleet::restore(scenarios::chaos(99), bytes);
+/// Accepted means usable: a fleet that restores is stepped a tick and asked
+/// for its report, still inside the drill's no-panic boundary.
+fn restore_fleet(bytes: &[u8]) -> Result<(), String> {
+    let mut fleet = Fleet::restore(scenarios::chaos(99), bytes)?;
+    fleet.step();
+    let _ = fleet.report("restored");
+    Ok(())
+}
+
+/// The byte ranges of `snapshot` that hold embedded machine blobs (batch
+/// state and migration checkpoints), each with its `u64` length prefix.
+fn machine_blobs(snapshot: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let starts = (8..snapshot.len() - 4).filter(|&at| &snapshot[at..at + 4] == b"FGQS");
+    starts
+        .map(|at| {
+            let len = u64::from_le_bytes(snapshot[at - 8..at].try_into().expect("eight bytes"));
+            at - 8..at + len as usize
+        })
+        .collect()
+}
+
+/// [`restore_fleet`] for a tampered copy `evil` of the snapshot `real`, whose
+/// `blobs` are [`machine_blobs`]. A copy tampered inside a machine blob is
+/// only restored: what `Gpu::restore` lets through is that decoder's to vet
+/// (`gpu_restore_survives_length_bombs`), and indices *inside* a machine are
+/// not range-checked yet (ROADMAP).
+fn restore_fleet_window(blobs: &[std::ops::Range<usize>], real: &[u8], evil: &[u8]) {
+    if real.len() != evil.len() || blobs.iter().any(|b| real[b.clone()] != evil[b.clone()]) {
+        let _ = Fleet::restore(scenarios::chaos(99), evil);
+    } else {
+        let _ = restore_fleet(evil);
+    }
 }
 
 #[test]
 fn fleet_restore_survives_length_bombs() {
-    let tried = drill("Fleet::restore", &fleet_snapshot(), restore_fleet);
+    let real = fleet_snapshot();
+    let blobs = machine_blobs(&real);
+    let tried = drill("Fleet::restore", &real, |evil| restore_fleet_window(&blobs, &real, evil));
     assert!(tried > 1_000, "{tried} windows");
+}
+
+/// A queued request id one past the request table: `Fleet::restore` must
+/// refuse it, not hand back a fleet whose first `step` indexes with it.
+#[test]
+fn fleet_restore_refuses_an_out_of_range_queued_id() {
+    // version, fingerprint, cycle, tick index, shedding, finished.
+    const HEADER: usize = 4 + 8 + 8 + 8 + 1 + 1;
+    let word = |bytes: &[u8], at: usize| {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
+    };
+    let mut fleet = Fleet::new(scenarios::chaos(99));
+    let (mut bytes, queue_at) = loop {
+        assert!(!fleet.step(), "some tick of the chaos scenario ends with a request queued");
+        let bytes = fleet.snapshot();
+        let requests = fleet.requests().to_vec();
+        let queue_at = HEADER + gpu_sim::snap::encode_to_vec(&requests).len();
+        if word(&bytes, queue_at) > 0 {
+            assert!(word(&bytes, queue_at + 8) < requests.len() as u64, "a real queued id");
+            break (bytes, queue_at);
+        }
+    };
+    assert_eq!(restore_fleet(&bytes), Ok(()));
+    let beyond = fleet.requests().len() as u64;
+    bytes[queue_at + 8..queue_at + 16].copy_from_slice(&beyond.to_le_bytes());
+    let refused = restore_fleet(&bytes).expect_err("an id past the table is refused");
+    assert!(refused.contains("shape does not match"), "{refused}");
 }
 
 #[test]
@@ -161,16 +220,18 @@ fn resealed_sweep_checkpoint_survives_length_bombs() {
 #[test]
 fn resealed_fleet_checkpoint_survives_length_bombs() {
     let dir = tmp_dir("fgfl");
+    let state = fleet_snapshot();
+    let blobs = machine_blobs(&state);
     let ckpt = FleetCheckpoint {
         scenario: "chaos".to_string(),
         seed: 99,
         every_ticks: 5,
-        state: fleet_snapshot(),
+        state: state.clone(),
     };
     let file = std::fs::read(save_checkpoint(&dir, &ckpt).expect("save")).expect("read");
     let tried = drill_resealed("FGFL", &file, |magic, version, evil| {
         if let Ok(ckpt) = frame::open::<FleetCheckpoint>(magic, version, evil) {
-            restore_fleet(&ckpt.state);
+            restore_fleet_window(&blobs, &state, &ckpt.state);
         }
     });
     assert!(tried > 1_000, "{tried} windows");

@@ -18,7 +18,6 @@
 //! kill-and-resume tests assert end to end.
 
 use gpu_sim::rng::{derive_seed, SplitMix64};
-use gpu_sim::snap::{Snap, SnapError, SnapReader};
 use gpu_sim::{AccessPattern, KernelDesc, Op};
 
 /// How a tenant's requests arrive at the fleet.
@@ -72,39 +71,11 @@ pub fn diurnal_mean_gap(mean_gap: u64, period: u64, swing_permille: u32, at: u64
     (mean_gap as i64 - tri * swing / 1000).max(1) as u64
 }
 
-impl Snap for ArrivalModel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            ArrivalModel::Open { mean_gap } => {
-                out.push(0);
-                mean_gap.encode(out);
-            }
-            ArrivalModel::Closed { think, population } => {
-                out.push(1);
-                think.encode(out);
-                population.encode(out);
-            }
-            ArrivalModel::Diurnal { mean_gap, period, swing_permille } => {
-                out.push(2);
-                mean_gap.encode(out);
-                period.encode(out);
-                swing_permille.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(ArrivalModel::Open { mean_gap: u64::decode(r)? }),
-            1 => Ok(ArrivalModel::Closed { think: u64::decode(r)?, population: u32::decode(r)? }),
-            2 => Ok(ArrivalModel::Diurnal {
-                mean_gap: u64::decode(r)?,
-                period: u64::decode(r)?,
-                swing_permille: u32::decode(r)?,
-            }),
-            _ => Err(SnapError::Invalid("ArrivalModel")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(ArrivalModel {
+    Open { mean_gap } = 0,
+    Closed { think, population } = 1,
+    Diurnal { mean_gap, period, swing_permille } = 2,
+});
 
 /// A deterministic per-tenant arrival stream: emits the arrival cycle of
 /// each of `total` requests, driven by the tenant's private RNG.
@@ -254,8 +225,14 @@ pub fn request_kernel(tenant: &str, seq: u64, grid_tbs: u32) -> KernelDesc {
         .build()
 }
 
-/// Deterministic 64-bit label from a tenant name (FNV-1a).
+/// Deterministic 64-bit label from a tenant or kernel name: the FNV-1a fold
+/// with its own multiplier.
 pub fn hash_label(name: &str) -> u64 {
+    // Not the FNV prime (`0x0100_0000_01b3`, what `gpu_sim::snap::fnv1a`
+    // multiplies by): one hex digit sits a place higher. Every synthetic
+    // kernel's seed, so every address stream, isolated IPC and golden,
+    // descends from this exact constant. "Correcting" it, or folding this
+    // into `fnv1a`, changes them all; any stable hash serves the purpose.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
         h ^= u64::from(b);

@@ -7,6 +7,8 @@
 
 use gpu_sim::{AccessPattern, KernelDesc, Op};
 
+use crate::arrival::hash_label;
+
 /// A purely compute-bound kernel; `alu_burst` scales arithmetic density.
 pub fn compute_bound(name: &str, alu_burst: u16) -> KernelDesc {
     KernelDesc::builder(name)
@@ -14,7 +16,7 @@ pub fn compute_bound(name: &str, alu_burst: u16) -> KernelDesc {
         .regs_per_thread(32)
         .grid_tbs(1024)
         .iterations(32)
-        .seed(hash_name(name))
+        .seed(hash_label(name))
         .body(vec![Op::mem_load(AccessPattern::tile(8 * 1024)), Op::alu(4, alu_burst.max(1))])
         .build()
 }
@@ -31,7 +33,7 @@ pub fn memory_bound(name: &str, loads: u16) -> KernelDesc {
         .regs_per_thread(24)
         .grid_tbs(1024)
         .iterations(24)
-        .seed(hash_name(name))
+        .seed(hash_label(name))
         .memory_intensive(true)
         .body(body)
         .build()
@@ -58,7 +60,7 @@ pub fn mixed(name: &str, mem_fraction: f64) -> KernelDesc {
         .regs_per_thread(32)
         .grid_tbs(1024)
         .iterations(24)
-        .seed(hash_name(name))
+        .seed(hash_label(name))
         .memory_intensive(mem_fraction >= 0.5)
         .body(body)
         .build()
@@ -73,7 +75,7 @@ pub fn frame_kernel(name: &str, tbs_per_frame: u32) -> KernelDesc {
         .smem_per_tb(4 * 1024)
         .grid_tbs(tbs_per_frame.max(1))
         .iterations(12)
-        .seed(hash_name(name))
+        .seed(hash_label(name))
         .body(vec![
             Op::mem_load(AccessPattern::tile(16 * 1024)),
             Op::alu(4, 8),
@@ -83,17 +85,6 @@ pub fn frame_kernel(name: &str, tbs_per_frame: u32) -> KernelDesc {
             Op::mem_store(AccessPattern::stream()),
         ])
         .build()
-}
-
-/// Deterministic seed derived from a kernel name.
-fn hash_name(name: &str) -> u64 {
-    // FNV-1a; any stable hash works — it only decorrelates address streams.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

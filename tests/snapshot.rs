@@ -45,29 +45,7 @@ impl Controller for Ctrl {
     }
 }
 
-impl Snap for Ctrl {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Ctrl::Null => out.push(0),
-            Ctrl::Spart(c) => {
-                out.push(1);
-                Snap::encode(c, out);
-            }
-            Ctrl::Quota(m) => {
-                out.push(2);
-                Snap::encode(m, out);
-            }
-        }
-    }
-    fn decode(r: &mut gpu_sim::SnapReader<'_>) -> Result<Self, gpu_sim::SnapError> {
-        match <u8 as Snap>::decode(r)? {
-            0 => Ok(Ctrl::Null),
-            1 => Ok(Ctrl::Spart(<SpartController as Snap>::decode(r)?)),
-            2 => Ok(Ctrl::Quota(<QosManager as Snap>::decode(r)?)),
-            _ => Err(gpu_sim::SnapError::Invalid("Ctrl")),
-        }
-    }
-}
+gpu_sim::impl_snap_enum!(Ctrl { Null = 0, Spart(controller) = 1, Quota(manager) = 2 });
 
 // ----------------------------------------------------------------------
 // Scenario construction (mirrors tests/properties.rs).
@@ -528,4 +506,151 @@ fn counter_registry_enumeration_order_is_pinned() {
         "counter registry enumeration order changed; if intentional, \
          regenerate with BLESS_COUNTER_ORDER=1"
     );
+}
+
+/// Asserts `value` encodes to exactly `expected` and that `expected` decodes
+/// to something that encodes the same (not every wire enum is `PartialEq`).
+fn pin<T: Snap>(value: &T, expected: &[u8]) {
+    let name = std::any::type_name::<T>();
+    assert_eq!(encode_to_vec(value), expected, "{name} encoding");
+    let back: T = decode_from_slice(expected).unwrap_or_else(|e| panic!("{name} decodes: {e}"));
+    assert_eq!(encode_to_vec(&back), expected, "{name} round trip");
+}
+
+/// The wire layout of every data-carrying enum — a `u8` tag, then the
+/// variant's fields in declaration order — pinned byte for byte, one value
+/// per variant. Snapshots, fleet checkpoints, migration blobs and the trace
+/// corpus all embed these; a change here is a schema change.
+#[test]
+fn enum_wire_bytes_are_pinned() {
+    use fgqos::bench::runner::CaseController;
+    use fgqos::bench::{CaseError, Policy};
+    use fgqos::sim::kernel::PatternKind;
+    use fgqos::sim::tb::TbPhase;
+    use fgqos::sim::TraceEventKind as Ev;
+    use fgqos::sim::{AuditKind, AuditViolation, FaultKind, HealthReport, MemSpace, SimError};
+    use fgqos::workloads::arrival::ArrivalModel;
+    use fleet::{DeviceFate, MigrationReason, Placement, RequestState, ShedReason};
+
+    /// Little-endian `u64` words after a leading tag byte.
+    fn tagged(tag: u8, words: &[u64]) -> Vec<u8> {
+        let mut out = vec![tag];
+        out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        out
+    }
+    /// A tag byte in front of `inner`'s own encoding.
+    fn wrap<T: Snap>(tag: u8, inner: &T) -> Vec<u8> {
+        let mut out = vec![tag];
+        inner.encode(&mut out);
+        out
+    }
+
+    pin(&Ev::QuotaExhausted { kernel: 7 }, &[0, 7, 0, 0, 0]);
+    pin(&Ev::PreemptStart { kernel: 1, tb: 2 }, &[1, 1, 0, 0, 0, 2, 0, 0, 0]);
+    pin(&Ev::PreemptComplete { kernel: 1, tb: 2 }, &[2, 1, 0, 0, 0, 2, 0, 0, 0]);
+    pin(&Ev::TbDispatch { kernel: 1, tb: 2, resumed: true }, &[3, 1, 0, 0, 0, 2, 0, 0, 0, 1]);
+    pin(&Ev::TbDrain { kernel: 3, tb: 0x0102 }, &[4, 3, 0, 0, 0, 2, 1, 0, 0]);
+    pin(&Ev::EpochBoundary { epoch: 5 }, &tagged(5, &[5]));
+    pin(&Ev::IdleStart, &[6]);
+    pin(&Ev::IdleEnd, &[7]);
+    pin(
+        &Ev::FaultInjected { fault: FaultKind::FreezeScheduler { sm: 3 } },
+        &[8, 1, 3, 0, 0, 0, 0, 0, 0, 0],
+    );
+
+    pin(&Op::Alu { latency: 4, repeat: 0x0201, active_lanes: 32 }, &[0, 4, 0, 1, 2, 32]);
+    pin(&Op::Sfu { latency: 20, repeat: 1, active_lanes: 8 }, &[1, 20, 0, 1, 0, 8]);
+    let pattern =
+        AccessPattern { kind: PatternKind::Random, footprint_bytes: 0x0100, transactions: 4 };
+    pin(
+        &Op::Mem { space: MemSpace::Shared, store: true, pattern, active_lanes: 16 },
+        &[2, 1, 1, 2, 0, 1, 0, 0, 0, 0, 0, 0, 4, 16],
+    );
+    pin(&Op::Bar, &[3]);
+
+    pin(&FaultKind::StarveQuota, &[0]);
+    pin(&FaultKind::FreezeScheduler { sm: 1 }, &tagged(1, &[1]));
+    pin(&FaultKind::StallPreemption, &[2]);
+    pin(&FaultKind::Panic, &[3]);
+    pin(&FaultKind::DeviceLoss, &[4]);
+    pin(&FaultKind::DeviceWedge, &[5]);
+
+    let report = || {
+        Box::new(HealthReport {
+            cycle: 9,
+            window: 4,
+            last_progress_cycle: 5,
+            total_issued: 7,
+            kernels: Vec::new(),
+            sms: Vec::new(),
+            events: Vec::new(),
+        })
+    };
+    let violation =
+        AuditViolation { cycle: 3, sm: Some(1), kind: AuditKind::QuotaLedger, detail: "x".into() };
+    let mut audit = tagged(1, &[3]);
+    audit.extend(tagged(1, &[1])); // `sm: Some(1)`
+    audit.extend(tagged(2, &[1])); // `kind`, then `detail`'s length
+    audit.push(b'x');
+    pin(&SimError::Watchdog(report()), &tagged(0, &[9, 4, 5, 7, 0, 0, 0]));
+    pin(&SimError::Audit(violation.clone()), &audit);
+    pin(&SimError::DeviceLost(report()), &tagged(2, &[9, 4, 5, 7, 0, 0, 0]));
+
+    pin(&TbPhase::Loading(0x0302), &tagged(0, &[0x0302]));
+    pin(&TbPhase::Active, &[1]);
+    pin(&TbPhase::Saving(77), &tagged(2, &[77]));
+
+    pin(&ArrivalModel::Open { mean_gap: 500 }, &tagged(0, &[500]));
+    pin(
+        &ArrivalModel::Closed { think: 9, population: 3 },
+        &[1, 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0],
+    );
+    let mut diurnal = tagged(2, &[500, 10_000]);
+    diurnal.extend([250, 0, 0, 0]);
+    pin(&ArrivalModel::Diurnal { mean_gap: 500, period: 10_000, swing_permille: 250 }, &diurnal);
+
+    pin(&RequestState::Queued { not_before: 6 }, &tagged(0, &[6]));
+    pin(
+        &RequestState::Running { device: 2, started_at: 8 },
+        &[1, 2, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0],
+    );
+    pin(&RequestState::Done { finished_at: 11 }, &tagged(2, &[11]));
+    pin(
+        &RequestState::Shed { reason: ShedReason::FleetDead, at: 12 },
+        &[3, 3, 12, 0, 0, 0, 0, 0, 0, 0],
+    );
+    pin(
+        &RequestState::Migrating { from: 5, started_at: 8 },
+        &[4, 5, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0],
+    );
+
+    pin(&DeviceFate::Healthy, &[0]);
+    pin(&DeviceFate::Lost { at: 21 }, &tagged(1, &[21]));
+    pin(&DeviceFate::Wedged { at: 22 }, &tagged(2, &[22]));
+    pin(&DeviceFate::Drained { at: 23 }, &tagged(3, &[23]));
+
+    pin(&Placement::Binpack, &[0]);
+    pin(&Placement::Spread, &[1]);
+    pin(&Placement::LeastLoaded, &[2]);
+
+    pin(&MigrationReason::DeviceLost, &[0]);
+    pin(&MigrationReason::DeviceWedged, &[1]);
+    pin(&MigrationReason::Drain, &[2]);
+    pin(&MigrationReason::ShedPressure, &[3]);
+
+    let mut unknown = tagged(0, &[3]);
+    unknown.extend(*b"abc");
+    pin(&CaseError::UnknownBenchmark { name: "abc".into() }, &unknown);
+    pin(&CaseError::Sim(SimError::Audit(violation)), &[&[1], &audit[..]].concat());
+    let mut panicked = tagged(2, &[2]);
+    panicked.extend([b'n', b'o', 2, 0, 0, 0]);
+    pin(&CaseError::Panicked { payload: "no".into(), attempts: 2 }, &panicked);
+
+    let spart = SpartController::new();
+    let quota = QosManager::new(QuotaScheme::Rollover);
+    pin(&CaseController::Spart(spart.clone()), &wrap(0, &spart));
+    pin(&CaseController::Quota(quota.clone()), &wrap(1, &quota));
+
+    pin(&Policy::Spart, &[0]);
+    pin(&Policy::Quota(QuotaScheme::Rollover), &[1, 3]);
 }
