@@ -851,11 +851,6 @@ impl Gpu {
     // Control plane (used by QoS managers)
     // ------------------------------------------------------------------
 
-    /// Current sharing mode.
-    pub fn sharing_mode(&self) -> SharingMode {
-        self.tb_sched.mode()
-    }
-
     /// Switches the sharing mode. Residency converges at subsequent service
     /// passes (over-subscribed TBs are preempted, free capacity refilled).
     pub fn set_sharing_mode(&mut self, mode: SharingMode) {
@@ -978,19 +973,7 @@ impl Gpu {
     /// different configuration, and [`SnapshotError::Corrupt`] when the
     /// payload fails to decode.
     pub fn restore(&mut self, blob: &SnapshotBlob) -> Result<(), SnapshotError> {
-        if blob.version != SNAPSHOT_SCHEMA_VERSION {
-            return Err(SnapshotError::SchemaVersion {
-                found: blob.version,
-                expected: SNAPSHOT_SCHEMA_VERSION,
-            });
-        }
-        let expected = self.config_fingerprint();
-        if blob.config_fingerprint != expected {
-            return Err(SnapshotError::ConfigFingerprint {
-                found: blob.config_fingerprint,
-                expected,
-            });
-        }
+        blob.check_header(blob.config_fingerprint, self.config_fingerprint())?;
         self.restore_payload(&blob.payload)
     }
 
@@ -1014,19 +997,7 @@ impl Gpu {
     /// differs from the receiver's, and [`SnapshotError::Corrupt`] when the
     /// payload fails to decode.
     pub fn restore_compat(&mut self, blob: &SnapshotBlob) -> Result<(), SnapshotError> {
-        if blob.version != SNAPSHOT_SCHEMA_VERSION {
-            return Err(SnapshotError::SchemaVersion {
-                found: blob.version,
-                expected: SNAPSHOT_SCHEMA_VERSION,
-            });
-        }
-        let expected = self.compat_fingerprint();
-        if blob.compat_fingerprint != expected {
-            return Err(SnapshotError::ConfigFingerprint {
-                found: blob.compat_fingerprint,
-                expected,
-            });
-        }
+        blob.check_header(blob.compat_fingerprint, self.compat_fingerprint())?;
         self.restore_payload(&blob.payload)?;
         // Rebase the fault cursor from the source plan onto the receiver's
         // (sorted) plan: faults strictly in the past are consumed, the rest
@@ -1257,6 +1228,21 @@ impl SnapshotBlob {
     /// Size of the encoded state payload in bytes.
     pub fn payload_len(&self) -> usize {
         self.payload.len()
+    }
+
+    /// What a receiver checks before it decodes the payload: the schema
+    /// version, then the blob's fingerprint `found` against its own.
+    fn check_header(&self, found: u64, expected: u64) -> Result<(), SnapshotError> {
+        if self.version != SNAPSHOT_SCHEMA_VERSION {
+            return Err(SnapshotError::SchemaVersion {
+                found: self.version,
+                expected: SNAPSHOT_SCHEMA_VERSION,
+            });
+        }
+        if found != expected {
+            return Err(SnapshotError::ConfigFingerprint { found, expected });
+        }
+        Ok(())
     }
 
     /// Serializes the blob to its on-disk byte form.

@@ -3,33 +3,92 @@
 //! catch-up protocol that lets the machine leave a stalled SM alone
 //! (DESIGN.md §3.1).
 //!
-//! Ready-warp selection is a branchless trailing-zeros scan over the warp
-//! table's packed bitmasks: one issuable word set is computed per tick
-//! (`occupied & !done & !at_barrier & tb_active & ready`, the last kept by
-//! the wake queue), then each scheduler scans `live & stride_mask[sid]` in
-//! increasing-slot order — the order of the strided `Option`-walk it
-//! replaced, which keeps the mutating `quota_allows` refill rules firing in
-//! the original sequence (DESIGN.md §18). Candidates of quota-inert kernels
-//! are popcounted once per tick, not visited: their `quota_allows` is a
-//! `false` that mutates nothing (§3.1).
+//! One issuable word set is computed per tick (`live & tb_active & ready`,
+//! the last kept by the wake queue). Scheduler `sid` owns the slots with
+//! `slot % num_scheds == sid` and sees its candidates in increasing slot
+//! order — the order the mutating `quota_allows` refill rules fire in
+//! (DESIGN.md §18). The warp scheduler itself is [`Pick`], written once; the
+//! two gathers differ only in which candidates they show it.
 
 use crate::icn::{self, IcnRequest, IcnResponse};
 use crate::kernel::{KernelDesc, MemSpace, Op};
 use crate::memsys::MemSystem;
 use crate::observe::TraceEventKind;
 use crate::types::Cycle;
-use crate::warp_sched::SchedPolicy;
+use crate::warp_sched::{SchedPolicy, SchedulerState};
 use crate::MAX_KERNELS;
 
-use super::warp_table::mask_set;
+use super::warp_table::{mask_set, slots};
 use super::Sm;
 
-/// Stack-accumulator bound of the fused dense-path gather: scheduler counts
-/// up to this (power-of-two) size compute all picks in one pass over the
-/// issuable words. Larger or non-power-of-two geometries fall back to the
-/// per-scheduler stripe scans (the fused path wants `slot & (n-1)` for the
-/// stripe-owner computation, not a division per candidate).
-const MAX_SCHEDS_FUSED: usize = 8;
+/// Largest scheduler count [`Sm::gather_fused`] serves, which is the largest
+/// a shipped configuration has: its accumulators live on the stack and every
+/// one is initialised each tick, used or not. It also wants a power of two,
+/// so that a slot's owner is `slot & (n - 1)` and not a division per
+/// candidate.
+const MAX_SCHEDS_FUSED: usize = 4;
+
+/// One scheduler's choice among the candidates shown to it, folded without
+/// materializing a candidate list. Candidates must arrive in increasing slot
+/// order, which makes "first candidate" and "first past the cursor" plain
+/// minima. `u16::MAX` is never a warp slot, so it stands for "none yet"
+/// without an `Option` branch per candidate.
+#[derive(Clone, Copy)]
+struct Pick {
+    greedy: u16,
+    cursor: u16,
+    /// GTO: the greedy slot is among the candidates.
+    greedy_seen: bool,
+    /// GTO: the first candidate of minimum age.
+    oldest: u16,
+    best_age: u64,
+    /// LRR: the first candidate, and the first one past the cursor.
+    first: u16,
+    first_after: u16,
+}
+
+impl Pick {
+    fn new(sched: &SchedulerState) -> Self {
+        Pick {
+            greedy: sched.greedy.unwrap_or(u16::MAX),
+            cursor: sched.rr_cursor,
+            greedy_seen: false,
+            oldest: u16::MAX,
+            best_age: u64::MAX,
+            first: u16::MAX,
+            first_after: u16::MAX,
+        }
+    }
+
+    #[inline(always)]
+    fn see(&mut self, policy: SchedPolicy, slot: u16, age: u64) {
+        match policy {
+            SchedPolicy::Gto => {
+                self.greedy_seen |= slot == self.greedy;
+                // Strict `<` keeps the first minimum.
+                if age < self.best_age {
+                    self.best_age = age;
+                    self.oldest = slot;
+                }
+            }
+            SchedPolicy::Lrr => {
+                self.first = self.first.min(slot);
+                self.first_after =
+                    self.first_after.min(if slot > self.cursor { slot } else { u16::MAX });
+            }
+        }
+    }
+
+    fn choose(&self, policy: SchedPolicy) -> Option<u16> {
+        let slot = match policy {
+            SchedPolicy::Gto if self.greedy_seen => self.greedy,
+            SchedPolicy::Gto => self.oldest,
+            SchedPolicy::Lrr if self.first_after != u16::MAX => self.first_after,
+            SchedPolicy::Lrr => self.first,
+        };
+        (slot != u16::MAX).then_some(slot)
+    }
+}
 
 impl Sm {
     /// The earliest future cycle at which this SM could change state by
@@ -61,23 +120,16 @@ impl Sm {
         let inert = self.inert_kernels();
         let t = &self.warps;
         for wi in 0..t.words() {
-            let waiting =
-                t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi] & !self.inert_bits(wi, &inert);
+            let waiting = t.live(wi) & !self.inert_bits(wi, &inert);
             // Warps of Active TBs wake at their scoreboard release.
-            let mut bits = waiting & t.tb_active[wi];
-            while bits != 0 {
-                let slot = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for slot in slots(wi, waiting & t.tb_active[wi]) {
                 fold(&mut horizon, t.ready_at[slot]);
             }
             // Warps of Loading TBs wake at the later of their scoreboard
             // release and the load completion. (Warps of Saving TBs are
             // frozen — neither phase bit set — and the save completion is
             // already a transition horizon above.)
-            let mut bits = waiting & t.tb_loading[wi];
-            while bits != 0 {
-                let slot = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for slot in slots(wi, waiting & t.tb_loading[wi]) {
                 let until =
                     self.tbs.transition_done_at(t.tb_slot[slot]).unwrap_or(t.ready_at[slot]);
                 fold(&mut horizon, t.ready_at[slot].max(until));
@@ -131,21 +183,12 @@ impl Sm {
         }
         for wi in 0..self.warps.words() {
             let t = &self.warps;
-            // `tb_active` mirrors `phase == Active` exactly (maintained at
-            // every transition), matching the old per-warp phase test.
-            let bits = t.occupied[wi]
-                & !t.done[wi]
-                & !t.at_barrier[wi]
-                & t.tb_active[wi]
-                & self.inert_bits(wi, &inert);
+            let bits = t.live(wi) & t.tb_active[wi] & self.inert_bits(wi, &inert);
             // Ready at the last tick, before `since`: denied every cycle.
             let ready = bits & t.wake.ready[wi];
             self.count_blocked(&inert, wi, ready, slept);
             // The rest are released inside the window or after it.
-            let mut bits = bits & !ready;
-            while bits != 0 {
-                let slot = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for slot in slots(wi, bits & !ready) {
                 let start = since.max(self.warps.ready_at[slot]);
                 if start < now {
                     self.quota_blocked[self.warps.kernel[slot].index()] += now - start;
@@ -180,270 +223,148 @@ impl Sm {
         }
         self.busy_cycles += 1;
         self.issue_slots += u64::from(self.num_scheds);
-        if self.stride_masks.is_empty() {
-            self.build_stride_masks();
-        }
 
-        // When no kernel is gated and neither the priority gate nor a quota
-        // freeze is active, `quota_allows` is `true` for every kernel and
-        // mutates nothing (its very first branches), so the gather can skip
-        // the call — and the scavenger can never match (it only admits
-        // *gated* exhausted kernels). Nothing inside the scheduler loop
-        // changes these inputs — `issue` debits quota counters but never
-        // flips a gate — so the flag is computed once per tick.
-        let all_allowed =
-            !self.quota_frozen && !self.priority_block && !self.gated.iter().any(|&g| g);
-
-        // Issuable candidate words for this cycle: occupied, not retired,
-        // not parked at a barrier, owning TB in Active phase (`tb_active`
-        // mirrors the phase exactly; a Loading TB due this cycle was flipped
-        // to Active by `process_transitions` above), scoreboard released
-        // (the wake queue's `ready`, brought to `now` across whatever this
-        // SM slept through). Mid-tick mutations (issue, barrier release, TB
-        // drain) never make a masked-out warp issuable at `now` — barrier
-        // releases push `ready_at` past `now`, drained TBs' warps are all
-        // done, and an issue only rewrites the issuing scheduler's own
-        // stripe, which is never revisited this tick — so one mask, filtered
-        // per slot by the quota checks alone, serves every scheduler
-        // (DESIGN.md §18).
+        // Issuable candidate words for this cycle: live, owning TB in Active
+        // phase (`tb_active` mirrors the phase exactly; a Loading TB due this
+        // cycle was flipped to Active by `process_transitions` above),
+        // scoreboard released (the wake queue's `ready`, brought to `now`
+        // across whatever this SM slept through). Mid-tick mutations (issue,
+        // barrier release, TB drain) never make a masked-out warp issuable at
+        // `now` — barrier releases push `ready_at` past `now`, drained TBs'
+        // warps are all done, and an issue only rewrites the issuing
+        // scheduler's own stripe, which is never revisited this tick — so one
+        // mask, filtered per slot by the quota checks alone, serves every
+        // scheduler (DESIGN.md §18).
         self.warps.advance(now);
         let t = &self.warps;
-        let words = t.words();
-        let live = |wi: usize| t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi] & t.tb_active[wi];
         self.live_buf.clear();
-        self.live_buf.extend((0..words).map(|wi| live(wi) & t.wake.ready[wi]));
-        // Reference: the sweep of the column that the queue replaced. The dev
+        self.live_buf
+            .extend((0..t.words()).map(|wi| t.live(wi) & t.tb_active[wi] & t.wake.ready[wi]));
+        // The wake queue against the column it is derived from. The dev
         // profile keeps debug assertions on, so every tier-1 simulation runs
-        // it against the queue; release builds carry none of it.
+        // this; release builds carry none of it.
         #[cfg(debug_assertions)]
         for (wi, &issuable) in self.live_buf.iter().enumerate() {
-            let mut swept = live(wi);
+            let mut swept = t.live(wi) & t.tb_active[wi];
             for (b, &ra) in t.ready_at[wi * 64..].iter().take(64).enumerate() {
                 swept &= !(u64::from(ra > now) << b);
             }
             debug_assert_eq!(issuable, swept, "{} wake queue, word {wi} at cycle {now}", self.id);
         }
 
-        let mut issued_any = false;
-        let n_scheds = usize::from(self.num_scheds);
-        if all_allowed && n_scheds.is_power_of_two() && n_scheds <= MAX_SCHEDS_FUSED {
-            // Fused dense-path gather: one trailing-zeros pass over the
-            // issuable words computes every scheduler's pick at once, instead
-            // of re-walking the words per scheduler. Each visited slot folds
-            // into its owning scheduler's accumulator (`sid = slot & (n-1)`,
-            // exactly the stripe partition), and within one stripe the fused
-            // scan still yields slots in increasing order — the same
-            // subsequence, in the same order, the per-scheduler stripe scans
-            // visit — so the sentinel folds produce identical picks. Reading
-            // all gathers from tick-start state before any issue matches the
-            // interleaved gather/issue sequence bit-for-bit: an issue only
-            // rewrites its own slot's scoreboard (own stripe, already
-            // gathered) and barrier releases push `ready_at` past `now`, so
-            // no later scheduler's fold inputs change mid-tick — and with no
-            // kernel gated there is no mutating `quota_allows` whose call
-            // order could matter (DESIGN.md §18).
-            let mut greedy_s = [u16::MAX; MAX_SCHEDS_FUSED];
-            let mut cursor = [0u16; MAX_SCHEDS_FUSED];
-            for sid in 0..n_scheds {
-                greedy_s[sid] = self.scheds[sid].greedy.unwrap_or(u16::MAX);
-                cursor[sid] = self.scheds[sid].rr_cursor;
-            }
-            let mut greedy_ready = [false; MAX_SCHEDS_FUSED];
-            let mut best_slot = [u16::MAX; MAX_SCHEDS_FUSED];
-            let mut best_age = [u64::MAX; MAX_SCHEDS_FUSED];
-            let mut first_slot = [u16::MAX; MAX_SCHEDS_FUSED];
-            let mut first_after = [u16::MAX; MAX_SCHEDS_FUSED];
-            let sid_mask = n_scheds - 1;
-            {
-                let t = &self.warps;
-                let policy = self.policy;
-                for wi in 0..words {
-                    let mut bits = self.live_buf[wi];
-                    while bits != 0 {
-                        let slot = wi * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let s = slot as u16;
-                        let sid = slot & sid_mask;
-                        match policy {
-                            SchedPolicy::Gto => {
-                                greedy_ready[sid] |= s == greedy_s[sid];
-                                if t.age[slot] < best_age[sid] {
-                                    best_age[sid] = t.age[slot];
-                                    best_slot[sid] = s;
-                                }
-                            }
-                            SchedPolicy::Lrr => {
-                                first_slot[sid] = first_slot[sid].min(s);
-                                first_after[sid] = first_after[sid].min(if s > cursor[sid] {
-                                    s
-                                } else {
-                                    u16::MAX
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            for sid in 0..n_scheds {
-                let pick = match self.policy {
-                    SchedPolicy::Gto if greedy_ready[sid] => self.scheds[sid].greedy,
-                    SchedPolicy::Gto => (best_slot[sid] != u16::MAX).then_some(best_slot[sid]),
-                    SchedPolicy::Lrr if first_after[sid] != u16::MAX => Some(first_after[sid]),
-                    SchedPolicy::Lrr => (first_slot[sid] != u16::MAX).then_some(first_slot[sid]),
-                };
-                // No scavenge arm: with no kernel gated there is nothing in
-                // scavengeable state, so the call would be a guaranteed miss.
-                if let Some(slot) = pick {
-                    self.scheds[sid].greedy = Some(slot);
-                    self.scheds[sid].rr_cursor = slot;
-                    self.issue(slot, now);
-                    self.issued_total += 1;
-                    issued_any = true;
-                }
-            }
-            return issued_any;
+        // With no kernel gated and neither the priority gate nor a quota
+        // freeze active, `quota_allows` is `true` for every kernel and
+        // mutates nothing, and the scavenger (which only admits *gated*
+        // exhausted kernels) cannot match. No issue flips a gate, so this
+        // holds for the whole tick.
+        let ungated = !self.quota_frozen && !self.priority_block && !self.gated.iter().any(|&g| g);
+        let n_scheds = self.scheds.len();
+        let issued = self.issued_total;
+        if ungated && n_scheds.is_power_of_two() && n_scheds <= MAX_SCHEDS_FUSED {
+            self.gather_fused(now);
+        } else {
+            self.gather_gated(now);
         }
-        // The quota gate is decided once per tick, in mask space: the inert
-        // kernels' candidates leave the gather (`gate.open`) and are counted
-        // by `tally_blocked`, schedulers `tallied..` still owed (§3.1).
-        let mut inert = if all_allowed { [false; MAX_KERNELS] } else { self.open_gate() };
+        self.issued_total != issued
+    }
+
+    /// The ungated gather: every issuable warp is a candidate, so one pass
+    /// over the issuable words feeds every scheduler's [`Pick`] at once
+    /// (`sid = slot & (n - 1)`, the stripe partition), and all picks are made
+    /// from tick-start state before any issue. That equals serving the
+    /// schedulers one after another: a scheduler's candidates within the
+    /// fused scan keep their increasing order, an issue only rewrites its own
+    /// slot's scoreboard (own stripe, already gathered), barrier releases
+    /// push `ready_at` past `now`, and with no kernel gated there is no
+    /// mutating `quota_allows` whose call order could matter (DESIGN.md §18).
+    #[inline(never)]
+    fn gather_fused(&mut self, now: Cycle) {
+        let policy = self.policy;
+        let n_scheds = self.scheds.len();
+        // Entries past the scheduler count are never shown a candidate.
+        let idle = SchedulerState::default();
+        let mut picks: [Pick; MAX_SCHEDS_FUSED] =
+            std::array::from_fn(|sid| Pick::new(self.scheds.get(sid).unwrap_or(&idle)));
+        for (wi, &bits) in self.live_buf.iter().enumerate() {
+            for slot in slots(wi, bits) {
+                picks[slot & (n_scheds - 1)].see(policy, slot as u16, self.warps.age[slot]);
+            }
+        }
+        for (sid, pick) in picks[..n_scheds].iter().enumerate() {
+            if let Some(slot) = pick.choose(policy) {
+                self.scheds[sid].greedy = Some(slot);
+                self.scheds[sid].rr_cursor = slot;
+                self.issue(slot, now);
+            }
+        }
+    }
+
+    /// The gather behind the quota gate, one scheduler after another. The
+    /// gate is decided in mask space: the inert kernels' candidates leave the
+    /// gather (`gate.open`) and are counted by `tally_blocked`, schedulers
+    /// `tallied..` still owed (§3.1); the open ones are asked about in slot
+    /// order. An ungated SM whose scheduler count the fused gather does not
+    /// serve comes here too: no kernel is inert, every candidate is open and
+    /// admitted, and the scavenger finds nothing.
+    #[inline(never)]
+    fn gather_gated(&mut self, now: Cycle) {
+        if self.stride_masks.is_empty() {
+            self.build_stride_masks();
+        }
+        let policy = self.policy;
+        let n_scheds = self.scheds.len();
+        let mut inert = self.open_gate();
         let mut tallied = 0;
         for sid in 0..n_scheds {
-            // Gather issuable warps for this scheduler: a trailing-zeros
-            // scan over this scheduler's slot stripe, yielding slots in
-            // increasing order (the old strided walk's order, which the
-            // mutating `quota_allows` refill rules depend on). The policy
-            // choice folds into the same scan: GTO needs only the first
-            // minimum-age candidate (and whether the greedy slot is among
-            // the candidates), LRR only the first candidate and the first
-            // one past the cursor — all of which the increasing-slot order
-            // yields without materializing a candidate list.
-            // Sentinel-folded selection state: `u16::MAX` can never be a
-            // warp slot (the table is at most 64 slots per word times a few
-            // words), so it doubles as "none yet" without an `Option`
-            // discriminant branch per candidate. The scan yields slots in
-            // increasing order, so "first candidate" and "first past the
-            // cursor" are plain minima.
-            let greedy = self.scheds[sid].greedy;
-            let greedy_s = greedy.unwrap_or(u16::MAX);
-            let cursor = self.scheds[sid].rr_cursor;
-            let mut greedy_ready = false;
-            let mut best_slot = u16::MAX;
-            let mut best_age = u64::MAX;
-            let mut first_slot = u16::MAX;
-            let mut first_after = u16::MAX;
-            if all_allowed {
-                // Dense-path arm: every issuable warp is a candidate and no
-                // per-candidate bookkeeping mutates `self`.
-                let t = &self.warps;
-                let policy = self.policy;
-                let stripe = &self.stride_masks[sid];
-                for (wi, &stripe_w) in stripe.iter().enumerate().take(words) {
-                    let mut bits = self.live_buf[wi] & stripe_w;
-                    while bits != 0 {
-                        let slot = wi * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let s = slot as u16;
-                        match policy {
-                            SchedPolicy::Gto => {
-                                greedy_ready |= s == greedy_s;
-                                // Strict `<` keeps the *first* minimum (ages
-                                // are unique, but this also matches
-                                // `min_by_key` over the scan order exactly).
-                                if t.age[slot] < best_age {
-                                    best_age = t.age[slot];
-                                    best_slot = s;
-                                }
-                            }
-                            SchedPolicy::Lrr => {
-                                first_slot = first_slot.min(s);
-                                first_after =
-                                    first_after.min(if s > cursor { s } else { u16::MAX });
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Only open candidates are visited, in the same slot order
-                // as ever; a stripe without one has nothing to pick or to
-                // scavenge. A kernel turned inert since the evaluation is
-                // still open: `quota_allows` denies it, mutating nothing.
-                let stripe = &self.stride_masks[sid];
-                if (0..words).all(|wi| self.gate.open[wi] & stripe[wi] == 0) {
-                    continue;
-                }
-                for wi in 0..words {
-                    let mut bits = self.gate.open[wi] & self.stride_masks[sid][wi];
-                    while bits != 0 {
-                        let slot = wi * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let k = self.warps.kernel[slot].index();
-                        if self.quota_allows(k) {
-                            let s = slot as u16;
-                            match self.policy {
-                                SchedPolicy::Gto => {
-                                    greedy_ready |= s == greedy_s;
-                                    if self.warps.age[slot] < best_age {
-                                        best_age = self.warps.age[slot];
-                                        best_slot = s;
-                                    }
-                                }
-                                SchedPolicy::Lrr => {
-                                    first_slot = first_slot.min(s);
-                                    first_after =
-                                        first_after.min(if s > cursor { s } else { u16::MAX });
-                                }
-                            }
-                        } else {
-                            self.quota_blocked[k] += 1;
-                        }
+            let mut pick = Pick::new(&self.scheds[sid]);
+            let mut any_open = false;
+            for wi in 0..self.live_buf.len() {
+                for slot in slots(wi, self.gate.open[wi] & self.stride_masks[sid][wi]) {
+                    any_open = true;
+                    // A kernel turned inert since the evaluation is still
+                    // open: `quota_allows` denies it, mutating nothing.
+                    let k = self.warps.kernel[slot].index();
+                    if self.quota_allows(k) {
+                        pick.see(policy, slot as u16, self.warps.age[slot]);
+                    } else {
+                        self.quota_blocked[k] += 1;
                     }
                 }
             }
-            let pick = match self.policy {
-                SchedPolicy::Gto if greedy_ready => greedy,
-                SchedPolicy::Gto => (best_slot != u16::MAX).then_some(best_slot),
-                SchedPolicy::Lrr if first_after != u16::MAX => Some(first_after),
-                SchedPolicy::Lrr => (first_slot != u16::MAX).then_some(first_slot),
-            };
+            if !any_open {
+                // Nothing to pick and nothing to scavenge.
+                continue;
+            }
+            let pick = pick.choose(policy);
             if let Some(slot) = pick {
                 self.scheds[sid].greedy = Some(slot);
                 self.scheds[sid].rr_cursor = slot;
             }
-            // With no kernel gated the scavenger is a guaranteed miss (it
-            // only admits gated exhausted kernels), so the dense path skips
-            // the call.
-            let pick = if all_allowed { pick } else { pick.or_else(|| self.scavenge(sid)) };
-            if let Some(slot) = pick {
-                // Work-conserving slack reclamation (the scavenge arm): the
-                // slot would idle -- no admissible warp is ready -- so a
-                // quota-exhausted *non-QoS* warp may use it (QoS kernels
-                // stay throttled at their goals; this is the "keep them
-                // running" intent of the mid-epoch rule in section 3.4.1).
-                // The issue still debits the quota counter, so epoch
-                // accounting and the section 3.5 feedback see the true
-                // consumption.
-                let k = self.warps.kernel[usize::from(slot)].index();
-                let exhaustions = self.quota_exhaustions[k];
-                self.issue(slot, now);
-                self.issued_total += 1;
-                issued_any = true;
-                let exhausted = self.quota_exhaustions[k] != exhaustions;
-                #[cfg(test)]
-                let exhausted = exhausted && !self.gate.stale_hoist;
-                if exhausted {
-                    // `issue` counted a quota taken from positive to spent,
-                    // the one event that can end inertness inside a tick
-                    // (see `quota_inert`): the schedulers so far were served
-                    // under the old set, the rest see the new one.
-                    self.tally_blocked(&inert, tallied..sid + 1);
-                    tallied = sid + 1;
-                    inert = self.open_gate();
-                }
+            // Work-conserving slack reclamation: the slot would idle -- no
+            // admissible warp is ready -- so a quota-exhausted *non-QoS* warp
+            // may use it (QoS kernels stay throttled at their goals; this is
+            // the "keep them running" intent of the mid-epoch rule in section
+            // 3.4.1). The issue still debits the quota counter, so epoch
+            // accounting and the section 3.5 feedback see the true
+            // consumption.
+            let Some(slot) = pick.or_else(|| self.scavenge(sid)) else { continue };
+            let k = self.warps.kernel[usize::from(slot)].index();
+            let exhaustions = self.quota_exhaustions[k];
+            self.issue(slot, now);
+            let exhausted = self.quota_exhaustions[k] != exhaustions;
+            #[cfg(test)]
+            let exhausted = exhausted && !self.gate.stale_hoist;
+            if exhausted {
+                // `issue` counted a quota taken from positive to spent, the
+                // one event that can end inertness inside a tick (see
+                // `quota_inert`): the schedulers so far were served under the
+                // old set, the rest see the new one.
+                self.tally_blocked(&inert, tallied..sid + 1);
+                tallied = sid + 1;
+                inert = self.open_gate();
             }
         }
         self.tally_blocked(&inert, tallied..n_scheds);
-        issued_any
     }
 
     /// Evaluates the quota gate: returns the inert kernels and leaves their
@@ -535,10 +456,8 @@ impl Sm {
         if self.quota_frozen {
             return None;
         }
-        // No kernel in scavengeable state (gated, non-QoS, exhausted) means
-        // the stripe scan below cannot match — skip it. This is the common
-        // case on every unmanaged scenario, where an empty issue slot would
-        // otherwise pay a second full scan per scheduler per cycle.
+        // No kernel in scavengeable state (gated, non-QoS, exhausted): the
+        // scan below cannot match.
         if !(0..MAX_KERNELS).any(|k| self.gated[k] && !self.is_qos[k] && self.quota[k] <= 0) {
             return None;
         }
@@ -549,10 +468,7 @@ impl Sm {
         let t = &self.warps;
         for wi in 0..t.words() {
             // A scavengeable kernel is never inert: its warps are open.
-            let mut bits = self.gate.open[wi] & self.stride_masks[sid][wi];
-            while bits != 0 {
-                let slot = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for slot in slots(wi, self.gate.open[wi] & self.stride_masks[sid][wi]) {
                 let k = t.kernel[slot].index();
                 if self.gated[k] && !self.is_qos[k] && self.quota[k] <= 0 {
                     match best {
@@ -662,6 +578,7 @@ impl Sm {
         }
         let tb_slot = self.warps.tb_slot[i];
 
+        self.issued_total += 1;
         self.counters[k].thread_insts += u64::from(lanes);
         self.counters[k].warp_insts += 1;
         if self.gated[k] {

@@ -36,6 +36,7 @@ mod tests;
 mod warp_table;
 
 pub use quota::QuotaCarry;
+pub(crate) use warp_table::slots;
 pub use warp_table::WarpTable;
 
 use std::sync::Arc;
@@ -264,8 +265,7 @@ impl Sm {
 
     /// Builds the per-scheduler slot-stripe masks: bit `s` of
     /// `stride_masks[sid]` is set iff warp slot `s` belongs to scheduler
-    /// `sid` (`s % num_scheds == sid`), mirroring the strided slot walk of
-    /// the pre-SoA gather loop.
+    /// `sid` (`s % num_scheds == sid`).
     fn build_stride_masks(&mut self) {
         let words = self.warps.words();
         let scheds = usize::from(self.num_scheds).max(1);

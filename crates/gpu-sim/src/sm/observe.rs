@@ -7,6 +7,7 @@ use crate::observe::EventRing;
 use crate::preempt::PreemptStats;
 use crate::types::{per_kernel, Cycle, KernelId};
 
+use super::warp_table::slots;
 use super::{Sm, SmKernelCounters};
 
 impl Sm {
@@ -19,13 +20,7 @@ impl Sm {
         self.idle_samples += 1;
         let t = &self.warps;
         for wi in 0..t.words() {
-            // Live warps: occupied, not retired, not parked at a barrier.
-            // Both censuses accumulate order-independent per-kernel sums, so
-            // scanning set bits is equivalent to the old slot-order walk.
-            let mut bits = t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi];
-            while bits != 0 {
-                let slot = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for slot in slots(wi, t.live(wi)) {
                 let k = t.kernel[slot].index();
                 if t.ready_at[slot] > now {
                     // Scoreboard census rides on the same sampling cadence:
@@ -93,15 +88,6 @@ impl Sm {
         &self.events
     }
 
-    /// Fraction of issue slots used while busy.
-    pub fn issue_utilization(&self) -> f64 {
-        if self.issue_slots == 0 {
-            0.0
-        } else {
-            self.issued_total as f64 / self.issue_slots as f64
-        }
-    }
-
     /// Warp instructions issued by this SM since construction.
     pub fn issued_total(&self) -> u64 {
         self.issued_total
@@ -129,10 +115,7 @@ impl Sm {
         for wi in 0..t.words() {
             counts.done += (t.occupied[wi] & t.done[wi]).count_ones();
             counts.at_barrier += (t.occupied[wi] & !t.done[wi] & t.at_barrier[wi]).count_ones();
-            let mut bits = t.occupied[wi] & !t.done[wi] & !t.at_barrier[wi];
-            while bits != 0 {
-                let slot = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for slot in slots(wi, t.live(wi)) {
                 if t.ready_at[slot] > now {
                     counts.waiting += 1;
                 } else {

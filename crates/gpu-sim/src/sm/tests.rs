@@ -311,8 +311,8 @@ fn reset_carry_drops_debt() {
 
 /// Drives the live warp picker: a lone SM with one scheduler under
 /// `policy` hosting one 10-warp TB (slots 0..10), either ungated (the fused
-/// dense-path gather) or quota-gated with ample quota (the per-scheduler
-/// stripe scan through `quota_allows`).
+/// gather) or quota-gated with ample quota (the gated gather, through
+/// `quota_allows`).
 struct Picker {
     sm: Sm,
     now: Cycle,
@@ -425,8 +425,6 @@ mod gate_oracle {
     use crate::MAX_KERNELS;
     use proptest::prelude::*;
 
-    const SCHEDS: usize = 4;
-
     /// Everything the gate reads or writes, copied out of an [`Sm`].
     #[derive(Debug, Clone, PartialEq)]
     struct RefGate {
@@ -506,12 +504,13 @@ mod gate_oracle {
         /// One cycle. `warps[slot]` is `(kernel, age, lanes)` of an issuable
         /// warp; returns the slot each scheduler issued from.
         fn tick(&mut self, warps: &[Option<(usize, u64, i64)>]) -> Vec<Option<u16>> {
-            (0..SCHEDS).map(|sid| self.serve(sid, warps)).collect()
+            (0..self.greedy.len()).map(|sid| self.serve(sid, warps)).collect()
         }
 
         /// Scheduler `sid`'s turn: gather, pick, scavenge, debit.
         fn serve(&mut self, sid: usize, warps: &[Option<(usize, u64, i64)>]) -> Option<u16> {
-            let stripe = || (sid..warps.len()).step_by(SCHEDS);
+            let scheds = self.greedy.len();
+            let stripe = || (sid..warps.len()).step_by(scheds);
             let mut admitted: Vec<u16> = Vec::new();
             for slot in stripe() {
                 let Some((k, ..)) = warps[slot] else { continue };
@@ -564,13 +563,14 @@ mod gate_oracle {
         }
     }
 
-    /// A four-scheduler SM under `policy` hosting, in `order`, one TB per
-    /// entry of kernel `order[i]`; kernel `k`'s TBs are `k % 3 + 1` warps
-    /// of an ALU body whose every instruction has `lanes[k]` active lanes.
-    fn sm_hosting(policy: SchedPolicy, lanes: &[u8], order: &[usize]) -> Sm {
+    /// An SM of `scheds` schedulers under `policy` hosting, in `order`, one
+    /// TB per entry of kernel `order[i]`; kernel `k`'s TBs are `k % 3 + 1`
+    /// warps of an ALU body whose every instruction has `lanes[k]` active
+    /// lanes.
+    fn sm_hosting(policy: SchedPolicy, scheds: u32, lanes: &[u8], order: &[usize]) -> Sm {
         let mut cfg = GpuConfig::tiny();
         cfg.sm.sched_policy = policy;
-        assert_eq!(cfg.sm.warp_schedulers as usize, SCHEDS);
+        cfg.sm.warp_schedulers = scheds;
         let mut sm = Sm::new(SmId::new(0), &cfg);
         for (k, &l) in lanes.iter().enumerate() {
             let desc = KernelDesc::builder(format!("k{k}"))
@@ -605,10 +605,11 @@ mod gate_oracle {
         let expected = model.tick(&warps);
         sm.tick(now);
         // An issue moves the warp's scoreboard off `now`.
-        let mut issued = vec![None; SCHEDS];
+        let scheds = sm.scheds.len();
+        let mut issued = vec![None; scheds];
         for &slot in ready {
             if sm.warps.ready_at[usize::from(slot)] != now {
-                let sid = usize::from(slot) % SCHEDS;
+                let sid = usize::from(slot) % scheds;
                 if issued[sid].replace(slot).is_some() {
                     return Err(format!("scheduler {sid} issued twice at {now}"));
                 }
@@ -624,10 +625,11 @@ mod gate_oracle {
         Ok(())
     }
 
-    /// One random SM (2–4 kernels with random QoS / gated / refill / elastic
-    /// / priority-block / frozen settings, quotas within a few warp
-    /// instructions of zero so they run out mid-tick), ticked three cycles
-    /// with random ready sets against the reference.
+    /// One random SM (1–4 schedulers, 2–4 kernels with random QoS / gated /
+    /// refill / elastic / priority-block / frozen settings, quotas within a
+    /// few warp instructions of zero so they run out mid-tick; one in four
+    /// with no gate at all), ticked three cycles with random ready sets
+    /// against the reference.
     fn random_sm_agrees(seed: u64, stale_hoist: bool) -> Result<(), String> {
         let mut rng = SplitMix64::new(seed);
         let mut below = |n: u64| rng.next_below(n);
@@ -636,20 +638,21 @@ mod gate_oracle {
         let policy = if below(2) == 0 { SchedPolicy::Gto } else { SchedPolicy::Lrr };
         let order: Vec<usize> =
             (0..6 + below(14)).map(|_| below(kernels as u64) as usize).collect();
-        let mut sm = sm_hosting(policy, &lanes, &order);
+        let mut sm = sm_hosting(policy, 1 + below(4) as u32, &lanes, &order);
         sm.gate.stale_hoist = stale_hoist;
+        let ungated = below(4) == 0;
         let hosted: Vec<u16> =
             (0..sm.warps.capacity() as u16).filter(|&s| sm.warps.is_occupied(s)).collect();
         for k in (0..kernels).map(KernelId::new) {
             // One QoS kernel at least, mostly gated, so the gate has work.
             sm.set_qos_kernel(k, k.index() == 0 || below(3) == 0);
-            sm.set_gated(k, below(4) != 0);
+            sm.set_gated(k, !ungated && below(4) != 0);
             let refill = [0, 0, 24, 64][below(4) as usize];
             sm.set_epoch_quota(k, below(97) as i64 - 24, QuotaCarry::Reset, refill);
         }
         sm.set_elastic(below(3) == 0);
-        sm.set_priority_block(below(2) == 0);
-        if below(16) == 0 {
+        sm.set_priority_block(!ungated && below(2) == 0);
+        if !ungated && below(16) == 0 {
             sm.freeze_all_quota();
         }
         for sched in &mut sm.scheds {
@@ -670,7 +673,7 @@ mod gate_oracle {
     /// 0's issue exhausts the quota and thereby opens the priority gate, so
     /// the other three issue in the same cycle. Returns how many did.
     fn issues_on_the_exhaustion_edge(stale_hoist: bool) -> u64 {
-        let mut sm = sm_hosting(SchedPolicy::Gto, &[32, 32], &[0, 1, 1]);
+        let mut sm = sm_hosting(SchedPolicy::Gto, 4, &[32, 32], &[0, 1, 1]);
         sm.gate.stale_hoist = stale_hoist;
         let (q, b) = (KernelId::new(0), KernelId::new(1));
         assert_eq!(sm.warps.kernel[..5], [q, b, b, b, b], "slot = scheduler");

@@ -1,10 +1,9 @@
 //! Struct-of-arrays warp state for one SM.
 //!
-//! The per-cycle issue loop used to walk a `Vec<Option<WarpState>>`,
-//! dereferencing every slot every cycle. This table stores the same state
-//! as parallel flat vecs (one per field) plus packed `u64` bitmasks, so
+//! Parallel flat vecs (one per field) plus packed `u64` bitmasks, so
 //! ready-warp selection is a trailing-zeros scan over a handful of words
-//! and the cold per-warp fields are only touched for live candidates.
+//! ([`slots`]) and the cold per-warp fields are only touched for live
+//! candidates.
 //!
 //! ## Bitmask invariants
 //!
@@ -63,6 +62,33 @@ pub(crate) fn mask_clear(mask: &mut [u64], slot: u16) {
 #[inline]
 pub(crate) fn mask_get(mask: &[u64], slot: u16) -> bool {
     mask[usize::from(slot) / 64] >> (usize::from(slot) % 64) & 1 == 1
+}
+
+/// The slots of the set bits of mask word `wi`, lowest first: the one
+/// trailing-zeros scan every walk over a packed mask goes through.
+#[inline]
+pub(crate) fn slots(wi: usize, bits: u64) -> Slots {
+    Slots { base: wi * 64, bits }
+}
+
+/// See [`slots`].
+pub(crate) struct Slots {
+    base: usize,
+    bits: u64,
+}
+
+impl Iterator for Slots {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.bits == 0 {
+            return None;
+        }
+        let slot = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(slot)
+    }
 }
 
 /// Cycles the wake wheel spans: ALU, SFU, shared-memory and barrier
@@ -183,6 +209,13 @@ impl WarpTable {
         mask_get(&self.occupied, slot)
     }
 
+    /// Word `wi` of the live warps: hosted, not retired, not parked at a
+    /// barrier.
+    #[inline]
+    pub(crate) fn live(&self, wi: usize) -> u64 {
+        self.occupied[wi] & !self.done[wi] & !self.at_barrier[wi]
+    }
+
     /// Claims a free slot for a warp of `kernel`, writing every per-slot
     /// field and updating the occupancy masks. The warp starts neither done
     /// nor at a barrier; the TB-phase bits are set by the caller once the
@@ -292,7 +325,7 @@ impl WarpTable {
         } else {
             ((1u64 << gap) - 1).rotate_left(((q.clock + 1) % WHEEL_SPAN) as u32)
         };
-        let mut buckets = q.wheel_occ & due;
+        let buckets = q.wheel_occ & due;
         q.wheel_occ &= !due;
         q.clock = now;
         let mut wake = |slot: u16| {
@@ -301,14 +334,11 @@ impl WarpTable {
                 mask_set(&mut q.ready, slot);
             }
         };
-        while buckets != 0 {
-            let base = buckets.trailing_zeros() as usize * words;
-            buckets &= buckets - 1;
+        for bucket in slots(0, buckets) {
             for wi in 0..words {
-                let mut bits = std::mem::take(&mut q.wheel[base + wi]);
-                while bits != 0 {
-                    wake((wi * 64) as u16 + bits.trailing_zeros() as u16);
-                    bits &= bits - 1;
+                let bits = std::mem::take(&mut q.wheel[bucket * words + wi]);
+                for slot in slots(wi, bits) {
+                    wake(slot as u16);
                 }
             }
         }

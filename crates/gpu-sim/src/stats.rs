@@ -56,15 +56,6 @@ impl GpuStats {
     pub fn total_thread_insts(&self) -> u64 {
         self.kernels[..self.num_kernels].iter().map(|k| k.thread_insts).sum()
     }
-
-    /// Aggregate thread-level IPC.
-    pub fn total_ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.total_thread_insts() as f64 / self.cycles as f64
-        }
-    }
 }
 
 /// Per-epoch snapshot handed to the [`crate::Controller`].
@@ -121,7 +112,6 @@ mod tests {
         kernels[2].thread_insts = 999; // not launched; must be ignored
         let s = GpuStats::new(10, 2, kernels);
         assert_eq!(s.total_thread_insts(), 30);
-        assert!((s.total_ipc() - 3.0).abs() < 1e-12);
     }
 
     #[test]

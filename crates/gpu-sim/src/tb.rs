@@ -141,17 +141,8 @@ impl TbSlab {
 
     /// Iterates the slot ids of all occupied slots in increasing order.
     pub fn iter_occupied(&self) -> impl Iterator<Item = u16> + '_ {
-        self.occupied.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                Some((wi * 64) as u16 + b as u16)
-            })
-        })
+        let words = self.occupied.iter().enumerate();
+        words.flat_map(|(wi, &word)| crate::sm::slots(wi, word).map(|slot| slot as u16))
     }
 }
 

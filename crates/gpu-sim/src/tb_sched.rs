@@ -109,11 +109,6 @@ impl TbScheduler {
         }
     }
 
-    /// Current sharing mode.
-    pub fn mode(&self) -> SharingMode {
-        self.mode
-    }
-
     pub(crate) fn set_mode(&mut self, mode: SharingMode) {
         self.mode = mode;
     }

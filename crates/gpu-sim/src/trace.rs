@@ -7,7 +7,6 @@
 //! execution") and this repo's debugging examples.
 
 use crate::gpu::{Controller, Gpu};
-use crate::types::KernelId;
 
 /// One kernel's state at one epoch boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,16 +93,6 @@ impl<C: Controller> Tracer<C> {
     pub fn from_parts(inner: C, records: Vec<EpochRecord>) -> Self {
         Tracer { inner, records }
     }
-
-    /// The per-epoch IPC series of one kernel.
-    pub fn ipc_series(&self, k: KernelId) -> Vec<f64> {
-        self.records.iter().filter_map(|r| r.kernels.get(k.index()).map(|s| s.epoch_ipc)).collect()
-    }
-
-    /// The residency (hosted TBs) series of one kernel.
-    pub fn residency_series(&self, k: KernelId) -> Vec<u32> {
-        self.records.iter().filter_map(|r| r.kernels.get(k.index()).map(|s| s.hosted_tbs)).collect()
-    }
 }
 
 impl<C: Controller> Controller for Tracer<C> {
@@ -156,10 +145,10 @@ mod tests {
         gpu.run(5_000, &mut tracer); // tiny epoch = 1000 cycles -> 5 epochs
         assert_eq!(tracer.records().len(), 5);
         assert_eq!(tracer.records()[0].epoch, 0);
-        let series = tracer.ipc_series(k);
-        assert_eq!(series.len(), 5);
-        assert!(series[1] > 0.0, "the kernel progresses after warm-up");
-        assert!(tracer.residency_series(k).iter().skip(1).all(|&h| h > 0));
+        let samples: Vec<&KernelSample> =
+            tracer.records().iter().map(|r| &r.kernels[k.index()]).collect();
+        assert!(samples[1].epoch_ipc > 0.0, "the kernel progresses after warm-up");
+        assert!(samples.iter().skip(1).all(|s| s.hosted_tbs > 0));
     }
 
     #[test]

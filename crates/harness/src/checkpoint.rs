@@ -23,7 +23,6 @@
 //!   [`HealthReport`](gpu_sim::HealthReport).
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use gpu_sim::snap::frame;
@@ -35,7 +34,7 @@ use crate::cases::{pair_sweep, pairs, CaseSpec, Policy};
 use crate::error::{failure_digest, CaseError, FailedCase};
 use crate::metrics::{mean, qos_reach, CaseResult};
 use crate::runner::{
-    build_controller, case_config, finish_case, panic_message, prepare_case, IsolatedCache,
+    build_controller, case_config, finish_case, isolated, prepare_case, IsolatedCache,
     WATCHDOG_EPOCHS,
 };
 use crate::scale::RunScale;
@@ -591,27 +590,23 @@ fn drive(
     journal.truncate(specs.len());
     let iso = IsolatedCache::new();
     for (index, spec) in specs.iter().enumerate().skip(journal.len()) {
-        let resume = in_progress.take().filter(|ip| ip.index == index);
-        // Same panic-isolation policy as the parallel runner: one bounded
-        // retry (from scratch — the deterministic mid-case state would just
-        // reproduce the panic), then a journaled `Panicked` entry.
-        let attempt = |resume: Option<InProgressCase>, warnings: &mut Vec<String>| {
-            catch_unwind(AssertUnwindSafe(|| {
-                run_case_chunked(
-                    spec, index, &iso, dir, every, resume, &journal, &identity, warnings,
-                )
-            }))
-        };
-        let result = match attempt(resume, &mut warnings) {
-            Ok(r) => r,
-            Err(_) => match attempt(None, &mut warnings) {
-                Ok(r) => r,
-                Err(payload) => Err(CaseError::Panicked {
-                    payload: panic_message(payload.as_ref()),
-                    attempts: 2,
-                }),
-            },
-        };
+        let mut resume = in_progress.take().filter(|ip| ip.index == index);
+        // The retry starts from scratch: the deterministic mid-case state
+        // would just reproduce the panic.
+        let result = isolated(|| {
+            let resume = resume.take();
+            run_case_chunked(
+                spec,
+                index,
+                &iso,
+                dir,
+                every,
+                resume,
+                &journal,
+                &identity,
+                &mut warnings,
+            )
+        });
         journal.push(result);
         if let Err(e) = dir.save(&identity.checkpoint(&journal, None)) {
             warnings.push(format!("case {index}: checkpoint write failed: {e}"));

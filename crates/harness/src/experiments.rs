@@ -1,7 +1,7 @@
 //! One regenerator per table and figure of the paper's evaluation.
 //!
 //! Every function returns the report as a `String` (and is exercised by the
-//! `repro` binary, the Criterion benches, and integration tests). Reports
+//! `repro` binary and integration tests). Reports
 //! lead with the paper's headline number for the experiment so measured and
 //! published values sit side by side; `EXPERIMENTS.md` records a full run.
 

@@ -15,10 +15,7 @@
 //!   buckets, energy efficiency,
 //! * [`experiments`] — one entry point per table/figure (`fig5` … `fig14`,
 //!   `table1`, `table2`, ablations),
-//! * [`report`] — plain-text table rendering shared by the `repro` binary
-//!   and the Criterion benches,
-//! * [`export`] — CSV serialization of raw case results for external
-//!   plotting,
+//! * [`report`] — plain-text table rendering for the `repro` binary,
 //! * [`golden`] — the golden-trace corpus under `tests/golden/`: canonical
 //!   scenarios whose per-epoch telemetry is snapshotted byte-exactly
 //!   (regenerate with `repro golden --bless`),
@@ -61,7 +58,6 @@ pub mod cases;
 pub mod checkpoint;
 pub mod error;
 pub mod experiments;
-pub mod export;
 pub mod fleet_cli;
 pub mod golden;
 pub mod metrics;

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment reports.
 //!
 //! All figure regenerators return a `String` so the same output appears in
-//! the `repro` binary, the Criterion benches and `EXPERIMENTS.md`.
+//! the `repro` binary and `EXPERIMENTS.md`.
 
 use std::fmt::Write as _;
 
@@ -34,18 +34,6 @@ impl Table {
     /// Whether the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Renders the table as GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "| {} |", self.header.join(" | "));
-        let _ =
-            writeln!(out, "|{}|", self.header.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
     }
 
     /// Renders the table with aligned columns.
@@ -115,14 +103,6 @@ mod tests {
         assert!(lines[2].trim_start().starts_with("50%"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["1", "2"]);
-        let md = t.to_markdown();
-        assert_eq!(md, "| a | b |\n|---|---|\n| 1 | 2 |\n");
     }
 
     #[test]

@@ -272,19 +272,22 @@ pub fn build_controller(
 /// and then reported as [`CaseError::Panicked`] instead of unwinding into
 /// the sweep.
 pub fn run_case_isolated(spec: &CaseSpec, iso: &IsolatedCache) -> Result<CaseResult, CaseError> {
-    let attempt = || catch_unwind(AssertUnwindSafe(|| run_case(spec, iso)));
-    match attempt() {
-        Ok(result) => result,
-        Err(_) => match attempt() {
-            Ok(result) => result,
-            Err(payload) => {
-                Err(CaseError::Panicked { payload: panic_message(payload.as_ref()), attempts: 2 })
-            }
-        },
-    }
+    isolated(|| run_case(spec, iso))
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The panic-isolation policy of every case runner: `attempt` inside a
+/// `catch_unwind` boundary, on a panic one retry, and on a second panic
+/// [`CaseError::Panicked`] with `attempts: 2`.
+pub(crate) fn isolated(
+    mut attempt: impl FnMut() -> Result<CaseResult, CaseError>,
+) -> Result<CaseResult, CaseError> {
+    let mut guarded = || catch_unwind(AssertUnwindSafe(&mut attempt));
+    guarded().or_else(|_| guarded()).unwrap_or_else(|payload| {
+        Err(CaseError::Panicked { payload: panic_message(payload.as_ref()), attempts: 2 })
+    })
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -9,7 +9,7 @@
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunScale {
-    /// Criterion-bench scale: a handful of cases, tiny cycle budget.
+    /// Benchmark scale: a handful of cases, tiny cycle budget.
     Bench,
     /// CI / smoke scale: small subsets, minutes of wall-clock.
     Smoke,

@@ -20,15 +20,6 @@ pub fn kernel(kt: &KernelTrace) -> KernelDesc {
     kt.kernel()
 }
 
-/// Loads one `.fgtr` file and rebuilds its kernel in a single step.
-///
-/// # Errors
-///
-/// Propagates the strict reader's [`TraceError`].
-pub fn load_kernel(path: &Path) -> Result<KernelDesc, TraceError> {
-    Ok(trace::load(path)?.kernel())
-}
-
 /// A directory of FGTR traces, loaded eagerly and indexed by kernel name —
 /// the trace-driven counterpart of [`crate::parboil`].
 #[derive(Debug, Clone)]
@@ -60,13 +51,6 @@ impl TraceLibrary {
         }
         traces.sort_by(|a, b| a.meta.name.cmp(&b.meta.name));
         Ok(TraceLibrary { traces })
-    }
-
-    /// Builds a library from already-loaded traces (sorted by name).
-    #[must_use]
-    pub fn from_traces(mut traces: Vec<KernelTrace>) -> Self {
-        traces.sort_by(|a, b| a.meta.name.cmp(&b.meta.name));
-        TraceLibrary { traces }
     }
 
     /// Kernel names in library order.
