@@ -298,6 +298,18 @@ impl GpuConfig {
         if !self.mem.l2_bytes.is_multiple_of(u64::from(self.mem.line_bytes * self.mem.l2_ways)) {
             return fail("l2_bytes must be divisible by line_bytes * l2_ways");
         }
+        // A cache line word keeps its tag in 32 bits (`cache.rs`), and the
+        // simulated address space is one region per kernel slot.
+        let space = crate::kernel::KernelDesc::base_addr(crate::MAX_KERNELS);
+        let top_block = (space - 1) / u64::from(self.mem.line_bytes);
+        let caches = [(self.mem.l1_bytes, self.mem.l1_ways), (self.mem.l2_bytes, self.mem.l2_ways)];
+        for (bytes, ways) in caches {
+            let set_bytes = u64::from(self.mem.line_bytes) * u64::from(ways);
+            let sets = bytes.checked_div(set_bytes).unwrap_or(0);
+            if sets == 0 || top_block / sets > u64::from(u32::MAX) {
+                return fail("every cache needs enough sets that a tag fits 32 bits");
+            }
+        }
         for fault in &self.faults.faults {
             if let crate::health::FaultKind::FreezeScheduler { sm } = fault.kind {
                 if sm >= self.num_sms as usize {
@@ -433,6 +445,20 @@ mod tests {
         let mut cfg = GpuConfig::paper_table1();
         cfg.mem.line_bytes = 48;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_tag_wider_than_a_line_word() {
+        // The top address is 2^36 - 1: its tag fits 32 bits only with
+        // line_bytes * sets >= 16.
+        let mut cfg = GpuConfig::tiny();
+        (cfg.mem.line_bytes, cfg.mem.l1_ways, cfg.mem.l1_bytes) = (1, 1, 16);
+        (cfg.mem.l2_ways, cfg.mem.l2_bytes) = (1, 16);
+        cfg.validate().expect("16 one-byte sets leave a 32-bit tag");
+        cfg.mem.l2_bytes = 8;
+        assert!(cfg.validate().is_err(), "8 one-byte sets leave a 33-bit tag");
+        cfg.mem.l2_bytes = 0;
+        assert!(cfg.validate().is_err(), "a cache needs a set");
     }
 
     #[test]

@@ -934,7 +934,7 @@ impl Gpu {
                 epoch_cycles: self.cfg.epoch_cycles,
             });
         }
-        let mut payload = Vec::new();
+        let mut payload = Vec::with_capacity(self.payload_size_hint());
         self.cycle.encode(&mut payload);
         self.sms.encode(&mut payload);
         self.mem.encode(&mut payload);
@@ -956,6 +956,21 @@ impl Gpu {
             compat_fingerprint: self.compat_fingerprint(),
             payload,
         })
+    }
+
+    /// About how many bytes [`Gpu::snapshot`] encodes, so that it allocates
+    /// once: 8 per cache line, a row per warp slot, and an allowance for the
+    /// rest (TB slabs, kernels, counters, an empty event ring). A machine that
+    /// carries more (a filled trace ring, a long series) grows the buffer.
+    fn payload_size_hint(&self) -> usize {
+        const WARP_ROW_BYTES: usize = 64;
+        const FIXED_BYTES: usize = 64 << 10;
+        let sms = self.cfg.num_sms as usize;
+        let mem = &self.cfg.mem;
+        let cached = sms * mem.l1_bytes as usize + mem.num_mcs as usize * mem.l2_bytes as usize;
+        cached / mem.line_bytes as usize * 8
+            + sms * self.cfg.sm.max_warps() as usize * WARP_ROW_BYTES
+            + FIXED_BYTES
     }
 
     /// Replaces this machine's state with a previously captured snapshot.
@@ -1042,6 +1057,16 @@ impl Gpu {
                 "trailing bytes in snapshot payload",
             )));
         }
+        // The receiver's own caches are what `Cache::new` builds from its
+        // configuration: a decoded cache of another shape would be indexed
+        // out of bounds on its first access.
+        let l1s_fit = sms.len() == self.sms.len()
+            && sms.iter().zip(&self.sms).all(|(sm, built)| sm.l1_fits(built));
+        if !l1s_fit || !mem.l2_fits(&self.mem) {
+            return Err(SnapshotError::Corrupt(SnapError::Invalid(
+                "cache that does not fit the machine",
+            )));
+        }
         self.cycle = cycle;
         // The outgoing SMs take their wake-queue counts with them.
         self.work = self.work_counters();
@@ -1124,9 +1149,11 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// per-SM state to struct-of-arrays layouts — the warp table
 /// ([`crate::sm::WarpTable`]), the TB slab ([`crate::tb::TbSlab`]), and the
 /// cache tag/LRU arrays — changing the field set and order of every per-SM
-/// record (DESIGN.md §18). Host-profiler state is deliberately absent:
-/// wall-clock attribution never enters snapshots.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 7;
+/// record (DESIGN.md §18); version 8 packed each cache line's tag and LRU
+/// stamp into one `u64` word under a `u32` clock (DESIGN.md §3.2).
+/// Host-profiler state is deliberately absent: wall-clock attribution never
+/// enters snapshots.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 8;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";

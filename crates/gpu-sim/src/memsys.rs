@@ -148,6 +148,12 @@ impl MemSystem {
         self.l2_queue.iter().chain(&self.dram_queue).filter_map(|q| q.next_event(now)).min()
     }
 
+    /// Whether every (decoded) L2 slice can stand in for `built`'s
+    /// ([`Cache::fits`]), slice for slice.
+    pub(crate) fn l2_fits(&self, built: &MemSystem) -> bool {
+        self.l2.len() == built.l2.len() && self.l2.iter().zip(&built.l2).all(|(c, b)| c.fits(b))
+    }
+
     /// Per-kernel traffic counters.
     pub fn traffic(&self) -> &MemTraffic {
         &self.traffic

@@ -258,6 +258,12 @@ impl Sm {
         }
     }
 
+    /// Whether this (decoded) SM's L1 can stand in for `built`'s
+    /// ([`Cache::fits`]).
+    pub(crate) fn l1_fits(&self, built: &Sm) -> bool {
+        self.l1.fits(&built.l1)
+    }
+
     /// This SM's identifier.
     pub fn id(&self) -> SmId {
         self.id

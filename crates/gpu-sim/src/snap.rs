@@ -167,9 +167,13 @@ macro_rules! impl_snap_int {
                 Ok(<$ty>::from_le_bytes(bytes.try_into().expect("sized take")))
             }
             fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
-                out.reserve(std::mem::size_of_val(items));
-                for item in items {
-                    out.extend_from_slice(&item.to_le_bytes());
+                const SIZE: usize = std::mem::size_of::<$ty>();
+                // One growth, then fixed-width stores the compiler can
+                // vectorise; `extend_from_slice` per item re-checks capacity.
+                let start = out.len();
+                out.resize(start + SIZE * items.len(), 0);
+                for (chunk, item) in out[start..].chunks_exact_mut(SIZE).zip(items) {
+                    chunk.copy_from_slice(&item.to_le_bytes());
                 }
             }
             fn decode_vec(r: &mut SnapReader<'_>, len: usize) -> Result<Vec<Self>, SnapError> {
@@ -556,6 +560,39 @@ mod tests {
             round_trip(v);
         }
         assert_eq!(decode_from_slice::<Shape>(&[3]), Err(SnapError::Invalid("Shape")));
+    }
+
+    mod bulk_codec_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// For every integer type the bulk `encode_slice` appends exactly
+            /// the bytes the per-item `encode` does, whatever `out` already
+            /// holds, and `decode_vec` reads them back.
+            #[test]
+            fn encode_slice_is_the_concatenation_of_encode(
+                words in prop::collection::vec(any::<u64>(), 0..=257),
+                lead in 0usize..9,
+            ) {
+                let wide = |w: u64| u128::from(w) << 64 | u128::from(w.rotate_left(17));
+                macro_rules! check {
+                    ($($ty:ty),+) => {$({
+                        let items: Vec<$ty> = words.iter().map(|&w| wide(w) as $ty).collect();
+                        let mut bulk = vec![0xaa; lead];
+                        let mut each = bulk.clone();
+                        <$ty>::encode_slice(&items, &mut bulk);
+                        for item in &items {
+                            item.encode(&mut each);
+                        }
+                        prop_assert_eq!(&bulk, &each, "{}", stringify!($ty));
+                        let back = <$ty>::decode_vec(&mut SnapReader::new(&bulk[lead..]), items.len());
+                        prop_assert_eq!(back, Ok(items), "{}", stringify!($ty));
+                    })+};
+                }
+                check!(u8, u16, u32, u64, u128, i8, i16, i32, i64);
+            }
+        }
     }
 
     mod enum_macro_properties {

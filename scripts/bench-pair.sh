@@ -6,6 +6,10 @@
 #   scripts/bench-pair.sh <git-ref> <workload> [pairs]      (default 10)
 #   SEED=31337 SECONDS_PER_RUN=10 TRACE=0 METRICS="wall_s sim_cycles_per_s"
 #
+# Stage level (a traced run prints the per-layer metrics, not the end-to-end
+# ones), e.g. the checkpoint round trip of ckpt_epoch:
+#   TRACE=1 METRICS="snap.snapshot_us snap.to_bytes_us snap.from_bytes_us snap.restore_us snap.blob_bytes"
+#
 # The parent's tree is unpacked from git into the ignored .bench_build/ and
 # both sides are built there; the runs are the command of BENCHMARK.json,
 # unchanged, each from the root of its own tree, parent first, alternating.
@@ -16,7 +20,7 @@
 # the working tree's copy is restored on exit.
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
 ref=$1
 workload=$2
 pairs=${3:-10}

@@ -405,6 +405,25 @@ fn golden_scenario_survives_snapshot_restore() {
     assert_eq!(tracer2.records(), &golden[..]);
 }
 
+/// The deterministic half of "snapshot bytes encoded": the exact payload of
+/// a warmed Table-1 machine under the benchmark's trio. A change to what a
+/// snapshot carries moves this number on every runner; re-pin it with the
+/// schema version and say what the bytes buy. The caches are 8 bytes a line
+/// (DESIGN.md §3.2): 81,920 lines make 655,360 of these bytes.
+#[test]
+fn warmed_trio_payload_size_is_pinned() {
+    let cfg = GpuConfig::paper_table1();
+    let mut gpu = Gpu::new(cfg.clone());
+    let [q1, q2, be] = ["mri-q", "sad", "lbm"]
+        .map(|name| gpu.launch(workloads::by_name(name).expect("known workload")));
+    let mut manager = QosManager::new(QuotaScheme::Rollover)
+        .with_kernel(q1, QosSpec::qos(40.0))
+        .with_kernel(q2, QosSpec::qos(20.0))
+        .with_kernel(be, QosSpec::best_effort());
+    gpu.run(3 * cfg.epoch_cycles, &mut manager);
+    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 752_366);
+}
+
 // ----------------------------------------------------------------------
 // SoA-layout codec round trips (DESIGN.md §18.5).
 // ----------------------------------------------------------------------
@@ -519,8 +538,9 @@ fn pin<T: Snap>(value: &T, expected: &[u8]) {
 
 /// The wire layout of every data-carrying enum — a `u8` tag, then the
 /// variant's fields in declaration order — pinned byte for byte, one value
-/// per variant. Snapshots, fleet checkpoints, migration blobs and the trace
-/// corpus all embed these; a change here is a schema change.
+/// per variant, and of a [`Cache`](fgqos::sim::cache::Cache), the bulk of
+/// every machine blob. Snapshots, fleet checkpoints, migration blobs and the
+/// trace corpus all embed these; a change here is a schema change.
 #[test]
 fn enum_wire_bytes_are_pinned() {
     use fgqos::bench::runner::CaseController;
@@ -653,4 +673,13 @@ fn enum_wire_bytes_are_pinned() {
 
     pin(&Policy::Spart, &[0]);
     pin(&Policy::Quota(QuotaScheme::Rollover), &[1, 3]);
+
+    // Two one-way sets of 32-byte lines after one miss on set 1, tag 1: the
+    // line count, a word per line (stamp in the low half, tag in the high),
+    // sets, ways, then line_shift and clock as `u32`s, hits, misses.
+    let mut cache = fgqos::sim::cache::Cache::new(64, 1, 32);
+    cache.access(0x60);
+    let words = |le: &[u64]| tagged(0, le)[1..].to_vec();
+    let shift_and_clock = vec![5, 0, 0, 0, 1, 0, 0, 0];
+    pin(&cache, &[words(&[2, 0, 1 << 32 | 1, 2, 1]), shift_and_clock, words(&[0, 1])].concat());
 }
