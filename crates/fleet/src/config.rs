@@ -60,12 +60,11 @@ impl DeviceClass {
     }
 }
 
-/// Live-migration policy knobs.
+/// Live-migration policy knobs. Migration is how the fleet recovers a batch
+/// from a lost, wedged or drained device; evict + retry is its fallback when
+/// no compatible spare turns up within `patience_ticks`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationConfig {
-    /// Master switch. Off, the fleet falls back to evict + retry (the PR 6
-    /// behavior).
-    pub enabled: bool,
     /// Refresh every busy batch's migration checkpoint each time this many
     /// ticks divide the tick index (≥ 1). Larger values trade checkpoint
     /// bandwidth for more re-simulated progress after a failure.
@@ -77,11 +76,11 @@ pub struct MigrationConfig {
 
 impl Default for MigrationConfig {
     fn default() -> Self {
-        MigrationConfig { enabled: true, checkpoint_every_ticks: 1, patience_ticks: 8 }
+        MigrationConfig { checkpoint_every_ticks: 1, patience_ticks: 8 }
     }
 }
 
-gpu_sim::impl_snap_struct!(MigrationConfig { enabled, checkpoint_every_ticks, patience_ticks });
+gpu_sim::impl_snap_struct!(MigrationConfig { checkpoint_every_ticks, patience_ticks });
 
 /// One planned rebalance: at `at_cycle`, `device` drains — its running
 /// batch is snapshotted at the tick boundary and migrated to a spare of the

@@ -62,10 +62,12 @@ use crate::request::{Request, RequestState, ShedReason};
 /// per-tenant working-set trackers. v3 added the telemetry layer's
 /// deterministic state: per-tenant latency / queue-wait / retry /
 /// migration-duration histograms and the tick-sampled counter
-/// [`TimeSeries`] (DESIGN.md §17). Host-profiler wall-clock state is
-/// deliberately absent — it is host-dependent and must never influence
-/// simulated state.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 3;
+/// [`TimeSeries`] (DESIGN.md §17). v4 dropped the migration switch from the
+/// configuration and the `Option` tag from every batch's checkpoint (a batch
+/// always has one), and embeds schema-9 device blobs. Host-profiler
+/// wall-clock state is deliberately absent — it is host-dependent and must
+/// never influence simulated state.
+pub const FLEET_SNAPSHOT_VERSION: u32 = 4;
 
 /// Ring capacity of the fleet's tick-sampled counter time series. Large
 /// enough that every shipped scenario (the diurnal soak runs 558 ticks)
@@ -137,9 +139,9 @@ struct Batch {
     fault_base: u64,
     /// Device-relative fault plan installed in this batch's GPU.
     faults: FaultPlan,
-    /// Latest migration checkpoint (present whenever migration is
-    /// enabled — taken at placement, refreshed on the checkpoint cadence).
-    ckpt: Option<Ckpt>,
+    /// Latest migration checkpoint: taken at placement, refreshed on the
+    /// checkpoint cadence.
+    ckpt: Ckpt,
     /// The simulated device.
     gpu: Gpu,
     /// Error from the last tick's step, harvested after the parallel phase.
@@ -741,22 +743,7 @@ impl Fleet {
             self.devices[di].pending_drains.clear();
             self.devices[di].pending_faults.clear();
             if self.devices[di].batch.is_some() {
-                if self.cfg.migration.enabled {
-                    self.preempt_batch(di, now, MigrationReason::Drain);
-                } else {
-                    let batch = self.devices[di].batch.take().expect("checked busy");
-                    let victims: Vec<usize> = batch
-                        .requests
-                        .iter()
-                        .zip(&batch.active)
-                        .filter_map(|(&id, &live)| live.then_some(id))
-                        .collect();
-                    drop(batch);
-                    for id in victims {
-                        self.evictions += 1;
-                        self.retry_or_shed(id, now);
-                    }
-                }
+                self.preempt_batch(di, now, MigrationReason::Drain);
             }
             self.devices[di].fate = DeviceFate::Drained { at: now };
         }
@@ -849,7 +836,7 @@ impl Fleet {
             started_at: pm.started_at,
             fault_base: now.saturating_sub(pm.gpu_cycle),
             faults,
-            ckpt: Some(Ckpt { blob: pm.blob.clone(), gpu_cycle: pm.gpu_cycle }),
+            ckpt: Ckpt { blob: pm.blob.clone(), gpu_cycle: pm.gpu_cycle },
             gpu,
             step_err: None,
         });
@@ -861,7 +848,7 @@ impl Fleet {
     /// fresh, zero progress lost — to free its device for the guaranteed
     /// queue this very tick.
     fn preempt_for_guaranteed(&mut self, now: u64) {
-        if !self.shedding || !self.cfg.migration.enabled {
+        if !self.shedding {
             return;
         }
         let guaranteed_waiting = self.queue.iter().any(|&id| {
@@ -1016,12 +1003,8 @@ impl Fleet {
         }
         // The initial checkpoint, taken before the first cycle runs: even a
         // first-tick device loss migrates instead of retrying from scratch.
-        let ckpt = if self.cfg.migration.enabled {
-            let blob = gpu.snapshot().expect("a fresh GPU sits at epoch boundary zero");
-            Some(Ckpt { blob: blob.to_bytes(), gpu_cycle: 0 })
-        } else {
-            None
-        };
+        let blob = gpu.snapshot().expect("a fresh GPU sits at epoch boundary zero");
+        let ckpt = Ckpt { blob: blob.to_bytes(), gpu_cycle: 0 };
         let device = &mut self.devices[di];
         device.batches += 1;
         let active = vec![true; ids.len()];
@@ -1089,47 +1072,32 @@ impl Fleet {
                 }
             }
             // Survivors resume from the last checkpoint on a compatible
-            // spare; without migration they go through bounded retry.
-            let any_live = batch.active.iter().any(|&l| l);
-            let reason = match self.devices[di].fate {
-                DeviceFate::Lost { .. } => MigrationReason::DeviceLost,
-                _ => MigrationReason::DeviceWedged,
-            };
-            if any_live && self.cfg.migration.enabled {
-                if let Some(ckpt) = batch.ckpt.take() {
-                    let pm = PendingMigration {
-                        slots: batch.requests.iter().map(|&id| id as u64).collect(),
-                        active: batch.active.clone(),
-                        started_at: batch.started_at,
-                        gpu_cycle: ckpt.gpu_cycle,
-                        blob: ckpt.blob,
-                        compat_fingerprint: self.class_compat[self.devices[di].class],
-                        from_device: device_id,
-                        reason,
-                        enqueued_at: end,
+            // spare; if none turns up, `expire_migrations` evicts them.
+            if batch.active.iter().any(|&l| l) {
+                let reason = match self.devices[di].fate {
+                    DeviceFate::Lost { .. } => MigrationReason::DeviceLost,
+                    _ => MigrationReason::DeviceWedged,
+                };
+                let pm = PendingMigration {
+                    slots: batch.requests.iter().map(|&id| id as u64).collect(),
+                    active: batch.active.clone(),
+                    started_at: batch.started_at,
+                    gpu_cycle: batch.ckpt.gpu_cycle,
+                    blob: batch.ckpt.blob,
+                    compat_fingerprint: self.class_compat[self.devices[di].class],
+                    from_device: device_id,
+                    reason,
+                    enqueued_at: end,
+                };
+                for id in pm.live_requests() {
+                    let started_at = match self.requests[id].state {
+                        RequestState::Running { started_at, .. } => started_at,
+                        _ => batch.started_at,
                     };
-                    for id in pm.live_requests() {
-                        let started_at = match self.requests[id].state {
-                            RequestState::Running { started_at, .. } => started_at,
-                            _ => batch.started_at,
-                        };
-                        self.requests[id].state =
-                            RequestState::Migrating { from: device_id, started_at };
-                    }
-                    self.pending_migrations.push(pm);
-                    return;
+                    self.requests[id].state =
+                        RequestState::Migrating { from: device_id, started_at };
                 }
-            }
-            let victims: Vec<usize> = batch
-                .requests
-                .iter()
-                .zip(&batch.active)
-                .filter_map(|(&id, &live)| live.then_some(id))
-                .collect();
-            drop(batch);
-            for id in victims {
-                self.evictions += 1;
-                self.retry_or_shed(id, end);
+                self.pending_migrations.push(pm);
             }
             return;
         }
@@ -1180,15 +1148,14 @@ impl Fleet {
             // Refresh the migration checkpoint on the configured cadence —
             // the GPU sits at an epoch boundary here, so the snapshot is
             // legal.
-            if self.cfg.migration.enabled
-                && self
-                    .tick_index
-                    .wrapping_add(1)
-                    .is_multiple_of(self.cfg.migration.checkpoint_every_ticks)
+            if self
+                .tick_index
+                .wrapping_add(1)
+                .is_multiple_of(self.cfg.migration.checkpoint_every_ticks)
             {
                 let blob =
                     batch.gpu.snapshot().expect("busy devices sit at epoch boundaries at ticks");
-                batch.ckpt = Some(Ckpt { blob: blob.to_bytes(), gpu_cycle: batch.gpu.cycle() });
+                batch.ckpt = Ckpt { blob: blob.to_bytes(), gpu_cycle: batch.gpu.cycle() };
             }
             self.devices[di].batch = Some(batch);
         } else {
@@ -1688,7 +1655,7 @@ impl Fleet {
                     let started_at = u64::decode(&mut r).map_err(fail)?;
                     let fault_base = u64::decode(&mut r).map_err(fail)?;
                     let faults = FaultPlan::decode(&mut r).map_err(fail)?;
-                    let ckpt = Option::<Ckpt>::decode(&mut r).map_err(fail)?;
+                    let ckpt = Ckpt::decode(&mut r).map_err(fail)?;
                     let blob_bytes = Vec::<u8>::decode(&mut r).map_err(fail)?;
                     let blob = SnapshotBlob::from_bytes(&blob_bytes)
                         .map_err(|e| format!("fleet snapshot: device blob: {e}"))?;
@@ -1921,12 +1888,46 @@ mod tests {
 
     #[test]
     fn with_migration_disabled_device_loss_falls_back_to_eviction() {
-        let mut cfg = scenarios::chaos(scenarios::DEFAULT_SEED);
-        cfg.migration.enabled = false;
+        // Eviction is migration's fallback, reached the way production
+        // reaches it: both requests binpack onto the small device at the
+        // cycle-4000 boundary, one finishes within the tick, and the device
+        // is lost at 8_000 under the other. The only spare is of the big
+        // class, which a small-class blob cannot restore on, so the pending
+        // migration waits out its two ticks of patience and the victim
+        // retries from scratch on the big device.
+        let cfg = FleetConfig {
+            classes: vec![DeviceClass::small(1), DeviceClass::big(1)],
+            placement: Placement::Binpack,
+            migration: MigrationConfig { checkpoint_every_ticks: 1, patience_ticks: 2 },
+            seed: 17,
+            epoch_cycles: 1_000,
+            tick_cycles: 4_000,
+            timeout_cycles: 120_000,
+            max_retries: 3,
+            backoff_base: 2_000,
+            est_service_cycles: 20_000,
+            shed_enter_permille: 900,
+            shed_exit_permille: 500,
+            max_ticks: 300,
+            tenants: vec![TenantSpec {
+                name: "latency".into(),
+                class: TenantClass::guaranteed(SloTarget::new(300_000, 900_000)),
+                arrival: ArrivalModel::Open { mean_gap: 1 },
+                requests: 2,
+                grid_tbs: 8,
+                mem_bytes: 64 << 20,
+            }],
+            faults: vec![FleetFault { at_cycle: 8_000, device: 0, kind: FaultKind::DeviceLoss }],
+            drains: Vec::new(),
+        };
         let mut fleet = Fleet::new(cfg);
         fleet.run_to_completion();
-        assert!(fleet.evictions() > 0, "without migration, victims retry from scratch");
-        assert_eq!(fleet.migrated_requests(), 0);
+        assert!(matches!(fleet.devices[0].fate, DeviceFate::Lost { .. }));
+        assert_eq!(fleet.migration_fallbacks, 1, "patience ran out on the one pending batch");
+        assert_eq!(fleet.evictions(), 1, "the victim retries from scratch");
+        assert_eq!(fleet.requests()[1].retries, 1);
+        assert_eq!(fleet.migrated_requests(), 0, "no compatible spare ever existed");
+        assert_eq!(fleet.tenant_counters()[0].completed, 2);
         assert_eq!(fleet.lost_requests(), 0);
     }
 
@@ -2042,11 +2043,7 @@ mod tests {
         let cfg = FleetConfig {
             classes: vec![DeviceClass::small(1)],
             placement: Placement::Binpack,
-            migration: MigrationConfig {
-                enabled: true,
-                checkpoint_every_ticks: 1,
-                patience_ticks: 60,
-            },
+            migration: MigrationConfig { checkpoint_every_ticks: 1, patience_ticks: 60 },
             seed: 2,
             epoch_cycles: 1_000,
             tick_cycles: 4_000,

@@ -164,8 +164,7 @@ pub fn migration(seed: u64) -> FleetConfig {
     let mut cfg = base(seed);
     cfg.classes = vec![DeviceClass::small(6), DeviceClass::big(2)];
     cfg.placement = Placement::LeastLoaded;
-    cfg.migration =
-        MigrationConfig { enabled: true, checkpoint_every_ticks: 1, patience_ticks: 12 };
+    cfg.migration = MigrationConfig { checkpoint_every_ticks: 1, patience_ticks: 12 };
     cfg.timeout_cycles = 120_000;
     cfg.max_ticks = 900;
     cfg.tenants = vec![
@@ -214,8 +213,7 @@ pub fn diurnal(seed: u64) -> FleetConfig {
     let mut cfg = base(seed);
     cfg.classes = vec![DeviceClass::small(2), DeviceClass::big(1)];
     cfg.placement = Placement::LeastLoaded;
-    cfg.migration =
-        MigrationConfig { enabled: true, checkpoint_every_ticks: 2, patience_ticks: 12 };
+    cfg.migration = MigrationConfig { checkpoint_every_ticks: 2, patience_ticks: 12 };
     cfg.timeout_cycles = 120_000;
     cfg.max_ticks = 1_500;
     cfg.tenants = vec![

@@ -193,11 +193,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets the counters (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Whether this (decoded) cache can stand in for `built`, one that
     /// [`Cache::new`] made: the same geometry and a line per way of every
     /// set, so that no access indexes past `lines`. The clock needs no check:

@@ -9,7 +9,6 @@ use std::fmt;
 
 use crate::health::{FaultPlan, HealthConfig};
 use crate::observe::TraceConfig;
-use crate::warp_sched::SchedPolicy;
 
 /// Error returned by [`GpuConfig::validate`] describing the first violated
 /// constraint.
@@ -36,10 +35,8 @@ pub struct SmConfig {
     /// Maximum resident thread blocks (Table 1: 32).
     pub max_tbs: u32,
     /// Number of warp schedulers, each issuing one warp instruction per cycle
-    /// (Table 1: 4).
+    /// (Table 1: 4). Each is greedy-then-oldest, the Table 1 policy.
     pub warp_schedulers: u32,
-    /// Warp scheduling policy (Table 1: GTO).
-    pub sched_policy: SchedPolicy,
 }
 
 impl Default for SmConfig {
@@ -50,7 +47,6 @@ impl Default for SmConfig {
             max_threads: 2048,
             max_tbs: 32,
             warp_schedulers: 4,
-            sched_policy: SchedPolicy::Gto,
         }
     }
 }
@@ -347,7 +343,6 @@ crate::impl_snap_struct!(SmConfig {
     max_threads,
     max_tbs,
     warp_schedulers,
-    sched_policy,
 });
 
 crate::impl_snap_struct!(MemConfig {
@@ -409,7 +404,6 @@ mod tests {
         assert_eq!(cfg.sm.max_threads, 2048);
         assert_eq!(cfg.sm.max_tbs, 32);
         assert_eq!(cfg.sm.warp_schedulers, 4);
-        assert_eq!(cfg.sm.sched_policy, SchedPolicy::Gto);
         assert_eq!(cfg.epoch_cycles, 10_000);
         assert_eq!(cfg.samples_per_epoch, 100);
         cfg.validate().expect("paper config must validate");

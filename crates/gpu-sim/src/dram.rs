@@ -82,29 +82,6 @@ impl ServiceQueue {
     pub fn backlog_at(&self, now: Cycle) -> u64 {
         self.next_free.saturating_sub(now)
     }
-
-    /// Whether the queue would delay a request arriving at `now`.
-    pub fn busy_at(&self, now: Cycle) -> bool {
-        self.next_free > now
-    }
-
-    /// The cycle at which the queue's current backlog drains, or `None` if it
-    /// is already idle at `now`.
-    ///
-    /// This is a *drain horizon*, not a wake-up: every request's completion
-    /// time was already computed eagerly by [`ServiceQueue::serve`] and folded
-    /// into the issuing warp's `ready_at`, so the queue never needs to be
-    /// ticked. Fast-forward therefore does not clamp to this cycle; it exists
-    /// for introspection and symmetry with the other `next_event` providers.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        (self.next_free > now).then_some(self.next_free)
-    }
-
-    /// Resets counters (the busy horizon is kept).
-    pub fn reset_stats(&mut self) {
-        self.served = 0;
-        self.total_wait = 0;
-    }
 }
 
 crate::impl_snap_struct!(ServiceQueue {
@@ -124,8 +101,8 @@ mod tests {
     fn idle_queue_serves_at_service_time() {
         let mut q = ServiceQueue::new(3, 100);
         assert_eq!(q.serve(10), 13);
-        assert!(!q.busy_at(13));
-        assert!(q.busy_at(12));
+        assert_eq!(q.backlog_at(13), 0);
+        assert_eq!(q.backlog_at(12), 1);
     }
 
     #[test]

@@ -317,9 +317,15 @@ impl Gpu {
     /// could act ([`TbScheduler::service_would_noop`]), and the end of the
     /// run. The memory system contributes no horizon: transaction
     /// completions are computed eagerly at access time and carried by warp
-    /// scoreboards (see [`MemSystem::next_event`]). None of the clamps lies
+    /// scoreboards (see [`MemSystem::serve`]). None of the clamps lies
     /// behind `self.cycle`; a result equal to it means "simulate the very
     /// next cycle".
+    ///
+    /// Kept out of line, like [`Gpu::service`]: each runs once in several
+    /// cycles, and inlined they (and the TB scheduler's passes inside them)
+    /// sit in the middle of `run_until`'s per-cycle loop, where every edit
+    /// to the TB scheduler moves the loop's code (EXPERIMENTS.md §options).
+    #[inline(never)]
     fn jump_target(&self, horizon: Cycle, end: Cycle, next_check: Cycle) -> Cycle {
         let from = self.cycle;
         // Boundary cycles themselves are never skipped: `next_multiple_of`
@@ -476,6 +482,9 @@ impl Gpu {
         }
     }
 
+    /// The TB scheduler's pass at a dispatch point; out of line for the
+    /// reason [`Gpu::jump_target`] gives.
+    #[inline(never)]
     fn service(&mut self, now: Cycle) {
         self.tb_sched.service(
             now,
@@ -877,12 +886,6 @@ impl Gpu {
         self.tb_sched.owner(sm.index())
     }
 
-    /// The kernel currently owning the GPU under
-    /// [`SharingMode::TimeMux`].
-    pub fn time_mux_active(&self) -> KernelId {
-        self.tb_sched.active_kernel()
-    }
-
     /// Maximum TBs of kernel `k` one SM can host (occupancy bound).
     pub fn max_resident_tbs(&self, k: KernelId) -> u32 {
         self.sms[0].max_resident_tbs(self.kernel_desc(k))
@@ -1150,10 +1153,15 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// ([`crate::sm::WarpTable`]), the TB slab ([`crate::tb::TbSlab`]), and the
 /// cache tag/LRU arrays — changing the field set and order of every per-SM
 /// record (DESIGN.md §18); version 8 packed each cache line's tag and LRU
-/// stamp into one `u64` word under a `u32` clock (DESIGN.md §3.2).
+/// stamp into one `u64` word under a `u32` clock (DESIGN.md §3.2); version 9
+/// took out what only the removed options wrote — the per-SM policy byte and
+/// per-scheduler round-robin cursors, the TB scheduler's two time-multiplexing
+/// rotation words, and `sched_policy` from the embedded [`GpuConfig`] (and so
+/// from both fingerprints) — and refuses `SharingMode` tag 3 and kernel ids
+/// past [`crate::MAX_KERNELS`].
 /// Host-profiler state is deliberately absent: wall-clock attribution never
 /// enters snapshots.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 8;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 9;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";
@@ -1427,51 +1435,6 @@ mod tests {
         assert_eq!(gpu.sms()[1].hosted_tbs(a), 0);
         assert!(gpu.stats().ipc(a) > 0.0);
         assert!(gpu.stats().ipc(b) > 0.0);
-    }
-
-    #[test]
-    fn time_mux_serializes_kernels() {
-        let mut gpu = Gpu::new(GpuConfig::tiny());
-        let a = gpu.launch(compute_kernel("a"));
-        let b = gpu.launch(compute_kernel("b").with_seed(5));
-        gpu.set_sharing_mode(SharingMode::TimeMux);
-        // While kernel a's first grid is incomplete, b must not be resident.
-        gpu.run(2_000, &mut NullController);
-        assert_eq!(gpu.time_mux_active(), a);
-        assert!(gpu.stats().ipc(b) == 0.0, "kernel b must wait its turn");
-        // Run long enough for a to finish a full grid and hand over.
-        gpu.run(400_000, &mut NullController);
-        assert!(
-            gpu.stats().kernel(b).thread_insts > 0,
-            "ownership must eventually rotate to kernel b"
-        );
-    }
-
-    #[test]
-    fn smk_outperforms_time_multiplexing_for_complementary_kernels() {
-        // The paper's motivation (section 2.3): fine-grained sharing beats
-        // kernel-granularity time multiplexing in total throughput because
-        // compute- and memory-bound kernels overlap.
-        let run = |mode: SharingMode| {
-            let mut gpu = Gpu::new(GpuConfig::tiny());
-            let a = gpu.launch(compute_kernel("c"));
-            let b = gpu.launch(memory_kernel("m"));
-            gpu.set_sharing_mode(mode);
-            if mode == SharingMode::Smk {
-                for sm in gpu.sm_ids().collect::<Vec<_>>() {
-                    gpu.set_tb_target(sm, a, 4);
-                    gpu.set_tb_target(sm, b, 4);
-                }
-            }
-            gpu.run(100_000, &mut NullController);
-            gpu.stats().total_thread_insts()
-        };
-        let smk = run(SharingMode::Smk);
-        let timemux = run(SharingMode::TimeMux);
-        assert!(
-            smk > timemux,
-            "SMK total throughput ({smk}) must beat time multiplexing ({timemux})"
-        );
     }
 
     #[test]

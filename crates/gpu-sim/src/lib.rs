@@ -7,7 +7,7 @@
 //!
 //! * streaming multiprocessors ([`sm::Sm`]) with per-SM register / shared
 //!   memory / thread / thread-block occupancy limits,
-//! * greedy-then-oldest warp schedulers ([`warp_sched`]) with per-kernel
+//! * greedy-then-oldest warp schedulers (inside [`sm::Sm`]) with per-kernel
 //!   instruction-quota gating (the paper's *Enhanced Warp Scheduler*),
 //! * a two-level cache hierarchy with coalescing, crossbar and per-channel
 //!   DRAM bandwidth queueing ([`cache`], [`memsys`], [`dram`]),
@@ -69,7 +69,6 @@ pub mod telemetry;
 pub mod trace;
 pub mod types;
 pub mod warp;
-pub mod warp_sched;
 
 pub use config::{GpuConfig, InvalidConfig, MemConfig, PowerConfig, SmConfig};
 pub use gpu::{
@@ -94,7 +93,6 @@ pub use telemetry::{
 };
 pub use trace::Tracer;
 pub use types::{Cycle, KernelId, SmId};
-pub use warp_sched::SchedPolicy;
 
 /// Number of concurrently resident kernels the simulator supports.
 ///

@@ -134,20 +134,6 @@ impl MemSystem {
         done
     }
 
-    /// The earliest cycle at which any L2 slice or DRAM channel queue drains,
-    /// or `None` when the whole memory system is idle at `now`.
-    ///
-    /// The memory system holds no autonomous events: every transaction's
-    /// completion cycle is computed eagerly at [`MemSystem::serve`] time
-    /// and carried by the issuing warp's `ready_at`, so in-flight
-    /// requests complete correctly across any idle-cycle jump without the
-    /// queues being ticked. Fast-forward consequently never clamps to this
-    /// horizon — it is exposed for introspection and as the memory system's
-    /// half of the `next_event` protocol.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.l2_queue.iter().chain(&self.dram_queue).filter_map(|q| q.next_event(now)).min()
-    }
-
     /// Whether every (decoded) L2 slice can stand in for `built`'s
     /// ([`Cache::fits`]), slice for slice.
     pub(crate) fn l2_fits(&self, built: &MemSystem) -> bool {

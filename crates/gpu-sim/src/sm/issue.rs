@@ -7,15 +7,21 @@
 //! the last kept by the wake queue). Scheduler `sid` owns the slots with
 //! `slot % num_scheds == sid` and sees its candidates in increasing slot
 //! order — the order the mutating `quota_allows` refill rules fire in
-//! (DESIGN.md §18). The warp scheduler itself is [`Pick`], written once; the
-//! two gathers differ only in which candidates they show it.
+//! (DESIGN.md §18).
+//!
+//! The paper's QoS design leaves the warp scheduling algorithm unmodified —
+//! quotas only *gate* which kernels are eligible — and evaluates one: GTO
+//! (greedy-then-oldest, Table 1), which keeps issuing from the same warp
+//! while it is ready and otherwise falls back to the oldest ready warp. That
+//! scheduler is [`Pick`], written once; its whole state between cycles is
+//! `Sm::greedy`, and the two gathers differ only in which candidates they
+//! show it.
 
 use crate::icn::{self, IcnRequest, IcnResponse};
 use crate::kernel::{KernelDesc, MemSpace, Op};
 use crate::memsys::MemSystem;
 use crate::observe::TraceEventKind;
 use crate::types::Cycle;
-use crate::warp_sched::{SchedPolicy, SchedulerState};
 use crate::MAX_KERNELS;
 
 use super::warp_table::{mask_set, slots};
@@ -28,64 +34,43 @@ use super::Sm;
 /// candidate.
 const MAX_SCHEDS_FUSED: usize = 4;
 
-/// One scheduler's choice among the candidates shown to it, folded without
-/// materializing a candidate list. Candidates must arrive in increasing slot
-/// order, which makes "first candidate" and "first past the cursor" plain
-/// minima. `u16::MAX` is never a warp slot, so it stands for "none yet"
-/// without an `Option` branch per candidate.
+/// One greedy-then-oldest scheduler's choice among the candidates shown to
+/// it, folded without materializing a candidate list: the warp it last issued
+/// from while that warp is a candidate, otherwise the oldest one. Candidates
+/// must arrive in increasing slot order, so that the strict `<` below keeps
+/// the lowest slot among equal ages. `u16::MAX` is never a warp slot, so it
+/// stands for "none" without an `Option` branch per candidate.
 #[derive(Clone, Copy)]
 struct Pick {
     greedy: u16,
-    cursor: u16,
-    /// GTO: the greedy slot is among the candidates.
+    /// The greedy slot is among the candidates.
     greedy_seen: bool,
-    /// GTO: the first candidate of minimum age.
+    /// The first candidate of minimum age.
     oldest: u16,
     best_age: u64,
-    /// LRR: the first candidate, and the first one past the cursor.
-    first: u16,
-    first_after: u16,
 }
 
 impl Pick {
-    fn new(sched: &SchedulerState) -> Self {
+    fn new(greedy: Option<u16>) -> Self {
         Pick {
-            greedy: sched.greedy.unwrap_or(u16::MAX),
-            cursor: sched.rr_cursor,
+            greedy: greedy.unwrap_or(u16::MAX),
             greedy_seen: false,
             oldest: u16::MAX,
             best_age: u64::MAX,
-            first: u16::MAX,
-            first_after: u16::MAX,
         }
     }
 
     #[inline(always)]
-    fn see(&mut self, policy: SchedPolicy, slot: u16, age: u64) {
-        match policy {
-            SchedPolicy::Gto => {
-                self.greedy_seen |= slot == self.greedy;
-                // Strict `<` keeps the first minimum.
-                if age < self.best_age {
-                    self.best_age = age;
-                    self.oldest = slot;
-                }
-            }
-            SchedPolicy::Lrr => {
-                self.first = self.first.min(slot);
-                self.first_after =
-                    self.first_after.min(if slot > self.cursor { slot } else { u16::MAX });
-            }
+    fn see(&mut self, slot: u16, age: u64) {
+        self.greedy_seen |= slot == self.greedy;
+        if age < self.best_age {
+            self.best_age = age;
+            self.oldest = slot;
         }
     }
 
-    fn choose(&self, policy: SchedPolicy) -> Option<u16> {
-        let slot = match policy {
-            SchedPolicy::Gto if self.greedy_seen => self.greedy,
-            SchedPolicy::Gto => self.oldest,
-            SchedPolicy::Lrr if self.first_after != u16::MAX => self.first_after,
-            SchedPolicy::Lrr => self.first,
-        };
+    fn choose(&self) -> Option<u16> {
+        let slot = if self.greedy_seen { self.greedy } else { self.oldest };
         (slot != u16::MAX).then_some(slot)
     }
 }
@@ -258,7 +243,7 @@ impl Sm {
         // exhausted kernels) cannot match. No issue flips a gate, so this
         // holds for the whole tick.
         let ungated = !self.quota_frozen && !self.priority_block && !self.gated.iter().any(|&g| g);
-        let n_scheds = self.scheds.len();
+        let n_scheds = self.greedy.len();
         let issued = self.issued_total;
         if ungated && n_scheds.is_power_of_two() && n_scheds <= MAX_SCHEDS_FUSED {
             self.gather_fused(now);
@@ -279,21 +264,18 @@ impl Sm {
     /// mutating `quota_allows` whose call order could matter (DESIGN.md §18).
     #[inline(never)]
     fn gather_fused(&mut self, now: Cycle) {
-        let policy = self.policy;
-        let n_scheds = self.scheds.len();
+        let n_scheds = self.greedy.len();
         // Entries past the scheduler count are never shown a candidate.
-        let idle = SchedulerState::default();
         let mut picks: [Pick; MAX_SCHEDS_FUSED] =
-            std::array::from_fn(|sid| Pick::new(self.scheds.get(sid).unwrap_or(&idle)));
+            std::array::from_fn(|sid| Pick::new(self.greedy.get(sid).copied().flatten()));
         for (wi, &bits) in self.live_buf.iter().enumerate() {
             for slot in slots(wi, bits) {
-                picks[slot & (n_scheds - 1)].see(policy, slot as u16, self.warps.age[slot]);
+                picks[slot & (n_scheds - 1)].see(slot as u16, self.warps.age[slot]);
             }
         }
         for (sid, pick) in picks[..n_scheds].iter().enumerate() {
-            if let Some(slot) = pick.choose(policy) {
-                self.scheds[sid].greedy = Some(slot);
-                self.scheds[sid].rr_cursor = slot;
+            if let Some(slot) = pick.choose() {
+                self.greedy[sid] = Some(slot);
                 self.issue(slot, now);
             }
         }
@@ -311,12 +293,11 @@ impl Sm {
         if self.stride_masks.is_empty() {
             self.build_stride_masks();
         }
-        let policy = self.policy;
-        let n_scheds = self.scheds.len();
+        let n_scheds = self.greedy.len();
         let mut inert = self.open_gate();
         let mut tallied = 0;
         for sid in 0..n_scheds {
-            let mut pick = Pick::new(&self.scheds[sid]);
+            let mut pick = Pick::new(self.greedy[sid]);
             let mut any_open = false;
             for wi in 0..self.live_buf.len() {
                 for slot in slots(wi, self.gate.open[wi] & self.stride_masks[sid][wi]) {
@@ -325,7 +306,7 @@ impl Sm {
                     // open: `quota_allows` denies it, mutating nothing.
                     let k = self.warps.kernel[slot].index();
                     if self.quota_allows(k) {
-                        pick.see(policy, slot as u16, self.warps.age[slot]);
+                        pick.see(slot as u16, self.warps.age[slot]);
                     } else {
                         self.quota_blocked[k] += 1;
                     }
@@ -335,10 +316,9 @@ impl Sm {
                 // Nothing to pick and nothing to scavenge.
                 continue;
             }
-            let pick = pick.choose(policy);
-            if let Some(slot) = pick {
-                self.scheds[sid].greedy = Some(slot);
-                self.scheds[sid].rr_cursor = slot;
+            let pick = pick.choose();
+            if pick.is_some() {
+                self.greedy[sid] = pick;
             }
             // Work-conserving slack reclamation: the slot would idle -- no
             // admissible warp is ready -- so a quota-exhausted *non-QoS* warp

@@ -50,7 +50,6 @@ use crate::preempt::{PreemptStats, SavedTb};
 use crate::tb::TbSlab;
 use crate::telemetry::LatencyHistogram;
 use crate::types::{per_kernel, Cycle, KernelId, PerKernel, SmId, TbIndex};
-use crate::warp_sched::{SchedPolicy, SchedulerState};
 
 /// Per-kernel issue counters of one SM for one epoch.
 #[derive(Debug, Clone, Copy, Default)]
@@ -89,7 +88,6 @@ struct Gate {
 #[derive(Debug)]
 pub struct Sm {
     id: SmId,
-    policy: SchedPolicy,
     num_scheds: u16,
     max_warps: u16,
     max_tbs: u16,
@@ -117,7 +115,9 @@ pub struct Sm {
 
     warps: WarpTable,
     tbs: TbSlab,
-    scheds: Vec<SchedulerState>,
+    // One entry per warp scheduler: the slot it last issued from, which a
+    // greedy-then-oldest scheduler stays on while that warp is issuable.
+    greedy: Vec<Option<u16>>,
     next_age: u64,
     transitioning: Vec<u16>,
 
@@ -196,7 +196,6 @@ impl Sm {
         let max_tbs = cfg.sm.max_tbs as u16;
         Sm {
             id,
-            policy: cfg.sm.sched_policy,
             num_scheds: cfg.sm.warp_schedulers as u16,
             max_warps,
             max_tbs,
@@ -213,7 +212,7 @@ impl Sm {
             used_smem: 0,
             warps: WarpTable::new(max_warps),
             tbs: TbSlab::new(max_tbs),
-            scheds: vec![SchedulerState::default(); cfg.sm.warp_schedulers as usize],
+            greedy: vec![None; cfg.sm.warp_schedulers as usize],
             next_age: 0,
             transitioning: Vec::new(),
             icn: IcnPort::default(),
@@ -303,7 +302,6 @@ crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 // A restored SM therefore starts with empty/default values for all of them.
 crate::impl_snap_struct!(Sm {
     id,
-    policy,
     num_scheds,
     max_warps,
     max_tbs,
@@ -319,7 +317,7 @@ crate::impl_snap_struct!(Sm {
     used_smem,
     warps,
     tbs,
-    scheds,
+    greedy,
     next_age,
     transitioning,
     quota,

@@ -309,20 +309,18 @@ fn reset_carry_drops_debt() {
     assert_eq!(sm.quota(k), 100, "reset ignores prior debt");
 }
 
-/// Drives the live warp picker: a lone SM with one scheduler under
-/// `policy` hosting one 10-warp TB (slots 0..10), either ungated (the fused
-/// gather) or quota-gated with ample quota (the gated gather, through
-/// `quota_allows`).
+/// Drives the live warp picker: a lone SM with one scheduler hosting one
+/// 10-warp TB (slots 0..10), either ungated (the fused gather) or
+/// quota-gated with ample quota (the gated gather, through `quota_allows`).
 struct Picker {
     sm: Sm,
     now: Cycle,
 }
 
 impl Picker {
-    fn new(policy: SchedPolicy, gated: bool) -> Self {
+    fn new(gated: bool) -> Self {
         let mut cfg = GpuConfig::tiny();
         cfg.sm.warp_schedulers = 1;
-        cfg.sm.sched_policy = policy;
         let mut sm = Sm::new(SmId::new(0), &cfg);
         let k = KernelId::new(0);
         let desc = KernelDesc::builder("pick")
@@ -357,7 +355,7 @@ impl Picker {
         assert!(!self.sm.icn_in_flight(), "ALU-only body");
         match self.sm.issued_total - issued {
             0 => None,
-            1 => self.sm.scheds[0].greedy,
+            1 => self.sm.greedy[0],
             n => panic!("one scheduler issued {n} warps in a cycle"),
         }
     }
@@ -366,7 +364,7 @@ impl Picker {
 #[test]
 fn gto_sticks_with_greedy_warp() {
     for gated in [false, true] {
-        let mut p = Picker::new(SchedPolicy::Gto, gated);
+        let mut p = Picker::new(gated);
         // First pick: oldest (age 10) = slot 7.
         assert_eq!(p.pick(&[(3, 30), (7, 10), (9, 20)]), Some(7), "gated={gated}");
         // Slot 7 still ready: stay greedy even though it is not the oldest now.
@@ -377,8 +375,8 @@ fn gto_sticks_with_greedy_warp() {
 #[test]
 fn gto_falls_back_to_oldest() {
     for gated in [false, true] {
-        let mut p = Picker::new(SchedPolicy::Gto, gated);
-        p.sm.scheds[0].greedy = Some(7);
+        let mut p = Picker::new(gated);
+        p.sm.greedy[0] = Some(7);
         assert_eq!(p.pick(&[(3, 30), (9, 20)]), Some(9), "gated={gated}");
     }
 }
@@ -386,30 +384,9 @@ fn gto_falls_back_to_oldest() {
 #[test]
 fn gto_none_when_nothing_ready() {
     for gated in [false, true] {
-        let mut p = Picker::new(SchedPolicy::Gto, gated);
+        let mut p = Picker::new(gated);
         assert_eq!(p.pick(&[]), None, "gated={gated}");
-        assert_eq!(p.sm.scheds[0].greedy, None, "an idle cycle leaves the scheduler state alone");
-    }
-}
-
-#[test]
-fn lrr_rotates() {
-    for gated in [false, true] {
-        let mut p = Picker::new(SchedPolicy::Lrr, gated);
-        let ready = [(0, 0), (4, 0), (8, 0)];
-        assert_eq!(p.pick(&ready), Some(4), "gated={gated}");
-        assert_eq!(p.pick(&ready), Some(8), "gated={gated}");
-        assert_eq!(p.pick(&ready), Some(0), "wraps (gated={gated})");
-        assert_eq!(p.pick(&ready), Some(4), "gated={gated}");
-    }
-}
-
-#[test]
-fn lrr_single_candidate() {
-    for gated in [false, true] {
-        let mut p = Picker::new(SchedPolicy::Lrr, gated);
-        assert_eq!(p.pick(&[(2, 0)]), Some(2), "gated={gated}");
-        assert_eq!(p.pick(&[(2, 0)]), Some(2), "gated={gated}");
+        assert_eq!(p.sm.greedy[0], None, "an idle cycle leaves the scheduler state alone");
     }
 }
 
@@ -428,7 +405,6 @@ mod gate_oracle {
     /// Everything the gate reads or writes, copied out of an [`Sm`].
     #[derive(Debug, Clone, PartialEq)]
     struct RefGate {
-        policy: SchedPolicy,
         frozen: bool,
         priority_block: bool,
         elastic: bool,
@@ -441,13 +417,11 @@ mod gate_oracle {
         blocked: PerKernel<u64>,
         exhaustions: PerKernel<u64>,
         greedy: Vec<Option<u16>>,
-        cursor: Vec<u16>,
     }
 
     impl RefGate {
         fn of(sm: &Sm) -> Self {
             RefGate {
-                policy: sm.policy,
                 frozen: sm.quota_frozen,
                 priority_block: sm.priority_block,
                 elastic: sm.elastic,
@@ -459,8 +433,7 @@ mod gate_oracle {
                 debit: sm.quota_debit,
                 blocked: sm.quota_blocked,
                 exhaustions: sm.quota_exhaustions,
-                greedy: sm.scheds.iter().map(|s| s.greedy).collect(),
-                cursor: sm.scheds.iter().map(|s| s.rr_cursor).collect(),
+                greedy: sm.greedy.clone(),
             }
         }
 
@@ -521,20 +494,13 @@ mod gate_oracle {
                 }
             }
             let age = |s: &u16| warps[usize::from(*s)].expect("issuable").1;
-            let pick = match self.policy {
-                SchedPolicy::Gto => match self.greedy[sid] {
-                    Some(g) if admitted.contains(&g) => Some(g),
-                    _ => admitted.iter().copied().min_by_key(age),
-                },
-                SchedPolicy::Lrr => admitted
-                    .iter()
-                    .copied()
-                    .find(|&s| s > self.cursor[sid])
-                    .or(admitted.first().copied()),
+            // Greedy-then-oldest within the admitted set.
+            let pick = match self.greedy[sid] {
+                Some(g) if admitted.contains(&g) => Some(g),
+                _ => admitted.iter().copied().min_by_key(age),
             };
-            if let Some(slot) = pick {
-                self.greedy[sid] = Some(slot);
-                self.cursor[sid] = slot;
+            if pick.is_some() {
+                self.greedy[sid] = pick;
             }
             // An empty slot goes to the oldest spent best-effort warp.
             let scavenged = || {
@@ -563,13 +529,11 @@ mod gate_oracle {
         }
     }
 
-    /// An SM of `scheds` schedulers under `policy` hosting, in `order`, one
-    /// TB per entry of kernel `order[i]`; kernel `k`'s TBs are `k % 3 + 1`
-    /// warps of an ALU body whose every instruction has `lanes[k]` active
-    /// lanes.
-    fn sm_hosting(policy: SchedPolicy, scheds: u32, lanes: &[u8], order: &[usize]) -> Sm {
+    /// An SM of `scheds` schedulers hosting, in `order`, one TB per entry of
+    /// kernel `order[i]`; kernel `k`'s TBs are `k % 3 + 1` warps of an ALU
+    /// body whose every instruction has `lanes[k]` active lanes.
+    fn sm_hosting(scheds: u32, lanes: &[u8], order: &[usize]) -> Sm {
         let mut cfg = GpuConfig::tiny();
-        cfg.sm.sched_policy = policy;
         cfg.sm.warp_schedulers = scheds;
         let mut sm = Sm::new(SmId::new(0), &cfg);
         for (k, &l) in lanes.iter().enumerate() {
@@ -605,7 +569,7 @@ mod gate_oracle {
         let expected = model.tick(&warps);
         sm.tick(now);
         // An issue moves the warp's scoreboard off `now`.
-        let scheds = sm.scheds.len();
+        let scheds = sm.greedy.len();
         let mut issued = vec![None; scheds];
         for &slot in ready {
             if sm.warps.ready_at[usize::from(slot)] != now {
@@ -635,10 +599,9 @@ mod gate_oracle {
         let mut below = |n: u64| rng.next_below(n);
         let kernels = 2 + below(3) as usize;
         let lanes: Vec<u8> = (0..kernels).map(|_| [8, 16, 32, 32][below(4) as usize]).collect();
-        let policy = if below(2) == 0 { SchedPolicy::Gto } else { SchedPolicy::Lrr };
         let order: Vec<usize> =
             (0..6 + below(14)).map(|_| below(kernels as u64) as usize).collect();
-        let mut sm = sm_hosting(policy, 1 + below(4) as u32, &lanes, &order);
+        let mut sm = sm_hosting(1 + below(4) as u32, &lanes, &order);
         sm.gate.stale_hoist = stale_hoist;
         let ungated = below(4) == 0;
         let hosted: Vec<u16> =
@@ -655,9 +618,8 @@ mod gate_oracle {
         if !ungated && below(16) == 0 {
             sm.freeze_all_quota();
         }
-        for sched in &mut sm.scheds {
-            sched.greedy = (below(2) == 0).then(|| hosted[below(hosted.len() as u64) as usize]);
-            sched.rr_cursor = below(64) as u16;
+        for greedy in &mut sm.greedy {
+            *greedy = (below(2) == 0).then(|| hosted[below(hosted.len() as u64) as usize]);
         }
         for now in 1..=3 {
             let density = 1 + below(4);
@@ -673,7 +635,7 @@ mod gate_oracle {
     /// 0's issue exhausts the quota and thereby opens the priority gate, so
     /// the other three issue in the same cycle. Returns how many did.
     fn issues_on_the_exhaustion_edge(stale_hoist: bool) -> u64 {
-        let mut sm = sm_hosting(SchedPolicy::Gto, 4, &[32, 32], &[0, 1, 1]);
+        let mut sm = sm_hosting(4, &[32, 32], &[0, 1, 1]);
         sm.gate.stale_hoist = stale_hoist;
         let (q, b) = (KernelId::new(0), KernelId::new(1));
         assert_eq!(sm.warps.kernel[..5], [q, b, b, b, b], "slot = scheduler");
@@ -983,60 +945,55 @@ fn rollover_carry_keeps_surplus_discard_drops_it() {
 
 /// A scheduler count outside the fused gather's powers of two: three
 /// schedulers over two ungated kernels (ALU bursts, SFU, global loads, a
-/// barrier). Pins, per policy, how many instructions each scheduler issued,
-/// the SM's counters, and a digest of the whole encoded SM after every cycle.
-/// The encoded SM contains its L1, so the two digests (and nothing else here)
-/// moved with snapshot schema 8, which packs a cache line into one word.
+/// barrier). Pins how many instructions each scheduler issued, the SM's
+/// counters, and a digest of the whole encoded SM after every cycle. The
+/// digest (and nothing else here) moved with snapshot schema 9, which takes
+/// the policy byte and the per-scheduler round-robin cursors out of the
+/// encoded SM.
 #[test]
 fn odd_scheduler_count_matches_pinned_digest() {
     use crate::snap::{encode_to_vec, fnv1a};
-    use crate::warp_sched::SchedPolicy;
     const CYCLES: Cycle = 3_000;
-    let run = |policy| {
-        let mut cfg = GpuConfig::tiny();
-        cfg.sm.warp_schedulers = 3;
-        cfg.sm.sched_policy = policy;
-        let mut sm = Sm::new(SmId::new(0), &cfg);
-        let mut mem = MemSystem::new(cfg.mem.clone());
-        let desc = |name: &str, threads, body| {
-            let b = KernelDesc::builder(name).threads_per_tb(threads).regs_per_thread(16);
-            Arc::new(b.iterations(10_000).grid_tbs(8).body(body).build())
-        };
-        sm.set_kernel_desc(Q, desc("q", 128, vec![Op::alu(4, 3), Op::Bar, Op::sfu(20, 1)]));
-        let loads = vec![Op::alu(2, 2), Op::mem_load(AccessPattern::random(1 << 20, 4))];
-        sm.set_kernel_desc(B, desc("b", 64, loads));
-        for (tb, k) in [Q, B, Q, B, B].into_iter().enumerate() {
-            sm.dispatch(k, TbIndex(tb as u32), None, 0, 0);
-        }
-        // No TB finishes inside the run, so an issue always moves its slot's
-        // (pc, rem, iter) and nothing else does.
-        let progress = |sm: &Sm| -> Vec<(u16, u16, u32)> {
-            let t = &sm.warps;
-            (0..t.capacity()).map(|s| (t.pc[s], t.rem[s], t.iter[s])).collect()
-        };
-        let mut per_sched = [0u64; 3];
-        let mut digest = 0u64;
-        for now in 0..CYCLES {
-            let before = progress(&sm);
-            sm.step(now, &mut mem);
-            for (slot, (b, a)) in before.iter().zip(progress(&sm)).enumerate() {
-                per_sched[slot % 3] += u64::from(*b != a);
-            }
-            let state = [digest.to_le_bytes().to_vec(), encode_to_vec(&sm)].concat();
-            digest = fnv1a(&state);
-        }
-        assert_eq!(per_sched.iter().sum::<u64>(), sm.issued_total(), "every issue was seen");
-        let counters = [
-            sm.busy_cycles(),
-            sm.issue_slots(),
-            sm.counters(Q).thread_insts,
-            sm.counters(B).thread_insts,
-            sm.quota_blocked_cycles(Q) + sm.quota_blocked_cycles(B),
-        ];
-        (per_sched, counters, digest)
+    let mut cfg = GpuConfig::tiny();
+    cfg.sm.warp_schedulers = 3;
+    let mut sm = Sm::new(SmId::new(0), &cfg);
+    let mut mem = MemSystem::new(cfg.mem.clone());
+    let desc = |name: &str, threads, body| {
+        let b = KernelDesc::builder(name).threads_per_tb(threads).regs_per_thread(16);
+        Arc::new(b.iterations(10_000).grid_tbs(8).body(body).build())
     };
-    let gto = run(SchedPolicy::Gto);
-    let lrr = run(SchedPolicy::Lrr);
-    assert_eq!(gto, ([1788, 962, 935], [3000, 9000, 112_768, 5152, 0], 0x66be_6e1e_d5bf_224d));
-    assert_eq!(lrr, ([1687, 911, 884], [3000, 9000, 106_240, 5184, 0], 0xc4e5_bb7f_32ba_594b));
+    sm.set_kernel_desc(Q, desc("q", 128, vec![Op::alu(4, 3), Op::Bar, Op::sfu(20, 1)]));
+    let loads = vec![Op::alu(2, 2), Op::mem_load(AccessPattern::random(1 << 20, 4))];
+    sm.set_kernel_desc(B, desc("b", 64, loads));
+    for (tb, k) in [Q, B, Q, B, B].into_iter().enumerate() {
+        sm.dispatch(k, TbIndex(tb as u32), None, 0, 0);
+    }
+    // No TB finishes inside the run, so an issue always moves its slot's
+    // (pc, rem, iter) and nothing else does.
+    let progress = |sm: &Sm| -> Vec<(u16, u16, u32)> {
+        let t = &sm.warps;
+        (0..t.capacity()).map(|s| (t.pc[s], t.rem[s], t.iter[s])).collect()
+    };
+    let mut per_sched = [0u64; 3];
+    let mut digest = 0u64;
+    for now in 0..CYCLES {
+        let before = progress(&sm);
+        sm.step(now, &mut mem);
+        for (slot, (b, a)) in before.iter().zip(progress(&sm)).enumerate() {
+            per_sched[slot % 3] += u64::from(*b != a);
+        }
+        let state = [digest.to_le_bytes().to_vec(), encode_to_vec(&sm)].concat();
+        digest = fnv1a(&state);
+    }
+    assert_eq!(per_sched.iter().sum::<u64>(), sm.issued_total(), "every issue was seen");
+    let counters = [
+        sm.busy_cycles(),
+        sm.issue_slots(),
+        sm.counters(Q).thread_insts,
+        sm.counters(B).thread_insts,
+        sm.quota_blocked_cycles(Q) + sm.quota_blocked_cycles(B),
+    ];
+    assert_eq!(per_sched, [1788, 962, 935]);
+    assert_eq!(counters, [3000, 9000, 112_768, 5152, 0]);
+    assert_eq!(digest, 0x66e9_652c_86b9_2f15);
 }

@@ -22,6 +22,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::types::KernelId;
+
 pub mod frame;
 
 /// Error decoding a snapshot byte stream.
@@ -319,6 +321,22 @@ impl<A: Snap, B: Snap> Snap for (A, B) {
     }
 }
 
+/// A kernel id travels as its slot byte and indexes `PerKernel` arrays the
+/// moment it is decoded, so the range [`KernelId::new`] asserts is checked
+/// here.
+impl Snap for KernelId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let slot = u8::decode(r)?;
+        if usize::from(slot) >= crate::MAX_KERNELS {
+            return Err(SnapError::Invalid("KernelId"));
+        }
+        Ok(KernelId(slot))
+    }
+}
+
 /// `Arc` snapshots its inner value; decoding creates a fresh, unshared
 /// allocation. The simulator never relies on `Arc` pointer identity (SMs and
 /// the TB scheduler only read through it), so restored clones are
@@ -513,6 +531,15 @@ mod tests {
     fn bad_enum_tags_are_invalid() {
         assert!(matches!(decode_from_slice::<bool>(&[9]), Err(SnapError::Invalid("bool"))));
         assert!(matches!(decode_from_slice::<Option<u8>>(&[7]), Err(SnapError::Invalid(_))));
+    }
+
+    #[test]
+    fn kernel_ids_past_the_last_slot_are_invalid() {
+        let last = crate::MAX_KERNELS as u8 - 1;
+        assert_eq!(decode_from_slice::<KernelId>(&[last]), Ok(KernelId(last)));
+        for slot in [last + 1, u8::MAX] {
+            assert_eq!(decode_from_slice::<KernelId>(&[slot]), Err(SnapError::Invalid("KernelId")));
+        }
     }
 
     #[test]

@@ -35,10 +35,6 @@ pub enum SharingMode {
     Smk,
     /// Spatial partitioning: each SM executes TBs of its owner kernel only.
     Spatial,
-    /// Kernel-granularity time multiplexing (the paper's "third type" of
-    /// sharing, Fig. 2a): one kernel owns the whole GPU until it completes a
-    /// full grid execution, then the next kernel takes over.
-    TimeMux,
 }
 
 /// Per-kernel dispatch bookkeeping (grid cursor, re-execution, preempted pool).
@@ -90,8 +86,6 @@ pub struct TbScheduler {
     mode: SharingMode,
     targets: Vec<PerKernel<u16>>,
     owner: Vec<Option<KernelId>>,
-    active: usize,
-    active_baseline: u64,
     completed_scratch: Vec<(KernelId, TbIndex)>,
     saved_scratch: Vec<(KernelId, SavedTb)>,
 }
@@ -102,8 +96,6 @@ impl TbScheduler {
             mode: SharingMode::Exclusive,
             targets: (0..num_sms).map(|_| per_kernel(|_| UNLIMITED)).collect(),
             owner: vec![None; num_sms],
-            active: 0,
-            active_baseline: 0,
             completed_scratch: Vec::new(),
             saved_scratch: Vec::new(),
         }
@@ -147,35 +139,6 @@ impl TbScheduler {
                     0
                 }
             }
-            SharingMode::TimeMux => {
-                if self.active == k {
-                    UNLIMITED
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
-    /// The kernel currently owning the GPU in [`SharingMode::TimeMux`].
-    pub fn active_kernel(&self) -> KernelId {
-        KernelId::new(self.active)
-    }
-
-    /// Rotates the time-multiplexed owner once it has completed one full
-    /// grid execution since taking over (stragglers are preempted by the
-    /// regular target enforcement, modelling the drain).
-    fn rotate_time_mux(&mut self, kernels: &[KernelRuntime]) {
-        if kernels.is_empty() {
-            return;
-        }
-        if self.active >= kernels.len() {
-            self.active = 0;
-            self.active_baseline = kernels[0].launches_completed();
-        }
-        if kernels[self.active].launches_completed() > self.active_baseline {
-            self.active = (self.active + 1) % kernels.len();
-            self.active_baseline = kernels[self.active].launches_completed();
         }
     }
 
@@ -222,8 +185,8 @@ impl TbScheduler {
     }
 
     /// Whether a [`TbScheduler::service`] pass would mutate nothing — no
-    /// notifications to drain, no TimeMux rotation due, no kernel over its
-    /// target, and no TB that could be dispatched into free capacity.
+    /// notifications to drain, no kernel over its target, and no TB that
+    /// could be dispatched into free capacity.
     ///
     /// Fast-forward uses this to decide whether `DISPATCH_INTERVAL` service
     /// points inside an idle window must be simulated. Every input read here
@@ -236,14 +199,6 @@ impl TbScheduler {
     pub(crate) fn service_would_noop(&self, sms: &[Sm], kernels: &[KernelRuntime]) -> bool {
         if sms.iter().any(Sm::has_pending_notifications) {
             return false;
-        }
-        if self.mode == SharingMode::TimeMux && !kernels.is_empty() {
-            if self.active >= kernels.len() {
-                return false;
-            }
-            if kernels[self.active].launches_completed() > self.active_baseline {
-                return false;
-            }
         }
         let nk = kernels.len();
         for (si, sm) in sms.iter().enumerate() {
@@ -287,9 +242,6 @@ impl TbScheduler {
         }
         for (k, tb) in self.saved_scratch.drain(..) {
             kernels[k.index()].preempted.push(tb);
-        }
-        if self.mode == SharingMode::TimeMux {
-            self.rotate_time_mux(kernels);
         }
 
         for (si, sm) in sms.iter_mut().enumerate() {
@@ -338,7 +290,7 @@ impl TbScheduler {
     }
 }
 
-crate::impl_snap_enum!(SharingMode { Exclusive = 0, Smk = 1, Spatial = 2, TimeMux = 3 });
+crate::impl_snap_enum!(SharingMode { Exclusive = 0, Smk = 1, Spatial = 2 });
 
 crate::impl_snap_struct!(KernelRuntime { desc, next_tb, tbs_completed, preempted });
 
@@ -346,8 +298,6 @@ crate::impl_snap_struct!(TbScheduler {
     mode,
     targets,
     owner,
-    active,
-    active_baseline,
 } skip { completed_scratch, saved_scratch });
 
 #[cfg(test)]
@@ -453,29 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn time_mux_grants_everything_to_the_active_kernel() {
-        let (mut sms, mut kernels, mut mem, mut sched, pcfg) = setup(2);
-        sched.set_mode(SharingMode::TimeMux);
-        sched.service(0, &mut sms, &mut kernels, &mut mem, &pcfg);
-        assert_eq!(sched.active_kernel(), KernelId::new(0));
-        for sm in &sms {
-            assert_eq!(sm.hosted_tbs(KernelId::new(0)), 8);
-            assert_eq!(sm.hosted_tbs(KernelId::new(1)), 0);
-        }
-    }
-
-    #[test]
-    fn time_mux_rotates_after_a_full_grid() {
-        let (mut sms, mut kernels, mut mem, mut sched, pcfg) = setup(2);
-        sched.set_mode(SharingMode::TimeMux);
-        sched.service(0, &mut sms, &mut kernels, &mut mem, &pcfg);
-        // Simulate kernel 0 completing one full grid.
-        let grid = kernels[0].desc.grid_tbs() as u64;
-        for _ in 0..=grid {
-            kernels[0].note_tb_completed();
-        }
-        sched.service(8, &mut sms, &mut kernels, &mut mem, &pcfg);
-        assert_eq!(sched.active_kernel(), KernelId::new(1), "ownership rotates");
+    fn retired_time_mux_tag_no_longer_decodes() {
+        // Tag 3 was kernel-granularity time multiplexing, a mode nothing but
+        // its own tests selected; a stream that still carries it is refused.
+        use crate::snap::{decode_from_slice, SnapError};
+        assert_eq!(decode_from_slice::<SharingMode>(&[3]), Err(SnapError::Invalid("SharingMode")));
     }
 
     #[test]

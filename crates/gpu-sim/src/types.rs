@@ -72,8 +72,6 @@ impl fmt::Display for TbIndex {
     }
 }
 
-crate::impl_snap_struct!(KernelId { 0 });
-
 crate::impl_snap_struct!(SmId { 0 });
 
 crate::impl_snap_struct!(TbIndex { 0 });

@@ -46,8 +46,10 @@ pub const FAILURE_MAGIC: [u8; 4] = *b"FGFS";
 /// Schema version of the checkpoint container; bumped on any layout change
 /// so stale files are refused instead of misdecoded. v2: the embedded
 /// machine snapshots and health reports carry the counter registry and
-/// flight-recorder rings (DESIGN.md §12).
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
+/// flight-recorder rings (DESIGN.md §12). v3: the `QosManager` inside an
+/// in-progress case no longer carries an `α` cap, and the machine snapshot
+/// beside it is schema 9.
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
 /// How many checkpoint generations are kept on disk. The newest may be torn
 /// or corrupt after a crash; older generations are the fallback.
 pub const KEEP_GENERATIONS: usize = 3;

@@ -128,9 +128,10 @@ fn machine_blobs(snapshot: &[u8]) -> Vec<std::ops::Range<usize>> {
 /// `blobs` are [`machine_blobs`]. A copy tampered inside a machine blob is
 /// only restored: what `Gpu::restore` lets through is that decoder's to vet
 /// (`gpu_restore_survives_length_bombs`), and of a machine's tables only the
-/// caches are checked against the receiver yet. Of this drill's 9,285 windows
-/// inside machine blobs, 86 restore `Ok` and panic when stepped (305 in a dev
-/// build, which also traps overflowing counters): ROADMAP item 2, counted by
+/// caches are checked against the receiver yet (and kernel ids, as they
+/// decode). Of this drill's 9,276 windows inside machine blobs, 71 restore
+/// `Ok` and panic when stepped (279 in a dev build, which also traps
+/// overflowing counters): ROADMAP item 2, counted by
 /// `count_machine_windows_that_restore_then_panic`.
 fn restore_fleet_window(blobs: &[std::ops::Range<usize>], real: &[u8], evil: &[u8]) {
     if real.len() != evil.len() || blobs.iter().any(|b| real[b.clone()] != evil[b.clone()]) {
@@ -201,14 +202,16 @@ fn machine_blob(cfg: &GpuConfig) -> Vec<u8> {
     gpu.snapshot().expect("epoch boundary").to_bytes()
 }
 
+/// Byte offset of SM 0's L1 in a serialized machine blob. Magic, version, two
+/// fingerprints, payload length; cycle, SM count; SM 0 up to its L1: id,
+/// three u16 limits, max_threads, two sizes.
+const L1_AT: usize = (4 + 4 + 8 + 8 + 8) + (8 + 8) + (2 + 2 + 2 + 2 + 4 + 8 + 8);
+
 /// A bombed `sets` or `ways` decodes (both are plain `usize`s), and the
 /// restored L1 would index past its lines on the first access:
 /// `Gpu::restore` must refuse the cache for not fitting the machine.
 #[test]
 fn gpu_restore_refuses_a_cache_that_does_not_fit_the_machine() {
-    // Magic, version, two fingerprints, payload length; cycle, SM count;
-    // SM 0 up to its L1: id, policy, three u16 limits, max_threads, two sizes.
-    const L1_AT: usize = (4 + 4 + 8 + 8 + 8) + (8 + 8) + (2 + 1 + 2 + 2 + 2 + 4 + 8 + 8);
     let cfg = GpuConfig::tiny();
     let blob = machine_blob(&cfg);
     let lines = cfg.mem.l1_bytes / u64::from(cfg.mem.line_bytes);
@@ -222,6 +225,31 @@ fn gpu_restore_refuses_a_cache_that_does_not_fit_the_machine() {
         let refused = Gpu::new(cfg.clone()).restore(&evil);
         assert!(matches!(refused, Err(SnapshotError::Corrupt(_))), "byte {at}: {refused:?}");
     }
+}
+
+/// Warp slots name their kernel by a byte that indexes `PerKernel` arrays on
+/// the first tick and the first epoch sample: one past the last kernel slot
+/// must fail to decode, not restore `Ok`.
+#[test]
+fn gpu_restore_refuses_a_warp_of_a_kernel_past_the_last_slot() {
+    let cfg = GpuConfig::tiny();
+    let blob = machine_blob(&cfg);
+    // After the L1 (a word per line, sets, ways, shift and clock, two
+    // counters): the per-kernel descriptions, two latencies and three
+    // occupancy counters, then the warp table, whose first column is `kernel`.
+    let lines = (cfg.mem.l1_bytes / u64::from(cfg.mem.line_bytes)) as usize;
+    let descs = [Some("sgemm"), Some("lbm"), None, None]
+        .map(|name| name.map(|n| workloads::by_name(n).expect("known workload")));
+    let kernel_at = L1_AT
+        + (8 + 8 * lines + 8 + 8 + 4 + 4 + 8 + 8)
+        + gpu_sim::snap::encode_to_vec(&descs).len()
+        + (4 + 4 + 4 + 8 + 8);
+    assert_eq!(word(&blob, kernel_at), u64::from(cfg.sm.max_warps()), "the column's length");
+    let last_slot = gpu_sim::MAX_KERNELS as u8 - 1;
+    assert!(blob[kernel_at + 8..][..8].iter().all(|&k| k <= last_slot), "real kernel ids");
+    let evil = SnapshotBlob::from_bytes(&bombed(&blob, kernel_at + 8)).expect("framing untouched");
+    let refused = Gpu::new(cfg).restore(&evil);
+    assert!(matches!(refused, Err(SnapshotError::Corrupt(_))), "{refused:?}");
 }
 
 #[test]

@@ -11,10 +11,6 @@ use crate::static_alloc::{
     initial_plan, select_victim, select_victim_for_nonqos, targets_feasible, VictimCandidate,
 };
 
-/// Default cap on the history multiplier `α` (guards the first epochs, when
-/// the measured history is still tiny).
-pub const DEFAULT_ALPHA_CAP: f64 = 8.0;
-
 /// Epoch-driven QoS manager for fine-grained (SMK) sharing.
 ///
 /// Build with [`QosManager::new`] and [`QosManager::with_kernel`], then pass
@@ -23,7 +19,6 @@ pub const DEFAULT_ALPHA_CAP: f64 = 8.0;
 pub struct QosManager {
     scheme: QuotaScheme,
     specs: Vec<QosSpec>,
-    alpha_cap: f64,
     static_adjust: bool,
     history_override: Option<bool>,
 
@@ -50,7 +45,6 @@ impl QosManager {
         QosManager {
             scheme,
             specs: Vec::new(),
-            alpha_cap: DEFAULT_ALPHA_CAP,
             static_adjust: true,
             history_override: None,
             initialized: false,
@@ -87,13 +81,6 @@ impl QosManager {
     /// of the scheme default — the §4.8 history ablation knob.
     pub fn with_history_adjust(mut self, on: bool) -> Self {
         self.history_override = Some(on);
-        self
-    }
-
-    /// Changes the `α` cap (rarely needed).
-    pub fn with_alpha_cap(mut self, cap: f64) -> Self {
-        assert!(cap >= 1.0, "alpha cap below 1 would shrink quotas");
-        self.alpha_cap = cap;
         self
     }
 
@@ -219,11 +206,7 @@ impl QosManager {
         for (k, &epoch_ipc) in snap_ipc.iter().enumerate() {
             let Some(goal) = self.specs[k].goal_ipc() else { continue };
             let kid = KernelId::new(k);
-            let a = if history_on && epoch > 0 {
-                alpha(goal, self.history_ipc(kid), self.alpha_cap)
-            } else {
-                1.0
-            };
+            let a = if history_on && epoch > 0 { alpha(goal, self.history_ipc(kid)) } else { 1.0 };
             self.alphas[k] = a;
             standings.push(QosStanding { epoch_ipc, alpha: a, goal_ipc: goal });
             let quota = epoch_quota(goal, a, epoch_cycles);
@@ -415,7 +398,6 @@ impl Controller for QosManager {
 gpu_sim::impl_snap_struct!(QosManager {
     scheme,
     specs,
-    alpha_cap,
     static_adjust,
     history_override,
     initialized,
@@ -588,12 +570,6 @@ mod tests {
         gpu.run(50_000, &mut mgr);
         let after: Vec<u16> = gpu.sm_ids().map(|sm| gpu.tb_target(sm, q)).collect();
         assert_eq!(before, after, "targets must stay at the initial plan");
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha cap")]
-    fn alpha_cap_below_one_rejected() {
-        let _ = QosManager::new(QuotaScheme::Rollover).with_alpha_cap(0.5);
     }
 
     #[test]

@@ -66,14 +66,17 @@ impl QuotaScheme {
     }
 }
 
+/// Cap on the history multiplier `α`: it keeps the first epochs, when the
+/// measured history is still tiny, from handing a kernel the whole machine.
+pub const DEFAULT_ALPHA_CAP: f64 = 8.0;
+
 /// The history-based quota multiplier (§3.4.2):
-/// `α = max(IPC_goal / IPC_history, 1)`, clamped to `alpha_cap` to keep the
-/// first epochs (tiny history) from handing a kernel the whole machine.
-pub fn alpha(goal_ipc: f64, history_ipc: f64, alpha_cap: f64) -> f64 {
+/// `α = max(IPC_goal / IPC_history, 1)`, clamped to [`DEFAULT_ALPHA_CAP`].
+pub fn alpha(goal_ipc: f64, history_ipc: f64) -> f64 {
     if history_ipc <= 0.0 {
-        return alpha_cap;
+        return DEFAULT_ALPHA_CAP;
     }
-    (goal_ipc / history_ipc).max(1.0).min(alpha_cap)
+    (goal_ipc / history_ipc).clamp(1.0, DEFAULT_ALPHA_CAP)
 }
 
 /// Per-epoch quota in thread-instructions (§3.4.1, eq. 1):
@@ -150,14 +153,14 @@ mod tests {
     #[test]
     fn alpha_matches_paper_example() {
         // §3.4.2: goal 125, history 100 -> α = 1.25.
-        assert!((alpha(125.0, 100.0, 8.0) - 1.25).abs() < 1e-12);
+        assert!((alpha(125.0, 100.0) - 1.25).abs() < 1e-12);
     }
 
     #[test]
     fn alpha_never_below_one_and_capped() {
-        assert_eq!(alpha(100.0, 200.0, 8.0), 1.0, "ahead of goal: no scaling");
-        assert_eq!(alpha(100.0, 1.0, 8.0), 8.0, "cap limits early blow-up");
-        assert_eq!(alpha(100.0, 0.0, 8.0), 8.0, "zero history hits the cap");
+        assert_eq!(alpha(100.0, 200.0), 1.0, "ahead of goal: no scaling");
+        assert_eq!(alpha(100.0, 1.0), DEFAULT_ALPHA_CAP, "cap limits early blow-up");
+        assert_eq!(alpha(100.0, 0.0), DEFAULT_ALPHA_CAP, "zero history hits the cap");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use fgqos::sim::dram::ServiceQueue;
 use fgqos::{Gpu, GpuConfig, KernelDesc, KernelId, NullController};
 use gpu_sim::{AccessPattern, Op};
 use proptest::prelude::*;
-use qos_core::scheme::{alpha, distribute_quota, epoch_quota};
+use qos_core::scheme::{alpha, distribute_quota, epoch_quota, DEFAULT_ALPHA_CAP};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -105,10 +105,9 @@ proptest! {
     fn alpha_bounds_and_monotonicity(
         goal in 1.0f64..3000.0,
         history in 0.0f64..3000.0,
-        cap in 1.0f64..16.0,
     ) {
-        let a = alpha(goal, history, cap);
-        prop_assert!(a >= 1.0 && a <= cap, "alpha {a} out of [1, {cap}]");
+        let a = alpha(goal, history);
+        prop_assert!((1.0..=DEFAULT_ALPHA_CAP).contains(&a), "alpha {a} out of [1, cap]");
         let q1 = epoch_quota(goal, 1.0, 10_000);
         let q2 = epoch_quota(goal, a, 10_000);
         prop_assert!(q2 >= q1, "history adjustment never shrinks the quota");

@@ -21,7 +21,7 @@ use fgqos::sim::trace::{records_hash, EpochRecord, Tracer};
 use fgqos::{
     Controller, Gpu, GpuConfig, KernelDesc, QosManager, QosSpec, QuotaScheme, SpartController,
 };
-use gpu_sim::{AccessPattern, KernelStats, Op, Snap, SnapshotBlob};
+use gpu_sim::{AccessPattern, KernelStats, Op, SharingMode, Snap, SnapshotBlob};
 use proptest::prelude::*;
 
 // ----------------------------------------------------------------------
@@ -409,7 +409,9 @@ fn golden_scenario_survives_snapshot_restore() {
 /// a warmed Table-1 machine under the benchmark's trio. A change to what a
 /// snapshot carries moves this number on every runner; re-pin it with the
 /// schema version and say what the bytes buy. The caches are 8 bytes a line
-/// (DESIGN.md §3.2): 81,920 lines make 655,360 of these bytes.
+/// (DESIGN.md §3.2): 81,920 lines make 655,360 of these bytes. Schema 9 is
+/// 160 bytes under schema 8: a policy byte and four `u16` round-robin cursors
+/// on each of 16 SMs, and the TB scheduler's two time-multiplexing words.
 #[test]
 fn warmed_trio_payload_size_is_pinned() {
     let cfg = GpuConfig::paper_table1();
@@ -421,7 +423,7 @@ fn warmed_trio_payload_size_is_pinned() {
         .with_kernel(q2, QosSpec::qos(20.0))
         .with_kernel(be, QosSpec::best_effort());
     gpu.run(3 * cfg.epoch_cycles, &mut manager);
-    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 752_366);
+    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 752_206);
 }
 
 // ----------------------------------------------------------------------
@@ -648,6 +650,10 @@ fn enum_wire_bytes_are_pinned() {
     pin(&DeviceFate::Lost { at: 21 }, &tagged(1, &[21]));
     pin(&DeviceFate::Wedged { at: 22 }, &tagged(2, &[22]));
     pin(&DeviceFate::Drained { at: 23 }, &tagged(3, &[23]));
+
+    pin(&SharingMode::Exclusive, &[0]);
+    pin(&SharingMode::Smk, &[1]);
+    pin(&SharingMode::Spatial, &[2]);
 
     pin(&Placement::Binpack, &[0]);
     pin(&Placement::Spread, &[1]);
