@@ -64,15 +64,17 @@ use crate::request::{Request, RequestState, ShedReason};
 /// migration-duration histograms and the tick-sampled counter
 /// [`TimeSeries`] (DESIGN.md §17). v4 dropped the migration switch from the
 /// configuration and the `Option` tag from every batch's checkpoint (a batch
-/// always has one), and embeds schema-9 device blobs. Host-profiler
-/// wall-clock state is deliberately absent — it is host-dependent and must
-/// never influence simulated state.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 4;
+/// always has one), and embeds schema-9 device blobs. v5 dropped the
+/// per-tick sample list (the series is the one per-tick history), refuses a
+/// series of any capacity but [`FLEET_SERIES_CAPACITY`], and embeds
+/// schema-10 device blobs. Host-profiler wall-clock state is deliberately
+/// absent — it is host-dependent and must never influence simulated state.
+pub const FLEET_SNAPSHOT_VERSION: u32 = 5;
 
 /// Ring capacity of the fleet's tick-sampled counter time series. Large
-/// enough that every shipped scenario (the diurnal soak runs 558 ticks)
-/// keeps its full history; longer runs evict oldest-first and count the
-/// evictions.
+/// enough that every shipped scenario (at most 1,500 ticks; the diurnal soak
+/// runs 558) keeps its full history; longer runs evict oldest-first and
+/// count the evictions.
 pub const FLEET_SERIES_CAPACITY: usize = 4096;
 
 /// What ultimately happened to a device.
@@ -257,78 +259,6 @@ impl TenantCounters {
     }
 }
 
-/// One per-tick observability sample for one tenant (cumulative counters
-/// plus the instantaneous queue depth) — the raw material of the Perfetto
-/// per-tenant tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantSample {
-    /// Cumulative completions.
-    pub completed: u64,
-    /// Cumulative SLO-met completions.
-    pub slo_met: u64,
-    /// Cumulative retries.
-    pub retries: u64,
-    /// Cumulative sheds.
-    pub shed: u64,
-    /// Cumulative live migrations.
-    pub migrated: u64,
-    /// Requests of this tenant queued right now.
-    pub queued: u64,
-    /// p50 completion latency so far, in fleet cycles (0 until the first
-    /// completion).
-    pub latency_p50: u64,
-    /// p90 completion latency so far, in fleet cycles.
-    pub latency_p90: u64,
-    /// p99 completion latency so far, in fleet cycles.
-    pub latency_p99: u64,
-    /// p99.9 completion latency so far, in fleet cycles.
-    pub latency_p999: u64,
-    /// SLO error-budget burn rate in ppm (1_000_000 = consuming the
-    /// budget exactly; above ⇒ the attainment floor is violated). 0 for
-    /// best-effort tenants.
-    pub slo_burn_ppm: u64,
-}
-
-gpu_sim::impl_snap_struct!(TenantSample {
-    completed,
-    slo_met,
-    retries,
-    shed,
-    migrated,
-    queued,
-    latency_p50,
-    latency_p90,
-    latency_p99,
-    latency_p999,
-    slo_burn_ppm,
-});
-
-/// One per-tick observability sample across the fleet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TickSample {
-    /// Fleet cycle at the end of the tick.
-    pub cycle: u64,
-    /// Queue depth across all tenants.
-    pub queue_depth: u64,
-    /// Healthy device count.
-    pub healthy_devices: u64,
-    /// Whether load shedding was engaged.
-    pub shedding: bool,
-    /// Batches waiting in the pending-migration queue.
-    pub pending_migrations: u64,
-    /// Per-tenant cumulative counters, in tenant order.
-    pub tenants: Vec<TenantSample>,
-}
-
-gpu_sim::impl_snap_struct!(TickSample {
-    cycle,
-    queue_depth,
-    healthy_devices,
-    shedding,
-    pending_migrations,
-    tenants,
-});
-
 /// The fleet: devices, tenants, queue, and the scheduler state machine.
 #[derive(Debug)]
 pub struct Fleet {
@@ -359,9 +289,9 @@ pub struct Fleet {
     /// Requests evicted into retry-from-scratch (no checkpoint, migration
     /// disabled, or fallback).
     evictions: u64,
-    samples: Vec<TickSample>,
-    /// Tick-sampled counter-registry time series (snapshotted: a resumed
-    /// run carries the same history a straight-through run would).
+    /// Tick-sampled counter-registry time series: the one per-tick history,
+    /// read by the metrics exports and the Perfetto trace (snapshotted: a
+    /// resumed run carries the same history a straight-through run would).
     series: TimeSeries,
     /// Host-side wall-clock self-profiler. Deliberately NOT snapshotted
     /// and never read by simulation logic — wall time is host-dependent.
@@ -432,7 +362,6 @@ impl Fleet {
             migrations: Vec::new(),
             migration_fallbacks: 0,
             evictions: 0,
-            samples: Vec::new(),
             series: TimeSeries::new(FLEET_SERIES_CAPACITY),
             prof: HostProfiler::new(),
         }
@@ -474,21 +403,10 @@ impl Fleet {
         &self.tenants
     }
 
-    /// Per-tick observability samples recorded so far.
-    pub fn samples(&self) -> &[TickSample] {
-        &self.samples
-    }
-
-    /// The tick-sampled counter-registry time series.
+    /// The tick-sampled counter-registry time series: one row of
+    /// [`Fleet::counter_registry`] per tick.
     pub fn metrics_series(&self) -> &TimeSeries {
         &self.series
-    }
-
-    /// Replaces the counter time series with one of the given ring
-    /// capacity (0 disables sampling). Clears any recorded rows — call
-    /// before the first tick.
-    pub fn enable_metrics_series(&mut self, capacity: usize) {
-        self.series = TimeSeries::new(capacity);
     }
 
     /// Arms or disarms the host-side wall-clock self-profiler.
@@ -1246,46 +1164,10 @@ impl Fleet {
         self.queue.push_back(id);
     }
 
-    /// Records the per-tick observability sample.
+    /// Records the per-tick observability sample: one series row.
     fn record_sample(&mut self) {
-        let mut queued_per_tenant = vec![0u64; self.cfg.tenants.len()];
-        for &id in &self.queue {
-            queued_per_tenant[self.requests[id].tenant] += 1;
-        }
-        let tenants = self
-            .tenants
-            .iter()
-            .enumerate()
-            .zip(&queued_per_tenant)
-            .map(|((t, c), &queued)| TenantSample {
-                completed: c.completed,
-                slo_met: c.slo_met,
-                retries: c.retries,
-                shed: c.shed_total(),
-                migrated: c.migrated,
-                queued,
-                latency_p50: c.latency_hist.p50(),
-                latency_p90: c.latency_hist.p90(),
-                latency_p99: c.latency_hist.p99(),
-                latency_p999: c.latency_hist.p999(),
-                slo_burn_ppm: self.cfg.tenants[t]
-                    .class
-                    .slo()
-                    .map_or(0, |slo| slo.burn_rate_ppm(c.slo_met, c.arrived)),
-            })
-            .collect();
-        self.samples.push(TickSample {
-            cycle: self.cycle,
-            queue_depth: self.queue.len() as u64,
-            healthy_devices: self.devices.iter().filter(|d| d.fate.is_healthy()).count() as u64,
-            shedding: self.shedding,
-            pending_migrations: self.pending_migrations.len() as u64,
-            tenants,
-        });
-        if self.series.enabled() {
-            let entries = self.counter_registry();
-            self.series.sample_deterministic(self.cycle, &entries);
-        }
+        let entries = self.counter_registry();
+        self.series.sample(self.cycle, &entries);
     }
 
     /// Sheds every live request still waiting in the pending-migration
@@ -1383,6 +1265,10 @@ impl Fleet {
         push("fleet_migrated_requests", machine, Counter, as_i64(self.migrated_requests()));
         push("fleet_pending_migrations", machine, Gauge, self.pending_migrations.len() as i64);
         push("fleet_migration_fallbacks", machine, Counter, as_i64(self.migration_fallbacks));
+        let mut queued = vec![0i64; self.tenants.len()];
+        for &id in &self.queue {
+            queued[self.requests[id].tenant] += 1;
+        }
         for (t, c) in self.tenants.iter().enumerate() {
             let scope = CounterScope::Tenant(t);
             push("arrived", scope, Counter, as_i64(c.arrived));
@@ -1392,6 +1278,7 @@ impl Fleet {
             push("retries", scope, Counter, as_i64(c.retries));
             push("migrated", scope, Counter, as_i64(c.migrated));
             push("shed", scope, Counter, as_i64(c.shed_total()));
+            push("queued", scope, Gauge, queued[t]);
             push("ws_estimate_bytes", scope, Gauge, as_i64(self.ws[t].estimate()));
             push("latency_p50", scope, Gauge, as_i64(c.latency_hist.p50()));
             push("latency_p90", scope, Gauge, as_i64(c.latency_hist.p90()));
@@ -1563,7 +1450,6 @@ impl Fleet {
         self.migrations.encode(&mut out);
         self.migration_fallbacks.encode(&mut out);
         self.evictions.encode(&mut out);
-        self.samples.encode(&mut out);
         self.series.encode(&mut out);
         (self.devices.len() as u64).encode(&mut out);
         for d in &self.devices {
@@ -1626,13 +1512,18 @@ impl Fleet {
         let migrations = Vec::<MigrationRecord>::decode(&mut r).map_err(fail)?;
         let migration_fallbacks = u64::decode(&mut r).map_err(fail)?;
         let evictions = u64::decode(&mut r).map_err(fail)?;
-        let samples = Vec::<TickSample>::decode(&mut r).map_err(fail)?;
         let series = TimeSeries::decode(&mut r).map_err(fail)?;
         // Both counts come from the stream; refuse a wrong one before it
         // sizes an allocation (the bytes may be a re-sealed checkpoint file).
         let misshapen = || "fleet snapshot shape does not match the configuration".to_string();
         let n_devices = u64::decode(&mut r).map_err(fail)?;
         if n_devices != u64::from(cfg.total_devices()) || tenants.len() != cfg.tenants.len() {
+            return Err(misshapen());
+        }
+        // `sample` evicts at `capacity`, so a series of another capacity
+        // (0 included) would be indexed past its rows on the next tick.
+        if series.capacity() != FLEET_SERIES_CAPACITY || series.rows().len() > FLEET_SERIES_CAPACITY
+        {
             return Err(misshapen());
         }
         let mut devices = Vec::with_capacity(n_devices as usize);
@@ -1746,7 +1637,6 @@ impl Fleet {
             migrations,
             migration_fallbacks,
             evictions,
-            samples,
             series,
             prof: HostProfiler::new(),
         })
@@ -1848,8 +1738,12 @@ mod tests {
         assert!(shed_overload > 0, "the flood tenant must lose work");
         // Hysteresis: the shedding flag may engage and disengage, but must
         // not oscillate tick to tick.
+        let series = fleet.metrics_series();
+        let column = series.columns().iter().position(|c| c == "machine/fleet_shedding");
+        let column = column.expect("the registry gauges shedding");
         let transitions =
-            fleet.samples().windows(2).filter(|w| w[0].shedding != w[1].shedding).count();
+            series.rows().windows(2).filter(|w| w[0].values[column] != w[1].values[column]).count();
+        assert_eq!(series.evicted(), 0, "the series holds the whole run");
         assert!(transitions <= 4, "shedding flapped: {transitions} transitions");
         assert!(fleet.all_guaranteed_met(), "overload must not break the guarantee");
         assert_eq!(fleet.lost_requests(), 0);

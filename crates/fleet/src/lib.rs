@@ -51,9 +51,7 @@ pub use config::{
     DeviceClass, FleetConfig, FleetConfigError, FleetFault, MigrationConfig, Placement,
     PlannedDrain, TenantSpec,
 };
-pub use fleet::{
-    DeviceFate, Fleet, TenantCounters, TenantSample, TickSample, FLEET_SNAPSHOT_VERSION,
-};
+pub use fleet::{DeviceFate, Fleet, TenantCounters, FLEET_SNAPSHOT_VERSION};
 pub use migrate::{MigrationReason, MigrationRecord, PendingMigration};
 pub use placement::{DeviceView, PlacementCtx, PlacementPolicy, RequestView};
 pub use request::{Request, RequestState, ShedReason};

@@ -19,7 +19,7 @@ use crate::sm::{QuotaCarry, Sm};
 use crate::snap::{Snap, SnapError, SnapReader};
 use crate::stats::{EpochSnapshot, GpuStats, KernelStats};
 use crate::tb_sched::{KernelRuntime, SharingMode, TbScheduler};
-use crate::telemetry::{HostProfiler, LatencyHistogram, ProfPhase, TimeSeries, WorkCounters};
+use crate::telemetry::{HostProfiler, ProfPhase, WorkCounters};
 use crate::types::{per_kernel, Cycle, KernelId, PerKernel, SmId};
 
 /// Cycles between TB-scheduler service passes (dispatch / preemption checks).
@@ -72,11 +72,6 @@ pub struct Gpu {
     trace_on: bool,
     events: EventRing,
     was_idle: bool,
-    // Epoch-sampled counter time series (telemetry; disabled by default and
-    // enabled at runtime via `enable_metrics_series` so the registry walk
-    // costs nothing otherwise). Snapshotted — part of the bit-identity
-    // surface, which is why it samples via `sample_deterministic`.
-    series: TimeSeries,
     // Host-side self-profiler. Deliberately NOT snapshotted: wall-clock
     // attribution is nondeterministic host state (DESIGN.md §17).
     prof: HostProfiler,
@@ -117,7 +112,6 @@ impl Gpu {
                 0
             }),
             was_idle: false,
-            series: TimeSeries::disabled(),
             prof: HostProfiler::new(),
             work: WorkCounters::default(),
             cycle: 0,
@@ -237,10 +231,6 @@ impl Gpu {
                 self.epoch_index += 1;
                 for sm in &mut self.sms {
                     sm.reset_idle_sampling();
-                }
-                if self.series.enabled() {
-                    let entries = self.counter_registry();
-                    self.series.sample_deterministic(now, &entries);
                 }
                 let t1 = self.prof.lap(ProfPhase::QosEpochService, t0);
                 self.service(now);
@@ -545,32 +535,10 @@ impl Gpu {
         self.cycle
     }
 
-    /// Cycles elided by idle fast-forward so far (always 0 when
-    /// `cfg.fast_forward` is off). Skipped cycles still count toward
-    /// [`Gpu::cycle`] and all per-SM busy accounting; this counter only
-    /// reports how much per-cycle work the jump optimisation avoided.
-    pub fn skipped_cycles(&self) -> Cycle {
-        self.ff_skipped
-    }
-
     /// The machine-level flight-recorder ring (epoch boundaries, idle
     /// transitions, injected faults). Per-SM events live on the SMs.
     pub fn events(&self) -> &EventRing {
         &self.events
-    }
-
-    /// Enables epoch-boundary counter-registry sampling into a bounded
-    /// [`TimeSeries`] holding at most `capacity` rows (0 disables it again).
-    /// The series is snapshotted, so it must be enabled identically on a
-    /// machine that will restore a snapshot taken with it enabled.
-    pub fn enable_metrics_series(&mut self, capacity: usize) {
-        self.series = TimeSeries::new(capacity);
-    }
-
-    /// The epoch-sampled counter time series (empty unless
-    /// [`Gpu::enable_metrics_series`] was called).
-    pub fn metrics_series(&self) -> &TimeSeries {
-        &self.series
     }
 
     /// Enables or disables the host-side self-profiler. Profiler state is
@@ -596,22 +564,6 @@ impl Gpu {
             work.gate_evals += sm.gate_evals();
         }
         work
-    }
-
-    /// Mutable profiler access, for callers that attribute externally timed
-    /// spans (e.g. checkpoint writes) to this machine's profile.
-    pub fn profiler_mut(&mut self) -> &mut HostProfiler {
-        &mut self.prof
-    }
-
-    /// Machine-wide preemption-save latency histogram of kernel `k` (the
-    /// per-SM histograms merged).
-    pub fn preempt_save_histogram(&self, k: KernelId) -> LatencyHistogram {
-        let mut agg = LatencyHistogram::new();
-        for sm in &self.sms {
-            agg.merge(sm.preempt_save_hist(k));
-        }
-        agg
     }
 
     /// The last `n` flight-recorder events machine-wide, oldest first: the
@@ -952,7 +904,6 @@ impl Gpu {
         self.ff_skipped.encode(&mut payload);
         self.events.encode(&mut payload);
         self.was_idle.encode(&mut payload);
-        self.series.encode(&mut payload);
         Ok(SnapshotBlob {
             version: SNAPSHOT_SCHEMA_VERSION,
             config_fingerprint: self.config_fingerprint(),
@@ -964,7 +915,7 @@ impl Gpu {
     /// About how many bytes [`Gpu::snapshot`] encodes, so that it allocates
     /// once: 8 per cache line, a row per warp slot, and an allowance for the
     /// rest (TB slabs, kernels, counters, an empty event ring). A machine that
-    /// carries more (a filled trace ring, a long series) grows the buffer.
+    /// carries more (a filled trace ring) grows the buffer.
     fn payload_size_hint(&self) -> usize {
         const WARP_ROW_BYTES: usize = 64;
         const FIXED_BYTES: usize = 64 << 10;
@@ -1054,7 +1005,6 @@ impl Gpu {
         let ff_skipped = Cycle::decode(&mut r)?;
         let events = EventRing::decode(&mut r)?;
         let was_idle = bool::decode(&mut r)?;
-        let series = TimeSeries::decode(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
                 "trailing bytes in snapshot payload",
@@ -1086,7 +1036,6 @@ impl Gpu {
         self.ff_skipped = ff_skipped;
         self.events = events;
         self.was_idle = was_idle;
-        self.series = series;
         Ok(())
     }
 }
@@ -1148,7 +1097,7 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// same-class device with a different fault plan; version 6 added the
 /// telemetry layer's deterministic state — per-SM per-kernel
 /// preemption-save latency histograms and the machine's epoch-sampled
-/// counter [`TimeSeries`] (DESIGN.md §17); version 7 switched the hot
+/// counter series (DESIGN.md §17); version 7 switched the hot
 /// per-SM state to struct-of-arrays layouts — the warp table
 /// ([`crate::sm::WarpTable`]), the TB slab ([`crate::tb::TbSlab`]), and the
 /// cache tag/LRU arrays — changing the field set and order of every per-SM
@@ -1158,10 +1107,11 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// per-scheduler round-robin cursors, the TB scheduler's two time-multiplexing
 /// rotation words, and `sched_policy` from the embedded [`GpuConfig`] (and so
 /// from both fingerprints) — and refuses `SharingMode` tag 3 and kernel ids
-/// past [`crate::MAX_KERNELS`].
+/// past [`crate::MAX_KERNELS`]; version 10 took version 6's histograms and
+/// series back out, as nothing outside tests read them (DESIGN.md §8.1).
 /// Host-profiler state is deliberately absent: wall-clock attribution never
 /// enters snapshots.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 9;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";
@@ -1696,7 +1646,13 @@ mod tests {
         assert_eq!(resumed.stats().kernel(a).thread_insts, straight.stats().kernel(a).thread_insts);
         assert_eq!(resumed.stats().kernel(b).thread_insts, straight.stats().kernel(b).thread_insts);
         assert_eq!(resumed.preempt_stats(), straight.preempt_stats());
-        assert_eq!(resumed.skipped_cycles(), straight.skipped_cycles());
+        let skipped = |g: &Gpu| {
+            g.counter_registry()
+                .into_iter()
+                .find(|e| e.name == "ff_skipped_cycles")
+                .map(|e| e.value)
+        };
+        assert_eq!(skipped(&resumed), skipped(&straight));
 
         // Wake queues are rebuilt, never restored: one build per SM per
         // machine lifetime, one more per restore.

@@ -48,7 +48,6 @@ use crate::kernel::KernelDesc;
 use crate::observe::{EventRing, TraceEvent, TraceEventKind};
 use crate::preempt::{PreemptStats, SavedTb};
 use crate::tb::TbSlab;
-use crate::telemetry::LatencyHistogram;
 use crate::types::{per_kernel, Cycle, KernelId, PerKernel, SmId, TbIndex};
 
 /// Per-kernel issue counters of one SM for one epoch.
@@ -159,9 +158,6 @@ pub struct Sm {
     idle_warp_acc: PerKernel<u64>,
     idle_samples: u64,
     preempt_stats: PreemptStats,
-    // Per-kernel preemption-save latency (context-save cost per save),
-    // log-bucketed; snapshotted like every other statistic (DESIGN.md §17).
-    preempt_save_hist: PerKernel<LatencyHistogram>,
 
     // --- observability (counter registry + flight recorder, DESIGN.md §12) ---
     trace_on: bool,
@@ -238,7 +234,6 @@ impl Sm {
             idle_warp_acc: per_kernel(|_| 0),
             idle_samples: 0,
             preempt_stats: PreemptStats::default(),
-            preempt_save_hist: per_kernel(|_| LatencyHistogram::new()),
             trace_on: cfg.trace.level.is_on(),
             events: EventRing::new(if cfg.trace.level.is_on() {
                 cfg.trace.ring_capacity
@@ -342,7 +337,6 @@ crate::impl_snap_struct!(Sm {
     idle_warp_acc,
     idle_samples,
     preempt_stats,
-    preempt_save_hist,
     trace_on,
     events,
     quota_blocked,

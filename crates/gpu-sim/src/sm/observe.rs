@@ -151,12 +151,6 @@ impl Sm {
         self.preempt_stats
     }
 
-    /// Per-kernel preemption-save latency histogram (context-save cost in
-    /// cycles of each save started on this SM).
-    pub fn preempt_save_hist(&self, k: KernelId) -> &crate::telemetry::LatencyHistogram {
-        &self.preempt_save_hist[k.index()]
-    }
-
     /// Number of resident threads.
     pub fn used_threads(&self) -> u32 {
         self.used_threads

@@ -163,7 +163,6 @@ impl Sm {
         }
         self.preempt_stats.saves += 1;
         self.preempt_stats.transfer_cycles += save_cost;
-        self.preempt_save_hist[k.index()].record(save_cost);
         self.transitioning.push(slot);
         self.record(now, TraceEventKind::PreemptStart { kernel: k.index() as u32, tb: victim_tb });
         true

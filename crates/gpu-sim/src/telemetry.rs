@@ -6,21 +6,17 @@
 //! * [`LatencyHistogram`] — an HDR-style log-bucketed histogram holding only
 //!   integers. Recording is a shift-and-mask bucket computation; quantiles
 //!   are derived at report time with pure integer (ppm-rank) arithmetic.
-//!   Histograms are [`Snap`](crate::snap::Snap)-integrated, ride machine/fleet snapshots, and
+//!   Histograms are [`Snap`](crate::snap::Snap)-integrated, ride fleet snapshots, and
 //!   are therefore part of the bit-identity surface: a SIGKILLed run resumed
 //!   from its checkpoint reproduces every bucket exactly.
 //! * [`TimeSeries`] — a bounded ring of periodic counter-registry samples
-//!   (one row per epoch or fleet tick). Also [`Snap`](crate::snap::Snap)-integrated and
-//!   bit-identical across the fast-forward toggle, which is why samplers
-//!   must exclude counters that describe the *host strategy* rather than
-//!   the simulated machine (`ff_skipped_cycles` is the one such counter
-//!   today — see [`TimeSeries::sample_deterministic`]).
+//!   (one row per fleet tick). Also [`Snap`](crate::snap::Snap)-integrated.
 //! * [`HostProfiler`] — opt-in wall-clock attribution per simulator phase.
 //!   Host time is inherently nondeterministic, so the profiler is kept
 //!   strictly **outside** snapshots and `records_hash`: it is never encoded,
 //!   never compared, and costs a single branch per phase boundary when
 //!   disabled. [`WorkCounters`], the run loop's deterministic step counts,
-//!   ride beside it for the same reason `ff_skipped_cycles` is filtered.
+//!   ride beside it: they describe the host strategy, not the machine.
 
 use std::fmt;
 use std::time::Instant;
@@ -49,7 +45,7 @@ const MAX_BUCKETS: usize = 32 + (64 - LINEAR_BITS as usize) * SUB_BUCKETS as usi
 /// bucket array stays small (a value of 2^63 still needs only ~976 buckets,
 /// and the vector grows lazily to the highest bucket actually hit).
 ///
-/// Everything is a `u64`: recording, merging, and quantile extraction use no
+/// Everything is a `u64`: recording and quantile extraction use no
 /// floating point, so the histogram is byte-identical wherever the recorded
 /// value sequence is — across fast-forward on/off and snapshot → SIGKILL →
 /// resume.
@@ -116,19 +112,6 @@ impl LatencyHistogram {
         self.count += n;
         self.sum = self.sum.saturating_add(v.saturating_mul(n));
         self.max = self.max.max(v);
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded values.
@@ -236,11 +219,7 @@ crate::impl_snap_struct!(SeriesRow { stamp, values });
 /// `capacity` rows are held. Everything — names, rows, the eviction count —
 /// is [`Snap`](crate::snap::Snap)-encoded, so the series survives checkpoint/restore
 /// byte-identically and is part of the determinism surface.
-///
-/// A `capacity` of 0 disables the series entirely (the enabled check is one
-/// comparison), which is the default for [`crate::Gpu`] so the per-epoch
-/// registry walk costs nothing unless telemetry was requested.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSeries {
     capacity: usize,
     names: Vec<String>,
@@ -251,19 +230,10 @@ pub struct TimeSeries {
 crate::impl_snap_struct!(TimeSeries { capacity, names, rows, evicted });
 
 impl TimeSeries {
-    /// A series holding at most `capacity` rows (0 disables sampling).
+    /// A series holding at most `capacity` rows; sampling into a series of
+    /// capacity 0 panics.
     pub fn new(capacity: usize) -> Self {
         TimeSeries { capacity, names: Vec::new(), rows: Vec::new(), evicted: 0 }
-    }
-
-    /// A disabled series (capacity 0; every sample is a no-op).
-    pub fn disabled() -> Self {
-        Self::new(0)
-    }
-
-    /// Whether sampling is enabled (capacity > 0).
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
     }
 
     /// Maximum number of rows retained.
@@ -287,23 +257,15 @@ impl TimeSeries {
         self.evicted
     }
 
-    /// Samples the registry `entries` at `stamp`, keeping only entries for
-    /// which `keep` returns true. The first sample fixes the column set; if
-    /// a later sample's columns differ (a registry whose shape changed
-    /// mid-run), the series restarts from the new shape and counts the
-    /// discarded rows as evicted — deterministic, and visible to exporters.
-    pub fn sample_filtered(
-        &mut self,
-        stamp: u64,
-        entries: &[CounterEntry],
-        keep: impl Fn(&CounterEntry) -> bool,
-    ) {
-        if self.capacity == 0 {
-            return;
-        }
+    /// Samples the registry `entries` at `stamp`. The first sample fixes the
+    /// column set; if a later sample's columns differ (a registry whose
+    /// shape changed mid-run), the series restarts from the new shape and
+    /// counts the discarded rows as evicted — deterministic, and visible to
+    /// exporters.
+    pub fn sample(&mut self, stamp: u64, entries: &[CounterEntry]) {
         let mut names: Vec<String> = Vec::new();
         let mut values: Vec<i64> = Vec::new();
-        for e in entries.iter().filter(|e| keep(e)) {
+        for e in entries {
             names.push(format!("{}/{}", e.scope, e.name));
             values.push(e.value);
         }
@@ -319,16 +281,6 @@ impl TimeSeries {
             self.evicted += 1;
         }
         self.rows.push(SeriesRow { stamp, values });
-    }
-
-    /// Samples every entry except counters that describe the *host
-    /// execution strategy* rather than the simulated machine — today exactly
-    /// `ff_skipped_cycles`, which legitimately differs across the
-    /// fast-forward toggle while every simulated-state counter does not.
-    /// This is what keeps a sampled series byte-identical across
-    /// fast-forward on/off.
-    pub fn sample_deterministic(&mut self, stamp: u64, entries: &[CounterEntry]) {
-        self.sample_filtered(stamp, entries, |e| e.name != "ff_skipped_cycles");
     }
 }
 
@@ -489,14 +441,6 @@ impl HostProfiler {
     pub fn attributed_nanos(&self) -> u64 {
         self.totals.iter().map(|t| t.nanos).sum()
     }
-
-    /// Folds another profiler's totals into this one.
-    pub fn absorb(&mut self, other: &HostProfiler) {
-        for (dst, src) in self.totals.iter_mut().zip(&other.totals) {
-            dst.nanos = dst.nanos.saturating_add(src.nanos);
-            dst.calls += src.calls;
-        }
-    }
 }
 
 /// Deterministic counts of the work the run loop did on the host, as
@@ -590,23 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_recording_everything_into_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
-        for v in [0u64, 5, 31, 32, 100, 9_999, 1 << 33] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [2u64, 70, 4_096, 1 << 20] {
-            b.record_n(v, 3);
-            all.record_n(v, 3);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-    }
-
-    #[test]
     fn histogram_round_trips_through_the_codec() {
         let mut h = LatencyHistogram::new();
         for v in [3u64, 17, 1_000, 123_456_789] {
@@ -624,9 +551,8 @@ mod tests {
     #[test]
     fn series_keeps_a_bounded_window_and_counts_evictions() {
         let mut s = TimeSeries::new(3);
-        assert!(s.enabled());
         for i in 0..5u64 {
-            s.sample_deterministic(i * 10, &[entry("a", i as i64), entry("b", -1)]);
+            s.sample(i * 10, &[entry("a", i as i64), entry("b", -1)]);
         }
         assert_eq!(s.rows().len(), 3);
         assert_eq!(s.evicted(), 2);
@@ -637,28 +563,11 @@ mod tests {
     }
 
     #[test]
-    fn series_excludes_host_strategy_counters() {
-        let mut s = TimeSeries::new(4);
-        s.sample_deterministic(0, &[entry("cycle", 0), entry("ff_skipped_cycles", 123)]);
-        assert_eq!(s.columns(), ["machine/cycle".to_string()]);
-        assert_eq!(s.rows()[0].values, [0]);
-    }
-
-    #[test]
-    fn disabled_series_records_nothing() {
-        let mut s = TimeSeries::disabled();
-        assert!(!s.enabled());
-        s.sample_deterministic(5, &[entry("a", 1)]);
-        assert!(s.rows().is_empty());
-        assert_eq!(s.evicted(), 0);
-    }
-
-    #[test]
     fn series_restarts_when_the_registry_shape_changes() {
         let mut s = TimeSeries::new(8);
-        s.sample_deterministic(0, &[entry("a", 1)]);
-        s.sample_deterministic(1, &[entry("a", 2)]);
-        s.sample_deterministic(2, &[entry("a", 3), entry("b", 4)]);
+        s.sample(0, &[entry("a", 1)]);
+        s.sample(1, &[entry("a", 2)]);
+        s.sample(2, &[entry("a", 3), entry("b", 4)]);
         assert_eq!(s.columns().len(), 2);
         assert_eq!(s.rows().len(), 1, "old-shape rows were discarded");
         assert_eq!(s.evicted(), 2);
@@ -668,7 +577,7 @@ mod tests {
     fn series_round_trips_through_the_codec() {
         let mut s = TimeSeries::new(2);
         for i in 0..4u64 {
-            s.sample_deterministic(i, &[entry("x", i as i64 * 3)]);
+            s.sample(i, &[entry("x", i as i64 * 3)]);
         }
         let back: TimeSeries = decode_from_slice(&encode_to_vec(&s)).expect("codec");
         assert_eq!(back, s);
@@ -699,10 +608,7 @@ mod tests {
         assert_eq!(p.total(ProfPhase::CheckpointWrite).nanos, 1_000);
         let names: Vec<&str> = p.rows().iter().map(|(ph, _)| ph.name()).collect();
         assert_eq!(names, ["sm_step", "icn_drain", "checkpoint_write"]);
-        let mut q = HostProfiler::new();
-        q.absorb(&p);
-        assert_eq!(q.total(ProfPhase::CheckpointWrite).nanos, 1_000);
-        assert!(q.attributed_nanos() >= 1_000);
+        assert!(p.attributed_nanos() >= 1_000);
     }
 
     #[test]

@@ -190,65 +190,65 @@ fn event_args(kind: &TraceEventKind) -> String {
     }
 }
 
-/// Renders a finished fleet run as Chrome-trace JSON: one counter track per
-/// tenant (cumulative SLO-met / completed / retry / shed / migrated series
-/// plus the instantaneous queue depth, latency p99, and SLO burn rate, one
-/// sample per fleet tick), a
-/// machine track with fleet-wide queue depth, healthy-device count,
-/// pending-migration depth and the load-shedding flag, and one `ph: "X"`
-/// span per migrated request on its tenant's track — from the cycle the
-/// batch left its device to the cycle it resumed, with the source/target
-/// device and reason in `args`. The full fleet counter registry rides
-/// along under the `counters` key, exactly like the single-GPU export.
+/// Renders a finished fleet run as Chrome-trace JSON. The per-tick counter
+/// tracks are the fleet's metrics series: every row becomes one `ph: "C"`
+/// event per registry scope, with that scope's columns as `args`. The
+/// registry lists its scopes in blocks — machine, then each tenant, then
+/// each device — and block `i` is process `i`: the machine is pid 0
+/// (`fleet`), tenant `t` is pid `t + 1`, and the devices follow the tenants.
+/// Each migrated request adds one `ph: "X"` span on its tenant's track,
+/// from the cycle the batch left its device to the cycle it resumed, with
+/// the source/target device and reason in `args`. The document states how
+/// many rows the series evicted (`series_evicted`), and the full fleet
+/// counter registry rides along under the `counters` key, exactly like the
+/// single-GPU export.
 #[must_use]
 pub fn render_fleet_trace(fleet: &fleet::Fleet, name: &str) -> String {
+    let series = fleet.metrics_series();
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"displayTimeUnit\": \"ms\",");
     let _ = writeln!(out, "  \"scenario\": \"fleet/{}\",", escape(name));
+    let _ = writeln!(out, "  \"series_evicted\": {},", series.evicted());
     out.push_str("  \"traceEvents\": [\n");
 
+    // Consecutive columns of one scope form a block: its scope, its first
+    // column, and its counter names (escaped once, written once per row).
+    let mut blocks: Vec<(&str, usize, Vec<String>)> = Vec::new();
+    for (i, column) in series.columns().iter().enumerate() {
+        let (scope, counter) = column.split_once('/').unwrap_or(("", column));
+        match blocks.last_mut() {
+            Some((last, _, counters)) if *last == scope => counters.push(escape(counter)),
+            _ => blocks.push((scope, i, vec![escape(counter)])),
+        }
+    }
+    let tenants = &fleet.config().tenants;
     let mut events: Vec<String> = Vec::new();
-    events.push(
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \
-         \"args\": {\"name\": \"fleet\"}}"
-            .to_string(),
-    );
-    for (t, spec) in fleet.config().tenants.iter().enumerate() {
+    for (pid, &(scope, _, _)) in blocks.iter().enumerate() {
+        let process = match pid {
+            0 => "fleet".to_string(),
+            p if p <= tenants.len() => format!("tenant/{}", tenants[p - 1].name),
+            _ => scope.to_string(),
+        };
         events.push(format!(
-            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {}, \"tid\": 0, \
-             \"args\": {{\"name\": \"tenant/{}\"}}}}",
-            t + 1,
-            escape(&spec.name)
+            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
+             \"args\": {{\"name\": \"{}\"}}}}",
+            escape(&process)
         ));
     }
-    for s in fleet.samples() {
-        events.push(format!(
-            "{{\"name\": \"fleet\", \"ph\": \"C\", \"ts\": {}, \"pid\": 0, \
-             \"args\": {{\"queue_depth\": {}, \"healthy_devices\": {}, \"shedding\": {}, \
-             \"pending_migrations\": {}}}}}",
-            s.cycle,
-            s.queue_depth,
-            s.healthy_devices,
-            u8::from(s.shedding),
-            s.pending_migrations
-        ));
-        for (t, ts) in s.tenants.iter().enumerate() {
+    for row in series.rows() {
+        for (pid, (scope, first, counters)) in blocks.iter().enumerate() {
+            let args = counters
+                .iter()
+                .zip(row.values.iter().skip(*first))
+                .map(|(counter, value)| format!("\"{counter}\": {value}"))
+                .collect::<Vec<_>>()
+                .join(", ");
             events.push(format!(
-                "{{\"name\": \"tenant{t}\", \"ph\": \"C\", \"ts\": {}, \"pid\": {}, \
-                 \"args\": {{\"completed\": {}, \"slo_met\": {}, \"retries\": {}, \
-                 \"shed\": {}, \"queued\": {}, \"migrated\": {}, \
-                 \"latency_p99\": {}, \"slo_burn_ppm\": {}}}}}",
-                s.cycle,
-                t + 1,
-                ts.completed,
-                ts.slo_met,
-                ts.retries,
-                ts.shed,
-                ts.queued,
-                ts.migrated,
-                ts.latency_p99,
-                ts.slo_burn_ppm
+                "{{\"name\": \"{}\", \"ph\": \"C\", \"ts\": {}, \"pid\": {pid}, \
+                 \"args\": {{{args}}}}}",
+                escape(scope),
+                row.stamp
             ));
         }
     }
@@ -629,6 +629,34 @@ mod tests {
         assert!(doc.contains("\"ph\": \"X\""), "migration spans are complete events");
         assert!(doc.contains("migration/device-"), "spans are named by reason");
         assert!(doc.contains("\"from_device\""), "span args carry the route");
-        assert!(doc.contains("\"pending_migrations\""), "machine track gauges the queue");
+        assert!(doc.contains("\"fleet_pending_migrations\""), "machine track gauges the queue");
+    }
+
+    #[test]
+    fn fleet_trace_tracks_are_the_series() {
+        let mut f = fleet::Fleet::new(fleet::scenarios::chaos(fleet::scenarios::DEFAULT_SEED));
+        f.run_to_completion();
+        let series = f.metrics_series();
+        assert_eq!(series.evicted(), 0, "chaos fits the series");
+        let doc = render_fleet_trace(&f, "chaos");
+        let root = Parser::new(&doc).parse_document().expect("valid JSON");
+        assert_eq!(root.get("series_evicted"), Some(&Json::Num(0.0)));
+        let Some(Json::Arr(events)) = root.get("traceEvents") else { panic!("no traceEvents") };
+        let mut args_seen = 0;
+        for e in events.iter().filter(|e| e.get("ph") == Some(&Json::Str("C".into()))) {
+            let (Some(Json::Num(ts)), Some(Json::Str(scope)), Some(Json::Obj(args))) =
+                (e.get("ts"), e.get("name"), e.get("args"))
+            else {
+                panic!("counter event without ts, name or args: {e:?}")
+            };
+            let row = series.rows().iter().find(|r| r.stamp as f64 == *ts).expect("a row at ts");
+            for (counter, value) in args {
+                let column = format!("{scope}/{counter}");
+                let i = series.columns().iter().position(|c| *c == column).expect("a column");
+                assert_eq!(*value, Json::Num(row.values[i] as f64), "{column} at {ts}");
+                args_seen += 1;
+            }
+        }
+        assert_eq!(args_seen, series.rows().len() * series.columns().len(), "every value drawn");
     }
 }

@@ -108,12 +108,15 @@ fn fleet_snapshot() -> Vec<u8> {
     panic!("no tick of the chaos scenario ends with a busy device");
 }
 
-/// Accepted means usable: a fleet that restores is stepped a tick and asked
-/// for its report, still inside the drill's no-panic boundary.
+/// Accepted means usable: a fleet that restores is stepped a tick, asked for
+/// its report and rendered through the trace and metrics exports, still
+/// inside the drill's no-panic boundary.
 fn restore_fleet(bytes: &[u8]) -> Result<(), String> {
     let mut fleet = Fleet::restore(scenarios::chaos(99), bytes)?;
     fleet.step();
     let _ = fleet.report("restored");
+    let _ = harness::perfetto::render_fleet_trace(&fleet, "restored");
+    let _ = harness::telemetry::fleet_metrics_docs(&fleet, "restored");
     Ok(())
 }
 
@@ -129,10 +132,11 @@ fn machine_blobs(snapshot: &[u8]) -> Vec<std::ops::Range<usize>> {
 /// only restored: what `Gpu::restore` lets through is that decoder's to vet
 /// (`gpu_restore_survives_length_bombs`), and of a machine's tables only the
 /// caches are checked against the receiver yet (and kernel ids, as they
-/// decode). Of this drill's 9,276 windows inside machine blobs, 71 restore
-/// `Ok` and panic when stepped (279 in a dev build, which also traps
+/// decode). Of this drill's 9,204 windows inside machine blobs, 70 restore
+/// `Ok` and panic when stepped (286 in a dev build, which also traps
 /// overflowing counters): ROADMAP item 2, counted by
-/// `count_machine_windows_that_restore_then_panic`.
+/// `count_machine_windows_that_restore_then_panic`. Schema 10 changed the
+/// blob layout, so these are not comparable to schema 9's 71 of 9,276 (279).
 fn restore_fleet_window(blobs: &[std::ops::Range<usize>], real: &[u8], evil: &[u8]) {
     if real.len() != evil.len() || blobs.iter().any(|b| real[b.clone()] != evil[b.clone()]) {
         let _ = Fleet::restore(scenarios::chaos(99), evil);
@@ -190,6 +194,22 @@ fn fleet_restore_refuses_an_out_of_range_queued_id() {
     let beyond = fleet.requests().len() as u64;
     bytes[queue_at + 8..queue_at + 16].copy_from_slice(&beyond.to_le_bytes());
     let refused = restore_fleet(&bytes).expect_err("an id past the table is refused");
+    assert!(refused.contains("shape does not match"), "{refused}");
+}
+
+/// A series of capacity 0 decodes, and the next tick's sample would evict
+/// row 0 of an empty ring: `Fleet::restore` must refuse it.
+#[test]
+fn fleet_restore_refuses_a_series_bombed_to_capacity_0() {
+    let mut fleet = Fleet::new(scenarios::chaos(99));
+    fleet.step();
+    let mut bytes = fleet.snapshot();
+    let series = gpu_sim::snap::encode_to_vec(fleet.metrics_series());
+    let at = bytes.windows(series.len()).position(|w| w == series).expect("the series is embedded");
+    assert_eq!(word(&bytes, at), fleet::fleet::FLEET_SERIES_CAPACITY as u64, "its capacity");
+    assert_eq!(restore_fleet(&bytes), Ok(()));
+    bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+    let refused = restore_fleet(&bytes).expect_err("a series of capacity 0 is refused");
     assert!(refused.contains("shape does not match"), "{refused}");
 }
 

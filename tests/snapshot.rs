@@ -412,6 +412,9 @@ fn golden_scenario_survives_snapshot_restore() {
 /// (DESIGN.md §3.2): 81,920 lines make 655,360 of these bytes. Schema 9 is
 /// 160 bytes under schema 8: a policy byte and four `u16` round-robin cursors
 /// on each of 16 SMs, and the TB scheduler's two time-multiplexing words.
+/// Schema 10 is 7,456 bytes under schema 9: the 64 preemption-save
+/// histograms (4 kernel slots on each of 16 SMs) and the machine's
+/// never-enabled counter series.
 #[test]
 fn warmed_trio_payload_size_is_pinned() {
     let cfg = GpuConfig::paper_table1();
@@ -423,7 +426,7 @@ fn warmed_trio_payload_size_is_pinned() {
         .with_kernel(q2, QosSpec::qos(20.0))
         .with_kernel(be, QosSpec::best_effort());
     gpu.run(3 * cfg.epoch_cycles, &mut manager);
-    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 752_206);
+    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 744_750);
 }
 
 // ----------------------------------------------------------------------
