@@ -3,7 +3,6 @@
 //! ```text
 //! repro [--scale bench|smoke|quick|paper] <experiment>...
 //! repro --scale quick all
-//! repro fig6a fig9
 //! repro list
 //! repro run <sweep> --checkpoint-dir DIR [--scale s] [--checkpoint-every N]
 //! repro resume <DIR> [--checkpoint-every N]
@@ -17,6 +16,11 @@
 //! repro profile <scenario>
 //! repro validate [--bless | --recapture] [--out report.txt]
 //! ```
+//!
+//! The experiments are the entries of `harness::experiments::EXPERIMENTS`;
+//! `all` is every entry marked for it. An experiment run prints each report,
+//! then the summary and the failure digest, and exits nonzero iff a case
+//! failed.
 //!
 //! `run`/`resume`/`inspect` are the crash-resumable sweep commands: `run`
 //! executes a named sweep with periodic checkpoints, `resume` continues a
@@ -33,30 +37,13 @@ use harness::checkpoint::{
     self, load_failure, render_failure_snapshot, resume_sweep, run_sweep_checkpointed,
     CheckpointDir, DEFAULT_CHECKPOINT_EVERY,
 };
-use harness::experiments::Session;
+use harness::experiments::{Session, EXPERIMENTS};
 use harness::scale::RunScale;
 
-const EXPERIMENTS: [&str; 19] = [
-    "table1",
-    "table2",
-    "fig5",
-    "fig6a",
-    "fig6b",
-    "fig6c",
-    "fig7",
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "ablations",
-    "ablation-epoch",
-    "all",
-];
+/// Every experiment name, then `all`.
+fn experiment_names() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|e| e.name).chain(["all"]).collect()
+}
 
 fn usage() -> String {
     format!(
@@ -98,7 +85,7 @@ fn usage() -> String {
          expectations; exit 0 iff every metric passes; --bless re-pins the\n\
          expectations, --recapture re-records the traces first, --out also\n\
          writes the correlation report to FILE\n",
-        EXPERIMENTS.join(" "),
+        experiment_names().join(" "),
         checkpoint::SWEEPS.join(" "),
         harness::golden::SCENARIOS.join(" "),
         fleet::scenarios::SCENARIOS.join(" "),
@@ -551,35 +538,6 @@ fn run_golden(bless: bool) -> ExitCode {
     }
 }
 
-fn run_one(session: &Session, name: &str) -> Option<String> {
-    Some(match name {
-        "table1" => session.table1(),
-        "table2" => session.table2(),
-        "fig5" => session.fig5(),
-        "fig6a" => session.fig6a(),
-        "fig6b" => session.fig6b(),
-        "fig6c" => session.fig6c(),
-        "fig7" => session.fig7(),
-        "fig8a" => session.fig8a(),
-        "fig8b" => session.fig8bc(1),
-        "fig8c" => session.fig8bc(2),
-        "fig9" => session.fig9(),
-        "fig10" => session.fig10(),
-        "fig11" => session.fig11(),
-        "fig12" => session.fig12(),
-        "fig13" => session.fig13(),
-        "fig14" => session.fig14(),
-        "ablation-epoch" => session.ablation_epoch_length(),
-        "ablations" => format!(
-            "{}\n{}\n{}",
-            session.ablation_preemption(),
-            session.ablation_history(),
-            session.ablation_static()
-        ),
-        _ => return None,
-    })
-}
-
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1).peekable();
     match args.peek().map(String::as_str) {
@@ -613,7 +571,7 @@ fn main() -> ExitCode {
                 }
             }
             "list" | "--list" => {
-                println!("{}", EXPERIMENTS.join("\n"));
+                println!("{}", experiment_names().join("\n"));
                 return ExitCode::SUCCESS;
             }
             "help" | "--help" | "-h" => {
@@ -638,28 +596,31 @@ fn main() -> ExitCode {
         eprintln!("--bless only applies to `golden`\n{}", usage());
         return ExitCode::FAILURE;
     }
-    if wanted.iter().any(|w| w == "all") {
-        // `all` covers the paper's tables/figures and the section 4.8
-        // ablations; the epoch-length ablation is extra and opt-in.
-        wanted = EXPERIMENTS[..EXPERIMENTS.len() - 2].iter().map(|s| s.to_string()).collect();
-    }
+    let mut experiments = Vec::new();
     for w in &wanted {
-        if !EXPERIMENTS.contains(&w.as_str()) {
-            eprintln!("unknown experiment {w:?}\n{}", usage());
-            return ExitCode::FAILURE;
+        match EXPERIMENTS.iter().find(|e| e.name == w) {
+            Some(e) => experiments.push(e),
+            None if w == "all" => {}
+            None => {
+                eprintln!("unknown experiment {w:?}\n{}", usage());
+                return ExitCode::FAILURE;
+            }
         }
+    }
+    if wanted.iter().any(|w| w == "all") {
+        experiments = EXPERIMENTS.iter().filter(|e| e.in_all).collect();
     }
 
     let session = Session::new(scale);
-    for name in &wanted {
+    for e in experiments {
         let started = std::time::Instant::now();
-        let report = run_one(&session, name).expect("validated above");
-        println!("{report}");
-        eprintln!("[{name} done in {:.1}s]\n", started.elapsed().as_secs_f64());
+        println!("{}", session.run(e));
+        eprintln!("[{} done in {:.1}s]\n", e.name, started.elapsed().as_secs_f64());
     }
-    // Every run ends with the failure digest: either the all-clear line or
-    // one line per failed case (label, error kind, health summary).
-    println!("{}", session.failure_digest());
+    // Every run ends with the summary, whose last part is the failure
+    // digest: either the all-clear line or one line per failed case (label,
+    // error kind, health summary).
+    println!("{}", session.summary());
     if session.failures().is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -326,8 +326,7 @@ fn smoke_specs(scale: RunScale) -> Vec<CaseSpec> {
 /// the same `(name, scale)` always yields the same plan (and hence the same
 /// [`plan_fingerprint`]).
 pub fn sweep_specs(name: &str, scale: RunScale) -> Option<Vec<CaseSpec>> {
-    let goals: Vec<f64> =
-        qos_core::goals::paper_goal_fractions().into_iter().step_by(scale.goal_stride()).collect();
+    let goals = scale.goals();
     match name {
         // A handful of pair cases: small enough for tests and CI smoke jobs,
         // big enough to cross several checkpoint generations.

@@ -13,8 +13,9 @@
 //!   end-of-run failure digest,
 //! * [`metrics`] — `QoSreach`, normalized throughput, miss-distance
 //!   buckets, energy efficiency,
-//! * [`experiments`] — one entry point per table/figure (`fig5` … `fig14`,
-//!   `table1`, `table2`, ablations),
+//! * [`experiments`] — the registry of every table, figure and ablation
+//!   ([`experiments::EXPERIMENTS`]) and the [`experiments::Session`] that
+//!   runs them and renders the end-of-run summary,
 //! * [`report`] — plain-text table rendering for the `repro` binary,
 //! * [`golden`] — the golden-trace corpus under `tests/golden/`: canonical
 //!   scenarios whose per-epoch telemetry is snapshotted byte-exactly
@@ -41,13 +42,16 @@
 //! # Example
 //!
 //! ```no_run
-//! use harness::{cases::Policy, experiments, scale::RunScale};
+//! use harness::experiments::{Session, EXPERIMENTS};
+//! use harness::scale::RunScale;
 //!
-//! // Regenerate Fig. 6a at reduced scale and print it.
-//! let report = experiments::fig6a(RunScale::Smoke);
-//! println!("{report}");
-//! assert!(report.contains("Rollover"));
-//! let _ = Policy::Spart;
+//! // Regenerate every report `repro all` prints, at reduced scale, then the
+//! // paper-vs-measured summary and the failure digest.
+//! let session = Session::new(RunScale::Smoke);
+//! for experiment in EXPERIMENTS.iter().filter(|e| e.in_all) {
+//!     println!("{}", session.run(experiment));
+//! }
+//! println!("{}", session.summary());
 //! ```
 
 #![forbid(unsafe_code)]

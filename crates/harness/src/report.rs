@@ -26,16 +26,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -101,8 +91,7 @@ mod tests {
         assert!(lines[0].contains("Rollover"));
         assert!(lines[1].starts_with('-'));
         assert!(lines[2].trim_start().starts_with("50%"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(lines[3].trim(), "95%");
     }
 
     #[test]

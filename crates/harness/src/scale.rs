@@ -6,6 +6,8 @@
 //! enumeration, same goal sweeps — but shorten runs and (for `Smoke` /
 //! `Bench`) subsample the pair/trio sets.
 
+use qos_core::goals::{paper_dual_goal_fractions, paper_goal_fractions};
+
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunScale {
@@ -58,6 +60,17 @@ impl RunScale {
             RunScale::Smoke => 3,
             RunScale::Quick | RunScale::Paper => 1,
         }
+    }
+
+    /// The one-QoS-kernel goal sweep (50%–95%) at this scale's goal stride.
+    pub fn goals(self) -> Vec<f64> {
+        paper_goal_fractions().into_iter().step_by(self.goal_stride()).collect()
+    }
+
+    /// The two-QoS-kernel goal sweep (2×25%–2×70%) at this scale's goal
+    /// stride.
+    pub fn dual_goals(self) -> Vec<f64> {
+        paper_dual_goal_fractions().into_iter().step_by(self.goal_stride()).collect()
     }
 
     /// Human-readable description printed on every report.
