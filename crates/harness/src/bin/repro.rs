@@ -1,17 +1,17 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--scale bench|smoke|quick|paper] <experiment>...
+//! repro [--scale bench|smoke|quick|paper]
+//!       [--checkpoint-dir DIR [--checkpoint-every N]] <experiment>...
 //! repro --scale quick all
 //! repro list
-//! repro run <sweep> --checkpoint-dir DIR [--scale s] [--checkpoint-every N]
-//! repro resume <DIR> [--checkpoint-every N]
+//! repro resume <DIR>
 //! repro inspect <failure-snapshot-file>
 //! repro trace <golden-scenario> [--out trace.json]
 //! repro fleet <scenario> [--seed N] [--checkpoint-dir DIR]
 //!             [--checkpoint-every TICKS] [--trace FILE]
 //!             [--metrics-out FILE] [--profile]
-//! repro fleet resume <DIR> [--metrics-out FILE]
+//! repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]
 //! repro metrics <fleet-scenario> [--seed N] [--out FILE]
 //! repro profile <scenario>
 //! repro validate [--bless | --recapture] [--out report.txt]
@@ -22,22 +22,24 @@
 //! then the summary and the failure digest, and exits nonzero iff a case
 //! failed.
 //!
-//! `run`/`resume`/`inspect` are the crash-resumable sweep commands: `run`
-//! executes a named sweep with periodic checkpoints, `resume` continues a
-//! killed sweep from its newest loadable checkpoint, and `inspect`
-//! pretty-prints a persisted failure snapshot. The final sweep report is the
-//! only stdout either `run` or `resume` produces (progress and degradation
-//! warnings go to stderr), so a killed-then-resumed sweep's stdout is
-//! byte-identical to an uninterrupted run's.
+//! With `--checkpoint-dir DIR` the run journals every case into DIR, and
+//! `repro resume DIR` reruns the same command against the journal: finished
+//! cases are read back, interrupted ones continue from their last chunk. The
+//! reports are the only stdout (progress and warnings go to stderr), so a
+//! killed-then-resumed run prints the same bytes as an uninterrupted one.
+//! `inspect` pretty-prints the failure snapshot a failed journaled case
+//! leaves.
 
+use std::io::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use gpu_sim::snap::frame::write_atomic;
 use harness::checkpoint::{
-    self, load_failure, render_failure_snapshot, resume_sweep, run_sweep_checkpointed,
-    CheckpointDir, DEFAULT_CHECKPOINT_EVERY,
+    load_failure, render_failure_snapshot, CheckpointDir, Manifest, DEFAULT_CHECKPOINT_EVERY,
 };
-use harness::experiments::{Session, EXPERIMENTS};
+use harness::experiments::{select, Experiment, Session, EXPERIMENTS};
 use harness::scale::RunScale;
 
 /// Every experiment name, then `all`.
@@ -47,27 +49,27 @@ fn experiment_names() -> Vec<&'static str> {
 
 fn usage() -> String {
     format!(
-        "usage: repro [--scale bench|smoke|quick|paper] <experiment>...\n\
+        "usage: repro [--scale bench|smoke|quick|paper] \
+         [--checkpoint-dir DIR [--checkpoint-every N]] <experiment>...\n\
          \u{20}      repro golden [--bless]\n\
-         \u{20}      repro run <sweep> --checkpoint-dir DIR [--scale s] [--checkpoint-every N]\n\
-         \u{20}      repro resume <DIR> [--checkpoint-every N]\n\
+         \u{20}      repro resume <DIR>\n\
          \u{20}      repro inspect <failure-snapshot-file>\n\
          \u{20}      repro trace <scenario> [--out FILE]\n\
          \u{20}      repro fleet <scenario> [--seed N] [--checkpoint-dir DIR] \
          [--checkpoint-every TICKS] [--trace FILE] [--metrics-out FILE] [--profile]\n\
-         \u{20}      repro fleet resume <DIR> [--metrics-out FILE]\n\
+         \u{20}      repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]\n\
          \u{20}      repro metrics <fleet-scenario> [--seed N] [--out FILE]\n\
          \u{20}      repro profile <scenario>\n\
          \u{20}      repro validate [--bless | --recapture] [--out FILE]\n\
          experiments: {}\n\
-         sweeps: {}\n\
          scenarios: {}\n\
          fleet scenarios: {}\n\
          golden: verify the golden-trace corpus (tests/golden/); \
          --bless regenerates it\n\
-         run/resume: checkpointed sweep execution; resume continues a killed\n\
-         sweep from the newest loadable checkpoint in DIR\n\
-         inspect: pretty-print a failure-case-*.snap machine snapshot\n\
+         --checkpoint-dir: journal every case into DIR (its machine every ~N\n\
+         cycles, default {DEFAULT_CHECKPOINT_EVERY}, then its result); resume reruns the\n\
+         journaled command, reusing every case the journal holds\n\
+         inspect: pretty-print a failure-*.snap machine snapshot\n\
          trace: export a golden scenario's flight recording as Chrome-trace\n\
          JSON (load at ui.perfetto.dev); stdout unless --out is given\n\
          fleet: run a multi-GPU serving scenario (admission control, retries,\n\
@@ -86,142 +88,75 @@ fn usage() -> String {
          expectations, --recapture re-records the traces first, --out also\n\
          writes the correlation report to FILE\n",
         experiment_names().join(" "),
-        checkpoint::SWEEPS.join(" "),
         harness::golden::SCENARIOS.join(" "),
         fleet::scenarios::SCENARIOS.join(" "),
         harness::telemetry::PROFILE_SCENARIOS.join(" ")
     )
 }
 
-/// Parses `--checkpoint-every N` / `--scale s` style flags shared by the
-/// `run` and `resume` subcommands. Returns `(positional, scale, every, dir)`.
-#[allow(clippy::type_complexity)]
-fn parse_sweep_args(
-    args: impl Iterator<Item = String>,
-) -> Result<(Vec<String>, RunScale, Option<u64>, Option<String>), String> {
-    let mut args = args.peekable();
-    let mut positional = Vec::new();
-    let mut scale = RunScale::Quick;
-    let mut every = None;
-    let mut dir = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" | "-s" => {
-                let value = args.next().ok_or("--scale needs a value")?;
-                scale =
-                    RunScale::parse(&value).ok_or_else(|| format!("unknown scale {value:?}"))?;
-            }
-            "--checkpoint-every" => {
-                let value = args.next().ok_or("--checkpoint-every needs a value")?;
-                every = Some(value.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--checkpoint-every wants a positive cycle count, got {value:?}")
-                })?);
-            }
-            "--checkpoint-dir" => {
-                dir = Some(args.next().ok_or("--checkpoint-dir needs a value")?);
-            }
-            other => positional.push(other.to_string()),
+/// Writes `text` to stdout, the one way this binary prints. A reader that
+/// closed the pipe (`repro list | head -1`) has all it asked for, so that
+/// ends the process quietly with status 0; any other failure with 1.
+fn emit(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
         }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
     }
-    Ok((positional, scale, every, dir))
 }
 
-fn finish_sweep(outcome: checkpoint::SweepOutcome) -> ExitCode {
-    for w in &outcome.warnings {
-        eprintln!("warning: {w}");
+/// Prints `message` and the usage text on stderr and fails.
+fn misuse(message: &str) -> ExitCode {
+    eprintln!("{message}\n{}", usage());
+    ExitCode::FAILURE
+}
+
+/// Prints every report, then the summary, whose last part is the failure
+/// digest: either the all-clear line or one line per failed case (label,
+/// error kind, health summary). Exits nonzero iff a case failed.
+fn run(experiments: Vec<&'static Experiment>, session: &Session) -> ExitCode {
+    for e in experiments {
+        let started = Instant::now();
+        emit(&format!("{}\n", session.run(e)));
+        eprintln!("[{} done in {:.1}s]\n", e.name, started.elapsed().as_secs_f64());
     }
-    // The report is the only stdout: killed + resumed == uninterrupted.
-    print!("{}", outcome.report());
-    if outcome.outcomes.iter().all(Result::is_ok) {
+    emit(&format!("{}\n", session.summary()));
+    if session.failures().is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-/// `repro run <sweep> --checkpoint-dir DIR`: a checkpointed sweep from the
-/// start.
-fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
-    let (positional, scale, every, dir) = match parse_sweep_args(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
+/// `repro resume <DIR>`: rerun the journaled command against its journal.
+fn cmd_resume(mut args: impl Iterator<Item = String>) -> ExitCode {
+    let (Some(dir), None) = (args.next(), args.next()) else {
+        return misuse("`repro resume` wants exactly one checkpoint directory");
     };
-    let [sweep] = positional.as_slice() else {
-        eprintln!("`repro run` wants exactly one sweep name\n{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let Some(dir) = dir else {
-        eprintln!("`repro run` needs --checkpoint-dir\n{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let dir = match CheckpointDir::create(&dir) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("cannot open checkpoint dir {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let every = every.unwrap_or(DEFAULT_CHECKPOINT_EVERY);
-    eprintln!(
-        "[sweep {sweep} at {scale:?} scale, checkpointing into {} every ~{every} cycles]",
-        dir.path().display()
-    );
-    match run_sweep_checkpointed(sweep, scale, &dir, every) {
-        Ok(outcome) => finish_sweep(outcome),
+    let journal = match CheckpointDir::open(&dir) {
+        Ok(journal) => journal,
         Err(e) => {
             eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro resume <DIR>`: continue a killed sweep from its newest loadable
-/// checkpoint.
-fn cmd_resume(args: impl Iterator<Item = String>) -> ExitCode {
-    let (positional, _scale, every, dir_flag) = match parse_sweep_args(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    // Accept the directory either positionally or via --checkpoint-dir.
-    let dir = match (positional.as_slice(), dir_flag) {
-        ([d], None) => d.clone(),
-        ([], Some(d)) => d,
-        _ => {
-            eprintln!("`repro resume` wants exactly one checkpoint directory\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let dir = match CheckpointDir::create(&dir) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("cannot open checkpoint dir {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match resume_sweep(&dir, every) {
-        Ok(outcome) => finish_sweep(outcome),
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
+    match select(&journal.manifest().experiments) {
+        Ok(experiments) => run(experiments, &Session::journaled(journal)),
+        Err(e) => misuse(&e),
     }
 }
 
 /// `repro inspect <file>`: pretty-print a persisted failure snapshot.
 fn cmd_inspect(mut args: impl Iterator<Item = String>) -> ExitCode {
     let (Some(path), None) = (args.next(), args.next()) else {
-        eprintln!("`repro inspect` wants exactly one snapshot file\n{}", usage());
-        return ExitCode::FAILURE;
+        return misuse("`repro inspect` wants exactly one snapshot file");
     };
-    match load_failure(std::path::Path::new(&path)) {
+    match load_failure(Path::new(&path)) {
         Ok(snap) => {
-            print!("{}", render_failure_snapshot(&snap));
+            emit(&render_failure_snapshot(&snap));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -240,8 +175,7 @@ fn cmd_trace(mut args: impl Iterator<Item = String>) -> ExitCode {
         match arg.as_str() {
             "--out" | "-o" => {
                 let Some(path) = args.next() else {
-                    eprintln!("--out needs a file path\n{}", usage());
-                    return ExitCode::FAILURE;
+                    return misuse("--out needs a file path");
                 };
                 out = Some(path);
             }
@@ -249,8 +183,7 @@ fn cmd_trace(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     let [name] = positional.as_slice() else {
-        eprintln!("`repro trace` wants exactly one scenario name\n{}", usage());
-        return ExitCode::FAILURE;
+        return misuse("`repro trace` wants exactly one scenario name");
     };
     if !harness::golden::SCENARIOS.contains(&name.as_str()) {
         eprintln!("unknown scenario {name:?} (known: {})", harness::golden::SCENARIOS.join(", "));
@@ -263,13 +196,13 @@ fn cmd_trace(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
     match out {
         Some(path) => {
-            if let Err(e) = write_atomic(std::path::Path::new(&path), doc.as_bytes()) {
+            if let Err(e) = write_atomic(Path::new(&path), doc.as_bytes()) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
             eprintln!("wrote {path} ({} bytes)", doc.len());
         }
-        None => print!("{doc}"),
+        None => emit(&doc),
     }
     ExitCode::SUCCESS
 }
@@ -285,69 +218,72 @@ fn cmd_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut trace = None;
     let mut metrics_out = None;
     let mut profile = false;
+    // A flag only a run from the start reads: the checkpoint records the
+    // seed and cadence, and a resumed run is not profiled.
+    let mut run_only = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => {
                 let Some(value) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("--seed needs an unsigned integer\n{}", usage());
-                    return ExitCode::FAILURE;
+                    return misuse("--seed needs an unsigned integer");
                 };
                 seed = value;
+                run_only = Some("--seed");
             }
             "--checkpoint-dir" => {
                 let Some(value) = args.next() else {
-                    eprintln!("--checkpoint-dir needs a value\n{}", usage());
-                    return ExitCode::FAILURE;
+                    return misuse("--checkpoint-dir needs a value");
                 };
                 dir = Some(value);
+                run_only = Some("--checkpoint-dir");
             }
             "--checkpoint-every" => {
                 let Some(value) =
-                    args.next().and_then(|v| v.parse::<u64>().ok().filter(|&n| n > 0))
+                    args.next().and_then(|v| v.parse::<u64>().ok()).filter(|&n| n > 0)
                 else {
-                    eprintln!("--checkpoint-every wants a positive tick count\n{}", usage());
-                    return ExitCode::FAILURE;
+                    return misuse("--checkpoint-every wants a positive tick count");
                 };
                 every = value;
+                run_only = Some("--checkpoint-every");
             }
             "--trace" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--trace needs a file path\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
+                let Some(value) = args.next() else { return misuse("--trace needs a file path") };
                 trace = Some(value);
             }
             "--metrics-out" => {
                 let Some(value) = args.next() else {
-                    eprintln!("--metrics-out needs a file path\n{}", usage());
-                    return ExitCode::FAILURE;
+                    return misuse("--metrics-out needs a file path");
                 };
                 metrics_out = Some(value);
             }
-            "--profile" => profile = true,
+            "--profile" => {
+                profile = true;
+                run_only = Some("--profile");
+            }
             other => positional.push(other.to_string()),
         }
     }
+    let trace = trace.as_deref().map(Path::new);
+    let metrics_out = metrics_out.as_deref().map(Path::new);
     let outcome = match positional.as_slice() {
-        [cmd, dir_arg] if cmd == "resume" => harness::fleet_cli::resume(
-            std::path::Path::new(dir_arg),
-            metrics_out.as_deref().map(std::path::Path::new),
-        ),
+        [cmd, dir] if cmd == "resume" => {
+            if let Some(flag) = run_only {
+                return misuse(&format!("`repro fleet resume` does not take {flag}"));
+            }
+            harness::fleet_cli::resume(Path::new(dir), trace, metrics_out)
+        }
         [name] => {
             eprintln!("[fleet {name}, seed {seed}]");
             let opts = harness::fleet_cli::FleetRunOpts {
-                checkpoint_dir: dir.as_deref().map(std::path::Path::new),
+                checkpoint_dir: dir.as_deref().map(Path::new),
                 every_ticks: every,
-                trace: trace.as_deref().map(std::path::Path::new),
-                metrics_out: metrics_out.as_deref().map(std::path::Path::new),
+                trace,
+                metrics_out,
                 profile,
             };
             harness::fleet_cli::run_scenario(name, seed, &opts)
         }
-        _ => {
-            eprintln!("`repro fleet` wants one scenario name or `resume <DIR>`\n{}", usage());
-            return ExitCode::FAILURE;
-        }
+        _ => return misuse("`repro fleet` wants one scenario name or `resume <DIR>`"),
     };
     match outcome {
         Ok(outcome) => {
@@ -357,7 +293,7 @@ fn cmd_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
                 eprint!("{table}");
             }
             // The report is the only stdout: killed + resumed == uninterrupted.
-            print!("{}", outcome.report);
+            emit(&outcome.report);
             if outcome.ok {
                 ExitCode::SUCCESS
             } else {
@@ -383,15 +319,13 @@ fn cmd_metrics(mut args: impl Iterator<Item = String>) -> ExitCode {
         match arg.as_str() {
             "--seed" => {
                 let Some(value) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("--seed needs an unsigned integer\n{}", usage());
-                    return ExitCode::FAILURE;
+                    return misuse("--seed needs an unsigned integer");
                 };
                 seed = value;
             }
             "--out" | "-o" => {
                 let Some(path) = args.next() else {
-                    eprintln!("--out needs a file path\n{}", usage());
-                    return ExitCode::FAILURE;
+                    return misuse("--out needs a file path");
                 };
                 out = Some(path);
             }
@@ -399,8 +333,7 @@ fn cmd_metrics(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     let [name] = positional.as_slice() else {
-        eprintln!("`repro metrics` wants exactly one fleet scenario name\n{}", usage());
-        return ExitCode::FAILURE;
+        return misuse("`repro metrics` wants exactly one fleet scenario name");
     };
     let (json, prom) = match harness::telemetry::run_fleet_metrics(name, seed) {
         Ok(docs) => docs,
@@ -421,7 +354,7 @@ fn cmd_metrics(mut args: impl Iterator<Item = String>) -> ExitCode {
                 eprintln!("wrote {} ({} bytes)", p.display(), doc.len());
             }
         }
-        None => print!("{json}"),
+        None => emit(&json),
     }
     ExitCode::SUCCESS
 }
@@ -430,12 +363,11 @@ fn cmd_metrics(mut args: impl Iterator<Item = String>) -> ExitCode {
 /// and print the wall-time hotspot table.
 fn cmd_profile(mut args: impl Iterator<Item = String>) -> ExitCode {
     let (Some(name), None) = (args.next(), args.next()) else {
-        eprintln!("`repro profile` wants exactly one scenario name\n{}", usage());
-        return ExitCode::FAILURE;
+        return misuse("`repro profile` wants exactly one scenario name");
     };
     match harness::telemetry::profile_scenario(&name) {
         Ok(table) => {
-            print!("{table}");
+            emit(&table);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -459,14 +391,12 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) -> ExitCode {
             "--recapture" => recapture = true,
             "--out" | "-o" => {
                 let Some(path) = args.next() else {
-                    eprintln!("--out needs a file path\n{}", usage());
-                    return ExitCode::FAILURE;
+                    return misuse("--out needs a file path");
                 };
                 out = Some(path);
             }
             other => {
-                eprintln!("`repro validate` does not take {other:?}\n{}", usage());
-                return ExitCode::FAILURE;
+                return misuse(&format!("`repro validate` does not take {other:?}"));
             }
         }
     }
@@ -489,13 +419,13 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) -> ExitCode {
         Ok(report) => {
             let table = report.render();
             if let Some(path) = out {
-                if let Err(e) = write_atomic(std::path::Path::new(&path), table.as_bytes()) {
+                if let Err(e) = write_atomic(Path::new(&path), table.as_bytes()) {
                     eprintln!("cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
                 eprintln!("wrote {path}");
             }
-            print!("{table}");
+            emit(&table);
             if report.ok() {
                 ExitCode::SUCCESS
             } else {
@@ -517,14 +447,14 @@ fn run_golden(bless: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
         for name in harness::golden::SCENARIOS {
-            println!("blessed {}", harness::golden::golden_path(name).display());
+            emit(&format!("blessed {}\n", harness::golden::golden_path(name).display()));
         }
         return ExitCode::SUCCESS;
     }
     let mut ok = true;
     for name in harness::golden::SCENARIOS {
         match harness::golden::check(name) {
-            Ok(()) => println!("golden {name}: ok"),
+            Ok(()) => emit(&format!("golden {name}: ok\n")),
             Err(e) => {
                 ok = false;
                 eprintln!("golden {name}: FAILED\n{e}");
@@ -541,7 +471,6 @@ fn run_golden(bless: bool) -> ExitCode {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1).peekable();
     match args.peek().map(String::as_str) {
-        Some("run") => return cmd_run(args.skip(1)),
         Some("resume") => return cmd_resume(args.skip(1)),
         Some("inspect") => return cmd_inspect(args.skip(1)),
         Some("trace") => return cmd_trace(args.skip(1)),
@@ -553,29 +482,39 @@ fn main() -> ExitCode {
     }
     let mut scale = RunScale::Quick;
     let mut bless = false;
+    let mut dir = None;
+    let mut every = None;
     let mut wanted: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--bless" => bless = true,
             "--scale" | "-s" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--scale needs a value\n{}", usage());
-                    return ExitCode::FAILURE;
+                let Some(value) = args.next() else { return misuse("--scale needs a value") };
+                let Some(parsed) = RunScale::parse(&value) else {
+                    return misuse(&format!("unknown scale {value:?}"));
                 };
-                match RunScale::parse(&value) {
-                    Some(s) => scale = s,
-                    None => {
-                        eprintln!("unknown scale {value:?}\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
+                scale = parsed;
+            }
+            "--checkpoint-dir" => {
+                let Some(value) = args.next() else {
+                    return misuse("--checkpoint-dir needs a value");
+                };
+                dir = Some(value);
+            }
+            "--checkpoint-every" => {
+                let Some(value) =
+                    args.next().and_then(|v| v.parse::<u64>().ok()).filter(|&n| n > 0)
+                else {
+                    return misuse("--checkpoint-every wants a positive cycle count");
+                };
+                every = Some(value);
             }
             "list" | "--list" => {
-                println!("{}", experiment_names().join("\n"));
+                emit(&format!("{}\n", experiment_names().join("\n")));
                 return ExitCode::SUCCESS;
             }
             "help" | "--help" | "-h" => {
-                println!("{}", usage());
+                emit(&format!("{}\n", usage()));
                 return ExitCode::SUCCESS;
             }
             other => wanted.push(other.to_string()),
@@ -586,44 +525,34 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if wanted.iter().any(|w| w == "golden") {
-        if wanted.len() > 1 {
-            eprintln!("`golden` cannot be combined with experiments\n{}", usage());
-            return ExitCode::FAILURE;
+        if wanted.len() > 1 || dir.is_some() {
+            return misuse("`golden` cannot be combined with experiments or a journal");
         }
         return run_golden(bless);
     }
     if bless {
-        eprintln!("--bless only applies to `golden`\n{}", usage());
-        return ExitCode::FAILURE;
+        return misuse("--bless only applies to `golden`");
     }
-    let mut experiments = Vec::new();
-    for w in &wanted {
-        match EXPERIMENTS.iter().find(|e| e.name == w) {
-            Some(e) => experiments.push(e),
-            None if w == "all" => {}
-            None => {
-                eprintln!("unknown experiment {w:?}\n{}", usage());
-                return ExitCode::FAILURE;
+    let experiments = match select(&wanted) {
+        Ok(experiments) => experiments,
+        Err(e) => return misuse(&e),
+    };
+    let session = match dir {
+        None if every.is_some() => return misuse("--checkpoint-every needs --checkpoint-dir"),
+        None => Session::new(scale),
+        Some(dir) => {
+            let checkpoint_every = every.unwrap_or(DEFAULT_CHECKPOINT_EVERY);
+            match CheckpointDir::create(
+                &dir,
+                Manifest { experiments: wanted, scale, checkpoint_every },
+            ) {
+                Ok(journal) => Session::journaled(journal),
+                Err(e) => {
+                    eprintln!("cannot start a journal in {dir}: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
         }
-    }
-    if wanted.iter().any(|w| w == "all") {
-        experiments = EXPERIMENTS.iter().filter(|e| e.in_all).collect();
-    }
-
-    let session = Session::new(scale);
-    for e in experiments {
-        let started = std::time::Instant::now();
-        println!("{}", session.run(e));
-        eprintln!("[{} done in {:.1}s]\n", e.name, started.elapsed().as_secs_f64());
-    }
-    // Every run ends with the summary, whose last part is the failure
-    // digest: either the all-clear line or one line per failed case (label,
-    // error kind, health summary).
-    println!("{}", session.summary());
-    if session.failures().is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    };
+    run(experiments, &session)
 }

@@ -1,23 +1,25 @@
-//! Crash-resumable sweeps: a journal of completed cases plus a periodic
-//! mid-case [`Gpu`] snapshot, persisted as rotated, checksummed generations.
+//! Journaled runs: one checksummed file per case, a manifest, and failure
+//! snapshots, all in one directory.
 //!
-//! A checkpointed sweep runs its cases *sequentially*, each one in chunks
-//! whose boundaries are multiples of the watchdog window (itself a multiple
-//! of the controller epoch — the only cycles at which [`Gpu::snapshot`] is
-//! legal). After every chunk the harness writes a new checkpoint generation:
-//! the sweep identity (name, scale, plan fingerprint), the journal of
-//! finished `Result<CaseResult, CaseError>` entries, and the in-flight
-//! case's machine snapshot, controller state and epoch telemetry. Kill the
-//! process at any point — `repro resume <dir>` reloads the newest loadable
-//! generation and continues bit-identically: the resumed sweep's report
-//! equals the uninterrupted one's byte for byte.
+//! A [`Session`](crate::experiments::Session) given a [`CheckpointDir`]
+//! journals every case it runs. A case owns `case-<key>.bin`, where the key
+//! is FNV-1a of its encoded spec, and the case runner ([`crate::runner`])
+//! replaces that file after every chunk with the case's [`CaseState`]: its
+//! machine, controller and epoch telemetry while it runs, its final
+//! `Result<CaseResult, CaseError>` once it ends. Each worker writes only its
+//! own case's file, so a journaled run is as parallel as an unjournaled one.
+//! Before simulating a case the runner reads its file: a stored result is
+//! reused, an in-progress state is continued, anything else is rerun. The
+//! [`Manifest`] records the command (experiments, scale, cadence), so `repro
+//! resume <dir>` reruns it against the journal and prints the same bytes as
+//! an uninterrupted run; a finished journal re-renders without simulating.
 //!
 //! Robustness properties, each exercised by `tests/checkpoint.rs`:
 //! * writes are atomic ([`frame::write_atomic`]), so a crash mid-write
-//!   never leaves a torn newest file;
-//! * every generation is a checksummed [`frame`]; a corrupt (bit-flipped)
-//!   generation is detected, skipped with a warning, and the previous
-//!   generation is used instead ([`KEEP_GENERATIONS`] are retained);
+//!   never leaves a torn file;
+//! * every file is a checksummed [`frame`]; a corrupt case file, or one
+//!   holding another spec's record, is reported on stderr and costs a rerun
+//!   of that one case;
 //! * a watchdog or audit failure persists the failing machine as a loadable
 //!   [`FailureSnapshot`] that `repro inspect` pretty-prints alongside its
 //!   [`HealthReport`](gpu_sim::HealthReport).
@@ -27,45 +29,40 @@ use std::path::{Path, PathBuf};
 
 use gpu_sim::snap::frame;
 use gpu_sim::trace::{EpochRecord, Tracer};
-use gpu_sim::{Gpu, SimError, Snap, SnapshotBlob};
-use qos_core::QuotaScheme;
+use gpu_sim::{Gpu, SimError, SnapshotBlob};
 
-use crate::cases::{pair_sweep, pairs, CaseSpec, Policy};
-use crate::error::{failure_digest, CaseError, FailedCase};
-use crate::metrics::{mean, qos_reach, CaseResult};
-use crate::runner::{
-    build_controller, case_config, finish_case, isolated, prepare_case, IsolatedCache,
-    WATCHDOG_EPOCHS,
-};
+use crate::cases::CaseSpec;
+use crate::error::CaseError;
+use crate::metrics::CaseResult;
+use crate::runner::{case_config, CaseController, WATCHDOG_EPOCHS};
 use crate::scale::RunScale;
 
-/// Magic prefix of a sweep checkpoint file.
+/// Magic prefix of a case file and of the manifest.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FGCK";
 /// Magic prefix of a persisted failure snapshot.
 pub const FAILURE_MAGIC: [u8; 4] = *b"FGFS";
-/// Schema version of the checkpoint container; bumped on any layout change
-/// so stale files are refused instead of misdecoded. v2: the embedded
-/// machine snapshots and health reports carry the counter registry and
+/// Schema version of the journal's files; bumped on any layout change so
+/// stale files are refused instead of misdecoded. v2: the embedded machine
+/// snapshots and health reports carry the counter registry and
 /// flight-recorder rings (DESIGN.md §12). v3: the `QosManager` inside an
-/// in-progress case no longer carries an `α` cap, and the machine snapshot
-/// beside it is schema 9.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
-/// How many checkpoint generations are kept on disk. The newest may be torn
-/// or corrupt after a crash; older generations are the fallback.
-pub const KEEP_GENERATIONS: usize = 3;
-/// Default mid-case checkpoint cadence in cycles (rounded up to a watchdog
-/// window multiple per case configuration).
+/// in-progress case no longer carries an `α` cap. v4: one [`CaseRecord`]
+/// per file plus a [`Manifest`] replace the sweep-wide generations, and a
+/// failure snapshot no longer carries a sweep position.
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 4;
+/// Default chunk cadence in cycles (rounded up to whole watchdog windows per
+/// case configuration); unjournaled runs use it too.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 20_000;
+/// File name of the manifest inside a journal directory.
+pub const MANIFEST_FILE: &str = "manifest.bin";
 
-/// Why a checkpoint could not be written, loaded, or resumed.
+/// Why a journal could not be opened.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// No loadable generation, or a structurally bad file.
+    /// A missing, unreadable or structurally bad file.
     Corrupt(String),
-    /// The checkpoint does not match the sweep being resumed (unknown sweep
-    /// name, or the regenerated plan fingerprints differ).
+    /// The journal names something this build does not know.
     Mismatch(String),
 }
 
@@ -87,61 +84,63 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// The in-flight case of an interrupted sweep: everything needed to continue
-/// it bit-identically from its last chunk boundary.
+/// A case interrupted at a chunk boundary: everything needed to continue it
+/// bit-identically.
 #[derive(Debug, Clone)]
 pub struct InProgressCase {
-    /// Position of the case in the sweep plan.
-    pub index: usize,
     /// Cycles already simulated (a chunk boundary, hence epoch-aligned).
     pub cycles_done: u64,
     /// [`SnapshotBlob::to_bytes`] of the machine at `cycles_done`.
     pub gpu_blob: Vec<u8>,
     /// The policy controller's epoch state.
-    pub controller: crate::runner::CaseController,
+    pub controller: CaseController,
     /// Epoch telemetry recorded so far (feeds the final `trace_hash`).
     pub records: Vec<EpochRecord>,
 }
 
-gpu_sim::impl_snap_struct!(InProgressCase { index, cycles_done, gpu_blob, controller, records });
+gpu_sim::impl_snap_struct!(InProgressCase { cycles_done, gpu_blob, controller, records });
 
-/// One persisted sweep state: identity, journal, and the optional in-flight
-/// case.
+/// Where a journaled case stands.
 #[derive(Debug, Clone)]
-pub struct SweepCheckpoint {
-    /// Named sweep being run (see [`SWEEPS`]).
-    pub sweep: String,
-    /// Scale the sweep was started at.
-    pub scale: RunScale,
-    /// [`plan_fingerprint`] of the sweep's spec list; resume refuses to
-    /// continue when the regenerated plan hashes differently.
-    pub plan_fingerprint: u64,
-    /// Requested checkpoint cadence (cycles). Persisted so a resume replays
-    /// the exact chunk schedule — chunk boundaries shift watchdog-check
-    /// timing in faulted cases, so bit-identical resumption needs the same
-    /// cadence, not just the same plan.
-    pub checkpoint_every: u64,
-    /// Journal of finished cases, in plan order.
-    pub completed: Vec<Result<CaseResult, CaseError>>,
-    /// The interrupted case, if the sweep died mid-case.
-    pub in_progress: Option<InProgressCase>,
+pub enum CaseState {
+    /// Interrupted at a chunk boundary.
+    InProgress(InProgressCase),
+    /// Finished, successfully or not.
+    Done(Result<CaseResult, CaseError>),
 }
 
-gpu_sim::impl_snap_struct!(SweepCheckpoint {
-    sweep,
-    scale,
-    plan_fingerprint,
-    checkpoint_every,
-    completed,
-    in_progress,
-});
+gpu_sim::impl_snap_enum!(CaseState { InProgress(case) = 0, Done(outcome) = 1 });
+
+/// The content of a case file: the spec it belongs to and its state.
+#[derive(Debug, Clone)]
+pub struct CaseRecord {
+    /// The case; a file whose spec differs from the requested one is not
+    /// reused.
+    pub spec: CaseSpec,
+    /// Its state.
+    pub state: CaseState,
+}
+
+gpu_sim::impl_snap_struct!(CaseRecord { spec, state });
+
+/// The command a journal was started by.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Manifest {
+    /// Experiment names as given (`all` included).
+    pub experiments: Vec<String>,
+    /// The run scale.
+    pub scale: RunScale,
+    /// Requested chunk cadence in cycles. Chunk boundaries shift
+    /// watchdog-check timing in faulted cases, so a resume replays it.
+    pub checkpoint_every: u64,
+}
+
+gpu_sim::impl_snap_struct!(Manifest { experiments, scale, checkpoint_every });
 
 /// A failing machine persisted at the moment a watchdog or audit error
 /// surfaced (both land on epoch boundaries, so the snapshot is legal).
 #[derive(Debug, Clone)]
 pub struct FailureSnapshot {
-    /// Position of the failing case in its sweep.
-    pub case_index: usize,
     /// The case that failed.
     pub spec: CaseSpec,
     /// The typed failure (a watchdog error carries its
@@ -151,133 +150,155 @@ pub struct FailureSnapshot {
     pub gpu_blob: Vec<u8>,
 }
 
-gpu_sim::impl_snap_struct!(FailureSnapshot { case_index, spec, error, gpu_blob });
+gpu_sim::impl_snap_struct!(FailureSnapshot { spec, error, gpu_blob });
 
-// ---------------------------------------------------------------------
-// The checkpoint directory: rotated generations + failure snapshots.
-// ---------------------------------------------------------------------
+/// The name of a case's files: FNV-1a of its encoded spec, so two specs
+/// share a key only if every field is identical (or they collide, which the
+/// spec stored beside the state catches).
+pub(crate) fn case_key(spec: &CaseSpec) -> u64 {
+    gpu_sim::snap::fnv1a(&gpu_sim::snap::encode_to_vec(spec))
+}
 
-/// A directory of rotated sweep-checkpoint generations (`ckpt-<seq>.bin`)
-/// and failure snapshots (`failure-case-<index>.snap`).
+/// Rounds the requested cadence up to a whole number of watchdog windows for
+/// this case — at least two — so every chunk ends on an epoch-aligned
+/// boundary where [`Gpu::snapshot`] is legal.
+///
+/// The two-window floor matters for liveness detection: `try_run` checks for
+/// progress at absolute multiples of the window *strictly inside* the call,
+/// so a chunk spanning exactly one window would contain no check at all and
+/// a livelock would run to its cycle budget undetected. With ≥ 2 windows per
+/// chunk every chunk contains an interior check, and a wedged machine trips
+/// within at most two windows (one later than a straight run at worst —
+/// checks coinciding with chunk boundaries are skipped).
+pub(crate) fn chunk_cycles(every: u64, epoch_cycles: u64) -> u64 {
+    let window = WATCHDOG_EPOCHS * epoch_cycles;
+    every.max(1).div_ceil(window).max(2).saturating_mul(window)
+}
+
+/// A journal directory: the [`Manifest`], one `case-<key>.bin` per case and
+/// a `failure-<key>.snap` per failed case.
 #[derive(Debug)]
 pub struct CheckpointDir {
     root: PathBuf,
+    manifest: Manifest,
 }
 
 impl CheckpointDir {
-    /// Opens (creating if needed) a checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `create_dir_all` failures.
-    pub fn create(root: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let root = root.into();
-        std::fs::create_dir_all(&root)?;
-        Ok(CheckpointDir { root })
-    }
-
-    /// The directory path.
-    pub fn path(&self) -> &Path {
-        &self.root
-    }
-
-    fn generation_path(&self, seq: u64) -> PathBuf {
-        self.root.join(format!("ckpt-{seq:08}.bin"))
-    }
-
-    /// Existing generations, sorted oldest first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read failures.
-    pub fn generations(&self) -> std::io::Result<Vec<(u64, PathBuf)>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            let Some(seq) = name
-                .strip_prefix("ckpt-")
-                .and_then(|r| r.strip_suffix(".bin"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            out.push((seq, path));
-        }
-        out.sort_by_key(|&(seq, _)| seq);
-        Ok(out)
-    }
-
-    /// Writes `ckpt` as a new generation (atomically) and prunes old ones,
-    /// keeping the newest [`KEEP_GENERATIONS`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures from the write (pruning failures are
-    /// ignored — stale generations are harmless).
-    pub fn save(&self, ckpt: &SweepCheckpoint) -> std::io::Result<PathBuf> {
-        let generations = self.generations()?;
-        let seq = generations.last().map_or(0, |&(seq, _)| seq + 1);
-        let path = self.generation_path(seq);
-        frame::write_atomic(
-            &path,
-            &frame::seal(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, ckpt),
-        )?;
-        if generations.len() + 1 > KEEP_GENERATIONS {
-            for (_, stale) in &generations[..generations.len() + 1 - KEEP_GENERATIONS] {
-                let _ = std::fs::remove_file(stale);
-            }
-        }
-        Ok(path)
-    }
-
-    /// Loads the newest loadable generation, degrading gracefully: a corrupt
-    /// or truncated generation is skipped with a warning and the next-older
-    /// one is tried. Returns `None` (plus the warnings) when no generation
-    /// loads.
-    ///
-    /// # Errors
-    ///
-    /// Only on failure to list the directory; per-file problems degrade to
-    /// warnings instead.
-    pub fn load_latest(&self) -> std::io::Result<(Option<SweepCheckpoint>, Vec<String>)> {
-        let mut warnings = Vec::new();
-        for (_, path) in self.generations()?.into_iter().rev() {
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    warnings.push(format!("skipping {}: unreadable ({e})", path.display()));
-                    continue;
-                }
-            };
-            match frame::open::<SweepCheckpoint>(
-                CHECKPOINT_MAGIC,
-                CHECKPOINT_SCHEMA_VERSION,
-                &bytes,
-            ) {
-                Ok(ckpt) => return Ok((Some(ckpt), warnings)),
-                Err(why) => warnings.push(format!(
-                    "skipping corrupt checkpoint {}: {why}; falling back to previous generation",
-                    path.display()
-                )),
-            }
-        }
-        Ok((None, warnings))
-    }
-
-    /// Persists the machine state of a failed case for `repro inspect`.
+    /// Starts a journal in `root` (creating it if needed) by writing
+    /// `manifest`. Case files already there are reused where their spec
+    /// matches.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
-    pub fn save_failure(&self, snap: &FailureSnapshot) -> std::io::Result<PathBuf> {
-        let path = self.root.join(format!("failure-case-{:04}.snap", snap.case_index));
-        frame::write_atomic(&path, &frame::seal(FAILURE_MAGIC, CHECKPOINT_SCHEMA_VERSION, snap))?;
-        Ok(path)
+    pub fn create(root: impl Into<PathBuf>, manifest: Manifest) -> std::io::Result<Self> {
+        let root = root.into();
+        std::fs::create_dir_all(&root)?;
+        let file = frame::seal(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &manifest);
+        frame::write_atomic(&root.join(MANIFEST_FILE), &file)?;
+        Ok(CheckpointDir { root, manifest })
+    }
+
+    /// Opens the journal in `root` by reading its manifest.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Corrupt`] when the manifest is missing, torn or
+    /// checksum-bad; [`CheckpointError::Mismatch`] when it names an
+    /// experiment this build does not know.
+    pub fn open(root: impl Into<PathBuf>) -> Result<Self, CheckpointError> {
+        let root = root.into();
+        let path = root.join(MANIFEST_FILE);
+        let corrupt = |why: String| CheckpointError::Corrupt(format!("{}: {why}", path.display()));
+        let bytes = std::fs::read(&path).map_err(|e| corrupt(e.to_string()))?;
+        let manifest: Manifest = frame::open(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &bytes)
+            .map_err(|e| corrupt(e.to_string()))?;
+        crate::experiments::select(&manifest.experiments).map_err(CheckpointError::Mismatch)?;
+        Ok(CheckpointDir { root, manifest })
+    }
+
+    /// The command this journal records.
+    pub fn manifest(&self) -> &Manifest {
+        &self.manifest
+    }
+
+    /// The path of `spec`'s case file.
+    pub fn case_path(&self, spec: &CaseSpec) -> PathBuf {
+        self.root.join(format!("case-{:016x}.bin", case_key(spec)))
+    }
+
+    /// What `spec`'s case file holds. A missing file is a case not started
+    /// yet; a file that is unreadable, fails its frame check or holds another
+    /// spec's record is reported on stderr and ignored, so that case alone
+    /// is rerun.
+    pub(crate) fn load_case(&self, spec: &CaseSpec) -> Option<CaseState> {
+        let path = self.case_path(spec);
+        let why = match std::fs::read(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(e) => format!("unreadable ({e})"),
+            Ok(bytes) => {
+                match frame::open::<CaseRecord>(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &bytes)
+                {
+                    Ok(record) if record.spec == *spec => return Some(record.state),
+                    Ok(_) => "it holds another case's record".to_string(),
+                    Err(e) => e.to_string(),
+                }
+            }
+        };
+        eprintln!("warning: ignoring {} ({why}); rerunning {}", path.display(), spec.label());
+        None
+    }
+
+    /// Replaces the case file of `record.spec`. A failed write is reported
+    /// on stderr: the run goes on, and a resume redoes what it did not
+    /// record.
+    pub fn save_case(&self, record: &CaseRecord) {
+        let path = self.case_path(&record.spec);
+        let file = frame::seal(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, record);
+        if let Err(e) = frame::write_atomic(&path, &file) {
+            eprintln!("warning: cannot write {}: {e}", path.display());
+        }
+    }
+
+    /// Saves `spec`'s machine and controller after `done` cycles.
+    pub(crate) fn save_progress(
+        &self,
+        spec: &CaseSpec,
+        done: u64,
+        gpu: &Gpu,
+        tracer: &Tracer<CaseController>,
+    ) {
+        let blob =
+            gpu.snapshot().expect("chunk boundaries are watchdog-window (hence epoch) aligned");
+        let state = CaseState::InProgress(InProgressCase {
+            cycles_done: done,
+            gpu_blob: blob.to_bytes(),
+            controller: tracer.inner().clone(),
+            records: tracer.records().to_vec(),
+        });
+        self.save_case(&CaseRecord { spec: spec.clone(), state });
+    }
+
+    /// Persists the machine of a case that failed with `error` as
+    /// `failure-<key>.snap`, for `repro inspect`.
+    pub(crate) fn save_failure(&self, spec: &CaseSpec, error: &CaseError, gpu: &Gpu) {
+        let path = self.root.join(format!("failure-{:016x}.snap", case_key(spec)));
+        let saved = gpu.snapshot().map_err(|e| e.to_string()).and_then(|blob| {
+            let snap = FailureSnapshot {
+                spec: spec.clone(),
+                error: error.clone(),
+                gpu_blob: blob.to_bytes(),
+            };
+            let file = frame::seal(FAILURE_MAGIC, CHECKPOINT_SCHEMA_VERSION, &snap);
+            frame::write_atomic(&path, &file).map_err(|e| e.to_string())
+        });
+        if let Err(why) = saved {
+            eprintln!("warning: {}: no failure snapshot persisted ({why})", spec.label());
+        }
     }
 }
 
-/// Loads a failure snapshot written by [`CheckpointDir::save_failure`].
+/// Loads a failure snapshot written by a journaled run.
 ///
 /// # Errors
 ///
@@ -288,409 +309,13 @@ pub fn load_failure(path: &Path) -> Result<FailureSnapshot, CheckpointError> {
         .map_err(|why| CheckpointError::Corrupt(format!("{}: {why}", path.display())))
 }
 
-// ---------------------------------------------------------------------
-// Named sweeps (self-describing resume) and the plan fingerprint.
-// ---------------------------------------------------------------------
-
-/// Named sweeps `repro run` accepts; a checkpoint records the name + scale,
-/// so `repro resume` can regenerate the identical plan with no other input.
-///
-/// `smoke-faulty` is the failure drill: its second case livelocks under an
-/// injected quota starvation, trips the watchdog, and leaves a
-/// `failure-case-0001.snap` for `repro inspect` to pretty-print.
-pub const SWEEPS: [&str; 5] = ["smoke", "smoke-faulty", "fig6a", "pairs-rollover", "pairs-spart"];
-
-/// The epoch override of the `smoke`/`smoke-faulty` sweeps: short enough
-/// that even a `Bench`-scale case spans several watchdog windows, so the
-/// kill-and-resume tests exercise mid-case snapshots cheaply.
-const SMOKE_EPOCH_CYCLES: u64 = 2_000;
-
-fn smoke_specs(scale: RunScale) -> Vec<CaseSpec> {
-    pairs()
-        .into_iter()
-        .take(4)
-        .map(|(q, b)| {
-            let mut spec = CaseSpec::new(
-                &[q, b],
-                &[Some(0.5), None],
-                Policy::Quota(QuotaScheme::Rollover),
-                scale.cycles(),
-            );
-            spec.epoch_cycles = Some(SMOKE_EPOCH_CYCLES);
-            spec
-        })
-        .collect()
-}
-
-/// Regenerates the spec list of a named sweep at a scale. Deterministic:
-/// the same `(name, scale)` always yields the same plan (and hence the same
-/// [`plan_fingerprint`]).
-pub fn sweep_specs(name: &str, scale: RunScale) -> Option<Vec<CaseSpec>> {
-    let goals = scale.goals();
-    match name {
-        // A handful of pair cases: small enough for tests and CI smoke jobs,
-        // big enough to cross several checkpoint generations.
-        "smoke" => Some(smoke_specs(scale)),
-        // The smoke sweep with a livelock injected into its second case:
-        // all quotas starve mid-run, the watchdog trips, and the failing
-        // machine is persisted as a failure snapshot.
-        "smoke-faulty" => {
-            let mut specs = smoke_specs(scale);
-            specs[1].faults =
-                gpu_sim::FaultPlan::one(3 * SMOKE_EPOCH_CYCLES, gpu_sim::FaultKind::StarveQuota);
-            Some(specs)
-        }
-        "fig6a" => Some(pair_sweep(&Policy::FIG6A, &goals, scale.cycles(), scale.case_stride())),
-        "pairs-rollover" => Some(pair_sweep(
-            &[Policy::Quota(QuotaScheme::Rollover)],
-            &goals,
-            scale.cycles(),
-            scale.case_stride(),
-        )),
-        "pairs-spart" => {
-            Some(pair_sweep(&[Policy::Spart], &goals, scale.cycles(), scale.case_stride()))
-        }
-        _ => None,
-    }
-}
-
-/// FNV-1a fingerprint over the encoded spec list: two plans fingerprint
-/// equal iff every spec field is identical.
-pub fn plan_fingerprint(specs: &[CaseSpec]) -> u64 {
-    let mut buf = Vec::new();
-    specs.len().encode(&mut buf);
-    for spec in specs {
-        spec.encode(&mut buf);
-    }
-    gpu_sim::snap::fnv1a(&buf)
-}
-
-// ---------------------------------------------------------------------
-// The checkpointed sweep driver.
-// ---------------------------------------------------------------------
-
-/// Result of a checkpointed (or resumed) sweep run.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Name of the sweep.
-    pub sweep: String,
-    /// Scale it ran at.
-    pub scale: RunScale,
-    /// The plan that was run, in order.
-    pub specs: Vec<CaseSpec>,
-    /// One journal entry per case, in plan order.
-    pub outcomes: Vec<Result<CaseResult, CaseError>>,
-    /// Degradation warnings (corrupt generations skipped, discarded
-    /// mid-case state, …); empty on a clean run.
-    pub warnings: Vec<String>,
-}
-
-impl SweepOutcome {
-    /// Renders the sweep's final report. Pure function of the journal, so an
-    /// interrupted-then-resumed sweep prints the same bytes as an
-    /// uninterrupted one.
-    pub fn report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "sweep {} [{:?} scale, {} case(s)]",
-            self.sweep,
-            self.scale,
-            self.specs.len()
-        );
-        for (index, (outcome, spec)) in self.outcomes.iter().zip(&self.specs).enumerate() {
-            match outcome {
-                Ok(r) => {
-                    let ipc: Vec<String> = r.ipc.iter().map(|v| format!("{v:.4}")).collect();
-                    let _ = writeln!(
-                        out,
-                        "  case {index:3} ok      {}  ipc=[{}] trace={:#018x}",
-                        spec.label(),
-                        ipc.join(", "),
-                        r.trace_hash
-                    );
-                }
-                Err(e) => {
-                    let _ =
-                        writeln!(out, "  case {index:3} FAILED  {}  [{}]", spec.label(), e.kind());
-                }
-            }
-        }
-        let ok: Vec<&CaseResult> = self.outcomes.iter().filter_map(|o| o.as_ref().ok()).collect();
-        let _ = writeln!(
-            out,
-            "QoS reach {:.3} | mean non-QoS throughput {:.3} | {} failure(s)",
-            qos_reach(ok.iter().copied()),
-            mean(ok.iter().copied(), CaseResult::nonqos_normalized),
-            self.outcomes.len() - ok.len()
-        );
-        let failures: Vec<FailedCase> = self
-            .outcomes
-            .iter()
-            .zip(&self.specs)
-            .enumerate()
-            .filter_map(|(index, (outcome, spec))| {
-                outcome.as_ref().err().map(|error| FailedCase {
-                    index,
-                    spec: spec.clone(),
-                    error: error.clone(),
-                })
-            })
-            .collect();
-        out.push_str(&failure_digest(&failures));
-        out
-    }
-}
-
-struct SweepIdentity<'a> {
-    sweep: &'a str,
-    scale: RunScale,
-    plan_fingerprint: u64,
-    checkpoint_every: u64,
-}
-
-impl SweepIdentity<'_> {
-    fn checkpoint(
-        &self,
-        completed: &[Result<CaseResult, CaseError>],
-        in_progress: Option<InProgressCase>,
-    ) -> SweepCheckpoint {
-        SweepCheckpoint {
-            sweep: self.sweep.to_string(),
-            scale: self.scale,
-            plan_fingerprint: self.plan_fingerprint,
-            checkpoint_every: self.checkpoint_every,
-            completed: completed.to_vec(),
-            in_progress,
-        }
-    }
-}
-
-/// Rounds the requested checkpoint cadence up to a whole number of watchdog
-/// windows for this case — at least two — so every mid-case checkpoint lands
-/// on an epoch-aligned chunk boundary where [`Gpu::snapshot`] is legal.
-///
-/// The two-window floor matters for liveness detection: `try_run` checks for
-/// progress at absolute multiples of the window *strictly inside* the call,
-/// so a chunk spanning exactly one window would contain no check at all and
-/// a livelock would run to its cycle budget undetected. With ≥ 2 windows per
-/// chunk every chunk contains an interior check, and a wedged machine trips
-/// within at most two windows (one later than a straight run at worst —
-/// checks coinciding with chunk boundaries are skipped).
-fn chunk_cycles(every: u64, epoch_cycles: u64) -> u64 {
-    let window = WATCHDOG_EPOCHS * epoch_cycles;
-    every.max(1).div_ceil(window).max(2) * window
-}
-
-/// Runs one case in chunks, persisting a checkpoint generation after each
-/// chunk and a [`FailureSnapshot`] if the simulator reports a health error.
-#[allow(clippy::too_many_arguments)]
-fn run_case_chunked(
-    spec: &CaseSpec,
-    index: usize,
-    iso: &IsolatedCache,
-    dir: &CheckpointDir,
-    every: u64,
-    resume: Option<InProgressCase>,
-    completed: &[Result<CaseResult, CaseError>],
-    identity: &SweepIdentity<'_>,
-    warnings: &mut Vec<String>,
-) -> Result<CaseResult, CaseError> {
-    let mut prepared = prepare_case(spec, iso)?;
-    let (mut tracer, mut done) = match resume {
-        Some(ip) => {
-            debug_assert_eq!(ip.index, index);
-            let restored =
-                SnapshotBlob::from_bytes(&ip.gpu_blob).and_then(|blob| prepared.gpu.restore(&blob));
-            match restored {
-                Ok(()) => (Tracer::from_parts(ip.controller, ip.records), ip.cycles_done),
-                Err(e) => {
-                    // The journal survives; only the mid-case state is lost.
-                    warnings.push(format!(
-                        "case {index}: discarding unusable mid-case snapshot ({e}); \
-                         restarting the case from cycle 0"
-                    ));
-                    let ctrl = build_controller(spec, &prepared.kids, &prepared.goal_ipc);
-                    (Tracer::new(ctrl), 0)
-                }
-            }
-        }
-        None => {
-            let ctrl = build_controller(spec, &prepared.kids, &prepared.goal_ipc);
-            (Tracer::new(ctrl), 0)
-        }
-    };
-
-    let chunk = chunk_cycles(every, prepared.gpu.config().epoch_cycles);
-    while done < spec.cycles {
-        let step = chunk.min(spec.cycles - done);
-        if let Err(sim_err) = prepared.gpu.try_run(step, &mut tracer) {
-            // Watchdog trips and audit failures surface on epoch boundaries,
-            // so the failing machine is snapshot-legal; persist it for
-            // `repro inspect`.
-            let error = CaseError::from(sim_err);
-            match prepared.gpu.snapshot() {
-                Ok(blob) => {
-                    let snap = FailureSnapshot {
-                        case_index: index,
-                        spec: spec.clone(),
-                        error: error.clone(),
-                        gpu_blob: blob.to_bytes(),
-                    };
-                    if let Err(e) = dir.save_failure(&snap) {
-                        warnings
-                            .push(format!("case {index}: could not persist failure snapshot: {e}"));
-                    }
-                }
-                Err(e) => warnings.push(format!(
-                    "case {index}: failure state not snapshot-legal ({e}); \
-                     no failure snapshot persisted"
-                )),
-            }
-            return Err(error);
-        }
-        done += step;
-        if done < spec.cycles {
-            let blob = prepared
-                .gpu
-                .snapshot()
-                .expect("chunk boundaries are watchdog-window (hence epoch) aligned");
-            let in_progress = InProgressCase {
-                index,
-                cycles_done: done,
-                gpu_blob: blob.to_bytes(),
-                controller: tracer.inner().clone(),
-                records: tracer.records().to_vec(),
-            };
-            if let Err(e) = dir.save(&identity.checkpoint(completed, Some(in_progress))) {
-                warnings.push(format!("case {index}: checkpoint write failed: {e}"));
-            }
-        }
-    }
-    Ok(finish_case(spec, &prepared, tracer.records()))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    sweep: &str,
-    scale: RunScale,
-    specs: Vec<CaseSpec>,
-    dir: &CheckpointDir,
-    every: u64,
-    mut journal: Vec<Result<CaseResult, CaseError>>,
-    mut in_progress: Option<InProgressCase>,
-    mut warnings: Vec<String>,
-) -> Result<SweepOutcome, CheckpointError> {
-    let identity = SweepIdentity {
-        sweep,
-        scale,
-        plan_fingerprint: plan_fingerprint(&specs),
-        checkpoint_every: every,
-    };
-    journal.truncate(specs.len());
-    let iso = IsolatedCache::new();
-    for (index, spec) in specs.iter().enumerate().skip(journal.len()) {
-        let mut resume = in_progress.take().filter(|ip| ip.index == index);
-        // The retry starts from scratch: the deterministic mid-case state
-        // would just reproduce the panic.
-        let result = isolated(|| {
-            let resume = resume.take();
-            run_case_chunked(
-                spec,
-                index,
-                &iso,
-                dir,
-                every,
-                resume,
-                &journal,
-                &identity,
-                &mut warnings,
-            )
-        });
-        journal.push(result);
-        if let Err(e) = dir.save(&identity.checkpoint(&journal, None)) {
-            warnings.push(format!("case {index}: checkpoint write failed: {e}"));
-        }
-    }
-    Ok(SweepOutcome { sweep: sweep.to_string(), scale, specs, outcomes: journal, warnings })
-}
-
-/// Runs a named sweep from the start, checkpointing into `dir` roughly every
-/// `every` cycles of each case.
-///
-/// # Errors
-///
-/// [`CheckpointError::Mismatch`] for an unknown sweep name; I/O errors from
-/// the checkpoint directory.
-pub fn run_sweep_checkpointed(
-    sweep: &str,
-    scale: RunScale,
-    dir: &CheckpointDir,
-    every: u64,
-) -> Result<SweepOutcome, CheckpointError> {
-    let specs = sweep_specs(sweep, scale).ok_or_else(|| {
-        CheckpointError::Mismatch(format!("unknown sweep {sweep:?} (known: {})", SWEEPS.join(", ")))
-    })?;
-    drive(sweep, scale, specs, dir, every, Vec::new(), None, Vec::new())
-}
-
-/// Resumes an interrupted sweep from the newest loadable checkpoint in
-/// `dir`, continuing mid-case from the persisted machine snapshot. The
-/// checkpoint cadence defaults to the one persisted in the checkpoint (so
-/// the chunk schedule — and hence watchdog-check timing in faulted cases —
-/// replays exactly); `every` overrides it.
-///
-/// # Errors
-///
-/// [`CheckpointError::Corrupt`] when no generation loads;
-/// [`CheckpointError::Mismatch`] when the stored sweep name is unknown or
-/// the regenerated plan fingerprints differently (the code or plan changed
-/// since the checkpoint was written).
-pub fn resume_sweep(
-    dir: &CheckpointDir,
-    every: Option<u64>,
-) -> Result<SweepOutcome, CheckpointError> {
-    let (latest, warnings) = dir.load_latest()?;
-    let ckpt = latest.ok_or_else(|| {
-        CheckpointError::Corrupt(format!(
-            "no loadable checkpoint generation in {}",
-            dir.path().display()
-        ))
-    })?;
-    let specs = sweep_specs(&ckpt.sweep, ckpt.scale).ok_or_else(|| {
-        CheckpointError::Mismatch(format!("checkpoint names unknown sweep {:?}", ckpt.sweep))
-    })?;
-    let fingerprint = plan_fingerprint(&specs);
-    if fingerprint != ckpt.plan_fingerprint {
-        return Err(CheckpointError::Mismatch(format!(
-            "plan fingerprint changed: checkpoint {:#018x}, regenerated {fingerprint:#018x}",
-            ckpt.plan_fingerprint
-        )));
-    }
-    drive(
-        &ckpt.sweep.clone(),
-        ckpt.scale,
-        specs,
-        dir,
-        every.unwrap_or(ckpt.checkpoint_every),
-        ckpt.completed,
-        ckpt.in_progress,
-        warnings,
-    )
-}
-
-// ---------------------------------------------------------------------
-// Failure-snapshot inspection.
-// ---------------------------------------------------------------------
-
 /// Pretty-prints a persisted failure snapshot: the case, the typed error
 /// (with its health report when the watchdog tripped), and the machine
 /// state restored from the blob.
 pub fn render_failure_snapshot(snap: &FailureSnapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "failure snapshot: case {} — {}", snap.case_index, snap.spec.label());
+    let _ = writeln!(out, "failure snapshot: {}", snap.spec.label());
     let _ = writeln!(out, "error [{}]: {}", snap.error.kind(), snap.error);
     if let CaseError::Sim(SimError::Watchdog(report)) = &snap.error {
         let _ = writeln!(out, "health report: {}", report.summary());
@@ -770,6 +395,7 @@ pub fn render_failure_snapshot(snap: &FailureSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cases::Policy;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -778,54 +404,40 @@ mod tests {
         dir
     }
 
-    fn tiny_checkpoint(completed: usize) -> SweepCheckpoint {
-        let specs = sweep_specs("smoke", RunScale::Bench).expect("known sweep");
-        SweepCheckpoint {
-            sweep: "smoke".to_string(),
+    fn manifest(experiments: &[&str]) -> Manifest {
+        Manifest {
+            experiments: experiments.iter().map(|s| s.to_string()).collect(),
             scale: RunScale::Bench,
-            plan_fingerprint: plan_fingerprint(&specs),
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            completed: (0..completed)
-                .map(|i| Err(CaseError::Panicked { payload: format!("case {i}"), attempts: 2 }))
-                .collect(),
-            in_progress: None,
         }
     }
 
-    #[test]
-    fn generations_rotate_and_latest_wins() {
-        let dir = CheckpointDir::create(tmp_dir("rotate")).expect("create");
-        for i in 0..5 {
-            dir.save(&tiny_checkpoint(i)).expect("save");
-        }
-        let generations = dir.generations().expect("list");
-        assert_eq!(generations.len(), KEEP_GENERATIONS, "old generations pruned");
-        let (latest, warnings) = dir.load_latest().expect("load");
-        assert!(warnings.is_empty());
-        assert_eq!(latest.expect("loadable").completed.len(), 4);
-        let _ = std::fs::remove_dir_all(dir.path());
+    fn spec() -> CaseSpec {
+        CaseSpec::new(&["sgemm", "lbm"], &[Some(0.5), None], Policy::Spart, 20_000)
     }
 
     #[test]
     fn empty_dir_loads_nothing() {
-        let dir = CheckpointDir::create(tmp_dir("empty")).expect("create");
-        let (latest, warnings) = dir.load_latest().expect("load");
-        assert!(latest.is_none());
-        assert!(warnings.is_empty());
-        let _ = std::fs::remove_dir_all(dir.path());
+        let root = tmp_dir("empty");
+        std::fs::create_dir_all(&root).expect("create");
+        let err = CheckpointDir::open(&root).expect_err("no manifest");
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        let dir = CheckpointDir::create(&root, manifest(&["smoke"])).expect("create");
+        assert!(dir.load_case(&spec()).is_none(), "no case file, no state");
+        assert_eq!(CheckpointDir::open(&root).expect("reopens").manifest(), dir.manifest());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn plan_fingerprint_is_sensitive_to_every_spec_field() {
-        let a = sweep_specs("smoke", RunScale::Bench).expect("known");
+    fn case_key_is_sensitive_to_every_spec_field() {
+        let a = spec();
         let mut b = a.clone();
-        assert_eq!(plan_fingerprint(&a), plan_fingerprint(&b));
-        b[0].cycles += 1;
-        assert_ne!(plan_fingerprint(&a), plan_fingerprint(&b));
-        assert_ne!(
-            plan_fingerprint(&a),
-            plan_fingerprint(&sweep_specs("smoke", RunScale::Smoke).expect("known"))
-        );
+        assert_eq!(case_key(&a), case_key(&b));
+        b.cycles += 1;
+        assert_ne!(case_key(&a), case_key(&b));
+        let mut c = a.clone();
+        c.epoch_cycles = Some(2_000);
+        assert_ne!(case_key(&a), case_key(&c));
     }
 
     #[test]
@@ -836,34 +448,33 @@ mod tests {
         assert_eq!(chunk_cycles(20_000, 10_000), 40_000);
         assert_eq!(chunk_cycles(40_001, 10_000), 60_000);
         assert_eq!(chunk_cycles(100_000, 1_000), 100_000);
+        assert_eq!(chunk_cycles(u64::MAX, 10_000), u64::MAX, "a hostile cadence saturates");
     }
 
     #[test]
     fn unknown_sweep_is_a_mismatch() {
-        let dir = CheckpointDir::create(tmp_dir("unknown")).expect("create");
-        let err = run_sweep_checkpointed("nope", RunScale::Bench, &dir, 1).expect_err("bad");
+        let root = tmp_dir("unknown");
+        CheckpointDir::create(&root, manifest(&["fig6a", "nope"])).expect("create");
+        let err = CheckpointDir::open(&root).expect_err("an unknown experiment");
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
-        let _ = std::fs::remove_dir_all(dir.path());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn checkpoint_file_round_trips() {
-        let dir = CheckpointDir::create(tmp_dir("roundtrip")).expect("create");
-        let ckpt = tiny_checkpoint(2);
-        let path = dir.save(&ckpt).expect("save");
-        let (back, warnings) = dir.load_latest().expect("load");
-        let back = back.expect("loadable");
-        assert!(warnings.is_empty());
-        assert_eq!(back.sweep, ckpt.sweep);
-        assert_eq!(back.plan_fingerprint, ckpt.plan_fingerprint);
-        assert_eq!(back.completed.len(), 2);
-        // Wired to the shared frame: a sweep checkpoint is not a failure
-        // snapshot, whatever its payload would decode to.
-        let err = load_failure(&path).expect_err("FGCK is not FGFS");
+        let root = tmp_dir("roundtrip");
+        let dir = CheckpointDir::create(&root, manifest(&["all"])).expect("create");
+        let error = CaseError::Panicked { payload: "case 0".to_string(), attempts: 2 };
+        dir.save_case(&CaseRecord { spec: spec(), state: CaseState::Done(Err(error)) });
+        let back = dir.load_case(&spec()).expect("loadable");
+        assert!(matches!(back, CaseState::Done(Err(CaseError::Panicked { attempts: 2, .. }))));
+        // Wired to the shared frame: a case file is not a failure snapshot,
+        // whatever its payload would decode to.
+        let err = load_failure(&dir.case_path(&spec())).expect_err("FGCK is not FGFS");
         assert!(
             matches!(&err, CheckpointError::Corrupt(why) if why.contains("bad magic")),
             "{err}"
         );
-        let _ = std::fs::remove_dir_all(dir.path());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

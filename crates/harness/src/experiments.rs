@@ -5,20 +5,24 @@
 //! report body and a one-line measured headline from the same results.
 //! `repro` lists, dispatches and summarises from it, and `EXPERIMENTS.md`'s
 //! summary table is the [`Session::summary`] of a `repro --scale quick all`
-//! run.
+//! run. A [`Session::journaled`] session keeps every case it runs in a
+//! [`CheckpointDir`], so a killed run resumes and a finished one re-renders
+//! without simulating.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::iter::once;
 use std::sync::{Arc, Mutex};
 
+use gpu_sim::{FaultKind, FaultPlan};
 use qos_core::QuotaScheme;
 
-use crate::cases::{pair_sweep, trio_sweep, Ablations, CaseSpec, ConfigKind, Policy};
+use crate::cases::{pair_sweep, pairs, trio_sweep, Ablations, CaseSpec, ConfigKind, Policy};
+use crate::checkpoint::CheckpointDir;
 use crate::error::{CaseError, FailedCase};
 use crate::metrics::{mean, miss_bucket, qos_reach, CaseResult, MISS_BUCKETS};
 use crate::report::{goal_label, pct, preamble, ratio, Table};
-use crate::runner::{run_cases, IsolatedCache};
+use crate::runner::{run_journaled, IsolatedCache};
 use crate::scale::RunScale;
 
 /// One report of the evaluation.
@@ -200,7 +204,50 @@ pub static EXPERIMENTS: &[Experiment] = &[
         in_all: false,
         run: Session::ablation_epoch,
     },
+    // The two drills of the journal (DESIGN §11.2): short enough that a
+    // `Bench` case spans several chunks, one line per case with its trace
+    // hash so that two runs compare case by case.
+    Experiment {
+        name: "smoke",
+        title: "smoke — four Rollover pairs at 2 000-cycle epochs",
+        paper: "not a result of the paper: the kill-and-resume drill",
+        in_all: false,
+        run: |s| s.smoke(false),
+    },
+    Experiment {
+        name: "smoke-faulty",
+        title: "smoke-faulty — the smoke pairs, quota starved in the second",
+        paper: "not a result of the paper: the watchdog and failure-snapshot drill",
+        in_all: false,
+        run: |s| s.smoke(true),
+    },
 ];
+
+/// The experiments `names` ask for, in the order given; `all` among them
+/// means every experiment marked for it instead.
+///
+/// # Errors
+///
+/// The first name that is neither an experiment nor `all`.
+pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    let mut chosen = Vec::new();
+    for name in names {
+        match EXPERIMENTS.iter().find(|e| e.name == name) {
+            Some(e) => chosen.push(e),
+            None if name == "all" => {}
+            None => return Err(format!("unknown experiment {name:?}")),
+        }
+    }
+    if names.iter().any(|n| n == "all") {
+        chosen = EXPERIMENTS.iter().filter(|e| e.in_all).collect();
+    }
+    Ok(chosen)
+}
+
+/// The epoch override of the smoke drills: even a `Bench`-scale case spans
+/// several watchdog windows, so killing and resuming one exercises mid-case
+/// state cheaply.
+const SMOKE_EPOCH_CYCLES: u64 = 2_000;
 
 /// The header of the summary's markdown table.
 const SUMMARY_HEADER: &str = "| experiment | paper | measured |\n|---|---|---|\n";
@@ -287,10 +334,13 @@ fn memory_bound(name: &str) -> bool {
 ///
 /// Failed cases never abort a sweep: each sweep keeps its surviving results
 /// and the failures accumulate here for the [`summary`](Session::summary).
+/// A [`journaled`](Session::journaled) session keeps every case in its
+/// journal, and reuses what the journal already holds.
 #[derive(Debug)]
 pub struct Session {
     scale: RunScale,
     iso: IsolatedCache,
+    journal: Option<CheckpointDir>,
     sweeps: Mutex<HashMap<Sweep, Arc<Vec<CaseResult>>>>,
     failures: Mutex<Vec<FailedCase>>,
     measured: Mutex<Vec<(&'static Experiment, String)>>,
@@ -302,10 +352,18 @@ impl Session {
         Session {
             scale,
             iso: IsolatedCache::new(),
+            journal: None,
             sweeps: Mutex::new(HashMap::new()),
             failures: Mutex::new(Vec::new()),
             measured: Mutex::new(Vec::new()),
         }
+    }
+
+    /// A session at the scale `journal`'s manifest records, journaling every
+    /// case into it.
+    pub fn journaled(journal: CheckpointDir) -> Self {
+        let scale = journal.manifest().scale;
+        Session { journal: Some(journal), ..Session::new(scale) }
     }
 
     /// The session's scale.
@@ -344,27 +402,22 @@ impl Session {
         crate::error::failure_digest(&self.failures.lock().expect("failure log lock"))
     }
 
-    /// Runs a sweep, keeping the surviving results and logging every failed
-    /// case (with its position and spec) for the failure digest.
-    fn run_sweep(&self, specs: &[CaseSpec]) -> Vec<CaseResult> {
-        let outcomes = run_cases(specs, &self.iso);
-        self.collect(specs, outcomes)
-    }
-
-    fn collect(
-        &self,
-        specs: &[CaseSpec],
-        outcomes: Vec<Result<CaseResult, CaseError>>,
-    ) -> Vec<CaseResult> {
-        let mut ok = Vec::with_capacity(outcomes.len());
+    /// Runs a sweep, logging every failed case (with its position and spec)
+    /// for the failure digest.
+    fn outcomes(&self, specs: &[CaseSpec]) -> Vec<Result<CaseResult, CaseError>> {
+        let outcomes = run_journaled(specs, &self.iso, self.journal.as_ref());
         let mut failures = self.failures.lock().expect("failure log lock");
-        for (index, (outcome, spec)) in outcomes.into_iter().zip(specs).enumerate() {
-            match outcome {
-                Ok(r) => ok.push(r),
-                Err(error) => failures.push(FailedCase { index, spec: spec.clone(), error }),
+        for (index, (outcome, spec)) in outcomes.iter().zip(specs).enumerate() {
+            if let Err(error) = outcome {
+                failures.push(FailedCase { index, spec: spec.clone(), error: error.clone() });
             }
         }
-        ok
+        outcomes
+    }
+
+    /// Runs a sweep and keeps the surviving results.
+    fn run_sweep(&self, specs: &[CaseSpec]) -> Vec<CaseResult> {
+        self.outcomes(specs).into_iter().filter_map(Result::ok).collect()
     }
 
     /// The cases of a sweep at this session's scale.
@@ -661,6 +714,46 @@ impl Session {
             measured: format!("QoSreach by epoch cycles: {}", measured.join(", ")),
         }
     }
+
+    /// The first four Rollover pairs at [`SMOKE_EPOCH_CYCLES`], the second
+    /// starved of quota from its fourth epoch when `faulty`: one line per
+    /// case.
+    fn smoke(&self, faulty: bool) -> Report {
+        let mut specs: Vec<CaseSpec> = pairs()
+            .into_iter()
+            .take(4)
+            .map(|(q, b)| {
+                let mut spec =
+                    CaseSpec::new(&[q, b], &[Some(0.5), None], ROLLOVER, self.scale.cycles());
+                spec.epoch_cycles = Some(SMOKE_EPOCH_CYCLES);
+                spec
+            })
+            .collect();
+        if faulty {
+            specs[1].faults = FaultPlan::one(3 * SMOKE_EPOCH_CYCLES, FaultKind::StarveQuota);
+        }
+        let outcomes = self.outcomes(&specs);
+        let mut body = String::new();
+        for (index, (outcome, spec)) in outcomes.iter().zip(&specs).enumerate() {
+            let label = spec.label();
+            let _ = match outcome {
+                Ok(r) => {
+                    let ipc: Vec<String> = r.ipc.iter().map(|v| format!("{v:.4}")).collect();
+                    let (ipc, trace) = (ipc.join(", "), r.trace_hash);
+                    writeln!(
+                        body,
+                        "  case {index:3} ok      {label}  ipc=[{ipc}] trace={trace:#018x}"
+                    )
+                }
+                Err(e) => writeln!(body, "  case {index:3} FAILED  {label}  [{}]", e.kind()),
+            };
+        }
+        let ok = outcomes.iter().filter_map(|o| o.as_ref().ok());
+        let reached = dash(reach(ok.clone()), pct);
+        let measured =
+            format!("{} of {} cases completed, QoSreach {reached}", ok.count(), specs.len());
+        Report { body, measured }
+    }
 }
 
 #[cfg(test)]
@@ -735,42 +828,14 @@ mod tests {
     }
 
     #[test]
-    fn registry_names_are_unique_and_all_skips_only_the_epoch_ablation() {
+    fn registry_names_are_unique_and_all_skips_the_epoch_ablation_and_the_drills() {
         let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
         assert!(!names.contains(&"all"), "`all` is the keyword for the set");
         let skipped: Vec<&str> = EXPERIMENTS.iter().filter(|e| !e.in_all).map(|e| e.name).collect();
-        assert_eq!(skipped, ["ablation-epoch"]);
-    }
-
-    /// The plans of the `fig6a` checkpoint sweep and of the session's Fig.
-    /// 6a are the same cases in a different order, so a `repro run fig6a`
-    /// journal holds exactly the cases `repro fig6a` prints.
-    #[test]
-    fn fig6a_sweep_holds_exactly_the_sessions_fig6a_cases() {
-        use gpu_sim::snap::Snap;
-        let encoded = |specs: Vec<CaseSpec>| {
-            let mut keys: Vec<Vec<u8>> = specs
-                .iter()
-                .map(|s| {
-                    let mut buf = Vec::new();
-                    s.encode(&mut buf);
-                    buf
-                })
-                .collect();
-            keys.sort();
-            keys
-        };
-        for scale in [RunScale::Bench, RunScale::Smoke, RunScale::Quick, RunScale::Paper] {
-            let session = Session::new(scale);
-            let plans = Policy::FIG6A.iter().flat_map(|&p| {
-                session.plan(Sweep::Pairs(p, Ablations::default(), ConfigKind::Table1))
-            });
-            let sweep = crate::checkpoint::sweep_specs("fig6a", scale).expect("named sweep");
-            assert_eq!(encoded(plans.collect()), encoded(sweep), "{scale:?}");
-        }
+        assert_eq!(skipped, ["ablation-epoch", "smoke", "smoke-faulty"]);
     }
 
     fn failed_case(policy: Policy) -> CaseResult {
@@ -856,6 +921,35 @@ mod tests {
             assert!(measured.is_some_and(|m| !m.trim().is_empty()), "{}: {row}", e.name);
         }
         assert!(summary.ends_with("failure digest: all cases completed"), "{summary}");
+    }
+
+    /// A journaled `all` prints what an unjournaled one prints, and a second
+    /// session over the finished journal prints it again without simulating
+    /// a case or measuring an isolated IPC.
+    #[test]
+    fn a_finished_journal_re_renders_without_simulating() {
+        let root = std::env::temp_dir().join(format!("fgqos-journal-all-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let manifest = crate::checkpoint::Manifest {
+            experiments: vec!["all".to_string()],
+            scale: RunScale::Bench,
+            checkpoint_every: crate::checkpoint::DEFAULT_CHECKPOINT_EVERY,
+        };
+        let run = |session: &Session| {
+            let all = select(&manifest.experiments).expect("all");
+            let mut printed: Vec<String> = all.into_iter().map(|e| session.run(e)).collect();
+            printed.push(session.summary());
+            printed
+        };
+        let (reports, summary) = bench_all();
+        let unjournaled: Vec<String> =
+            reports.iter().map(|(_, r)| r.clone()).chain([summary.clone()]).collect();
+        let journal = CheckpointDir::create(&root, manifest.clone()).expect("journal");
+        assert_eq!(run(&Session::journaled(journal)), unjournaled);
+        let resumed = Session::journaled(CheckpointDir::open(&root).expect("reopens"));
+        assert_eq!(run(&resumed), unjournaled);
+        assert_eq!(resumed.iso.misses(), 0, "nothing was measured or simulated");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// The goal column of a report's table, without the AVG row.

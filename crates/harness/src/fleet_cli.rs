@@ -132,16 +132,20 @@ pub fn run_scenario(name: &str, seed: u64, opts: &FleetRunOpts) -> Result<FleetO
 }
 
 /// Resumes the run checkpointed in `dir` and finishes it, continuing the
-/// checkpoint cadence recorded in the frame. `metrics_out`, when given,
-/// exports the finished run's metrics exactly as a `--metrics-out` run
-/// would — the export is a pure function of snapshotted state, so it is
-/// byte-identical to the uninterrupted run's.
+/// checkpoint cadence recorded in the frame. `trace` and `metrics_out`, when
+/// given, export the finished run exactly as a `--trace` / `--metrics-out`
+/// run would — both exports are pure functions of snapshotted state, so
+/// they are byte-identical to the uninterrupted run's.
 ///
 /// # Errors
 ///
 /// Checkpoint loading/validation failures, or errors from the continued
 /// run.
-pub fn resume(dir: &Path, metrics_out: Option<&Path>) -> Result<FleetOutcome, String> {
+pub fn resume(
+    dir: &Path,
+    trace: Option<&Path>,
+    metrics_out: Option<&Path>,
+) -> Result<FleetOutcome, String> {
     let ckpt = load_checkpoint(dir)?;
     let cfg = scenarios::by_name(&ckpt.scenario, ckpt.seed).ok_or_else(|| {
         format!("checkpointed scenario {:?} is unknown to this build", ckpt.scenario)
@@ -150,6 +154,7 @@ pub fn resume(dir: &Path, metrics_out: Option<&Path>) -> Result<FleetOutcome, St
     let opts = FleetRunOpts {
         checkpoint_dir: Some(dir),
         every_ticks: ckpt.every_ticks,
+        trace,
         metrics_out,
         ..FleetRunOpts::default()
     };
@@ -301,12 +306,34 @@ mod tests {
         )
         .expect("save");
         drop(partial);
-        let resumed = resume(&dir, None).expect("resume");
+        let resumed = resume(&dir, None, None).expect("resume");
         assert_eq!(resumed.report, full.report, "resume converges byte-identically");
         assert_eq!(resumed.ok, full.ok);
         // Resuming the now-finished checkpoint reprints the same report.
-        let again = resume(&dir, None).expect("resume finished");
+        let again = resume(&dir, None, None).expect("resume finished");
         assert_eq!(again.report, full.report);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumed_run_writes_the_uninterrupted_trace() {
+        let dir = tmp_dir("trace");
+        std::fs::create_dir_all(&dir).expect("create");
+        let (full_trace, resumed_trace) = (dir.join("full.json"), dir.join("resumed.json"));
+        let opts = FleetRunOpts { trace: Some(&full_trace), ..FleetRunOpts::default() };
+        let full = run_scenario("steady", 7, &opts).expect("full run");
+        let mut partial = Fleet::new(scenarios::by_name("steady", 7).expect("known"));
+        for _ in 0..4 {
+            partial.step();
+        }
+        let state = partial.snapshot();
+        let ckpt =
+            FleetCheckpoint { scenario: "steady".to_string(), seed: 7, every_ticks: 1, state };
+        save_checkpoint(&dir, &ckpt).expect("save");
+        let resumed = resume(&dir, Some(&resumed_trace), None).expect("resume");
+        assert_eq!(resumed.report, full.report);
+        let read = |path: &Path| std::fs::read(path).expect("trace written");
+        assert_eq!(read(&resumed_trace), read(&full_trace), "the trace is a function of the state");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,8 @@
 //!   matches the 2 M-cycle methodology; `Quick` and `Smoke` trade fidelity
 //!   for wall-clock time,
 //! * [`runner`] — isolated-IPC measurement (cached, with per-key in-flight
-//!   dedup) and parallel, panic-isolated case execution,
+//!   dedup) and the one case runner: parallel, panic-isolated, chunked, and
+//!   journaled when given a directory,
 //! * [`error`] — typed per-case failures ([`error::CaseError`]) and the
 //!   end-of-run failure digest,
 //! * [`metrics`] — `QoSreach`, normalized throughput, miss-distance
@@ -23,9 +24,10 @@
 //! * [`perfetto`] — Chrome-trace / Perfetto JSON export of a traced run
 //!   (`repro trace <scenario> --out trace.json`), with a strict schema
 //!   checker,
-//! * [`checkpoint`] — crash-resumable sweeps: a checksummed, rotated journal
-//!   of completed cases plus periodic mid-case machine snapshots, driven by
-//!   `repro run --checkpoint-dir` / `repro resume` / `repro inspect`,
+//! * [`checkpoint`] — the journal of a crash-resumable run: a manifest and
+//!   one checksummed file per case (its mid-case machine snapshot, then its
+//!   result), written by `repro --checkpoint-dir DIR <experiment>…`, rerun
+//!   by `repro resume DIR`; failure snapshots for `repro inspect`,
 //! * [`fleet_cli`] — `repro fleet <scenario>`: checkpointed, crash-resumable
 //!   runs of the multi-GPU serving scenarios from the `fleet` crate, with
 //!   per-tenant Perfetto export,
@@ -73,10 +75,7 @@ pub mod telemetry;
 pub mod validate;
 
 pub use cases::{CaseSpec, ConfigKind, Policy};
-pub use checkpoint::{
-    resume_sweep, run_sweep_checkpointed, CheckpointDir, CheckpointError, FailureSnapshot,
-    SweepCheckpoint, SweepOutcome,
-};
+pub use checkpoint::{CheckpointDir, CheckpointError, FailureSnapshot, Manifest};
 pub use error::{failure_digest, CaseError, FailedCase};
 pub use metrics::CaseResult;
 pub use runner::{run_case, run_case_isolated, run_cases, IsolatedCache};

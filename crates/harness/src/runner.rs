@@ -1,10 +1,12 @@
-//! Case execution: isolated-IPC caching and a fault-tolerant parallel case
-//! runner.
+//! Case execution: isolated-IPC caching and the one case runner, parallel,
+//! fault-tolerant and optionally journaled.
 //!
 //! Every case runs with the simulator's forward-progress watchdog enabled
 //! (the watchdog is observation-only, so results are bit-identical to an
 //! unwatched run) and inside a `catch_unwind` boundary with one bounded
 //! retry, so a single wedged or crashing case cannot take down a sweep.
+//! Given a [`CheckpointDir`], the runner journals every case into it
+//! ([`crate::checkpoint`]).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -13,10 +15,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use exec::parallel_for_each;
 use gpu_sim::trace::{records_hash, Tracer};
-use gpu_sim::{Controller, Gpu, GpuConfig, KernelId, NullController, TraceLevel};
+use gpu_sim::{Controller, Gpu, GpuConfig, KernelId, NullController, SnapshotBlob, TraceLevel};
 use qos_core::{QosManager, QosSpec, SpartController};
 
 use crate::cases::{Ablations, CaseSpec, ConfigKind, Policy};
+use crate::checkpoint::{
+    chunk_cycles, CaseRecord, CaseState, CheckpointDir, InProgressCase, DEFAULT_CHECKPOINT_EVERY,
+};
 use crate::error::CaseError;
 use crate::metrics::CaseResult;
 
@@ -25,8 +30,8 @@ use crate::metrics::CaseResult;
 /// machine-wide progress, instead of burning the rest of its cycle budget.
 ///
 /// Kept a multiple of the epoch length on purpose: the watchdog trips at a
-/// multiple of its window, so every failure (and every chunk boundary the
-/// checkpointed runner uses) lands on an epoch boundary — the only cycles at
+/// multiple of its window, so every failure (and every chunk boundary of the
+/// case runner) lands on an epoch boundary — the only cycles at
 /// which [`Gpu::snapshot`] is legal.
 pub const WATCHDOG_EPOCHS: u64 = 2;
 
@@ -156,8 +161,7 @@ gpu_sim::impl_snap_enum!(CaseController { Spart(controller) = 0, Quota(manager) 
 
 /// A case's simulation state right after construction, before any cycle has
 /// run: the machine, the launched kernel ids, and the per-kernel isolated /
-/// goal IPCs. Shared between the one-shot [`run_case`] path and the chunked
-/// checkpointed path in [`crate::checkpoint`].
+/// goal IPCs. The case runner starts every case from one.
 #[derive(Debug)]
 pub struct PreparedCase {
     /// The configured machine with every kernel launched.
@@ -215,7 +219,8 @@ pub fn finish_case(
     }
 }
 
-/// Runs one case and computes its result.
+/// Runs one case and computes its result, in chunks of the default
+/// cadence and persisting nothing.
 ///
 /// # Errors
 ///
@@ -224,14 +229,55 @@ pub fn finish_case(
 /// (e.g. under an injected livelock) or an audit fails. Panics are *not*
 /// caught here — [`run_cases`] adds the `catch_unwind` + retry boundary.
 pub fn run_case(spec: &CaseSpec, iso: &IsolatedCache) -> Result<CaseResult, CaseError> {
-    let mut prepared = prepare_case(spec, iso)?;
+    run_chunked(spec, iso, None, None)
+}
 
+/// The one loop that advances a case's machine: chunks of [`chunk_cycles`]
+/// of the journal's cadence, or of the default one without a journal, so a
+/// case's results never depend on whether it is journaled. With a journal it
+/// continues `resume` when that restores, saves the case after every chunk
+/// but the last, and leaves a failure snapshot when the simulator reports a
+/// health error.
+fn run_chunked(
+    spec: &CaseSpec,
+    iso: &IsolatedCache,
+    journal: Option<&CheckpointDir>,
+    resume: Option<InProgressCase>,
+) -> Result<CaseResult, CaseError> {
+    let mut prepared = prepare_case(spec, iso)?;
+    let restored = resume.and_then(|ip| {
+        let blob = SnapshotBlob::from_bytes(&ip.gpu_blob);
+        match blob.and_then(|blob| prepared.gpu.restore(&blob)) {
+            Ok(()) => Some((Tracer::from_parts(ip.controller, ip.records), ip.cycles_done)),
+            Err(e) => {
+                eprintln!("warning: {}: restarting from cycle 0 ({e})", spec.label());
+                None
+            }
+        }
+    });
     // Every case runs under a Tracer so its full epoch telemetry is
     // fingerprinted; the hash lets sweeps prove run-to-run determinism
     // without retaining the records themselves.
-    let mut ctrl = Tracer::new(build_controller(spec, &prepared.kids, &prepared.goal_ipc));
-    prepared.gpu.try_run(spec.cycles, &mut ctrl)?;
-    Ok(finish_case(spec, &prepared, ctrl.records()))
+    let (mut tracer, mut done) = restored.unwrap_or_else(|| {
+        (Tracer::new(build_controller(spec, &prepared.kids, &prepared.goal_ipc)), 0)
+    });
+    let every = journal.map_or(DEFAULT_CHECKPOINT_EVERY, |j| j.manifest().checkpoint_every);
+    let chunk = chunk_cycles(every, prepared.gpu.config().epoch_cycles);
+    while done < spec.cycles {
+        let step = chunk.min(spec.cycles - done);
+        if let Err(e) = prepared.gpu.try_run(step, &mut tracer) {
+            let error = CaseError::from(e);
+            if let Some(journal) = journal {
+                journal.save_failure(spec, &error, &prepared.gpu);
+            }
+            return Err(error);
+        }
+        done += step;
+        if let Some(journal) = journal.filter(|_| done < spec.cycles) {
+            journal.save_progress(spec, done, &prepared.gpu, &tracer);
+        }
+    }
+    Ok(finish_case(spec, &prepared, tracer.records()))
 }
 
 /// Builds the policy controller a case's spec asks for.
@@ -278,7 +324,7 @@ pub fn run_case_isolated(spec: &CaseSpec, iso: &IsolatedCache) -> Result<CaseRes
 /// The panic-isolation policy of every case runner: `attempt` inside a
 /// `catch_unwind` boundary, on a panic one retry, and on a second panic
 /// [`CaseError::Panicked`] with `attempts: 2`.
-pub(crate) fn isolated(
+fn isolated(
     mut attempt: impl FnMut() -> Result<CaseResult, CaseError>,
 ) -> Result<CaseResult, CaseError> {
     let mut guarded = || catch_unwind(AssertUnwindSafe(&mut attempt));
@@ -304,15 +350,36 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// completes: failed cases come back as `Err` entries in their input
 /// positions while every other case still produces its result.
 pub fn run_cases(specs: &[CaseSpec], iso: &IsolatedCache) -> Vec<Result<CaseResult, CaseError>> {
+    run_journaled(specs, iso, None)
+}
+
+/// [`run_cases`], journaled into `journal` when given: a case whose file
+/// holds its result is not run (nor are its isolated IPCs measured), one
+/// whose file holds an in-progress state continues from it, and every case
+/// run saves its result.
+pub(crate) fn run_journaled(
+    specs: &[CaseSpec],
+    iso: &IsolatedCache,
+    journal: Option<&CheckpointDir>,
+) -> Vec<Result<CaseResult, CaseError>> {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let states: Vec<Mutex<Option<CaseState>>> =
+        specs.iter().map(|s| Mutex::new(journal.and_then(|j| j.load_case(s)))).collect();
+    let pending: Vec<usize> = (0..specs.len())
+        .filter(|&i| {
+            !matches!(*states[i].lock().expect("case state lock"), Some(CaseState::Done(_)))
+        })
+        .collect();
 
     // Warm the isolated cache in parallel (unique keys only). Failures are
     // ignored here; the per-case path observes the cached error.
     let unique: Vec<(String, ConfigKind, u64)> = {
         let mut set = std::collections::HashSet::new();
-        specs
+        pending
             .iter()
-            .flat_map(|s| s.kernels.iter().map(move |k| (k.clone(), s.config, s.cycles)))
+            .flat_map(|&i| {
+                specs[i].kernels.iter().map(move |k| (k.clone(), specs[i].config, specs[i].cycles))
+            })
             .filter(|key| set.insert(key.clone()))
             .collect()
     };
@@ -320,16 +387,27 @@ pub fn run_cases(specs: &[CaseSpec], iso: &IsolatedCache) -> Vec<Result<CaseResu
         let _ = catch_unwind(AssertUnwindSafe(|| iso.ipc(name, *config, *cycles)));
     });
 
-    let results: Vec<Mutex<Option<Result<CaseResult, CaseError>>>> =
-        specs.iter().map(|_| Mutex::new(None)).collect();
-    let indices: Vec<usize> = (0..specs.len()).collect();
-    parallel_for_each(&indices, threads, |&i| {
-        let r = run_case_isolated(&specs[i], iso);
-        *results[i].lock().expect("result slot lock") = Some(r);
+    parallel_for_each(&pending, threads, |&i| {
+        let state = &states[i];
+        let mut resume = match state.lock().expect("case state lock").take() {
+            Some(CaseState::InProgress(ip)) => Some(ip),
+            _ => None,
+        };
+        // The retry starts from scratch: the deterministic mid-case state
+        // would just reproduce the panic.
+        let outcome = isolated(|| run_chunked(&specs[i], iso, journal, resume.take()));
+        let record = CaseRecord { spec: specs[i].clone(), state: CaseState::Done(outcome) };
+        if let Some(journal) = journal {
+            journal.save_case(&record);
+        }
+        *state.lock().expect("case state lock") = Some(record.state);
     });
-    results
+    states
         .into_iter()
-        .map(|cell| cell.into_inner().expect("result slot lock").expect("every case ran"))
+        .map(|state| match state.into_inner().expect("case state lock") {
+            Some(CaseState::Done(outcome)) => outcome,
+            _ => unreachable!("every case ran"),
+        })
         .collect()
 }
 

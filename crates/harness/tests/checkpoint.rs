@@ -1,24 +1,25 @@
-//! Acceptance tests for the crash-resumable checkpoint subsystem.
+//! Acceptance tests for journaled runs, through the real binary.
 //!
 //! Covers the robustness contract end to end:
-//! * a sweep SIGKILLed mid-flight and resumed with `repro resume` prints a
-//!   final report byte-identical to an uninterrupted run's;
-//! * a corrupted (bit-flipped) newest checkpoint is detected by its
-//!   checksum, skipped with a warning, and the previous generation loads;
-//! * resume refuses checkpoints whose regenerated plan no longer matches;
-//! * a watchdog-tripped case persists a failure snapshot that loads and
-//!   pretty-prints alongside its health report.
+//! * a run SIGKILLed mid-case and resumed with `repro resume` prints stdout
+//!   byte-identical to an uninterrupted run's;
+//! * a byte flipped in one case file is reported on stderr and costs a
+//!   rerun of that case alone;
+//! * a case file holding another spec's record is not reused;
+//! * a journal holding only some results resumes to the identical report;
+//! * a watchdog-tripped case persists a failure snapshot that `repro
+//!   inspect` pretty-prints alongside its health report;
+//! * resuming a directory without a manifest is an error.
 
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use gpu_sim::snap::frame;
 use harness::checkpoint::{
-    load_failure, plan_fingerprint, render_failure_snapshot, resume_sweep, run_sweep_checkpointed,
-    sweep_specs, CheckpointDir, CheckpointError, SweepCheckpoint,
+    load_failure, render_failure_snapshot, CaseRecord, CaseState, CheckpointDir, CheckpointError,
+    CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
 };
-use harness::error::CaseError;
-use harness::scale::RunScale;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fgqos-checkpoint-{tag}-{}", std::process::id()));
@@ -26,126 +27,126 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A fast checkpoint cadence: with the smoke sweep's 2 000-cycle epochs the
-/// chunk floor is two watchdog windows = 8 000 cycles, so a 20 000-cycle
-/// `Bench` case saves two mid-case checkpoints.
-const EVERY: u64 = 1;
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro spawns")
+}
 
-// ----------------------------------------------------------------------
-// Corruption drill (checksums + generation fallback)
-// ----------------------------------------------------------------------
+fn utf8(path: &Path) -> &str {
+    path.to_str().expect("utf8 path")
+}
 
-#[test]
-fn corrupted_newest_generation_falls_back_to_previous() {
-    let dir = CheckpointDir::create(tmp_dir("corrupt")).expect("create");
-    let specs = sweep_specs("smoke", RunScale::Bench).expect("known sweep");
-    let ckpt = |n: usize| SweepCheckpoint {
-        sweep: "smoke".to_string(),
-        scale: RunScale::Bench,
-        plan_fingerprint: plan_fingerprint(&specs),
-        checkpoint_every: EVERY,
-        completed: (0..n)
-            .map(|i| Err(CaseError::Panicked { payload: format!("case {i}"), attempts: 2 }))
-            .collect(),
-        in_progress: None,
-    };
-    dir.save(&ckpt(1)).expect("older generation");
-    let newest = dir.save(&ckpt(2)).expect("newest generation");
+/// `experiment` at bench scale, journaled into `dir` at the two-window chunk
+/// floor: with the drills' 2 000-cycle epochs that is 8 000 cycles, so each
+/// 20 000-cycle case saves two mid-case states.
+fn journaled_args<'a>(dir: &'a Path, experiment: &'a str) -> [&'a str; 7] {
+    ["--scale", "bench", "--checkpoint-dir", utf8(dir), "--checkpoint-every", "1", experiment]
+}
 
-    // Flip one byte in the middle of the newest generation's payload.
-    let mut bytes = std::fs::read(&newest).expect("read newest");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&newest, &bytes).expect("write corruption");
+/// The `smoke` drill journaled into `dir`; it must succeed.
+fn journaled_smoke(dir: &Path) -> Output {
+    let run = repro(&journaled_args(dir, "smoke"));
+    assert!(run.status.success(), "smoke fails: {run:?}");
+    run
+}
 
-    let (loaded, warnings) = dir.load_latest().expect("listing works");
-    let loaded = loaded.expect("previous generation still loads");
-    assert_eq!(loaded.completed.len(), 1, "fallback is the older checkpoint");
-    assert_eq!(warnings.len(), 1, "exactly one corrupt file skipped: {warnings:?}");
-    assert!(
-        warnings[0].contains("corrupt") && warnings[0].contains("falling back"),
-        "warning names the degradation: {}",
-        warnings[0]
+/// The journal's case files, sorted by name.
+fn case_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("journal dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("case-")))
+        .collect();
+    files.sort();
+    files
+}
+
+fn record(path: &Path) -> Option<CaseRecord> {
+    let bytes = std::fs::read(path).ok()?;
+    frame::open(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &bytes).ok()
+}
+
+/// `repro resume dir` must succeed and print `baseline`'s stdout; returns
+/// its stderr.
+fn resume_matches(dir: &Path, baseline: &Output) -> String {
+    let resumed = repro(&["resume", utf8(dir)]);
+    assert!(resumed.status.success(), "resume fails: {resumed:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&resumed.stdout),
+        String::from_utf8_lossy(&baseline.stdout),
+        "a resumed run prints what the uninterrupted one printed"
     );
-
-    // With every generation corrupted, nothing loads — but the failure is
-    // warnings, not an abort.
-    for (_, path) in dir.generations().expect("list") {
-        let mut bytes = std::fs::read(&path).expect("read");
-        // A different byte from the first flip, so the already-corrupt
-        // newest generation doesn't get un-flipped back to validity.
-        let pos = bytes.len() / 3;
-        bytes[pos] ^= 0x02;
-        std::fs::write(&path, &bytes).expect("write");
-    }
-    let (none, warnings) = dir.load_latest().expect("listing works");
-    assert!(none.is_none());
-    assert_eq!(warnings.len(), 2);
-    let _ = std::fs::remove_dir_all(dir.path());
+    String::from_utf8_lossy(&resumed.stderr).into_owned()
 }
 
 // ----------------------------------------------------------------------
-// Resume semantics (journal prefix, plan fingerprint)
+// Corruption drills (checksums, foreign records, partial journals)
 // ----------------------------------------------------------------------
 
 #[test]
-fn resume_from_journal_prefix_reports_identically() {
-    let full_dir = CheckpointDir::create(tmp_dir("full")).expect("create");
-    let full =
-        run_sweep_checkpointed("smoke", RunScale::Bench, &full_dir, EVERY).expect("sweep runs");
-    assert_eq!(full.outcomes.len(), 4);
-    assert!(full.outcomes.iter().all(Result::is_ok), "smoke sweep is healthy");
-    assert!(full.warnings.is_empty(), "{:?}", full.warnings);
+fn corrupted_case_file_reruns_only_that_case() {
+    let dir = tmp_dir("corrupt");
+    let baseline = journaled_smoke(&dir);
+    let files = case_files(&dir);
+    assert_eq!(files.len(), 4, "one file per case");
 
-    // Pretend the process died after two completed cases (between cases, so
-    // no in-progress machine state) and resume from that journal.
-    let resumed_dir = CheckpointDir::create(tmp_dir("prefix")).expect("create");
-    let specs = sweep_specs("smoke", RunScale::Bench).expect("known sweep");
-    resumed_dir
-        .save(&SweepCheckpoint {
-            sweep: "smoke".to_string(),
-            scale: RunScale::Bench,
-            plan_fingerprint: plan_fingerprint(&specs),
-            checkpoint_every: EVERY,
-            completed: full.outcomes[..2].to_vec(),
-            in_progress: None,
-        })
-        .expect("save prefix");
-    let resumed = resume_sweep(&resumed_dir, None).expect("resume runs");
-    assert_eq!(
-        resumed.report(),
-        full.report(),
-        "a resumed sweep's report equals the uninterrupted one's"
+    // Flip one byte in the middle of one case file's payload.
+    let mut bytes = std::fs::read(&files[0]).expect("read");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&files[0], &bytes).expect("write corruption");
+
+    let stderr = resume_matches(&dir, &baseline);
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("warning:")).collect();
+    assert_eq!(warnings.len(), 1, "exactly one case file is ignored: {stderr}");
+    assert!(warnings[0].contains(utf8(&files[0])), "{}", warnings[0]);
+    assert!(
+        matches!(record(&files[0]).map(|r| r.state), Some(CaseState::Done(Ok(_)))),
+        "the rerun case saved its result again"
     );
-    let _ = std::fs::remove_dir_all(full_dir.path());
-    let _ = std::fs::remove_dir_all(resumed_dir.path());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resume_refuses_a_changed_plan() {
-    let dir = CheckpointDir::create(tmp_dir("mismatch")).expect("create");
-    let specs = sweep_specs("smoke", RunScale::Bench).expect("known sweep");
-    dir.save(&SweepCheckpoint {
-        sweep: "smoke".to_string(),
-        scale: RunScale::Bench,
-        plan_fingerprint: plan_fingerprint(&specs) ^ 1,
-        checkpoint_every: EVERY,
-        completed: Vec::new(),
-        in_progress: None,
-    })
-    .expect("save");
-    let err = resume_sweep(&dir, None).expect_err("fingerprint mismatch");
-    assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
-    assert!(err.to_string().contains("fingerprint"), "{err}");
-    let _ = std::fs::remove_dir_all(dir.path());
+    // A case file holding another spec's record is a plan that no longer
+    // matches the file's name: it is not reused.
+    let dir = tmp_dir("mismatch");
+    let baseline = journaled_smoke(&dir);
+    let files = case_files(&dir);
+    std::fs::copy(&files[0], &files[1]).expect("copy a foreign record");
+
+    let stderr = resume_matches(&dir, &baseline);
+    assert_eq!(stderr.matches("another case's record").count(), 1, "{stderr}");
+    let (first, second) = (record(&files[0]).expect("ok"), record(&files[1]).expect("ok"));
+    assert_ne!(first.spec, second.spec, "the second file holds its own record again");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_from_journal_prefix_reports_identically() {
+    // As if the process died after two cases had finished and before the
+    // other two started.
+    let dir = tmp_dir("prefix");
+    let baseline = journaled_smoke(&dir);
+    for file in &case_files(&dir)[2..] {
+        std::fs::remove_file(file).expect("remove a result");
+    }
+    let stderr = resume_matches(&dir, &baseline);
+    assert!(!stderr.contains("warning"), "a missing file is a case not started: {stderr}");
+    assert_eq!(case_files(&dir).len(), 4);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resume_of_empty_dir_is_a_corrupt_error() {
-    let dir = CheckpointDir::create(tmp_dir("void")).expect("create");
-    let err = resume_sweep(&dir, None).expect_err("nothing to resume");
+    let dir = tmp_dir("void");
+    std::fs::create_dir_all(&dir).expect("create");
+    let err = CheckpointDir::open(&dir).expect_err("nothing to resume");
     assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
-    let _ = std::fs::remove_dir_all(dir.path());
+    let resumed = repro(&["resume", utf8(&dir)]);
+    assert!(!resumed.status.success());
+    assert!(String::from_utf8_lossy(&resumed.stderr).contains("manifest.bin"), "{resumed:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ----------------------------------------------------------------------
@@ -154,120 +155,88 @@ fn resume_of_empty_dir_is_a_corrupt_error() {
 
 #[test]
 fn watchdog_abort_persists_a_loadable_failure_snapshot() {
-    let dir = CheckpointDir::create(tmp_dir("faulty")).expect("create");
-    let outcome = run_sweep_checkpointed("smoke-faulty", RunScale::Bench, &dir, EVERY)
-        .expect("sweep survives the faulty case");
-    assert_eq!(outcome.outcomes.len(), 4);
-    assert!(
-        matches!(&outcome.outcomes[1], Err(CaseError::Sim(gpu_sim::SimError::Watchdog(_)))),
-        "the injected livelock must trip the watchdog: {:?}",
-        outcome.outcomes[1]
-    );
-    assert!(outcome.outcomes.iter().filter(|o| o.is_ok()).count() == 3);
+    let dir = tmp_dir("faulty");
+    let run = repro(&journaled_args(&dir, "smoke-faulty"));
+    assert!(!run.status.success(), "a failed case fails the run");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(stdout.matches(" ok ").count(), 3, "{stdout}");
+    assert!(stdout.contains("FAILED  cutcp@0.50+lbm Rollover/Table1  [watchdog]"), "{stdout}");
 
-    let snap_path = dir.path().join("failure-case-0001.snap");
-    let snap = load_failure(&snap_path).expect("failure snapshot loads");
-    assert_eq!(snap.case_index, 1);
+    let snaps: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("journal dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "snap"))
+        .collect();
+    let [snap_path] = snaps.as_slice() else { panic!("one failure snapshot: {snaps:?}") };
+    let snap = load_failure(snap_path).expect("failure snapshot loads");
     assert_eq!(snap.error.kind(), "watchdog");
 
-    let rendered = render_failure_snapshot(&snap);
-    assert!(rendered.contains("case 1"), "{rendered}");
-    assert!(rendered.contains("watchdog"), "{rendered}");
-    assert!(rendered.contains("health report"), "{rendered}");
-    assert!(rendered.contains("restored machine at cycle"), "{rendered}");
-    assert!(
-        rendered.contains("dropped to ring overflow"),
-        "flight-recorder drop accounting missing:\n{rendered}"
-    );
+    let inspected = repro(&["inspect", utf8(snap_path)]);
+    assert!(inspected.status.success(), "{inspected:?}");
+    let rendered = String::from_utf8_lossy(&inspected.stdout);
+    assert_eq!(rendered, render_failure_snapshot(&snap));
+    for needle in [
+        "cutcp@0.50+lbm",
+        "watchdog",
+        "health report",
+        "restored machine at cycle",
+        "dropped to ring overflow",
+    ] {
+        assert!(rendered.contains(needle), "{needle} missing:\n{rendered}");
+    }
 
-    // The journal survives the failed case, so a resume completes the
-    // remaining cases and reports the same failure digest.
-    let resumed = resume_sweep(&dir, None).expect("resume");
-    assert_eq!(resumed.report(), outcome.report());
-    let _ = std::fs::remove_dir_all(dir.path());
+    // The journal holds the failed case's result, so a resume reports the
+    // same failure digest without rerunning it.
+    let resumed = repro(&["resume", utf8(&dir)]);
+    assert!(!resumed.status.success());
+    assert_eq!(resumed.stdout, run.stdout);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ----------------------------------------------------------------------
-// Kill-and-resume (the acceptance scenario, via the real binary)
+// Kill-and-resume (the acceptance scenario)
 // ----------------------------------------------------------------------
-
-fn repro(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro spawns")
-}
 
 #[test]
 fn sigkilled_sweep_resumes_to_an_identical_report() {
     let baseline_dir = tmp_dir("kill-baseline");
-    let killed_dir = tmp_dir("kill-victim");
-    let baseline_path = baseline_dir.to_str().expect("utf8 path").to_string();
-    let killed_path = killed_dir.to_str().expect("utf8 path").to_string();
-
-    // The uninterrupted reference run.
-    let baseline = repro(&[
-        "run",
-        "smoke",
-        "--scale",
-        "bench",
-        "--checkpoint-dir",
-        &baseline_path,
-        "--checkpoint-every",
-        "1",
-    ]);
-    assert!(baseline.status.success(), "baseline run fails: {baseline:?}");
-    assert!(!baseline.stdout.is_empty(), "report goes to stdout");
+    let baseline = journaled_smoke(&baseline_dir);
 
     // The victim: killed (SIGKILL — no chance to flush or clean up) as soon
-    // as a mid-case checkpoint exists.
+    // as a mid-case file exists.
+    let killed_dir = tmp_dir("kill-victim");
     let mut victim = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "run",
-            "smoke",
-            "--scale",
-            "bench",
-            "--checkpoint-dir",
-            &killed_path,
-            "--checkpoint-every",
-            "1",
-        ])
+        .args(journaled_args(&killed_dir, "smoke"))
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("victim spawns");
-    let dir = CheckpointDir::create(&killed_dir).expect("open victim dir");
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut saw_mid_case = false;
-    loop {
-        if let (Some(ckpt), _) = dir.load_latest().expect("poll") {
-            if ckpt.in_progress.is_some() {
-                saw_mid_case = true;
-                break;
-            }
+    while !saw_mid_case {
+        if killed_dir.exists() {
+            saw_mid_case = case_files(&killed_dir)
+                .iter()
+                .any(|f| matches!(record(f).map(|r| r.state), Some(CaseState::InProgress(_))));
         }
         if victim.try_wait().expect("try_wait").is_some() {
-            // The sweep outran the poll loop; resume below still must
-            // reproduce the report from the final checkpoint.
+            // The run outran the poll loop; resume below still must
+            // reproduce the report from the finished journal.
             break;
         }
-        assert!(Instant::now() < deadline, "no mid-case checkpoint appeared in time");
-        std::thread::sleep(Duration::from_millis(10));
+        assert!(Instant::now() < deadline, "no mid-case file appeared in time");
+        std::thread::sleep(Duration::from_millis(2));
     }
     victim.kill().expect("SIGKILL");
     let _ = victim.wait();
 
-    // Resume from whatever the kill left behind; the cadence is read from
-    // the checkpoint itself, so no flags are needed.
-    let resumed = repro(&["resume", &killed_path]);
-    assert!(resumed.status.success(), "resume fails: {resumed:?}");
-    assert_eq!(
-        String::from_utf8_lossy(&resumed.stdout),
-        String::from_utf8_lossy(&baseline.stdout),
-        "resumed report must be byte-identical to the uninterrupted one \
-         (saw_mid_case={saw_mid_case})"
-    );
+    // Resume from whatever the kill left behind; the command and cadence are
+    // read from the manifest, so no flags are needed.
+    resume_matches(&killed_dir, &baseline);
     assert!(
         saw_mid_case,
-        "the victim finished before any mid-case checkpoint; \
-         lower the cadence so the kill lands mid-case"
+        "the victim finished before any mid-case file; lower the cadence so the kill lands \
+         mid-case"
     );
     let _ = std::fs::remove_dir_all(&baseline_dir);
     let _ = std::fs::remove_dir_all(&killed_dir);

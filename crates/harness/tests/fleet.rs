@@ -80,6 +80,25 @@ fn sigkilled_fleet_run_resumes_to_an_identical_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The checkpoint records the seed and cadence: `resume` refuses the flags
+/// only a run from the start reads instead of ignoring them.
+#[test]
+fn resume_refuses_the_flags_of_a_run_from_the_start() {
+    let dir = tmp_dir("resume-flags");
+    let dir = dir.to_str().expect("utf8 dir");
+    for flags in [
+        &["--seed", "3"][..],
+        &["--profile"],
+        &["--checkpoint-every", "2"],
+        &["--checkpoint-dir", dir],
+    ] {
+        let refused = repro(&[&["fleet", "resume", dir][..], flags].concat());
+        assert!(!refused.status.success(), "{flags:?} was accepted");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(stderr.contains(flags[0]) && stderr.contains("usage:"), "{stderr}");
+    }
+}
+
 #[test]
 fn metrics_export_is_identical_across_kill_and_resume() {
     // The telemetry state (histograms, counter series) rides the fleet

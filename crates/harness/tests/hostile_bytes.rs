@@ -14,13 +14,18 @@ use std::path::PathBuf;
 use fleet::{scenarios, Fleet};
 use gpu_sim::snap::frame;
 use gpu_sim::snap::{Snap, SnapError, SnapReader};
+use gpu_sim::trace::Tracer;
 use gpu_sim::{Gpu, GpuConfig, NullController, SnapshotBlob, SnapshotError};
 use harness::checkpoint::{
-    run_sweep_checkpointed, CheckpointDir, SweepCheckpoint, CHECKPOINT_MAGIC,
-    CHECKPOINT_SCHEMA_VERSION,
+    CaseRecord, CaseState, CheckpointDir, InProgressCase, Manifest, CHECKPOINT_MAGIC,
+    CHECKPOINT_SCHEMA_VERSION, MANIFEST_FILE,
 };
 use harness::fleet_cli::{save_checkpoint, FleetCheckpoint};
+use harness::runner::{build_controller, prepare_case, IsolatedCache};
 use harness::scale::RunScale;
+use harness::{CaseSpec, Policy};
+
+const ROLLOVER: Policy = Policy::Quota(qos_core::QuotaScheme::Rollover);
 
 const BOMB: [u8; 8] = 0x0fff_ffff_ffff_ffff_u64.to_le_bytes();
 
@@ -295,28 +300,56 @@ fn resealed_trace_survives_length_bombs() {
 
 #[test]
 fn resealed_sweep_checkpoint_survives_length_bombs() {
-    let dir = CheckpointDir::create(tmp_dir("fgck")).expect("create");
-    run_sweep_checkpointed("smoke", RunScale::Bench, &dir, 1).expect("sweep runs");
-    // A mid-case generation: journal, controller state and epoch records
-    // all present. Its machine blob (three quarters of a megabyte that
-    // `open` copies and never looks into) is cut short to keep 6,000
-    // re-seals affordable; `gpu_restore_survives_length_bombs` covers it.
-    let mut ckpt = dir
-        .generations()
-        .expect("list")
-        .into_iter()
-        .map(|(_, path)| std::fs::read(path).expect("read"))
-        .map(|file| frame::open(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &file))
-        .map(|ckpt: Result<SweepCheckpoint, _>| ckpt.expect("the sweep's own file"))
-        .find(|ckpt| ckpt.in_progress.is_some())
-        .expect("a mid-case generation among those kept");
-    ckpt.in_progress.as_mut().expect("mid-case").gpu_blob.truncate(64);
-    let file = frame::seal(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &ckpt);
-    let tried = drill_resealed("FGCK", &file, |magic, version, evil| {
-        let _ = frame::open::<SweepCheckpoint>(magic, version, evil);
+    let root = tmp_dir("fgck");
+    let manifest = Manifest {
+        experiments: vec!["smoke".to_string()],
+        scale: RunScale::Bench,
+        checkpoint_every: 1,
+    };
+    let dir = CheckpointDir::create(&root, manifest).expect("create");
+    // A mid-case case file: spec, controller state and epoch records all
+    // present. Its machine blob (three quarters of a megabyte that `open`
+    // copies and never looks into) is cut short to keep the re-seals
+    // affordable; `gpu_restore_survives_length_bombs` covers it.
+    let mut spec = CaseSpec::new(&["cutcp", "lbm"], &[Some(0.5), None], ROLLOVER, 20_000);
+    spec.epoch_cycles = Some(2_000);
+    let mut case = prepare_case(&spec, &IsolatedCache::new()).expect("known benchmarks");
+    let mut tracer = Tracer::new(build_controller(&spec, &case.kids, &case.goal_ipc));
+    // The second of its two mid-case states at the chunk floor (8 000 cycles).
+    case.gpu.try_run(16_000, &mut tracer).expect("a healthy case");
+    let mut gpu_blob = case.gpu.snapshot().expect("epoch boundary").to_bytes();
+    gpu_blob.truncate(64);
+    let controller = tracer.inner().clone();
+    let records = tracer.records().to_vec();
+    let state = CaseState::InProgress(InProgressCase {
+        cycles_done: 16_000,
+        gpu_blob,
+        controller,
+        records,
+    });
+    dir.save_case(&CaseRecord { spec: spec.clone(), state });
+    let file = std::fs::read(dir.case_path(&spec)).expect("read the case file");
+    let tried = drill_resealed("FGCK case", &file, |magic, version, evil| {
+        let _ = frame::open::<CaseRecord>(magic, version, evil);
     });
     assert!(tried > 1_000, "{tried} windows");
-    let _ = std::fs::remove_dir_all(dir.path());
+
+    let manifest = std::fs::read(root.join(MANIFEST_FILE)).expect("read the manifest");
+    drill_resealed("FGCK manifest", &manifest, |magic, version, evil| {
+        let _ = frame::open::<Manifest>(magic, version, evil);
+    });
+    // The experiment list's length is the payload's first word.
+    let Raw(payload) =
+        frame::open(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &manifest).expect("real");
+    let evil = frame::seal(CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, &Raw(bombed(&payload, 0)));
+    std::fs::write(root.join(MANIFEST_FILE), evil).expect("write the bombed manifest");
+    assert!(CheckpointDir::open(&root).is_err());
+    let resumed = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["resume", root.to_str().expect("utf8 path")])
+        .output()
+        .expect("repro spawns");
+    assert!(!resumed.status.success(), "{resumed:?}");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
