@@ -687,19 +687,25 @@ impl Fleet {
             let target = self.devices.iter().position(|d| {
                 d.idle_healthy() && self.class_compat[d.class] == pm.compat_fingerprint
             });
-            match target {
-                Some(di) if self.install_migration(di, &pm, now) => {}
-                _ => self.pending_migrations.push(pm),
-            }
+            let refused = match target {
+                Some(di) => self.install_migration(di, pm, now).err(),
+                None => Some(pm),
+            };
+            self.pending_migrations.extend(refused);
         }
     }
 
-    /// Restores one pending migration onto idle device `di`. Returns
-    /// `false` (leaving the fleet untouched) if the blob refuses to
-    /// decode or restore — the migration then waits out its patience and
-    /// falls back to bounded retry.
-    fn install_migration(&mut self, di: usize, pm: &PendingMigration, now: u64) -> bool {
-        let Ok(blob) = SnapshotBlob::from_bytes(&pm.blob) else { return false };
+    /// Restores one pending migration onto idle device `di`. Gives `pm`
+    /// back (leaving the fleet untouched) if the blob refuses to decode or
+    /// restore — the migration then waits out its patience and falls back
+    /// to bounded retry.
+    fn install_migration(
+        &mut self,
+        di: usize,
+        pm: PendingMigration,
+        now: u64,
+    ) -> Result<(), PendingMigration> {
+        let Ok(blob) = SnapshotBlob::from_bytes(&pm.blob) else { return Err(pm) };
         // Translate the target's fleet-absolute fault schedule into the
         // restored device's cycle domain: the restored GPU resumes at
         // device cycle `pm.gpu_cycle`, which corresponds to fleet cycle
@@ -711,7 +717,7 @@ impl Fleet {
         let class = self.devices[di].class;
         let mut gpu = Gpu::new(self.cfg.device_config(class, faults.clone()));
         if gpu.restore_compat(&blob).is_err() {
-            return false;
+            return Err(pm);
         }
         // Gate every slot that retired after the checkpoint was taken so
         // finished work never re-runs (and can never double-complete).
@@ -750,15 +756,15 @@ impl Fleet {
         device.batches += 1;
         device.batch = Some(Batch {
             requests: pm.slots.iter().map(|&x| x as usize).collect(),
-            active: pm.active.clone(),
+            active: pm.active,
             started_at: pm.started_at,
             fault_base: now.saturating_sub(pm.gpu_cycle),
             faults,
-            ckpt: Ckpt { blob: pm.blob.clone(), gpu_cycle: pm.gpu_cycle },
+            ckpt: Ckpt { blob: pm.blob, gpu_cycle: pm.gpu_cycle },
             gpu,
             step_err: None,
         });
-        true
+        Ok(())
     }
 
     /// Under shed pressure with guaranteed work waiting and no idle
@@ -806,7 +812,7 @@ impl Fleet {
             active: batch.active.clone(),
             started_at: batch.started_at,
             gpu_cycle: batch.gpu.cycle(),
-            blob: blob.to_bytes(),
+            blob: blob.into_bytes(),
             compat_fingerprint: self.class_compat[self.devices[di].class],
             from_device: device_id,
             reason,
@@ -922,7 +928,7 @@ impl Fleet {
         // The initial checkpoint, taken before the first cycle runs: even a
         // first-tick device loss migrates instead of retrying from scratch.
         let blob = gpu.snapshot().expect("a fresh GPU sits at epoch boundary zero");
-        let ckpt = Ckpt { blob: blob.to_bytes(), gpu_cycle: 0 };
+        let ckpt = Ckpt { blob: blob.into_bytes(), gpu_cycle: 0 };
         let device = &mut self.devices[di];
         device.batches += 1;
         let active = vec![true; ids.len()];
@@ -1073,7 +1079,7 @@ impl Fleet {
             {
                 let blob =
                     batch.gpu.snapshot().expect("busy devices sit at epoch boundaries at ticks");
-                batch.ckpt = Ckpt { blob: blob.to_bytes(), gpu_cycle: batch.gpu.cycle() };
+                batch.ckpt = Ckpt { blob: blob.into_bytes(), gpu_cycle: batch.gpu.cycle() };
             }
             self.devices[di].batch = Some(batch);
         } else {
@@ -1471,7 +1477,7 @@ impl Fleet {
                     b.ckpt.encode(&mut out);
                     let blob =
                         b.gpu.snapshot().expect("busy devices sit at epoch boundaries at ticks");
-                    blob.to_bytes().encode(&mut out);
+                    blob.into_bytes().encode(&mut out);
                 }
             }
         }

@@ -1,6 +1,7 @@
 //! The top-level GPU: owns SMs, memory system, TB scheduler, and the
 //! epoch-driven controller hook.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -882,40 +883,50 @@ impl Gpu {
     /// # Errors
     ///
     /// [`SnapshotError::NotEpochBoundary`] when called mid-epoch.
-    pub fn snapshot(&self) -> Result<SnapshotBlob, SnapshotError> {
+    pub fn snapshot(&self) -> Result<SnapshotBlob<'static>, SnapshotError> {
         if !self.cycle.is_multiple_of(self.cfg.epoch_cycles) {
             return Err(SnapshotError::NotEpochBoundary {
                 cycle: self.cycle,
                 epoch_cycles: self.cfg.epoch_cycles,
             });
         }
-        let mut payload = Vec::with_capacity(self.payload_size_hint());
-        self.cycle.encode(&mut payload);
-        self.sms.encode(&mut payload);
-        self.mem.encode(&mut payload);
-        self.kernels.encode(&mut payload);
-        self.tb_sched.encode(&mut payload);
-        self.epoch_snapshot.encode(&mut payload);
-        self.last_totals.encode(&mut payload);
-        self.last_epoch_cycle.encode(&mut payload);
-        self.epoch_index.encode(&mut payload);
-        self.sample_interval.encode(&mut payload);
-        self.fault_cursor.encode(&mut payload);
-        self.ff_skipped.encode(&mut payload);
-        self.events.encode(&mut payload);
-        self.was_idle.encode(&mut payload);
+        let (config_fingerprint, compat_fingerprint) =
+            (self.config_fingerprint(), self.compat_fingerprint());
+        // The header goes first with a zero length word, patched in below.
+        let mut out = Vec::with_capacity(BLOB_HEADER_BYTES + self.payload_size_hint());
+        out.extend_from_slice(&SNAPSHOT_MAGIC);
+        SNAPSHOT_SCHEMA_VERSION.encode(&mut out);
+        config_fingerprint.encode(&mut out);
+        compat_fingerprint.encode(&mut out);
+        0u64.encode(&mut out);
+        self.cycle.encode(&mut out);
+        self.sms.encode(&mut out);
+        self.mem.encode(&mut out);
+        self.kernels.encode(&mut out);
+        self.tb_sched.encode(&mut out);
+        self.epoch_snapshot.encode(&mut out);
+        self.last_totals.encode(&mut out);
+        self.last_epoch_cycle.encode(&mut out);
+        self.epoch_index.encode(&mut out);
+        self.sample_interval.encode(&mut out);
+        self.fault_cursor.encode(&mut out);
+        self.ff_skipped.encode(&mut out);
+        self.events.encode(&mut out);
+        self.was_idle.encode(&mut out);
+        let payload_len = (out.len() - BLOB_HEADER_BYTES) as u64;
+        out[BLOB_HEADER_BYTES - 8..BLOB_HEADER_BYTES].copy_from_slice(&payload_len.to_le_bytes());
         Ok(SnapshotBlob {
             version: SNAPSHOT_SCHEMA_VERSION,
-            config_fingerprint: self.config_fingerprint(),
-            compat_fingerprint: self.compat_fingerprint(),
-            payload,
+            config_fingerprint,
+            compat_fingerprint,
+            bytes: Cow::Owned(out),
         })
     }
 
-    /// About how many bytes [`Gpu::snapshot`] encodes, so that it allocates
-    /// once: 8 per cache line, a row per warp slot, and an allowance for the
-    /// rest (TB slabs, kernels, counters, an empty event ring). A machine that
-    /// carries more (a filled trace ring) grows the buffer.
+    /// About how many bytes [`Gpu::snapshot`] encodes after the blob header,
+    /// so that it allocates once: 8 per cache line, a row per warp slot, and an
+    /// allowance for the rest (TB slabs, kernels, counters, an empty event
+    /// ring). A machine that carries more (a filled trace ring) grows it.
     fn payload_size_hint(&self) -> usize {
         const WARP_ROW_BYTES: usize = 64;
         const FIXED_BYTES: usize = 64 << 10;
@@ -941,9 +952,9 @@ impl Gpu {
     /// [`SnapshotError::ConfigFingerprint`] when the blob was taken under a
     /// different configuration, and [`SnapshotError::Corrupt`] when the
     /// payload fails to decode.
-    pub fn restore(&mut self, blob: &SnapshotBlob) -> Result<(), SnapshotError> {
+    pub fn restore(&mut self, blob: &SnapshotBlob<'_>) -> Result<(), SnapshotError> {
         blob.check_header(blob.config_fingerprint, self.config_fingerprint())?;
-        self.restore_payload(&blob.payload)
+        self.restore_payload(&blob.bytes[BLOB_HEADER_BYTES..])
     }
 
     /// Restores a snapshot from a **migration-class-compatible** machine:
@@ -965,9 +976,9 @@ impl Gpu {
     /// [`SnapshotError::ConfigFingerprint`] when the blob's migration class
     /// differs from the receiver's, and [`SnapshotError::Corrupt`] when the
     /// payload fails to decode.
-    pub fn restore_compat(&mut self, blob: &SnapshotBlob) -> Result<(), SnapshotError> {
+    pub fn restore_compat(&mut self, blob: &SnapshotBlob<'_>) -> Result<(), SnapshotError> {
         blob.check_header(blob.compat_fingerprint, self.compat_fingerprint())?;
-        self.restore_payload(&blob.payload)?;
+        self.restore_payload(&blob.bytes[BLOB_HEADER_BYTES..])?;
         // Rebase the fault cursor from the source plan onto the receiver's
         // (sorted) plan: faults strictly in the past are consumed, the rest
         // remain armed.
@@ -1116,6 +1127,9 @@ pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";
 
+/// Wire bytes before a blob's payload: magic, version, fingerprints, length.
+const BLOB_HEADER_BYTES: usize = 32;
+
 /// Why a snapshot could not be taken, serialized, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
@@ -1181,18 +1195,19 @@ impl From<SnapError> for SnapshotError {
 ///
 /// The blob carries the schema version and a fingerprint of the producing
 /// configuration; [`Gpu::restore`] validates both before touching any
-/// state. [`SnapshotBlob::to_bytes`] / [`SnapshotBlob::from_bytes`] give a
-/// stable on-disk form (magic + version + fingerprint + compat fingerprint
-/// + payload).
+/// state. It holds its stable on-disk form (magic + version + fingerprint +
+/// compat fingerprint + payload length + payload) in one buffer, which
+/// [`SnapshotBlob::to_bytes`] and [`SnapshotBlob::from_bytes`] borrow and
+/// [`SnapshotBlob::into_bytes`] hands over.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotBlob {
+pub struct SnapshotBlob<'a> {
     version: u32,
     config_fingerprint: u64,
     compat_fingerprint: u64,
-    payload: Vec<u8>,
+    bytes: Cow<'a, [u8]>,
 }
 
-impl SnapshotBlob {
+impl<'a> SnapshotBlob<'a> {
     /// Schema version the blob was written with.
     pub fn version(&self) -> u32 {
         self.version
@@ -1212,7 +1227,7 @@ impl SnapshotBlob {
 
     /// Size of the encoded state payload in bytes.
     pub fn payload_len(&self) -> usize {
-        self.payload.len()
+        self.bytes.len() - BLOB_HEADER_BYTES
     }
 
     /// What a receiver checks before it decodes the payload: the schema
@@ -1230,27 +1245,36 @@ impl SnapshotBlob {
         Ok(())
     }
 
-    /// Serializes the blob to its on-disk byte form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 32);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        self.encode(&mut out);
-        out
+    /// The blob's on-disk byte form, without a copy.
+    pub fn to_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Parses a blob previously written by [`SnapshotBlob::to_bytes`].
+    /// The on-disk byte form, moved out of a snapshot (copied out of a parse).
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes.into_owned()
+    }
+
+    /// Parses a blob written by [`SnapshotBlob::to_bytes`], borrowing `bytes`.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::BadMagic`] when the stream is not a snapshot, and
     /// [`SnapshotError::Corrupt`] when the framing fails to decode.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
         let framed = bytes.strip_prefix(&SNAPSHOT_MAGIC).ok_or(SnapshotError::BadMagic)?;
-        Ok(crate::snap::decode_from_slice(framed)?)
+        let mut r = SnapReader::new(framed);
+        let version = u32::decode(&mut r)?;
+        let config_fingerprint = u64::decode(&mut r)?;
+        let compat_fingerprint = u64::decode(&mut r)?;
+        let payload_len = usize::decode(&mut r)?;
+        r.take(payload_len)?;
+        if !r.is_exhausted() {
+            return Err(SnapError::Invalid("trailing bytes after value").into());
+        }
+        Ok(Self { version, config_fingerprint, compat_fingerprint, bytes: Cow::Borrowed(bytes) })
     }
 }
-
-crate::impl_snap_struct!(SnapshotBlob { version, config_fingerprint, compat_fingerprint, payload });
 
 #[cfg(test)]
 mod tests {
@@ -1740,10 +1764,43 @@ mod tests {
         gpu.run(1_000, &mut NullController);
         let blob = gpu.snapshot().expect("boundary");
         let bytes = blob.to_bytes();
-        let parsed = SnapshotBlob::from_bytes(&bytes).expect("round trip");
+        let parsed = SnapshotBlob::from_bytes(bytes).expect("round trip");
         assert_eq!(parsed, blob);
+        assert_eq!(parsed.to_bytes().as_ptr(), bytes.as_ptr(), "parsing borrows its input");
         assert!(matches!(SnapshotBlob::from_bytes(b"nope"), Err(SnapshotError::BadMagic)));
         assert!(SnapshotBlob::from_bytes(&bytes[..bytes.len() - 3]).is_err());
+
+        // The header parse keeps the errors the decoded framing gave.
+        let parse = |b: &[u8]| SnapshotBlob::from_bytes(b).map(|_| ());
+        let eof = Err(SnapshotError::Corrupt(SnapError::UnexpectedEof));
+        for cut in 0..40 {
+            let want =
+                if cut < SNAPSHOT_MAGIC.len() { Err(SnapshotError::BadMagic) } else { eof.clone() };
+            assert_eq!(parse(&bytes[..cut]), want, "cut at byte {cut}");
+        }
+        assert_eq!(parse(&bytes[..bytes.len() - 1]), eof, "last byte removed");
+        let mut longer = bytes.to_vec();
+        longer.push(0);
+        let trailing = SnapError::Invalid("trailing bytes after value");
+        assert_eq!(parse(&longer), Err(SnapshotError::Corrupt(trailing)), "one byte appended");
+        let mut bombed = bytes.to_vec();
+        bombed[BLOB_HEADER_BYTES - 8..BLOB_HEADER_BYTES].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(parse(&bombed), eof, "payload length u64::MAX");
+
+        // A warmed paper-scale trio is written into one buffer that never
+        // regrows, and `into_bytes` hands that buffer over.
+        let cfg = GpuConfig::paper_table1();
+        let mut gpu = Gpu::new(cfg.clone());
+        gpu.launch(compute_kernel("a"));
+        gpu.launch(memory_kernel("b"));
+        gpu.launch(compute_kernel("c").with_seed(7));
+        gpu.set_sharing_mode(SharingMode::Smk);
+        gpu.run(3 * cfg.epoch_cycles, &mut NullController);
+        let blob = gpu.snapshot().expect("boundary");
+        let shown = blob.to_bytes().as_ptr();
+        let owned = blob.into_bytes();
+        assert_eq!(owned.as_ptr(), shown, "into_bytes hands over the snapshot's buffer");
+        assert_eq!(owned.capacity(), BLOB_HEADER_BYTES + gpu.payload_size_hint(), "no regrowth");
     }
 
     #[test]

@@ -272,7 +272,7 @@ impl CheckpointDir {
             gpu.snapshot().expect("chunk boundaries are watchdog-window (hence epoch) aligned");
         let state = CaseState::InProgress(InProgressCase {
             cycles_done: done,
-            gpu_blob: blob.to_bytes(),
+            gpu_blob: blob.into_bytes(),
             controller: tracer.inner().clone(),
             records: tracer.records().to_vec(),
         });
@@ -287,7 +287,7 @@ impl CheckpointDir {
             let snap = FailureSnapshot {
                 spec: spec.clone(),
                 error: error.clone(),
-                gpu_blob: blob.to_bytes(),
+                gpu_blob: blob.into_bytes(),
             };
             let file = frame::seal(FAILURE_MAGIC, CHECKPOINT_SCHEMA_VERSION, &snap);
             frame::write_atomic(&path, &file).map_err(|e| e.to_string())

@@ -196,7 +196,7 @@ fn run_split(
         let blob =
             gpu.snapshot().expect("split is a multiple of epoch_cycles, so the snapshot is legal");
         // Round-trip the blob through its wire form, like a checkpoint does.
-        let blob = SnapshotBlob::from_bytes(&blob.to_bytes()).expect("wire round-trip");
+        let blob = SnapshotBlob::from_bytes(blob.to_bytes()).expect("wire round-trip");
         let (ctrl, records) = tracer.into_parts();
         let ctrl: Ctrl = decode_from_slice(&encode_to_vec(&ctrl)).expect("controller codec");
         let records: Vec<EpochRecord> =
@@ -341,8 +341,8 @@ fn counter_registry_and_events_survive_snapshot_restore() {
     );
     assert!(!gpu.recent_events(usize::MAX).is_empty(), "a busy run records events");
 
-    let blob = SnapshotBlob::from_bytes(&gpu.snapshot().expect("epoch-aligned").to_bytes())
-        .expect("wire round-trip");
+    let bytes = gpu.snapshot().expect("epoch-aligned").into_bytes();
+    let blob = SnapshotBlob::from_bytes(&bytes).expect("wire round-trip");
     let (mut fresh, _) = build_gpu(&cfg, &descs);
     fresh.restore(&blob).expect("same config");
 
@@ -481,11 +481,11 @@ proptest! {
         let mut tracer = Tracer::new(Ctrl::Null);
         gpu.try_run(split_epochs * cfg.epoch_cycles, &mut tracer).expect("healthy");
 
-        let bytes = gpu.snapshot().expect("epoch-aligned").to_bytes();
+        let bytes = gpu.snapshot().expect("epoch-aligned").into_bytes();
         let blob = SnapshotBlob::from_bytes(&bytes).expect("wire round-trip");
         let (mut fresh, _) = build_gpu(&cfg, &descs);
         fresh.restore(&blob).expect("same config");
-        let rebytes = fresh.snapshot().expect("still epoch-aligned").to_bytes();
+        let rebytes = fresh.snapshot().expect("still epoch-aligned").into_bytes();
         prop_assert_eq!(&rebytes, &bytes, "re-encoded snapshot must be byte-identical");
 
         // And the restored table drives the machine to the same stream.
