@@ -8,18 +8,19 @@ use gpu_sim::{FaultKind, FaultPlan, GpuConfig};
 use qos_core::TenantClass;
 use workloads::arrival::ArrivalModel;
 
-/// Which placement policy routes queued requests to idle devices; each name
-/// resolves to its policy object in [`crate::placement`].
+/// Which placement policy routes queued requests to idle devices;
+/// [`Placement::choose`] applies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Placement {
     /// Fill one device to its kernel/memory limits before using the next:
     /// maximizes idle (power-gateable) devices, worst tail latency.
     Binpack,
-    /// One request per idle device round-robin: spreads interference and
-    /// blast radius, keeps every device warm.
+    /// The device with the most free kernel slots: spreads interference
+    /// and blast radius, keeps every device warm.
     Spread,
-    /// Queue-aware: route to the device with the fewest live requests,
-    /// breaking ties toward the fewest batches served (coldest device).
+    /// Queue-aware: route to the device with the fewest requests assigned
+    /// this tick, breaking ties toward the fewest batches started (coldest
+    /// device).
     LeastLoaded,
 }
 

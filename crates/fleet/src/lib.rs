@@ -53,5 +53,5 @@ pub use config::{
 };
 pub use fleet::{DeviceFate, Fleet, TenantCounters, FLEET_SNAPSHOT_VERSION};
 pub use migrate::{MigrationReason, MigrationRecord, PendingMigration};
-pub use placement::{DeviceView, PlacementCtx, PlacementPolicy, RequestView};
+pub use placement::DeviceView;
 pub use request::{Request, RequestState, ShedReason};

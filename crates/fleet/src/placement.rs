@@ -1,29 +1,18 @@
-//! Pluggable placement policies: which idle device a queued request lands
-//! on.
+//! Placement: which idle device a queued request lands on.
 //!
-//! The fleet consults a [`PlacementPolicy`] object for every eligible queued
-//! request each tick, handing it a read-only [`PlacementCtx`] describing the
-//! candidate devices (free kernel slots, free memory by working-set
-//! estimate, class, load history) and fleet-level pressure. The policy only
-//! *suggests* a device; the fleet re-validates capacity deterministically,
-//! so a buggy policy can degrade placement quality but never oversubscribe
-//! a device or corrupt accounting.
-//!
-//! [`resolve`] maps each [`Placement`] name to its policy object.
+//! Each tick the fleet describes every idle healthy device as a
+//! [`DeviceView`], in ascending device order, and asks the configured
+//! [`Placement`] to [`choose`](Placement::choose) one for each eligible
+//! queued request. A choice always fits the request, and ties go to the
+//! lowest index, so placement is a pure function of the views.
 
-use std::fmt;
-use std::sync::Arc;
+use std::cmp::Reverse;
 
 use crate::config::Placement;
 
-/// One candidate device, as the policy sees it. Views are pre-filtered to
-/// healthy devices with at least one free kernel slot.
+/// One candidate device, as placement sees it this tick.
 #[derive(Debug, Clone)]
 pub struct DeviceView {
-    /// Fleet-wide device index.
-    pub device: u32,
-    /// Index into `FleetConfig::classes`.
-    pub class: usize,
     /// Kernel slots still free on this device this tick.
     pub free_slots: usize,
     /// Device memory not yet claimed by working-set estimates, in bytes.
@@ -31,104 +20,26 @@ pub struct DeviceView {
     /// Requests already assigned to this device this tick (0 ⇒ still idle).
     pub assigned: usize,
     /// Batches this device has started over its lifetime — a load/wear
-    /// signal for queue-aware policies.
+    /// signal for [`Placement::LeastLoaded`].
     pub batches: u64,
 }
 
-/// One queued request, as the policy sees it.
-#[derive(Debug, Clone, Copy)]
-pub struct RequestView {
-    /// Fleet-wide request id.
-    pub id: usize,
-    /// Owning tenant index.
-    pub tenant: usize,
-    /// Whether the tenant holds a guaranteed (SLO-backed) contract.
-    pub guaranteed: bool,
-    /// Working-set estimate for the request, in bytes (measured EWMA, not
-    /// the declared reservation).
-    pub mem_bytes: u64,
-    /// Cycles the request has waited since arrival.
-    pub queued_for: u64,
-}
-
-/// Fleet-level pressure context for one placement round.
-#[derive(Debug)]
-pub struct PlacementCtx<'a> {
-    /// Current fleet cycle.
-    pub now: u64,
-    /// Requests waiting in the queue (including the one being placed).
-    pub queue_depth: usize,
-    /// Projected occupancy over the admission horizon, in permille.
-    pub load_permille: u64,
-    /// Candidate devices, ascending by device index.
-    pub devices: &'a [DeviceView],
-}
-
-/// A placement policy object. Implementations must be deterministic pure
-/// functions of their inputs — the fleet's replay and snapshot/resume
-/// guarantees depend on it.
-pub trait PlacementPolicy: fmt::Debug + Send + Sync {
-    /// Chooses a device for `req`, or `None` to leave it queued this tick.
-    /// Returning a device that lacks capacity is safe: the fleet
-    /// re-validates and treats it as `None`.
-    fn assign(&self, req: &RequestView, ctx: &PlacementCtx<'_>) -> Option<u32>;
-}
-
-/// First device (ascending index) with room: fills one device before
-/// touching the next.
-#[derive(Debug)]
-pub struct Binpack;
-
-impl PlacementPolicy for Binpack {
-    fn assign(&self, req: &RequestView, ctx: &PlacementCtx<'_>) -> Option<u32> {
-        ctx.devices
+impl Placement {
+    /// The index into `devices` of the device that takes a request whose
+    /// working set is `mem_bytes`, or `None` when no device has a free
+    /// kernel slot and that much unclaimed memory.
+    pub fn choose(&self, mem_bytes: u64, devices: &[DeviceView]) -> Option<usize> {
+        let mut fits = devices
             .iter()
-            .find(|d| d.free_slots > 0 && d.free_mem_bytes >= req.mem_bytes)
-            .map(|d| d.device)
-    }
-}
-
-/// Most free kernel slots wins (ties to the lowest index): spreads load and
-/// blast radius across the fleet.
-#[derive(Debug)]
-pub struct Spread;
-
-impl PlacementPolicy for Spread {
-    fn assign(&self, req: &RequestView, ctx: &PlacementCtx<'_>) -> Option<u32> {
-        ctx.devices
-            .iter()
-            .filter(|d| d.free_slots > 0 && d.free_mem_bytes >= req.mem_bytes)
-            .max_by(|a, b| a.free_slots.cmp(&b.free_slots).then(b.device.cmp(&a.device)))
-            .map(|d| d.device)
-    }
-}
-
-/// Queue-aware: fewest requests assigned this tick, then fewest lifetime
-/// batches (coldest device), then lowest index.
-#[derive(Debug)]
-pub struct LeastLoaded;
-
-impl PlacementPolicy for LeastLoaded {
-    fn assign(&self, req: &RequestView, ctx: &PlacementCtx<'_>) -> Option<u32> {
-        ctx.devices
-            .iter()
-            .filter(|d| d.free_slots > 0 && d.free_mem_bytes >= req.mem_bytes)
-            .min_by(|a, b| {
-                a.assigned
-                    .cmp(&b.assigned)
-                    .then(a.batches.cmp(&b.batches))
-                    .then(a.device.cmp(&b.device))
-            })
-            .map(|d| d.device)
-    }
-}
-
-/// Resolves a [`Placement`] selector to its policy object.
-pub fn resolve(placement: &Placement) -> Arc<dyn PlacementPolicy> {
-    match placement {
-        Placement::Binpack => Arc::new(Binpack),
-        Placement::Spread => Arc::new(Spread),
-        Placement::LeastLoaded => Arc::new(LeastLoaded),
+            .enumerate()
+            .filter(|(_, d)| d.free_slots > 0 && d.free_mem_bytes >= mem_bytes);
+        // `min_by_key` keeps the first of equal keys: the lowest index.
+        let (index, _) = match self {
+            Placement::Binpack => fits.next(),
+            Placement::Spread => fits.min_by_key(|(_, d)| Reverse(d.free_slots)),
+            Placement::LeastLoaded => fits.min_by_key(|(_, d)| (d.assigned, d.batches)),
+        }?;
+        Some(index)
     }
 }
 
@@ -136,58 +47,41 @@ pub fn resolve(placement: &Placement) -> Arc<dyn PlacementPolicy> {
 mod tests {
     use super::*;
 
+    fn view(free_slots: usize, free_mem_bytes: u64, assigned: usize, batches: u64) -> DeviceView {
+        DeviceView { free_slots, free_mem_bytes, assigned, batches }
+    }
+
     fn views() -> Vec<DeviceView> {
-        vec![
-            DeviceView {
-                device: 0,
-                class: 0,
-                free_slots: 1,
-                free_mem_bytes: 1 << 20,
-                assigned: 3,
-                batches: 10,
-            },
-            DeviceView {
-                device: 1,
-                class: 0,
-                free_slots: 4,
-                free_mem_bytes: 1 << 30,
-                assigned: 0,
-                batches: 2,
-            },
-            DeviceView {
-                device: 2,
-                class: 1,
-                free_slots: 4,
-                free_mem_bytes: 1 << 30,
-                assigned: 0,
-                batches: 1,
-            },
-        ]
-    }
-
-    fn req(mem: u64) -> RequestView {
-        RequestView { id: 0, tenant: 0, guaranteed: false, mem_bytes: mem, queued_for: 0 }
-    }
-
-    fn ctx(devices: &[DeviceView]) -> PlacementCtx<'_> {
-        PlacementCtx { now: 0, queue_depth: 1, load_permille: 500, devices }
+        vec![view(1, 1 << 20, 3, 10), view(4, 1 << 30, 0, 2), view(4, 1 << 30, 0, 1)]
     }
 
     #[test]
     fn builtins_pick_by_their_own_criterion() {
         let v = views();
-        assert_eq!(Binpack.assign(&req(64), &ctx(&v)), Some(0), "binpack fills device 0 first");
+        assert_eq!(Placement::Binpack.choose(64, &v), Some(0), "binpack fills device 0 first");
         assert_eq!(
-            Binpack.assign(&req(2 << 20), &ctx(&v)),
+            Placement::Binpack.choose(2 << 20, &v),
             Some(1),
             "binpack skips devices without memory"
         );
-        assert_eq!(Spread.assign(&req(64), &ctx(&v)), Some(1), "spread wants most free slots");
+        assert_eq!(Placement::Spread.choose(64, &v), Some(1), "spread wants most free slots");
         assert_eq!(
-            LeastLoaded.assign(&req(64), &ctx(&v)),
+            Placement::LeastLoaded.choose(64, &v),
             Some(2),
             "least-loaded breaks the tie toward the coldest device"
         );
-        assert_eq!(Spread.assign(&req(u64::MAX), &ctx(&v)), None, "nothing fits");
+        assert_eq!(Placement::Spread.choose(u64::MAX, &v), None, "nothing fits");
+        let tied = [view(2, 1 << 30, 1, 5), view(2, 1 << 30, 1, 5), view(2, 1 << 30, 1, 5)];
+        assert_eq!(
+            Placement::LeastLoaded.choose(64, &tied),
+            Some(0),
+            "a full least-loaded tie goes to the lowest index"
+        );
+        let apart = [view(4, 1 << 30, 0, 0), view(1, 1 << 30, 0, 0), view(4, 1 << 30, 0, 0)];
+        assert_eq!(
+            Placement::Spread.choose(64, &apart),
+            Some(0),
+            "a spread tie between non-adjacent devices goes to the lower index"
+        );
     }
 }

@@ -12,7 +12,6 @@
 //!             [--checkpoint-every TICKS] [--trace FILE]
 //!             [--metrics-out FILE] [--profile]
 //! repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]
-//! repro metrics <fleet-scenario> [--seed N] [--out FILE]
 //! repro profile <scenario>
 //! repro validate [--bless | --recapture] [--out report.txt]
 //! ```
@@ -58,7 +57,6 @@ fn usage() -> String {
          \u{20}      repro fleet <scenario> [--seed N] [--checkpoint-dir DIR] \
          [--checkpoint-every TICKS] [--trace FILE] [--metrics-out FILE] [--profile]\n\
          \u{20}      repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]\n\
-         \u{20}      repro metrics <fleet-scenario> [--seed N] [--out FILE]\n\
          \u{20}      repro profile <scenario>\n\
          \u{20}      repro validate [--bless | --recapture] [--out FILE]\n\
          experiments: {}\n\
@@ -75,13 +73,12 @@ fn usage() -> String {
          fleet: run a multi-GPU serving scenario (admission control, retries,\n\
          device-fault tolerance); exit 0 iff every guaranteed SLO is met and\n\
          no request is lost; `fleet resume` continues a killed run;\n\
-         --metrics-out exports the telemetry (JSON at FILE, Prometheus text\n\
-         at FILE.prom), --profile prints the host-time hotspot table to stderr\n\
-         metrics: run a fleet scenario and export its telemetry (counter time\n\
-         series, per-tenant latency histograms, SLO burn tracks); JSON on\n\
-         stdout, or JSON + .prom files when --out is given\n\
-         profile: run a scenario with the host profiler armed and print the\n\
-         wall-time hotspot table; scenarios: {} plus the fleet scenarios\n\
+         --metrics-out exports the telemetry (counter time series, per-tenant\n\
+         latency histograms, SLO burn tracks) as JSON at FILE and Prometheus\n\
+         text at FILE.prom; --profile prints the host-time hotspot table to\n\
+         stderr\n\
+         profile: run a single-GPU scenario with the host profiler armed and\n\
+         print the wall-time hotspot table; scenarios: {}\n\
          validate: replay the committed trace corpus (tests/golden/validate/)\n\
          and correlate IPC/residency/quota/cache metrics against committed\n\
          expectations; exit 0 iff every metric passes; --bless re-pins the\n\
@@ -307,60 +304,8 @@ fn cmd_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// `repro metrics <fleet-scenario> [--seed N] [--out FILE]`: run a fleet
-/// scenario to completion and export its telemetry. JSON goes to stdout,
-/// or to FILE (with the Prometheus text beside it at FILE.prom) when
-/// `--out` is given.
-fn cmd_metrics(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut positional = Vec::new();
-    let mut seed = fleet::scenarios::DEFAULT_SEED;
-    let mut out = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let Some(value) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    return misuse("--seed needs an unsigned integer");
-                };
-                seed = value;
-            }
-            "--out" | "-o" => {
-                let Some(path) = args.next() else {
-                    return misuse("--out needs a file path");
-                };
-                out = Some(path);
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [name] = positional.as_slice() else {
-        return misuse("`repro metrics` wants exactly one fleet scenario name");
-    };
-    let (json, prom) = match harness::telemetry::run_fleet_metrics(name, seed) {
-        Ok(docs) => docs,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match out {
-        Some(path) => {
-            let path = std::path::PathBuf::from(path);
-            let prom_path = path.with_extension("prom");
-            for (p, doc) in [(&path, &json), (&prom_path, &prom)] {
-                if let Err(e) = write_atomic(p, doc.as_bytes()) {
-                    eprintln!("cannot write {}: {e}", p.display());
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote {} ({} bytes)", p.display(), doc.len());
-            }
-        }
-        None => emit(&json),
-    }
-    ExitCode::SUCCESS
-}
-
-/// `repro profile <scenario>`: run a scenario with the host profiler armed
-/// and print the wall-time hotspot table.
+/// `repro profile <scenario>`: run a single-GPU scenario with the host
+/// profiler armed and print the wall-time hotspot table.
 fn cmd_profile(mut args: impl Iterator<Item = String>) -> ExitCode {
     let (Some(name), None) = (args.next(), args.next()) else {
         return misuse("`repro profile` wants exactly one scenario name");
@@ -475,7 +420,6 @@ fn main() -> ExitCode {
         Some("inspect") => return cmd_inspect(args.skip(1)),
         Some("trace") => return cmd_trace(args.skip(1)),
         Some("fleet") => return cmd_fleet(args.skip(1)),
-        Some("metrics") => return cmd_metrics(args.skip(1)),
         Some("profile") => return cmd_profile(args.skip(1)),
         Some("validate") => return cmd_validate(args.skip(1)),
         _ => {}

@@ -31,10 +31,11 @@
 //! * [`fleet_cli`] — `repro fleet <scenario>`: checkpointed, crash-resumable
 //!   runs of the multi-GPU serving scenarios from the `fleet` crate, with
 //!   per-tenant Perfetto export,
-//! * [`telemetry`] — metrics export (`repro metrics`, `repro fleet …
-//!   --metrics-out`): deterministic JSON + Prometheus text documents carrying
-//!   the counter time series, per-tenant latency histograms, and SLO burn
-//!   tracks; and the host-time self-profile (`repro profile <scenario>`),
+//! * [`telemetry`] — metrics export (`repro fleet … --metrics-out`):
+//!   deterministic JSON + Prometheus text documents carrying the counter
+//!   time series, per-tenant latency histograms, and SLO burn tracks; and
+//!   the host-time self-profile (`repro profile <scenario>` for one GPU,
+//!   `repro fleet … --profile` for a fleet),
 //! * [`validate`] — `repro validate`: replay the committed FGTR trace corpus
 //!   (`tests/golden/validate/`) and correlate IPC, residency, quota grants,
 //!   and cache hit rates against committed expectations (Pearson ≥ 0.99 plus

@@ -2,7 +2,7 @@
 //!
 //! Two export formats for the telemetry layer's deterministic state:
 //!
-//! * **JSON** (`repro metrics <scenario>`, `repro fleet … --metrics-out`):
+//! * **JSON** (`repro fleet <scenario> --metrics-out FILE`):
 //!   the complete tick-sampled counter time series plus per-tenant
 //!   histogram summaries (count/sum/max/mean and p50/p90/p95/p99/p99.9 of
 //!   completion latency, queue wait, retries, and migration outage) and
@@ -19,15 +19,16 @@
 //! [`check_prometheus_text`]) before anything is written to disk.
 //!
 //! The third piece is the **host-time hotspot table** (`repro profile
-//! <scenario>`): the [`HostProfiler`]'s wall-clock attribution per
-//! simulator phase, rendered with each phase's share of total wall time.
+//! <scenario>` for one simulated GPU, `repro fleet <scenario> --profile`
+//! for a fleet): the [`HostProfiler`]'s wall-clock attribution per phase,
+//! rendered with each phase's share of total wall time.
 //! Profiler state is host-only — never snapshotted, never part of any
 //! determinism surface.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fleet::{scenarios, Fleet};
+use fleet::Fleet;
 use gpu_sim::telemetry::{HostProfiler, LatencyHistogram};
 use gpu_sim::{Gpu, GpuConfig, NullController, SharingMode};
 use qos_core::{QosManager, QosSpec, QuotaScheme};
@@ -36,10 +37,9 @@ use qos_core::{QosManager, QosSpec, QuotaScheme};
 /// changes so downstream consumers can dispatch).
 pub const METRICS_SCHEMA: &str = "fgqos-metrics-v1";
 
-/// Scenarios `repro profile` can run on a single simulated GPU, mirroring
-/// the bench suite's constructions (paper-scale config, 80 k cycles).
-/// Fleet scenario names ([`fleet::scenarios::SCENARIOS`]) are also
-/// accepted by [`profile_scenario`].
+/// Scenarios `repro profile` runs on a single simulated GPU, mirroring the
+/// bench suite's constructions (paper-scale config, 80 k cycles). A fleet
+/// scenario profiles through `repro fleet <scenario> --profile`.
 pub const PROFILE_SCENARIOS: [&str; 4] =
     ["smk_memory_pair", "managed_rollover_pair", "managed_rollover_trio", "isolated_compute"];
 
@@ -366,21 +366,6 @@ pub fn fleet_metrics_docs(fleet: &Fleet, scenario: &str) -> Result<(String, Stri
     Ok((json, prom))
 }
 
-/// Runs fleet scenario `name` to completion and exports its metrics as
-/// `(json, prometheus)` — the engine of `repro metrics`.
-///
-/// # Errors
-///
-/// Unknown scenario names, or a renderer failing its own self-check.
-pub fn run_fleet_metrics(name: &str, seed: u64) -> Result<(String, String), String> {
-    let cfg = scenarios::by_name(name, seed).ok_or_else(|| {
-        format!("unknown fleet scenario {name:?} (known: {})", scenarios::SCENARIOS.join(", "))
-    })?;
-    let mut fleet = Fleet::new(cfg);
-    fleet.run_to_completion();
-    fleet_metrics_docs(&fleet, name)
-}
-
 /// Renders the host-time hotspot table: one row per phase with attributed
 /// wall time, call count, and share of total wall time, sorted by time;
 /// the footer reports how much of the wall the named phases cover.
@@ -471,52 +456,44 @@ fn run_profile_gpu(gpu: &mut Gpu, mgr: Option<QosManager>) {
     }
 }
 
-/// Runs `name` with the host profiler armed and renders its hotspot
-/// table — the engine of `repro profile`. Accepts the single-GPU
-/// [`PROFILE_SCENARIOS`] (phase breakdown of one simulated device) and
-/// every fleet scenario (fleet-tick vs. device-step attribution).
+/// Runs single-GPU scenario `name` (one of [`PROFILE_SCENARIOS`]) with the
+/// host profiler armed and renders its hotspot table — the engine of
+/// `repro profile`.
 ///
 /// # Errors
 ///
 /// Unknown scenario names.
 pub fn profile_scenario(name: &str) -> Result<String, String> {
-    if let Some((mut gpu, mgr)) = profile_gpu(name) {
-        gpu.set_profiling(true);
-        let started = Instant::now();
-        run_profile_gpu(&mut gpu, mgr);
-        let wall = started.elapsed().as_nanos() as u64;
-        let work = gpu.work_counters();
-        let asleep = 100.0 * work.sm_ticks_slept as f64
-            / (work.sm_ticks_run + work.sm_ticks_slept).max(1) as f64;
-        return Ok(format!(
-            "{}  sm steps: {} run, {} slept ({asleep:.1}% of SM-cycles asleep); \
-             wake queue: {} hints drained, {} builds; quota gate: {} evaluations\n",
-            render_hotspot_table(name, gpu.profiler(), wall),
-            work.sm_ticks_run,
-            work.sm_ticks_slept,
-            work.wake_events,
-            work.ready_rebuilds,
-            work.gate_evals
+    let Some((mut gpu, mgr)) = profile_gpu(name) else {
+        return Err(format!(
+            "unknown profile scenario {name:?} (known: {})",
+            PROFILE_SCENARIOS.join(" ")
         ));
-    }
-    if let Some(cfg) = scenarios::by_name(name, scenarios::DEFAULT_SEED) {
-        let mut fleet = Fleet::new(cfg);
-        fleet.set_profiling(true);
-        let started = Instant::now();
-        fleet.run_to_completion();
-        let wall = started.elapsed().as_nanos() as u64;
-        return Ok(render_hotspot_table(name, fleet.profiler(), wall));
-    }
-    Err(format!(
-        "unknown profile scenario {name:?} (known: {} and fleet scenarios {})",
-        PROFILE_SCENARIOS.join(" "),
-        scenarios::SCENARIOS.join(" ")
+    };
+    gpu.set_profiling(true);
+    let started = Instant::now();
+    run_profile_gpu(&mut gpu, mgr);
+    let wall = started.elapsed().as_nanos() as u64;
+    let work = gpu.work_counters();
+    let asleep = 100.0 * work.sm_ticks_slept as f64
+        / (work.sm_ticks_run + work.sm_ticks_slept).max(1) as f64;
+    Ok(format!(
+        "{}  sm steps: {} run, {} slept ({asleep:.1}% of SM-cycles asleep); \
+         wake queue: {} hints drained, {} builds; quota gate: {} evaluations\n",
+        render_hotspot_table(name, gpu.profiler(), wall),
+        work.sm_ticks_run,
+        work.sm_ticks_slept,
+        work.wake_events,
+        work.ready_rebuilds,
+        work.gate_evals
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet_cli::{run_scenario, FleetRunOpts};
+    use fleet::scenarios;
 
     fn finished_fleet() -> Fleet {
         let mut f = Fleet::new(scenarios::steady(3));
@@ -540,8 +517,9 @@ mod tests {
 
     #[test]
     fn metrics_exports_are_deterministic() {
-        let a = run_fleet_metrics("steady", 7).expect("run");
-        let b = run_fleet_metrics("steady", 7).expect("run");
+        let (a, b) = (finished_fleet(), finished_fleet());
+        let a = fleet_metrics_docs(&a, "steady").expect("self-checks pass");
+        let b = fleet_metrics_docs(&b, "steady").expect("self-checks pass");
         assert_eq!(a.0, b.0, "JSON export must be byte-identical");
         assert_eq!(a.1, b.1, "Prometheus export must be byte-identical");
     }
@@ -564,13 +542,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_metrics_scenario_is_an_error() {
-        assert!(run_fleet_metrics("nope", 1).is_err());
-    }
-
-    #[test]
     fn hotspot_table_attributes_fleet_phases() {
-        let out = profile_scenario("steady").expect("fleet scenario profiles");
+        let opts = FleetRunOpts { profile: true, ..FleetRunOpts::default() };
+        let outcome = run_scenario("steady", scenarios::DEFAULT_SEED, &opts).expect("run");
+        let out = outcome.profile.expect("an armed run renders its hotspot table");
         assert!(out.contains("fleet_tick"), "{out}");
         assert!(out.contains("device_step"), "{out}");
         assert!(out.contains("attributed"), "{out}");
@@ -620,5 +595,6 @@ mod tests {
     #[test]
     fn unknown_profile_scenario_is_an_error() {
         assert!(profile_scenario("nope").is_err());
+        assert!(profile_scenario("steady").is_err(), "a fleet profiles through `repro fleet`");
     }
 }
