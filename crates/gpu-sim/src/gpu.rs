@@ -12,8 +12,7 @@ use crate::health::{
 use crate::kernel::KernelDesc;
 use crate::memsys::MemSystem;
 use crate::observe::{
-    CounterEntry, CounterKind, CounterScope, EventRing, TbLifecycle, TbLogError, TraceEvent,
-    TraceEventKind,
+    CounterEntry, CounterKind, CounterScope, EventRing, TraceEvent, TraceEventKind,
 };
 use crate::preempt::PreemptStats;
 use crate::sm::{QuotaCarry, Sm};
@@ -591,60 +590,6 @@ impl Gpu {
             all.drain(..all.len() - n);
         }
         all
-    }
-
-    /// Reconstructs the completed TB executions of kernel `k` from the
-    /// per-SM flight-recorder rings — the capture hook behind the FGTR
-    /// kernel-trace format (DESIGN.md §15).
-    ///
-    /// Pairs every [`TraceEventKind::TbDispatch`] with its
-    /// [`TraceEventKind::TbDrain`] on the same SM and returns the completed
-    /// lifecycles ordered by (dispatch cycle, SM, TB). TBs still resident
-    /// when the run stopped are omitted. The result is only trusted when no
-    /// ring lost events, so run with [`crate::TraceLevel::Events`] and a
-    /// [`crate::TraceConfig::ring_capacity`] large enough to hold the whole
-    /// recording.
-    ///
-    /// # Errors
-    ///
-    /// [`TbLogError::RingOverflow`] if any SM ring discarded events, and
-    /// [`TbLogError::UnmatchedDrain`] if a drain has no open dispatch (a
-    /// recording that started mid-flight).
-    pub fn tb_lifecycles(&self, k: KernelId) -> Result<Vec<TbLifecycle>, TbLogError> {
-        let kernel = k.index() as u32;
-        let mut out = Vec::new();
-        for sm in &self.sms {
-            let sm_id = sm.id().index() as u32;
-            let ring = sm.events();
-            if ring.dropped() > 0 {
-                return Err(TbLogError::RingOverflow { sm: sm_id, dropped: ring.dropped() });
-            }
-            // Open dispatches of this kernel on this SM: (tb, cycle, resumed).
-            let mut open: Vec<(u32, Cycle, bool)> = Vec::new();
-            for event in ring.iter() {
-                match event.kind {
-                    TraceEventKind::TbDispatch { kernel: ek, tb, resumed } if ek == kernel => {
-                        open.push((tb, event.cycle, resumed));
-                    }
-                    TraceEventKind::TbDrain { kernel: ek, tb } if ek == kernel => {
-                        let Some(pos) = open.iter().position(|&(t, _, _)| t == tb) else {
-                            return Err(TbLogError::UnmatchedDrain { sm: sm_id, tb });
-                        };
-                        let (tb, dispatch_cycle, resumed) = open.swap_remove(pos);
-                        out.push(TbLifecycle {
-                            tb,
-                            sm: sm_id,
-                            dispatch_cycle,
-                            drain_cycle: event.cycle,
-                            resumed,
-                        });
-                    }
-                    _ => {}
-                }
-            }
-        }
-        out.sort_by_key(|l| (l.dispatch_cycle, l.sm, l.tb));
-        Ok(out)
     }
 
     /// Enumerates the counter registry: every named monotonic counter and

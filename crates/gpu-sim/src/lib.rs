@@ -82,8 +82,8 @@ pub use health::{
 pub use icn::{IcnPort, IcnRequest, IcnResponse};
 pub use kernel::{AccessPattern, KernelDesc, KernelDescBuilder, MemSpace, Op};
 pub use observe::{
-    CounterEntry, CounterKind, CounterScope, EventRing, TbLifecycle, TbLogError, TraceConfig,
-    TraceEvent, TraceEventKind, TraceLevel,
+    CounterEntry, CounterKind, CounterScope, EventRing, TraceConfig, TraceEvent, TraceEventKind,
+    TraceLevel,
 };
 pub use snap::{Snap, SnapError, SnapReader};
 pub use stats::{EpochSnapshot, GpuStats, KernelStats};

@@ -218,8 +218,8 @@ impl fmt::Display for TraceEvent {
 /// A zero-capacity ring drops everything — that (plus the callers' cached
 /// `trace_on` flag) is what makes [`TraceLevel::Off`] free. The ring counts
 /// how many events it has discarded (overwritten or dropped at zero
-/// capacity), so lossless consumers — the FGTR trace capture in particular —
-/// can tell a complete recording from a wrapped one.
+/// capacity), so its readers — the Perfetto export and the failure-snapshot
+/// summary — can tell a complete recording from a wrapped one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventRing {
     cap: u32,
@@ -281,66 +281,6 @@ impl EventRing {
         self.events[split..].iter().chain(self.events[..split].iter())
     }
 }
-
-/// One completed TB execution reconstructed from the flight recorder — the
-/// unit of the FGTR trace capture (DESIGN.md §15).
-///
-/// Built by [`Gpu::tb_lifecycles`](crate::Gpu::tb_lifecycles) from paired
-/// [`TraceEventKind::TbDispatch`] / [`TraceEventKind::TbDrain`] events in the
-/// per-SM rings. TBs still resident when the recording ends have no drain
-/// event and are not reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TbLifecycle {
-    /// Grid index of the TB.
-    pub tb: u32,
-    /// SM the TB executed (and drained) on.
-    pub sm: u32,
-    /// Cycle the TB was dispatched onto the SM.
-    pub dispatch_cycle: Cycle,
-    /// Cycle the TB retired its last warp and drained.
-    pub drain_cycle: Cycle,
-    /// Whether the dispatch restored a previously saved context.
-    pub resumed: bool,
-}
-
-/// Why a TB-lifecycle extraction could not be trusted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TbLogError {
-    /// An event ring wrapped during the recording, so dispatch/drain pairs
-    /// may be missing. Re-record with a larger
-    /// [`TraceConfig::ring_capacity`].
-    RingOverflow {
-        /// SM whose ring overflowed.
-        sm: u32,
-        /// Events the ring discarded.
-        dropped: u64,
-    },
-    /// A drain event arrived for a TB with no open dispatch — recording
-    /// started mid-flight or the ring lost the dispatch.
-    UnmatchedDrain {
-        /// SM that recorded the orphan drain.
-        sm: u32,
-        /// Grid index of the drained TB.
-        tb: u32,
-    },
-}
-
-impl fmt::Display for TbLogError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TbLogError::RingOverflow { sm, dropped } => write!(
-                f,
-                "event ring of sm {sm} discarded {dropped} events; \
-                 raise TraceConfig::ring_capacity for lossless capture"
-            ),
-            TbLogError::UnmatchedDrain { sm, tb } => {
-                write!(f, "sm {sm} recorded a drain for tb {tb} without a dispatch")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TbLogError {}
 
 /// Whether a registry entry accumulates or reads instantaneously.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

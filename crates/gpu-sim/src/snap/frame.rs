@@ -5,9 +5,9 @@
 //! magic (4 bytes) | version (u32 LE) | Snap payload | FNV-1a of all before (u64 LE)
 //! ```
 //!
-//! A container is a `(magic, version, payload type)` triple: FGTR traces,
-//! FGCK sweep checkpoints, FGFS failure snapshots and FGFL fleet checkpoints
-//! differ in nothing else. [`open`] checks length, magic, checksum, version —
+//! A container is a `(magic, version, payload type)` triple: FGCK sweep
+//! checkpoints, FGFS failure snapshots and FGFL fleet checkpoints differ in
+//! nothing else. [`open`] checks length, magic, checksum, version —
 //! in that order, so a damaged file is reported as damaged, never as a bogus
 //! version — and then demands that the payload decode with no byte left over.
 
@@ -91,14 +91,10 @@ pub fn seal<T: Snap>(magic: [u8; 4], version: u32, payload: &T) -> Vec<u8> {
     out
 }
 
-/// Reads a frame's version without verifying the checksum or decoding the
-/// payload — how `repro validate --bless` names the foreign version of a
-/// corpus it refuses.
-///
-/// # Errors
-///
-/// [`FrameError::Truncated`] or [`FrameError::BadMagic`].
-pub fn peek_version(magic: [u8; 4], bytes: &[u8]) -> Result<u32, FrameError> {
+/// Reads a frame's version after checking only its length and magic: the
+/// first two of [`open`]'s checks, which compares the version only once the
+/// checksum has held.
+fn peek_version(magic: [u8; 4], bytes: &[u8]) -> Result<u32, FrameError> {
     if bytes.len() < MIN_FRAME {
         return Err(FrameError::Truncated { got: bytes.len(), needed: MIN_FRAME });
     }
@@ -247,7 +243,7 @@ mod tests {
     fn every_error_displays() {
         for e in [
             FrameError::Truncated { got: 1, needed: 16 },
-            FrameError::BadMagic { found: *b"ABCD", expected: *b"FGTR" },
+            FrameError::BadMagic { found: *b"ABCD", expected: *b"FGCK" },
             FrameError::Checksum { stored: 1, computed: 2 },
             FrameError::Version { found: 2, expected: 1 },
             FrameError::Payload(SnapError::UnexpectedEof),

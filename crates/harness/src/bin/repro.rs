@@ -13,7 +13,7 @@
 //!             [--metrics-out FILE] [--profile]
 //! repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]
 //! repro profile <scenario>
-//! repro validate [--bless | --recapture] [--out report.txt]
+//! repro validate [--bless] [--out report.txt]
 //! ```
 //!
 //! The experiments are the entries of `harness::experiments::EXPERIMENTS`;
@@ -58,7 +58,7 @@ fn usage() -> String {
          [--checkpoint-every TICKS] [--trace FILE] [--metrics-out FILE] [--profile]\n\
          \u{20}      repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]\n\
          \u{20}      repro profile <scenario>\n\
-         \u{20}      repro validate [--bless | --recapture] [--out FILE]\n\
+         \u{20}      repro validate [--bless] [--out FILE]\n\
          experiments: {}\n\
          scenarios: {}\n\
          fleet scenarios: {}\n\
@@ -79,11 +79,11 @@ fn usage() -> String {
          stderr\n\
          profile: run a single-GPU scenario with the host profiler armed and\n\
          print the wall-time hotspot table; scenarios: {}\n\
-         validate: replay the committed trace corpus (tests/golden/validate/)\n\
-         and correlate IPC/residency/quota/cache metrics against committed\n\
-         expectations; exit 0 iff every metric passes; --bless re-pins the\n\
-         expectations, --recapture re-records the traces first, --out also\n\
-         writes the correlation report to FILE\n",
+         validate: run the ten Parboil models and correlate their\n\
+         IPC/residency/quota/cache metrics against the committed expectations\n\
+         (tests/golden/validate/); exit 0 iff every metric passes; --bless\n\
+         re-pins the expectations, --out also writes the correlation report\n\
+         to FILE\n",
         experiment_names().join(" "),
         harness::golden::SCENARIOS.join(" "),
         fleet::scenarios::SCENARIOS.join(" "),
@@ -322,18 +322,16 @@ fn cmd_profile(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// `repro validate [--bless | --recapture] [--out FILE]`: replay the trace
-/// corpus and correlate against committed expectations. The correlation
-/// table is the only stdout; `--out` additionally writes it to a file (pass
-/// or fail — CI uploads it as the failure artifact).
+/// `repro validate [--bless] [--out FILE]`: run the Parboil models and
+/// correlate against committed expectations. The correlation table is the
+/// only stdout; `--out` additionally writes it to a file (pass or fail — CI
+/// uploads it as the failure artifact).
 fn cmd_validate(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut bless = false;
-    let mut recapture = false;
     let mut out = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--bless" => bless = true,
-            "--recapture" => recapture = true,
             "--out" | "-o" => {
                 let Some(path) = args.next() else {
                     return misuse("--out needs a file path");
@@ -345,19 +343,11 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) -> ExitCode {
             }
         }
     }
-    if recapture {
-        if let Err(e) = harness::validate::recapture() {
-            eprintln!("recapture failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("re-recorded trace corpus under {}", harness::validate::validate_dir().display());
-    } else if bless {
+    if bless {
         if let Err(e) = harness::validate::bless() {
             eprintln!("bless failed: {e}");
             return ExitCode::FAILURE;
         }
-    }
-    if bless || recapture {
         eprintln!("blessed {}", harness::validate::expectations_path().display());
     }
     match harness::validate::run_validation() {

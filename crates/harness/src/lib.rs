@@ -36,11 +36,10 @@
 //!   time series, per-tenant latency histograms, and SLO burn tracks; and
 //!   the host-time self-profile (`repro profile <scenario>` for one GPU,
 //!   `repro fleet … --profile` for a fleet),
-//! * [`validate`] — `repro validate`: replay the committed FGTR trace corpus
-//!   (`tests/golden/validate/`) and correlate IPC, residency, quota grants,
-//!   and cache hit rates against committed expectations (Pearson ≥ 0.99 plus
-//!   a relative-error gate); `--bless` re-pins expectations, `--recapture`
-//!   re-records the traces.
+//! * [`validate`] — `repro validate`: run the ten Parboil models and
+//!   correlate IPC, residency, quota grants, and cache hit rates against the
+//!   expectations committed under `tests/golden/validate/` (Pearson ≥ 0.99
+//!   plus a relative-error gate); `--bless` re-pins expectations.
 //!
 //! # Example
 //!

@@ -287,7 +287,9 @@ pub fn render_fleet_trace(fleet: &fleet::Fleet, name: &str) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and control characters. Shared by every JSON renderer in this crate.
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

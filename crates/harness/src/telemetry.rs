@@ -33,6 +33,8 @@ use gpu_sim::telemetry::{HostProfiler, LatencyHistogram};
 use gpu_sim::{Gpu, GpuConfig, NullController, SharingMode};
 use qos_core::{QosManager, QosSpec, QuotaScheme};
 
+use crate::perfetto::escape;
+
 /// Schema tag embedded in every metrics JSON document (bump on shape
 /// changes so downstream consumers can dispatch).
 pub const METRICS_SCHEMA: &str = "fgqos-metrics-v1";
@@ -64,21 +66,6 @@ fn hist_json(h: &LatencyHistogram) -> String {
         h.p99(),
         h.p999()
     )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders a finished fleet's metrics as JSON: the full counter time

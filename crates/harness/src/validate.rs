@@ -1,24 +1,22 @@
-//! `repro validate` — trace-replay correlation against committed expectations.
+//! `repro validate` — the ten Parboil models against committed expectations.
 //!
-//! The validation harness replays the committed FGTR corpus under
-//! `tests/golden/validate/` — one trace per synthetic Parboil model — on the
-//! canonical tiny configuration under the rollover QoS manager, extracts one
-//! scalar per metric per kernel from the counter registries and the epoch
-//! telemetry, and correlates the replayed vector against the committed
-//! expectations (Pearson's r across kernels, per metric). The run passes only
-//! if every metric correlates at [`CORR_THRESHOLD`] or better **and** no
-//! kernel's value drifts by more than [`MAX_REL_ERR`] relative error — the
-//! second gate catches uniform shifts (e.g. a changed epoch length scaling
-//! every quota grant) that leave correlation near 1.
+//! The validation harness runs every synthetic Parboil model
+//! ([`workloads::NAMES`]) solo on the canonical tiny configuration under the
+//! rollover QoS manager, extracts one scalar per metric per kernel from the
+//! counter registries and the epoch telemetry, and correlates the measured
+//! vector against the expectations committed under `tests/golden/validate/`
+//! (Pearson's r across kernels, per metric). The run passes only if every
+//! metric correlates at [`CORR_THRESHOLD`] or better **and** no kernel's
+//! value drifts by more than [`MAX_REL_ERR`] relative error — the second
+//! gate catches uniform shifts (e.g. a changed epoch length scaling every
+//! quota grant) that leave correlation near 1.
 //!
 //! This is the same methodology simulator validation papers use to compare a
 //! model against hardware, turned inward: the "hardware" is the committed
-//! expectation corpus, so any change to scheduling, quota accounting, the
-//! memory system, or the trace codec that shifts replayed behaviour fails
-//! loudly with a correlation table. Regenerate after an intentional change
-//! with `repro validate --bless` (or `--recapture` if the traces themselves
-//! must be re-recorded); bless refuses to run when the on-disk corpus was
-//! written by a different trace schema version.
+//! expectations, so any change to the models, scheduling, quota accounting
+//! or the memory system that shifts measured behaviour fails loudly with a
+//! correlation table. Regenerate after an intentional change with
+//! `repro validate --bless`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -26,11 +24,13 @@ use std::path::{Path, PathBuf};
 use gpu_sim::trace::Tracer;
 use gpu_sim::{CounterEntry, CounterScope, Gpu, GpuConfig};
 use qos_core::{QosManager, QosSpec, QuotaScheme};
-use trace::{KernelTrace, TRACE_SCHEMA_VERSION};
-use workloads::TraceLibrary;
 
-/// Simulated cycles each replay runs. Long enough past the capture window
-/// that every corpus kernel reaches steady state on the tiny machine.
+/// Layout version of the expectations file, written and checked under its
+/// `trace_schema_version` header key.
+const EXPECTATIONS_VERSION: u32 = 1;
+
+/// Simulated cycles each model runs. Long enough that every model reaches
+/// steady state on the tiny machine.
 pub const VALIDATE_CYCLES: u64 = 12_000;
 
 /// Minimum acceptable per-metric Pearson correlation across kernels.
@@ -42,7 +42,7 @@ pub const MAX_REL_ERR: f64 = 0.01;
 /// The validated metrics, in table and expectation-file order.
 pub const METRICS: [&str; 5] = ["ipc", "residency", "quota_grants", "l1_hit_rate", "l2_hit_rate"];
 
-/// The directory holding the trace corpus and its expectations:
+/// The directory holding the committed expectations:
 /// `tests/golden/validate/` at the repo root.
 #[must_use]
 pub fn validate_dir() -> PathBuf {
@@ -55,16 +55,16 @@ pub fn expectations_path() -> PathBuf {
     expectations_in(&validate_dir())
 }
 
-/// The expectations file inside an arbitrary corpus directory.
+/// The expectations file inside an arbitrary directory.
 #[must_use]
 pub fn expectations_in(dir: &Path) -> PathBuf {
     dir.join("expectations.json")
 }
 
-/// One kernel's replayed metric vector, aligned with [`METRICS`].
+/// One kernel's measured metric vector, aligned with [`METRICS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelMetrics {
-    /// Kernel name (the trace's `meta.name`).
+    /// Kernel name (an entry of [`workloads::NAMES`]).
     pub name: String,
     /// Metric values in [`METRICS`] order.
     pub values: [f64; METRICS.len()],
@@ -97,13 +97,18 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Replays one trace solo under the rollover QoS manager on `cfg` and
-/// extracts its metric vector from the counter registries and the epoch
-/// telemetry. Deterministic: same trace, same config, same vector.
+/// Runs the Parboil model `name` solo under the rollover QoS manager on
+/// `cfg` and extracts its metric vector from the counter registries and the
+/// epoch telemetry. Deterministic: same model, same config, same vector.
+///
+/// # Panics
+///
+/// If `name` is not an entry of [`workloads::NAMES`].
 #[must_use]
-pub fn replay_metrics(kt: &KernelTrace, cfg: &GpuConfig) -> KernelMetrics {
+pub fn replay_metrics(name: &str, cfg: &GpuConfig) -> KernelMetrics {
+    let desc = workloads::by_name(name).unwrap_or_else(|| panic!("unknown model {name:?}"));
     let mut gpu = Gpu::new(cfg.clone());
-    let k = gpu.launch(kt.kernel());
+    let k = gpu.launch(desc);
     let mut ctrl =
         Tracer::new(QosManager::new(QuotaScheme::Rollover).with_kernel(k, QosSpec::qos(40.0)));
     gpu.run(VALIDATE_CYCLES, &mut ctrl);
@@ -125,7 +130,7 @@ pub fn replay_metrics(kt: &KernelTrace, cfg: &GpuConfig) -> KernelMetrics {
     let l2_hit_rate = ratio(l2_hits, l2_hits + machine_counter(&reg, "l2_misses"));
 
     KernelMetrics {
-        name: kt.meta.name.clone(),
+        name: name.to_string(),
         values: [ipc, residency, quota_grants, l1_hit_rate, l2_hit_rate],
     }
 }
@@ -173,7 +178,7 @@ pub struct Expectations {
 pub fn render_expectations(kernels: &[KernelMetrics]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"trace_schema_version\": {TRACE_SCHEMA_VERSION},");
+    let _ = writeln!(out, "  \"trace_schema_version\": {EXPECTATIONS_VERSION},");
     let _ = writeln!(out, "  \"cycles\": {VALIDATE_CYCLES},");
     out.push_str("  \"kernels\": [\n");
     for (i, k) in kernels.iter().enumerate() {
@@ -215,10 +220,10 @@ pub fn parse_expectations(doc: &str) -> Result<Expectations, String> {
         .lines()
         .find_map(|l| field_u64(l, "trace_schema_version"))
         .ok_or("expectations file lacks a trace_schema_version header")?;
-    if header != u64::from(TRACE_SCHEMA_VERSION) {
+    if header != u64::from(EXPECTATIONS_VERSION) {
         return Err(format!(
             "expectations were blessed for trace schema v{header}, \
-             this build writes v{TRACE_SCHEMA_VERSION}; re-bless the corpus"
+             this build writes v{EXPECTATIONS_VERSION}; re-bless with: repro validate --bless"
         ));
     }
     let mut kernels = Vec::new();
@@ -258,7 +263,7 @@ pub struct MetricRow {
 pub struct ValidationReport {
     /// Per-metric correlation rows, in [`METRICS`] order.
     pub rows: Vec<MetricRow>,
-    /// Kernels validated, in corpus order.
+    /// Kernels validated, in [`workloads::NAMES`] order.
     pub kernels: Vec<String>,
 }
 
@@ -275,7 +280,7 @@ impl ValidationReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "trace-replay validation: {} kernels x {} metrics, {} cycles each",
+            "model validation: {} kernels x {} metrics, {} cycles each",
             self.kernels.len(),
             self.rows.len(),
             VALIDATE_CYCLES
@@ -308,11 +313,11 @@ impl ValidationReport {
     }
 }
 
-/// Correlates replayed metrics against expectations, metric by metric.
+/// Correlates measured metrics against expectations, metric by metric.
 ///
 /// # Errors
 ///
-/// A kernel-set mismatch between the corpus and the expectations file.
+/// A kernel-set mismatch between the models and the expectations file.
 pub fn correlate(
     actual: &[KernelMetrics],
     expected: &Expectations,
@@ -321,7 +326,7 @@ pub fn correlate(
     let expected_names: Vec<&str> = expected.kernels.iter().map(|k| k.name.as_str()).collect();
     if names != expected_names {
         return Err(format!(
-            "kernel sets differ\n  corpus:       {}\n  expectations: {}\n\
+            "kernel sets differ\n  models:       {}\n  expectations: {}\n\
              re-bless with: repro validate --bless",
             names.join(" "),
             expected_names.join(" ")
@@ -353,36 +358,27 @@ pub fn correlate(
     Ok(ValidationReport { rows, kernels: names.iter().map(|n| n.to_string()).collect() })
 }
 
-fn load_corpus(dir: &Path) -> Result<TraceLibrary, String> {
-    let lib = TraceLibrary::load_dir(dir)
-        .map_err(|e| format!("cannot load trace corpus from {}: {e}", dir.display()))?;
-    if lib.is_empty() {
-        return Err(format!(
-            "no .fgtr traces under {}; seed the corpus with: repro validate --recapture",
-            dir.display()
-        ));
-    }
-    Ok(lib)
+/// Measures every model of [`workloads::NAMES`] on `cfg`, in that order.
+fn measure_models(cfg: &GpuConfig) -> Vec<KernelMetrics> {
+    workloads::NAMES.iter().map(|name| replay_metrics(name, cfg)).collect()
 }
 
-/// Loads the corpus under `dir`, replays it on `cfg`, and correlates
-/// against the expectations file beside it.
+/// Runs every model on `cfg` and correlates against the expectations file
+/// under `dir`.
 ///
 /// # Errors
 ///
-/// A missing/corrupt corpus or expectations file, or a kernel-set mismatch.
+/// A missing/corrupt expectations file, or a kernel-set mismatch.
 pub fn run_validation_in(dir: &Path, cfg: &GpuConfig) -> Result<ValidationReport, String> {
-    let lib = load_corpus(dir)?;
     let path = expectations_in(dir);
     let doc = std::fs::read_to_string(&path).map_err(|e| {
         format!("cannot read {}: {e}\nbless with: repro validate --bless", path.display())
     })?;
     let expected = parse_expectations(&doc)?;
-    let actual: Vec<KernelMetrics> = lib.traces().iter().map(|t| replay_metrics(t, cfg)).collect();
-    correlate(&actual, &expected)
+    correlate(&measure_models(cfg), &expected)
 }
 
-/// [`run_validation_in`] on the committed corpus.
+/// [`run_validation_in`] against the committed expectations.
 ///
 /// # Errors
 ///
@@ -400,85 +396,26 @@ pub fn run_validation() -> Result<ValidationReport, String> {
     run_validation_with(&GpuConfig::tiny())
 }
 
-/// Refuses to bless when any on-disk trace was written by a different trace
-/// schema version than this build: blessing would pin expectations against
-/// a corpus the strict reader is about to reject (or silently reinterpret
-/// after a future migration).
-fn check_corpus_version(dir: &Path) -> Result<(), String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    for entry in entries.filter_map(Result::ok) {
-        let path = entry.path();
-        if path.extension().is_none_or(|ext| ext != "fgtr") {
-            continue;
-        }
-        let bytes =
-            std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let found = trace::peek_version(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        if found != TRACE_SCHEMA_VERSION {
-            return Err(format!(
-                "refusing to bless: {} is trace schema v{found}, this build writes \
-                 v{TRACE_SCHEMA_VERSION}; re-record the corpus with: repro validate --recapture",
-                path.display()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Regenerates the expectations file beside the corpus under `dir`,
-/// atomically (tmp + fsync + rename). Refuses on a trace-schema mismatch.
+/// Writes the expectations file under `dir` from the models run on the
+/// canonical tiny configuration, atomically (tmp + fsync + rename).
 ///
 /// # Errors
 ///
-/// Schema mismatch, unreadable corpus, or filesystem errors.
+/// Filesystem errors.
 pub fn bless_dir(dir: &Path) -> Result<(), String> {
-    check_corpus_version(dir)?;
-    let lib = load_corpus(dir)?;
-    let cfg = GpuConfig::tiny();
-    let actual: Vec<KernelMetrics> = lib.traces().iter().map(|t| replay_metrics(t, &cfg)).collect();
+    let actual = measure_models(&GpuConfig::tiny());
     let path = expectations_in(dir);
     gpu_sim::snap::frame::write_atomic(&path, render_expectations(&actual).as_bytes())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-/// [`bless_dir`] on the committed corpus.
+/// [`bless_dir`] on the committed expectations.
 ///
 /// # Errors
 ///
 /// See [`bless_dir`].
 pub fn bless() -> Result<(), String> {
     bless_dir(&validate_dir())
-}
-
-/// Re-records the corpus under `dir` from the synthetic Parboil models
-/// (capture on the tiny configuration, one `.fgtr` per model, written
-/// atomically), then blesses fresh expectations against it.
-///
-/// # Errors
-///
-/// Capture failures (a too-short window) or filesystem errors.
-pub fn recapture_in(dir: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let cfg = GpuConfig::tiny();
-    for name in workloads::NAMES {
-        let desc = workloads::by_name(name).expect("NAMES entries are known");
-        let kt = trace::capture(&desc, &cfg, trace::DEFAULT_CAPTURE_CYCLES)
-            .map_err(|e| format!("capturing {name}: {e}"))?;
-        let path = dir.join(format!("{name}.fgtr"));
-        trace::save_atomic(&path, &kt)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    bless_dir(dir)
-}
-
-/// [`recapture_in`] on the committed corpus.
-///
-/// # Errors
-///
-/// See [`recapture_in`].
-pub fn recapture() -> Result<(), String> {
-    recapture_in(&validate_dir())
 }
 
 #[cfg(test)]
@@ -516,7 +453,7 @@ mod tests {
     fn parse_rejects_wrong_schema_and_garbage() {
         let doc = render_expectations(&[KernelMetrics { name: "a".into(), values: [0.0; 5] }]);
         let stale = doc.replace(
-            &format!("\"trace_schema_version\": {TRACE_SCHEMA_VERSION}"),
+            &format!("\"trace_schema_version\": {EXPECTATIONS_VERSION}"),
             "\"trace_schema_version\": 999",
         );
         assert!(parse_expectations(&stale).unwrap_err().contains("v999"));

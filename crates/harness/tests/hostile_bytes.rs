@@ -81,7 +81,7 @@ impl Snap for Raw {
 /// passes and `decode` is what has to cope.
 fn drill_resealed(what: &str, file: &[u8], decode: impl Fn([u8; 4], u32, &[u8])) -> usize {
     let magic: [u8; 4] = file[..4].try_into().expect("magic");
-    let version = frame::peek_version(magic, file).expect("a real frame");
+    let version = u32::from_le_bytes(file[4..8].try_into().expect("version"));
     let Raw(payload) = frame::open(magic, version, file).expect("a real frame");
     drill(what, &payload, |evil| {
         decode(magic, version, &frame::seal(magic, version, &Raw(evil.to_vec())));
@@ -295,15 +295,6 @@ fn gpu_restore_survives_length_bombs() {
         }
     });
     assert!(tried > 1_000, "{tried} windows");
-}
-
-#[test]
-fn resealed_trace_survives_length_bombs() {
-    let file = std::fs::read(harness::validate::validate_dir().join("sgemm.fgtr")).expect("corpus");
-    let tried = drill_resealed("FGTR", &file, |_, _, evil| {
-        let _ = trace::from_bytes(evil);
-    });
-    assert!(tried > 100, "{tried} windows");
 }
 
 #[test]

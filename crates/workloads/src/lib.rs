@@ -31,8 +31,6 @@
 
 pub mod arrival;
 pub mod parboil;
-pub mod replay;
 pub mod synth;
 
 pub use parboil::{all, by_name, NAMES};
-pub use replay::TraceLibrary;
