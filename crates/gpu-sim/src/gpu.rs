@@ -987,6 +987,14 @@ impl Gpu {
                 "cache that does not fit the machine",
             )));
         }
+        // `Gpu::new` derives the sampling interval from the configuration
+        // the fingerprint already matched; any other value (0 divides by
+        // zero on the next step) is a corrupt blob.
+        if sample_interval != self.sample_interval {
+            return Err(SnapshotError::Corrupt(SnapError::Invalid(
+                "sample interval the configuration does not derive",
+            )));
+        }
         self.cycle = cycle;
         // The outgoing SMs and scheduler take their counts with them.
         self.work = self.work_counters();
@@ -998,7 +1006,6 @@ impl Gpu {
         self.last_totals = last_totals;
         self.last_epoch_cycle = last_epoch_cycle;
         self.epoch_index = epoch_index;
-        self.sample_interval = sample_interval;
         self.fault_cursor = fault_cursor;
         self.ff_skipped = ff_skipped;
         self.events = events;
@@ -1667,6 +1674,36 @@ mod tests {
             other => panic!("expected ConfigFingerprint, got {other:?}"),
         }
         assert_eq!(other.cycle(), 0, "failed restore must leave the machine untouched");
+    }
+
+    #[test]
+    fn restore_refuses_a_sample_interval_the_config_does_not_derive() {
+        let mut gpu = Gpu::new(GpuConfig::tiny());
+        gpu.launch(compute_kernel("a"));
+        gpu.launch(memory_kernel("b"));
+        gpu.set_sharing_mode(SharingMode::Smk);
+        gpu.run(5_000, &mut NullController);
+        let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
+        // The payload ends with the sampling interval, then the fault
+        // cursor, the skipped-cycle count, the event ring and the idle flag.
+        let tail = [
+            crate::snap::encode_to_vec(&gpu.fault_cursor),
+            crate::snap::encode_to_vec(&gpu.ff_skipped),
+            crate::snap::encode_to_vec(&gpu.events),
+            crate::snap::encode_to_vec(&gpu.was_idle),
+        ];
+        let at = bytes.len() - tail.iter().map(Vec::len).sum::<usize>() - 8;
+        assert_eq!(bytes[at..at + 8], gpu.sample_interval.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        let blob = SnapshotBlob::from_bytes(&bytes).expect("the header is intact");
+        let mut fresh = Gpu::new(GpuConfig::tiny());
+        for result in [fresh.restore(&blob), fresh.restore_compat(&blob)] {
+            match result {
+                Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
+                other => panic!("a zero sampling interval must be refused, got {other:?}"),
+            }
+        }
+        assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
     }
 
     #[test]

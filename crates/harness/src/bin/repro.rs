@@ -5,6 +5,7 @@
 //!       [--checkpoint-dir DIR [--checkpoint-every N]] <experiment>...
 //! repro --scale quick all
 //! repro list
+//! repro golden [--bless]
 //! repro resume <DIR>
 //! repro inspect <failure-snapshot-file>
 //! repro trace <golden-scenario> [--out trace.json]
@@ -13,7 +14,6 @@
 //!             [--metrics-out FILE] [--profile]
 //! repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]
 //! repro profile <scenario>
-//! repro validate [--bless] [--out report.txt]
 //! ```
 //!
 //! The experiments are the entries of `harness::experiments::EXPERIMENTS`;
@@ -27,7 +27,9 @@
 //! reports are the only stdout (progress and warnings go to stderr), so a
 //! killed-then-resumed run prints the same bytes as an uninterrupted one.
 //! `inspect` pretty-prints the failure snapshot a failed journaled case
-//! leaves.
+//! leaves. `golden` re-renders every file of the golden corpus
+//! (`harness::golden::CORPUS`) and compares it byte for byte with the
+//! committed copy under `tests/golden/`; `golden --bless` rewrites them.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -58,12 +60,12 @@ fn usage() -> String {
          [--checkpoint-every TICKS] [--trace FILE] [--metrics-out FILE] [--profile]\n\
          \u{20}      repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]\n\
          \u{20}      repro profile <scenario>\n\
-         \u{20}      repro validate [--bless] [--out FILE]\n\
          experiments: {}\n\
          scenarios: {}\n\
          fleet scenarios: {}\n\
-         golden: verify the golden-trace corpus (tests/golden/); \
-         --bless regenerates it\n\
+         golden: re-render the golden corpus (tests/golden/: three scenarios'\n\
+         epoch records, the ten Parboil models' metrics, the counter registry's\n\
+         order) and compare each file byte for byte; --bless regenerates it\n\
          --checkpoint-dir: journal every case into DIR (its machine every ~N\n\
          cycles, default {DEFAULT_CHECKPOINT_EVERY}, then its result); resume reruns the\n\
          journaled command, reusing every case the journal holds\n\
@@ -78,12 +80,7 @@ fn usage() -> String {
          text at FILE.prom; --profile prints the host-time hotspot table to\n\
          stderr\n\
          profile: run a single-GPU scenario with the host profiler armed and\n\
-         print the wall-time hotspot table; scenarios: {}\n\
-         validate: run the ten Parboil models and correlate their\n\
-         IPC/residency/quota/cache metrics against the committed expectations\n\
-         (tests/golden/validate/); exit 0 iff every metric passes; --bless\n\
-         re-pins the expectations, --out also writes the correlation report\n\
-         to FILE\n",
+         print the wall-time hotspot table; scenarios: {}\n",
         experiment_names().join(" "),
         harness::golden::SCENARIOS.join(" "),
         fleet::scenarios::SCENARIOS.join(" "),
@@ -322,77 +319,26 @@ fn cmd_profile(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// `repro validate [--bless] [--out FILE]`: run the Parboil models and
-/// correlate against committed expectations. The correlation table is the
-/// only stdout; `--out` additionally writes it to a file (pass or fail — CI
-/// uploads it as the failure artifact).
-fn cmd_validate(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut bless = false;
-    let mut out = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bless" => bless = true,
-            "--out" | "-o" => {
-                let Some(path) = args.next() else {
-                    return misuse("--out needs a file path");
-                };
-                out = Some(path);
-            }
-            other => {
-                return misuse(&format!("`repro validate` does not take {other:?}"));
-            }
-        }
-    }
-    if bless {
-        if let Err(e) = harness::validate::bless() {
-            eprintln!("bless failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("blessed {}", harness::validate::expectations_path().display());
-    }
-    match harness::validate::run_validation() {
-        Ok(report) => {
-            let table = report.render();
-            if let Some(path) = out {
-                if let Err(e) = write_atomic(Path::new(&path), table.as_bytes()) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote {path}");
-            }
-            emit(&table);
-            if report.ok() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Verifies (or with `bless` regenerates) the golden-trace corpus.
+/// Verifies (or with `bless` regenerates) the golden corpus.
 fn run_golden(bless: bool) -> ExitCode {
+    use harness::golden::{bless_all, check, golden_dir, golden_path, CORPUS};
     if bless {
-        if let Err(e) = harness::golden::bless_all() {
+        if let Err(e) = bless_all(&golden_dir()) {
             eprintln!("failed to write golden corpus: {e}");
             return ExitCode::FAILURE;
         }
-        for name in harness::golden::SCENARIOS {
-            emit(&format!("blessed {}\n", harness::golden::golden_path(name).display()));
+        for entry in &CORPUS {
+            emit(&format!("blessed {}\n", golden_path(entry.file).display()));
         }
         return ExitCode::SUCCESS;
     }
     let mut ok = true;
-    for name in harness::golden::SCENARIOS {
-        match harness::golden::check(name) {
-            Ok(()) => emit(&format!("golden {name}: ok\n")),
+    for entry in &CORPUS {
+        match check(entry.file, true) {
+            Ok(()) => emit(&format!("golden {}: ok\n", entry.file)),
             Err(e) => {
                 ok = false;
-                eprintln!("golden {name}: FAILED\n{e}");
+                eprintln!("golden {}: FAILED\n{e}", entry.file);
             }
         }
     }
@@ -411,7 +357,6 @@ fn main() -> ExitCode {
         Some("trace") => return cmd_trace(args.skip(1)),
         Some("fleet") => return cmd_fleet(args.skip(1)),
         Some("profile") => return cmd_profile(args.skip(1)),
-        Some("validate") => return cmd_validate(args.skip(1)),
         _ => {}
     }
     let mut scale = RunScale::Quick;

@@ -1,23 +1,60 @@
-//! Golden-trace corpus: canonical scenarios with byte-exact epoch telemetry.
+//! The golden corpus: five files under `tests/golden/` that pin simulated
+//! behaviour byte for byte.
 //!
-//! Three fixed scenarios — an SMK pair, a spatially partitioned pair, and a
-//! datacenter-style trio — are run under a [`Tracer`] and their per-epoch
-//! IPC/residency/quota series rendered to JSON under `tests/golden/`. The
-//! integration test `tests/golden_traces.rs` re-runs each scenario and
-//! compares the rendering byte-for-byte, so any change to scheduling,
-//! quota accounting, preemption, or the fast-forward path that shifts even
-//! one sample by one bit fails loudly. Regenerate after an intentional
-//! behaviour change with `cargo run -p harness --bin repro -- golden --bless`.
+//! * `smk_pair.json`, `spart_pair.json`, `datacenter_trio.json` — three
+//!   canonical scenarios (an SMK pair, a spatially partitioned pair and a
+//!   datacenter-style trio) run under a [`Tracer`], their per-epoch
+//!   IPC/residency/quota series rendered one epoch per line;
+//! * `models.json` — the ten Parboil models of [`workloads::NAMES`], each
+//!   run solo under the rollover quota scheme, with five metrics per model
+//!   read from the counter registries and the epoch records;
+//! * `counter_registry_order.txt` — the `(scope, name)` enumeration order
+//!   of the finished `smk_pair` machine's counter registry, which fixes the
+//!   layout of every metrics export.
+//!
+//! [`CORPUS`] lists them; [`check`], [`bless_all`] and `repro golden` walk
+//! that one list. Any change to scheduling, quota accounting, preemption,
+//! the memory system, the models or the fast-forward path that shifts one
+//! value by one bit fails loudly. Regenerate after an intentional behaviour
+//! change with `cargo run --release -p harness --bin repro -- golden --bless`.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gpu_sim::trace::{records_hash, EpochRecord, Tracer};
-use gpu_sim::{Gpu, GpuConfig, NullController, SharingMode, TraceLevel};
+use gpu_sim::{
+    CounterEntry, CounterScope, Gpu, GpuConfig, NullController, SharingMode, TraceLevel,
+};
 use qos_core::{QosManager, QosSpec, QuotaScheme, SpartController};
 
 /// Names of the canonical scenarios, in corpus order.
 pub const SCENARIOS: [&str; 3] = ["smk_pair", "spart_pair", "datacenter_trio"];
+
+/// One file of the corpus.
+#[derive(Debug)]
+pub struct Entry {
+    /// File name under [`golden_dir`].
+    pub file: &'static str,
+    /// Renders the file's contents, with fast-forward on or stepping every
+    /// cycle; both must give the same bytes.
+    pub render: fn(fast_forward: bool) -> String,
+}
+
+/// Every file of the corpus, in check order.
+pub const CORPUS: [Entry; 5] = [
+    Entry { file: "smk_pair.json", render: |ff| render_scenario("smk_pair", ff) },
+    Entry { file: "spart_pair.json", render: |ff| render_scenario("spart_pair", ff) },
+    Entry { file: "datacenter_trio.json", render: |ff| render_scenario("datacenter_trio", ff) },
+    Entry { file: "models.json", render: render_models },
+    Entry { file: "counter_registry_order.txt", render: render_registry_order },
+];
+
+/// Simulated cycles each Parboil model runs for `models.json`: long enough
+/// that every model reaches steady state on the tiny machine.
+const MODEL_CYCLES: u64 = 12_000;
+
+/// The per-model metrics of `models.json`, in column order.
+const MODEL_METRICS: [&str; 5] = ["ipc", "residency", "quota_grants", "l1_hit_rate", "l2_hit_rate"];
 
 /// Runs the named scenario and returns its epoch-record stream.
 ///
@@ -26,12 +63,6 @@ pub const SCENARIOS: [&str; 3] = ["smk_pair", "spart_pair", "datacenter_trio"];
 /// Panics on a name outside [`SCENARIOS`].
 pub fn run_scenario(name: &str) -> Vec<EpochRecord> {
     scenario_records(name, true)
-}
-
-/// Like [`run_scenario`] but forcing the naive per-cycle loop; golden
-/// snapshots are stepping-independent, so both variants must agree.
-pub fn run_scenario_naive(name: &str) -> Vec<EpochRecord> {
-    scenario_records(name, false)
 }
 
 /// Runs the named scenario with the cycle-level flight recorder enabled and
@@ -111,6 +142,11 @@ fn scenario_run(name: &str, cfg: GpuConfig) -> (Gpu, Vec<EpochRecord>) {
     }
 }
 
+/// Runs the named scenario and renders its records (see [`render`]).
+fn render_scenario(name: &str, fast_forward: bool) -> String {
+    render(name, &scenario_records(name, fast_forward))
+}
+
 /// Renders a record stream as the canonical golden JSON document.
 ///
 /// One line per epoch keeps diffs readable; `ipc` uses Rust's exact
@@ -118,8 +154,7 @@ fn scenario_run(name: &str, cfg: GpuConfig) -> (Gpu, Vec<EpochRecord>) {
 /// bits, so byte equality of two documents implies bit equality of the
 /// underlying series. The whole-stream [`records_hash`] is embedded for a
 /// quick cross-check against the determinism tests.
-#[must_use]
-pub fn render(name: &str, records: &[EpochRecord]) -> String {
+fn render(name: &str, records: &[EpochRecord]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"scenario\": \"{name}\",");
@@ -154,48 +189,122 @@ pub fn render(name: &str, records: &[EpochRecord]) -> String {
     out
 }
 
+/// The sum of the registry entries named `name` whose scope `in_scope`
+/// accepts.
+fn counter(reg: &[CounterEntry], name: &str, in_scope: impl Fn(CounterScope) -> bool) -> f64 {
+    reg.iter().filter(|e| e.name == name && in_scope(e.scope)).map(|e| e.value as f64).sum()
+}
+
+fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num / den
+    }
+}
+
+/// Runs the Parboil model `name` solo on `cfg` under the rollover quota
+/// scheme with a 40-IPC goal and reads its [`MODEL_METRICS`] from the
+/// counter registries and the epoch records.
+fn model_metrics(name: &str, cfg: GpuConfig) -> [f64; MODEL_METRICS.len()] {
+    let mut gpu = Gpu::new(cfg);
+    let k = gpu.launch(workloads::by_name(name).expect("known workload"));
+    let mut ctrl =
+        Tracer::new(QosManager::new(QuotaScheme::Rollover).with_kernel(k, QosSpec::qos(40.0)));
+    gpu.run(MODEL_CYCLES, &mut ctrl);
+    let (manager, records) = ctrl.into_parts();
+    let reg = gpu.counter_registry();
+    let machine = |name| counter(&reg, name, |s| s == CounterScope::Machine);
+    let sms = |name| counter(&reg, name, |s| matches!(s, CounterScope::Sm(_)));
+    let of_kernel = |s| s == CounterScope::Kernel(0);
+
+    let ipc = ratio(counter(&reg, "thread_insts", of_kernel), machine("cycle"));
+    let residency = ratio(
+        records.iter().map(|r| f64::from(r.kernels[0].hosted_tbs)).sum(),
+        records.len() as f64,
+    );
+    let quota_grants = counter(&manager.counter_registry(), "qos_quota_granted_insts", of_kernel);
+    let (l1_hits, l2_hits) = (sms("l1_hits"), machine("l2_hits"));
+    let l1_hit_rate = ratio(l1_hits, l1_hits + sms("l1_misses"));
+    let l2_hit_rate = ratio(l2_hits, l2_hits + machine("l2_misses"));
+    [ipc, residency, quota_grants, l1_hit_rate, l2_hit_rate]
+}
+
+/// Renders `models.json`: one line per model of [`workloads::NAMES`], each
+/// metric written twice, in Rust's shortest round-trip form and as its raw
+/// IEEE bits.
+fn render_models(fast_forward: bool) -> String {
+    let mut out = format!("{{\n  \"cycles\": {MODEL_CYCLES},\n  \"kernels\": [\n");
+    for (i, name) in workloads::NAMES.iter().enumerate() {
+        let fields = MODEL_METRICS
+            .iter()
+            .zip(model_metrics(name, config(fast_forward)))
+            .map(|(m, v)| format!("\"{m}\": {v}, \"{m}_bits\": {}", v.to_bits()))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let comma = if i + 1 == workloads::NAMES.len() { "" } else { "," };
+        let _ = writeln!(out, "    {{\"name\": \"{name}\", {fields}}}{comma}");
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// Renders `counter_registry_order.txt`: one `scope name` line per entry of
+/// the finished `smk_pair` machine's counter registry, in enumeration order.
+fn render_registry_order(fast_forward: bool) -> String {
+    let (gpu, _) = scenario_run("smk_pair", config(fast_forward));
+    gpu.counter_registry().iter().map(|e| format!("{:?} {}\n", e.scope, e.name)).collect()
+}
+
 /// The directory holding the corpus: `tests/golden/` at the repo root.
 #[must_use]
 pub fn golden_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
 }
 
-/// The golden file for one scenario.
+/// The path of one corpus file.
 #[must_use]
-pub fn golden_path(name: &str) -> PathBuf {
-    golden_dir().join(format!("{name}.json"))
+pub fn golden_path(file: &str) -> PathBuf {
+    golden_dir().join(file)
 }
 
-/// Regenerates the whole corpus on disk.
+/// Renders every corpus file into `dir` — [`golden_dir`] to regenerate the
+/// committed corpus.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors from creating `tests/golden/` or writing a
-/// snapshot file.
-pub fn bless_all() -> std::io::Result<()> {
-    std::fs::create_dir_all(golden_dir())?;
-    for name in SCENARIOS {
-        gpu_sim::snap::frame::write_atomic(
-            &golden_path(name),
-            render(name, &run_scenario(name)).as_bytes(),
-        )?;
+/// Propagates filesystem errors from creating `dir` or writing a corpus
+/// file.
+pub fn bless_all(dir: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    for entry in &CORPUS {
+        gpu_sim::snap::frame::write_atomic(&dir.join(entry.file), (entry.render)(true).as_bytes())?;
     }
     Ok(())
 }
 
-/// Re-runs one scenario and compares it byte-for-byte with its golden file.
+/// Renders the corpus file `file`, stepping with or without fast-forward,
+/// and compares it byte for byte with its committed copy.
 ///
 /// # Errors
 ///
 /// Returns a human-readable report naming the first differing line (or the
 /// missing file) and the bless command that regenerates the corpus.
-pub fn check(name: &str) -> Result<(), String> {
+///
+/// # Panics
+///
+/// Panics on a file outside [`CORPUS`].
+pub fn check(file: &str, fast_forward: bool) -> Result<(), String> {
     const BLESS: &str = "cargo run --release -p harness --bin repro -- golden --bless";
-    let path = golden_path(name);
+    let entry = CORPUS
+        .iter()
+        .find(|e| e.file == file)
+        .unwrap_or_else(|| panic!("unknown golden file {file:?}"));
+    let path = golden_path(file);
     let expected = std::fs::read_to_string(&path).map_err(|e| {
         format!("cannot read golden file {}: {e}\nregenerate with: {BLESS}", path.display())
     })?;
-    let actual = render(name, &run_scenario(name));
+    let actual = (entry.render)(fast_forward);
     if expected == actual {
         return Ok(());
     }
@@ -213,7 +322,7 @@ pub fn check(name: &str) -> Result<(), String> {
             },
         );
     Err(format!(
-        "golden trace {name:?} diverged ({})\n{diff}\n\
+        "golden file {file:?} diverged ({})\n{diff}\n\
          if the behaviour change is intentional, regenerate with: {BLESS}",
         path.display()
     ))

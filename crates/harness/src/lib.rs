@@ -18,9 +18,10 @@
 //!   ([`experiments::EXPERIMENTS`]) and the [`experiments::Session`] that
 //!   runs them and renders the end-of-run summary,
 //! * [`report`] — plain-text table rendering for the `repro` binary,
-//! * [`golden`] — the golden-trace corpus under `tests/golden/`: canonical
-//!   scenarios whose per-epoch telemetry is snapshotted byte-exactly
-//!   (regenerate with `repro golden --bless`),
+//! * [`golden`] — the golden corpus under `tests/golden/`: three canonical
+//!   scenarios' per-epoch telemetry, the ten Parboil models' metrics and the
+//!   counter registry's order, each pinned byte for byte and checked by
+//!   `repro golden` (regenerate with `repro golden --bless`),
 //! * [`perfetto`] — Chrome-trace / Perfetto JSON export of a traced run
 //!   (`repro trace <scenario> --out trace.json`), with a strict schema
 //!   checker,
@@ -35,11 +36,7 @@
 //!   deterministic JSON + Prometheus text documents carrying the counter
 //!   time series, per-tenant latency histograms, and SLO burn tracks; and
 //!   the host-time self-profile (`repro profile <scenario>` for one GPU,
-//!   `repro fleet … --profile` for a fleet),
-//! * [`validate`] — `repro validate`: run the ten Parboil models and
-//!   correlate IPC, residency, quota grants, and cache hit rates against the
-//!   expectations committed under `tests/golden/validate/` (Pearson ≥ 0.99
-//!   plus a relative-error gate); `--bless` re-pins expectations.
+//!   `repro fleet … --profile` for a fleet).
 //!
 //! # Example
 //!
@@ -72,7 +69,6 @@ pub mod report;
 pub mod runner;
 pub mod scale;
 pub mod telemetry;
-pub mod validate;
 
 pub use cases::{CaseSpec, ConfigKind, Policy};
 pub use checkpoint::{CheckpointDir, CheckpointError, FailureSnapshot, Manifest};

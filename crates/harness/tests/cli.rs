@@ -28,3 +28,34 @@ fn a_closed_stdout_ends_repro_quietly() {
         }
     }
 }
+
+/// `repro golden` checks every file of the corpus and prints one `ok` line
+/// per file.
+#[test]
+fn repro_golden_checks_every_corpus_file() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro")).arg("golden").output().expect("spawn");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "repro golden must pass on the committed corpus\nstdout:\n{stdout}\nstderr:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let files = [
+        "smk_pair.json",
+        "spart_pair.json",
+        "datacenter_trio.json",
+        "models.json",
+        "counter_registry_order.txt",
+    ];
+    let expected: String = files.iter().map(|f| format!("golden {f}: ok\n")).collect();
+    assert_eq!(stdout, expected);
+}
+
+/// `validate` is not a subcommand: it is refused as an unknown experiment.
+#[test]
+fn repro_validate_is_an_unknown_experiment() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro")).arg("validate").output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "validate must be refused");
+    assert!(stderr.contains("unknown experiment \"validate\""), "{stderr}");
+}

@@ -502,36 +502,6 @@ proptest! {
     }
 }
 
-/// Regression pin for the counter registry's enumeration order across the
-/// SoA refactor: the exact `(scope, name)` sequence is load-bearing — it
-/// fixes Perfetto/metrics export layout and the fold order behind
-/// determinism hashes — so it is compared verbatim against a committed
-/// golden list. Regenerate deliberately with
-/// `BLESS_COUNTER_ORDER=1 cargo test counter_registry_enumeration_order`.
-#[test]
-fn counter_registry_enumeration_order_is_pinned() {
-    let cfg = build_config(true, false, false, None);
-    let descs = barrier_descs(2, 7);
-    let (mut gpu, _) = build_gpu(&cfg, &descs);
-    let mut tracer = Tracer::new(Ctrl::Null);
-    gpu.try_run(2 * cfg.epoch_cycles, &mut tracer).expect("healthy");
-
-    let listing: String =
-        gpu.counter_registry().iter().map(|e| format!("{:?} {}\n", e.scope, e.name)).collect();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/counter_registry_order.txt");
-    if std::env::var_os("BLESS_COUNTER_ORDER").is_some() {
-        std::fs::write(&path, &listing).expect("write golden listing");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("golden listing readable");
-    assert_eq!(
-        listing, golden,
-        "counter registry enumeration order changed; if intentional, \
-         regenerate with BLESS_COUNTER_ORDER=1"
-    );
-}
-
 /// Asserts `value` encodes to exactly `expected` and that `expected` decodes
 /// to something that encodes the same (not every wire enum is `PartialEq`).
 fn pin<T: Snap>(value: &T, expected: &[u8]) {
