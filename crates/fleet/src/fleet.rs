@@ -43,7 +43,7 @@ use std::sync::Mutex;
 
 use gpu_sim::rng::{derive_seed, SplitMix64};
 use gpu_sim::snap::{Snap, SnapError, SnapReader};
-use gpu_sim::telemetry::{HostProfiler, LatencyHistogram, ProfPhase, TimeSeries};
+use gpu_sim::telemetry::{LatencyHistogram, TimeSeries};
 use gpu_sim::{
     CounterEntry, CounterKind, CounterScope, FaultKind, FaultPlan, Gpu, KernelId, NullController,
     SimError, SnapshotBlob, MAX_KERNELS,
@@ -67,8 +67,7 @@ use crate::request::{Request, RequestState, ShedReason};
 /// always has one), and embeds schema-9 device blobs. v5 dropped the
 /// per-tick sample list (the series is the one per-tick history), refuses a
 /// series of any capacity but [`FLEET_SERIES_CAPACITY`], and embeds
-/// schema-10 device blobs. Host-profiler wall-clock state is deliberately
-/// absent — it is host-dependent and must never influence simulated state.
+/// schema-10 device blobs.
 pub const FLEET_SNAPSHOT_VERSION: u32 = 5;
 
 /// Ring capacity of the fleet's tick-sampled counter time series. Large
@@ -308,9 +307,6 @@ pub struct Fleet {
     /// read by the metrics exports and the Perfetto trace (snapshotted: a
     /// resumed run carries the same history a straight-through run would).
     series: TimeSeries,
-    /// Host-side wall-clock self-profiler. Deliberately NOT snapshotted
-    /// and never read by simulation logic — wall time is host-dependent.
-    prof: HostProfiler,
 }
 
 impl Fleet {
@@ -376,7 +372,6 @@ impl Fleet {
             migration_fallbacks: 0,
             evictions: 0,
             series: TimeSeries::new(FLEET_SERIES_CAPACITY),
-            prof: HostProfiler::new(),
         }
     }
 
@@ -420,25 +415,6 @@ impl Fleet {
     /// [`Fleet::counter_registry`] per tick.
     pub fn metrics_series(&self) -> &TimeSeries {
         &self.series
-    }
-
-    /// Arms or disarms the host-side wall-clock self-profiler.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.prof.set_enabled(on);
-    }
-
-    /// The host-side self-profiler. Fleet-level phases only: all wall
-    /// time spent inside device simulation lands in
-    /// [`ProfPhase::DeviceStep`]; per-phase device breakdowns come from
-    /// profiling a single [`Gpu`] directly.
-    pub fn profiler(&self) -> &HostProfiler {
-        &self.prof
-    }
-
-    /// Mutable profiler access, for callers that attribute their own
-    /// host-side phases (e.g. checkpoint writes) to this fleet's table.
-    pub fn profiler_mut(&mut self) -> &mut HostProfiler {
-        &mut self.prof
     }
 
     /// Completed migrations, oldest first.
@@ -505,14 +481,11 @@ impl Fleet {
         let now = self.cycle;
         let end = now + self.cfg.tick_cycles;
 
-        let t0 = self.prof.begin();
         self.collect_arrivals(now);
         self.update_shedding(now);
         self.process_drains(now);
         self.place(now);
-        let t1 = self.prof.lap(ProfPhase::FleetTick, t0);
         self.step_devices();
-        let t2 = self.prof.lap(ProfPhase::DeviceStep, t1);
         for di in 0..self.devices.len() {
             self.harvest_device(di, end);
         }
@@ -521,7 +494,6 @@ impl Fleet {
         self.expire_migrations(end);
         self.record_sample();
         self.check_finished();
-        self.prof.end(ProfPhase::FleetTick, t2);
         self.finished
     }
 

@@ -19,7 +19,7 @@ use crate::sm::{QuotaCarry, Sm};
 use crate::snap::{Snap, SnapError, SnapReader};
 use crate::stats::{EpochSnapshot, GpuStats, KernelStats};
 use crate::tb_sched::{KernelRuntime, SharingMode, TbScheduler};
-use crate::telemetry::{HostProfiler, ProfPhase, WorkCounters};
+use crate::telemetry::WorkCounters;
 use crate::types::{per_kernel, Cycle, KernelId, PerKernel, SmId};
 
 /// Cycles between TB-scheduler service passes (dispatch / preemption checks).
@@ -72,12 +72,9 @@ pub struct Gpu {
     trace_on: bool,
     events: EventRing,
     was_idle: bool,
-    // Host-side self-profiler. Deliberately NOT snapshotted: wall-clock
-    // attribution is nondeterministic host state (DESIGN.md §17).
-    prof: HostProfiler,
     // Host-work counts; deterministic, but they describe how this process
     // stepped the machine, not the machine, so they stay out of snapshots,
-    // digests and the counter registry like `prof`.
+    // digests and the counter registry.
     work: WorkCounters,
 }
 
@@ -112,7 +109,6 @@ impl Gpu {
                 0
             }),
             was_idle: false,
-            prof: HostProfiler::new(),
             work: WorkCounters::default(),
             cycle: 0,
             cfg,
@@ -219,7 +215,6 @@ impl Gpu {
                 self.apply_faults(now)?;
             }
             if now.is_multiple_of(self.cfg.epoch_cycles) {
-                let t0 = self.prof.begin();
                 // Epoch accounting and the controller read every counter and
                 // write quotas; a snapshot taken in there sees no sleep state.
                 self.wake_sms(now);
@@ -233,13 +228,9 @@ impl Gpu {
                 for sm in &mut self.sms {
                     sm.reset_idle_sampling();
                 }
-                let t1 = self.prof.lap(ProfPhase::QosEpochService, t0);
                 self.service(now);
-                self.prof.end(ProfPhase::TbService, t1);
             } else if now.is_multiple_of(DISPATCH_INTERVAL) {
-                let t0 = self.prof.begin();
                 self.service(now);
-                self.prof.end(ProfPhase::TbService, t0);
             }
             // Step every SM domain that is due — each touches only its own
             // state plus its interconnect port — then drain the ports into
@@ -247,7 +238,6 @@ impl Gpu {
             // `crate::icn`). A sleeping SM costs the one compare; an SM that
             // issued stays awake (due at 0), so `horizon` ends above `now`
             // only when the whole machine is asleep.
-            let t0 = self.prof.begin();
             let mut horizon = Cycle::MAX;
             let mut ran = 0;
             for sm in &mut self.sms {
@@ -261,9 +251,8 @@ impl Gpu {
             }
             self.work.sm_ticks_run += ran;
             self.work.sm_ticks_slept += num_sms - ran;
-            self.prof.end(ProfPhase::SmStep, t0);
             for sm in &mut self.sms {
-                sm.drain_icn(&mut self.mem, now, &mut self.prof);
+                sm.drain_icn(&mut self.mem, now);
             }
             if now.is_multiple_of(self.sample_interval) {
                 for sm in &mut self.sms {
@@ -285,13 +274,11 @@ impl Gpu {
             }
             self.cycle += 1;
             if horizon > self.cycle {
-                let t0 = self.prof.begin();
                 let target = self.jump_target(horizon, end, next_check);
                 let skipped = target - self.cycle;
                 self.ff_skipped += skipped;
                 self.work.sm_ticks_slept += skipped * num_sms;
                 self.cycle = target;
-                self.prof.end(ProfPhase::FastForward, t0);
             }
         }
         Ok(())
@@ -547,17 +534,6 @@ impl Gpu {
     /// transitions, injected faults). Per-SM events live on the SMs.
     pub fn events(&self) -> &EventRing {
         &self.events
-    }
-
-    /// Enables or disables the host-side self-profiler. Profiler state is
-    /// host-only: never snapshotted, never part of any determinism surface.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.prof.set_enabled(on);
-    }
-
-    /// The host-side self-profiler's accumulated phase totals.
-    pub fn profiler(&self) -> &HostProfiler {
-        &self.prof
     }
 
     /// How many per-SM cycle steps this machine's run loop executed and how
@@ -987,6 +963,15 @@ impl Gpu {
                 "cache that does not fit the machine",
             )));
         }
+        // Likewise the flight recorders: their capacity is configuration,
+        // and a cursor past the events panics on the next recorded event.
+        let rings_fit = events.fits(&self.events)
+            && sms.iter().zip(&self.sms).all(|(sm, built)| sm.events().fits(built.events()));
+        if !rings_fit {
+            return Err(SnapshotError::Corrupt(SnapError::Invalid(
+                "flight recorder that does not fit the machine",
+            )));
+        }
         // `Gpu::new` derives the sampling interval from the configuration
         // the fingerprint already matched; any other value (0 divides by
         // zero on the next step) is a corrupt blob.
@@ -1083,8 +1068,8 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// from both fingerprints) — and refuses `SharingMode` tag 3 and kernel ids
 /// past [`crate::MAX_KERNELS`]; version 10 took version 6's histograms and
 /// series back out, as nothing outside tests read them (DESIGN.md §8.1).
-/// Host-profiler state is deliberately absent: wall-clock attribution never
-/// enters snapshots.
+/// The run loop's [`WorkCounters`] are deliberately absent: they count how
+/// this process stepped the machine, not the machine.
 pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
@@ -1704,6 +1689,38 @@ mod tests {
             }
         }
         assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+    }
+
+    #[test]
+    fn restore_refuses_a_flight_recorder_cursor_past_its_events() {
+        let mut cfg = GpuConfig::tiny();
+        cfg.trace = crate::TraceConfig { level: crate::TraceLevel::Events, ring_capacity: 4 };
+        let mut gpu = Gpu::new(cfg.clone());
+        gpu.launch(compute_kernel("a"));
+        gpu.launch(memory_kernel("b"));
+        gpu.set_sharing_mode(SharingMode::Smk);
+        gpu.run(5_000, &mut NullController);
+        let bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
+        // A ring encodes as `cap`, `start`, `dropped`, events; the machine's
+        // sits right before the final idle flag, SM 0's inside its record.
+        let machine = bytes.len() - 1 - crate::snap::encode_to_vec(&gpu.events).len();
+        let sm_ring = crate::snap::encode_to_vec(gpu.sms[0].events());
+        assert_eq!(gpu.sms[0].events().len(), 4, "SM 0's ring wrapped");
+        let sm0 = bytes.windows(sm_ring.len()).position(|w| w == sm_ring).expect("SM 0's ring");
+        for ring in [machine, sm0] {
+            let mut bad = bytes.clone();
+            assert_eq!(bad[ring..ring + 4], 4u32.to_le_bytes(), "the ring's capacity");
+            bad[ring + 4..ring + 8].copy_from_slice(&7u32.to_le_bytes());
+            let blob = SnapshotBlob::from_bytes(&bad).expect("the header is intact");
+            let mut fresh = Gpu::new(cfg.clone());
+            for result in [fresh.restore(&blob), fresh.restore_compat(&blob)] {
+                match result {
+                    Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
+                    other => panic!("a ring cursor past its events must be refused, got {other:?}"),
+                }
+            }
+            assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+        }
     }
 
     #[test]

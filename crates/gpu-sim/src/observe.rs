@@ -275,6 +275,20 @@ impl EventRing {
         }
     }
 
+    /// Whether this (decoded) ring can stand in for `built`, the one
+    /// [`EventRing::new`] made from the receiver's configuration: the same
+    /// capacity, at most that many events, and a `start` that [`push`]
+    /// reaches — 0 until the ring is full, below the capacity once it is.
+    /// Any other shape indexes past `events` on the next push.
+    ///
+    /// [`push`]: EventRing::push
+    pub(crate) fn fits(&self, built: &EventRing) -> bool {
+        let (len, cap) = (self.events.len(), self.cap as usize);
+        self.cap == built.cap
+            && len <= cap
+            && (self.start == 0 || (len == cap && self.start < self.cap))
+    }
+
     /// Events in recording order, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         let split = (self.start as usize).min(self.events.len());

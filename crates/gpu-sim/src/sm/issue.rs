@@ -380,16 +380,10 @@ impl Sm {
     /// ticked, iterating SMs in index order — so the shared queues observe
     /// requests in a fixed order (SM 0's issues in scheduler order, then
     /// SM 1's, …; DESIGN.md §13).
-    pub(crate) fn drain_icn(
-        &mut self,
-        mem: &mut MemSystem,
-        now: Cycle,
-        prof: &mut crate::telemetry::HostProfiler,
-    ) {
+    pub(crate) fn drain_icn(&mut self, mem: &mut MemSystem, now: Cycle) {
         if self.icn.requests.is_empty() {
             return;
         }
-        let t0 = prof.begin();
         let mut port = std::mem::take(&mut self.icn);
         for req in port.requests.drain(..) {
             let s = req.miss_start as usize;
@@ -398,10 +392,6 @@ impl Sm {
             port.responses.push(IcnResponse { warp_slot: req.warp_slot, ready_at });
         }
         port.lines.clear();
-        // Host-time attribution (opt-in, free when disabled): the serve loop
-        // above is the shared-memory-system phase; the response delivery
-        // below is the interconnect-drain phase proper.
-        let t1 = prof.lap(crate::telemetry::ProfPhase::MemsysServe, t0);
         for resp in port.responses.drain(..) {
             // A vacated slot means the warp retired on this very instruction
             // and its whole TB completed at issue time; the serial path wrote
@@ -417,7 +407,6 @@ impl Sm {
         // Hand the (now empty) buffers back so next cycle reuses the
         // allocations.
         self.icn = port;
-        prof.end(crate::telemetry::ProfPhase::IcnDrain, t1);
     }
 
     /// Steps the SM one cycle *and* drains its port immediately — the
@@ -426,7 +415,7 @@ impl Sm {
     #[cfg(test)]
     pub(crate) fn step(&mut self, now: Cycle, mem: &mut MemSystem) {
         self.tick(now);
-        self.drain_icn(mem, now, &mut crate::telemetry::HostProfiler::new());
+        self.drain_icn(mem, now);
     }
 
     /// Oldest issuable non-QoS warp whose kernel is only blocked by an

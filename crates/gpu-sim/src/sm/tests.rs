@@ -233,7 +233,7 @@ fn icn_port_is_drained_every_cycle() {
         sm.tick(now);
         if sm.icn_in_flight() {
             // Requests may only exist inside the tick→drain window.
-            sm.drain_icn(&mut mem, now, &mut crate::telemetry::HostProfiler::new());
+            sm.drain_icn(&mut mem, now);
         }
         assert!(!sm.icn_in_flight(), "port must be empty at the cycle barrier");
     }
@@ -720,7 +720,7 @@ impl Sleeper {
                 if !self.sm.tick(self.now) && self.sleepy {
                     self.sm.sleep_from(self.now + 1);
                 }
-                self.sm.drain_icn(&mut self.mem, self.now, &mut Default::default());
+                self.sm.drain_icn(&mut self.mem, self.now);
             }
             self.now += 1;
             if self.jumps && self.sm.wake_at() > self.now {

@@ -1,7 +1,5 @@
-//! Telemetry: deterministic latency histograms, counter time series, and a
-//! host-side self-profiler (DESIGN.md §17).
-//!
-//! Three pieces with very different determinism contracts:
+//! Telemetry: deterministic latency histograms and counter time series
+//! (DESIGN.md §17).
 //!
 //! * [`LatencyHistogram`] — an HDR-style log-bucketed histogram holding only
 //!   integers. Recording is a shift-and-mask bucket computation; quantiles
@@ -11,15 +9,10 @@
 //!   from its checkpoint reproduces every bucket exactly.
 //! * [`TimeSeries`] — a bounded ring of periodic counter-registry samples
 //!   (one row per fleet tick). Also [`Snap`](crate::snap::Snap)-integrated.
-//! * [`HostProfiler`] — opt-in wall-clock attribution per simulator phase.
-//!   Host time is inherently nondeterministic, so the profiler is kept
-//!   strictly **outside** snapshots and `records_hash`: it is never encoded,
-//!   never compared, and costs a single branch per phase boundary when
-//!   disabled. [`WorkCounters`], the run loop's deterministic step counts,
-//!   ride beside it: they describe the host strategy, not the machine.
-
-use std::fmt;
-use std::time::Instant;
+//! * [`WorkCounters`] — the run loop's deterministic step counts. They
+//!   describe the host strategy, not the machine, so they never ride a
+//!   snapshot. Where host wall time goes is measured from outside the
+//!   process by `scripts/sample-profile.sh`; nothing here reads a clock.
 
 use crate::observe::CounterEntry;
 
@@ -284,172 +277,13 @@ impl TimeSeries {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Host-side self-profiler
-// ---------------------------------------------------------------------------
-
-/// A simulator phase the host profiler attributes wall-clock time to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum ProfPhase {
-    /// Stepping every SM domain for one cycle.
-    SmStep,
-    /// Draining SM interconnect ports: applying memory responses to warp
-    /// scoreboards at the end-of-cycle barrier.
-    IcnDrain,
-    /// Serving drained port requests in the shared L2/DRAM hierarchy.
-    MemsysServe,
-    /// TB-scheduler service passes: dispatch, preemption checks.
-    TbService,
-    /// Epoch-boundary work: epoch accounting, invariant audits, the QoS
-    /// controller's `on_epoch`, and telemetry sampling.
-    QosEpochService,
-    /// Idle fast-forward horizon scans and jumps.
-    FastForward,
-    /// Fleet-layer tick orchestration (arrivals, placement, migration
-    /// bookkeeping, sampling) — everything except stepping the devices.
-    FleetTick,
-    /// Stepping fleet devices (each device's own phases are inside its GPU).
-    DeviceStep,
-    /// Serializing and writing checkpoints to disk.
-    CheckpointWrite,
-}
-
-impl ProfPhase {
-    /// Every phase, in display order.
-    pub const ALL: [ProfPhase; 9] = [
-        ProfPhase::SmStep,
-        ProfPhase::IcnDrain,
-        ProfPhase::MemsysServe,
-        ProfPhase::TbService,
-        ProfPhase::QosEpochService,
-        ProfPhase::FastForward,
-        ProfPhase::FleetTick,
-        ProfPhase::DeviceStep,
-        ProfPhase::CheckpointWrite,
-    ];
-
-    /// Stable, machine-readable phase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProfPhase::SmStep => "sm_step",
-            ProfPhase::IcnDrain => "icn_drain",
-            ProfPhase::MemsysServe => "memsys_serve",
-            ProfPhase::TbService => "tb_service",
-            ProfPhase::QosEpochService => "qos_epoch_service",
-            ProfPhase::FastForward => "fast_forward",
-            ProfPhase::FleetTick => "fleet_tick",
-            ProfPhase::DeviceStep => "device_step",
-            ProfPhase::CheckpointWrite => "checkpoint_write",
-        }
-    }
-}
-
-impl fmt::Display for ProfPhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Accumulated wall-clock time and invocation count of one phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTotal {
-    /// Total nanoseconds attributed to the phase.
-    pub nanos: u64,
-    /// Number of timed spans.
-    pub calls: u64,
-}
-
-/// Opt-in wall-clock attribution per simulator phase.
-///
-/// Deliberately **not** [`Snap`](crate::snap::Snap): host time is nondeterministic, so profiler
-/// state never enters snapshots, reports, or `records_hash`. Disabled (the
-/// default) every timing call is a single branch on a `bool`; enabled, each
-/// phase boundary costs two `Instant::now()` reads.
-#[derive(Debug, Clone, Default)]
-pub struct HostProfiler {
-    enabled: bool,
-    totals: [PhaseTotal; ProfPhase::ALL.len()],
-}
-
-impl HostProfiler {
-    /// A disabled profiler (all timing calls are no-ops).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enables or disables timing. Disabling keeps accumulated totals.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether timing is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Starts a span: `Some(now)` when enabled, `None` (free) when not.
-    #[inline]
-    pub fn begin(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Ends a span started by [`begin`](HostProfiler::begin), attributing
-    /// its wall time to `phase`.
-    #[inline]
-    pub fn end(&mut self, phase: ProfPhase, started: Option<Instant>) {
-        if let Some(t0) = started {
-            self.add(phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Ends a span and starts the next one in a single clock read.
-    #[inline]
-    pub fn lap(&mut self, phase: ProfPhase, started: Option<Instant>) -> Option<Instant> {
-        if let Some(t0) = started {
-            let now = Instant::now();
-            self.add(phase, now.duration_since(t0).as_nanos() as u64);
-            Some(now)
-        } else {
-            None
-        }
-    }
-
-    /// Attributes `nanos` to `phase` directly (for externally timed spans
-    /// such as checkpoint writes).
-    pub fn add(&mut self, phase: ProfPhase, nanos: u64) {
-        let t = &mut self.totals[phase as usize];
-        t.nanos = t.nanos.saturating_add(nanos);
-        t.calls += 1;
-    }
-
-    /// Accumulated total of one phase.
-    pub fn total(&self, phase: ProfPhase) -> PhaseTotal {
-        self.totals[phase as usize]
-    }
-
-    /// Every phase with a nonzero total, in [`ProfPhase::ALL`] order.
-    pub fn rows(&self) -> Vec<(ProfPhase, PhaseTotal)> {
-        ProfPhase::ALL.iter().map(|&p| (p, self.total(p))).filter(|(_, t)| t.calls > 0).collect()
-    }
-
-    /// Sum of all attributed nanoseconds.
-    pub fn attributed_nanos(&self) -> u64 {
-        self.totals.iter().map(|t| t.nanos).sum()
-    }
-}
-
 /// Deterministic counts of the work the run loop did on the host, as
 /// opposed to what the simulated machine did: `sm_ticks_run` per-SM cycle
 /// steps executed, `sm_ticks_slept` SM-cycles passed over because the SM was
 /// asleep (machine-wide jumps included). They sum to simulated cycles × SMs
 /// and repeat exactly from run to run, so a test can pin "it sleeps" without
-/// a clock. Like [`HostProfiler`], never snapshotted: the same simulated
-/// state is reached with different counts when fast-forward is off.
+/// a clock. Never snapshotted: the same simulated state is reached with
+/// different counts when fast-forward is off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Calls of the per-SM cycle step.
@@ -520,10 +354,16 @@ mod tests {
 
     #[test]
     fn quantiles_are_clamped_to_observed_max() {
-        let mut h = LatencyHistogram::new();
-        h.record(1_000);
-        assert_eq!(h.p50(), 1_000);
-        assert_eq!(h.p999(), 1_000, "single value: every quantile is it");
+        // Empty, quantiles are total: every one is 0, the max of nothing.
+        // A single value: every quantile is it.
+        for (values, q) in [(&[][..], 0u64), (&[1_000][..], 1_000)] {
+            let mut h = LatencyHistogram::new();
+            for &v in values {
+                h.record(v);
+            }
+            assert_eq!(h.count(), values.len() as u64);
+            assert_eq!((h.p50(), h.p999(), h.max()), (q, q, q), "{values:?}");
+        }
     }
 
     #[test]
@@ -589,41 +429,5 @@ mod tests {
         }
         let back: TimeSeries = decode_from_slice(&encode_to_vec(&s)).expect("codec");
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn disabled_profiler_is_free_and_silent() {
-        let mut p = HostProfiler::new();
-        assert!(!p.is_enabled());
-        let t = p.begin();
-        assert!(t.is_none());
-        p.end(ProfPhase::SmStep, t);
-        assert!(p.rows().is_empty());
-        assert_eq!(p.attributed_nanos(), 0);
-    }
-
-    #[test]
-    fn enabled_profiler_attributes_spans() {
-        let mut p = HostProfiler::new();
-        p.set_enabled(true);
-        let t = p.begin();
-        assert!(t.is_some());
-        let t = p.lap(ProfPhase::SmStep, t);
-        p.end(ProfPhase::IcnDrain, t);
-        p.add(ProfPhase::CheckpointWrite, 1_000);
-        assert_eq!(p.total(ProfPhase::SmStep).calls, 1);
-        assert_eq!(p.total(ProfPhase::IcnDrain).calls, 1);
-        assert_eq!(p.total(ProfPhase::CheckpointWrite).nanos, 1_000);
-        let names: Vec<&str> = p.rows().iter().map(|(ph, _)| ph.name()).collect();
-        assert_eq!(names, ["sm_step", "icn_drain", "checkpoint_write"]);
-        assert!(p.attributed_nanos() >= 1_000);
-    }
-
-    #[test]
-    fn every_phase_has_a_unique_name() {
-        let mut names: Vec<&str> = ProfPhase::ALL.iter().map(|p| p.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ProfPhase::ALL.len());
     }
 }

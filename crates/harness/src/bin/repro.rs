@@ -11,7 +11,7 @@
 //! repro trace <golden-scenario> [--out trace.json]
 //! repro fleet <scenario> [--seed N] [--checkpoint-dir DIR]
 //!             [--checkpoint-every TICKS] [--trace FILE]
-//!             [--metrics-out FILE] [--profile]
+//!             [--metrics-out FILE]
 //! repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]
 //! repro profile <scenario>
 //! ```
@@ -30,6 +30,9 @@
 //! leaves. `golden` re-renders every file of the golden corpus
 //! (`harness::golden::CORPUS`) and compares it byte for byte with the
 //! committed copy under `tests/golden/`; `golden --bless` rewrites them.
+//! `profile` runs one single-GPU scenario and prints its run loop's
+//! deterministic work counters on one line; where the simulator spends
+//! host wall time is sampled from outside by `scripts/sample-profile.sh`.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -57,7 +60,7 @@ fn usage() -> String {
          \u{20}      repro inspect <failure-snapshot-file>\n\
          \u{20}      repro trace <scenario> [--out FILE]\n\
          \u{20}      repro fleet <scenario> [--seed N] [--checkpoint-dir DIR] \
-         [--checkpoint-every TICKS] [--trace FILE] [--metrics-out FILE] [--profile]\n\
+         [--checkpoint-every TICKS] [--trace FILE] [--metrics-out FILE]\n\
          \u{20}      repro fleet resume <DIR> [--trace FILE] [--metrics-out FILE]\n\
          \u{20}      repro profile <scenario>\n\
          experiments: {}\n\
@@ -77,10 +80,10 @@ fn usage() -> String {
          no request is lost; `fleet resume` continues a killed run;\n\
          --metrics-out exports the telemetry (counter time series, per-tenant\n\
          latency histograms, SLO burn tracks) as JSON at FILE and Prometheus\n\
-         text at FILE.prom; --profile prints the host-time hotspot table to\n\
-         stderr\n\
-         profile: run a single-GPU scenario with the host profiler armed and\n\
-         print the wall-time hotspot table; scenarios: {}\n",
+         text at FILE.prom\n\
+         profile: run a single-GPU scenario and print its run loop's work\n\
+         counters (SM steps run and slept, wake-queue hints, quota-gate\n\
+         evaluations, TB-scheduler passes); scenarios: {}\n",
         experiment_names().join(" "),
         harness::golden::SCENARIOS.join(" "),
         fleet::scenarios::SCENARIOS.join(" "),
@@ -211,9 +214,8 @@ fn cmd_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut every = harness::fleet_cli::DEFAULT_FLEET_EVERY;
     let mut trace = None;
     let mut metrics_out = None;
-    let mut profile = false;
     // A flag only a run from the start reads: the checkpoint records the
-    // seed and cadence, and a resumed run is not profiled.
+    // seed and cadence.
     let mut run_only = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -250,10 +252,6 @@ fn cmd_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
                 };
                 metrics_out = Some(value);
             }
-            "--profile" => {
-                profile = true;
-                run_only = Some("--profile");
-            }
             other => positional.push(other.to_string()),
         }
     }
@@ -273,7 +271,6 @@ fn cmd_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
                 every_ticks: every,
                 trace,
                 metrics_out,
-                profile,
             };
             harness::fleet_cli::run_scenario(name, seed, &opts)
         }
@@ -281,11 +278,6 @@ fn cmd_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
     };
     match outcome {
         Ok(outcome) => {
-            if let Some(table) = &outcome.profile {
-                // Host-time attribution is wall-clock noise, never part of
-                // the deterministic report stream.
-                eprint!("{table}");
-            }
             // The report is the only stdout: killed + resumed == uninterrupted.
             emit(&outcome.report);
             if outcome.ok {
@@ -301,15 +293,15 @@ fn cmd_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// `repro profile <scenario>`: run a single-GPU scenario with the host
-/// profiler armed and print the wall-time hotspot table.
+/// `repro profile <scenario>`: run a single-GPU scenario and print its
+/// run loop's work counters, one line.
 fn cmd_profile(mut args: impl Iterator<Item = String>) -> ExitCode {
     let (Some(name), None) = (args.next(), args.next()) else {
         return misuse("`repro profile` wants exactly one scenario name");
     };
     match harness::telemetry::profile_scenario(&name) {
-        Ok(table) => {
-            emit(&table);
+        Ok(line) => {
+            emit(&line);
             ExitCode::SUCCESS
         }
         Err(e) => {

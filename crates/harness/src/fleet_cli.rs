@@ -12,11 +12,9 @@
 //! uninterrupted run's.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use fleet::{scenarios, Fleet};
 use gpu_sim::snap::frame::{self, write_atomic};
-use gpu_sim::telemetry::ProfPhase;
 
 /// File name of the fleet checkpoint inside a checkpoint directory. A
 /// single rolling generation: [`write_atomic`] makes each save all-or-
@@ -78,14 +76,11 @@ pub struct FleetOutcome {
     pub report: String,
     /// Whether every guaranteed SLO was met and no request was lost.
     pub ok: bool,
-    /// Host-time hotspot table when profiling was requested; printed to
-    /// stderr so it never perturbs the deterministic report stream.
-    pub profile: Option<String>,
 }
 
 /// Optional outputs of a fleet run. The default runs nothing extra:
 /// checkpointing off, cadence [`DEFAULT_FLEET_EVERY`], no trace, no
-/// metrics export, profiler disarmed.
+/// metrics export.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetRunOpts<'a> {
     /// Checkpoint directory; `None` disables checkpointing.
@@ -97,9 +92,6 @@ pub struct FleetRunOpts<'a> {
     /// Metrics export path: JSON at this path, Prometheus text at the
     /// same path with a `.prom` extension.
     pub metrics_out: Option<&'a Path>,
-    /// Arm the host profiler and render a hotspot table into
-    /// [`FleetOutcome::profile`].
-    pub profile: bool,
 }
 
 impl Default for FleetRunOpts<'_> {
@@ -109,7 +101,6 @@ impl Default for FleetRunOpts<'_> {
             every_ticks: DEFAULT_FLEET_EVERY,
             trace: None,
             metrics_out: None,
-            profile: false,
         }
     }
 }
@@ -156,7 +147,6 @@ pub fn resume(
         every_ticks: ckpt.every_ticks,
         trace,
         metrics_out,
-        ..FleetRunOpts::default()
     };
     drive(fleet, &ckpt.scenario, ckpt.seed, &opts)
 }
@@ -167,21 +157,20 @@ fn drive(
     seed: u64,
     opts: &FleetRunOpts,
 ) -> Result<FleetOutcome, String> {
-    if opts.profile {
-        fleet.set_profiling(true);
-    }
     let every = opts.every_ticks.max(1);
-    let started = Instant::now();
+    let save = |fleet: &Fleet, dir: &Path| {
+        let ckpt = FleetCheckpoint {
+            scenario: scenario.to_string(),
+            seed,
+            every_ticks: every,
+            state: fleet.snapshot(),
+        };
+        save_checkpoint(dir, &ckpt).map_err(|e| format!("cannot save fleet checkpoint: {e}"))
+    };
     while !fleet.finished() {
         if let Some(dir) = opts.checkpoint_dir {
             if fleet.ticks().is_multiple_of(every) {
-                let ckpt = FleetCheckpoint {
-                    scenario: scenario.to_string(),
-                    seed,
-                    every_ticks: every,
-                    state: fleet.snapshot(),
-                };
-                save_timed(&mut fleet, dir, &ckpt)?;
+                save(&fleet, dir)?;
             }
         }
         fleet.step();
@@ -189,18 +178,8 @@ fn drive(
     if let Some(dir) = opts.checkpoint_dir {
         // Final checkpoint: a resume of a finished run just reprints the
         // report instead of re-simulating anything.
-        let ckpt = FleetCheckpoint {
-            scenario: scenario.to_string(),
-            seed,
-            every_ticks: every,
-            state: fleet.snapshot(),
-        };
-        save_timed(&mut fleet, dir, &ckpt)?;
+        save(&fleet, dir)?;
     }
-    let profile = opts.profile.then(|| {
-        let wall = started.elapsed().as_nanos() as u64;
-        crate::telemetry::render_hotspot_table(scenario, fleet.profiler(), wall)
-    });
     if let Some(path) = opts.trace {
         let doc = crate::perfetto::render_fleet_trace(&fleet, scenario);
         crate::perfetto::check_chrome_trace(&doc)
@@ -212,18 +191,7 @@ fn drive(
         write_metrics(&fleet, scenario, path)?;
     }
     let ok = fleet.all_guaranteed_met() && fleet.lost_requests() == 0;
-    Ok(FleetOutcome { report: fleet.report(scenario), ok, profile })
-}
-
-/// Saves a checkpoint, attributing the write's wall time to
-/// [`ProfPhase::CheckpointWrite`] when the profiler is armed.
-fn save_timed(fleet: &mut Fleet, dir: &Path, ckpt: &FleetCheckpoint) -> Result<(), String> {
-    let t = fleet.profiler().is_enabled().then(Instant::now);
-    save_checkpoint(dir, ckpt).map_err(|e| format!("cannot save fleet checkpoint: {e}"))?;
-    if let Some(t) = t {
-        fleet.profiler_mut().add(ProfPhase::CheckpointWrite, t.elapsed().as_nanos() as u64);
-    }
-    Ok(())
+    Ok(FleetOutcome { report: fleet.report(scenario), ok })
 }
 
 /// Writes the metrics pair: self-checked JSON at `path`, Prometheus text

@@ -35,8 +35,9 @@
 //! * [`telemetry`] — metrics export (`repro fleet … --metrics-out`):
 //!   deterministic JSON + Prometheus text documents carrying the counter
 //!   time series, per-tenant latency histograms, and SLO burn tracks; and
-//!   the host-time self-profile (`repro profile <scenario>` for one GPU,
-//!   `repro fleet … --profile` for a fleet).
+//!   the work-count profile (`repro profile <scenario>`: one GPU's
+//!   deterministic run-loop counters; host wall time is sampled from
+//!   outside by `scripts/sample-profile.sh`).
 //!
 //! # Example
 //!

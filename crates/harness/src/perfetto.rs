@@ -14,7 +14,6 @@
 
 use std::fmt::Write as _;
 
-use gpu_sim::telemetry::HostProfiler;
 use gpu_sim::trace::EpochRecord;
 use gpu_sim::{Gpu, TraceEvent, TraceEventKind};
 
@@ -38,9 +37,7 @@ pub fn export_scenario(name: &str) -> String {
 /// `counters` object with the full counter-registry dump and a
 /// `dropped_events` count (flight-recorder ring overflow across the machine
 /// and every SM) — viewers ignore unknown top-level keys, so both ride
-/// along for free. When the host profiler was armed, its per-phase
-/// wall-time totals appear as counter tracks under a dedicated
-/// `host-profiler` process.
+/// along for free.
 #[must_use]
 pub fn render_trace(name: &str, gpu: &Gpu, records: &[EpochRecord]) -> String {
     let mut out = String::new();
@@ -54,7 +51,6 @@ pub fn render_trace(name: &str, gpu: &Gpu, records: &[EpochRecord]) -> String {
     metadata_events(gpu, records, &mut events);
     counter_events(records, &mut events);
     instant_events(&gpu.recent_events(usize::MAX), &mut events);
-    host_profile_events(gpu.profiler(), &mut events);
 
     for (i, e) in events.iter().enumerate() {
         let comma = if i + 1 == events.len() { "" } else { "," };
@@ -74,34 +70,6 @@ pub fn render_trace(name: &str, gpu: &Gpu, records: &[EpochRecord]) -> String {
 /// Total flight-recorder events lost to ring overflow, machine + all SMs.
 fn dropped_events(gpu: &Gpu) -> u64 {
     gpu.events().dropped() + gpu.sms().iter().map(|sm| sm.events().dropped()).sum::<u64>()
-}
-
-/// Dedicated pid for the host-profiler counter tracks — far from the
-/// simulated pids so the wall-time rows group separately in Perfetto.
-const HOST_PROFILE_PID: u32 = 999;
-
-/// One counter track per profiled phase (host wall milliseconds + call
-/// count, a single sample at ts 0). Empty when the profiler was never
-/// armed. Host time is wall-clock — these tracks are the one deliberately
-/// nondeterministic part of a trace, and only appear on opt-in.
-fn host_profile_events(prof: &HostProfiler, out: &mut Vec<String>) {
-    let rows = prof.rows();
-    if rows.is_empty() {
-        return;
-    }
-    out.push(format!(
-        "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {HOST_PROFILE_PID}, \"tid\": 0, \
-         \"args\": {{\"name\": \"host-profiler\"}}}}"
-    ));
-    for (phase, t) in rows {
-        out.push(format!(
-            "{{\"name\": \"host/{}\", \"ph\": \"C\", \"ts\": 0, \"pid\": {HOST_PROFILE_PID}, \
-             \"args\": {{\"ms\": {}, \"calls\": {}}}}}",
-            phase.name(),
-            t.nanos as f64 / 1e6,
-            t.calls
-        ));
-    }
 }
 
 /// Process/thread naming: pid 0 is the machine; tid 0 the machine-scope
@@ -252,7 +220,6 @@ pub fn render_fleet_trace(fleet: &fleet::Fleet, name: &str) -> String {
             ));
         }
     }
-    host_profile_events(fleet.profiler(), &mut events);
     // One complete-span per migrated request, on its tenant's track: the
     // span covers the window the request was off-device (enqueue → resume).
     for rec in fleet.migrations() {
@@ -481,23 +448,45 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// RFC 8259's number, `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`,
+    /// scanned before `f64::from_str` sees it: that parser also takes `01`,
+    /// `1.` and `-.5`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
+        self.skip_one_of(b"-");
+        let int = self.pos;
+        let int_digits = self.digits();
+        let mut ok = int_digits == 1 || (int_digits > 1 && self.bytes[int] != b'0');
+        if self.skip_one_of(b".") {
+            ok &= self.digits() > 0;
         }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        if self.skip_one_of(b"eE") {
+            self.skip_one_of(b"+-");
+            ok &= self.digits() > 0;
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
+            .filter(|_| ok)
             .and_then(|s| s.parse::<f64>().ok())
             .filter(|v| v.is_finite())
             .map(Json::Num)
             .ok_or_else(|| self.err("bad number"))
+    }
+
+    /// Consumes the next byte if it is one of `set`.
+    fn skip_one_of(&mut self, set: &[u8]) -> bool {
+        let hit = self.bytes.get(self.pos).is_some_and(|c| set.contains(c));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        self.pos - from
     }
 
     fn parse_document(mut self) -> Result<Json, String> {
@@ -574,8 +563,21 @@ mod tests {
 
     #[test]
     fn parser_accepts_and_rejects() {
-        assert!(Parser::new("{\"a\": [1, -2.5e3, true, null, \"x\\n\"]}").parse_document().is_ok());
-        for bad in ["{", "[1,]", "{\"a\" 1}", "1 2", "{\"a\": NaN}", ""] {
+        let ok = "{\"a\": [1, -2.5e3, 0, -0.5, 1E+3, 10e-2, true, null, \"x\\n\"]}";
+        assert!(Parser::new(ok).parse_document().is_ok());
+        for bad in [
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "1 2",
+            "{\"a\": NaN}",
+            "",
+            "01",
+            "1.",
+            "-.5",
+            "1.e3",
+            "-01.5",
+        ] {
             assert!(Parser::new(bad).parse_document().is_err(), "accepted {bad:?}");
         }
     }

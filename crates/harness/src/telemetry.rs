@@ -1,4 +1,4 @@
-//! Metrics export and the host-time self-profile (DESIGN.md §17).
+//! Metrics export and the work-count profile (DESIGN.md §17).
 //!
 //! Two export formats for the telemetry layer's deterministic state:
 //!
@@ -18,18 +18,17 @@
 //! by their own strict checkers ([`crate::perfetto::check_json`],
 //! [`check_prometheus_text`]) before anything is written to disk.
 //!
-//! The third piece is the **host-time hotspot table** (`repro profile
-//! <scenario>` for one simulated GPU, `repro fleet <scenario> --profile`
-//! for a fleet): the [`HostProfiler`]'s wall-clock attribution per phase,
-//! rendered with each phase's share of total wall time.
-//! Profiler state is host-only — never snapshotted, never part of any
-//! determinism surface.
+//! The third piece is the **work-count profile** (`repro profile
+//! <scenario>`): one simulated GPU's [`gpu_sim::WorkCounters`] — how many
+//! SM steps its run loop executed and slept, what the wake queues and the
+//! quota gate did, how often the TB scheduler ran. They repeat exactly
+//! from run to run. Where host wall time goes is sampled from outside the
+//! process by `scripts/sample-profile.sh`, not measured in here.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use fleet::Fleet;
-use gpu_sim::telemetry::{HostProfiler, LatencyHistogram};
+use gpu_sim::telemetry::LatencyHistogram;
 use gpu_sim::{Gpu, GpuConfig, NullController, SharingMode};
 use qos_core::{QosManager, QosSpec, QuotaScheme};
 
@@ -40,8 +39,7 @@ use crate::perfetto::escape;
 pub const METRICS_SCHEMA: &str = "fgqos-metrics-v1";
 
 /// Scenarios `repro profile` runs on a single simulated GPU, mirroring the
-/// bench suite's constructions (paper-scale config, 80 k cycles). A fleet
-/// scenario profiles through `repro fleet <scenario> --profile`.
+/// bench suite's constructions (paper-scale config, 80 k cycles).
 pub const PROFILE_SCENARIOS: [&str; 4] =
     ["smk_memory_pair", "managed_rollover_pair", "managed_rollover_trio", "isolated_compute"];
 
@@ -284,7 +282,11 @@ pub fn check_prometheus_text(doc: &str) -> Result<usize, String> {
             loop {
                 let key_end = r.find('=').ok_or_else(|| fail("label without '='"))?;
                 let key = &r[..key_end];
-                if key.is_empty() || !key.chars().all(is_name_char) {
+                // Label names are `[a-zA-Z_][a-zA-Z0-9_]*`: no colon.
+                let label_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
+                if !key.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                    || !key.chars().all(label_char)
+                {
                     return Err(fail("bad label name"));
                 }
                 r = r[key_end + 1..]
@@ -353,37 +355,6 @@ pub fn fleet_metrics_docs(fleet: &Fleet, scenario: &str) -> Result<(String, Stri
     Ok((json, prom))
 }
 
-/// Renders the host-time hotspot table: one row per phase with attributed
-/// wall time, call count, and share of total wall time, sorted by time;
-/// the footer reports how much of the wall the named phases cover.
-#[must_use]
-pub fn render_hotspot_table(title: &str, prof: &HostProfiler, wall_nanos: u64) -> String {
-    let mut out = String::new();
-    let wall_ms = wall_nanos as f64 / 1e6;
-    let _ = writeln!(out, "host-time profile: {title} (wall {wall_ms:.1} ms)");
-    let _ = writeln!(out, "  {:<20} {:>10} {:>12} {:>7}", "phase", "ms", "calls", "share");
-    let mut rows = prof.rows();
-    rows.sort_by_key(|&(_, t)| std::cmp::Reverse(t.nanos));
-    for (phase, t) in rows {
-        let share = if wall_nanos == 0 { 0.0 } else { 100.0 * t.nanos as f64 / wall_nanos as f64 };
-        let _ = writeln!(
-            out,
-            "  {:<20} {:>10.3} {:>12} {:>6.1}%",
-            phase.name(),
-            t.nanos as f64 / 1e6,
-            t.calls,
-            share
-        );
-    }
-    let attributed = if wall_nanos == 0 {
-        0.0
-    } else {
-        100.0 * prof.attributed_nanos() as f64 / wall_nanos as f64
-    };
-    let _ = writeln!(out, "  attributed {attributed:.1}% of wall time to named phases");
-    out
-}
-
 /// Builds one single-GPU profile scenario (paper-scale config,
 /// fast-forward on) and returns the machine ready to run — mirrors the
 /// bench suite's constructions so profile numbers line up with bench
@@ -443,9 +414,8 @@ fn run_profile_gpu(gpu: &mut Gpu, mgr: Option<QosManager>) {
     }
 }
 
-/// Runs single-GPU scenario `name` (one of [`PROFILE_SCENARIOS`]) with the
-/// host profiler armed and renders its hotspot table — the engine of
-/// `repro profile`.
+/// Runs single-GPU scenario `name` (one of [`PROFILE_SCENARIOS`]) and
+/// renders its work counters as one line — the engine of `repro profile`.
 ///
 /// # Errors
 ///
@@ -457,18 +427,14 @@ pub fn profile_scenario(name: &str) -> Result<String, String> {
             PROFILE_SCENARIOS.join(" ")
         ));
     };
-    gpu.set_profiling(true);
-    let started = Instant::now();
     run_profile_gpu(&mut gpu, mgr);
-    let wall = started.elapsed().as_nanos() as u64;
     let work = gpu.work_counters();
     let asleep = 100.0 * work.sm_ticks_slept as f64
         / (work.sm_ticks_run + work.sm_ticks_slept).max(1) as f64;
     Ok(format!(
-        "{}  sm steps: {} run, {} slept ({asleep:.1}% of SM-cycles asleep); \
+        "sm steps: {} run, {} slept ({asleep:.1}% of SM-cycles asleep); \
          wake queue: {} hints drained, {} builds; quota gate: {} evaluations; \
          tb scheduler: {} passes, {} verdicts\n",
-        render_hotspot_table(name, gpu.profiler(), wall),
         work.sm_ticks_run,
         work.sm_ticks_slept,
         work.wake_events,
@@ -482,7 +448,6 @@ pub fn profile_scenario(name: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet_cli::{run_scenario, FleetRunOpts};
     use fleet::scenarios;
 
     fn finished_fleet() -> Fleet {
@@ -516,7 +481,7 @@ mod tests {
 
     #[test]
     fn prometheus_checker_accepts_and_rejects() {
-        let ok = "# HELP x help\n# TYPE x untyped\nx{a=\"b\\\"c\",d=\"e\"} 1.5 123\nx 2\n";
+        let ok = "# HELP x help\n# TYPE x untyped\nx{a=\"b\\\"c\",_d9=\"e\"} 1.5 123\nx 2\n";
         assert_eq!(check_prometheus_text(ok), Ok(2));
         for bad in [
             "1bad 2",
@@ -524,21 +489,13 @@ mod tests {
             "x{a=\"b} 1",
             "x{a=\"b\"} nope",
             "x{a=\"b\"} 1 notime",
+            "x{1a=\"b\"} 1",
+            "x{a:b=\"c\"} 1",
             "x 1 2 3",
             "x",
         ] {
             assert!(check_prometheus_text(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn hotspot_table_attributes_fleet_phases() {
-        let opts = FleetRunOpts { profile: true, ..FleetRunOpts::default() };
-        let outcome = run_scenario("steady", scenarios::DEFAULT_SEED, &opts).expect("run");
-        let out = outcome.profile.expect("an armed run renders its hotspot table");
-        assert!(out.contains("fleet_tick"), "{out}");
-        assert!(out.contains("device_step"), "{out}");
-        assert!(out.contains("attributed"), "{out}");
     }
 
     /// "It sleeps", "a wake-up costs the hints due, not the table" and "the
@@ -596,6 +553,6 @@ mod tests {
     #[test]
     fn unknown_profile_scenario_is_an_error() {
         assert!(profile_scenario("nope").is_err());
-        assert!(profile_scenario("steady").is_err(), "a fleet profiles through `repro fleet`");
+        assert!(profile_scenario("steady").is_err(), "a fleet scenario is not a GPU scenario");
     }
 }

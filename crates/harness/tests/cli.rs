@@ -59,3 +59,34 @@ fn repro_validate_is_an_unknown_experiment() {
     assert!(!output.status.success(), "validate must be refused");
     assert!(stderr.contains("unknown experiment \"validate\""), "{stderr}");
 }
+
+/// `repro profile` prints one line of deterministic work counters and no
+/// wall time: the counts `telemetry::tests::sm_step_counts_are_pinned`
+/// pins for the scenario.
+#[test]
+fn repro_profile_prints_only_the_work_counters() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["profile", "smk_memory_pair"])
+        .output()
+        .expect("spawn");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    assert_eq!(
+        stdout,
+        "sm steps: 147041 run, 1132959 slept (88.5% of SM-cycles asleep); \
+         wake queue: 119065 hints drained, 16 builds; quota gate: 0 evaluations; \
+         tb scheduler: 142 passes, 255 verdicts\n"
+    );
+}
+
+/// The fleet has no host profiler to arm: `--profile` is refused.
+#[test]
+fn repro_fleet_refuses_profile() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fleet", "steady", "--profile"])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "--profile must be refused");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
