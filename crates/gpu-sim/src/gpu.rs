@@ -232,18 +232,17 @@ impl Gpu {
             } else if now.is_multiple_of(DISPATCH_INTERVAL) {
                 self.service(now);
             }
-            // Step every SM domain that is due — each touches only its own
-            // state plus its interconnect port — then drain the ports into
-            // the shared memory domain in stable SM-index order (see
-            // `crate::icn`). A sleeping SM costs the one compare; an SM that
-            // issued stays awake (due at 0), so `horizon` ends above `now`
-            // only when the whole machine is asleep.
+            // Step every SM that is due, in SM-index order; each serves its
+            // own L1 misses as its warps issue (DESIGN.md §13). A sleeping SM
+            // costs the one compare; an SM that issued stays awake (due at
+            // 0), so `horizon` ends above `now` only when the whole machine
+            // is asleep.
             let mut horizon = Cycle::MAX;
             let mut ran = 0;
             for sm in &mut self.sms {
                 if sm.wake_at() <= now {
                     ran += 1;
-                    if !sm.tick(now) && may_sleep {
+                    if !sm.tick(now, &mut self.mem) && may_sleep {
                         sm.sleep_from(now + 1);
                     }
                 }
@@ -251,9 +250,6 @@ impl Gpu {
             }
             self.work.sm_ticks_run += ran;
             self.work.sm_ticks_slept += num_sms - ran;
-            for sm in &mut self.sms {
-                sm.drain_icn(&mut self.mem, now);
-            }
             if now.is_multiple_of(self.sample_interval) {
                 for sm in &mut self.sms {
                     sm.sample_idle_warps(now);
@@ -691,8 +687,8 @@ impl Gpu {
     /// Control-plane view of one SM, scoped to the quota/gating knobs a
     /// [`Controller`] is meant to turn. Policy code gets this view and no
     /// `&mut Sm`, so the surface a controller can mutate stays explicit and
-    /// small. Controllers run only at epoch boundaries, outside the
-    /// tick→drain window.
+    /// small. Controllers run only at epoch boundaries, before any SM
+    /// ticks that cycle.
     pub fn sm_quota(&mut self, id: SmId) -> SmQuotaView<'_> {
         SmQuotaView { sm: &mut self.sms[id.index()] }
     }
@@ -953,23 +949,19 @@ impl Gpu {
                 "trailing bytes in snapshot payload",
             )));
         }
-        // The receiver's own caches are what `Cache::new` builds from its
-        // configuration: a decoded cache of another shape would be indexed
-        // out of bounds on its first access.
-        let l1s_fit = sms.len() == self.sms.len()
-            && sms.iter().zip(&self.sms).all(|(sm, built)| sm.l1_fits(built));
-        if !l1s_fit || !mem.l2_fits(&self.mem) {
+        // The receiver's own SMs and memory system are what `Gpu::new`
+        // builds from the configuration the fingerprint matched: decoded
+        // ones of another geometry, cache shape or flight-recorder capacity
+        // would be indexed out of bounds on their first step. Likewise a
+        // kernel description the builder would refuse.
+        let fits = sms.len() == self.sms.len()
+            && sms.iter().zip(&self.sms).all(|(sm, built)| sm.fits(built))
+            && mem.fits(&self.mem)
+            && events.fits(&self.events)
+            && kernels.iter().all(|k| k.desc.check().is_ok());
+        if !fits {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
-                "cache that does not fit the machine",
-            )));
-        }
-        // Likewise the flight recorders: their capacity is configuration,
-        // and a cursor past the events panics on the next recorded event.
-        let rings_fit = events.fits(&self.events)
-            && sms.iter().zip(&self.sms).all(|(sm, built)| sm.events().fits(built.events()));
-        if !rings_fit {
-            return Err(SnapshotError::Corrupt(SnapError::Invalid(
-                "flight recorder that does not fit the machine",
+                "machine state that does not fit the configuration",
             )));
         }
         // `Gpu::new` derives the sampling interval from the configuration
@@ -1046,11 +1038,11 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 
 /// Version of the snapshot payload layout. Bumped whenever the set, order,
 /// or encoding of snapshotted fields changes; [`Gpu::restore`] refuses
-/// blobs from any other version. Version 3 added the SM-domain cache
-/// parameters (`l1_hit_latency`, `line_bytes`) to the per-SM record when
-/// the SM↔memory boundary moved behind [`crate::icn::IcnPort`]; version 4
-/// added the `dropped` discard counter to every [`EventRing`] so lossless
-/// trace capture can prove a recording never wrapped; version 5 added the
+/// blobs from any other version. Version 3 added the SM's copies of the
+/// cache parameters (`l1_hit_latency`, `line_bytes`) to the per-SM record,
+/// for an SM↔memory port since removed; version 4 added the `dropped`
+/// discard counter to every [`EventRing`] so lossless trace capture can
+/// prove a recording never wrapped; version 5 added the
 /// migration-class `compat_fingerprint` to the blob header so live
 /// migration ([`Gpu::restore_compat`]) can accept snapshots from a
 /// same-class device with a different fault plan; version 6 added the
@@ -1686,6 +1678,36 @@ mod tests {
             match result {
                 Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
                 other => panic!("a zero sampling interval must be refused, got {other:?}"),
+            }
+        }
+        assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+    }
+
+    #[test]
+    fn restore_refuses_an_sm_geometry_the_config_does_not_build() {
+        let cfg = GpuConfig::tiny();
+        let mut gpu = Gpu::new(cfg.clone());
+        gpu.launch(compute_kernel("a"));
+        gpu.launch(memory_kernel("b"));
+        gpu.set_sharing_mode(SharingMode::Smk);
+        gpu.run(5_000, &mut NullController);
+        let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
+        // An SM record starts with its id, its scheduler count, then its
+        // warp slots.
+        let last = gpu.sms.last().expect("the machine has SMs");
+        let record = crate::snap::encode_to_vec(last);
+        let at = bytes.windows(record.len()).position(|w| w == record).expect("the last SM")
+            + crate::snap::encode_to_vec(&last.id()).len()
+            + 2;
+        let max_warps = cfg.sm.max_warps() as u16;
+        assert_eq!(bytes[at..at + 2], max_warps.to_le_bytes(), "the SM's warp slots");
+        bytes[at..at + 2].copy_from_slice(&(max_warps + 1).to_le_bytes());
+        let blob = SnapshotBlob::from_bytes(&bytes).expect("the header is intact");
+        let mut fresh = Gpu::new(cfg);
+        for result in [fresh.restore(&blob), fresh.restore_compat(&blob)] {
+            match result {
+                Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
+                other => panic!("an SM the config does not build must be refused, got {other:?}"),
             }
         }
         assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");

@@ -279,6 +279,49 @@ impl KernelDesc {
         k
     }
 
+    /// The rules every description obeys; `Err` names the first one broken.
+    /// [`KernelDescBuilder::build`] panics with it, and a snapshot restore
+    /// refuses a decoded description that breaks one.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.body.is_empty() {
+            return Err("kernel body must not be empty");
+        }
+        if matches!(self.body.last(), Some(Op::Bar)) {
+            return Err("a barrier must not be the last op of the body (retiring warps \
+                        cannot release waiters)");
+        }
+        if self.iterations == 0 {
+            return Err("iterations must be positive");
+        }
+        if self.grid_tbs == 0 {
+            return Err("grid must contain at least one TB");
+        }
+        if self.threads_per_tb == 0 || !self.threads_per_tb.is_multiple_of(crate::WARP_SIZE) {
+            return Err("threads_per_tb must be a positive multiple of 32");
+        }
+        let warp = 1..=crate::WARP_SIZE as u8;
+        for op in &self.body {
+            let lanes = match *op {
+                Op::Alu { active_lanes, .. }
+                | Op::Sfu { active_lanes, .. }
+                | Op::Mem { active_lanes, .. } => active_lanes,
+                Op::Bar => 32,
+            };
+            if !warp.contains(&lanes) {
+                return Err("active_lanes must be in 1..=32");
+            }
+            if let Op::Mem { space: MemSpace::Global, pattern, .. } = op {
+                if !warp.contains(&pattern.transactions) {
+                    return Err("transactions must be in 1..=32");
+                }
+                if pattern.footprint_bytes == 0 {
+                    return Err("footprint must be positive");
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Base address of this kernel's slice of the device address space.
     ///
     /// Each resident kernel gets a disjoint 16 GiB region so co-runners never
@@ -364,42 +407,13 @@ impl KernelDescBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the description is internally inconsistent (empty body,
-    /// zero iterations/grid, thread count not a positive multiple of 32, or
-    /// an op with zero or more than 32 active lanes).
+    /// Panics, naming the broken rule, if the description is internally
+    /// inconsistent (empty body or a trailing barrier, zero
+    /// iterations/grid, thread count not a positive multiple of 32, an op
+    /// with lanes or transactions outside 1..=32, or a zero footprint).
     pub fn build(self) -> KernelDesc {
-        let d = &self.desc;
-        assert!(!d.body.is_empty(), "kernel body must not be empty");
-        assert!(
-            !matches!(d.body.last(), Some(Op::Bar)),
-            "a barrier must not be the last op of the body (retiring warps \
-             cannot release waiters)"
-        );
-        assert!(d.iterations > 0, "iterations must be positive");
-        assert!(d.grid_tbs > 0, "grid must contain at least one TB");
-        assert!(
-            d.threads_per_tb > 0 && d.threads_per_tb.is_multiple_of(crate::WARP_SIZE),
-            "threads_per_tb must be a positive multiple of {}",
-            crate::WARP_SIZE
-        );
-        for op in &d.body {
-            let lanes = match *op {
-                Op::Alu { active_lanes, .. }
-                | Op::Sfu { active_lanes, .. }
-                | Op::Mem { active_lanes, .. } => active_lanes,
-                Op::Bar => 32,
-            };
-            assert!(
-                (1..=crate::WARP_SIZE as u8).contains(&lanes),
-                "active_lanes must be in 1..=32"
-            );
-            if let Op::Mem { space: MemSpace::Global, pattern, .. } = op {
-                assert!(
-                    (1..=crate::WARP_SIZE as u8).contains(&pattern.transactions),
-                    "transactions must be in 1..=32"
-                );
-                assert!(pattern.footprint_bytes > 0, "footprint must be positive");
-            }
+        if let Err(why) = self.desc.check() {
+            panic!("{why}");
         }
         self.desc
     }

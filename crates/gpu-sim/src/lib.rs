@@ -14,9 +14,7 @@
 //! * a thread-block scheduler supporting exclusive, **SMK fine-grained** and
 //!   **spatially partitioned** sharing ([`tb_sched`]),
 //! * a partial-context-switch preemption engine ([`preempt`]),
-//! * a GPUWattch-style event-energy power model ([`power`]),
-//! * per-SM execution domains behind a typed interconnect boundary
-//!   ([`icn`]), ticked then drained in SM-index order each cycle.
+//! * a GPUWattch-style event-energy power model ([`power`]).
 //!
 //! Policy code (the QoS manager, the `Spart` hill-climbing baseline, …) lives
 //! in the `qos-core` crate and drives the simulator through the
@@ -53,7 +51,6 @@ pub mod config;
 pub mod dram;
 pub mod gpu;
 pub mod health;
-pub mod icn;
 pub mod kernel;
 pub mod memsys;
 pub mod observe;
@@ -79,7 +76,6 @@ pub use health::{
     AuditKind, AuditViolation, FaultKind, FaultPlan, FaultSpec, HealthConfig, HealthReport,
     KernelHealth, SimError, SmHealth, WarpStallCounts,
 };
-pub use icn::{IcnPort, IcnRequest, IcnResponse};
 pub use kernel::{AccessPattern, KernelDesc, KernelDescBuilder, MemSpace, Op};
 pub use observe::{
     CounterEntry, CounterKind, CounterScope, EventRing, TraceConfig, TraceEvent, TraceEventKind,

@@ -1,12 +1,12 @@
 //! The shared memory system: crossbar, per-MC L2 slices and DRAM channels.
 //!
-//! This is its own execution domain (DESIGN.md §13): SM domains never call
-//! into it mid-cycle. Each warp memory instruction becomes a typed request
-//! in the issuing SM's `IcnPort`; at the port-drain barrier the requests are
-//! presented to [`MemSystem::serve`] in stable SM-index order, and the
-//! returned completion cycle — when the slowest transaction finishes and the
-//! warp becomes ready again — travels back as the response. Per-kernel
-//! traffic counters feed the power model and the harness reports.
+//! Every SM shares it (DESIGN.md §13). A warp's global-memory instruction
+//! is served by [`MemSystem::serve`] as the warp issues: the calls come in
+//! SM-index order, then scheduler issue order within an SM, and the
+//! returned completion cycle — when the slowest transaction finishes and
+//! the warp becomes ready again — is written into the warp's scoreboard.
+//! The crossbar is a latency inside `serve`. Per-kernel traffic counters
+//! feed the power model and the harness reports.
 
 use crate::cache::{AccessOutcome, Cache};
 use crate::config::MemConfig;
@@ -81,15 +81,15 @@ impl MemSystem {
         (if n.is_power_of_two() { block & (n - 1) } else { block % n }) as usize
     }
 
-    /// Serves one warp memory instruction arriving over the interconnect
-    /// boundary: `miss_lines` are the line addresses that already missed the
-    /// issuing SM's private L1 (filtered on the SM side of the `IcnPort`),
+    /// Serves one warp memory instruction: `miss_lines` are the line
+    /// addresses that already missed the issuing SM's private L1,
     /// `total_lines` the coalesced transaction count before filtering (L1
-    /// accounting lives here so the whole traffic ledger stays in the memory
-    /// domain). Returns the completion cycle of the slowest transaction.
+    /// accounting lives here so the whole traffic ledger is in one place).
+    /// Each miss crosses the crossbar (`xbar_latency`) both ways. Returns
+    /// the completion cycle of the slowest transaction.
     ///
-    /// This is the only entry point for SM-issued traffic; it is called from
-    /// the port drain in stable SM-index order (DESIGN.md §13).
+    /// This is the only entry point for SM-issued traffic; an SM calls it
+    /// from `Sm::tick` as the warp issues (DESIGN.md §13).
     pub fn serve(
         &mut self,
         kernel: KernelId,
@@ -134,10 +134,16 @@ impl MemSystem {
         done
     }
 
-    /// Whether every (decoded) L2 slice can stand in for `built`'s
-    /// ([`Cache::fits`]), slice for slice.
-    pub(crate) fn l2_fits(&self, built: &MemSystem) -> bool {
-        self.l2.len() == built.l2.len() && self.l2.iter().zip(&built.l2).all(|(c, b)| c.fits(b))
+    /// Whether this (decoded) memory system can stand in for `built`, the
+    /// one `Gpu::new` made: the same configuration, as many queues and
+    /// slices, every L2 slice of the same shape ([`Cache::fits`]), and a
+    /// context-traffic cursor on a channel.
+    pub(crate) fn fits(&self, built: &MemSystem) -> bool {
+        let queues = |m: &MemSystem| (m.l2.len(), m.l2_queue.len(), m.dram_queue.len());
+        self.cfg == built.cfg
+            && queues(self) == queues(built)
+            && self.context_rr < self.dram_queue.len()
+            && self.l2.iter().zip(&built.l2).all(|(c, b)| c.fits(b))
     }
 
     /// Per-kernel traffic counters.

@@ -1,5 +1,5 @@
 //! The SM front end: per-cycle scheduler gather/choose/issue, the
-//! work-conserving scavenger, interconnect-port traffic, and the sleep /
+//! work-conserving scavenger, global-memory issue, and the sleep /
 //! catch-up protocol that lets the machine leave a stalled SM alone
 //! (DESIGN.md §3.1).
 //!
@@ -17,7 +17,6 @@
 //! `Sm::greedy`, and the two gathers differ only in which candidates they
 //! show it.
 
-use crate::icn::{self, IcnRequest, IcnResponse};
 use crate::kernel::{KernelDesc, MemSpace, Op};
 use crate::memsys::MemSystem;
 use crate::observe::TraceEventKind;
@@ -83,9 +82,7 @@ impl Sm {
     /// non-inert warp can issue this cycle), so it must not sleep. Horizons
     /// come from two sources: in-flight context transitions (whose
     /// completion mutates slot state in `process_transitions`) and stalled
-    /// warps' `ready_at` scoreboards. Warps never hold the [`icn::PENDING`]
-    /// sentinel here: only an issue parks a warp on it, and an SM is asked
-    /// for its horizon only after a tick that issued nothing.
+    /// warps' `ready_at` scoreboards.
     fn next_event(&self) -> Option<Cycle> {
         let mut horizon: Option<Cycle> = None;
         let fold = |h: &mut Option<Cycle>, c: Cycle| {
@@ -192,13 +189,12 @@ impl Sm {
         }
     }
 
-    /// Advances the SM by one cycle, touching only domain-local state, and
-    /// reports whether any warp issued.
+    /// Advances the SM by one cycle and reports whether any warp issued.
     ///
-    /// Global-memory instructions do not reach the shared hierarchy here:
-    /// they are parked in this SM's `IcnPort` and served when the machine
-    /// calls [`Sm::drain_icn`] once every SM has ticked.
-    pub(crate) fn tick(&mut self, now: Cycle) -> bool {
+    /// A global-memory instruction's L1 misses are served by `mem` as the
+    /// warp issues, so the machine's calls into the shared hierarchy come in
+    /// SM-index order, then scheduler issue order (DESIGN.md §13).
+    pub(crate) fn tick(&mut self, now: Cycle, mem: &mut MemSystem) -> bool {
         self.catch_up(now);
         if !self.transitioning.is_empty() {
             self.process_transitions(now);
@@ -246,9 +242,9 @@ impl Sm {
         let n_scheds = self.greedy.len();
         let issued = self.issued_total;
         if ungated && n_scheds.is_power_of_two() && n_scheds <= MAX_SCHEDS_FUSED {
-            self.gather_fused(now);
+            self.gather_fused(now, mem);
         } else {
-            self.gather_gated(now);
+            self.gather_gated(now, mem);
         }
         self.issued_total != issued
     }
@@ -263,7 +259,7 @@ impl Sm {
     /// push `ready_at` past `now`, and with no kernel gated there is no
     /// mutating `quota_allows` whose call order could matter (DESIGN.md §18).
     #[inline(never)]
-    fn gather_fused(&mut self, now: Cycle) {
+    fn gather_fused(&mut self, now: Cycle, mem: &mut MemSystem) {
         let n_scheds = self.greedy.len();
         // Entries past the scheduler count are never shown a candidate.
         let mut picks: [Pick; MAX_SCHEDS_FUSED] =
@@ -276,7 +272,7 @@ impl Sm {
         for (sid, pick) in picks[..n_scheds].iter().enumerate() {
             if let Some(slot) = pick.choose() {
                 self.greedy[sid] = Some(slot);
-                self.issue(slot, now);
+                self.issue(slot, now, mem);
             }
         }
     }
@@ -289,7 +285,7 @@ impl Sm {
     /// serve comes here too: no kernel is inert, every candidate is open and
     /// admitted, and the scavenger finds nothing.
     #[inline(never)]
-    fn gather_gated(&mut self, now: Cycle) {
+    fn gather_gated(&mut self, now: Cycle, mem: &mut MemSystem) {
         if self.stride_masks.is_empty() {
             self.build_stride_masks();
         }
@@ -330,7 +326,7 @@ impl Sm {
             let Some(slot) = pick.or_else(|| self.scavenge(sid)) else { continue };
             let k = self.warps.kernel[usize::from(slot)].index();
             let exhaustions = self.quota_exhaustions[k];
-            self.issue(slot, now);
+            self.issue(slot, now, mem);
             let exhausted = self.quota_exhaustions[k] != exhaustions;
             #[cfg(test)]
             let exhausted = exhausted && !self.gate.stale_hoist;
@@ -373,51 +369,6 @@ impl Sm {
         }
     }
 
-    /// Drains this SM's interconnect port into the shared memory system and
-    /// applies the responses to the issuing warps' scoreboards.
-    ///
-    /// The machine calls this once per cycle, after all SM domains have
-    /// ticked, iterating SMs in index order — so the shared queues observe
-    /// requests in a fixed order (SM 0's issues in scheduler order, then
-    /// SM 1's, …; DESIGN.md §13).
-    pub(crate) fn drain_icn(&mut self, mem: &mut MemSystem, now: Cycle) {
-        if self.icn.requests.is_empty() {
-            return;
-        }
-        let mut port = std::mem::take(&mut self.icn);
-        for req in port.requests.drain(..) {
-            let s = req.miss_start as usize;
-            let misses = &port.lines[s..s + req.miss_len as usize];
-            let ready_at = mem.serve(req.kernel, misses, u64::from(req.total_lines), now);
-            port.responses.push(IcnResponse { warp_slot: req.warp_slot, ready_at });
-        }
-        port.lines.clear();
-        for resp in port.responses.drain(..) {
-            // A vacated slot means the warp retired on this very instruction
-            // and its whole TB completed at issue time; the serial path wrote
-            // the completion cycle into a warp that was removed in the same
-            // call, so dropping the response is identical — and keeps the
-            // freed slot's canonical zeroed state intact. Slots cannot have
-            // been *reused* yet: dispatch only happens in the TB scheduler's
-            // service pass, outside the tick→drain window.
-            if self.warps.is_occupied(resp.warp_slot) {
-                self.warps.set_ready_at(resp.warp_slot, resp.ready_at);
-            }
-        }
-        // Hand the (now empty) buffers back so next cycle reuses the
-        // allocations.
-        self.icn = port;
-    }
-
-    /// Steps the SM one cycle *and* drains its port immediately — the
-    /// single-SM equivalent of the machine's tick→barrier→drain sequence,
-    /// for tests that drive an SM without a `Gpu` around it.
-    #[cfg(test)]
-    pub(crate) fn step(&mut self, now: Cycle, mem: &mut MemSystem) {
-        self.tick(now);
-        self.drain_icn(mem, now);
-    }
-
     /// Oldest issuable non-QoS warp whose kernel is only blocked by an
     /// exhausted quota; `None` under the Rollover-Time priority gate while
     /// QoS quota remains (strict time multiplexing is that scheme's point).
@@ -450,7 +401,7 @@ impl Sm {
         best.map(|(slot, _)| slot)
     }
 
-    fn issue(&mut self, slot: u16, now: Cycle) {
+    fn issue(&mut self, slot: u16, now: Cycle, mem: &mut MemSystem) {
         let i = usize::from(slot);
         let k = self.warps.kernel[i].index();
         // `Op` is `Copy` and the body length is all the control flow needs,
@@ -499,27 +450,18 @@ impl Sm {
                     tb_index,
                     &mut buf,
                 );
-                // The private L1 is looked up here, inside the domain; only
-                // the misses cross the interconnect. The request is enqueued
-                // even when every line hit, because the L1-access ledger
-                // lives in the memory domain and counts total lines. The
-                // warp parks on the PENDING sentinel until the drain writes
-                // the real completion cycle later this same cycle.
-                let miss_start = self.icn.lines.len() as u32;
+                // The private L1 is looked up here; only the misses reach
+                // the shared hierarchy. `serve` is called even when every
+                // line hit, because its L1-access ledger counts all lines.
+                let mut misses = [0u64; 32];
+                let mut m = 0;
                 for &addr in &buf[..n] {
                     if self.l1.access(addr) == crate::cache::AccessOutcome::Miss {
-                        self.icn.lines.push(addr);
+                        misses[m] = addr;
+                        m += 1;
                     }
                 }
-                let miss_len = self.icn.lines.len() as u32 - miss_start;
-                self.icn.requests.push(IcnRequest {
-                    kernel: self.warps.kernel[i],
-                    warp_slot: slot,
-                    total_lines: n as u32,
-                    miss_start,
-                    miss_len,
-                });
-                (active_lanes, icn::PENDING)
+                (active_lanes, mem.serve(self.warps.kernel[i], &misses[..m], n as u64, now))
             }
             Op::Bar => (crate::WARP_SIZE as u8, now + 1),
         };

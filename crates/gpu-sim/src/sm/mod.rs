@@ -1,4 +1,4 @@
-//! A streaming multiprocessor: one self-contained execution domain.
+//! A streaming multiprocessor.
 //!
 //! The SM executes resident thread blocks' warps under a warp-scheduling
 //! policy, gated by the per-kernel *quota counters* that implement the
@@ -8,13 +8,12 @@
 //! evaluated lazily when a blocked warp is encountered, so the per-cycle
 //! issue loop stays branch-light.
 //!
-//! Every field of [`Sm`] is private, domain-local state: the
-//! struct-of-arrays [`WarpTable`] and TB slab, the private L1, quota
-//! counters, statistics, and the flight-recorder ring. The one piece of
-//! shared machine state an SM used to reach into — the L2/DRAM hierarchy —
-//! is behind the typed [`crate::icn::IcnPort`] boundary: `Sm::tick` takes
-//! no `MemSystem` and instead enqueues requests that the machine drains
-//! once every SM has ticked, in stable SM-index order (DESIGN.md §13).
+//! Every field of [`Sm`] is private: the struct-of-arrays [`WarpTable`] and
+//! TB slab, the private L1, quota counters, statistics, and the
+//! flight-recorder ring. The one piece of shared machine state an SM
+//! reaches is the L2/DRAM hierarchy: `Sm::tick` is handed the machine's
+//! [`crate::memsys::MemSystem`] and serves a warp's L1 misses through
+//! [`crate::memsys::MemSystem::serve`] as the warp issues (DESIGN.md §13).
 //!
 //! Module map:
 //!
@@ -24,7 +23,7 @@
 //! | `warp_table` | struct-of-arrays warp state, packed bitmasks, wake queue  |
 //! | `slots`      | occupancy: TB dispatch, preemption, completion, audits   |
 //! | `quota`      | the EWS quota gate: carry rules, refills, fault freezes  |
-//! | `issue`      | the front end: issuable-mask gather, issue, `IcnPort`    |
+//! | `issue`      | the front end: issuable-mask gather, issue, L1 misses    |
 //! | `observe`    | sampling, counters, and every read-only stats accessor   |
 
 mod issue;
@@ -43,7 +42,6 @@ use std::sync::Arc;
 
 use crate::cache::Cache;
 use crate::config::GpuConfig;
-use crate::icn::IcnPort;
 use crate::kernel::KernelDesc;
 use crate::observe::{EventRing, TraceEvent, TraceEventKind};
 use crate::preempt::{PreemptStats, SavedTb};
@@ -103,8 +101,8 @@ pub struct Sm {
     // restored SM rebuilds each entry lazily on its first issue).
     bodies: PerKernel<Vec<crate::kernel::Op>>,
 
-    // Domain-local copies of machine config consulted on the issue path;
-    // the SM must not reach across the interconnect boundary to read them.
+    // Copies of the memory config consulted on the issue path, so it reads
+    // no `MemSystem` field.
     l1_hit_latency: u32,
     line_bytes: u32,
 
@@ -119,11 +117,6 @@ pub struct Sm {
     greedy: Vec<Option<u16>>,
     next_age: u64,
     transitioning: Vec<u16>,
-
-    // --- interconnect boundary (DESIGN.md §13) ---
-    // Requests filled by `issue`, drained by the machine at the end-of-cycle
-    // barrier; empty outside the step→drain window of a single cycle.
-    icn: IcnPort,
 
     // --- quota state (EWS) ---
     quota: PerKernel<i64>,
@@ -217,7 +210,6 @@ impl Sm {
             greedy: vec![None; cfg.sm.warp_schedulers as usize],
             next_age: 0,
             transitioning: Vec::new(),
-            icn: IcnPort::default(),
             quota: per_kernel(|_| 0),
             gated: per_kernel(|_| false),
             refill: per_kernel(|_| 0),
@@ -259,10 +251,21 @@ impl Sm {
         }
     }
 
-    /// Whether this (decoded) SM's L1 can stand in for `built`'s
-    /// ([`Cache::fits`]).
-    pub(crate) fn l1_fits(&self, built: &Sm) -> bool {
-        self.l1.fits(&built.l1)
+    /// Whether this (decoded) SM can stand in for `built`, the SM
+    /// `Gpu::new` made for its slot: the same geometry, an L1 of the same
+    /// shape ([`Cache::fits`]), a flight recorder that fits
+    /// ([`EventRing::fits`]), and kernel descriptions that pass
+    /// `KernelDesc::check`.
+    pub(crate) fn fits(&self, built: &Sm) -> bool {
+        let geometry = |sm: &Sm| {
+            let limits = (sm.num_scheds, sm.max_warps, sm.max_tbs, sm.max_threads);
+            let sizes = (sm.regfile_bytes, sm.smem_bytes, sm.l1_hit_latency, sm.line_bytes);
+            (sm.id, limits, sizes, sm.trace_on)
+        };
+        geometry(self) == geometry(built)
+            && self.l1.fits(&built.l1)
+            && self.events.fits(&built.events)
+            && self.descs.iter().flatten().all(|d| d.check().is_ok())
     }
 
     /// This SM's identifier.
@@ -296,8 +299,6 @@ crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 
 // `bodies` is a pure mirror of `descs`, rebuilt lazily by `issue`;
 // `live_buf` and `gate` are per-tick scratch, always rebuilt before use;
-// `icn` is pure transit state, always empty outside the step→drain window of
-// one cycle (snapshots are taken at epoch boundaries, between cycles);
 // `stride_masks` is a pure function of the geometry, lazily rebuilt;
 // `sleep` is `None` wherever a snapshot can be taken (the machine wakes every
 // SM before an epoch boundary's controller call and on every exit of a run);
@@ -354,7 +355,6 @@ crate::impl_snap_struct!(Sm {
     completed,
     saved,
 } skip {
-    icn,
     bodies,
     live_buf,
     gate,

@@ -180,11 +180,4 @@ impl Sm {
     pub fn free_tb_slots(&self) -> u32 {
         self.tbs.free_slots() as u32
     }
-
-    /// Whether this SM's interconnect port holds in-flight traffic. Always
-    /// `false` outside the tick→drain window of a single cycle; exposed so
-    /// tests can assert the invariant that snapshots rely on.
-    pub fn icn_in_flight(&self) -> bool {
-        !self.icn.is_empty()
-    }
 }

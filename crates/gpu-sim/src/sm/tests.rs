@@ -1,6 +1,6 @@
-//! Unit tests for the SM domain. Tests drive a lone SM with [`Sm::step`]
-//! (tick + immediate port drain), the single-SM equivalent of the machine's
-//! tick→barrier→drain sequence.
+//! Unit tests for the SM. Tests drive a lone SM with [`Sm::tick`] against a
+//! [`MemSystem`] of its own, which is what the machine's run loop does for
+//! each SM in turn.
 
 use std::sync::Arc;
 
@@ -28,7 +28,7 @@ fn setup(body: Vec<Op>, iters: u32) -> (Sm, MemSystem, Arc<KernelDesc>) {
 
 fn run(sm: &mut Sm, mem: &mut MemSystem, cycles: u64) {
     for now in 0..cycles {
-        sm.step(now, mem);
+        sm.tick(now, mem);
     }
 }
 
@@ -123,7 +123,7 @@ fn priority_block_serializes_kernels() {
     sm.set_epoch_quota(q, 3_200, QuotaCarry::DiscardSurplus, 0);
     // While the QoS kernel has quota, the non-QoS kernel must not issue.
     for now in 0..20 {
-        sm.step(now, &mut mem);
+        sm.tick(now, &mut mem);
     }
     assert!(sm.counters(q).thread_insts > 0);
     assert_eq!(sm.counters(n).thread_insts, 0, "non-QoS blocked by priority gate");
@@ -154,7 +154,7 @@ fn preempt_and_resume_preserves_progress() {
     assert!(before > 0);
     assert!(sm.start_preempt(k, 100, 50));
     for now in 100..200 {
-        sm.step(now, &mut mem);
+        sm.tick(now, &mut mem);
     }
     let mut saved = Vec::new();
     sm.drain_saved(&mut saved);
@@ -165,7 +165,7 @@ fn preempt_and_resume_preserves_progress() {
     // Resume and run to completion.
     sm.dispatch(k, TbIndex(3), Some(tb), 200, 10);
     for now in 200..4_000 {
-        sm.step(now, &mut mem);
+        sm.tick(now, &mut mem);
     }
     let mut done = Vec::new();
     sm.drain_completed(&mut done);
@@ -184,7 +184,7 @@ fn idle_warp_sampling_counts_unissued_ready_warps() {
         sm.dispatch(k, TbIndex(i), None, 0, 0);
     }
     for now in 0..50 {
-        sm.step(now, &mut mem);
+        sm.tick(now, &mut mem);
         sm.sample_idle_warps(now);
     }
     assert!(sm.idle_warp_avg(k) > 0.0, "with 8 ready warps and 4 issue slots some idle");
@@ -223,40 +223,30 @@ fn memory_op_goes_through_memsys() {
 }
 
 #[test]
-fn icn_port_is_drained_every_cycle() {
-    let (mut sm, mut mem, desc) =
-        setup(vec![Op::mem_load(AccessPattern::stream()), Op::alu(1, 1)], 8);
-    let k = KernelId::new(0);
-    sm.set_kernel_desc(k, desc);
-    sm.dispatch(k, TbIndex(0), None, 0, 0);
-    for now in 0..2_000 {
-        sm.tick(now);
-        if sm.icn_in_flight() {
-            // Requests may only exist inside the tick→drain window.
-            sm.drain_icn(&mut mem, now);
-        }
-        assert!(!sm.icn_in_flight(), "port must be empty at the cycle barrier");
-    }
-    assert!(mem.traffic().l1_accesses[0] > 0, "traffic flowed through the port");
-}
-
-#[test]
 fn l1_lookup_count_matches_memory_domain_ledger() {
     // Every coalesced line is looked up in the SM's private L1 exactly once
-    // and counted as one L1 access in the memory domain — including lines
-    // that hit (the request crosses the port even when it carries no
-    // misses). The two domains must agree on the total.
-    let (mut sm, mut mem, desc) =
-        setup(vec![Op::mem_load(AccessPattern::stream()), Op::alu(1, 1)], 16);
-    let k = KernelId::new(0);
-    sm.set_kernel_desc(k, desc);
-    sm.dispatch(k, TbIndex(0), None, 0, 0);
-    run(&mut sm, &mut mem, 8_000);
-    assert_eq!(
-        sm.l1_stats().accesses(),
-        mem.traffic().l1_accesses[0],
-        "SM-side L1 lookups and memory-side L1 ledger must agree"
-    );
+    // and counted as one L1 access by `MemSystem::serve` — including lines
+    // that hit (`serve` is called even when no line missed). The two sides
+    // must agree on the total, also when a TB completes on a global-memory
+    // instruction: the second body ends on a store.
+    let bodies = [
+        (vec![Op::mem_load(AccessPattern::stream()), Op::alu(1, 1)], 16, 8_000),
+        (vec![Op::alu(1, 1), Op::mem_store(AccessPattern::stream())], 3, 20_000),
+    ];
+    for (body, iters, cycles) in bodies {
+        let (mut sm, mut mem, desc) = setup(body, iters);
+        let k = KernelId::new(0);
+        sm.set_kernel_desc(k, desc);
+        sm.dispatch(k, TbIndex(0), None, 0, 0);
+        run(&mut sm, &mut mem, cycles);
+        assert_eq!(
+            sm.l1_stats().accesses(),
+            mem.traffic().l1_accesses[0],
+            "SM-side L1 lookups and memory-side L1 ledger must agree"
+        );
+        assert_eq!(sm.resident_tbs(), 0, "the TB ran to completion");
+        assert_eq!(sm.audit_invariants(), Ok(()));
+    }
 }
 
 #[test]
@@ -314,6 +304,7 @@ fn reset_carry_drops_debt() {
 /// quota-gated with ample quota (the gated gather, through `quota_allows`).
 struct Picker {
     sm: Sm,
+    mem: MemSystem,
     now: Cycle,
 }
 
@@ -336,7 +327,7 @@ impl Picker {
             sm.set_qos_kernel(k, true);
             sm.set_epoch_quota(k, 1 << 40, QuotaCarry::Reset, 0);
         }
-        Picker { sm, now: 0 }
+        Picker { sm, mem: MemSystem::new(cfg.mem), now: 0 }
     }
 
     /// Ticks one cycle in which exactly the `(slot, age)` warps of `ready`
@@ -351,8 +342,7 @@ impl Picker {
             self.sm.warps.age[usize::from(slot)] = age;
         }
         let issued = self.sm.issued_total;
-        self.sm.tick(self.now);
-        assert!(!self.sm.icn_in_flight(), "ALU-only body");
+        self.sm.tick(self.now, &mut self.mem);
         match self.sm.issued_total - issued {
             0 => None,
             1 => self.sm.greedy[0],
@@ -567,7 +557,7 @@ mod gate_oracle {
         }
         let mut model = RefGate::of(sm);
         let expected = model.tick(&warps);
-        sm.tick(now);
+        sm.tick(now, &mut MemSystem::new(GpuConfig::tiny().mem));
         // An issue moves the warp's scoreboard off `now`.
         let scheds = sm.greedy.len();
         let mut issued = vec![None; scheds];
@@ -716,11 +706,11 @@ impl Sleeper {
 
     fn run_to(&mut self, end: Cycle) {
         while self.now < end {
-            if self.sm.wake_at() <= self.now {
-                if !self.sm.tick(self.now) && self.sleepy {
-                    self.sm.sleep_from(self.now + 1);
-                }
-                self.sm.drain_icn(&mut self.mem, self.now);
+            if self.sm.wake_at() <= self.now
+                && !self.sm.tick(self.now, &mut self.mem)
+                && self.sleepy
+            {
+                self.sm.sleep_from(self.now + 1);
             }
             self.now += 1;
             if self.jumps && self.sm.wake_at() > self.now {
@@ -897,7 +887,7 @@ mod preemption_properties {
             sm.set_kernel_desc(k, desc.clone());
             sm.dispatch(k, TbIndex(0), None, 0, 0);
             for now in 0..preempt_at {
-                sm.step(now, &mut mem);
+                sm.tick(now, &mut mem);
             }
             let expected = desc.thread_insts_per_tb();
             if sm.hosted_tbs(k) == 0 {
@@ -908,7 +898,7 @@ mod preemption_properties {
             prop_assert!(sm.start_preempt(k, preempt_at, save_cost));
             let resume_at = preempt_at + save_cost + 1;
             for now in preempt_at..resume_at {
-                sm.step(now, &mut mem);
+                sm.tick(now, &mut mem);
             }
             let mut saved = Vec::new();
             sm.drain_saved(&mut saved);
@@ -916,7 +906,7 @@ mod preemption_properties {
             let (_, tb) = saved.pop().expect("one saved TB");
             sm.dispatch(k, TbIndex(0), Some(tb), resume_at, load_cost);
             for now in resume_at..resume_at + 60_000 {
-                sm.step(now, &mut mem);
+                sm.tick(now, &mut mem);
                 if sm.hosted_tbs(k) == 0 {
                     break;
                 }
@@ -979,7 +969,7 @@ fn odd_scheduler_count_matches_pinned_digest() {
     let mut digest = 0u64;
     for now in 0..CYCLES {
         let before = progress(&sm);
-        sm.step(now, &mut mem);
+        sm.tick(now, &mut mem);
         for (slot, (b, a)) in before.iter().zip(progress(&sm)).enumerate() {
             per_sched[slot % 3] += u64::from(*b != a);
         }

@@ -41,7 +41,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::icn;
 use crate::rng::SplitMix64;
 use crate::types::{Cycle, KernelId, PerKernel};
 use crate::warp::{AddrStream, WarpProgress};
@@ -135,9 +134,8 @@ pub struct WarpTable {
     pub(crate) rem: Vec<u16>,
     /// Remaining body iterations.
     pub(crate) iter: Vec<u32>,
-    /// Cycle at which the warp's previous instruction completes
-    /// (`icn::PENDING` while a memory response is outstanding). Written only
-    /// through [`WarpTable::set_ready_at`].
+    /// Cycle at which the warp's previous instruction completes. Written
+    /// only through [`WarpTable::set_ready_at`].
     pub(crate) ready_at: Vec<Cycle>,
     /// Memory-access sequence number.
     pub(crate) seq: Vec<u64>,
@@ -295,7 +293,7 @@ impl WarpTable {
             let bucket = (cycle % WHEEL_SPAN) as usize;
             mask_set(&mut q.wheel[bucket * q.ready.len()..], slot);
             q.wheel_occ |= 1 << bucket;
-        } else if cycle != icn::PENDING {
+        } else {
             q.far.push(Reverse((cycle, slot)));
         }
     }
@@ -501,14 +499,14 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// Random writes of the column (in the past, now, inside, at and
-            /// beyond the wheel span, far out, `PENDING`), slots freed and
+            /// beyond the wheel span, far out, `Cycle::MAX`), slots freed and
             /// re-allocated under their old hints, and time moving by
             /// nothing, a cycle, across the span edge and far beyond it.
             #[test]
             fn ready_mask_equals_the_swept_column(
                 ops in prop::collection::vec(any::<u64>(), 1..400),
             ) {
-                const DELAYS: [u64; 7] = [0, 1, 63, 64, 65, 5_000, icn::PENDING];
+                const DELAYS: [u64; 7] = [0, 1, 63, 64, 65, 5_000, Cycle::MAX];
                 const GAPS: [u64; 6] = [0, 1, 63, 64, 65, 10_000];
                 // Two mask words, the second partial; half the slots hosted.
                 let mut t = WarpTable::new(70);
@@ -521,7 +519,7 @@ mod tests {
                     let pick = (op >> 32) as usize;
                     let at = match DELAYS[pick % 7] {
                         0 if pick & 8 == 0 => now - (op >> 40) % 100,
-                        icn::PENDING => icn::PENDING,
+                        Cycle::MAX => Cycle::MAX,
                         d => now + d,
                     };
                     match op % 8 {

@@ -448,7 +448,7 @@ mod tests {
                 sched.service(now, &mut sms, &mut kernels, &mut mem, &pcfg);
             }
             for sm in &mut sms {
-                sm.step(now, &mut mem);
+                sm.tick(now, &mut mem);
             }
         }
         for sm in &sms {
