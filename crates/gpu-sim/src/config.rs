@@ -279,6 +279,13 @@ impl GpuConfig {
         if !self.sm.max_threads.is_multiple_of(crate::WARP_SIZE) {
             return fail("max_threads must be a multiple of the warp size");
         }
+        // Every per-SM slot mask is one `u64` (DESIGN.md §18.1).
+        if self.sm.max_warps() > crate::sm::MAX_SLOTS as u32 {
+            return fail("max_threads must be at most 64 warps");
+        }
+        if self.sm.max_tbs > crate::sm::MAX_SLOTS as u32 {
+            return fail("max_tbs must be at most 64");
+        }
         if self.sm.warp_schedulers == 0 {
             return fail("warp_schedulers must be positive");
         }
@@ -425,6 +432,23 @@ mod tests {
     #[test]
     fn max_warps_derived_from_threads() {
         assert_eq!(SmConfig::default().max_warps(), 64);
+    }
+
+    #[test]
+    fn validate_rejects_a_65th_warp_slot() {
+        let mut cfg = GpuConfig::paper_table1();
+        cfg.sm.max_threads = 2080;
+        let err = InvalidConfig("max_threads must be at most 64 warps".into());
+        assert_eq!(cfg.validate(), Err(err));
+    }
+
+    #[test]
+    fn validate_rejects_a_65th_tb_slot() {
+        let mut cfg = GpuConfig::paper_table1();
+        cfg.sm.max_tbs = 65;
+        assert_eq!(cfg.validate(), Err(InvalidConfig("max_tbs must be at most 64".into())));
+        cfg.sm.max_tbs = 64;
+        cfg.validate().expect("64 TB slots fill the word");
     }
 
     #[test]

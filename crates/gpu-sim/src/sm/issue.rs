@@ -3,7 +3,7 @@
 //! catch-up protocol that lets the machine leave a stalled SM alone
 //! (DESIGN.md §3.1).
 //!
-//! One issuable word set is computed per tick (`live & tb_active & ready`,
+//! One issuable word is computed per tick (`live & tb_active & ready`,
 //! the last kept by the wake queue). Scheduler `sid` owns the slots with
 //! `slot % num_scheds == sid` and sees its candidates in increasing slot
 //! order — the order the mutating `quota_allows` refill rules fire in
@@ -23,7 +23,7 @@ use crate::observe::TraceEventKind;
 use crate::types::Cycle;
 use crate::MAX_KERNELS;
 
-use super::warp_table::{mask_set, slots};
+use super::warp_table::{bit, slots};
 use super::Sm;
 
 /// Largest scheduler count [`Sm::gather_fused`] serves, which is the largest
@@ -101,21 +101,18 @@ impl Sm {
         }
         let inert = self.inert_kernels();
         let t = &self.warps;
-        for wi in 0..t.words() {
-            let waiting = t.live(wi) & !self.inert_bits(wi, &inert);
-            // Warps of Active TBs wake at their scoreboard release.
-            for slot in slots(wi, waiting & t.tb_active[wi]) {
-                fold(&mut horizon, t.ready_at[slot]);
-            }
-            // Warps of Loading TBs wake at the later of their scoreboard
-            // release and the load completion. (Warps of Saving TBs are
-            // frozen — neither phase bit set — and the save completion is
-            // already a transition horizon above.)
-            for slot in slots(wi, waiting & t.tb_loading[wi]) {
-                let until =
-                    self.tbs.transition_done_at(t.tb_slot[slot]).unwrap_or(t.ready_at[slot]);
-                fold(&mut horizon, t.ready_at[slot].max(until));
-            }
+        let waiting = t.live() & !self.inert_bits(&inert);
+        // Warps of Active TBs wake at their scoreboard release.
+        for slot in slots(waiting & t.tb_active.0) {
+            fold(&mut horizon, t.ready_at[slot]);
+        }
+        // Warps of Loading TBs wake at the later of their scoreboard release
+        // and the load completion. (Warps of Saving TBs are frozen — neither
+        // phase bit set — and the save completion is already a transition
+        // horizon above.)
+        for slot in slots(waiting & t.tb_loading.0) {
+            let until = self.tbs.transition_done_at(t.tb_slot[slot]).unwrap_or(t.ready_at[slot]);
+            fold(&mut horizon, t.ready_at[slot].max(until));
         }
         horizon
     }
@@ -163,28 +160,26 @@ impl Sm {
         if !inert.iter().any(|&b| b) {
             return;
         }
-        for wi in 0..self.warps.words() {
-            let t = &self.warps;
-            let bits = t.live(wi) & t.tb_active[wi] & self.inert_bits(wi, &inert);
-            // Ready at the last tick, before `since`: denied every cycle.
-            let ready = bits & t.wake.ready[wi];
-            self.count_blocked(&inert, wi, ready, slept);
-            // The rest are released inside the window or after it.
-            for slot in slots(wi, bits & !ready) {
-                let start = since.max(self.warps.ready_at[slot]);
-                if start < now {
-                    self.quota_blocked[self.warps.kernel[slot].index()] += now - start;
-                }
+        let t = &self.warps;
+        let bits = t.live() & t.tb_active.0 & self.inert_bits(&inert);
+        // Ready at the last tick, before `since`: denied every cycle.
+        let ready = bits & t.wake.ready;
+        self.count_blocked(&inert, ready, slept);
+        // The rest are released inside the window or after it.
+        for slot in slots(bits & !ready) {
+            let start = since.max(self.warps.ready_at[slot]);
+            if start < now {
+                self.quota_blocked[self.warps.kernel[slot].index()] += now - start;
             }
         }
     }
 
-    /// Adds `times` to `quota_blocked` for every warp of `bits` (slots of
-    /// word `wi`) that an `inert` kernel owns.
+    /// Adds `times` to `quota_blocked` for every warp of `bits` that an
+    /// `inert` kernel owns.
     #[inline]
-    fn count_blocked(&mut self, inert: &[bool; MAX_KERNELS], wi: usize, bits: u64, times: u64) {
+    fn count_blocked(&mut self, inert: &[bool; MAX_KERNELS], bits: u64, times: u64) {
         for k in (0..MAX_KERNELS).filter(|&k| inert[k]) {
-            let owned = bits & self.warps.kernel_mask[k][wi];
+            let owned = bits & self.warps.kernel_mask[k].0;
             self.quota_blocked[k] += times * u64::from(owned.count_ones());
         }
     }
@@ -205,7 +200,7 @@ impl Sm {
         self.busy_cycles += 1;
         self.issue_slots += u64::from(self.num_scheds);
 
-        // Issuable candidate words for this cycle: live, owning TB in Active
+        // Issuable candidates for this cycle: live, owning TB in Active
         // phase (`tb_active` mirrors the phase exactly; a Loading TB due this
         // cycle was flipped to Active by `process_transitions` above),
         // scoreboard released (the wake queue's `ready`, brought to `now`
@@ -218,19 +213,17 @@ impl Sm {
         // scheduler (DESIGN.md §18).
         self.warps.advance(now);
         let t = &self.warps;
-        self.live_buf.clear();
-        self.live_buf
-            .extend((0..t.words()).map(|wi| t.live(wi) & t.tb_active[wi] & t.wake.ready[wi]));
+        self.live = t.live() & t.tb_active.0 & t.wake.ready;
         // The wake queue against the column it is derived from. The dev
         // profile keeps debug assertions on, so every tier-1 simulation runs
         // this; release builds carry none of it.
         #[cfg(debug_assertions)]
-        for (wi, &issuable) in self.live_buf.iter().enumerate() {
-            let mut swept = t.live(wi) & t.tb_active[wi];
-            for (b, &ra) in t.ready_at[wi * 64..].iter().take(64).enumerate() {
+        {
+            let mut swept = t.live() & t.tb_active.0;
+            for (b, &ra) in t.ready_at.iter().enumerate() {
                 swept &= !(u64::from(ra > now) << b);
             }
-            debug_assert_eq!(issuable, swept, "{} wake queue, word {wi} at cycle {now}", self.id);
+            debug_assert_eq!(self.live, swept, "{} wake queue at cycle {now}", self.id);
         }
 
         // With no kernel gated and neither the priority gate nor a quota
@@ -250,7 +243,7 @@ impl Sm {
     }
 
     /// The ungated gather: every issuable warp is a candidate, so one pass
-    /// over the issuable words feeds every scheduler's [`Pick`] at once
+    /// over the issuable word feeds every scheduler's [`Pick`] at once
     /// (`sid = slot & (n - 1)`, the stripe partition), and all picks are made
     /// from tick-start state before any issue. That equals serving the
     /// schedulers one after another: a scheduler's candidates within the
@@ -264,10 +257,8 @@ impl Sm {
         // Entries past the scheduler count are never shown a candidate.
         let mut picks: [Pick; MAX_SCHEDS_FUSED] =
             std::array::from_fn(|sid| Pick::new(self.greedy.get(sid).copied().flatten()));
-        for (wi, &bits) in self.live_buf.iter().enumerate() {
-            for slot in slots(wi, bits) {
-                picks[slot & (n_scheds - 1)].see(slot as u16, self.warps.age[slot]);
-            }
+        for slot in slots(self.live) {
+            picks[slot & (n_scheds - 1)].see(slot as u16, self.warps.age[slot]);
         }
         for (sid, pick) in picks[..n_scheds].iter().enumerate() {
             if let Some(slot) = pick.choose() {
@@ -294,21 +285,18 @@ impl Sm {
         let mut tallied = 0;
         for sid in 0..n_scheds {
             let mut pick = Pick::new(self.greedy[sid]);
-            let mut any_open = false;
-            for wi in 0..self.live_buf.len() {
-                for slot in slots(wi, self.gate.open[wi] & self.stride_masks[sid][wi]) {
-                    any_open = true;
-                    // A kernel turned inert since the evaluation is still
-                    // open: `quota_allows` denies it, mutating nothing.
-                    let k = self.warps.kernel[slot].index();
-                    if self.quota_allows(k) {
-                        pick.see(slot as u16, self.warps.age[slot]);
-                    } else {
-                        self.quota_blocked[k] += 1;
-                    }
+            let open = self.gate.open & self.stride_masks[sid];
+            for slot in slots(open) {
+                // A kernel turned inert since the evaluation is still open:
+                // `quota_allows` denies it, mutating nothing.
+                let k = self.warps.kernel[slot].index();
+                if self.quota_allows(k) {
+                    pick.see(slot as u16, self.warps.age[slot]);
+                } else {
+                    self.quota_blocked[k] += 1;
                 }
             }
-            if !any_open {
+            if open == 0 {
                 // Nothing to pick and nothing to scavenge.
                 continue;
             }
@@ -323,7 +311,7 @@ impl Sm {
             // 3.4.1). The issue still debits the quota counter, so epoch
             // accounting and the section 3.5 feedback see the true
             // consumption.
-            let Some(slot) = pick.or_else(|| self.scavenge(sid)) else { continue };
+            let Some(slot) = pick.or_else(|| self.scavenge(open)) else { continue };
             let k = self.warps.kernel[usize::from(slot)].index();
             let exhaustions = self.quota_exhaustions[k];
             self.issue(slot, now, mem);
@@ -348,31 +336,27 @@ impl Sm {
     fn open_gate(&mut self) -> [bool; MAX_KERNELS] {
         let inert = self.inert_kernels();
         self.gate.evals += 1;
-        self.gate.open.clear();
-        for wi in 0..self.live_buf.len() {
-            self.gate.open.push(self.live_buf[wi] & !self.inert_bits(wi, &inert));
-        }
+        self.gate.open = self.live & !self.inert_bits(&inert);
         inert
     }
 
     /// Counts what schedulers `scheds` denied without a visit: one per
-    /// issuable warp of an `inert` kernel in their stripes. `live_buf` is
-    /// fixed for the tick and an inert kernel frees no slot, so the masks
-    /// are the ones those schedulers saw.
+    /// issuable warp of an `inert` kernel in their stripes. `live` is fixed
+    /// for the tick and an inert kernel frees no slot, so the masks are the
+    /// ones those schedulers saw.
     fn tally_blocked(&mut self, inert: &[bool; MAX_KERNELS], scheds: std::ops::Range<usize>) {
         if !inert.iter().any(|&b| b) {
             return;
         }
-        for wi in 0..self.live_buf.len() {
-            let stripes = scheds.clone().fold(0, |m, sid| m | self.stride_masks[sid][wi]);
-            self.count_blocked(inert, wi, self.live_buf[wi] & stripes, 1);
-        }
+        let stripes = scheds.fold(0, |m, sid| m | self.stride_masks[sid]);
+        self.count_blocked(inert, self.live & stripes, 1);
     }
 
-    /// Oldest issuable non-QoS warp whose kernel is only blocked by an
-    /// exhausted quota; `None` under the Rollover-Time priority gate while
-    /// QoS quota remains (strict time multiplexing is that scheme's point).
-    fn scavenge(&self, sid: usize) -> Option<u16> {
+    /// Oldest warp of `open` (a scheduler's open candidates) whose kernel is
+    /// non-QoS and only blocked by an exhausted quota; `None` under the
+    /// Rollover-Time priority gate while QoS quota remains (strict time
+    /// multiplexing is that scheme's point).
+    fn scavenge(&self, open: u64) -> Option<u16> {
         if self.quota_frozen {
             return None;
         }
@@ -386,15 +370,13 @@ impl Sm {
         }
         let mut best: Option<(u16, u64)> = None;
         let t = &self.warps;
-        for wi in 0..t.words() {
-            // A scavengeable kernel is never inert: its warps are open.
-            for slot in slots(wi, self.gate.open[wi] & self.stride_masks[sid][wi]) {
-                let k = t.kernel[slot].index();
-                if self.gated[k] && !self.is_qos[k] && self.quota[k] <= 0 {
-                    match best {
-                        Some((_, age)) if age <= t.age[slot] => {}
-                        _ => best = Some((slot as u16, t.age[slot])),
-                    }
+        // A scavengeable kernel is never inert: its warps are open.
+        for slot in slots(open) {
+            let k = t.kernel[slot].index();
+            if self.gated[k] && !self.is_qos[k] && self.quota[k] <= 0 {
+                match best {
+                    Some((_, age)) if age <= t.age[slot] => {}
+                    _ => best = Some((slot as u16, t.age[slot])),
                 }
             }
         }
@@ -476,14 +458,14 @@ impl Sm {
             if usize::from(self.warps.pc[i]) == body_len {
                 self.warps.iter[i] -= 1;
                 if self.warps.iter[i] == 0 {
-                    mask_set(&mut self.warps.done, slot);
+                    self.warps.done.0 |= bit(slot);
                     retired = true;
                 } else {
                     self.warps.pc[i] = 0;
                 }
             }
             if matches!(op, Op::Bar) {
-                mask_set(&mut self.warps.at_barrier, slot);
+                self.warps.at_barrier.0 |= bit(slot);
                 arrived_barrier = true;
             }
         }

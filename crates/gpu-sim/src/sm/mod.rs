@@ -35,8 +35,8 @@ mod tests;
 mod warp_table;
 
 pub use quota::QuotaCarry;
-pub(crate) use warp_table::slots;
 pub use warp_table::WarpTable;
+pub(crate) use warp_table::{bit, slots, SlotMask, MAX_SLOTS};
 
 use std::sync::Arc;
 
@@ -70,9 +70,9 @@ struct Sleep {
 /// Scratch of the quota-gated gather (DESIGN.md §3.1); never encoded.
 #[derive(Debug, Default)]
 struct Gate {
-    /// `live_buf` minus the warps of the kernels found quota-inert at the
-    /// last evaluation: the candidates a scheduler has to visit.
-    open: Vec<u64>,
+    /// `live` minus the warps of the kernels found quota-inert at the last
+    /// evaluation: the candidates a scheduler has to visit.
+    open: u64,
     /// `inert_kernels()` evaluations made by `tick` (`WorkCounters`).
     evals: u64,
     /// Mutation switch: keep the tick-start set across a quota exhaustion,
@@ -169,15 +169,16 @@ pub struct Sm {
     // verdict starts unknown.
     residency_moved: bool,
 
-    // Per-tick scratch: issuable mask words (occupied, not done, not at a
+    // Per-tick scratch: the issuable warps (occupied, not done, not at a
     // barrier, TB active, scoreboard released), computed once per tick and
-    // scanned per scheduler. Rebuilt every tick, so restore-as-empty is safe.
-    live_buf: Vec<u64>,
+    // scanned per scheduler. Rebuilt every tick, so restore-as-zero is safe.
+    live: u64,
     gate: Gate,
-    // Per-scheduler slot-stripe masks (bit set iff slot % num_scheds == sid).
-    // Pure function of the geometry; lazily rebuilt when empty, so a
-    // restored SM regenerates them on its first tick.
-    stride_masks: Vec<Vec<u64>>,
+    // Per-scheduler slot-stripe masks, one word each (bit set iff
+    // slot % num_scheds == sid). Pure function of the geometry; lazily
+    // rebuilt when empty, so a restored SM regenerates them on its first
+    // tick.
+    stride_masks: Vec<u64>,
     // `Some` while asleep (see `Sleep`). Set only by `sleep_from`, on the
     // machine's say-so; `None` at every epoch boundary and between runs, so
     // restore-as-`None` is what a snapshot would have held anyway.
@@ -244,7 +245,7 @@ impl Sm {
             completed: Vec::new(),
             saved: Vec::new(),
             residency_moved: false,
-            live_buf: Vec::new(),
+            live: 0,
             gate: Gate::default(),
             stride_masks: Vec::new(),
             sleep: None,
@@ -277,11 +278,10 @@ impl Sm {
     /// `stride_masks[sid]` is set iff warp slot `s` belongs to scheduler
     /// `sid` (`s % num_scheds == sid`).
     fn build_stride_masks(&mut self) {
-        let words = self.warps.words();
         let scheds = usize::from(self.num_scheds).max(1);
-        self.stride_masks = vec![vec![0u64; words]; scheds];
-        for slot in 0..usize::from(self.max_warps) {
-            self.stride_masks[slot % scheds][slot / 64] |= 1 << (slot % 64);
+        self.stride_masks = vec![0; scheds];
+        for slot in 0..self.max_warps {
+            self.stride_masks[usize::from(slot) % scheds] |= bit(slot);
         }
     }
 
@@ -298,7 +298,7 @@ impl Sm {
 crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 
 // `bodies` is a pure mirror of `descs`, rebuilt lazily by `issue`;
-// `live_buf` and `gate` are per-tick scratch, always rebuilt before use;
+// `live` and `gate` are per-tick scratch, always rebuilt before use;
 // `stride_masks` is a pure function of the geometry, lazily rebuilt;
 // `sleep` is `None` wherever a snapshot can be taken (the machine wakes every
 // SM before an epoch boundary's controller call and on every exit of a run);
@@ -356,7 +356,7 @@ crate::impl_snap_struct!(Sm {
     saved,
 } skip {
     bodies,
-    live_buf,
+    live,
     gate,
     stride_masks,
     sleep,

@@ -19,17 +19,15 @@ impl Sm {
     pub(crate) fn sample_idle_warps(&mut self, now: Cycle) {
         self.idle_samples += 1;
         let t = &self.warps;
-        for wi in 0..t.words() {
-            for slot in slots(wi, t.live(wi)) {
-                let k = t.kernel[slot].index();
-                if t.ready_at[slot] > now {
-                    // Scoreboard census rides on the same sampling cadence:
-                    // live warps waiting on operand latencies accumulate
-                    // into the per-kernel scoreboard-wait counter.
-                    self.scoreboard_waits[k] += 1;
-                } else if self.tbs.issuable(t.tb_slot[slot], now) {
-                    self.idle_warp_acc[k] += 1;
-                }
+        for slot in slots(t.live()) {
+            let k = t.kernel[slot].index();
+            if t.ready_at[slot] > now {
+                // Scoreboard census rides on the same sampling cadence: live
+                // warps waiting on operand latencies accumulate into the
+                // per-kernel scoreboard-wait counter.
+                self.scoreboard_waits[k] += 1;
+            } else if self.tbs.issuable(t.tb_slot[slot], now) {
+                self.idle_warp_acc[k] += 1;
             }
         }
     }
@@ -110,20 +108,14 @@ impl Sm {
 
     /// Census of resident warps by stall state at cycle `now`.
     pub fn warp_stall_counts(&self, now: Cycle) -> WarpStallCounts {
-        let mut counts = WarpStallCounts::default();
         let t = &self.warps;
-        for wi in 0..t.words() {
-            counts.done += (t.occupied[wi] & t.done[wi]).count_ones();
-            counts.at_barrier += (t.occupied[wi] & !t.done[wi] & t.at_barrier[wi]).count_ones();
-            for slot in slots(wi, t.live(wi)) {
-                if t.ready_at[slot] > now {
-                    counts.waiting += 1;
-                } else {
-                    counts.ready += 1;
-                }
-            }
+        let waiting = slots(t.live()).filter(|&slot| t.ready_at[slot] > now).count() as u32;
+        WarpStallCounts {
+            ready: t.live().count_ones() - waiting,
+            waiting,
+            at_barrier: (t.occupied.0 & !t.done.0 & t.at_barrier.0).count_ones(),
+            done: (t.occupied.0 & t.done.0).count_ones(),
         }
-        counts
     }
 
     /// Per-kernel ALU thread instructions (power model input).

@@ -187,12 +187,10 @@ impl Sm {
         std::array::from_fn(|k| self.quota_inert(k))
     }
 
-    /// Word `wi` of the warp slots owned by `inert` kernels.
+    /// The warp slots owned by `inert` kernels.
     #[inline]
-    pub(super) fn inert_bits(&self, wi: usize, inert: &[bool; MAX_KERNELS]) -> u64 {
-        (0..MAX_KERNELS)
-            .filter(|&k| inert[k])
-            .fold(0, |bits, k| bits | self.warps.kernel_mask[k][wi])
+    pub(super) fn inert_bits(&self, inert: &[bool; MAX_KERNELS]) -> u64 {
+        (0..MAX_KERNELS).filter(|&k| inert[k]).fold(0, |bits, k| bits | self.warps.kernel_mask[k].0)
     }
 
     /// Injected `StarveQuota` fault: gates every kernel at zero quota and

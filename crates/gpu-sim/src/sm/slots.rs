@@ -20,7 +20,7 @@ use crate::types::{Cycle, KernelId, TbIndex};
 use crate::warp::WarpProgress;
 use crate::MAX_KERNELS;
 
-use super::warp_table::{mask_clear, mask_get};
+use super::warp_table::bit;
 use super::Sm;
 
 impl Sm {
@@ -92,11 +92,11 @@ impl Sm {
             self.preempt_stats.transfer_cycles += load_cost;
         }
         let mut warps_done = 0u16;
-        for wi in 0..warps_per_tb {
-            let warp_uid = u64::from(tb_index.0) * u64::from(warps_per_tb) + u64::from(wi);
+        for warp_in_tb in 0..warps_per_tb {
+            let warp_uid = u64::from(tb_index.0) * u64::from(warps_per_tb) + u64::from(warp_in_tb);
             let progress = match saved_warps {
                 Some(saved) => {
-                    let p: &WarpProgress = &saved[wi as usize];
+                    let p: &WarpProgress = &saved[usize::from(warp_in_tb)];
                     if p.done {
                         warps_done += 1;
                     }
@@ -113,7 +113,7 @@ impl Sm {
             };
             let slot = self
                 .warps
-                .alloc(k, tb_slot, wi, warp_uid, &progress, now + load_cost, self.next_age)
+                .alloc(k, tb_slot, warp_in_tb, warp_uid, &progress, now + load_cost, self.next_age)
                 .expect("free warp slot");
             self.next_age += 1;
             self.warps.set_tb_phase_bits(slot, false, true);
@@ -242,8 +242,8 @@ impl Sm {
             self.tbs.barrier_arrived[i] = 0;
             for idx in 0..self.tbs.warp_slots[i].len() {
                 let ws = self.tbs.warp_slots[i][idx];
-                if self.warps.is_occupied(ws) && mask_get(&self.warps.at_barrier, ws) {
-                    mask_clear(&mut self.warps.at_barrier, ws);
+                if self.warps.is_occupied(ws) && self.warps.at_barrier.0 & bit(ws) != 0 {
+                    self.warps.at_barrier.0 &= !bit(ws);
                     let at = self.warps.ready_at[usize::from(ws)].max(now + 1);
                     self.warps.set_ready_at(ws, at);
                 }
@@ -342,8 +342,8 @@ impl Sm {
                         format!("TB slot {slot} claims warp slot {ws} it does not own"),
                     ));
                 }
-                let is_active = mask_get(&self.warps.tb_active, ws);
-                let is_loading = mask_get(&self.warps.tb_loading, ws);
+                let is_active = self.warps.tb_active.0 & bit(ws) != 0;
+                let is_loading = self.warps.tb_loading.0 & bit(ws) != 0;
                 if (is_active, is_loading) != (want_active, want_loading) {
                     return Err((
                         AuditKind::SlotAccounting,
@@ -396,7 +396,7 @@ impl Sm {
                 ),
             ));
         }
-        let live_warps: usize = self.warps.occupied.iter().map(|w| w.count_ones() as usize).sum();
+        let live_warps = self.warps.occupied.0.count_ones() as usize;
         if self.warps.free_slots() + live_warps != self.max_warps as usize {
             return Err((
                 AuditKind::SlotAccounting,

@@ -1,9 +1,11 @@
 //! Struct-of-arrays warp state for one SM.
 //!
-//! Parallel flat vecs (one per field) plus packed `u64` bitmasks, so
-//! ready-warp selection is a trailing-zeros scan over a handful of words
-//! ([`slots`]) and the cold per-warp fields are only touched for live
-//! candidates.
+//! Parallel flat vecs (one per field) plus one-word bitmasks: an SM hosts at
+//! most 64 warps and 64 TBs (`GpuConfig::validate` refuses more, and
+//! [`WarpTable::new`] and `TbSlab::new` assert it), so every per-SM slot
+//! mask is a single `u64` ([`SlotMask`] on the wire), ready-warp selection
+//! is a trailing-zeros scan of one word ([`slots`]), and the cold per-warp
+//! fields are only touched for live candidates.
 //!
 //! ## Bitmask invariants
 //!
@@ -45,65 +47,49 @@ use crate::rng::SplitMix64;
 use crate::types::{Cycle, KernelId, PerKernel};
 use crate::warp::{AddrStream, WarpProgress};
 
-/// Sets bit `slot` in a packed mask.
+/// Most warp or TB slots an SM has: one bit each in a `u64`.
+pub(crate) const MAX_SLOTS: usize = 64;
+
+/// The bit of `slot` in a one-word mask. A slot past the word (a bug, or a
+/// slot number decoded from a corrupt snapshot) panics in every profile
+/// rather than wrap onto another slot.
 #[inline]
-pub(crate) fn mask_set(mask: &mut [u64], slot: u16) {
-    mask[usize::from(slot) / 64] |= 1 << (usize::from(slot) % 64);
+pub(crate) fn bit(slot: u16) -> u64 {
+    1u64.checked_shl(u32::from(slot)).expect("a slot of a one-word mask")
 }
 
-/// Clears bit `slot` in a packed mask.
+/// A mask of an SM's warp or TB slots, bit = slot; on the wire a sequence
+/// of one word (`snap.rs`).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SlotMask(pub(crate) u64);
+
+/// The slots of the set bits of `bits`, lowest first: the one trailing-zeros
+/// scan every walk over a slot mask goes through.
 #[inline]
-pub(crate) fn mask_clear(mask: &mut [u64], slot: u16) {
-    mask[usize::from(slot) / 64] &= !(1 << (usize::from(slot) % 64));
-}
-
-/// Reads bit `slot` of a packed mask.
-#[inline]
-pub(crate) fn mask_get(mask: &[u64], slot: u16) -> bool {
-    mask[usize::from(slot) / 64] >> (usize::from(slot) % 64) & 1 == 1
-}
-
-/// The slots of the set bits of mask word `wi`, lowest first: the one
-/// trailing-zeros scan every walk over a packed mask goes through.
-#[inline]
-pub(crate) fn slots(wi: usize, bits: u64) -> Slots {
-    Slots { base: wi * 64, bits }
-}
-
-/// See [`slots`].
-pub(crate) struct Slots {
-    base: usize,
-    bits: u64,
-}
-
-impl Iterator for Slots {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.bits == 0 {
-            return None;
-        }
-        let slot = self.base + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
+pub(crate) fn slots(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let slot = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+        bits &= bits - 1;
         Some(slot)
-    }
+    })
 }
 
 /// Cycles the wake wheel spans: ALU, SFU, shared-memory and barrier
 /// latencies land inside it, memory responses go to the heap.
 const WHEEL_SPAN: Cycle = 64;
 
-/// Scoreboard releases as events. `Default` is the unbuilt state (`ready`
-/// empty), in which a fresh and a restored table both start: the first
-/// `advance` builds the queue from the column.
-#[derive(Debug, Default)]
+/// Scoreboard releases as events. `Default` is the unbuilt state, in which a
+/// fresh and a restored table both start: the first `advance` builds the
+/// queue from the column.
+#[derive(Debug)]
 pub(crate) struct WakeQueue {
+    /// `ready`, the wheel and the heap hold the column as of `clock`.
+    built: bool,
     /// Bit = scoreboard released at `clock`.
-    pub(crate) ready: Vec<u64>,
-    /// Bucket `c % WHEEL_SPAN` (one mask-word set each) holds the hints for
-    /// cycle `c`, `clock < c < clock + WHEEL_SPAN`.
-    wheel: Vec<u64>,
+    pub(crate) ready: u64,
+    /// Bucket `c % WHEEL_SPAN` holds the hints for cycle `c`,
+    /// `clock < c < clock + WHEEL_SPAN`.
+    wheel: [u64; WHEEL_SPAN as usize],
     /// Bit `b` = bucket `b` is non-empty: a long gap drains in O(hints due).
     wheel_occ: u64,
     /// Hints `WHEEL_SPAN` or more cycles out, earliest first.
@@ -113,6 +99,21 @@ pub(crate) struct WakeQueue {
     /// Hints drained / full builds from the column (`WorkCounters`).
     pub(crate) wake_events: u64,
     pub(crate) ready_rebuilds: u64,
+}
+
+impl Default for WakeQueue {
+    fn default() -> Self {
+        WakeQueue {
+            built: false,
+            ready: 0,
+            wheel: [0; WHEEL_SPAN as usize],
+            wheel_occ: 0,
+            far: BinaryHeap::new(),
+            clock: 0,
+            wake_events: 0,
+            ready_rebuilds: 0,
+        }
+    }
 }
 
 /// Struct-of-arrays storage for every warp slot of one SM.
@@ -143,14 +144,14 @@ pub struct WarpTable {
     pub(crate) rng: Vec<SplitMix64>,
     /// Dispatch age: smaller = older (GTO tie-break).
     pub(crate) age: Vec<u64>,
-    // --- packed bitmasks (bit = warp slot) ---
-    pub(crate) occupied: Vec<u64>,
-    pub(crate) done: Vec<u64>,
-    pub(crate) at_barrier: Vec<u64>,
-    pub(crate) tb_active: Vec<u64>,
-    pub(crate) tb_loading: Vec<u64>,
+    // --- one-word bitmasks (bit = warp slot) ---
+    pub(crate) occupied: SlotMask,
+    pub(crate) done: SlotMask,
+    pub(crate) at_barrier: SlotMask,
+    pub(crate) tb_active: SlotMask,
+    pub(crate) tb_loading: SlotMask,
     /// Per-kernel occupancy masks.
-    pub(crate) kernel_mask: PerKernel<Vec<u64>>,
+    pub(crate) kernel_mask: PerKernel<SlotMask>,
     /// Free-slot stack; built in reverse so slot 0 pops first, matching the
     /// allocation order of the previous per-slot `Option` layout.
     pub(crate) free: Vec<u16>,
@@ -158,10 +159,10 @@ pub struct WarpTable {
 }
 
 impl WarpTable {
-    /// Creates an empty table with `max_warps` slots.
+    /// Creates an empty table with `max_warps` slots, at most 64.
     pub fn new(max_warps: u16) -> Self {
         let n = usize::from(max_warps);
-        let words = n.div_ceil(64);
+        assert!(n <= MAX_SLOTS, "an SM hosts at most {MAX_SLOTS} warps, not {n}");
         WarpTable {
             kernel: vec![KernelId::new(0); n],
             tb_slot: vec![0; n],
@@ -174,12 +175,12 @@ impl WarpTable {
             seq: vec![0; n],
             rng: vec![SplitMix64::new(0); n],
             age: vec![0; n],
-            occupied: vec![0; words],
-            done: vec![0; words],
-            at_barrier: vec![0; words],
-            tb_active: vec![0; words],
-            tb_loading: vec![0; words],
-            kernel_mask: crate::types::per_kernel(|_| vec![0; words]),
+            occupied: SlotMask::default(),
+            done: SlotMask::default(),
+            at_barrier: SlotMask::default(),
+            tb_active: SlotMask::default(),
+            tb_loading: SlotMask::default(),
+            kernel_mask: PerKernel::default(),
             free: (0..max_warps).rev().collect(),
             wake: WakeQueue::default(),
         }
@@ -190,12 +191,6 @@ impl WarpTable {
         self.kernel.len()
     }
 
-    /// Number of mask words covering the table.
-    #[inline]
-    pub(crate) fn words(&self) -> usize {
-        self.occupied.len()
-    }
-
     /// Number of currently free slots.
     pub fn free_slots(&self) -> usize {
         self.free.len()
@@ -204,14 +199,13 @@ impl WarpTable {
     /// Whether `slot` currently hosts a warp.
     #[inline]
     pub fn is_occupied(&self, slot: u16) -> bool {
-        mask_get(&self.occupied, slot)
+        self.occupied.0 & bit(slot) != 0
     }
 
-    /// Word `wi` of the live warps: hosted, not retired, not parked at a
-    /// barrier.
+    /// The live warps: hosted, not retired, not parked at a barrier.
     #[inline]
-    pub(crate) fn live(&self, wi: usize) -> u64 {
-        self.occupied[wi] & !self.done[wi] & !self.at_barrier[wi]
+    pub(crate) fn live(&self) -> u64 {
+        self.occupied.0 & !self.done.0 & !self.at_barrier.0
     }
 
     /// Claims a free slot for a warp of `kernel`, writing every per-slot
@@ -242,11 +236,11 @@ impl WarpTable {
         self.seq[i] = progress.seq;
         self.rng[i] = progress.rng.clone();
         self.age[i] = age;
-        mask_set(&mut self.occupied, slot);
+        self.occupied.0 |= bit(slot);
         if progress.done {
-            mask_set(&mut self.done, slot);
+            self.done.0 |= bit(slot);
         }
-        mask_set(&mut self.kernel_mask[kernel.index()], slot);
+        self.kernel_mask[kernel.index()].0 |= bit(slot);
         Some(slot)
     }
 
@@ -267,12 +261,12 @@ impl WarpTable {
         self.seq[i] = 0;
         self.rng[i] = SplitMix64::new(0);
         self.age[i] = 0;
-        mask_clear(&mut self.occupied, slot);
-        mask_clear(&mut self.done, slot);
-        mask_clear(&mut self.at_barrier, slot);
-        mask_clear(&mut self.tb_active, slot);
-        mask_clear(&mut self.tb_loading, slot);
-        mask_clear(&mut self.kernel_mask[k], slot);
+        self.occupied.0 &= !bit(slot);
+        self.done.0 &= !bit(slot);
+        self.at_barrier.0 &= !bit(slot);
+        self.tb_active.0 &= !bit(slot);
+        self.tb_loading.0 &= !bit(slot);
+        self.kernel_mask[k].0 &= !bit(slot);
         self.free.push(slot);
     }
 
@@ -281,17 +275,17 @@ impl WarpTable {
     pub(crate) fn set_ready_at(&mut self, slot: u16, cycle: Cycle) {
         self.ready_at[usize::from(slot)] = cycle;
         let q = &mut self.wake;
-        if q.ready.is_empty() {
+        if !q.built {
             return;
         }
         if cycle <= q.clock {
-            mask_set(&mut q.ready, slot);
+            q.ready |= bit(slot);
             return;
         }
-        mask_clear(&mut q.ready, slot);
+        q.ready &= !bit(slot);
         if cycle - q.clock < WHEEL_SPAN {
             let bucket = (cycle % WHEEL_SPAN) as usize;
-            mask_set(&mut q.wheel[bucket * q.ready.len()..], slot);
+            q.wheel[bucket] |= bit(slot);
             q.wheel_occ |= 1 << bucket;
         } else {
             q.far.push(Reverse((cycle, slot)));
@@ -302,20 +296,21 @@ impl WarpTable {
     /// hints that came due since the last call. Time running backwards (only
     /// tests restart a clock) rebuilds like the unbuilt state does.
     pub(crate) fn advance(&mut self, now: Cycle) {
-        if self.wake.ready.is_empty() || now < self.wake.clock {
-            self.wake.ready = vec![0; self.words()];
-            self.wake.wheel = vec![0; self.words() * WHEEL_SPAN as usize];
-            self.wake.wheel_occ = 0;
-            self.wake.far.clear();
-            self.wake.clock = now;
-            self.wake.ready_rebuilds += 1;
+        if !self.wake.built || now < self.wake.clock {
+            let q = &mut self.wake;
+            q.built = true;
+            q.ready = 0;
+            q.wheel = [0; WHEEL_SPAN as usize];
+            q.wheel_occ = 0;
+            q.far.clear();
+            q.clock = now;
+            q.ready_rebuilds += 1;
             for slot in 0..self.capacity() as u16 {
                 self.set_ready_at(slot, self.ready_at[usize::from(slot)]);
             }
             return;
         }
         let WarpTable { wake: q, ready_at, .. } = self;
-        let words = q.ready.len();
         // Buckets of the cycles `clock + 1 ..= now`: all, from a full turn on.
         let gap = now - q.clock;
         let due = if gap >= WHEEL_SPAN {
@@ -329,15 +324,12 @@ impl WarpTable {
         let mut wake = |slot: u16| {
             q.wake_events += 1;
             if ready_at[usize::from(slot)] <= now {
-                mask_set(&mut q.ready, slot);
+                q.ready |= bit(slot);
             }
         };
-        for bucket in slots(0, buckets) {
-            for wi in 0..words {
-                let bits = std::mem::take(&mut q.wheel[bucket * words + wi]);
-                for slot in slots(wi, bits) {
-                    wake(slot as u16);
-                }
+        for bucket in slots(buckets) {
+            for slot in slots(std::mem::take(&mut q.wheel[bucket])) {
+                wake(slot as u16);
             }
         }
         while q.far.peek().is_some_and(|&Reverse((cycle, _))| cycle <= now) {
@@ -355,7 +347,7 @@ impl WarpTable {
             rem: self.rem[i],
             iter: self.iter[i],
             seq: self.seq[i],
-            done: mask_get(&self.done, slot),
+            done: self.done.0 & bit(slot) != 0,
             rng: self.rng[i].clone(),
         }
     }
@@ -375,15 +367,8 @@ impl WarpTable {
     /// owning TB's phase: `(active, loading)`.
     #[inline]
     pub(crate) fn set_tb_phase_bits(&mut self, slot: u16, active: bool, loading: bool) {
-        if active {
-            mask_set(&mut self.tb_active, slot);
-        } else {
-            mask_clear(&mut self.tb_active, slot);
-        }
-        if loading {
-            mask_set(&mut self.tb_loading, slot);
-        } else {
-            mask_clear(&mut self.tb_loading, slot);
+        for (mask, on) in [(&mut self.tb_active, active), (&mut self.tb_loading, loading)] {
+            mask.0 = (mask.0 & !bit(slot)) | (u64::from(on) << slot);
         }
     }
 }
@@ -421,21 +406,28 @@ mod tests {
 
     #[test]
     fn alloc_claims_increasing_slots_and_sets_masks() {
-        let mut t = WarpTable::new(70);
+        let mut t = WarpTable::new(64);
         let a = t.alloc(KernelId::new(0), 0, 0, 0, &fresh_progress(), 5, 1).unwrap();
         let b = t.alloc(KernelId::new(1), 1, 0, 0, &fresh_progress(), 5, 2).unwrap();
         assert_eq!((a, b), (0, 1));
         assert!(t.is_occupied(0) && t.is_occupied(1) && !t.is_occupied(2));
-        assert!(mask_get(&t.kernel_mask[0], 0) && mask_get(&t.kernel_mask[1], 1));
-        assert!(!mask_get(&t.done, 0) && !mask_get(&t.at_barrier, 0));
+        assert_eq!((t.kernel_mask[0].0, t.kernel_mask[1].0), (0b01, 0b10));
+        assert_eq!((t.done.0, t.at_barrier.0), (0, 0));
         assert_eq!(t.ready_at[0], 5);
-        // Slot 64 lives in the second mask word.
-        for _ in 2..64 {
+        // Slot 63 is the top bit of the word.
+        for _ in 2..63 {
             t.alloc(KernelId::new(0), 0, 0, 0, &fresh_progress(), 0, 0).unwrap();
         }
         let hi = t.alloc(KernelId::new(2), 0, 0, 0, &fresh_progress(), 0, 0).unwrap();
-        assert_eq!(hi, 64);
-        assert!(t.is_occupied(64) && mask_get(&t.kernel_mask[2], 64));
+        assert_eq!(hi, 63);
+        assert!(t.is_occupied(63) && t.kernel_mask[2].0 == 1 << 63);
+        assert_eq!(t.alloc(KernelId::new(0), 0, 0, 0, &fresh_progress(), 0, 0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 warps")]
+    fn a_table_refuses_a_65th_slot() {
+        WarpTable::new(65);
     }
 
     #[test]
@@ -446,7 +438,7 @@ mod tests {
         p.pc = 4;
         p.seq = 99;
         let s = t.alloc(KernelId::new(2), 3, 1, 42, &p, 17, 9).unwrap();
-        mask_set(&mut t.at_barrier, s);
+        t.at_barrier.0 |= bit(s);
         t.set_tb_phase_bits(s, true, false);
         t.free_slot(s);
         let fresh = WarpTable::new(16);
@@ -479,7 +471,57 @@ mod tests {
         let mut p = fresh_progress();
         p.done = true;
         let s = t.alloc(KernelId::new(0), 0, 0, 0, &p, 0, 0).unwrap();
-        assert!(mask_get(&t.done, s), "resumed retired warp keeps its done bit");
+        assert!(t.done.0 & bit(s) != 0, "resumed retired warp keeps its done bit");
+    }
+
+    /// A slot mask is one word: a blob whose warp-table, kernel or TB-slab mask
+    /// says it holds 0 or 2 words is refused, even with the stream kept aligned
+    /// (as many words follow as the prefix says), and the machine is untouched.
+    #[test]
+    fn restore_refuses_a_mask_that_is_not_one_word() {
+        use crate::gpu::{Gpu, NullController, SnapshotBlob, SnapshotError};
+        use crate::kernel::Op;
+        use crate::snap::encode_to_vec;
+        let cfg = crate::GpuConfig::tiny();
+        let mut gpu = Gpu::new(cfg.clone());
+        let desc = crate::kernel::KernelDesc::builder("t").threads_per_tb(64).regs_per_thread(16);
+        gpu.launch(desc.iterations(500).grid_tbs(8).body(vec![Op::Bar, Op::alu(2, 12)]).build());
+        gpu.run(5_000, &mut NullController);
+        let bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
+        let header = bytes.len() - SnapshotBlob::from_bytes(&bytes).expect("parses").payload_len();
+        let find = |record: &[u8]| bytes.windows(record.len()).position(|w| w == record);
+        // The masks are the last fields before each free-slot stack: the warp
+        // table's five, then its four kernel masks; the slab's one.
+        let sm = gpu.sms().last().expect("the machine has SMs");
+        let (table, slab) = (encode_to_vec(&sm.warps), encode_to_vec(&sm.tbs));
+        let table_masks = find(&table).expect("the warp table") + table.len()
+            - encode_to_vec(&sm.warps.free).len()
+            - 9 * 16;
+        let slab_mask =
+            find(&slab).expect("the TB slab") + slab.len() - encode_to_vec(&sm.tbs.free).len() - 16;
+        let masks = [
+            ("occupied", table_masks),
+            ("kernel_mask[3]", table_masks + 8 * 16),
+            ("slab", slab_mask),
+        ];
+        for (what, at) in masks {
+            assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes(), "{what} is one word");
+            for words in [0u64, 2] {
+                let mut bad = bytes[..at].to_vec();
+                bad.extend(words.to_le_bytes());
+                bad.extend(std::iter::repeat_n(0, 8 * words as usize));
+                bad.extend(&bytes[at + 16..]);
+                let payload = (bad.len() - header) as u64;
+                bad[header - 8..header].copy_from_slice(&payload.to_le_bytes());
+                let blob = SnapshotBlob::from_bytes(&bad).expect("the header is intact");
+                let mut fresh = Gpu::new(cfg.clone());
+                match fresh.restore(&blob) {
+                    Err(SnapshotError::Corrupt(_)) => {}
+                    other => panic!("{what} of {words} words must be refused, got {other:?}"),
+                }
+                assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+            }
+        }
     }
 
     mod wake_queue {
@@ -490,62 +532,70 @@ mod tests {
         fn ready_matches_column(t: &WarpTable, now: Cycle) -> Result<(), TestCaseError> {
             for slot in (0..t.capacity() as u16).filter(|&s| t.is_occupied(s)) {
                 let swept = t.ready_at[usize::from(slot)] <= now;
-                prop_assert_eq!(mask_get(&t.wake.ready, slot), swept, "slot {} at {}", slot, now);
+                prop_assert_eq!(t.wake.ready & bit(slot) != 0, swept, "slot {} at {}", slot, now);
             }
+            Ok(())
+        }
+
+        /// Random writes of the column (in the past, now, inside, at and
+        /// beyond the wheel span, far out, `Cycle::MAX`), slots freed and
+        /// re-allocated under their old hints, and time moving by nothing,
+        /// a cycle, across the span edge and far beyond it, on a table of
+        /// `capacity` slots with half of them hosted.
+        fn ready_mask_tracks_the_column(capacity: u16, ops: &[u64]) -> Result<(), TestCaseError> {
+            const DELAYS: [u64; 7] = [0, 1, 63, 64, 65, 5_000, Cycle::MAX];
+            const GAPS: [u64; 6] = [0, 1, 63, 64, 65, 10_000];
+            let mut t = WarpTable::new(capacity);
+            let mut now: Cycle = 20_000;
+            for s in 0..capacity / 2 {
+                t.alloc(KernelId::new(0), 0, s, 0, &fresh_progress(), now + u64::from(s), 0);
+            }
+            for &op in ops {
+                let slot = (op >> 8) as u16 % capacity;
+                let pick = (op >> 32) as usize;
+                let at = match DELAYS[pick % 7] {
+                    0 if pick & 8 == 0 => now - (op >> 40) % 100,
+                    Cycle::MAX => Cycle::MAX,
+                    d => now + d,
+                };
+                match op % 8 {
+                    0..=3 if t.is_occupied(slot) => t.set_ready_at(slot, at),
+                    4 if t.is_occupied(slot) => {
+                        // The free stack is LIFO: the same slot comes
+                        // back, still carrying its old hints.
+                        t.free_slot(slot);
+                        let p = fresh_progress();
+                        let got = t.alloc(KernelId::new(1), 0, 0, 0, &p, at.max(now + 2), 0);
+                        prop_assert_eq!(got, Some(slot));
+                    }
+                    5 if t.is_occupied(slot) => t.free_slot(slot),
+                    0..=5 => {
+                        t.alloc(KernelId::new(2), 0, 0, 0, &fresh_progress(), at, 0);
+                    }
+                    _ => {
+                        now += GAPS[pick % 6];
+                        t.advance(now);
+                        ready_matches_column(&t, now)?;
+                    }
+                }
+            }
+            t.advance(now);
+            ready_matches_column(&t, now)?;
+            prop_assert_eq!(t.wake.ready_rebuilds, 1, "built once, drained ever after");
             Ok(())
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Random writes of the column (in the past, now, inside, at and
-            /// beyond the wheel span, far out, `Cycle::MAX`), slots freed and
-            /// re-allocated under their old hints, and time moving by
-            /// nothing, a cycle, across the span edge and far beyond it.
+            /// A partial word (61 slots) and a full one (64: slot 63 is the
+            /// top bit).
             #[test]
             fn ready_mask_equals_the_swept_column(
                 ops in prop::collection::vec(any::<u64>(), 1..400),
             ) {
-                const DELAYS: [u64; 7] = [0, 1, 63, 64, 65, 5_000, Cycle::MAX];
-                const GAPS: [u64; 6] = [0, 1, 63, 64, 65, 10_000];
-                // Two mask words, the second partial; half the slots hosted.
-                let mut t = WarpTable::new(70);
-                let mut now: Cycle = 20_000;
-                for s in 0..35 {
-                    t.alloc(KernelId::new(0), 0, s, 0, &fresh_progress(), now + u64::from(s), 0);
-                }
-                for op in ops {
-                    let slot = (op >> 8) as u16 % 70;
-                    let pick = (op >> 32) as usize;
-                    let at = match DELAYS[pick % 7] {
-                        0 if pick & 8 == 0 => now - (op >> 40) % 100,
-                        Cycle::MAX => Cycle::MAX,
-                        d => now + d,
-                    };
-                    match op % 8 {
-                        0..=3 if t.is_occupied(slot) => t.set_ready_at(slot, at),
-                        4 if t.is_occupied(slot) => {
-                            // The free stack is LIFO: the same slot comes
-                            // back, still carrying its old hints.
-                            t.free_slot(slot);
-                            let p = fresh_progress();
-                            let got = t.alloc(KernelId::new(1), 0, 0, 0, &p, at.max(now + 2), 0);
-                            prop_assert_eq!(got, Some(slot));
-                        }
-                        5 if t.is_occupied(slot) => t.free_slot(slot),
-                        0..=5 => {
-                            t.alloc(KernelId::new(2), 0, 0, 0, &fresh_progress(), at, 0);
-                        }
-                        _ => {
-                            now += GAPS[pick % 6];
-                            t.advance(now);
-                            ready_matches_column(&t, now)?;
-                        }
-                    }
-                }
-                t.advance(now);
-                ready_matches_column(&t, now)?;
-                prop_assert_eq!(t.wake.ready_rebuilds, 1, "built once, drained ever after");
+                ready_mask_tracks_the_column(61, &ops)?;
+                ready_mask_tracks_the_column(64, &ops)?;
             }
         }
 
@@ -554,11 +604,11 @@ mod tests {
             let mut t = WarpTable::new(8);
             let s = t.alloc(KernelId::new(0), 0, 0, 0, &fresh_progress(), 30, 0).unwrap();
             t.advance(40);
-            assert!(mask_get(&t.wake.ready, s));
+            assert!(t.wake.ready & bit(s) != 0);
             t.advance(10);
-            assert!(!mask_get(&t.wake.ready, s), "not released yet at cycle 10");
+            assert!(t.wake.ready & bit(s) == 0, "not released yet at cycle 10");
             t.advance(30);
-            assert!(mask_get(&t.wake.ready, s), "the rebuild re-filed the hint");
+            assert!(t.wake.ready & bit(s) != 0, "the rebuild re-filed the hint");
             assert_eq!(t.wake.ready_rebuilds, 2);
         }
 
@@ -571,7 +621,7 @@ mod tests {
             t.advance(5);
             assert_eq!(encode_to_vec(&t), unbuilt, "building the queue moves no snapshot byte");
             let back: WarpTable = decode_from_slice(&unbuilt).expect("decodes");
-            assert!(back.wake.ready.is_empty(), "a restored table builds its queue anew");
+            assert!(!back.wake.built, "a restored table builds its queue anew");
         }
     }
 }

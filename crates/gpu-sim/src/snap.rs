@@ -337,6 +337,21 @@ impl Snap for KernelId {
     }
 }
 
+/// An SM's slot mask travels as a sequence of one word: a `u64` length of 1,
+/// then the word, the layout of snapshot schema 10. Any other length is
+/// refused, so a decoded mask is always the whole mask.
+impl Snap for crate::sm::SlotMask {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (1u64, self.0).encode(out);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match u64::decode(r)? {
+            1 => Ok(crate::sm::SlotMask(u64::decode(r)?)),
+            _ => Err(SnapError::Invalid("slot mask length")),
+        }
+    }
+}
+
 /// `Arc` snapshots its inner value; decoding creates a fresh, unshared
 /// allocation. The simulator never relies on `Arc` pointer identity (SMs and
 /// the TB scheduler only read through it), so restored clones are

@@ -1,5 +1,6 @@
 //! Per-thread-block residency state, arena-allocated per SM.
 
+use crate::sm::{bit, SlotMask};
 use crate::types::{Cycle, KernelId, TbIndex};
 
 /// Lifecycle phase of a resident thread block.
@@ -18,9 +19,10 @@ pub enum TbPhase {
 /// Slab of thread-block bookkeeping, indexed by TB slot id.
 ///
 /// Struct-of-arrays layout: each field is a flat vec of `max_tbs` entries,
-/// one per slot, plus a packed `occupied` bitmask and an explicit free-slot
-/// stack. The per-slot `warp_slots` vecs are retained (only `.clear()`ed)
-/// when a slot is released, so steady-state dispatch allocates nothing.
+/// one per slot, plus a one-word `occupied` bitmask (an SM hosts at most 64
+/// TBs) and an explicit free-slot stack. The per-slot `warp_slots` vecs are
+/// retained (only `.clear()`ed) when a slot is released, so steady-state
+/// dispatch allocates nothing.
 ///
 /// Freed slots are reset to canonical values (kernel 0, index 0, empty warp
 /// list, `Active` phase) so that two machines reaching the same architectural
@@ -39,17 +41,18 @@ pub struct TbSlab {
     pub(crate) barrier_arrived: Vec<u16>,
     /// Current lifecycle phase per slot.
     pub(crate) phase: Vec<TbPhase>,
-    /// Packed occupancy bitmask (bit = slot).
-    pub(crate) occupied: Vec<u64>,
+    /// Occupancy bitmask (bit = slot).
+    pub(crate) occupied: SlotMask,
     /// Free-slot stack; built in reverse so slot 0 pops first, matching the
     /// dispatch order of the previous per-slot `Option` layout.
     pub(crate) free: Vec<u16>,
 }
 
 impl TbSlab {
-    /// Creates an empty slab with `max_tbs` slots.
+    /// Creates an empty slab with `max_tbs` slots, at most 64.
     pub fn new(max_tbs: u16) -> Self {
         let n = usize::from(max_tbs);
+        assert!(n <= crate::sm::MAX_SLOTS, "an SM hosts at most 64 TBs, not {n}");
         TbSlab {
             kernel: vec![KernelId::new(0); n],
             tb_index: vec![TbIndex(0); n],
@@ -57,7 +60,7 @@ impl TbSlab {
             warps_done: vec![0; n],
             barrier_arrived: vec![0; n],
             phase: vec![TbPhase::Active; n],
-            occupied: vec![0; n.div_ceil(64)],
+            occupied: SlotMask::default(),
             free: (0..max_tbs).rev().collect(),
         }
     }
@@ -75,7 +78,7 @@ impl TbSlab {
     /// Whether `slot` currently hosts a TB.
     #[inline]
     pub fn is_occupied(&self, slot: u16) -> bool {
-        self.occupied[usize::from(slot) / 64] >> (usize::from(slot) % 64) & 1 == 1
+        self.occupied.0 & bit(slot) != 0
     }
 
     /// Claims a free slot for a freshly dispatched TB and initialises its
@@ -96,7 +99,7 @@ impl TbSlab {
         self.warps_done[i] = warps_done;
         self.barrier_arrived[i] = 0;
         self.phase[i] = phase;
-        self.occupied[i / 64] |= 1 << (i % 64);
+        self.occupied.0 |= bit(slot);
         Some(slot)
     }
 
@@ -111,7 +114,7 @@ impl TbSlab {
         self.warps_done[i] = 0;
         self.barrier_arrived[i] = 0;
         self.phase[i] = TbPhase::Active;
-        self.occupied[i / 64] &= !(1 << (i % 64));
+        self.occupied.0 &= !bit(slot);
         self.free.push(slot);
     }
 
@@ -141,8 +144,7 @@ impl TbSlab {
 
     /// Iterates the slot ids of all occupied slots in increasing order.
     pub fn iter_occupied(&self) -> impl Iterator<Item = u16> + '_ {
-        let words = self.occupied.iter().enumerate();
-        words.flat_map(|(wi, &word)| crate::sm::slots(wi, word).map(|slot| slot as u16))
+        crate::sm::slots(self.occupied.0).map(|slot| slot as u16)
     }
 }
 
@@ -201,6 +203,12 @@ mod tests {
         let c = s.alloc(KernelId::new(2), TbIndex(2), 0, TbPhase::Active).unwrap();
         assert_eq!(c, a, "released slot is reused next");
         assert_eq!(s.iter_occupied().collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 TBs")]
+    fn a_slab_refuses_a_65th_slot() {
+        TbSlab::new(65);
     }
 
     #[test]
