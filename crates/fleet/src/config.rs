@@ -128,9 +128,17 @@ pub struct FleetFault {
     pub at_cycle: u64,
     /// Device index it strikes.
     pub device: u32,
-    /// What breaks (typically [`FaultKind::DeviceLoss`] or
-    /// [`FaultKind::DeviceWedge`]).
+    /// What breaks: [`FaultKind::DeviceLoss`] or [`FaultKind::DeviceWedge`]
+    /// ([`FleetConfig::validate`] refuses any other kind).
     pub kind: FaultKind,
+}
+
+impl FleetFault {
+    /// Whether a device can suffer `kind`: it dies or it wedges. Both are
+    /// terminal, so a device keeps its fault pending until it strikes.
+    pub(crate) fn strikes_a_device(kind: FaultKind) -> bool {
+        matches!(kind, FaultKind::DeviceLoss | FaultKind::DeviceWedge)
+    }
 }
 
 gpu_sim::impl_snap_struct!(FleetFault { at_cycle, device, kind });
@@ -257,6 +265,14 @@ pub enum FleetConfigError {
         /// How many devices exist.
         devices: u32,
     },
+    /// A scheduled fault is of a kind a device cannot suffer (anything but
+    /// [`FaultKind::DeviceLoss`] and [`FaultKind::DeviceWedge`]).
+    NotADeviceFault {
+        /// The targeted device.
+        device: u32,
+        /// The refused kind.
+        kind: FaultKind,
+    },
     /// A planned drain targets a device index beyond the fleet.
     DrainBeyondFleet {
         /// The targeted device.
@@ -302,6 +318,11 @@ impl fmt::Display for FleetConfigError {
             FleetConfigError::FaultBeyondFleet { device, devices } => {
                 write!(f, "fault targets nonexistent device {device} (fleet has {devices})")
             }
+            FleetConfigError::NotADeviceFault { device, kind } => write!(
+                f,
+                "fault {kind:?} on device {device} is not a device fault \
+                 (DeviceLoss or DeviceWedge)"
+            ),
             FleetConfigError::DrainBeyondFleet { device, devices } => {
                 write!(f, "drain targets nonexistent device {device} (fleet has {devices})")
             }
@@ -426,6 +447,9 @@ impl FleetConfig {
         for f in &self.faults {
             if f.device >= devices {
                 return Err(FleetConfigError::FaultBeyondFleet { device: f.device, devices });
+            }
+            if !FleetFault::strikes_a_device(f.kind) {
+                return Err(FleetConfigError::NotADeviceFault { device: f.device, kind: f.kind });
             }
         }
         for d in &self.drains {
@@ -591,6 +615,18 @@ mod tests {
             cfg.validate(),
             Err(FleetConfigError::DrainBeyondFleet { device: 5, devices: 2 })
         );
+    }
+
+    #[test]
+    fn a_fault_a_device_cannot_suffer_is_refused() {
+        let mut cfg = base();
+        cfg.faults.push(FleetFault { at_cycle: 10, device: 1, kind: FaultKind::Panic });
+        assert_eq!(
+            cfg.validate(),
+            Err(FleetConfigError::NotADeviceFault { device: 1, kind: FaultKind::Panic })
+        );
+        cfg.faults[0].kind = FaultKind::DeviceWedge;
+        cfg.validate().expect("a wedge strikes a device");
     }
 
     #[test]

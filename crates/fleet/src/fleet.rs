@@ -45,8 +45,8 @@ use gpu_sim::rng::{derive_seed, SplitMix64};
 use gpu_sim::snap::{Snap, SnapError, SnapReader};
 use gpu_sim::telemetry::{LatencyHistogram, TimeSeries};
 use gpu_sim::{
-    CounterEntry, CounterKind, CounterScope, FaultKind, FaultPlan, Gpu, KernelId, NullController,
-    SimError, SnapshotBlob, MAX_KERNELS,
+    CounterEntry, CounterKind, CounterScope, FaultPlan, Gpu, KernelId, NullController, SimError,
+    SnapshotBlob, MAX_KERNELS,
 };
 use qos_core::{kernel_footprint_bytes, WorkingSetTracker};
 use workloads::arrival::{request_kernel, ArrivalStream};
@@ -170,7 +170,10 @@ struct Device {
     batches: u64,
     /// Requests completed on this device.
     served: u64,
-    /// Scheduled faults not yet injected, fleet-absolute.
+    /// Scheduled faults that have not yet retired the device,
+    /// fleet-absolute. Every fleet fault is terminal, so one that fired in a
+    /// batch whose work finished before the watchdog tripped stays here: the
+    /// next batch meets it at cycle zero.
     pending_faults: Vec<FleetFault>,
     /// Scheduled planned drains not yet taken, fleet-absolute cycles.
     pending_drains: Vec<u64>,
@@ -1013,19 +1016,6 @@ impl Fleet {
                 batch.ckpt = Ckpt::of(&batch.gpu);
             }
             self.devices[di].batch = Some(batch);
-        } else {
-            // Batch over: drop the GPU and retire transient faults that
-            // fired inside it. Device-terminal faults (loss, wedge) stay
-            // pending even if they technically fired — a batch whose work
-            // happened to finish before the watchdog could trip must not
-            // launder the device back to health; the next batch on it will
-            // hit the fault at cycle zero and be classified properly.
-            let ran = batch.gpu.cycle();
-            let base = batch.fault_base;
-            self.devices[di].pending_faults.retain(|f| {
-                matches!(f.kind, FaultKind::DeviceLoss | FaultKind::DeviceWedge)
-                    || f.at_cycle.saturating_sub(base) >= ran
-            });
         }
     }
 
@@ -1521,8 +1511,14 @@ impl Fleet {
                     && device_ok(pm.from_device)
                     && pm.slots.iter().all(|&id| id < requests.len() as u64)
             })
+            // Every fleet fault is one a device can suffer (`validate`).
+            && devices.iter().all(|d| {
+                d.pending_faults.iter().all(|f| FleetFault::strikes_a_device(f.kind))
+            })
             && batches().all(|b| {
-                b.active.len() == b.requests.len() && b.requests.iter().all(|&id| request_ok(id))
+                b.active.len() == b.requests.len()
+                    && b.requests.iter().all(|&id| request_ok(id))
+                    && b.gpu.config().faults.faults.iter().all(|f| FleetFault::strikes_a_device(f.kind))
             });
         if !in_range {
             return Err(misshapen());
@@ -2010,6 +2006,38 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_pending_fault_a_device_cannot_suffer() {
+        let cfg = scenarios::steady(5);
+        let mut fleet = Fleet::new(cfg.clone());
+        fleet.step();
+        Fleet::restore(cfg.clone(), &fleet.snapshot()).expect("a healthy snapshot restores");
+        let panic = FleetFault { at_cycle: 1 << 40, device: 0, kind: FaultKind::Panic };
+        fleet.devices[0].pending_faults.push(panic);
+        let err = Fleet::restore(cfg, &fleet.snapshot()).expect_err("must refuse");
+        assert!(err.contains("does not match"), "{err}");
+    }
+
+    #[test]
+    fn restore_refuses_a_batch_fault_a_device_cannot_suffer() {
+        let cfg = scenarios::steady(5);
+        let mut fleet = Fleet::new(cfg.clone());
+        let busy = |fleet: &Fleet| fleet.devices.iter().position(|d| d.batch.is_some());
+        while busy(&fleet).is_none() {
+            assert!(!fleet.step(), "some batch outlives a tick");
+        }
+        Fleet::restore(cfg.clone(), &fleet.snapshot()).expect("a healthy snapshot restores");
+        let di = busy(&fleet).expect("a busy device");
+        let plan = FaultPlan::one(1 << 40, FaultKind::Panic);
+        let mut gpu = Gpu::new(cfg.device_config(fleet.devices[di].class, plan));
+        let batch = fleet.devices[di].batch.as_mut().expect("busy");
+        let bytes = batch.gpu.snapshot().expect("ticks end on epoch boundaries").into_bytes();
+        gpu.restore_compat(&SnapshotBlob::from_bytes(&bytes).expect("blob")).expect("same class");
+        batch.gpu = gpu;
+        let err = Fleet::restore(cfg, &fleet.snapshot()).expect_err("must refuse");
+        assert!(err.contains("does not match"), "{err}");
+    }
+
+    #[test]
     fn dead_fleet_sheds_the_queue_instead_of_losing_it() {
         let mut cfg = scenarios::steady(13);
         cfg.classes = vec![DeviceClass::small(1)];
@@ -2071,7 +2099,7 @@ mod tests {
                 7,
                 [
                     0x4c2a_6721_bb88_1b87,
-                    0x1b48_58b5_73cf_6a55,
+                    0x94c0_1f0c_b05d_567c,
                     0xd87e_59ed_3295_a6c8,
                     0xfe53_8e2e_616d_d709,
                 ],
@@ -2081,7 +2109,7 @@ mod tests {
                 10,
                 [
                     0xe2b5_54a6_7c71_d5ba,
-                    0x2bce_caa9_97da_d63c,
+                    0x8fc2_5246_6172_9dd3,
                     0x656f_424e_b3a3_831d,
                     0x7bb3_ae44_3cb0_985e,
                 ],
@@ -2091,7 +2119,7 @@ mod tests {
                 8,
                 [
                     0x6454_3830_9a98_c3b4,
-                    0x5481_c8e8_0c12_844f,
+                    0x253c_5ada_8bec_92e3,
                     0x775c_2960_274f_f97e,
                     0x1234_b80b_c147_9b7e,
                 ],
@@ -2101,7 +2129,7 @@ mod tests {
                 177,
                 [
                     0x4677_8130_fbf8_cccc,
-                    0x184c_4856_143e_cbb5,
+                    0x8c68_bf41_92f9_a0ce,
                     0x37ac_4b01_d5cb_923a,
                     0xb670_3766_b0ea_5722,
                 ],

@@ -210,7 +210,7 @@ impl Gpu {
         while self.cycle < end {
             let now = self.cycle;
             if self.cfg.faults.faults.get(self.fault_cursor).is_some_and(|f| f.at_cycle <= now) {
-                // Faults rewrite quota and freeze state.
+                // A wedge freezes every SM's schedulers.
                 self.wake_sms(now);
                 self.apply_faults(now)?;
             }
@@ -337,17 +337,6 @@ impl Gpu {
             self.fault_cursor += 1;
             self.record(now, TraceEventKind::FaultInjected { fault: fault.kind });
             match fault.kind {
-                FaultKind::StarveQuota => {
-                    for sm in &mut self.sms {
-                        sm.freeze_all_quota();
-                    }
-                }
-                FaultKind::FreezeScheduler { sm } => self.sms[sm].freeze_schedulers(),
-                FaultKind::StallPreemption => {
-                    for sm in &mut self.sms {
-                        sm.stall_preemption();
-                    }
-                }
                 FaultKind::Panic => {
                     panic!("injected fault: panic at cycle {now} (scheduled at {})", fault.at_cycle)
                 }
@@ -914,8 +903,8 @@ impl Gpu {
             self.cfg.faults.faults.iter().take_while(|f| f.at_cycle < self.cycle).count();
         // The snapshot may have been taken after a silent fault fired on
         // the source machine (a wedge freezes schedulers well before the
-        // watchdog can classify it). Those effects describe the sick
-        // device, not the workload — carrying them onto healthy silicon
+        // watchdog can classify it). That freeze describes the sick
+        // device, not the workload — carrying it onto healthy silicon
         // would wedge the receiver too, cascading one hardware failure
         // across the fleet. The plain [`Gpu::restore`] path deliberately
         // keeps them: resuming the *same* machine must reproduce the
@@ -1059,10 +1048,13 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// rotation words, and `sched_policy` from the embedded [`GpuConfig`] (and so
 /// from both fingerprints) — and refuses `SharingMode` tag 3 and kernel ids
 /// past [`crate::MAX_KERNELS`]; version 10 took version 6's histograms and
-/// series back out, as nothing outside tests read them (DESIGN.md §8.1).
+/// series back out, as nothing outside tests read them (DESIGN.md §8.1);
+/// version 11 took the quota-freeze and preemption-stall flags out of every
+/// per-SM record and refuses [`FaultKind`] tags 0–2, with the faults that set
+/// them gone.
 /// The run loop's [`WorkCounters`] are deliberately absent: they count how
 /// this process stepped the machine, not the machine.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 11;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";
@@ -1377,6 +1369,29 @@ mod tests {
 
     use crate::health::{FaultKind, FaultPlan, SimError};
 
+    /// From epoch 3 (cycle 3 000 on the tiny machine) on, makes every kernel
+    /// on every SM a gated QoS kernel with zero quota and zero refill: a
+    /// machine-wide quota-starvation livelock, made through the control
+    /// plane alone.
+    struct Starver;
+
+    impl Controller for Starver {
+        fn on_epoch(&mut self, gpu: &mut Gpu, epoch: u64) {
+            if epoch < 3 {
+                return;
+            }
+            let kernels: Vec<KernelId> = gpu.kernel_ids().collect();
+            for sm in gpu.sm_ids().collect::<Vec<_>>() {
+                let mut quota = gpu.sm_quota(sm);
+                for &k in &kernels {
+                    quota.set_qos_kernel(k, true);
+                    quota.set_gated(k, true);
+                    quota.set_epoch_quota(k, 0, crate::sm::QuotaCarry::Reset, 0);
+                }
+            }
+        }
+    }
+
     #[test]
     fn watchdog_stays_silent_while_progressing() {
         let mut cfg = GpuConfig::tiny();
@@ -1406,12 +1421,11 @@ mod tests {
     fn watchdog_trips_on_starved_quota_livelock_and_names_the_kernel() {
         let mut cfg = GpuConfig::tiny();
         cfg.health.watchdog_window = 2_000;
-        cfg.faults = FaultPlan::one(3_000, FaultKind::StarveQuota);
         let mut gpu = Gpu::new(cfg);
         gpu.launch(compute_kernel("victim"));
         gpu.launch(memory_kernel("other"));
         let err = gpu
-            .try_run(50_000, &mut NullController)
+            .try_run(50_000, &mut Starver)
             .expect_err("all-gated livelock must trip the watchdog");
         assert!(
             gpu.cycle() < 50_000,
@@ -1427,43 +1441,7 @@ mod tests {
             "report must name the quota-starved kernels, got {starved:?}"
         );
         assert!(report.summary().contains("victim"), "{}", report.summary());
-        assert!(report.total_issued > 0, "progress happened before the fault");
-    }
-
-    #[test]
-    fn frozen_scheduler_halts_only_that_sm() {
-        let mut cfg = GpuConfig::tiny();
-        cfg.faults = FaultPlan::one(0, FaultKind::FreezeScheduler { sm: 0 });
-        let mut gpu = Gpu::new(cfg);
-        gpu.launch(compute_kernel("c"));
-        gpu.run(10_000, &mut NullController);
-        assert_eq!(gpu.sms()[0].issued_total(), 0, "frozen SM must not issue");
-        assert!(gpu.sms()[1].issued_total() > 0, "the other SM keeps running");
-    }
-
-    #[test]
-    fn stalled_preemption_engine_refuses_saves() {
-        let run = |stalled: bool| {
-            let mut cfg = GpuConfig::tiny();
-            if stalled {
-                cfg.faults = FaultPlan::one(0, FaultKind::StallPreemption);
-            }
-            let mut gpu = Gpu::new(cfg);
-            let k = gpu.launch(compute_kernel("c"));
-            gpu.set_sharing_mode(SharingMode::Smk);
-            for sm in gpu.sm_ids().collect::<Vec<_>>() {
-                gpu.set_tb_target(sm, k, 4);
-            }
-            gpu.run(3_000, &mut NullController);
-            // Shrink the target: the TB scheduler now wants to preempt.
-            for sm in gpu.sm_ids().collect::<Vec<_>>() {
-                gpu.set_tb_target(sm, k, 1);
-            }
-            gpu.run(10_000, &mut NullController);
-            gpu.preempt_stats().saves
-        };
-        assert_eq!(run(true), 0, "a stalled engine must refuse every save");
-        assert!(run(false) > 0, "the healthy engine preempts down to the target");
+        assert!(report.total_issued > 0, "progress happened before the starvation");
     }
 
     #[test]
@@ -1843,10 +1821,9 @@ mod tests {
         // offline inspection.
         let mut cfg = GpuConfig::tiny();
         cfg.health.watchdog_window = 2_000;
-        cfg.faults = FaultPlan::one(3_000, FaultKind::StarveQuota);
         let mut gpu = Gpu::new(cfg.clone());
         gpu.launch(compute_kernel("victim"));
-        let err = gpu.try_run(50_000, &mut NullController).expect_err("must trip");
+        let err = gpu.try_run(50_000, &mut Starver).expect_err("must trip");
         assert!(matches!(err, SimError::Watchdog(_)));
         let blob = gpu.snapshot().expect("trip cycle is an epoch boundary");
         let mut inspect = Gpu::new(cfg);

@@ -10,7 +10,7 @@
 //!   [`watchdog_window`](HealthConfig::watchdog_window) cycles. If a full
 //!   window elapses with kernels resident and not a single instruction
 //!   issued anywhere, the machine is wedged — quota starvation, a barrier
-//!   deadlock, a frozen scheduler — and
+//!   deadlock, frozen schedulers — and
 //!   [`Gpu::try_run`](crate::Gpu::try_run) returns [`SimError::Watchdog`]
 //!   carrying a [`HealthReport`] instead of spinning to the end of the
 //!   cycle budget.
@@ -56,19 +56,6 @@ pub struct FaultSpec {
 /// The kinds of deterministic faults a plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Gate every kernel with zero quota on every SM and freeze all further
-    /// quota writes and refills, producing a machine-wide quota-starvation
-    /// livelock that no controller can undo.
-    StarveQuota,
-    /// Freeze the warp schedulers of one SM: it keeps retiring in-flight
-    /// context transfers but never issues another instruction.
-    FreezeScheduler {
-        /// Index of the SM to freeze.
-        sm: usize,
-    },
-    /// Stall the preemption engine on every SM: `start_preempt` refuses
-    /// new context saves, so TB targets can no longer be enforced.
-    StallPreemption,
     /// Panic inside the simulation loop (exercises the harness's
     /// panic-isolation and retry policy).
     Panic,
@@ -371,9 +358,6 @@ impl std::error::Error for SimError {}
 crate::impl_snap_struct!(HealthConfig { watchdog_window, audit });
 
 crate::impl_snap_enum!(FaultKind {
-    StarveQuota = 0,
-    FreezeScheduler { sm } = 1,
-    StallPreemption = 2,
     Panic = 3,
     DeviceLoss = 4,
     DeviceWedge = 5,
@@ -433,9 +417,25 @@ mod tests {
 
     #[test]
     fn fault_plan_builder() {
-        let plan = FaultPlan::one(10, FaultKind::StarveQuota).with(5, FaultKind::Panic);
+        let plan = FaultPlan::one(10, FaultKind::DeviceWedge).with(5, FaultKind::Panic);
         assert_eq!(plan.faults.len(), 2);
         assert!(!plan.is_empty());
+    }
+
+    #[test]
+    fn retired_fault_tags_no_longer_decode() {
+        // Tags 0–2 were the quota-starvation, one-SM scheduler-freeze and
+        // preemption-stall faults, which nothing but their own tests
+        // scheduled; a stream that still carries one is refused.
+        use crate::snap::{decode_from_slice, SnapError};
+        for tag in 0..3u8 {
+            assert_eq!(
+                decode_from_slice::<FaultKind>(&[tag]),
+                Err(SnapError::Invalid("FaultKind")),
+                "tag {tag}"
+            );
+        }
+        assert_eq!(decode_from_slice::<FaultKind>(&[5]), Ok(FaultKind::DeviceWedge));
     }
 
     #[test]

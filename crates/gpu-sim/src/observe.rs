@@ -424,7 +424,7 @@ mod tests {
             TraceEventKind::EpochBoundary { epoch: 12 },
             TraceEventKind::IdleStart,
             TraceEventKind::IdleEnd,
-            TraceEventKind::FaultInjected { fault: FaultKind::StarveQuota },
+            TraceEventKind::FaultInjected { fault: FaultKind::Panic },
             TraceEventKind::FaultInjected { fault: FaultKind::DeviceLoss },
             TraceEventKind::FaultInjected { fault: FaultKind::DeviceWedge },
         ];

@@ -226,12 +226,11 @@ impl Sm {
             debug_assert_eq!(self.live, swept, "{} wake queue at cycle {now}", self.id);
         }
 
-        // With no kernel gated and neither the priority gate nor a quota
-        // freeze active, `quota_allows` is `true` for every kernel and
-        // mutates nothing, and the scavenger (which only admits *gated*
-        // exhausted kernels) cannot match. No issue flips a gate, so this
-        // holds for the whole tick.
-        let ungated = !self.quota_frozen && !self.priority_block && !self.gated.iter().any(|&g| g);
+        // With no kernel gated and the priority gate off, `quota_allows` is
+        // `true` for every kernel and mutates nothing, and the scavenger
+        // (which only admits *gated* exhausted kernels) cannot match. No
+        // issue flips a gate, so this holds for the whole tick.
+        let ungated = !self.priority_block && !self.gated.iter().any(|&g| g);
         let n_scheds = self.greedy.len();
         let issued = self.issued_total;
         if ungated && n_scheds.is_power_of_two() && n_scheds <= MAX_SCHEDS_FUSED {
@@ -357,9 +356,6 @@ impl Sm {
     /// Rollover-Time priority gate while QoS quota remains (strict time
     /// multiplexing is that scheme's point).
     fn scavenge(&self, open: u64) -> Option<u16> {
-        if self.quota_frozen {
-            return None;
-        }
         // No kernel in scavengeable state (gated, non-QoS, exhausted): the
         // scan below cannot match.
         if !(0..MAX_KERNELS).any(|k| self.gated[k] && !self.is_qos[k] && self.quota[k] <= 0) {

@@ -22,7 +22,7 @@
 //! | `mod.rs`     | the [`Sm`] struct, construction, snapshot codec          |
 //! | `warp_table` | struct-of-arrays warp state, packed bitmasks, wake queue  |
 //! | `slots`      | occupancy: TB dispatch, preemption, completion, audits   |
-//! | `quota`      | the EWS quota gate: carry rules, refills, fault freezes  |
+//! | `quota`      | the EWS quota gate: carry rules, refills; the wedge      |
 //! | `issue`      | the front end: issuable-mask gather, issue, L1 misses    |
 //! | `observe`    | sampling, counters, and every read-only stats accessor   |
 
@@ -134,10 +134,8 @@ pub struct Sm {
     quota_credit: PerKernel<i64>,
     quota_debit: PerKernel<i64>,
 
-    // --- injected faults ---
-    quota_frozen: bool,
+    // --- injected faults (`DeviceWedge`) ---
     sched_frozen: bool,
-    preempt_stalled: bool,
 
     // --- statistics ---
     hosted: PerKernel<u16>,
@@ -219,9 +217,7 @@ impl Sm {
             priority_block: false,
             quota_credit: per_kernel(|_| 0),
             quota_debit: per_kernel(|_| 0),
-            quota_frozen: false,
             sched_frozen: false,
-            preempt_stalled: false,
             hosted: per_kernel(|_| 0),
             counters: per_kernel(|_| SmKernelCounters::default()),
             alu_thread_insts: per_kernel(|_| 0),
@@ -255,8 +251,8 @@ impl Sm {
     /// Whether this (decoded) SM can stand in for `built`, the SM
     /// `Gpu::new` made for its slot: the same geometry, an L1 of the same
     /// shape ([`Cache::fits`]), a flight recorder that fits
-    /// ([`EventRing::fits`]), and kernel descriptions that pass
-    /// `KernelDesc::check`.
+    /// ([`EventRing::fits`]), kernel descriptions that pass
+    /// `KernelDesc::check`, and warps that fit ([`Sm::warps_fit`]).
     pub(crate) fn fits(&self, built: &Sm) -> bool {
         let geometry = |sm: &Sm| {
             let limits = (sm.num_scheds, sm.max_warps, sm.max_tbs, sm.max_threads);
@@ -267,6 +263,44 @@ impl Sm {
             && self.l1.fits(&built.l1)
             && self.events.fits(&built.events)
             && self.descs.iter().flatten().all(|d| d.check().is_ok())
+            && self.warps_fit()
+    }
+
+    /// Whether the warp table and the TB slab have one entry per slot and
+    /// every hosted warp points inside its kernel and its TB: its `pc` at an
+    /// op of its kernel's body (or one past the end, once the warp is done),
+    /// and its `tb_slot` at an occupied TB of the same kernel. `issue`,
+    /// barrier arrival and TB drain index by all three unchecked.
+    pub(crate) fn warps_fit(&self) -> bool {
+        let (w, t) = (&self.warps, &self.tbs);
+        let n = usize::from(self.max_warps);
+        let columns = [
+            w.kernel.len(),
+            w.tb_slot.len(),
+            w.warp_in_tb.len(),
+            w.warp_uid.len(),
+            w.pc.len(),
+            w.rem.len(),
+            w.iter.len(),
+            w.ready_at.len(),
+            w.seq.len(),
+            w.rng.len(),
+            w.age.len(),
+        ];
+        let inside = |slot: usize| {
+            let k = w.kernel[slot];
+            let Some(desc) = &self.descs[k.index()] else { return false };
+            let (pc, end) = (usize::from(w.pc[slot]), desc.body().len());
+            let done = w.done.0 & bit(slot as u16) != 0;
+            let tb = w.tb_slot[slot];
+            (pc < end || (pc == end && done))
+                && usize::from(tb) < t.kernel.len()
+                && t.is_occupied(tb)
+                && t.kernel[usize::from(tb)] == k
+        };
+        columns.iter().all(|&len| len == n)
+            && t.kernel.len() == usize::from(self.max_tbs)
+            && slots(w.occupied.0).all(|slot| slot < n && inside(slot))
     }
 
     /// This SM's identifier.
@@ -333,9 +367,7 @@ crate::impl_snap_struct!(Sm {
     priority_block,
     quota_credit,
     quota_debit,
-    quota_frozen,
     sched_frozen,
-    preempt_stalled,
     hosted,
     counters,
     alu_thread_insts,

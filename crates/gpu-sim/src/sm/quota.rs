@@ -1,5 +1,7 @@
 //! The EWS quota gate: epoch grants with carry semantics, lazy mid-epoch
-//! refills, the Rollover-Time priority gate, and injected fault freezes.
+//! refills and the Rollover-Time priority gate. The one injected fault an
+//! SM carries, the `DeviceWedge` scheduler freeze, lives here too; the gate
+//! itself reads no fault state.
 
 use crate::types::KernelId;
 use crate::MAX_KERNELS;
@@ -37,9 +39,6 @@ impl Sm {
 
     /// Enables or disables quota gating for kernel `k` on this SM.
     pub fn set_gated(&mut self, k: KernelId, gated: bool) {
-        if self.quota_frozen {
-            return;
-        }
         self.assert_awake();
         self.gated[k.index()] = gated;
     }
@@ -49,9 +48,6 @@ impl Sm {
     /// `carry` selects the paper's carry-over semantics, and `refill` is the
     /// amount added by mid-epoch refills (non-QoS top-ups, elastic restarts).
     pub fn set_epoch_quota(&mut self, k: KernelId, alloc: i64, carry: QuotaCarry, refill: i64) {
-        if self.quota_frozen {
-            return;
-        }
         self.assert_awake();
         let i = k.index();
         let old = self.quota[i];
@@ -79,9 +75,6 @@ impl Sm {
     /// Enables elastic-epoch mid-epoch restarts (all gated kernels are
     /// replenished when every one of them is exhausted).
     pub fn set_elastic(&mut self, on: bool) {
-        if self.quota_frozen {
-            return;
-        }
         self.assert_awake();
         self.elastic = on;
     }
@@ -105,11 +98,6 @@ impl Sm {
 
     /// Quota admission check with lazy mid-epoch refills.
     pub(super) fn quota_allows(&mut self, k: usize) -> bool {
-        if self.quota_frozen {
-            // Injected StarveQuota fault: every kernel is gated at zero and
-            // no refill channel may revive it.
-            return !self.gated[k];
-        }
         if self.priority_block && !self.is_qos[k] && self.any_qos_quota_positive() {
             return false;
         }
@@ -149,23 +137,18 @@ impl Sm {
     /// so they do not keep the SM awake.
     ///
     /// Every input here (quota counters, gates, QoS flags, elastic mode) only
-    /// changes through this SM's own issues, epoch-boundary controller
-    /// writes, or injected faults — none of which reaches a sleeping SM
-    /// without waking it first — so inertness computed when a sleep ends
-    /// held throughout it. Inside a tick only the counters move, and every
-    /// clause below reads a counter's sign. The lazy refills of
-    /// [`Sm::quota_allows`] raise counters: inertness can only spread (a
-    /// raise never frees a kernel from the priority gate and fires for no
-    /// QoS kernel that was inert). An issue lowers one, and only the issue
+    /// changes through this SM's own issues or epoch-boundary controller
+    /// writes — neither of which reaches a sleeping SM without waking it
+    /// first — so inertness computed when a sleep ends held throughout it.
+    /// Inside a tick only the counters move, and every clause below reads a
+    /// counter's sign. The lazy refills of [`Sm::quota_allows`] raise
+    /// counters: inertness can only spread (a raise never frees a kernel from
+    /// the priority gate and fires for no QoS kernel that was inert). An issue lowers one, and only the issue
     /// that takes a quota from positive to exhausted can *end* inertness
     /// (the priority gate opens, or an elastic restart falls due). So
     /// `tick` evaluates the set once and again after each such issue
     /// (DESIGN.md §3.1).
     fn quota_inert(&self, k: usize) -> bool {
-        if self.quota_frozen {
-            // StarveQuota freezes refills too: gated kernels stay blocked.
-            return self.gated[k];
-        }
         if self.priority_block && !self.is_qos[k] && self.any_qos_quota_positive() {
             return true;
         }
@@ -193,45 +176,21 @@ impl Sm {
         (0..MAX_KERNELS).filter(|&k| inert[k]).fold(0, |bits, k| bits | self.warps.kernel_mask[k].0)
     }
 
-    /// Injected `StarveQuota` fault: gates every kernel at zero quota and
-    /// freezes all quota writes and refill channels, so no controller can
-    /// revive issue on this SM.
-    pub(crate) fn freeze_all_quota(&mut self) {
-        self.assert_awake();
-        for i in 0..MAX_KERNELS {
-            self.gated[i] = true;
-            let old = self.quota[i];
-            self.quota[i] = old.min(0);
-            self.quota_credit[i] += self.quota[i] - old;
-            self.refill[i] = 0;
-        }
-        self.elastic = false;
-        self.quota_frozen = true;
-    }
-
-    /// Injected `FreezeScheduler` fault: the SM stops issuing forever
-    /// (in-flight context transfers still retire).
+    /// Injected `DeviceWedge` fault, applied to every SM at once: the SM
+    /// stops issuing forever (in-flight context transfers still retire).
     pub(crate) fn freeze_schedulers(&mut self) {
         self.assert_awake();
         self.sched_frozen = true;
     }
 
-    /// Injected `StallPreemption` fault: `start_preempt` refuses new saves.
-    pub(crate) fn stall_preemption(&mut self) {
-        self.preempt_stalled = true;
-    }
-
-    /// Clears every injected fault *effect* (frozen schedulers, frozen
-    /// quota channels, stalled preemption). Used by cross-device restore
-    /// ([`crate::Gpu::restore_compat`]): the effects model sick hardware,
+    /// Thaws a wedged SM's schedulers. Used by cross-device restore
+    /// ([`crate::Gpu::restore_compat`]): the freeze models sick hardware,
     /// not workload state, so a batch migrating onto healthy silicon must
-    /// not carry them along. Quota counters and gates themselves are left
-    /// untouched — they are workload state the controller owns.
+    /// not carry it along. Quota counters and gates are left untouched —
+    /// they are workload state the controller owns.
     pub(crate) fn clear_fault_effects(&mut self) {
         self.assert_awake();
         self.sched_frozen = false;
-        self.quota_frozen = false;
-        self.preempt_stalled = false;
     }
 
     /// Whether kernel `k` is quota-gated on this SM.

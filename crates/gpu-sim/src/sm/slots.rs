@@ -135,9 +135,6 @@ impl Sm {
     /// dispatched active one). Returns `false` if no active TB of `k` is
     /// resident.
     pub(crate) fn start_preempt(&mut self, k: KernelId, now: Cycle, save_cost: Cycle) -> bool {
-        if self.preempt_stalled {
-            return false;
-        }
         let victim = self
             .tbs
             .iter_occupied()
@@ -308,6 +305,12 @@ impl Sm {
     /// against the incrementally maintained state. Returns the first
     /// violated invariant. Called at epoch boundaries in audit mode.
     pub fn audit_invariants(&self) -> Result<(), (AuditKind, String)> {
+        if !self.warps_fit() {
+            return Err((
+                AuditKind::SlotAccounting,
+                "a warp points outside its kernel body or its TB".to_string(),
+            ));
+        }
         let mut threads = 0u32;
         let mut regs = 0u64;
         let mut smem = 0u64;

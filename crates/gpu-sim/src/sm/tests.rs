@@ -395,7 +395,6 @@ mod gate_oracle {
     /// Everything the gate reads or writes, copied out of an [`Sm`].
     #[derive(Debug, Clone, PartialEq)]
     struct RefGate {
-        frozen: bool,
         priority_block: bool,
         elastic: bool,
         gated: PerKernel<bool>,
@@ -412,7 +411,6 @@ mod gate_oracle {
     impl RefGate {
         fn of(sm: &Sm) -> Self {
             RefGate {
-                frozen: sm.quota_frozen,
                 priority_block: sm.priority_block,
                 elastic: sm.elastic,
                 gated: sm.gated,
@@ -433,9 +431,6 @@ mod gate_oracle {
 
         /// May a warp of kernel `k` issue? Applies the lazy mid-epoch refills.
         fn admits(&mut self, k: usize) -> bool {
-            if self.frozen {
-                return !self.gated[k];
-            }
             // Rollover-Time: best-effort kernels wait while QoS quota is left.
             if self.priority_block && !self.is_qos[k] && self.any_qos_quota_left() {
                 return false;
@@ -494,7 +489,7 @@ mod gate_oracle {
             }
             // An empty slot goes to the oldest spent best-effort warp.
             let scavenged = || {
-                if self.frozen || (self.priority_block && self.any_qos_quota_left()) {
+                if self.priority_block && self.any_qos_quota_left() {
                     return None;
                 }
                 stripe()
@@ -580,7 +575,7 @@ mod gate_oracle {
     }
 
     /// One random SM (1–4 schedulers, 2–4 kernels with random QoS / gated /
-    /// refill / elastic / priority-block / frozen settings, quotas within a
+    /// refill / elastic / priority-block settings, quotas within a
     /// few warp instructions of zero so they run out mid-tick; one in four
     /// with no gate at all), ticked three cycles with random ready sets
     /// against the reference.
@@ -605,9 +600,6 @@ mod gate_oracle {
         }
         sm.set_elastic(below(3) == 0);
         sm.set_priority_block(!ungated && below(2) == 0);
-        if !ungated && below(16) == 0 {
-            sm.freeze_all_quota();
-        }
         for greedy in &mut sm.greedy {
             *greedy = (below(2) == 0).then(|| hosted[below(hosted.len() as u64) as usize]);
         }
@@ -939,8 +931,9 @@ fn rollover_carry_keeps_surplus_discard_drops_it() {
 /// counters, and a digest of the whole encoded SM after every cycle. The
 /// digest (and nothing else here) moved with snapshot schema 9, which takes
 /// the policy byte and the per-scheduler round-robin cursors out of the
-/// encoded SM, and again with schema 10, which takes out the per-kernel
-/// preemption-save histograms.
+/// encoded SM, with schema 10, which takes out the per-kernel
+/// preemption-save histograms, and with schema 11, which takes out the
+/// quota-freeze and preemption-stall fault flags.
 #[test]
 fn odd_scheduler_count_matches_pinned_digest() {
     use crate::snap::{encode_to_vec, fnv1a};
@@ -986,5 +979,5 @@ fn odd_scheduler_count_matches_pinned_digest() {
     ];
     assert_eq!(per_sched, [1788, 962, 935]);
     assert_eq!(counters, [3000, 9000, 112_768, 5152, 0]);
-    assert_eq!(digest, 0x5f2f_85d1_dc63_7558);
+    assert_eq!(digest, 0x77ec_de0a_c0e6_1143);
 }

@@ -474,29 +474,53 @@ mod tests {
         assert!(t.done.0 & bit(s) != 0, "resumed retired warp keeps its done bit");
     }
 
+    /// A tiny machine warmed to cycle 5 000 and its snapshot bytes.
+    fn warmed() -> (crate::gpu::Gpu, Vec<u8>) {
+        use crate::gpu::{Gpu, NullController};
+        use crate::kernel::Op;
+        let mut gpu = Gpu::new(crate::GpuConfig::tiny());
+        let desc = crate::kernel::KernelDesc::builder("t").threads_per_tb(64).regs_per_thread(16);
+        gpu.launch(desc.iterations(500).grid_tbs(8).body(vec![Op::Bar, Op::alu(2, 12)]).build());
+        gpu.run(5_000, &mut NullController);
+        let bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
+        (gpu, bytes)
+    }
+
+    /// Restores the tampered blob `bad` into a fresh machine, which must
+    /// refuse it as corrupt and be left untouched.
+    fn assert_refused(bad: &[u8], what: &str) {
+        use crate::gpu::{Gpu, SnapshotBlob, SnapshotError};
+        let blob = SnapshotBlob::from_bytes(bad).expect("the header is intact");
+        let mut fresh = Gpu::new(crate::GpuConfig::tiny());
+        match fresh.restore(&blob) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!("{what} must be refused, got {other:?}"),
+        }
+        assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+    }
+
+    /// The offset in `bytes` of the last SM's encoded warp table.
+    fn last_table(gpu: &crate::gpu::Gpu, bytes: &[u8]) -> usize {
+        let table = crate::snap::encode_to_vec(&gpu.sms().last().expect("SMs").warps);
+        bytes.windows(table.len()).position(|w| w == table).expect("the warp table")
+    }
+
     /// A slot mask is one word: a blob whose warp-table, kernel or TB-slab mask
     /// says it holds 0 or 2 words is refused, even with the stream kept aligned
     /// (as many words follow as the prefix says), and the machine is untouched.
     #[test]
     fn restore_refuses_a_mask_that_is_not_one_word() {
-        use crate::gpu::{Gpu, NullController, SnapshotBlob, SnapshotError};
-        use crate::kernel::Op;
+        use crate::gpu::SnapshotBlob;
         use crate::snap::encode_to_vec;
-        let cfg = crate::GpuConfig::tiny();
-        let mut gpu = Gpu::new(cfg.clone());
-        let desc = crate::kernel::KernelDesc::builder("t").threads_per_tb(64).regs_per_thread(16);
-        gpu.launch(desc.iterations(500).grid_tbs(8).body(vec![Op::Bar, Op::alu(2, 12)]).build());
-        gpu.run(5_000, &mut NullController);
-        let bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
+        let (gpu, bytes) = warmed();
         let header = bytes.len() - SnapshotBlob::from_bytes(&bytes).expect("parses").payload_len();
         let find = |record: &[u8]| bytes.windows(record.len()).position(|w| w == record);
         // The masks are the last fields before each free-slot stack: the warp
         // table's five, then its four kernel masks; the slab's one.
         let sm = gpu.sms().last().expect("the machine has SMs");
         let (table, slab) = (encode_to_vec(&sm.warps), encode_to_vec(&sm.tbs));
-        let table_masks = find(&table).expect("the warp table") + table.len()
-            - encode_to_vec(&sm.warps.free).len()
-            - 9 * 16;
+        let table_masks =
+            last_table(&gpu, &bytes) + table.len() - encode_to_vec(&sm.warps.free).len() - 9 * 16;
         let slab_mask =
             find(&slab).expect("the TB slab") + slab.len() - encode_to_vec(&sm.tbs.free).len() - 16;
         let masks = [
@@ -513,15 +537,44 @@ mod tests {
                 bad.extend(&bytes[at + 16..]);
                 let payload = (bad.len() - header) as u64;
                 bad[header - 8..header].copy_from_slice(&payload.to_le_bytes());
-                let blob = SnapshotBlob::from_bytes(&bad).expect("the header is intact");
-                let mut fresh = Gpu::new(cfg.clone());
-                match fresh.restore(&blob) {
-                    Err(SnapshotError::Corrupt(_)) => {}
-                    other => panic!("{what} of {words} words must be refused, got {other:?}"),
-                }
-                assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+                assert_refused(&bad, &format!("{what} of {words} words"));
             }
         }
+    }
+
+    /// A hosted warp points inside its kernel and its TB: a blob whose warp
+    /// has a `pc` past its kernel's body, or a `tb_slot` past the slab or at
+    /// a free TB slot, is refused (`Sm::warps_fit`), and the machine is
+    /// untouched.
+    #[test]
+    fn restore_refuses_a_warp_outside_its_kernel_or_its_tb() {
+        use crate::snap::encode_to_vec;
+        let (gpu, bytes) = warmed();
+        let sm = gpu.sms().last().expect("the machine has SMs");
+        let t = &sm.warps;
+        let slot = slots(t.occupied.0 & !t.done.0).next().expect("a running warp");
+        let free_tb = (0..sm.tbs.capacity() as u16).find(|&s| !sm.tbs.is_occupied(s));
+        // Each column is a length word, then two bytes a slot.
+        let at = |columns: usize| {
+            let before = [
+                encode_to_vec(&t.kernel).len(),
+                encode_to_vec(&t.tb_slot).len(),
+                encode_to_vec(&t.warp_in_tb).len(),
+                encode_to_vec(&t.warp_uid).len(),
+            ];
+            last_table(&gpu, &bytes) + before[..columns].iter().sum::<usize>() + 8 + 2 * slot
+        };
+        assert_eq!(bytes[at(4)..at(4) + 2], t.pc[slot].to_le_bytes(), "the warp's pc");
+        assert_eq!(bytes[at(1)..at(1) + 2], t.tb_slot[slot].to_le_bytes(), "the warp's TB");
+        let mut bombs = vec![("pc", at(4), 2), ("pc", at(4), u16::MAX), ("tb_slot", at(1), 64)];
+        bombs.extend(free_tb.map(|tb| ("tb_slot at a free TB", at(1), tb)));
+        for (what, at, value) in bombs {
+            let mut bad = bytes.clone();
+            bad[at..at + 2].copy_from_slice(&value.to_le_bytes());
+            assert_refused(&bad, &format!("{what} {value}"));
+        }
+        let blob = crate::gpu::SnapshotBlob::from_bytes(&bytes).expect("parses");
+        crate::gpu::Gpu::new(crate::GpuConfig::tiny()).restore(&blob).expect("the real blob");
     }
 
     mod wake_queue {

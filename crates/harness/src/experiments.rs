@@ -216,7 +216,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "smoke-faulty",
-        title: "smoke-faulty — the smoke pairs, quota starved in the second",
+        title: "smoke-faulty — the smoke pairs, the second wedged",
         paper: "not a result of the paper: the watchdog and failure-snapshot drill",
         in_all: false,
         run: |s| s.smoke(true),
@@ -716,8 +716,7 @@ impl Session {
     }
 
     /// The first four Rollover pairs at [`SMOKE_EPOCH_CYCLES`], the second
-    /// starved of quota from its fourth epoch when `faulty`: one line per
-    /// case.
+    /// wedged from its fourth epoch when `faulty`: one line per case.
     fn smoke(&self, faulty: bool) -> Report {
         let mut specs: Vec<CaseSpec> = pairs()
             .into_iter()
@@ -730,7 +729,7 @@ impl Session {
             })
             .collect();
         if faulty {
-            specs[1].faults = FaultPlan::one(3 * SMOKE_EPOCH_CYCLES, FaultKind::StarveQuota);
+            specs[1].faults = FaultPlan::one(3 * SMOKE_EPOCH_CYCLES, FaultKind::DeviceWedge);
         }
         let outcomes = self.outcomes(&specs);
         let mut body = String::new();

@@ -23,10 +23,10 @@ fn smoke_sweep(n: usize, cycles: u64) -> Vec<CaseSpec> {
 #[test]
 fn sweep_with_injected_panic_and_livelock_completes_with_18_of_20() {
     let mut specs = smoke_sweep(20, 30_000);
-    // Case 4 crashes mid-simulation; case 11 livelocks (all quotas starved
-    // and frozen) and must be caught by the watchdog, not the cycle budget.
+    // Case 4 crashes mid-simulation; case 11 wedges (every SM's schedulers
+    // freeze) and must be caught by the watchdog, not the cycle budget.
     specs[4].faults = FaultPlan::one(5_000, FaultKind::Panic);
-    specs[11].faults = FaultPlan::one(15_000, FaultKind::StarveQuota);
+    specs[11].faults = FaultPlan::one(15_000, FaultKind::DeviceWedge);
     specs[11].cycles = 100_000;
 
     let iso = IsolatedCache::new();

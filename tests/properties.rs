@@ -408,7 +408,7 @@ proptest! {
         goal_frac in 0.1f64..1.5,
         watchdog in any::<bool>(),
         audit in any::<bool>(),
-        fault_sel in 0usize..4,
+        wedged in any::<bool>(),
         fault_cycle in 500u64..6_000,
         split in 0usize..4,
     ) {
@@ -443,12 +443,7 @@ proptest! {
                     .build()
             })
             .collect();
-        let fault = match fault_sel {
-            1 => Some((fault_cycle, fgqos::sim::FaultKind::StarveQuota)),
-            2 => Some((fault_cycle, fgqos::sim::FaultKind::FreezeScheduler { sm: 0 })),
-            3 => Some((fault_cycle, fgqos::sim::FaultKind::StallPreemption)),
-            _ => None,
-        };
+        let fault = wedged.then_some((fault_cycle, fgqos::sim::FaultKind::DeviceWedge));
         let fast = run_differential_case(
             true, &descs, ctrl_sel, goal, watchdog, audit, fault, cycles, split,
         );

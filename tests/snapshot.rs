@@ -260,15 +260,10 @@ proptest! {
         fast_forward in any::<bool>(),
         watchdog in any::<bool>(),
         audit in any::<bool>(),
-        fault_sel in 0usize..4,
+        wedged in any::<bool>(),
         fault_cycle in 500u64..6_000,
     ) {
-        let fault = match fault_sel {
-            1 => Some((fault_cycle, fgqos::sim::FaultKind::StarveQuota)),
-            2 => Some((fault_cycle, fgqos::sim::FaultKind::FreezeScheduler { sm: 0 })),
-            3 => Some((fault_cycle, fgqos::sim::FaultKind::StallPreemption)),
-            _ => None,
-        };
+        let fault = wedged.then_some((fault_cycle, fgqos::sim::FaultKind::DeviceWedge));
         let cfg = build_config(fast_forward, watchdog, audit, fault);
         let split = split_epochs * cfg.epoch_cycles;
         let total = split + extra_epochs * cfg.epoch_cycles;
@@ -414,7 +409,8 @@ fn golden_scenario_survives_snapshot_restore() {
 /// on each of 16 SMs, and the TB scheduler's two time-multiplexing words.
 /// Schema 10 is 7,456 bytes under schema 9: the 64 preemption-save
 /// histograms (4 kernel slots on each of 16 SMs) and the machine's
-/// never-enabled counter series.
+/// never-enabled counter series. Schema 11 is 32 bytes under schema 10: the
+/// quota-freeze and preemption-stall flags on each of 16 SMs.
 #[test]
 fn warmed_trio_payload_size_is_pinned() {
     let cfg = GpuConfig::paper_table1();
@@ -426,7 +422,7 @@ fn warmed_trio_payload_size_is_pinned() {
         .with_kernel(q2, QosSpec::qos(20.0))
         .with_kernel(be, QosSpec::best_effort());
     gpu.run(3 * cfg.epoch_cycles, &mut manager);
-    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 744_750);
+    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 744_718);
 }
 
 // ----------------------------------------------------------------------
@@ -548,10 +544,7 @@ fn enum_wire_bytes_are_pinned() {
     pin(&Ev::EpochBoundary { epoch: 5 }, &tagged(5, &[5]));
     pin(&Ev::IdleStart, &[6]);
     pin(&Ev::IdleEnd, &[7]);
-    pin(
-        &Ev::FaultInjected { fault: FaultKind::FreezeScheduler { sm: 3 } },
-        &[8, 1, 3, 0, 0, 0, 0, 0, 0, 0],
-    );
+    pin(&Ev::FaultInjected { fault: FaultKind::DeviceWedge }, &[8, 5]);
 
     pin(&Op::Alu { latency: 4, repeat: 0x0201, active_lanes: 32 }, &[0, 4, 0, 1, 2, 32]);
     pin(&Op::Sfu { latency: 20, repeat: 1, active_lanes: 8 }, &[1, 20, 0, 1, 0, 8]);
@@ -563,9 +556,6 @@ fn enum_wire_bytes_are_pinned() {
     );
     pin(&Op::Bar, &[3]);
 
-    pin(&FaultKind::StarveQuota, &[0]);
-    pin(&FaultKind::FreezeScheduler { sm: 1 }, &tagged(1, &[1]));
-    pin(&FaultKind::StallPreemption, &[2]);
     pin(&FaultKind::Panic, &[3]);
     pin(&FaultKind::DeviceLoss, &[4]);
     pin(&FaultKind::DeviceWedge, &[5]);
