@@ -23,6 +23,8 @@ use crate::telemetry::WorkCounters;
 use crate::types::{per_kernel, Cycle, KernelId, PerKernel, SmId};
 
 /// Cycles between TB-scheduler service passes (dispatch / preemption checks).
+/// A power of two, so the run loop's test for a service point and
+/// `jump_target`'s next one compile to masks.
 const DISPATCH_INTERVAL: Cycle = 8;
 
 /// Epoch-driven policy hook.
@@ -59,6 +61,11 @@ pub struct Gpu {
     cfg: GpuConfig,
     cycle: Cycle,
     sms: Vec<Sm>,
+    /// The wake column: `due[i]` is `sms[i].wake_at()`, kept beside the SMs
+    /// so the per-cycle loop reads one contiguous row instead of a cache line
+    /// per SM. Derived state: never encoded, rebuilt at every run's entry,
+    /// and written only where an SM's sleep can change (DESIGN.md §3.1).
+    due: Vec<Cycle>,
     mem: MemSystem,
     kernels: Vec<KernelRuntime>,
     tb_sched: TbScheduler,
@@ -91,6 +98,7 @@ impl Gpu {
         let sms = (0..cfg.num_sms as usize).map(|i| Sm::new(SmId::new(i), &cfg)).collect();
         let sample_interval = (cfg.epoch_cycles / Cycle::from(cfg.samples_per_epoch)).max(1);
         Gpu {
+            due: vec![0; cfg.num_sms as usize],
             sms,
             mem: MemSystem::new(cfg.mem.clone()),
             kernels: Vec::new(),
@@ -191,6 +199,7 @@ impl Gpu {
         for sm in &mut self.sms {
             sm.catch_up(now);
         }
+        self.due.fill(0);
     }
 
     fn run_until(&mut self, end: Cycle, ctrl: &mut dyn Controller) -> Result<(), SimError> {
@@ -202,6 +211,15 @@ impl Gpu {
             Some(windows_elapsed) => (windows_elapsed + 1) * window,
             None => Cycle::MAX,
         };
+        // The periodic edges are cycles, like `next_check`: each starts at
+        // the first multiple of its period at or after the entry cycle and
+        // moves one period on when reached. The clock never passes one
+        // (`jump_target` clamps to it), so an executed cycle compares where
+        // it would otherwise divide by a runtime period (DESIGN.md §3.1).
+        let mut next_epoch = self.cycle.next_multiple_of(self.cfg.epoch_cycles);
+        let mut next_sample = self.cycle.next_multiple_of(self.sample_interval);
+        self.due.clear();
+        self.due.extend(self.sms.iter().map(Sm::wake_at));
         // With fast-forward off no SM ever sleeps: every SM runs its full
         // gather on every cycle, which is what makes that mode an oracle
         // for this one (DESIGN.md §3.1).
@@ -214,7 +232,8 @@ impl Gpu {
                 self.wake_sms(now);
                 self.apply_faults(now)?;
             }
-            if now.is_multiple_of(self.cfg.epoch_cycles) {
+            if now == next_epoch {
+                next_epoch += self.cfg.epoch_cycles;
                 // Epoch accounting and the controller read every counter and
                 // write quotas; a snapshot taken in there sees no sleep state.
                 self.wake_sms(now);
@@ -232,25 +251,33 @@ impl Gpu {
             } else if now.is_multiple_of(DISPATCH_INTERVAL) {
                 self.service(now);
             }
+            // The wake column against the sleep it mirrors. The dev profile
+            // keeps debug assertions on, so every tier-1 simulation runs this.
+            #[cfg(debug_assertions)]
+            for (sm, &due) in self.sms.iter().zip(&self.due) {
+                debug_assert_eq!(due, sm.wake_at(), "{} wake column at cycle {now}", sm.id());
+            }
             // Step every SM that is due, in SM-index order; each serves its
             // own L1 misses as its warps issue (DESIGN.md §13). A sleeping SM
-            // costs the one compare; an SM that issued stays awake (due at
-            // 0), so `horizon` ends above `now` only when the whole machine
-            // is asleep.
+            // costs one compare in the wake column; an SM that issued stays
+            // awake (due at 0), so `horizon` ends above `now` only when the
+            // whole machine is asleep.
             let mut horizon = Cycle::MAX;
             let mut ran = 0;
-            for sm in &mut self.sms {
-                if sm.wake_at() <= now {
+            for (sm, due) in self.sms.iter_mut().zip(&mut self.due) {
+                if *due <= now {
                     ran += 1;
                     if !sm.tick(now, &mut self.mem) && may_sleep {
                         sm.sleep_from(now + 1);
                     }
+                    *due = sm.wake_at();
                 }
-                horizon = horizon.min(sm.wake_at());
+                horizon = horizon.min(*due);
             }
             self.work.sm_ticks_run += ran;
             self.work.sm_ticks_slept += num_sms - ran;
-            if now.is_multiple_of(self.sample_interval) {
+            if now == next_sample {
+                next_sample += self.sample_interval;
                 for sm in &mut self.sms {
                     sm.sample_idle_warps(now);
                 }
@@ -270,7 +297,8 @@ impl Gpu {
             }
             self.cycle += 1;
             if horizon > self.cycle {
-                let target = self.jump_target(horizon, end, next_check);
+                let edge = end.min(next_epoch).min(next_sample).min(next_check);
+                let target = self.jump_target(horizon, edge);
                 let skipped = target - self.cycle;
                 self.ff_skipped += skipped;
                 self.work.sm_ticks_slept += skipped * num_sms;
@@ -285,37 +313,32 @@ impl Gpu {
     /// the SMs account for the jumped cycles themselves when they wake.
     ///
     /// `horizon` is clamped so that every externally observable event still
-    /// fires on its exact cycle: epoch boundaries, idle-warp sampling ticks,
-    /// the watchdog's `next_check`, the first still-pending `FaultPlan`
-    /// entry, `DISPATCH_INTERVAL` service points whenever a service pass
-    /// could act (the TB scheduler's cached verdict,
-    /// [`TbScheduler::would_noop`]), and the end of the run. The memory
-    /// system contributes no horizon: transaction completions are computed
-    /// eagerly at access time and carried by warp scoreboards (see
-    /// [`MemSystem::serve`]). None of the clamps lies behind `self.cycle`; a
-    /// result equal to it means "simulate the very next cycle". `&mut` only
-    /// because reading the verdict may re-derive and store it.
+    /// fires on its exact cycle. `edge` is the nearest of the run loop's
+    /// tracked edges, each at or after `self.cycle`: the end of the run, the
+    /// next epoch boundary, the next idle-warp sampling tick and the
+    /// watchdog's `next_check`. Clamped here are the first still-pending
+    /// `FaultPlan` entry and the next `DISPATCH_INTERVAL` service point
+    /// whenever a service pass could act (the TB scheduler's cached verdict,
+    /// [`TbScheduler::would_noop`]). The memory system contributes no
+    /// horizon: transaction completions are computed eagerly at access time
+    /// and carried by warp scoreboards (see [`MemSystem::serve`]). None of the
+    /// clamps lies behind `self.cycle`; a result equal to it means "simulate
+    /// the very next cycle". `&mut` only because reading the verdict may
+    /// re-derive and store it.
     ///
     /// Kept out of line, like [`Gpu::service`]: each runs once in several
     /// cycles, and inlined they (and the TB scheduler's passes inside them)
     /// sit in the middle of `run_until`'s per-cycle loop, where every edit
     /// to the TB scheduler moves the loop's code (EXPERIMENTS.md §options).
     #[inline(never)]
-    fn jump_target(&mut self, horizon: Cycle, end: Cycle, next_check: Cycle) -> Cycle {
-        let from = self.cycle;
-        // Boundary cycles themselves are never skipped: `next_multiple_of`
-        // is the smallest multiple at or above `from`.
-        let mut target = horizon
-            .min(end)
-            .min(from.next_multiple_of(self.cfg.epoch_cycles))
-            .min(from.next_multiple_of(self.sample_interval))
-            .min(next_check);
+    fn jump_target(&mut self, horizon: Cycle, edge: Cycle) -> Cycle {
+        let mut target = horizon.min(edge);
         if let Some(fault) = self.cfg.faults.faults.get(self.fault_cursor) {
             target = target.min(fault.at_cycle);
         }
         // A stale verdict is a full scan; read it only when the clamp it
         // guards could actually shorten the jump.
-        let dispatch = from.next_multiple_of(DISPATCH_INTERVAL);
+        let dispatch = self.cycle.next_multiple_of(DISPATCH_INTERVAL);
         if target > dispatch && !self.tb_sched.would_noop(&mut self.sms, &self.kernels) {
             target = dispatch;
         }
@@ -463,6 +486,10 @@ impl Gpu {
             &mut self.mem,
             &self.cfg.preempt,
         );
+        // `dispatch` and `start_preempt` end the sleep of the SM they act on.
+        for (due, sm) in self.due.iter_mut().zip(&self.sms) {
+            *due = sm.wake_at();
+        }
     }
 
     fn finish_epoch(&mut self, now: Cycle) {
@@ -1355,16 +1382,79 @@ mod tests {
         assert!(result.is_err());
     }
 
+    /// A Rollover pair on every SM: QoS kernel 0 carries unused quota and
+    /// goes inert once its goal is met; best-effort kernel 1 is refilled
+    /// from then on (§3.4.1).
+    struct Rollover;
+
+    impl Controller for Rollover {
+        fn on_epoch(&mut self, gpu: &mut Gpu, _epoch: u64) {
+            let (qos, best_effort) = (KernelId::new(0), KernelId::new(1));
+            for sm in gpu.sm_ids().collect::<Vec<_>>() {
+                let mut quota = gpu.sm_quota(sm);
+                quota.set_qos_kernel(qos, true);
+                quota.set_gated(qos, true);
+                quota.set_gated(best_effort, true);
+                quota.set_epoch_quota(qos, 20_000, crate::sm::QuotaCarry::Full, 0);
+                quota.set_epoch_quota(best_effort, 2_000, crate::sm::QuotaCarry::Reset, 2_000);
+            }
+        }
+    }
+
+    /// A run cut into chunks ends where one straight run does. Every chunk
+    /// re-derives the run loop's edges and wake column at its entry, and the
+    /// lengths line up with no dispatch point (8), idle-warp sample (100) or
+    /// epoch (1 000) of the tiny machine.
     #[test]
     fn run_is_resumable() {
-        let mut gpu = Gpu::new(GpuConfig::tiny());
-        let k = gpu.launch(compute_kernel("c"));
-        gpu.run(5_000, &mut NullController);
-        let mid = gpu.stats().kernel(k).thread_insts;
-        gpu.run(5_000, &mut NullController);
-        let end = gpu.stats().kernel(k).thread_insts;
-        assert!(end > mid);
-        assert_eq!(gpu.cycle(), 10_000);
+        const CHUNKS: [Cycle; 4] = [1, 7, 333, 999];
+        const CYCLES: Cycle = 6_000;
+        for fast_forward in [true, false] {
+            let build = || {
+                let mut cfg = GpuConfig::tiny();
+                cfg.fast_forward = fast_forward;
+                let mut gpu = Gpu::new(cfg);
+                let a = gpu.launch(compute_kernel("qos"));
+                let b = gpu.launch(memory_kernel("best-effort"));
+                gpu.set_sharing_mode(SharingMode::Smk);
+                for sm in gpu.sm_ids().collect::<Vec<_>>() {
+                    gpu.set_tb_target(sm, a, 4);
+                    gpu.set_tb_target(sm, b, 4);
+                }
+                gpu
+            };
+            let mut straight = build();
+            straight.run(CYCLES, &mut Rollover);
+            let mut chunked = build();
+            for &n in CHUNKS.iter().cycle() {
+                let left = CYCLES - chunked.cycle();
+                if left == 0 {
+                    break;
+                }
+                chunked.run(n.min(left), &mut Rollover);
+            }
+            assert_eq!(chunked.cycle(), CYCLES);
+            // How many cycles the clock jumped is how the host stepped: a
+            // chunk's first cycle always executes.
+            let counters = |g: &Gpu| {
+                let mut entries = g.counter_registry();
+                entries.retain(|e| e.name != "ff_skipped_cycles");
+                entries
+            };
+            assert_eq!(counters(&chunked), counters(&straight), "fast_forward {fast_forward}");
+            assert_eq!(chunked.stats(), straight.stats(), "fast_forward {fast_forward}");
+            for k in straight.kernel_ids() {
+                assert!(straight.stats().kernel(k).thread_insts > 0, "{k:?} made no progress");
+            }
+            let total = |name: &str| {
+                counters(&straight).iter().filter(|e| e.name == name).map(|e| e.value).sum::<i64>()
+            };
+            assert!(total("quota_exhaustions") > 0, "the QoS goal never closed the gate");
+            assert!(total("quota_blocked_cycles") > 0, "no warp waited at the gate");
+            if fast_forward {
+                assert!(straight.work_counters().sm_ticks_slept > 0, "no SM slept");
+            }
+        }
     }
 
     use crate::health::{FaultKind, FaultPlan, SimError};

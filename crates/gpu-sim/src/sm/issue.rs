@@ -99,9 +99,9 @@ impl Sm {
             // A frozen or empty SM never issues; only transitions can fire.
             return horizon;
         }
-        let inert = self.inert_kernels();
+        let inert = if self.ungated() { 0 } else { self.inert_bits(&self.inert_kernels()) };
         let t = &self.warps;
-        let waiting = t.live() & !self.inert_bits(&inert);
+        let waiting = t.live() & !inert;
         // Warps of Active TBs wake at their scoreboard release.
         for slot in slots(waiting & t.tb_active.0) {
             fold(&mut horizon, t.ready_at[slot]);
@@ -156,6 +156,10 @@ impl Sm {
         let slept = now - since;
         self.busy_cycles += slept;
         self.issue_slots += slept * u64::from(self.num_scheds);
+        // No kernel inert, so no warp was quota-blocked.
+        if self.ungated() {
+            return;
+        }
         let inert = self.inert_kernels();
         if !inert.iter().any(|&b| b) {
             return;
@@ -226,14 +230,9 @@ impl Sm {
             debug_assert_eq!(self.live, swept, "{} wake queue at cycle {now}", self.id);
         }
 
-        // With no kernel gated and the priority gate off, `quota_allows` is
-        // `true` for every kernel and mutates nothing, and the scavenger
-        // (which only admits *gated* exhausted kernels) cannot match. No
-        // issue flips a gate, so this holds for the whole tick.
-        let ungated = !self.priority_block && !self.gated.iter().any(|&g| g);
         let n_scheds = self.greedy.len();
         let issued = self.issued_total;
-        if ungated && n_scheds.is_power_of_two() && n_scheds <= MAX_SCHEDS_FUSED {
+        if self.ungated() && n_scheds.is_power_of_two() && n_scheds <= MAX_SCHEDS_FUSED {
             self.gather_fused(now, mem);
         } else {
             self.gather_gated(now, mem);

@@ -165,7 +165,18 @@ impl Sm {
         !(self.elastic && self.all_gated_exhausted())
     }
 
-    /// [`Sm::quota_inert`] for every kernel slot at once.
+    /// No kernel gated and the priority gate off: [`Sm::quota_allows`] is
+    /// `true` for every kernel and mutates nothing, no kernel is inert, and
+    /// the scavenger (which only admits *gated* exhausted kernels) cannot
+    /// match. No issue flips a gate, so this holds for a whole tick.
+    #[inline]
+    pub(super) fn ungated(&self) -> bool {
+        !self.priority_block && !self.gated.iter().any(|&g| g)
+    }
+
+    /// [`Sm::quota_inert`] for every kernel slot at once. Callers on the
+    /// sleep path ask [`Sm::ungated`] first: on an ungated SM every entry is
+    /// `false`.
     pub(super) fn inert_kernels(&self) -> [bool; MAX_KERNELS] {
         std::array::from_fn(|k| self.quota_inert(k))
     }

@@ -28,7 +28,7 @@ impl KernelStats {
 }
 
 /// Whole-GPU statistics snapshot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuStats {
     /// Simulated cycles so far.
     pub cycles: Cycle,

@@ -29,7 +29,8 @@ pub struct AddrStream<'a> {
 impl AddrStream<'_> {
     /// Generates the coalesced line addresses for the warp's next memory
     /// access under `pattern`, appending up to `pattern.transactions` line
-    /// addresses into `buf` and returning how many were written.
+    /// addresses into `buf` and returning how many were written. `line_bytes`
+    /// is a power of two, as [`crate::GpuConfig::validate`] requires.
     pub fn gen_lines(
         &mut self,
         pattern: &AccessPattern,
@@ -38,9 +39,11 @@ impl AddrStream<'_> {
         tb_index: u32,
         buf: &mut [Addr; 32],
     ) -> usize {
-        let line = u64::from(line_bytes);
+        // A shift, not a division, turns bytes into lines.
+        debug_assert!(line_bytes.is_power_of_two());
+        let shift = line_bytes.trailing_zeros();
         let trans = usize::from(pattern.transactions);
-        let fp_lines = (pattern.footprint_bytes / line).max(1);
+        let fp_lines = (pattern.footprint_bytes >> shift).max(1);
         let seq = *self.seq;
         *self.seq += 1;
         // Writes `(start + t) % fp_lines` scaled to line addresses for
@@ -52,7 +55,7 @@ impl AddrStream<'_> {
         let fill = |buf: &mut [Addr; 32], base: Addr, start: u64| {
             let mut x = start;
             for slot in buf.iter_mut().take(trans) {
-                *slot = base + x * line;
+                *slot = base + (x << shift);
                 x += 1;
                 if x == fp_lines {
                     x = 0;
@@ -77,7 +80,7 @@ impl AddrStream<'_> {
             }
             PatternKind::Random => {
                 for slot in buf.iter_mut().take(trans) {
-                    *slot = kernel_base + self.rng.next_below(fp_lines) * line;
+                    *slot = kernel_base + (self.rng.next_below(fp_lines) << shift);
                 }
             }
             PatternKind::Stencil => {

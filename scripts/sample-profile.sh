@@ -9,11 +9,14 @@
 # (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only) into the ignored
 # .bench_build/, runs it once under scripts/sampler.c (an LD_PRELOAD SIGPROF
 # handler that records the interrupted instruction pointer), symbolizes every
-# sample with llvm-symbolizer --inlining and prints two tables:
+# sample with llvm-symbolizer --inlining and prints three tables:
 #   - outermost frame: the out-of-line function a sample is in (what an
 #     `#[inline(never)]` boundary names);
-#   - innermost frame: the source function its instruction was inlined from.
-# Shares are of all samples, the benchmark's calibration bursts included;
+#   - innermost frame: the source function its instruction was inlined from;
+#   - outermost frame again, as shares of simulator time: the samples of the
+#     benchmark's host-speed calibration bursts (any frame in
+#     fgqos_bench::calib::Toy::burst) are left out of its rows and its total.
+# The first two tables' shares are of all samples, calibration included;
 # samples outside the binary count under their library's name. The kernel
 # may round SAMPLER_US up to its timer tick. Needs gcc and
 # llvm-symbolizer. Samples and symbolized frames stay in .bench_build/profile/.
@@ -21,7 +24,7 @@
 # copy is restored on exit.
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,21p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,24p' "$0" >&2; exit 2; }
 workload=$1
 seconds=${2:-10}
 seed=${SEED:-1}
@@ -52,22 +55,30 @@ awk -v b="$bin" '$1 == b { print $2 }' "$out/samples.txt" |
     sed -E 's/::h[0-9a-f]{16}$//; s/_?\$LT\$/</g; s/\$GT\$/>/g; s/\$u20\$/ /g; s/\$RF\$/\&/g
         s/\.\./::/g' >"$out/frames.txt"
 total=$(wc -l <"$out/samples.txt")
+calib='calib::Toy::burst'
+bursts=$(awk -v RS= -v c="$calib" 'index($0, c) { n++ } END { print n + 0 }' "$out/frames.txt")
 
-# Frame $1 (an awk field of a sample's paragraph) of every sample, then the
+# Frame $1 (an awk field of a sample's paragraph) of every sample whose
+# paragraph does not contain $2 (nothing skipped when empty), then the
 # library of every sample outside the binary.
 frames() {
-    awk -v RS= -F '\n' "{ print $1 }" "$out/frames.txt"
+    awk -v RS= -F '\n' -v skip="$2" "skip == \"\" || !index(\$0, skip) { print $1 }" \
+        "$out/frames.txt"
     awk -v b="$bin" '$1 != b { n = split($1, p, "/"); print "[" p[n] "]" }' "$out/samples.txt"
 }
+# table <frame> <heading> <skip> <total>
 table() {
     echo "| share | samples | $2 |"
     echo "|---:|---:|---|"
-    frames "$1" | sort | uniq -c | sort -rn | head -n "$top" |
-        awk -v t="$total" '{ c = $1; $1 = ""
+    frames "$1" "$3" | sort | uniq -c | sort -rn | head -n "$top" |
+        awk -v t="$4" '{ c = $1; $1 = ""
             printf "| %.1f%% | %d | `%s` |\n", 100 * c / t, c, substr($0, 2) }'
 }
 
 echo "# $workload, seed $seed, $seconds s: $total samples"
-table '$(NF - 1)' "outermost frame"
+table '$(NF - 1)' "outermost frame" "" "$total"
 echo
-table '$1' "innermost frame"
+table '$1' "innermost frame" "" "$total"
+echo
+echo "# simulator time: $((total - bursts)) samples, $bursts calibration samples left out"
+table '$(NF - 1)' "outermost frame, simulator time" "$calib" "$((total - bursts))"
