@@ -16,7 +16,7 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a generator from a seed. Distinct seeds give independent streams.
-    pub fn new(seed: u64) -> Self {
+    pub const fn new(seed: u64) -> Self {
         SplitMix64 {
             // Avoid the all-zero fixed point producing a weak first draw.
             state: seed ^ 0x9e37_79b9_7f4a_7c15,

@@ -275,9 +275,6 @@ impl Sm {
     /// admitted, and the scavenger finds nothing.
     #[inline(never)]
     fn gather_gated(&mut self, now: Cycle, mem: &mut MemSystem) {
-        if self.stride_masks.is_empty() {
-            self.build_stride_masks();
-        }
         let n_scheds = self.greedy.len();
         let mut inert = self.open_gate();
         let mut tallied = 0;
@@ -381,20 +378,15 @@ impl Sm {
     fn issue(&mut self, slot: u16, now: Cycle, mem: &mut MemSystem) {
         let i = usize::from(slot);
         let k = self.warps.kernel[i].index();
-        // `Op` is `Copy` and the body length is all the control flow needs,
-        // so the hot path reads the flattened `bodies` mirror — one indexed
-        // load — instead of chasing `Option<Arc<KernelDesc>>`. An empty
-        // mirror means this SM was just restored from a snapshot (`bodies`
-        // is skip-snapped); rebuild it from the authoritative desc. A warp
-        // can only issue from a registered, non-empty kernel body, so
-        // emptiness is an unambiguous "not built yet" sentinel.
-        if self.bodies[k].is_empty() {
-            self.bodies[k] = self.descs[k].as_ref().expect("desc").body().to_vec();
-        }
-        let (op, body_len) = {
-            let body = &self.bodies[k];
-            (body[usize::from(self.warps.pc[i])], body.len())
-        };
+        // The warp's I-buffer holds its current op: one load from an inline
+        // column. Dev builds check it against the body it mirrors.
+        let op = self.warps.op[i];
+        debug_assert_eq!(
+            Some(&op),
+            self.bodies[k].get(usize::from(self.warps.pc[i])),
+            "{} slot {slot}: I-buffer against kernel {k}'s body",
+            self.id
+        );
 
         if self.warps.rem[i] == 0 {
             self.warps.rem[i] = match op {
@@ -449,8 +441,10 @@ impl Sm {
         let mut arrived_barrier = false;
         let mut retired = false;
         if self.warps.rem[i] == 0 {
+            // An op boundary: the one place `issue` reads the body.
+            let body = &self.bodies[k];
             self.warps.pc[i] += 1;
-            if usize::from(self.warps.pc[i]) == body_len {
+            if usize::from(self.warps.pc[i]) == body.len() {
                 self.warps.iter[i] -= 1;
                 if self.warps.iter[i] == 0 {
                     self.warps.done.0 |= bit(slot);
@@ -458,6 +452,10 @@ impl Sm {
                 } else {
                     self.warps.pc[i] = 0;
                 }
+            }
+            // A retired warp's `pc` is past the body; it never issues again.
+            if let Some(&next) = body.get(usize::from(self.warps.pc[i])) {
+                self.warps.op[i] = next;
             }
             if matches!(op, Op::Bar) {
                 self.warps.at_barrier.0 |= bit(slot);

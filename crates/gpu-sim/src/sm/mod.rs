@@ -36,7 +36,7 @@ mod warp_table;
 
 pub use quota::QuotaCarry;
 pub use warp_table::WarpTable;
-pub(crate) use warp_table::{bit, slots, SlotMask, MAX_SLOTS};
+pub(crate) use warp_table::{bit, slots, SlotColumn, SlotMask, Vacant, MAX_SLOTS};
 
 use std::sync::Arc;
 
@@ -94,11 +94,11 @@ pub struct Sm {
 
     l1: Cache,
     descs: PerKernel<Option<Arc<KernelDesc>>>,
-    // Flattened mirror of each registered kernel's op body, so the issue
-    // path reads the current op through one indexed load instead of chasing
-    // `Option<Arc<KernelDesc>>` → `Vec` on every dynamic instruction.
-    // Written alongside `descs` in `set_kernel_desc`; skip-snapped (a
-    // restored SM rebuilds each entry lazily on its first issue).
+    // Flattened mirror of each registered kernel's op body, which `issue`
+    // reads at an op boundary for the body's length and the next op (the
+    // op itself it reads from the warp's I-buffer, `WarpTable::op`).
+    // Written alongside `descs` in `set_kernel_desc`; derived and never
+    // encoded, refilled by `rebuild_derived`.
     bodies: PerKernel<Vec<crate::kernel::Op>>,
 
     // Copies of the memory config consulted on the issue path, so it reads
@@ -173,9 +173,8 @@ pub struct Sm {
     live: u64,
     gate: Gate,
     // Per-scheduler slot-stripe masks, one word each (bit set iff
-    // slot % num_scheds == sid). Pure function of the geometry; lazily
-    // rebuilt when empty, so a restored SM regenerates them on its first
-    // tick.
+    // slot % num_scheds == sid). Pure function of the geometry; never
+    // encoded, built by `rebuild_derived`.
     stride_masks: Vec<u64>,
     // `Some` while asleep (see `Sleep`). Set only by `sleep_from`, on the
     // machine's say-so; `None` at every epoch boundary and between runs, so
@@ -188,7 +187,7 @@ impl Sm {
     pub fn new(id: SmId, cfg: &GpuConfig) -> Self {
         let max_warps = cfg.sm.max_warps() as u16;
         let max_tbs = cfg.sm.max_tbs as u16;
-        Sm {
+        let mut sm = Sm {
             id,
             num_scheds: cfg.sm.warp_schedulers as u16,
             max_warps,
@@ -245,6 +244,33 @@ impl Sm {
             gate: Gate::default(),
             stride_masks: Vec::new(),
             sleep: None,
+        };
+        sm.rebuild_derived();
+        sm
+    }
+
+    /// Rebuilds every derived field that is not per-tick scratch from the
+    /// state it mirrors: `bodies` from `descs`, the stripe masks from the
+    /// geometry and each warp's I-buffer entry from its kernel's body at its
+    /// `pc`. Runs at the end of `Sm::new` and of every decode, so a decoded
+    /// SM issues correctly whether or not it went through `Gpu::restore`.
+    /// A hostile blob's kernel, `pc` or slot count is looked up with
+    /// `.get()` and left vacant; [`Sm::fits`] refuses such a blob afterwards.
+    fn rebuild_derived(&mut self) {
+        self.bodies =
+            per_kernel(|k| self.descs[k].as_ref().map_or(Vec::new(), |d| d.body().to_vec()));
+        let scheds = usize::from(self.num_scheds).max(1);
+        self.stride_masks = vec![0; scheds];
+        let t = &mut self.warps;
+        for slot in 0..t.capacity() {
+            self.stride_masks[slot % scheds] |= bit(slot as u16);
+        }
+        t.op = SlotColumn::new(t.capacity());
+        for slot in slots(t.occupied.0) {
+            let body = &self.bodies[t.kernel[slot].index()];
+            if let Some(&op) = body.get(usize::from(t.pc[slot])) {
+                t.op[slot] = op;
+            }
         }
     }
 
@@ -308,17 +334,6 @@ impl Sm {
         self.id
     }
 
-    /// Builds the per-scheduler slot-stripe masks: bit `s` of
-    /// `stride_masks[sid]` is set iff warp slot `s` belongs to scheduler
-    /// `sid` (`s % num_scheds == sid`).
-    fn build_stride_masks(&mut self) {
-        let scheds = usize::from(self.num_scheds).max(1);
-        self.stride_masks = vec![0; scheds];
-        for slot in 0..self.max_warps {
-            self.stride_masks[usize::from(slot) % scheds] |= bit(slot);
-        }
-    }
-
     /// Records a flight-recorder event. A single branch when tracing is off,
     /// so the hot path stays free of ring-buffer work at level `Off`.
     #[inline]
@@ -331,14 +346,14 @@ impl Sm {
 
 crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 
-// `bodies` is a pure mirror of `descs`, rebuilt lazily by `issue`;
-// `live` and `gate` are per-tick scratch, always rebuilt before use;
-// `stride_masks` is a pure function of the geometry, lazily rebuilt;
-// `sleep` is `None` wherever a snapshot can be taken (the machine wakes every
-// SM before an epoch boundary's controller call and on every exit of a run);
-// `residency_moved` only invalidates a cached verdict the restored TB
-// scheduler does not have. A restored SM therefore starts with empty/default
-// values for all of them.
+// `bodies` (a mirror of `descs`), `stride_masks` (a function of the
+// geometry) and the warp table's I-buffer are derived: `rebuild_derived`
+// refills them as the decode ends. `live` and `gate` are per-tick scratch,
+// always rebuilt before use; `sleep` is `None` wherever a snapshot can be
+// taken (the machine wakes every SM before an epoch boundary's controller
+// call and on every exit of a run); `residency_moved` only invalidates a
+// cached verdict the restored TB scheduler does not have. A decoded SM
+// therefore starts with default values for the last four.
 crate::impl_snap_struct!(Sm {
     id,
     num_scheds,
@@ -393,4 +408,4 @@ crate::impl_snap_struct!(Sm {
     stride_masks,
     sleep,
     residency_moved
-});
+} then rebuild_derived);

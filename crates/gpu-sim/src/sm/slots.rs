@@ -115,6 +115,11 @@ impl Sm {
                 .warps
                 .alloc(k, tb_slot, warp_in_tb, warp_uid, &progress, now + load_cost, self.next_age)
                 .expect("free warp slot");
+            // The I-buffer comes from the description, the authority; a
+            // resumed retired warp's `pc` is past the body and keeps none.
+            if let Some(&op) = desc.body().get(usize::from(progress.pc)) {
+                self.warps.op[usize::from(slot)] = op;
+            }
             self.next_age += 1;
             self.warps.set_tb_phase_bits(slot, false, true);
             self.tbs.warp_slots[usize::from(tb_slot)].push(slot);

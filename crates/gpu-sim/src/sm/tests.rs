@@ -620,7 +620,7 @@ mod gate_oracle {
         let mut sm = sm_hosting(4, &[32, 32], &[0, 1, 1]);
         sm.gate.stale_hoist = stale_hoist;
         let (q, b) = (KernelId::new(0), KernelId::new(1));
-        assert_eq!(sm.warps.kernel[..5], [q, b, b, b, b], "slot = scheduler");
+        assert_eq!((*sm.warps.kernel)[..5], [q, b, b, b, b], "slot = scheduler");
         sm.set_qos_kernel(q, true);
         sm.set_gated(q, true);
         sm.set_epoch_quota(q, 32, QuotaCarry::Reset, 0);
@@ -855,6 +855,57 @@ fn sm_decoded_from_a_snapshot_ticks_bit_identically() {
         assert_eq!(encode_to_vec(&back.sm), encode_to_vec(&live.sm), "at {end}");
     }
     assert_eq!((live.sm.wake_counts().1, back.sm.wake_counts().1), (1, 1), "one build each");
+}
+
+/// Runs one TB of an ALU/SFU kernel until `at(now, warps)` holds, decodes
+/// the SM from its bytes there, dispatches a second TB onto the live SM and
+/// onto the decoded one before either ticks again, and steps both: every
+/// cycle they must encode alike and hold the same I-buffer for every warp
+/// that can still issue. The I-buffer is never encoded, so this holds only
+/// if the decode refills it from the kernel bodies and the dispatch fills
+/// the new warps' entries from the description.
+fn decoded_twin_issues_like_the_live_sm(at: impl Fn(Cycle, &WarpTable) -> bool) {
+    use crate::snap::{decode_from_slice, encode_to_vec};
+    let (mut live, mut mem, desc) = setup(vec![Op::alu(4, 3), Op::sfu(20, 1), Op::alu(2, 2)], 40);
+    let k = KernelId::new(0);
+    live.set_kernel_desc(k, desc);
+    live.dispatch(k, TbIndex(0), None, 0, 0);
+    let mut now = 0;
+    while !at(now, &live.warps) {
+        live.tick(now, &mut mem);
+        now += 1;
+        assert!(now < 1_000, "the snapshot point comes inside the first TB's run");
+    }
+    let mut back: Sm = decode_from_slice(&encode_to_vec(&live)).expect("sm decodes");
+    let mut back_mem: MemSystem = decode_from_slice(&encode_to_vec(&mem)).expect("memsys decodes");
+    live.dispatch(k, TbIndex(1), None, now, 0);
+    back.dispatch(k, TbIndex(1), None, now, 0);
+    for t in now..now + 600 {
+        live.tick(t, &mut mem);
+        back.tick(t, &mut back_mem);
+        assert_eq!(encode_to_vec(&back), encode_to_vec(&live), "at {t}");
+        let w = &live.warps;
+        for slot in slots(w.occupied.0 & !w.done.0) {
+            assert_eq!(back.warps.op[slot], w.op[slot], "slot {slot}'s I-buffer at {t}");
+        }
+    }
+    assert_eq!(live.counters(k).warp_insts, back.counters(k).warp_insts);
+    assert!(live.counters(k).warp_insts > 300, "both TBs ran: {}", live.counters(k).warp_insts);
+}
+
+#[test]
+fn sm_decoded_mid_burst_issues_like_the_live_one() {
+    decoded_twin_issues_like_the_live_sm(|now, w| {
+        now >= 100 && slots(w.occupied.0 & !w.done.0).any(|s| w.rem[s] > 0)
+    });
+}
+
+#[test]
+fn sm_decoded_at_an_op_boundary_issues_like_the_live_one() {
+    decoded_twin_issues_like_the_live_sm(|now, w| {
+        let running = w.occupied.0 & !w.done.0;
+        now >= 100 && running != 0 && slots(running).all(|s| w.rem[s] == 0 && w.pc[s] > 0)
+    });
 }
 
 mod preemption_properties {

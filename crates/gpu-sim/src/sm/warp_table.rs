@@ -1,11 +1,12 @@
 //! Struct-of-arrays warp state for one SM.
 //!
-//! Parallel flat vecs (one per field) plus one-word bitmasks: an SM hosts at
-//! most 64 warps and 64 TBs (`GpuConfig::validate` refuses more, and
-//! [`WarpTable::new`] and `TbSlab::new` assert it), so every per-SM slot
-//! mask is a single `u64` ([`SlotMask`] on the wire), ready-warp selection
-//! is a trailing-zeros scan of one word ([`slots`]), and the cold per-warp
-//! fields are only touched for live candidates.
+//! One inline column per field ([`SlotColumn`], a `[T; 64]` and the count
+//! of slots in use) plus one-word bitmasks: an SM hosts at most 64 warps
+//! and 64 TBs (`GpuConfig::validate` refuses more, and [`WarpTable::new`]
+//! and `TbSlab::new` assert it), so no column needs the heap, every per-SM
+//! slot mask is a single `u64` ([`SlotMask`] on the wire), ready-warp
+//! selection is a trailing-zeros scan of one word ([`slots`]), and the cold
+//! per-warp fields are only touched for live candidates.
 //!
 //! ## Bitmask invariants
 //!
@@ -22,12 +23,12 @@
 //!
 //! ## Snapshot canonicality
 //!
-//! Freed slots are reset to canonical values (kernel 0, zeroed scalars,
-//! `SplitMix64::new(0)`), so machines that reach the same architectural
-//! state through different dispatch/free histories — e.g. a live run versus
-//! a kill-and-resume run — encode byte-identical snapshots. The free-slot
-//! stack itself is encoded, and both histories produce the same stack
-//! because free-order is architecturally determined.
+//! Freed slots are reset to canonical values ([`Vacant::VACANT`]: kernel 0,
+//! zeroed scalars, `SplitMix64::new(0)`), so machines that reach the same
+//! architectural state through different dispatch/free histories — e.g. a
+//! live run versus a kill-and-resume run — encode byte-identical snapshots.
+//! The free-slot stack itself is encoded, and both histories produce the
+//! same stack because free-order is architecturally determined.
 //!
 //! ## Wake queue
 //!
@@ -42,13 +43,112 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Deref, DerefMut, Index, IndexMut};
 
+use crate::kernel::Op;
 use crate::rng::SplitMix64;
-use crate::types::{Cycle, KernelId, PerKernel};
+use crate::types::{Cycle, KernelId, PerKernel, TbIndex};
 use crate::warp::{AddrStream, WarpProgress};
 
 /// Most warp or TB slots an SM has: one bit each in a `u64`.
 pub(crate) const MAX_SLOTS: usize = 64;
+
+/// The value a free slot of a [`SlotColumn`] holds: what a fresh column is
+/// filled with and what freeing a slot writes back, so a freed slot encodes
+/// like one never used.
+pub(crate) trait Vacant {
+    const VACANT: Self;
+}
+
+impl Vacant for u16 {
+    const VACANT: Self = 0;
+}
+
+impl Vacant for u32 {
+    const VACANT: Self = 0;
+}
+
+impl Vacant for u64 {
+    const VACANT: Self = 0;
+}
+
+impl Vacant for KernelId {
+    const VACANT: Self = KernelId(0);
+}
+
+impl Vacant for TbIndex {
+    const VACANT: Self = TbIndex(0);
+}
+
+impl Vacant for SplitMix64 {
+    const VACANT: Self = SplitMix64::new(0);
+}
+
+/// A free slot's op is never issued; the I-buffer of a fresh slot holds a
+/// barrier only because an `Op` has to hold something.
+impl Vacant for Op {
+    const VACANT: Self = Op::Bar;
+}
+
+/// One per-slot field of an SM: a value for each of the [`MAX_SLOTS`] slots
+/// inline, `len` of them in use. It reads as the slice of the slots in use;
+/// `column[slot]` is checked against the constant 64, an immediate compare,
+/// not against `len`. On the wire it is exactly the `Vec` of the slots in
+/// use (`snap.rs`).
+#[derive(Debug, Clone)]
+pub(crate) struct SlotColumn<T> {
+    items: [T; MAX_SLOTS],
+    len: usize,
+}
+
+impl<T: Vacant> SlotColumn<T> {
+    /// A column of `len` slots, every one vacant.
+    pub(crate) fn new(len: usize) -> Self {
+        assert!(len <= MAX_SLOTS, "a slot column holds at most {MAX_SLOTS} slots, not {len}");
+        SlotColumn { items: std::array::from_fn(|_| T::VACANT), len }
+    }
+
+    /// Resets `slot` to the vacant value.
+    #[inline]
+    pub(crate) fn vacate(&mut self, slot: usize) {
+        self.items[slot] = T::VACANT;
+    }
+}
+
+/// The unbuilt column of a skip-snapped field: no slot in use.
+impl<T: Vacant> Default for SlotColumn<T> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<T> Deref for SlotColumn<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<T> DerefMut for SlotColumn<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len]
+    }
+}
+
+impl<T> Index<usize> for SlotColumn<T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, slot: usize) -> &T {
+        &self.items[slot]
+    }
+}
+
+impl<T> IndexMut<usize> for SlotColumn<T> {
+    #[inline]
+    fn index_mut(&mut self, slot: usize) -> &mut T {
+        &mut self.items[slot]
+    }
+}
 
 /// The bit of `slot` in a one-word mask. A slot past the word (a bug, or a
 /// slot number decoded from a corrupt snapshot) panics in every profile
@@ -121,29 +221,35 @@ impl Default for WakeQueue {
 pub struct WarpTable {
     // --- per-slot attribute arrays (indexed by warp slot) ---
     /// Owning kernel.
-    pub(crate) kernel: Vec<KernelId>,
+    pub(crate) kernel: SlotColumn<KernelId>,
     /// Owning TB's slot in the SM's TB slab.
-    pub(crate) tb_slot: Vec<u16>,
+    pub(crate) tb_slot: SlotColumn<u16>,
     /// Warp position within its TB.
-    pub(crate) warp_in_tb: Vec<u16>,
+    pub(crate) warp_in_tb: SlotColumn<u16>,
     /// Globally unique warp number within the kernel (survives preemption);
     /// derives the deterministic address stream.
-    pub(crate) warp_uid: Vec<u64>,
+    pub(crate) warp_uid: SlotColumn<u64>,
     /// Index of the current op in the kernel body.
-    pub(crate) pc: Vec<u16>,
+    pub(crate) pc: SlotColumn<u16>,
     /// Remaining repeats of the current op (0 = not yet started).
-    pub(crate) rem: Vec<u16>,
+    pub(crate) rem: SlotColumn<u16>,
     /// Remaining body iterations.
-    pub(crate) iter: Vec<u32>,
+    pub(crate) iter: SlotColumn<u32>,
     /// Cycle at which the warp's previous instruction completes. Written
     /// only through [`WarpTable::set_ready_at`].
-    pub(crate) ready_at: Vec<Cycle>,
+    pub(crate) ready_at: SlotColumn<Cycle>,
     /// Memory-access sequence number.
-    pub(crate) seq: Vec<u64>,
+    pub(crate) seq: SlotColumn<u64>,
     /// Deterministic per-warp RNG for randomized patterns.
-    pub(crate) rng: Vec<SplitMix64>,
+    pub(crate) rng: SlotColumn<SplitMix64>,
     /// Dispatch age: smaller = older (GTO tie-break).
-    pub(crate) age: Vec<u64>,
+    pub(crate) age: SlotColumn<u64>,
+    /// The I-buffer: the op at `pc` in the warp's kernel body, which
+    /// `issue` reads instead of looking the body up. Derived and never
+    /// encoded: `Sm::dispatch` writes it from the kernel's description,
+    /// `issue` whenever `pc` moves, and `Sm::rebuild_derived` after a
+    /// decode.
+    pub(crate) op: SlotColumn<Op>,
     // --- one-word bitmasks (bit = warp slot) ---
     pub(crate) occupied: SlotMask,
     pub(crate) done: SlotMask,
@@ -164,17 +270,18 @@ impl WarpTable {
         let n = usize::from(max_warps);
         assert!(n <= MAX_SLOTS, "an SM hosts at most {MAX_SLOTS} warps, not {n}");
         WarpTable {
-            kernel: vec![KernelId::new(0); n],
-            tb_slot: vec![0; n],
-            warp_in_tb: vec![0; n],
-            warp_uid: vec![0; n],
-            pc: vec![0; n],
-            rem: vec![0; n],
-            iter: vec![0; n],
-            ready_at: vec![0; n],
-            seq: vec![0; n],
-            rng: vec![SplitMix64::new(0); n],
-            age: vec![0; n],
+            kernel: SlotColumn::new(n),
+            tb_slot: SlotColumn::new(n),
+            warp_in_tb: SlotColumn::new(n),
+            warp_uid: SlotColumn::new(n),
+            pc: SlotColumn::new(n),
+            rem: SlotColumn::new(n),
+            iter: SlotColumn::new(n),
+            ready_at: SlotColumn::new(n),
+            seq: SlotColumn::new(n),
+            rng: SlotColumn::new(n),
+            age: SlotColumn::new(n),
+            op: SlotColumn::new(n),
             occupied: SlotMask::default(),
             done: SlotMask::default(),
             at_barrier: SlotMask::default(),
@@ -250,17 +357,18 @@ impl WarpTable {
         let i = usize::from(slot);
         debug_assert!(self.is_occupied(slot));
         let k = self.kernel[i].index();
-        self.kernel[i] = KernelId::new(0);
-        self.tb_slot[i] = 0;
-        self.warp_in_tb[i] = 0;
-        self.warp_uid[i] = 0;
-        self.pc[i] = 0;
-        self.rem[i] = 0;
-        self.iter[i] = 0;
-        self.ready_at[i] = 0;
-        self.seq[i] = 0;
-        self.rng[i] = SplitMix64::new(0);
-        self.age[i] = 0;
+        self.kernel.vacate(i);
+        self.tb_slot.vacate(i);
+        self.warp_in_tb.vacate(i);
+        self.warp_uid.vacate(i);
+        self.pc.vacate(i);
+        self.rem.vacate(i);
+        self.iter.vacate(i);
+        self.ready_at.vacate(i);
+        self.seq.vacate(i);
+        self.rng.vacate(i);
+        self.age.vacate(i);
+        self.op.vacate(i);
         self.occupied.0 &= !bit(slot);
         self.done.0 &= !bit(slot);
         self.at_barrier.0 &= !bit(slot);
@@ -393,6 +501,7 @@ crate::impl_snap_struct!(WarpTable {
     kernel_mask,
     free,
 } skip {
+    op,
     wake
 });
 
@@ -505,15 +614,24 @@ mod tests {
         bytes.windows(table.len()).position(|w| w == table).expect("the warp table")
     }
 
+    /// `bytes` with `cut` bytes at `at` replaced by `insert`, its header's
+    /// payload length rewritten to match: a blob whose stream stays aligned.
+    fn spliced(bytes: &[u8], at: usize, cut: usize, insert: &[u8]) -> Vec<u8> {
+        use crate::gpu::SnapshotBlob;
+        let header = bytes.len() - SnapshotBlob::from_bytes(bytes).expect("parses").payload_len();
+        let mut bad = [&bytes[..at], insert, &bytes[at + cut..]].concat();
+        let payload = (bad.len() - header) as u64;
+        bad[header - 8..header].copy_from_slice(&payload.to_le_bytes());
+        bad
+    }
+
     /// A slot mask is one word: a blob whose warp-table, kernel or TB-slab mask
     /// says it holds 0 or 2 words is refused, even with the stream kept aligned
     /// (as many words follow as the prefix says), and the machine is untouched.
     #[test]
     fn restore_refuses_a_mask_that_is_not_one_word() {
-        use crate::gpu::SnapshotBlob;
         use crate::snap::encode_to_vec;
         let (gpu, bytes) = warmed();
-        let header = bytes.len() - SnapshotBlob::from_bytes(&bytes).expect("parses").payload_len();
         let find = |record: &[u8]| bytes.windows(record.len()).position(|w| w == record);
         // The masks are the last fields before each free-slot stack: the warp
         // table's five, then its four kernel masks; the slab's one.
@@ -531,14 +649,32 @@ mod tests {
         for (what, at) in masks {
             assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes(), "{what} is one word");
             for words in [0u64, 2] {
-                let mut bad = bytes[..at].to_vec();
-                bad.extend(words.to_le_bytes());
-                bad.extend(std::iter::repeat_n(0, 8 * words as usize));
-                bad.extend(&bytes[at + 16..]);
-                let payload = (bad.len() - header) as u64;
-                bad[header - 8..header].copy_from_slice(&payload.to_le_bytes());
-                assert_refused(&bad, &format!("{what} of {words} words"));
+                let mut mask = words.to_le_bytes().to_vec();
+                mask.extend(std::iter::repeat_n(0, 8 * words as usize));
+                assert_refused(
+                    &spliced(&bytes, at, 16, &mask),
+                    &format!("{what} of {words} words"),
+                );
             }
+        }
+    }
+
+    /// A warp-table column has one entry per warp slot: a blob whose `kernel`
+    /// column is a slot short (`Sm::warps_fit`) or a slot over (65, past any
+    /// SM: the column's decode), with the stream kept aligned, is refused and
+    /// the machine is untouched.
+    #[test]
+    fn restore_refuses_a_column_of_another_slot_count() {
+        let (gpu, bytes) = warmed();
+        let n = gpu.sms().last().expect("the machine has SMs").warps.capacity();
+        // The kernel column leads the table: a length word, then a byte a slot.
+        let at = last_table(&gpu, &bytes);
+        assert_eq!(bytes[at..at + 8], (n as u64).to_le_bytes(), "one entry a slot");
+        let kernels = &bytes[at + 8..at + 8 + n];
+        for len in [n - 1, n + 1] {
+            let mut column = (len as u64).to_le_bytes().to_vec();
+            column.extend(kernels.iter().chain([&0]).take(len));
+            assert_refused(&spliced(&bytes, at, 8 + n, &column), &format!("{len} kernel slots"));
         }
     }
 

@@ -352,6 +352,28 @@ impl Snap for crate::sm::SlotMask {
     }
 }
 
+/// A slot column travels as the `Vec` of its slots in use: a `u64` length,
+/// then each slot. A length past the 64 slots an SM has is refused before a
+/// slot is read; one that differs from the SM's slot count is refused by
+/// `Sm::warps_fit`.
+impl<T: Snap + crate::sm::Vacant> Snap for crate::sm::SlotColumn<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        T::encode_slice(self, out);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let len = usize::decode(r)?;
+        if len > crate::sm::MAX_SLOTS {
+            return Err(SnapError::Invalid("slot column length"));
+        }
+        let mut column = Self::new(len);
+        for slot in column.iter_mut() {
+            *slot = T::decode(r)?;
+        }
+        Ok(column)
+    }
+}
+
 /// `Arc` snapshots its inner value; decoding creates a fresh, unshared
 /// allocation. The simulator never relies on `Arc` pointer identity (SMs and
 /// the TB scheduler only read through it), so restored clones are
@@ -378,16 +400,18 @@ impl<T: Snap> Snap for Box<T> {
 /// Implements [`Snap`] for a struct by encoding the listed fields in order.
 ///
 /// Must be invoked inside the module that can see the fields. An optional
-/// trailing `skip { .. }` block names scratch fields that are *not*
-/// persisted; they are rebuilt with `Default::default()` on decode (every
-/// such field is empty between the simulator's public calls, which is the
-/// only place snapshots are taken).
+/// trailing `skip { .. }` block names fields that are *not* persisted; they
+/// decode as `Default::default()` (scratch that is empty between the
+/// simulator's public calls, which is the only place snapshots are taken).
+/// A derived field that must hold its value as soon as the struct exists
+/// is refilled by a post-decode step, `skip { .. } then method`: decoding
+/// ends in `value.method()`, which must not panic on any decoded value.
 #[macro_export]
 macro_rules! impl_snap_struct {
     ($ty:ty { $($field:tt),+ $(,)? }) => {
         $crate::impl_snap_struct!($ty { $($field),+ } skip {});
     };
-    ($ty:ty { $($field:tt),+ $(,)? } skip { $($scratch:tt),* $(,)? }) => {
+    ($ty:ty { $($field:tt),+ $(,)? } skip { $($scratch:tt),* $(,)? } $(then $post:ident)?) => {
         impl $crate::snap::Snap for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
                 $($crate::snap::Snap::encode(&self.$field, out);)+
@@ -395,10 +419,16 @@ macro_rules! impl_snap_struct {
             fn decode(
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> Result<Self, $crate::snap::SnapError> {
-                Ok(Self {
+                let value = Self {
                     $($field: $crate::snap::Snap::decode(r)?,)+
                     $($scratch: Default::default(),)*
-                })
+                };
+                $(let value = {
+                    let mut value = value;
+                    value.$post();
+                    value
+                };)?
+                Ok(value)
             }
         }
     };
@@ -555,6 +585,42 @@ mod tests {
         for slot in [last + 1, u8::MAX] {
             assert_eq!(decode_from_slice::<KernelId>(&[slot]), Err(SnapError::Invalid("KernelId")));
         }
+    }
+
+    #[test]
+    fn a_slot_column_encodes_as_the_vec_of_its_slots_in_use() {
+        use crate::sm::SlotColumn;
+        for len in [61, 64] {
+            let mut ages = SlotColumn::<u64>::new(len);
+            let mut kernels = SlotColumn::<KernelId>::new(len);
+            for slot in 0..len {
+                ages[slot] = (slot as u64) << 40 | 7;
+                kernels[slot] = KernelId((slot % 4) as u8);
+            }
+            let bytes = encode_to_vec(&kernels);
+            assert_eq!(bytes, encode_to_vec(&kernels.to_vec()), "{len} kernel slots");
+            assert_eq!(encode_to_vec(&ages), encode_to_vec(&ages.to_vec()), "{len} ages");
+            let back: SlotColumn<u64> = decode_from_slice(&encode_to_vec(&ages)).expect("decodes");
+            assert_eq!(*back, *ages);
+            if len == 61 {
+                // A length word, then one byte a slot.
+                assert_eq!(bytes.len(), 8 + 61);
+                assert_eq!(bytes[..13], [61, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 0]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_column_past_64_slots_is_invalid() {
+        use crate::sm::SlotColumn;
+        let decode = |bytes: &[u8]| decode_from_slice::<SlotColumn<u16>>(bytes).err();
+        let refused = Some(SnapError::Invalid("slot column length"));
+        assert_eq!(decode(&encode_to_vec(&vec![0u16; 65])), refused);
+        // Refused on the length word alone, before any slot is read.
+        assert_eq!(decode(&65u64.to_le_bytes()), refused);
+        assert_eq!(decode(&u64::MAX.to_le_bytes()), refused);
+        let full: SlotColumn<u16> = decode_from_slice(&encode_to_vec(&vec![3u16; 64])).expect("64");
+        assert_eq!(full.len(), 64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-thread-block residency state, arena-allocated per SM.
 
-use crate::sm::{bit, SlotMask};
+use crate::sm::{bit, SlotColumn, SlotMask, Vacant};
 use crate::types::{Cycle, KernelId, TbIndex};
 
 /// Lifecycle phase of a resident thread block.
@@ -16,13 +16,19 @@ pub enum TbPhase {
     Saving(Cycle),
 }
 
+/// A freed TB slot reads `Active`: the canonical phase a fresh slab holds.
+impl Vacant for TbPhase {
+    const VACANT: Self = TbPhase::Active;
+}
+
 /// Slab of thread-block bookkeeping, indexed by TB slot id.
 ///
-/// Struct-of-arrays layout: each field is a flat vec of `max_tbs` entries,
-/// one per slot, plus a one-word `occupied` bitmask (an SM hosts at most 64
-/// TBs) and an explicit free-slot stack. The per-slot `warp_slots` vecs are
-/// retained (only `.clear()`ed) when a slot is released, so steady-state
-/// dispatch allocates nothing.
+/// Struct-of-arrays layout: each scalar field is an inline `SlotColumn`
+/// of `max_tbs` entries in use, one per slot (an SM hosts at most 64 TBs,
+/// so none needs the heap), plus a one-word `occupied` bitmask and an
+/// explicit free-slot stack. The per-slot `warp_slots` vecs are retained
+/// (only `.clear()`ed) when a slot is released, so steady-state dispatch
+/// allocates nothing.
 ///
 /// Freed slots are reset to canonical values (kernel 0, index 0, empty warp
 /// list, `Active` phase) so that two machines reaching the same architectural
@@ -30,17 +36,17 @@ pub enum TbPhase {
 #[derive(Debug)]
 pub struct TbSlab {
     /// Owning kernel per slot.
-    pub(crate) kernel: Vec<KernelId>,
+    pub(crate) kernel: SlotColumn<KernelId>,
     /// Grid-wide TB index per slot.
-    pub(crate) tb_index: Vec<TbIndex>,
+    pub(crate) tb_index: SlotColumn<TbIndex>,
     /// Warp slot indices (into the SM's warp table) belonging to each TB.
     pub(crate) warp_slots: Vec<Vec<u16>>,
     /// Number of warps that have retired, per slot.
-    pub(crate) warps_done: Vec<u16>,
+    pub(crate) warps_done: SlotColumn<u16>,
     /// Number of warps currently parked at the active barrier, per slot.
-    pub(crate) barrier_arrived: Vec<u16>,
+    pub(crate) barrier_arrived: SlotColumn<u16>,
     /// Current lifecycle phase per slot.
-    pub(crate) phase: Vec<TbPhase>,
+    pub(crate) phase: SlotColumn<TbPhase>,
     /// Occupancy bitmask (bit = slot).
     pub(crate) occupied: SlotMask,
     /// Free-slot stack; built in reverse so slot 0 pops first, matching the
@@ -54,12 +60,12 @@ impl TbSlab {
         let n = usize::from(max_tbs);
         assert!(n <= crate::sm::MAX_SLOTS, "an SM hosts at most 64 TBs, not {n}");
         TbSlab {
-            kernel: vec![KernelId::new(0); n],
-            tb_index: vec![TbIndex(0); n],
+            kernel: SlotColumn::new(n),
+            tb_index: SlotColumn::new(n),
             warp_slots: vec![Vec::new(); n],
-            warps_done: vec![0; n],
-            barrier_arrived: vec![0; n],
-            phase: vec![TbPhase::Active; n],
+            warps_done: SlotColumn::new(n),
+            barrier_arrived: SlotColumn::new(n),
+            phase: SlotColumn::new(n),
             occupied: SlotMask::default(),
             free: (0..max_tbs).rev().collect(),
         }
@@ -108,12 +114,12 @@ impl TbSlab {
     pub fn release(&mut self, slot: u16) {
         let i = usize::from(slot);
         debug_assert!(self.is_occupied(slot));
-        self.kernel[i] = KernelId::new(0);
-        self.tb_index[i] = TbIndex(0);
+        self.kernel.vacate(i);
+        self.tb_index.vacate(i);
         self.warp_slots[i].clear();
-        self.warps_done[i] = 0;
-        self.barrier_arrived[i] = 0;
-        self.phase[i] = TbPhase::Active;
+        self.warps_done.vacate(i);
+        self.barrier_arrived.vacate(i);
+        self.phase.vacate(i);
         self.occupied.0 &= !bit(slot);
         self.free.push(slot);
     }
