@@ -2099,7 +2099,7 @@ mod tests {
                 7,
                 [
                     0x4c2a_6721_bb88_1b87,
-                    0x94c0_1f0c_b05d_567c,
+                    0xe1c2_3238_5c93_0e81,
                     0xd87e_59ed_3295_a6c8,
                     0xfe53_8e2e_616d_d709,
                 ],
@@ -2109,7 +2109,7 @@ mod tests {
                 10,
                 [
                     0xe2b5_54a6_7c71_d5ba,
-                    0x8fc2_5246_6172_9dd3,
+                    0xa08a_8d3b_9478_b583,
                     0x656f_424e_b3a3_831d,
                     0x7bb3_ae44_3cb0_985e,
                 ],

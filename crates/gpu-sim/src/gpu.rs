@@ -318,28 +318,25 @@ impl Gpu {
     /// next epoch boundary, the next idle-warp sampling tick and the
     /// watchdog's `next_check`. Clamped here are the first still-pending
     /// `FaultPlan` entry and the next `DISPATCH_INTERVAL` service point
-    /// whenever a service pass could act (the TB scheduler's cached verdict,
-    /// [`TbScheduler::would_noop`]). The memory system contributes no
-    /// horizon: transaction completions are computed eagerly at access time
-    /// and carried by warp scoreboards (see [`MemSystem::serve`]). None of the
-    /// clamps lies behind `self.cycle`; a result equal to it means "simulate
-    /// the very next cycle". `&mut` only because reading the verdict may
-    /// re-derive and store it.
+    /// whenever the TB scheduler is not settled ([`TbScheduler::settled`]:
+    /// its last pass acted, or an input changed since). The memory system
+    /// contributes no horizon: transaction completions are computed eagerly
+    /// at access time and carried by warp scoreboards (see
+    /// [`MemSystem::serve`]). None of the clamps lies behind `self.cycle`; a
+    /// result equal to it means "simulate the very next cycle".
     ///
     /// Kept out of line, like [`Gpu::service`]: each runs once in several
     /// cycles, and inlined they (and the TB scheduler's passes inside them)
     /// sit in the middle of `run_until`'s per-cycle loop, where every edit
     /// to the TB scheduler moves the loop's code (EXPERIMENTS.md §options).
     #[inline(never)]
-    fn jump_target(&mut self, horizon: Cycle, edge: Cycle) -> Cycle {
+    fn jump_target(&self, horizon: Cycle, edge: Cycle) -> Cycle {
         let mut target = horizon.min(edge);
         if let Some(fault) = self.cfg.faults.faults.get(self.fault_cursor) {
             target = target.min(fault.at_cycle);
         }
-        // A stale verdict is a full scan; read it only when the clamp it
-        // guards could actually shorten the jump.
         let dispatch = self.cycle.next_multiple_of(DISPATCH_INTERVAL);
-        if target > dispatch && !self.tb_sched.would_noop(&mut self.sms, &self.kernels) {
+        if target > dispatch && !self.tb_sched.settled(&self.sms) {
             target = dispatch;
         }
         target
@@ -470,22 +467,28 @@ impl Gpu {
     }
 
     /// The TB scheduler's pass at a dispatch point; out of line for the
-    /// reason [`Gpu::jump_target`] gives. With fast-forward on, a pass the
-    /// cached verdict proves would do nothing is skipped; naive stepping
-    /// runs every one, the oracle for that skip (DESIGN.md §3.1).
+    /// reason [`Gpu::jump_target`] gives. With fast-forward on, a pass is
+    /// skipped while the scheduler is settled; naive stepping runs every
+    /// one, the oracle for that skip (DESIGN.md §3.1). Dev builds run the
+    /// skipped pass anyway, uncounted, and check that it did nothing.
     #[inline(never)]
     fn service(&mut self, now: Cycle) {
-        if self.cfg.fast_forward && self.tb_sched.would_noop(&mut self.sms, &self.kernels) {
+        let settled = self.cfg.fast_forward && self.tb_sched.settled(&self.sms);
+        if settled && !cfg!(debug_assertions) {
             return;
         }
-        self.work.tb_passes += 1;
-        self.tb_sched.service(
+        let acted = self.tb_sched.service(
             now,
             &mut self.sms,
             &mut self.kernels,
             &mut self.mem,
             &self.cfg.preempt,
         );
+        if settled {
+            debug_assert!(!acted, "a settled TB scheduler acted at cycle {now}");
+            return;
+        }
+        self.work.tb_passes += 1;
         // `dispatch` and `start_preempt` end the sleep of the SM they act on.
         for (due, sm) in self.due.iter_mut().zip(&self.sms) {
             *due = sm.wake_at();
@@ -550,11 +553,10 @@ impl Gpu {
 
     /// How many per-SM cycle steps this machine's run loop executed and how
     /// many it skipped because the SM was asleep, what its SMs' wake queues
-    /// and quota gates did, and how often its TB scheduler ran a pass or
-    /// re-derived its verdict, since construction.
+    /// and quota gates did, and how often its TB scheduler ran a pass, since
+    /// construction.
     pub fn work_counters(&self) -> WorkCounters {
         let mut work = self.work;
-        work.tb_verdicts += self.tb_sched.verdicts();
         for sm in &self.sms {
             let (events, rebuilds) = sm.wake_counts();
             work.wake_events += events;
@@ -969,11 +971,15 @@ impl Gpu {
         // builds from the configuration the fingerprint matched: decoded
         // ones of another geometry, cache shape or flight-recorder capacity
         // would be indexed out of bounds on their first step. Likewise a
-        // kernel description the builder would refuse.
+        // TB scheduler with a table per SM of another count, more kernels
+        // than `launch` admits, or a kernel description the builder would
+        // refuse.
         let fits = sms.len() == self.sms.len()
             && sms.iter().zip(&self.sms).all(|(sm, built)| sm.fits(built))
             && mem.fits(&self.mem)
             && events.fits(&self.events)
+            && tb_sched.fits(&self.tb_sched)
+            && kernels.len() <= crate::MAX_KERNELS
             && kernels.iter().all(|k| k.desc.check().is_ok());
         if !fits {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
@@ -989,7 +995,7 @@ impl Gpu {
             )));
         }
         self.cycle = cycle;
-        // The outgoing SMs and scheduler take their counts with them.
+        // The outgoing SMs take their counts with them.
         self.work = self.work_counters();
         self.sms = sms;
         self.mem = mem;
@@ -1721,13 +1727,33 @@ mod tests {
         assert_eq!(other.cycle(), 0, "failed restore must leave the machine untouched");
     }
 
-    #[test]
-    fn restore_refuses_a_sample_interval_the_config_does_not_derive() {
-        let mut gpu = Gpu::new(GpuConfig::tiny());
+    /// Restores `blob` into fresh machines of `cfg`, both ways, and expects
+    /// each to refuse it as corrupt and stay untouched.
+    fn assert_refused_as_corrupt(cfg: &GpuConfig, blob: &SnapshotBlob<'_>, what: &str) {
+        let mut fresh = Gpu::new(cfg.clone());
+        for result in [fresh.restore(blob), fresh.restore_compat(blob)] {
+            match result {
+                Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
+                other => panic!("{what} must be refused, got {other:?}"),
+            }
+        }
+        assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+    }
+
+    /// A two-kernel SMK machine at its cycle-5000 epoch boundary.
+    fn smk_pair_at_5000(cfg: &GpuConfig) -> Gpu {
+        let mut gpu = Gpu::new(cfg.clone());
         gpu.launch(compute_kernel("a"));
         gpu.launch(memory_kernel("b"));
         gpu.set_sharing_mode(SharingMode::Smk);
         gpu.run(5_000, &mut NullController);
+        gpu
+    }
+
+    #[test]
+    fn restore_refuses_a_sample_interval_the_config_does_not_derive() {
+        let cfg = GpuConfig::tiny();
+        let gpu = smk_pair_at_5000(&cfg);
         let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
         // The payload ends with the sampling interval, then the fault
         // cursor, the skipped-cycle count, the event ring and the idle flag.
@@ -1741,24 +1767,13 @@ mod tests {
         assert_eq!(bytes[at..at + 8], gpu.sample_interval.to_le_bytes());
         bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
         let blob = SnapshotBlob::from_bytes(&bytes).expect("the header is intact");
-        let mut fresh = Gpu::new(GpuConfig::tiny());
-        for result in [fresh.restore(&blob), fresh.restore_compat(&blob)] {
-            match result {
-                Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
-                other => panic!("a zero sampling interval must be refused, got {other:?}"),
-            }
-        }
-        assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+        assert_refused_as_corrupt(&cfg, &blob, "a zero sampling interval");
     }
 
     #[test]
     fn restore_refuses_an_sm_geometry_the_config_does_not_build() {
         let cfg = GpuConfig::tiny();
-        let mut gpu = Gpu::new(cfg.clone());
-        gpu.launch(compute_kernel("a"));
-        gpu.launch(memory_kernel("b"));
-        gpu.set_sharing_mode(SharingMode::Smk);
-        gpu.run(5_000, &mut NullController);
+        let gpu = smk_pair_at_5000(&cfg);
         let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
         // An SM record starts with its id, its scheduler count, then its
         // warp slots.
@@ -1771,25 +1786,112 @@ mod tests {
         assert_eq!(bytes[at..at + 2], max_warps.to_le_bytes(), "the SM's warp slots");
         bytes[at..at + 2].copy_from_slice(&(max_warps + 1).to_le_bytes());
         let blob = SnapshotBlob::from_bytes(&bytes).expect("the header is intact");
-        let mut fresh = Gpu::new(cfg);
-        for result in [fresh.restore(&blob), fresh.restore_compat(&blob)] {
-            match result {
-                Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
-                other => panic!("an SM the config does not build must be refused, got {other:?}"),
+        assert_refused_as_corrupt(&cfg, &blob, "an SM the config does not build");
+    }
+
+    #[test]
+    fn restore_refuses_a_greedy_list_longer_than_the_schedulers() {
+        // The gated gather walks one greedy pick per list entry and one
+        // stride mask per scheduler.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.sm_mut(SmId::new(1)).add_greedy_pick_for_test();
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a greedy pick per scheduler and one more");
+    }
+
+    #[test]
+    fn restore_refuses_tb_targets_for_fewer_sms_than_the_machine() {
+        // An SMK pass reads a target row per SM.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.tb_sched = TbScheduler::new(cfg.num_sms as usize - 1);
+        gpu.tb_sched.set_mode(SharingMode::Smk);
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a target row short of the SM count");
+    }
+
+    #[test]
+    fn restore_refuses_more_kernels_than_launch_admits() {
+        // A pass names every kernel by a `KernelId`, which stops at
+        // `MAX_KERNELS`.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = Gpu::new(cfg.clone());
+        for i in 0..crate::MAX_KERNELS {
+            gpu.launch(compute_kernel(&format!("k{i}")));
+        }
+        gpu.kernels.push(KernelRuntime::new(Arc::new(compute_kernel("extra"))));
+        let blob = gpu.snapshot().expect("cycle 0 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a kernel past MAX_KERNELS");
+    }
+
+    /// Two SMK kernels whose TBs outlive the run, 3 + 1 TBs per SM, swapped
+    /// to 1 + 3 by the controller at the epoch-2 boundary, when the
+    /// scheduler has long settled: no drain can unsettle it, only the
+    /// setter. Returns each SM's hosted TBs per kernel and saves at the end.
+    fn retarget_run(fast_forward: bool, sticky_target: bool) -> Vec<(u32, u32, u64)> {
+        struct Swap;
+        impl Controller for Swap {
+            fn on_epoch(&mut self, gpu: &mut Gpu, epoch: u64) {
+                if epoch == 2 {
+                    for sm in gpu.sm_ids().collect::<Vec<_>>() {
+                        gpu.set_tb_target(sm, KernelId::new(0), 1);
+                        gpu.set_tb_target(sm, KernelId::new(1), 3);
+                    }
+                }
             }
         }
-        assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+        let mut cfg = GpuConfig::tiny();
+        cfg.fast_forward = fast_forward;
+        let mut gpu = Gpu::new(cfg);
+        let endless = |name| {
+            KernelDesc::builder(name)
+                .threads_per_tb(256)
+                .regs_per_thread(32)
+                .grid_tbs(64)
+                .iterations(100_000)
+                .body(vec![Op::alu(2, 12)])
+                .build()
+        };
+        let (a, b) = (gpu.launch(endless("a")), gpu.launch(endless("b")));
+        gpu.set_sharing_mode(SharingMode::Smk);
+        for sm in gpu.sm_ids().collect::<Vec<_>>() {
+            gpu.set_tb_target(sm, a, 3);
+            gpu.set_tb_target(sm, b, 1);
+        }
+        gpu.tb_sched.sticky_target = sticky_target;
+        gpu.run(5_000, &mut Swap);
+        let sms = gpu.sms();
+        sms.iter()
+            .map(|sm| (sm.hosted_tbs(a), sm.hosted_tbs(b), sm.preempt_stats().saves))
+            .collect()
+    }
+
+    /// The missed invalidation the settled skip exists to rule out, kept
+    /// in-tree: with `set_target` leaving the scheduler settled
+    /// (`TbScheduler::sticky_target`), the dev-build no-op check at the next
+    /// dispatch point must fire, and a release build must end the run with
+    /// the old residency where naive stepping swapped it.
+    #[test]
+    fn sticky_target_mutation_is_caught() {
+        let reference = retarget_run(false, false);
+        assert!(reference.iter().all(|&(a, b, saves)| (a, b) == (1, 3) && saves == 2));
+        assert_eq!(retarget_run(true, false), reference, "the settled skip is exact");
+        let mutated = std::panic::catch_unwind(|| retarget_run(true, true));
+        if cfg!(debug_assertions) {
+            let why = mutated.expect_err("the dev-build no-op check did not fire");
+            let why = why.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(why.starts_with("a settled TB scheduler acted"), "{why}");
+        } else {
+            assert_ne!(mutated.ok(), Some(reference), "the sticky target went unseen");
+        }
     }
 
     #[test]
     fn restore_refuses_a_flight_recorder_cursor_past_its_events() {
         let mut cfg = GpuConfig::tiny();
         cfg.trace = crate::TraceConfig { level: crate::TraceLevel::Events, ring_capacity: 4 };
-        let mut gpu = Gpu::new(cfg.clone());
-        gpu.launch(compute_kernel("a"));
-        gpu.launch(memory_kernel("b"));
-        gpu.set_sharing_mode(SharingMode::Smk);
-        gpu.run(5_000, &mut NullController);
+        let gpu = smk_pair_at_5000(&cfg);
         let bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
         // A ring encodes as `cap`, `start`, `dropped`, events; the machine's
         // sits right before the final idle flag, SM 0's inside its record.
@@ -1802,14 +1904,7 @@ mod tests {
             assert_eq!(bad[ring..ring + 4], 4u32.to_le_bytes(), "the ring's capacity");
             bad[ring + 4..ring + 8].copy_from_slice(&7u32.to_le_bytes());
             let blob = SnapshotBlob::from_bytes(&bad).expect("the header is intact");
-            let mut fresh = Gpu::new(cfg.clone());
-            for result in [fresh.restore(&blob), fresh.restore_compat(&blob)] {
-                match result {
-                    Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
-                    other => panic!("a ring cursor past its events must be refused, got {other:?}"),
-                }
-            }
-            assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
+            assert_refused_as_corrupt(&cfg, &blob, "a ring cursor past its events");
         }
     }
 

@@ -162,9 +162,9 @@ pub struct Sm {
     saved: Vec<(KernelId, SavedTb)>,
     // Raised when a TB drains, a save or a load finishes: the changes to
     // residency, free capacity and transitions that happen outside a TB
-    // scheduler pass. The scheduler clears it when it re-derives its cached
-    // verdict (`TbScheduler::would_noop`); `false` on restore, where that
-    // verdict starts unknown.
+    // scheduler pass, each of which unsettles the scheduler
+    // (`TbScheduler::settled`). A pass clears it as it starts; `false` on
+    // restore, where the decoded scheduler starts unsettled anyway.
     residency_moved: bool,
 
     // Per-tick scratch: the issuable warps (occupied, not done, not at a
@@ -286,10 +286,18 @@ impl Sm {
             (sm.id, limits, sizes, sm.trace_on)
         };
         geometry(self) == geometry(built)
+            && self.greedy.len() == built.greedy.len()
             && self.l1.fits(&built.l1)
             && self.events.fits(&built.events)
             && self.descs.iter().flatten().all(|d| d.check().is_ok())
             && self.warps_fit()
+    }
+
+    /// Test-only backdoor: gives the SM one greedy pick more than it has
+    /// schedulers, a list [`Sm::fits`] must refuse on restore.
+    #[cfg(test)]
+    pub(crate) fn add_greedy_pick_for_test(&mut self) {
+        self.greedy.push(None);
     }
 
     /// Whether the warp table and the TB slab have one entry per slot and
@@ -351,8 +359,8 @@ crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 // refills them as the decode ends. `live` and `gate` are per-tick scratch,
 // always rebuilt before use; `sleep` is `None` wherever a snapshot can be
 // taken (the machine wakes every SM before an epoch boundary's controller
-// call and on every exit of a run); `residency_moved` only invalidates a
-// cached verdict the restored TB scheduler does not have. A decoded SM
+// call and on every exit of a run); `residency_moved` only unsettles a TB
+// scheduler that a restore leaves unsettled anyway. A decoded SM
 // therefore starts with default values for the last four.
 crate::impl_snap_struct!(Sm {
     id,

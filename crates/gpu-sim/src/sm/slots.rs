@@ -276,22 +276,17 @@ impl Sm {
         }
     }
 
-    /// Whether TB completions or finished context saves are waiting for the
-    /// TB scheduler's next service pass.
-    pub(crate) fn has_pending_notifications(&self) -> bool {
-        !self.completed.is_empty() || !self.saved.is_empty()
-    }
-
     /// Whether a TB drained, a save finished or a load finished since the
     /// last [`Sm::ack_residency`]: the only changes outside a TB-scheduler
-    /// pass to what [`crate::tb_sched::TbScheduler::service_would_noop`]
-    /// reads of this SM (residency, free capacity, outboxes, transitions).
+    /// pass to what [`crate::tb_sched::TbScheduler::service`] reads of this
+    /// SM (residency, free capacity, outboxes, transitions), so a raised
+    /// flag unsettles the scheduler ([`crate::tb_sched::TbScheduler::settled`]).
     pub(crate) fn residency_moved(&self) -> bool {
         self.residency_moved
     }
 
-    /// Clears [`Sm::residency_moved`]; the scheduler calls it before it
-    /// re-derives its verdict.
+    /// Clears [`Sm::residency_moved`]; a TB-scheduler pass calls it as it
+    /// starts, since the pass reads whatever moved.
     pub(crate) fn ack_residency(&mut self) {
         self.residency_moved = false;
     }

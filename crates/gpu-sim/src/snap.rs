@@ -406,12 +406,14 @@ impl<T: Snap> Snap for Box<T> {
 /// A derived field that must hold its value as soon as the struct exists
 /// is refilled by a post-decode step, `skip { .. } then method`: decoding
 /// ends in `value.method()`, which must not panic on any decoded value.
+/// A skipped field may carry attributes (`#[cfg(test)]` on a mutation switch).
 #[macro_export]
 macro_rules! impl_snap_struct {
     ($ty:ty { $($field:tt),+ $(,)? }) => {
         $crate::impl_snap_struct!($ty { $($field),+ } skip {});
     };
-    ($ty:ty { $($field:tt),+ $(,)? } skip { $($scratch:tt),* $(,)? } $(then $post:ident)?) => {
+    ($ty:ty { $($field:tt),+ $(,)? }
+        skip { $($(#[$attr:meta])* $scratch:ident),* $(,)? } $(then $post:ident)?) => {
         impl $crate::snap::Snap for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
                 $($crate::snap::Snap::encode(&self.$field, out);)+
@@ -421,7 +423,7 @@ macro_rules! impl_snap_struct {
             ) -> Result<Self, $crate::snap::SnapError> {
                 let value = Self {
                     $($field: $crate::snap::Snap::decode(r)?,)+
-                    $($scratch: Default::default(),)*
+                    $($(#[$attr])* $scratch: Default::default(),)*
                 };
                 $(let value = {
                     let mut value = value;

@@ -17,11 +17,10 @@
 //!
 //! The scheduler only has something to do after one of its inputs changed:
 //! a TB drained, a save or load finished, a target, owner or mode was set, a
-//! kernel was launched. `TbScheduler::would_noop` keeps the answer of the
-//! one predicate, `TbScheduler::service_would_noop`, until then, so the
-//! fast-forward run loop skips the dispatch points and jump clamps at which a
-//! pass provably does nothing without re-scanning every SM × kernel
-//! (DESIGN.md §3.1).
+//! kernel was launched. A pass that did nothing is its own verdict: it left
+//! every input it read as it found it, so the scheduler stays settled until
+//! one of them changes, and the fast-forward run loop skips the dispatch
+//! points and jump clamps in between (DESIGN.md §3.1).
 
 use std::sync::Arc;
 
@@ -96,12 +95,14 @@ pub struct TbScheduler {
     owner: Vec<Option<KernelId>>,
     completed_scratch: Vec<(KernelId, TbIndex)>,
     saved_scratch: Vec<(KernelId, SavedTb)>,
-    /// The last [`TbScheduler::service_would_noop`] answer, `None` once an
-    /// input it read may have changed: a setter, a launch, a pass, or an
-    /// SM's [`Sm::residency_moved`] flag (checked on every read).
-    verdict: Option<bool>,
-    /// Scans that re-derived `verdict` (`WorkCounters::tb_verdicts`).
-    verdicts: u64,
+    /// Whether the last pass did nothing and no setter, launch or restore
+    /// came after it; an SM's [`Sm::residency_moved`] flag, checked on every
+    /// read, unsettles it too.
+    settled: bool,
+    /// Mutation switch: keep `settled` across `set_target`, the missed
+    /// invalidation the dev-build no-op check in `Gpu::service` must catch.
+    #[cfg(test)]
+    pub(crate) sticky_target: bool,
 }
 
 impl TbScheduler {
@@ -112,20 +113,25 @@ impl TbScheduler {
             owner: vec![None; num_sms],
             completed_scratch: Vec::new(),
             saved_scratch: Vec::new(),
-            verdict: None,
-            verdicts: 0,
+            settled: false,
+            #[cfg(test)]
+            sticky_target: false,
         }
     }
 
     pub(crate) fn set_mode(&mut self, mode: SharingMode) {
         self.mode = mode;
-        self.verdict = None;
+        self.settled = false;
     }
 
     /// Sets the SMK TB target for kernel `k` on SM `sm`.
     pub(crate) fn set_target(&mut self, sm: usize, k: KernelId, tbs: u16) {
         self.targets[sm][k.index()] = tbs;
-        self.verdict = None;
+        #[cfg(test)]
+        if self.sticky_target {
+            return;
+        }
+        self.settled = false;
     }
 
     /// SMK TB target for kernel `k` on SM `sm`.
@@ -136,23 +142,30 @@ impl TbScheduler {
     /// Assigns the owner kernel of SM `sm` (spatial mode).
     pub(crate) fn set_owner(&mut self, sm: usize, owner: Option<KernelId>) {
         self.owner[sm] = owner;
-        self.verdict = None;
+        self.settled = false;
     }
 
-    /// Drops the cached verdict; for writers of an input outside this type
+    /// Unsettles the scheduler; for writers of an input outside this type
     /// and the SMs (a kernel launch).
     pub(crate) fn invalidate(&mut self) {
-        self.verdict = None;
+        self.settled = false;
     }
 
-    /// Scans that re-derived the cached verdict since construction.
-    pub(crate) fn verdicts(&self) -> u64 {
-        self.verdicts
+    /// Whether a pass would do nothing: the last one did nothing, and
+    /// neither a setter nor an SM has changed an input of it since.
+    pub(crate) fn settled(&self, sms: &[Sm]) -> bool {
+        self.settled && !sms.iter().any(Sm::residency_moved)
     }
 
     /// Owner kernel of SM `sm` (spatial mode).
     pub fn owner(&self, sm: usize) -> Option<KernelId> {
         self.owner[sm]
+    }
+
+    /// Whether a decoded scheduler has a target row and an owner per SM of
+    /// the one `Gpu::new` built; a pass indexes both by SM.
+    pub(crate) fn fits(&self, built: &TbScheduler) -> bool {
+        self.targets.len() == built.targets.len() && self.owner.len() == built.owner.len()
     }
 
     fn allowed(&self, sm: usize, k: usize, num_kernels: usize) -> u16 {
@@ -214,70 +227,9 @@ impl TbScheduler {
             && u64::from(sm.free_tb_slots()) > r_tbs
     }
 
-    /// Whether a [`TbScheduler::service`] pass would mutate nothing — no
-    /// notifications to drain, no kernel over its target, and no TB that
-    /// could be dispatched into free capacity.
-    ///
-    /// Fast-forward uses this to decide whether a dispatch point needs a
-    /// pass and whether the `DISPATCH_INTERVAL` service points inside an
-    /// idle window must be simulated. Every input read here
-    /// (outboxes, residency, occupancy, targets, mode) only changes on
-    /// cycles that are themselves simulated — issues, transition
-    /// completions, controller writes — so a `true` verdict holds for the
-    /// whole window. The `now`-dependent dispatch rotation in `service` only
-    /// permutes kernel order, which is irrelevant when no kernel can
-    /// dispatch. The run loop reads it through [`TbScheduler::would_noop`].
-    fn service_would_noop(&self, sms: &[Sm], kernels: &[KernelRuntime]) -> bool {
-        if sms.iter().any(Sm::has_pending_notifications) {
-            return false;
-        }
-        let nk = kernels.len();
-        for (si, sm) in sms.iter().enumerate() {
-            let in_flight = sm.context_switch_in_flight();
-            for (k, kernel) in kernels.iter().enumerate() {
-                let kid = KernelId::new(k);
-                let allowed = u32::from(self.allowed(si, k, nk));
-                let hosted = sm.hosted_tbs(kid);
-                if !in_flight && hosted > allowed {
-                    return false;
-                }
-                if hosted < allowed
-                    && sm.can_host(&kernel.desc)
-                    && self.fits_with_reservations(si, k, sm, kernels)
-                {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// [`TbScheduler::service_would_noop`], answered from the cached verdict
-    /// while none of its inputs has changed since the scan that derived it,
-    /// and re-derived (clearing the SMs' flags) otherwise. Exactly the fresh
-    /// scan's answer, which dev builds check on every cached one.
-    pub(crate) fn would_noop(&mut self, sms: &mut [Sm], kernels: &[KernelRuntime]) -> bool {
-        if let Some(verdict) = self.verdict {
-            if !sms.iter().any(Sm::residency_moved) {
-                debug_assert_eq!(
-                    verdict,
-                    self.service_would_noop(sms, kernels),
-                    "stale TB-scheduler verdict: an input changed without invalidating it"
-                );
-                return verdict;
-            }
-        }
-        for sm in sms.iter_mut() {
-            sm.ack_residency();
-        }
-        let verdict = self.service_would_noop(sms, kernels);
-        self.verdict = Some(verdict);
-        self.verdicts += 1;
-        verdict
-    }
-
     /// Drains SM notifications, enforces targets via preemption, and
-    /// dispatches fresh or resumed TBs into free capacity.
+    /// dispatches fresh or resumed TBs into free capacity. Returns whether
+    /// the pass did any of that; one that did not settles the scheduler.
     pub(crate) fn service(
         &mut self,
         now: Cycle,
@@ -285,14 +237,15 @@ impl TbScheduler {
         kernels: &mut [KernelRuntime],
         mem: &mut MemSystem,
         pcfg: &PreemptConfig,
-    ) {
-        self.verdict = None;
+    ) -> bool {
         let nk = kernels.len();
         // 1. Collect completions and finished context saves.
         for sm in sms.iter_mut() {
+            sm.ack_residency();
             sm.drain_completed(&mut self.completed_scratch);
             sm.drain_saved(&mut self.saved_scratch);
         }
+        let mut acted = !self.completed_scratch.is_empty() || !self.saved_scratch.is_empty();
         for (k, _tb) in self.completed_scratch.drain(..) {
             kernels[k.index()].note_tb_completed();
         }
@@ -311,6 +264,7 @@ impl TbScheduler {
                         let cost = save_cycles(desc, pcfg);
                         if sm.start_preempt(kid, now, cost) {
                             mem.inject_context_traffic(kid, desc.context_bytes_per_tb(), now);
+                            acted = true;
                         }
                         break;
                     }
@@ -331,6 +285,7 @@ impl TbScheduler {
                     && sm.can_host(&kernels[k].desc)
                     && self.fits_with_reservations(si, k, sm, kernels)
                 {
+                    acted = true;
                     if let Some(saved) = kernels[k].preempted.pop() {
                         let desc = &kernels[k].desc;
                         let cost = load_cycles(desc, pcfg);
@@ -343,6 +298,8 @@ impl TbScheduler {
                 }
             }
         }
+        self.settled = !acted;
+        acted
     }
 }
 
@@ -354,7 +311,7 @@ crate::impl_snap_struct!(TbScheduler {
     mode,
     targets,
     owner,
-} skip { completed_scratch, saved_scratch, verdict, verdicts });
+} skip { completed_scratch, saved_scratch, settled, #[cfg(test)] sticky_target });
 
 #[cfg(test)]
 mod tests {

@@ -299,13 +299,10 @@ pub struct WorkCounters {
     /// step with a gated kernel, plus one per quota exhaustion.
     pub gate_evals: u64,
     /// TB-scheduler service passes run: every dispatch point with
-    /// fast-forward off, only those its cached verdict could not rule out
-    /// with it on.
+    /// fast-forward off; with it on, one per dispatch point while the
+    /// scheduler is not settled (after a pass that acted, a launch, a
+    /// control-plane write or an SM's drain / save / load completion).
     pub tb_passes: u64,
-    /// Scans that re-derived the TB scheduler's cached no-op verdict: one
-    /// per read after a pass, a launch, a control-plane write or an SM's
-    /// drain / save / load completion.
-    pub tb_verdicts: u64,
 }
 
 #[cfg(test)]
