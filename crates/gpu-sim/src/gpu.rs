@@ -319,7 +319,7 @@ impl Gpu {
     /// watchdog's `next_check`. Clamped here are the first still-pending
     /// `FaultPlan` entry and the next `DISPATCH_INTERVAL` service point
     /// whenever the TB scheduler is not settled ([`TbScheduler::settled`]:
-    /// its last pass acted, or an input changed since). The memory system
+    /// an input changed since its last pass). The memory system
     /// contributes no horizon: transaction completions are computed eagerly
     /// at access time and carried by warp scoreboards (see
     /// [`MemSystem::serve`]). None of the clamps lies behind `self.cycle`; a
@@ -973,9 +973,16 @@ impl Gpu {
         // would be indexed out of bounds on their first step. Likewise a
         // TB scheduler with a table per SM of another count, more kernels
         // than `launch` admits, or a kernel description the builder would
-        // refuse.
+        // refuse. Every SM holds the kernel list's descriptions and no
+        // other, as `launch` gave them: the TB scheduler decides that a TB
+        // fits with the list's copy, and `dispatch` asserts it with the
+        // SM's.
+        let launched = |k: usize| kernels.get(k).map(|r| &*r.desc);
         let fits = sms.len() == self.sms.len()
             && sms.iter().zip(&self.sms).all(|(sm, built)| sm.fits(built))
+            && sms
+                .iter()
+                .all(|sm| (0..crate::MAX_KERNELS).all(|k| sm.kernel_desc(k) == launched(k)))
             && mem.fits(&self.mem)
             && events.fits(&self.events)
             && tb_sched.fits(&self.tb_sched)
@@ -1823,6 +1830,30 @@ mod tests {
         gpu.kernels.push(KernelRuntime::new(Arc::new(compute_kernel("extra"))));
         let blob = gpu.snapshot().expect("cycle 0 is a boundary");
         assert_refused_as_corrupt(&cfg, &blob, "a kernel past MAX_KERNELS");
+    }
+
+    #[test]
+    fn restore_refuses_sm_kernel_descriptions_other_than_the_kernel_lists() {
+        // A pass checks `can_host` with the kernel list's description and
+        // `dispatch` asserts it with the SM's: a larger TB on one side
+        // panics the first dispatch after the restore. The body is kernel
+        // `a`'s, so the SM's warps still fit it.
+        let cfg = GpuConfig::tiny();
+        let heavier = KernelDesc::builder("a")
+            .threads_per_tb(256)
+            .regs_per_thread(64)
+            .grid_tbs(256)
+            .iterations(8)
+            .body(compute_kernel("a").body().to_vec())
+            .build();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.sm_mut(SmId::new(1)).set_kernel_desc(KernelId::new(0), Arc::new(heavier));
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "an SM's description unlike the list's");
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.sm_mut(SmId::new(1)).set_kernel_desc(KernelId::new(2), Arc::new(compute_kernel("c")));
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "an SM's description past the list");
     }
 
     /// Two SMK kernels whose TBs outlive the run, 3 + 1 TBs per SM, swapped

@@ -99,7 +99,13 @@ impl Sm {
             // A frozen or empty SM never issues; only transitions can fire.
             return horizon;
         }
-        let inert = if self.ungated() { 0 } else { self.inert_bits(&self.inert_kernels()) };
+        let inert = if self.ungated() {
+            0
+        } else if self.gate.fresh {
+            self.inert_bits(self.gate.inert)
+        } else {
+            self.inert_bits(self.inert_kernels())
+        };
         let t = &self.warps;
         let waiting = t.live() & !inert;
         // Warps of Active TBs wake at their scoreboard release.
@@ -147,6 +153,9 @@ impl Sm {
     /// issuable warps inside the window (a non-inert one would have bounded
     /// the horizon), and transitioning TBs stay un-issuable throughout
     /// because their completion is itself a horizon. No-op while awake.
+    ///
+    /// Called from the run loop on every due SM, so it stays small: the
+    /// gated replay is [`Sm::replay_blocked`], out of line.
     pub(crate) fn catch_up(&mut self, now: Cycle) {
         let Some(super::Sleep { since, until }) = self.sleep.take() else { return };
         debug_assert!(now <= until, "{} slept past its horizon {until} to {now}", self.id);
@@ -156,19 +165,26 @@ impl Sm {
         let slept = now - since;
         self.busy_cycles += slept;
         self.issue_slots += slept * u64::from(self.num_scheds);
-        // No kernel inert, so no warp was quota-blocked.
-        if self.ungated() {
-            return;
+        // An ungated SM has no inert kernel, so no warp was quota-blocked.
+        if !self.ungated() {
+            self.replay_blocked(since, now);
         }
-        let inert = self.inert_kernels();
-        if !inert.iter().any(|&b| b) {
+    }
+
+    /// The quota-blocked tally of the slept cycles `[since, now)`, under the
+    /// inert set the sleep began with (nothing changed it since).
+    #[inline(never)]
+    fn replay_blocked(&mut self, since: Cycle, now: Cycle) {
+        let slept = now - since;
+        let inert = self.inert_set();
+        if inert == 0 {
             return;
         }
         let t = &self.warps;
-        let bits = t.live() & t.tb_active.0 & self.inert_bits(&inert);
+        let bits = t.live() & t.tb_active.0 & self.inert_bits(inert);
         // Ready at the last tick, before `since`: denied every cycle.
         let ready = bits & t.wake.ready;
-        self.count_blocked(&inert, ready, slept);
+        self.count_blocked(inert, ready, slept);
         // The rest are released inside the window or after it.
         for slot in slots(bits & !ready) {
             let start = since.max(self.warps.ready_at[slot]);
@@ -178,11 +194,11 @@ impl Sm {
         }
     }
 
-    /// Adds `times` to `quota_blocked` for every warp of `bits` that an
-    /// `inert` kernel owns.
+    /// Adds `times` to `quota_blocked` for every warp of `bits` that a
+    /// kernel of the kernel mask `inert` owns.
     #[inline]
-    fn count_blocked(&mut self, inert: &[bool; MAX_KERNELS], bits: u64, times: u64) {
-        for k in (0..MAX_KERNELS).filter(|&k| inert[k]) {
+    fn count_blocked(&mut self, inert: u64, bits: u64, times: u64) {
+        for k in slots(inert) {
             let owned = bits & self.warps.kernel_mask[k].0;
             self.quota_blocked[k] += times * u64::from(owned.count_ones());
         }
@@ -268,8 +284,10 @@ impl Sm {
 
     /// The gather behind the quota gate, one scheduler after another. The
     /// gate is decided in mask space: the inert kernels' candidates leave the
-    /// gather (`gate.open`) and are counted by `tally_blocked`, schedulers
-    /// `tallied..` still owed (§3.1); the open ones are asked about in slot
+    /// gather (`gate.open`) and are counted in one step per inert kernel,
+    /// over the issuable warps of the stripes still `owed` (§3.1): `live`
+    /// is fixed for the tick and an inert kernel frees no slot, so these are
+    /// the warps those schedulers saw. The open ones are asked about in slot
     /// order. An ungated SM whose scheduler count the fused gather does not
     /// serve comes here too: no kernel is inert, every candidate is open and
     /// admitted, and the scavenger finds nothing.
@@ -277,10 +295,13 @@ impl Sm {
     fn gather_gated(&mut self, now: Cycle, mem: &mut MemSystem) {
         let n_scheds = self.greedy.len();
         let mut inert = self.open_gate();
-        let mut tallied = 0;
+        // The issuable warps not yet counted, and the stripes served so far.
+        let (mut owed, mut served) = (self.live, 0);
         for sid in 0..n_scheds {
             let mut pick = Pick::new(self.greedy[sid]);
-            let open = self.gate.open & self.stride_masks[sid];
+            let stripe = self.stride_masks[sid];
+            served |= stripe;
+            let open = self.gate.open & stripe;
             for slot in slots(open) {
                 // A kernel turned inert since the evaluation is still open:
                 // `quota_allows` denies it, mutating nothing.
@@ -318,33 +339,21 @@ impl Sm {
                 // one event that can end inertness inside a tick (see
                 // `quota_inert`): the schedulers so far were served under the
                 // old set, the rest see the new one.
-                self.tally_blocked(&inert, tallied..sid + 1);
-                tallied = sid + 1;
+                self.count_blocked(inert, owed & served, 1);
+                owed &= !served;
                 inert = self.open_gate();
             }
         }
-        self.tally_blocked(&inert, tallied..n_scheds);
+        self.count_blocked(inert, owed, 1);
     }
 
-    /// Evaluates the quota gate: returns the inert kernels and leaves their
-    /// candidates out of `gate.open`.
-    fn open_gate(&mut self) -> [bool; MAX_KERNELS] {
-        let inert = self.inert_kernels();
-        self.gate.evals += 1;
-        self.gate.open = self.live & !self.inert_bits(&inert);
+    /// Opens the quota gate: returns the inert kernels (the cached set,
+    /// evaluated again if stale) and leaves their candidates out of
+    /// `gate.open`.
+    fn open_gate(&mut self) -> u64 {
+        let inert = self.inert_set();
+        self.gate.open = self.live & !self.inert_bits(inert);
         inert
-    }
-
-    /// Counts what schedulers `scheds` denied without a visit: one per
-    /// issuable warp of an `inert` kernel in their stripes. `live` is fixed
-    /// for the tick and an inert kernel frees no slot, so the masks are the
-    /// ones those schedulers saw.
-    fn tally_blocked(&mut self, inert: &[bool; MAX_KERNELS], scheds: std::ops::Range<usize>) {
-        if !inert.iter().any(|&b| b) {
-            return;
-        }
-        let stripes = scheds.fold(0, |m, sid| m | self.stride_masks[sid]);
-        self.count_blocked(inert, self.live & stripes, 1);
     }
 
     /// Oldest warp of `open` (a scheduler's open candidates) whose kernel is
@@ -472,6 +481,7 @@ impl Sm {
             self.quota[k] -= i64::from(lanes);
             self.quota_debit[k] += i64::from(lanes);
             if before > 0 && self.quota[k] <= 0 {
+                self.stale_gate();
                 self.quota_exhaustions[k] += 1;
                 self.record(now, TraceEventKind::QuotaExhausted { kernel: k as u32 });
             }

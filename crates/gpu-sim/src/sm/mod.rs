@@ -73,12 +73,22 @@ struct Gate {
     /// `live` minus the warps of the kernels found quota-inert at the last
     /// evaluation: the candidates a scheduler has to visit.
     open: u64,
-    /// `inert_kernels()` evaluations made by `tick` (`WorkCounters`).
+    /// The quota-inert kernels (`Sm::inert_kernels`, a kernel mask) as last
+    /// evaluated. They hold while `fresh`: every write that can flip a sign
+    /// the evaluation reads clears it (`Sm::stale_gate`), so a new or
+    /// decoded SM starts unevaluated.
+    inert: u64,
+    fresh: bool,
+    /// `inert_kernels()` evaluations stored in `inert` (`WorkCounters`).
     evals: u64,
     /// Mutation switch: keep the tick-start set across a quota exhaustion,
     /// the inexact hoist the oracle in `tests.rs` must catch.
     #[cfg(test)]
     stale_hoist: bool,
+    /// Mutation switch: `set_epoch_quota` leaves the cached set fresh, the
+    /// missed invalidation the oracle in `tests.rs` must catch.
+    #[cfg(test)]
+    stale_quota: bool,
 }
 
 /// A streaming multiprocessor.
@@ -293,6 +303,11 @@ impl Sm {
             && self.warps_fit()
     }
 
+    /// The description this SM holds of kernel slot `k`, if any.
+    pub(crate) fn kernel_desc(&self, k: usize) -> Option<&KernelDesc> {
+        self.descs[k].as_deref()
+    }
+
     /// Test-only backdoor: gives the SM one greedy pick more than it has
     /// schedulers, a list [`Sm::fits`] must refuse on restore.
     #[cfg(test)]
@@ -356,8 +371,9 @@ crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 
 // `bodies` (a mirror of `descs`), `stride_masks` (a function of the
 // geometry) and the warp table's I-buffer are derived: `rebuild_derived`
-// refills them as the decode ends. `live` and `gate` are per-tick scratch,
-// always rebuilt before use; `sleep` is `None` wherever a snapshot can be
+// refills them as the decode ends. `live` is per-tick scratch, always
+// rebuilt before use, and `gate` a cache that a default value marks
+// unevaluated; `sleep` is `None` wherever a snapshot can be
 // taken (the machine wakes every SM before an epoch boundary's controller
 // call and on every exit of a run); `residency_moved` only unsettles a TB
 // scheduler that a restore leaves unsettled anyway. A decoded SM

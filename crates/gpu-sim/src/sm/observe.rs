@@ -96,7 +96,7 @@ impl Sm {
         (self.warps.wake.wake_events, self.warps.wake.ready_rebuilds)
     }
 
-    /// Quota-gate evaluations made by `tick` (`WorkCounters`).
+    /// Inert-set evaluations the gate cache stored (`WorkCounters`).
     pub(crate) fn gate_evals(&self) -> u64 {
         self.gate.evals
     }

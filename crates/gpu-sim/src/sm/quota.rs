@@ -6,7 +6,7 @@
 use crate::types::KernelId;
 use crate::MAX_KERNELS;
 
-use super::Sm;
+use super::{slots, Sm};
 
 /// How an epoch-boundary quota assignment treats the previous counter value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +41,7 @@ impl Sm {
     pub fn set_gated(&mut self, k: KernelId, gated: bool) {
         self.assert_awake();
         self.gated[k.index()] = gated;
+        self.stale_gate();
     }
 
     /// Assigns the epoch quota for kernel `k`.
@@ -58,6 +59,11 @@ impl Sm {
         };
         self.quota_credit[i] += self.quota[i] - old;
         self.refill[i] = refill;
+        #[cfg(test)]
+        if self.gate.stale_quota {
+            return;
+        }
+        self.stale_gate();
     }
 
     /// Current quota counter for kernel `k`.
@@ -70,6 +76,7 @@ impl Sm {
     pub fn set_qos_kernel(&mut self, k: KernelId, qos: bool) {
         self.assert_awake();
         self.is_qos[k.index()] = qos;
+        self.stale_gate();
     }
 
     /// Enables elastic-epoch mid-epoch restarts (all gated kernels are
@@ -77,6 +84,7 @@ impl Sm {
     pub fn set_elastic(&mut self, on: bool) {
         self.assert_awake();
         self.elastic = on;
+        self.stale_gate();
     }
 
     /// Enables the Rollover-Time priority gate: non-QoS kernels may only
@@ -84,6 +92,7 @@ impl Sm {
     pub fn set_priority_block(&mut self, on: bool) {
         self.assert_awake();
         self.priority_block = on;
+        self.stale_gate();
     }
 
     #[inline]
@@ -117,6 +126,7 @@ impl Sm {
                         self.quota_credit[i] += self.refill[i];
                     }
                 }
+                self.stale_gate();
                 return self.quota[k] > 0;
             }
             return false;
@@ -126,6 +136,7 @@ impl Sm {
             // its per-epoch goal, non-QoS kernels keep running (§3.4.1).
             self.quota[k] += self.refill[k];
             self.quota_credit[k] += self.refill[k];
+            self.stale_gate();
             return self.quota[k] > 0;
         }
         false
@@ -136,18 +147,20 @@ impl Sm {
     /// and the scavenger can never pick it. Inert warps generate no events,
     /// so they do not keep the SM awake.
     ///
-    /// Every input here (quota counters, gates, QoS flags, elastic mode) only
-    /// changes through this SM's own issues or epoch-boundary controller
-    /// writes — neither of which reaches a sleeping SM without waking it
-    /// first — so inertness computed when a sleep ends held throughout it.
-    /// Inside a tick only the counters move, and every clause below reads a
-    /// counter's sign. The lazy refills of [`Sm::quota_allows`] raise
-    /// counters: inertness can only spread (a raise never frees a kernel from
-    /// the priority gate and fires for no QoS kernel that was inert). An issue lowers one, and only the issue
-    /// that takes a quota from positive to exhausted can *end* inertness
-    /// (the priority gate opens, or an elastic restart falls due). So
-    /// `tick` evaluates the set once and again after each such issue
-    /// (DESIGN.md §3.1).
+    /// Every input here is a flag (gates, QoS flags, elastic mode, the
+    /// priority gate) or the sign of a quota counter, and only the writes
+    /// that call [`Sm::stale_gate`] can flip one: the controller's setters,
+    /// which never reach a sleeping SM without waking it first, the lazy
+    /// refills of [`Sm::quota_allows`], and the issue that takes a quota from
+    /// positive to exhausted (any other issue leaves a sign as it was). So
+    /// the set [`Sm::inert_set`] cached holds until one of those writes
+    /// (DESIGN.md §3.1). Inside a tick the refills raise counters, so
+    /// inertness can only spread (a raise never frees a kernel from the
+    /// priority gate and fires for no QoS kernel that was inert), and a
+    /// kernel turned inert since the evaluation is denied by
+    /// `quota_allows` like any other; only the exhausting issue can *end*
+    /// inertness (the priority gate opens, or an elastic restart falls due),
+    /// which is why `tick` evaluates the set again after each such issue.
     fn quota_inert(&self, k: usize) -> bool {
         if self.priority_block && !self.is_qos[k] && self.any_qos_quota_positive() {
             return true;
@@ -174,17 +187,38 @@ impl Sm {
         !self.priority_block && !self.gated.iter().any(|&g| g)
     }
 
-    /// [`Sm::quota_inert`] for every kernel slot at once. Callers on the
-    /// sleep path ask [`Sm::ungated`] first: on an ungated SM every entry is
-    /// `false`.
-    pub(super) fn inert_kernels(&self) -> [bool; MAX_KERNELS] {
-        std::array::from_fn(|k| self.quota_inert(k))
+    /// The kernels [`Sm::quota_inert`] holds for, as a kernel mask (bit `k`
+    /// for kernel `k`). Read through the cache, [`Sm::inert_set`]; only
+    /// `next_event`, which cannot fill it, evaluates a stale set itself.
+    /// Callers on the sleep path ask [`Sm::ungated`] first: on an ungated SM
+    /// the set is empty.
+    pub(super) fn inert_kernels(&self) -> u64 {
+        (0..MAX_KERNELS).filter(|&k| self.quota_inert(k)).fold(0, |set, k| set | 1 << k)
     }
 
-    /// The warp slots owned by `inert` kernels.
+    /// The inert set, evaluated only if a write since the last evaluation
+    /// could have changed it.
     #[inline]
-    pub(super) fn inert_bits(&self, inert: &[bool; MAX_KERNELS]) -> u64 {
-        (0..MAX_KERNELS).filter(|&k| inert[k]).fold(0, |bits, k| bits | self.warps.kernel_mask[k].0)
+    pub(super) fn inert_set(&mut self) -> u64 {
+        if !self.gate.fresh {
+            self.gate.inert = self.inert_kernels();
+            self.gate.fresh = true;
+            self.gate.evals += 1;
+        }
+        self.gate.inert
+    }
+
+    /// Marks the cached inert set stale: a flag or the sign of a quota
+    /// counter may have changed.
+    #[inline]
+    pub(super) fn stale_gate(&mut self) {
+        self.gate.fresh = false;
+    }
+
+    /// The warp slots owned by the kernels of the kernel mask `inert`.
+    #[inline]
+    pub(super) fn inert_bits(&self, inert: u64) -> u64 {
+        slots(inert).fold(0, |bits, k| bits | self.warps.kernel_mask[k].0)
     }
 
     /// Injected `DeviceWedge` fault, applied to every SM at once: the SM
@@ -215,5 +249,6 @@ impl Sm {
     pub(crate) fn corrupt_quota_for_test(&mut self, k: KernelId, delta: i64) {
         self.assert_awake();
         self.quota[k.index()] += delta;
+        self.stale_gate();
     }
 }

@@ -425,6 +425,18 @@ mod gate_oracle {
             }
         }
 
+        /// The controller's epoch grant, `Sm::set_epoch_quota` written out.
+        fn grant(&mut self, k: usize, alloc: i64, carry: QuotaCarry, refill: i64) {
+            let old = self.quota[k];
+            self.quota[k] = match carry {
+                QuotaCarry::DiscardSurplus => alloc + old.min(0),
+                QuotaCarry::Full => alloc + old.min(alloc),
+                QuotaCarry::Reset => alloc,
+            };
+            self.credit[k] += self.quota[k] - old;
+            self.refill[k] = refill;
+        }
+
         fn any_qos_quota_left(&self) -> bool {
             (0..MAX_KERNELS).any(|k| self.gated[k] && self.is_qos[k] && self.quota[k] > 0)
         }
@@ -537,9 +549,79 @@ mod gate_oracle {
         sm
     }
 
+    /// Which mutation switch of the gate a run turns on.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mutation {
+        Off,
+        StaleHoist,
+        StaleQuota,
+    }
+
+    /// The SM's cached inert set, while it claims to hold, against a fresh
+    /// evaluation.
+    fn cache_agrees(sm: &Sm, when: &str) -> Result<(), String> {
+        if sm.gate.fresh && sm.gate.inert != sm.inert_kernels() {
+            return Err(format!(
+                "{when}: cached inert set {:?}, evaluated {:?}",
+                sm.gate.inert,
+                sm.inert_kernels()
+            ));
+        }
+        Ok(())
+    }
+
+    /// One random controller write of the kind an epoch boundary makes,
+    /// applied to the SM and to the reference alike: half of them epoch
+    /// grants, the rest one flag each. An SM built `ungated` stays so.
+    fn write_both(
+        sm: &mut Sm,
+        model: &mut RefGate,
+        kernels: usize,
+        ungated: bool,
+        below: &mut impl FnMut(u64) -> u64,
+    ) {
+        let k = below(kernels as u64) as usize;
+        let on = below(2) == 0;
+        match below(8) {
+            0 => {
+                let gated = !ungated && on;
+                sm.set_gated(KernelId::new(k), gated);
+                model.gated[k] = gated;
+            }
+            1..=4 => {
+                let alloc = below(97) as i64 - 24;
+                let carry = [QuotaCarry::DiscardSurplus, QuotaCarry::Full, QuotaCarry::Reset]
+                    [below(3) as usize];
+                let refill = [0, 0, 24, 64][below(4) as usize];
+                sm.set_epoch_quota(KernelId::new(k), alloc, carry, refill);
+                model.grant(k, alloc, carry, refill);
+            }
+            5 => {
+                sm.set_qos_kernel(KernelId::new(k), on);
+                model.is_qos[k] = on;
+            }
+            6 => {
+                sm.set_elastic(on);
+                model.elastic = on;
+            }
+            _ => {
+                let block = !ungated && on;
+                sm.set_priority_block(block);
+                model.priority_block = block;
+            }
+        }
+    }
+
     /// Ticks `sm` at `now` with exactly the `ready` slots' scoreboards
-    /// released and checks it against the reference gate, field by field.
-    fn tick_agrees(sm: &mut Sm, now: Cycle, ready: &[u16], lanes: &[u8]) -> Result<(), String> {
+    /// released, and `model` beside it; checks the two field by field and
+    /// the SM's cached inert set against a fresh evaluation.
+    fn tick_agrees(
+        sm: &mut Sm,
+        model: &mut RefGate,
+        now: Cycle,
+        ready: &[u16],
+        lanes: &[u8],
+    ) -> Result<(), String> {
         for slot in 0..sm.warps.capacity() as u16 {
             sm.warps.set_ready_at(slot, Cycle::MAX / 2);
         }
@@ -550,7 +632,6 @@ mod gate_oracle {
             warps[usize::from(slot)] =
                 Some((k, sm.warps.age[usize::from(slot)], i64::from(lanes[k])));
         }
-        let mut model = RefGate::of(sm);
         let expected = model.tick(&warps);
         sm.tick(now, &mut MemSystem::new(GpuConfig::tiny().mem));
         // An issue moves the warp's scoreboard off `now`.
@@ -568,18 +649,19 @@ mod gate_oracle {
             return Err(format!("issued {issued:?}, the reference {expected:?} at {now}"));
         }
         let got = RefGate::of(sm);
-        if got != model {
+        if got != *model {
             return Err(format!("at {now}\n   sm: {got:?}\n  ref: {model:?}"));
         }
-        Ok(())
+        cache_agrees(sm, &format!("after the tick at {now}"))
     }
 
     /// One random SM (1–4 schedulers, 2–4 kernels with random QoS / gated /
     /// refill / elastic / priority-block settings, quotas within a
     /// few warp instructions of zero so they run out mid-tick; one in four
     /// with no gate at all), ticked three cycles with random ready sets
-    /// against the reference.
-    fn random_sm_agrees(seed: u64, stale_hoist: bool) -> Result<(), String> {
+    /// against the reference, with up to three random controller writes
+    /// before each tick after the first.
+    fn random_sm_agrees(seed: u64, mutation: Mutation) -> Result<(), String> {
         let mut rng = SplitMix64::new(seed);
         let mut below = |n: u64| rng.next_below(n);
         let kernels = 2 + below(3) as usize;
@@ -587,7 +669,8 @@ mod gate_oracle {
         let order: Vec<usize> =
             (0..6 + below(14)).map(|_| below(kernels as u64) as usize).collect();
         let mut sm = sm_hosting(1 + below(4) as u32, &lanes, &order);
-        sm.gate.stale_hoist = stale_hoist;
+        sm.gate.stale_hoist = mutation == Mutation::StaleHoist;
+        sm.gate.stale_quota = mutation == Mutation::StaleQuota;
         let ungated = below(4) == 0;
         let hosted: Vec<u16> =
             (0..sm.warps.capacity() as u16).filter(|&s| sm.warps.is_occupied(s)).collect();
@@ -603,10 +686,17 @@ mod gate_oracle {
         for greedy in &mut sm.greedy {
             *greedy = (below(2) == 0).then(|| hosted[below(hosted.len() as u64) as usize]);
         }
+        let mut model = RefGate::of(&sm);
         for now in 1..=3 {
+            if now > 1 {
+                for _ in 0..below(4) {
+                    write_both(&mut sm, &mut model, kernels, ungated, &mut below);
+                }
+                cache_agrees(&sm, &format!("after the writes before {now}"))?;
+            }
             let density = 1 + below(4);
             let ready: Vec<u16> = hosted.iter().copied().filter(|_| below(4) < density).collect();
-            tick_agrees(&mut sm, now, &ready, &lanes)?;
+            tick_agrees(&mut sm, &mut model, now, &ready, &lanes)?;
         }
         Ok(())
     }
@@ -625,7 +715,8 @@ mod gate_oracle {
         sm.set_gated(q, true);
         sm.set_epoch_quota(q, 32, QuotaCarry::Reset, 0);
         sm.set_priority_block(true);
-        let agreed = tick_agrees(&mut sm, 1, &[0, 1, 2, 3], &[32, 32]);
+        let mut model = RefGate::of(&sm);
+        let agreed = tick_agrees(&mut sm, &mut model, 1, &[0, 1, 2, 3], &[32, 32]);
         assert_eq!(agreed.is_err(), stale_hoist, "{agreed:?}");
         sm.issued_total()
     }
@@ -640,7 +731,7 @@ mod gate_oracle {
 
         #[test]
         fn tick_agrees_with_the_reference_gate(seed in any::<u64>()) {
-            if let Err(why) = random_sm_agrees(seed, false) {
+            if let Err(why) = random_sm_agrees(seed, Mutation::Off) {
                 prop_assert!(false, "{why}");
             }
         }
@@ -654,8 +745,22 @@ mod gate_oracle {
     #[test]
     fn stale_hoist_mutation_is_caught() {
         assert_eq!(issues_on_the_exhaustion_edge(true), 1, "schedulers 1-3 see a shut gate");
-        let caught = (0..512).filter(|&seed| random_sm_agrees(seed, true).is_err()).count();
+        let caught =
+            (0..512).filter(|&seed| random_sm_agrees(seed, Mutation::StaleHoist).is_err()).count();
         assert!(caught >= 16, "only {caught} of 512 random SMs tell the stale hoist apart");
+    }
+
+    /// The missed invalidation the gate cache must not have, kept in-tree:
+    /// with `set_epoch_quota` leaving the cached inert set fresh
+    /// (`stale_quota`), the random SMs, whose controller writes between
+    /// ticks include epoch grants, must tell it apart. When this test came
+    /// in, 33 of the 512 did, 25 of them by what the SM issued and counted
+    /// alone, without the direct look at the cache.
+    #[test]
+    fn stale_inert_set_mutation_is_caught() {
+        let caught =
+            (0..512).filter(|&seed| random_sm_agrees(seed, Mutation::StaleQuota).is_err()).count();
+        assert!(caught >= 16, "only {caught} of 512 random SMs tell the stale inert set apart");
     }
 }
 

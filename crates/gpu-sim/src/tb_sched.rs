@@ -17,10 +17,12 @@
 //!
 //! The scheduler only has something to do after one of its inputs changed:
 //! a TB drained, a save or load finished, a target, owner or mode was set, a
-//! kernel was launched. A pass that did nothing is its own verdict: it left
-//! every input it read as it found it, so the scheduler stays settled until
-//! one of them changes, and the fast-forward run loop skips the dispatch
-//! points and jump clamps in between (DESIGN.md §3.1).
+//! kernel was launched. A pass is idempotent: it drains every outbox, starts
+//! every context switch it may and fills all the capacity it can, so a
+//! second pass at once would find nothing to do. Every pass therefore
+//! settles the scheduler until one of its inputs changes, and the
+//! fast-forward run loop skips the dispatch points and jump clamps in
+//! between (DESIGN.md §3.1).
 
 use std::sync::Arc;
 
@@ -95,9 +97,9 @@ pub struct TbScheduler {
     owner: Vec<Option<KernelId>>,
     completed_scratch: Vec<(KernelId, TbIndex)>,
     saved_scratch: Vec<(KernelId, SavedTb)>,
-    /// Whether the last pass did nothing and no setter, launch or restore
-    /// came after it; an SM's [`Sm::residency_moved`] flag, checked on every
-    /// read, unsettles it too.
+    /// Whether a pass ran and no setter, launch or restore came after it;
+    /// an SM's [`Sm::residency_moved`] flag, checked on every read,
+    /// unsettles it too.
     settled: bool,
     /// Mutation switch: keep `settled` across `set_target`, the missed
     /// invalidation the dev-build no-op check in `Gpu::service` must catch.
@@ -151,8 +153,8 @@ impl TbScheduler {
         self.settled = false;
     }
 
-    /// Whether a pass would do nothing: the last one did nothing, and
-    /// neither a setter nor an SM has changed an input of it since.
+    /// Whether a pass would do nothing: one ran, and neither a setter nor
+    /// an SM has changed an input of it since.
     pub(crate) fn settled(&self, sms: &[Sm]) -> bool {
         self.settled && !sms.iter().any(Sm::residency_moved)
     }
@@ -229,7 +231,9 @@ impl TbScheduler {
 
     /// Drains SM notifications, enforces targets via preemption, and
     /// dispatches fresh or resumed TBs into free capacity. Returns whether
-    /// the pass did any of that; one that did not settles the scheduler.
+    /// the pass did any of that. Either way it settles the scheduler: the
+    /// pass is idempotent, and the dev-build check in `Gpu::service` runs
+    /// the next one anyway and asserts that it did nothing.
     pub(crate) fn service(
         &mut self,
         now: Cycle,
@@ -298,7 +302,7 @@ impl TbScheduler {
                 }
             }
         }
-        self.settled = !acted;
+        self.settled = true;
         acted
     }
 }

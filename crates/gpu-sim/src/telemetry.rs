@@ -295,13 +295,16 @@ pub struct WorkCounters {
     /// Wake queues built from the `ready_at` column: one per SM, plus one
     /// per SM and restore — more would be an O(table) pass creeping back.
     pub ready_rebuilds: u64,
-    /// Evaluations of the quota-inert kernel set by the SM step: one per
-    /// step with a gated kernel, plus one per quota exhaustion.
+    /// Evaluations of the quota-inert kernel set. The set is cached per SM
+    /// and evaluated again only when it is read after a write that can flip
+    /// one of its signs (a controller setter, a lazy refill, a quota
+    /// exhaustion), so this is at most one per gated step plus one per
+    /// exhaustion, and usually far below.
     pub gate_evals: u64,
     /// TB-scheduler service passes run: every dispatch point with
     /// fast-forward off; with it on, one per dispatch point while the
-    /// scheduler is not settled (after a pass that acted, a launch, a
-    /// control-plane write or an SM's drain / save / load completion).
+    /// scheduler is not settled (after a launch, a control-plane write or
+    /// an SM's drain / save / load completion).
     pub tb_passes: u64,
 }
 

@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--scale bench|smoke|quick|paper]
+//! repro [--scale bench|smoke|quick|converged|paper]
 //!       [--checkpoint-dir DIR [--checkpoint-every N]] <experiment>...
 //! repro --scale quick all
 //! repro list
@@ -53,7 +53,7 @@ fn experiment_names() -> Vec<&'static str> {
 
 fn usage() -> String {
     format!(
-        "usage: repro [--scale bench|smoke|quick|paper] \
+        "usage: repro [--scale bench|smoke|quick|converged|paper] \
          [--checkpoint-dir DIR [--checkpoint-every N]] <experiment>...\n\
          \u{20}      repro golden [--bless]\n\
          \u{20}      repro resume <DIR>\n\

@@ -17,17 +17,22 @@ pub enum RunScale {
     Smoke,
     /// Default for `repro`: all cases, reduced cycles (tens of minutes).
     Quick,
+    /// The paper's horizon in epochs at a third of its cases: ≥60 epochs
+    /// per case, long enough for the controllers to settle.
+    Converged,
     /// The paper's methodology: all cases, 2 M cycles each.
     Paper,
 }
 
 impl RunScale {
-    /// Parses a scale name (`bench` / `smoke` / `quick` / `paper`).
+    /// Parses a scale name (`bench` / `smoke` / `quick` / `converged` /
+    /// `paper`).
     pub fn parse(s: &str) -> Option<RunScale> {
         match s.to_ascii_lowercase().as_str() {
             "bench" => Some(RunScale::Bench),
             "smoke" => Some(RunScale::Smoke),
             "quick" => Some(RunScale::Quick),
+            "converged" => Some(RunScale::Converged),
             "paper" => Some(RunScale::Paper),
             _ => None,
         }
@@ -39,6 +44,7 @@ impl RunScale {
             RunScale::Bench => 20_000,
             RunScale::Smoke => 120_000,
             RunScale::Quick => 150_000,
+            RunScale::Converged => 600_000,
             RunScale::Paper => 2_000_000,
         }
     }
@@ -49,6 +55,7 @@ impl RunScale {
             RunScale::Bench => 30,
             RunScale::Smoke => 9,
             RunScale::Quick => 5,
+            RunScale::Converged => 3,
             RunScale::Paper => 1,
         }
     }
@@ -58,7 +65,7 @@ impl RunScale {
         match self {
             RunScale::Bench => 5,
             RunScale::Smoke => 3,
-            RunScale::Quick | RunScale::Paper => 1,
+            RunScale::Quick | RunScale::Converged | RunScale::Paper => 1,
         }
     }
 
@@ -89,6 +96,7 @@ gpu_sim::impl_snap_enum!(RunScale {
     Smoke = 1,
     Quick = 2,
     Paper = 3,
+    Converged = 4,
 });
 
 #[cfg(test)]
@@ -101,6 +109,7 @@ mod tests {
             ("bench", RunScale::Bench),
             ("smoke", RunScale::Smoke),
             ("quick", RunScale::Quick),
+            ("converged", RunScale::Converged),
             ("PAPER", RunScale::Paper),
         ] {
             assert_eq!(RunScale::parse(name), Some(scale));
@@ -119,7 +128,19 @@ mod tests {
     fn scales_are_ordered_by_cost() {
         assert!(RunScale::Bench.cycles() < RunScale::Smoke.cycles());
         assert!(RunScale::Smoke.cycles() < RunScale::Quick.cycles());
-        assert!(RunScale::Quick.cycles() < RunScale::Paper.cycles());
+        assert!(RunScale::Quick.cycles() < RunScale::Converged.cycles());
+        assert!(RunScale::Converged.cycles() < RunScale::Paper.cycles());
+    }
+
+    #[test]
+    fn converged_sits_between_quick_and_paper() {
+        use RunScale::{Converged, Paper, Quick};
+        // More cases than quick, fewer than the paper's; every goal.
+        assert!(Quick.case_stride() > Converged.case_stride());
+        assert!(Converged.case_stride() > Paper.case_stride());
+        assert_eq!(Converged.goals(), Paper.goals());
+        assert_eq!(Converged.dual_goals(), Paper.dual_goals());
+        assert_eq!(Converged.cycles(), 600_000, "60 epochs of 10 k cycles");
     }
 
     #[test]

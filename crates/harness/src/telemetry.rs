@@ -512,11 +512,11 @@ mod tests {
             ("isolated_compute", 1_118_713, 161_287, 3_990_716, 0, 888),
             // mri-q chases 600 IPC for most of each epoch: 36.0% asleep.
             // A pass at every executed dispatch point was 9,957.
-            ("managed_rollover_pair", 819_753, 460_247, 1_749_010, 824_838, 935),
+            ("managed_rollover_pair", 819_753, 460_247, 1_749_010, 12_670, 923),
             // Both goals met early, exhausted QoS warps beside a stalled
             // lbm: 72.9% asleep, which the old per-cycle gather all ran.
             // A pass at every executed dispatch point was 9,423.
-            ("managed_rollover_trio", 346_991, 933_009, 380_713, 353_182, 381),
+            ("managed_rollover_trio", 346_991, 933_009, 380_713, 12_303, 379),
             // Memory-bound lbm and spmv at five TBs each per SM: 88.5%
             // asleep. A pass at every executed dispatch point was 9,301.
             ("smk_memory_pair", 147_041, 1_132_959, 119_065, 0, 255),
@@ -526,8 +526,10 @@ mod tests {
             let work = gpu.work_counters();
             assert_eq!((work.sm_ticks_run, work.sm_ticks_slept), (run, slept), "{name}");
             // A pass runs only where a drain, save, load or control-plane
-            // write could have given it work, or after a pass that acted:
-            // the pass that finds nothing to do is the one that settles.
+            // write could have given it work. Every pass settles the
+            // scheduler, as a second one at once would find nothing to do;
+            // settling only after a pass that did nothing ran 935 and 381
+            // on the managed pair and trio (the other two did not move).
             assert_eq!(work.tb_passes, passes, "{name}");
             assert_eq!(run + slept, PROFILE_CYCLES * u64::from(gpu.config().num_sms), "{name}");
             // About one hint per warp instruction, however long the SMs
@@ -535,17 +537,22 @@ mod tests {
             // once, whatever the run length.
             assert_eq!(work.wake_events, wakes, "{name}");
             assert_eq!(work.ready_rebuilds, u64::from(gpu.config().num_sms), "{name}");
-            // The quota gate is evaluated once per step that has a gated
-            // kernel (every step of the managed scenarios, none of the
-            // first) and once more per quota exhaustion (5,085 and 6,191);
-            // it used to be once per scheduler, four to the step.
+            // The quota gate's inert set is evaluated only when it is read
+            // after a write that can flip one of its signs: a controller
+            // setter at an epoch boundary, a lazy refill, or a quota
+            // exhaustion (5,085 and 6,191), each of which the gather reads
+            // at once. It used to be evaluated once per gated step and once
+            // more per exhaustion (824,838 and 353,182), and before that
+            // once per scheduler, four to the step.
             assert_eq!(work.gate_evals, gates, "{name}");
             let exhaustions: u64 = (0..gpu_sim::MAX_KERNELS)
                 .flat_map(|k| {
                     gpu.sms().iter().map(move |sm| sm.quota_exhaustions(gpu_sim::KernelId::new(k)))
                 })
                 .sum();
-            assert_eq!(gates, if gates == 0 { 0 } else { run + exhaustions }, "{name}");
+            if gates > 0 {
+                assert!(exhaustions < gates && gates < run + exhaustions, "{name}");
+            }
         }
     }
 

@@ -164,9 +164,10 @@ fn fleet_restore_survives_length_bombs() {
 /// fall inside an embedded machine blob, how many restore `Ok` and then panic
 /// when the fleet is stepped (each panic prints; the last line is the count).
 /// It is a ratchet: exactly 9,203 windows fall inside machine blobs, so a
-/// moved blob layout fails it, and at most 6 of them may panic (227 in a dev
-/// build), so a more permissive restore fails it too. Lower the ceiling when a
-/// fix lowers the count. Item 2 is done when this prints 0 and
+/// moved blob layout fails it, and none of them may panic (at most 213 in a
+/// dev build, whose overflow checks and debug assertions trip on what a
+/// release build carries on with), so a more permissive restore fails it
+/// too. Lower the ceiling when a fix lowers the count. Item 2 is done when this prints 0 and
 /// [`restore_fleet_window`]'s carve-out goes.
 #[test]
 #[ignore = "a measurement: cargo test --release -p harness --test hostile_bytes -- --ignored --nocapture"]
@@ -182,7 +183,7 @@ fn count_machine_windows_that_restore_then_panic() {
     }
     println!("{inside} windows inside machine blobs, {panicked} restore Ok and panic when stepped");
     assert_eq!(inside, 9_203, "the machine blobs moved inside the fleet snapshot");
-    let ceiling = if cfg!(debug_assertions) { 227 } else { 6 };
+    let ceiling = if cfg!(debug_assertions) { 213 } else { 0 };
     assert!(panicked <= ceiling, "{panicked} windows restore Ok and panic (at most {ceiling})");
 }
 
