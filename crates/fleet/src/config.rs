@@ -4,7 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
-use gpu_sim::{FaultKind, FaultPlan, GpuConfig};
+use gpu_sim::{FaultKind, GpuConfig};
 use qos_core::TenantClass;
 use workloads::arrival::ArrivalModel;
 
@@ -30,7 +30,7 @@ gpu_sim::impl_snap_enum!(Placement { Binpack = 0, Spread = 1, LeastLoaded = 2 })
 ///
 /// Every device in a class shares the same simulated geometry (SM count, L2
 /// sizing) and memory capacity, so a batch snapshot taken on one member
-/// restores on any other ([`GpuConfig::compat_fingerprint`]). Devices of
+/// restores on any other ([`GpuConfig::fingerprint`]). Devices of
 /// *different* classes never exchange snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceClass {
@@ -187,8 +187,8 @@ pub struct FleetConfig {
     pub max_ticks: u64,
     /// The tenants served by this fleet.
     pub tenants: Vec<TenantSpec>,
-    /// Scheduled device faults.
-    pub faults: Vec<FleetFault>,
+    /// Scheduled device faults, fleet-absolute.
+    pub device_faults: Vec<FleetFault>,
     /// Scheduled planned drains (rebalances / maintenance windows).
     pub drains: Vec<PlannedDrain>,
 }
@@ -208,7 +208,7 @@ gpu_sim::impl_snap_struct!(FleetConfig {
     shed_exit_permille,
     max_ticks,
     tenants,
-    faults,
+    device_faults,
     drains,
 });
 
@@ -364,10 +364,10 @@ impl FleetConfig {
         panic!("device {device} beyond the fleet ({} devices)", self.total_devices());
     }
 
-    /// Builds the [`GpuConfig`] for one batch on a device of class
-    /// `class`, carrying `faults` (already translated to device-relative
-    /// cycles).
-    pub fn device_config(&self, class: usize, faults: FaultPlan) -> GpuConfig {
+    /// Builds the [`GpuConfig`] for one batch on a device of class `class`.
+    /// Its fingerprint is the class's migration fingerprint: snapshots may
+    /// only move between devices whose classes fingerprint equal.
+    pub fn device_config(&self, class: usize) -> GpuConfig {
         let spec = &self.classes[class];
         let mut cfg = GpuConfig::tiny();
         cfg.num_sms = spec.num_sms;
@@ -375,15 +375,7 @@ impl FleetConfig {
         cfg.epoch_cycles = self.epoch_cycles;
         cfg.samples_per_epoch = 10;
         cfg.health.watchdog_window = self.watchdog_window();
-        cfg.faults = faults;
         cfg
-    }
-
-    /// The migration-class fingerprint of `class`
-    /// ([`GpuConfig::compat_fingerprint`]): snapshots may only move between
-    /// devices whose classes fingerprint equal.
-    pub fn class_compat_fingerprint(&self, class: usize) -> u64 {
-        self.device_config(class, FaultPlan::none()).compat_fingerprint()
     }
 
     /// Validates internal consistency; returns the first violated
@@ -444,7 +436,7 @@ impl FleetConfig {
             }
         }
         let devices = self.total_devices();
-        for f in &self.faults {
+        for f in &self.device_faults {
             if f.device >= devices {
                 return Err(FleetConfigError::FaultBeyondFleet { device: f.device, devices });
             }
@@ -458,11 +450,9 @@ impl FleetConfig {
             }
         }
         for (ci, class) in self.classes.iter().enumerate() {
-            self.device_config(ci, FaultPlan::none()).validate().map_err(|e| {
-                FleetConfigError::BadDeviceConfig {
-                    class: class.name.clone(),
-                    error: e.to_string(),
-                }
+            self.device_config(ci).validate().map_err(|e| FleetConfigError::BadDeviceConfig {
+                class: class.name.clone(),
+                error: e.to_string(),
             })?;
         }
         Ok(())
@@ -503,7 +493,7 @@ mod tests {
                 grid_tbs: 8,
                 mem_bytes: 1 << 20,
             }],
-            faults: Vec::new(),
+            device_faults: Vec::new(),
             drains: Vec::new(),
         }
     }
@@ -604,12 +594,12 @@ mod tests {
     #[test]
     fn fault_and_drain_bounds_are_typed() {
         let mut cfg = base();
-        cfg.faults.push(FleetFault { at_cycle: 10, device: 9, kind: FaultKind::DeviceLoss });
+        cfg.device_faults.push(FleetFault { at_cycle: 10, device: 9, kind: FaultKind::DeviceLoss });
         assert_eq!(
             cfg.validate(),
             Err(FleetConfigError::FaultBeyondFleet { device: 9, devices: 2 })
         );
-        cfg.faults.clear();
+        cfg.device_faults.clear();
         cfg.drains.push(PlannedDrain { at_cycle: 10, device: 5 });
         assert_eq!(
             cfg.validate(),
@@ -620,12 +610,12 @@ mod tests {
     #[test]
     fn a_fault_a_device_cannot_suffer_is_refused() {
         let mut cfg = base();
-        cfg.faults.push(FleetFault { at_cycle: 10, device: 1, kind: FaultKind::Panic });
+        cfg.device_faults.push(FleetFault { at_cycle: 10, device: 1, kind: FaultKind::Panic });
         assert_eq!(
             cfg.validate(),
             Err(FleetConfigError::NotADeviceFault { device: 1, kind: FaultKind::Panic })
         );
-        cfg.faults[0].kind = FaultKind::DeviceWedge;
+        cfg.device_faults[0].kind = FaultKind::DeviceWedge;
         cfg.validate().expect("a wedge strikes a device");
     }
 
@@ -668,13 +658,13 @@ mod tests {
         let mut cfg = base();
         cfg.classes = vec![DeviceClass::small(1), DeviceClass::big(1), DeviceClass::small(1)];
         assert_eq!(
-            cfg.class_compat_fingerprint(0),
-            cfg.class_compat_fingerprint(2),
+            cfg.device_config(0).fingerprint(),
+            cfg.device_config(2).fingerprint(),
             "identical geometry, same migration class"
         );
         assert_ne!(
-            cfg.class_compat_fingerprint(0),
-            cfg.class_compat_fingerprint(1),
+            cfg.device_config(0).fingerprint(),
+            cfg.device_config(1).fingerprint(),
             "different geometry, different migration class"
         );
     }

@@ -67,8 +67,9 @@ use crate::request::{Request, RequestState, ShedReason};
 /// always has one), and embeds schema-9 device blobs. v5 dropped the
 /// per-tick sample list (the series is the one per-tick history), refuses a
 /// series of any capacity but [`FLEET_SERIES_CAPACITY`], and embeds
-/// schema-10 device blobs.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 5;
+/// schema-10 device blobs. v6 dropped each batch's fault base and fault plan
+/// (the plan rides in the device blob) and embeds schema-12 device blobs.
+pub const FLEET_SNAPSHOT_VERSION: u32 = 6;
 
 /// Ring capacity of the fleet's tick-sampled counter time series. Large
 /// enough that every shipped scenario (at most 1,500 ticks; the diurnal soak
@@ -143,15 +144,11 @@ struct Batch {
     /// Fleet cycle at which the batch was originally placed (the timeout
     /// base its requests keep, even across migrations).
     started_at: u64,
-    /// Fleet cycle that maps to this GPU's cycle zero: fleet cycle `F` is
-    /// device cycle `F - fault_base`. Equals `started_at` for fresh
-    /// batches; differs after a migration restores mid-flight state.
-    fault_base: u64,
     /// Latest migration checkpoint: taken at placement, refreshed on the
     /// checkpoint cadence.
     ckpt: Ckpt,
-    /// The simulated device; its configuration holds the batch's
-    /// device-relative fault plan.
+    /// The simulated device; it holds the batch's device-relative fault
+    /// plan.
     gpu: Gpu,
     /// Error from the last tick's step, harvested after the parallel phase.
     step_err: Option<SimError>,
@@ -281,8 +278,9 @@ impl TenantCounters {
 #[derive(Debug)]
 pub struct Fleet {
     cfg: FleetConfig,
-    /// Per-class compat fingerprints (migration classes), config-derived.
-    class_compat: Vec<u64>,
+    /// Per-class device config fingerprints (migration classes),
+    /// config-derived.
+    class_fingerprints: Vec<u64>,
     /// Per-class DRAM line size, config-derived (footprint samples).
     line_bytes: Vec<u32>,
     cycle: u64,
@@ -320,11 +318,10 @@ impl Fleet {
     /// Panics if the configuration does not validate.
     pub fn new(cfg: FleetConfig) -> Self {
         cfg.validate().expect("fleet config must validate");
-        let class_compat: Vec<u64> =
-            (0..cfg.classes.len()).map(|ci| cfg.class_compat_fingerprint(ci)).collect();
-        let line_bytes: Vec<u32> = (0..cfg.classes.len())
-            .map(|ci| cfg.device_config(ci, FaultPlan::none()).mem.line_bytes)
-            .collect();
+        let class_fingerprints: Vec<u64> =
+            (0..cfg.classes.len()).map(|ci| cfg.device_config(ci).fingerprint()).collect();
+        let line_bytes: Vec<u32> =
+            (0..cfg.classes.len()).map(|ci| cfg.device_config(ci).mem.line_bytes).collect();
         let ws_floor = u64::from(line_bytes.iter().copied().min().unwrap_or(32));
         let devices = (0..cfg.total_devices())
             .map(|id| Device {
@@ -333,7 +330,12 @@ impl Fleet {
                 fate: DeviceFate::Healthy,
                 batches: 0,
                 served: 0,
-                pending_faults: cfg.faults.iter().copied().filter(|f| f.device == id).collect(),
+                pending_faults: cfg
+                    .device_faults
+                    .iter()
+                    .copied()
+                    .filter(|f| f.device == id)
+                    .collect(),
                 pending_drains: cfg
                     .drains
                     .iter()
@@ -358,7 +360,7 @@ impl Fleet {
             cfg.tenants.iter().map(|t| WorkingSetTracker::new(t.mem_bytes, ws_floor)).collect();
         Fleet {
             cfg,
-            class_compat,
+            class_fingerprints,
             line_bytes,
             cycle: 0,
             tick_index: 0,
@@ -669,7 +671,7 @@ impl Fleet {
         let pending = std::mem::take(&mut self.pending_migrations);
         for pm in pending {
             let target = self.devices.iter().position(|d| {
-                d.idle_healthy() && self.class_compat[d.class] == pm.compat_fingerprint
+                d.idle_healthy() && self.class_fingerprints[d.class] == pm.class_fingerprint
             });
             let refused = match target {
                 Some(di) => self.install_migration(di, pm, now).err(),
@@ -690,12 +692,14 @@ impl Fleet {
         now: u64,
     ) -> Result<(), PendingMigration> {
         let Ok(blob) = SnapshotBlob::from_bytes(&pm.blob) else { return Err(pm) };
-        // The restored GPU resumes at device cycle `pm.gpu_cycle`, which is
-        // fleet cycle `now`.
-        let mut gpu = self.device_gpu(di, pm.gpu_cycle, now);
-        if gpu.restore_compat(&blob).is_err() {
+        // The restore brings the source device's fault plan; the receiver's
+        // replaces it, translated into the restored clock, which reads
+        // `pm.gpu_cycle` at fleet cycle `now`.
+        let mut gpu = Gpu::new(self.cfg.device_config(self.devices[di].class));
+        if gpu.restore(&blob).is_err() {
             return Err(pm);
         }
+        gpu.set_fault_plan(self.device_plan(di, pm.gpu_cycle, now));
         // Gate every slot that retired after the checkpoint was taken so
         // finished work never re-runs (and can never double-complete).
         for (slot, _) in pm.active.iter().enumerate().filter(|(_, &live)| !live) {
@@ -728,7 +732,6 @@ impl Fleet {
             requests: pm.slots.iter().map(|&x| x as usize).collect(),
             active: pm.active,
             started_at: pm.started_at,
-            fault_base: now.saturating_sub(pm.gpu_cycle),
             ckpt: Ckpt { blob: pm.blob, gpu_cycle: pm.gpu_cycle },
             gpu,
             step_err: None,
@@ -788,7 +791,7 @@ impl Fleet {
             started_at: batch.started_at,
             gpu_cycle: ckpt.gpu_cycle,
             blob: ckpt.blob,
-            compat_fingerprint: self.class_compat[self.devices[di].class],
+            class_fingerprint: self.class_fingerprints[self.devices[di].class],
             from_device: device_id,
             reason,
             enqueued_at: at,
@@ -857,7 +860,8 @@ impl Fleet {
     /// Creates a batch on device `di` serving `ids` and takes its initial
     /// migration checkpoint.
     fn start_batch(&mut self, di: usize, ids: Vec<usize>, now: u64) {
-        let mut gpu = self.device_gpu(di, 0, now);
+        let mut gpu = Gpu::new(self.cfg.device_config(self.devices[di].class));
+        gpu.set_fault_plan(self.device_plan(di, 0, now));
         gpu.set_sharing_mode(gpu_sim::SharingMode::Smk);
         let device_id = self.devices[di].id;
         for &id in &ids {
@@ -875,7 +879,6 @@ impl Fleet {
             active: vec![true; ids.len()],
             requests: ids,
             started_at: now,
-            fault_base: now,
             // The initial checkpoint, taken before the first cycle runs:
             // even a first-tick device loss migrates instead of retrying
             // from scratch.
@@ -886,15 +889,12 @@ impl Fleet {
         self.open_batch(di, batch);
     }
 
-    /// A fresh [`Gpu`] for device `di` whose clock reads `gpu_cycle` at
-    /// fleet cycle `now`: the device's fleet-absolute pending faults are
-    /// translated into that clock.
-    fn device_gpu(&self, di: usize, gpu_cycle: u64, now: u64) -> Gpu {
-        let device = &self.devices[di];
-        let faults = device.pending_faults.iter().fold(FaultPlan::none(), |plan, f| {
+    /// Device `di`'s fleet-absolute pending faults, translated into the
+    /// clock of a GPU that reads `gpu_cycle` at fleet cycle `now`.
+    fn device_plan(&self, di: usize, gpu_cycle: u64, now: u64) -> FaultPlan {
+        self.devices[di].pending_faults.iter().fold(FaultPlan::none(), |plan, f| {
             plan.with(gpu_cycle + f.at_cycle.saturating_sub(now), f.kind)
-        });
-        Gpu::new(self.cfg.device_config(device.class, faults))
+        })
     }
 
     /// Installs `batch` on idle device `di`.
@@ -1372,8 +1372,6 @@ impl Fleet {
                     b.requests.encode(&mut out);
                     b.active.encode(&mut out);
                     b.started_at.encode(&mut out);
-                    b.fault_base.encode(&mut out);
-                    b.gpu.config().faults.encode(&mut out);
                     b.ckpt.encode(&mut out);
                     let blob =
                         b.gpu.snapshot().expect("busy devices sit at epoch boundaries at ticks");
@@ -1450,24 +1448,14 @@ impl Fleet {
                     let requests = Vec::<usize>::decode(&mut r).map_err(fail)?;
                     let active = Vec::<bool>::decode(&mut r).map_err(fail)?;
                     let started_at = u64::decode(&mut r).map_err(fail)?;
-                    let fault_base = u64::decode(&mut r).map_err(fail)?;
-                    let faults = FaultPlan::decode(&mut r).map_err(fail)?;
                     let ckpt = Ckpt::decode(&mut r).map_err(fail)?;
                     let blob_bytes = Vec::<u8>::decode(&mut r).map_err(fail)?;
                     let blob = SnapshotBlob::from_bytes(&blob_bytes)
                         .map_err(|e| format!("fleet snapshot: device blob: {e}"))?;
-                    let mut gpu = Gpu::new(cfg.device_config(class, faults));
+                    let mut gpu = Gpu::new(cfg.device_config(class));
                     gpu.restore(&blob)
                         .map_err(|e| format!("fleet snapshot: device restore: {e}"))?;
-                    Some(Batch {
-                        requests,
-                        active,
-                        started_at,
-                        fault_base,
-                        ckpt,
-                        gpu,
-                        step_err: None,
-                    })
+                    Some(Batch { requests, active, started_at, ckpt, gpu, step_err: None })
                 }
                 _ => return Err("fleet snapshot: invalid batch tag".to_string()),
             };
@@ -1518,7 +1506,7 @@ impl Fleet {
             && batches().all(|b| {
                 b.active.len() == b.requests.len()
                     && b.requests.iter().all(|&id| request_ok(id))
-                    && b.gpu.config().faults.faults.iter().all(|f| FleetFault::strikes_a_device(f.kind))
+                    && b.gpu.fault_plan().faults.iter().all(|f| FleetFault::strikes_a_device(f.kind))
             });
         if !in_range {
             return Err(misshapen());
@@ -1614,7 +1602,7 @@ mod tests {
                     mem_bytes: 1 << 20,
                 },
             ],
-            faults: Vec::new(),
+            device_faults: Vec::new(),
             drains: Vec::new(),
         };
         let mut fleet = Fleet::new(cfg);
@@ -1712,7 +1700,11 @@ mod tests {
                 grid_tbs: 8,
                 mem_bytes: 64 << 20,
             }],
-            faults: vec![FleetFault { at_cycle: 8_000, device: 0, kind: FaultKind::DeviceLoss }],
+            device_faults: vec![FleetFault {
+                at_cycle: 8_000,
+                device: 0,
+                kind: FaultKind::DeviceLoss,
+            }],
             drains: Vec::new(),
         };
         let mut fleet = Fleet::new(cfg);
@@ -1759,7 +1751,11 @@ mod tests {
             // The request arrives by cycle 2, is placed at the tick-1
             // boundary (fleet cycle 16_000), so fleet cycle 28_000 is
             // device cycle 12_000 — mid-tick, after the kernel completes.
-            faults: vec![FleetFault { at_cycle: 28_000, device: 0, kind: FaultKind::DeviceWedge }],
+            device_faults: vec![FleetFault {
+                at_cycle: 28_000,
+                device: 0,
+                kind: FaultKind::DeviceWedge,
+            }],
             drains: Vec::new(),
         };
         let mut fleet = Fleet::new(cfg);
@@ -1805,7 +1801,7 @@ mod tests {
                 grid_tbs: 8,
                 mem_bytes: 64 << 20,
             }],
-            faults: Vec::new(),
+            device_faults: Vec::new(),
             drains: vec![PlannedDrain { at_cycle: 8_000, device: 0 }],
         };
         let mut fleet = Fleet::new(cfg);
@@ -1867,7 +1863,7 @@ mod tests {
                     mem_bytes: 1 << 20,
                 },
             ],
-            faults: Vec::new(),
+            device_faults: Vec::new(),
             drains: Vec::new(),
         };
         let mut fleet = Fleet::new(cfg);
@@ -1930,7 +1926,7 @@ mod tests {
                 grid_tbs: 4,
                 mem_bytes: 900 << 20,
             }],
-            faults: Vec::new(),
+            device_faults: Vec::new(),
             drains: Vec::new(),
         };
         let mut fleet = Fleet::new(cfg);
@@ -1972,7 +1968,7 @@ mod tests {
         // converge to byte-identical reports.
         let mut cfg = scenarios::chaos(7);
         cfg.migration.patience_ticks = 4;
-        cfg.faults = vec![
+        cfg.device_faults = vec![
             FleetFault { at_cycle: 30_000, device: 1, kind: FaultKind::DeviceLoss },
             FleetFault { at_cycle: 30_000, device: 2, kind: FaultKind::DeviceLoss },
             FleetFault { at_cycle: 30_000, device: 3, kind: FaultKind::DeviceLoss },
@@ -2027,12 +2023,8 @@ mod tests {
         }
         Fleet::restore(cfg.clone(), &fleet.snapshot()).expect("a healthy snapshot restores");
         let di = busy(&fleet).expect("a busy device");
-        let plan = FaultPlan::one(1 << 40, FaultKind::Panic);
-        let mut gpu = Gpu::new(cfg.device_config(fleet.devices[di].class, plan));
         let batch = fleet.devices[di].batch.as_mut().expect("busy");
-        let bytes = batch.gpu.snapshot().expect("ticks end on epoch boundaries").into_bytes();
-        gpu.restore_compat(&SnapshotBlob::from_bytes(&bytes).expect("blob")).expect("same class");
-        batch.gpu = gpu;
+        batch.gpu.set_fault_plan(FaultPlan::one(1 << 40, FaultKind::Panic));
         let err = Fleet::restore(cfg, &fleet.snapshot()).expect_err("must refuse");
         assert!(err.contains("does not match"), "{err}");
     }
@@ -2041,7 +2033,8 @@ mod tests {
     fn dead_fleet_sheds_the_queue_instead_of_losing_it() {
         let mut cfg = scenarios::steady(13);
         cfg.classes = vec![DeviceClass::small(1)];
-        cfg.faults = vec![FleetFault { at_cycle: 0, device: 0, kind: FaultKind::DeviceLoss }];
+        cfg.device_faults =
+            vec![FleetFault { at_cycle: 0, device: 0, kind: FaultKind::DeviceLoss }];
         let mut fleet = Fleet::new(cfg);
         fleet.run_to_completion();
         assert!(fleet.finished());
@@ -2059,7 +2052,8 @@ mod tests {
         cfg.classes = vec![DeviceClass::small(1), DeviceClass::big(1)];
         cfg.migration.patience_ticks = 2;
         cfg.placement = Placement::Binpack; // fill the small device first
-        cfg.faults = vec![FleetFault { at_cycle: 8_000, device: 0, kind: FaultKind::DeviceLoss }];
+        cfg.device_faults =
+            vec![FleetFault { at_cycle: 8_000, device: 0, kind: FaultKind::DeviceLoss }];
         let mut fleet = Fleet::new(cfg);
         fleet.run_to_completion();
         assert!(
@@ -2089,9 +2083,9 @@ mod tests {
                 12,
                 [
                     0xf7f9_2cb5_3487_5f55,
-                    0xe9fa_1d8f_8a9a_77f2,
+                    0x15ab_d441_ff63_8ddf,
                     0x46eb_52cb_c9b0_9981,
-                    0x7ab6_0d58_f61f_c350,
+                    0x0e2d_537c_219e_da4d,
                 ],
             ),
             (
@@ -2099,9 +2093,9 @@ mod tests {
                 7,
                 [
                     0x4c2a_6721_bb88_1b87,
-                    0xe1c2_3238_5c93_0e81,
+                    0x690e_424e_cd5f_402e,
                     0xd87e_59ed_3295_a6c8,
-                    0xfe53_8e2e_616d_d709,
+                    0x1271_49a4_4367_5fb4,
                 ],
             ),
             (
@@ -2109,9 +2103,9 @@ mod tests {
                 10,
                 [
                     0xe2b5_54a6_7c71_d5ba,
-                    0xa08a_8d3b_9478_b583,
+                    0xc70e_66e2_16b3_b8fd,
                     0x656f_424e_b3a3_831d,
-                    0x7bb3_ae44_3cb0_985e,
+                    0xb72a_5bf6_4e64_f037,
                 ],
             ),
             (
@@ -2119,9 +2113,9 @@ mod tests {
                 8,
                 [
                     0x6454_3830_9a98_c3b4,
-                    0x253c_5ada_8bec_92e3,
+                    0x891b_4d73_eb0f_d647,
                     0x775c_2960_274f_f97e,
-                    0x1234_b80b_c147_9b7e,
+                    0x0a68_02b4_1abd_a6e7,
                 ],
             ),
             (
@@ -2129,9 +2123,9 @@ mod tests {
                 177,
                 [
                     0x4677_8130_fbf8_cccc,
-                    0x8c68_bf41_92f9_a0ce,
+                    0x96e6_e455_a163_8f18,
                     0x37ac_4b01_d5cb_923a,
-                    0xb670_3766_b0ea_5722,
+                    0x2ce7_13bd_f5b8_9b25,
                 ],
             ),
         ];

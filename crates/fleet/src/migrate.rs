@@ -8,7 +8,8 @@
 //! surviving requests and the snapshot enter the fleet's pending-migration
 //! queue as a [`PendingMigration`]. Placement services that queue first
 //! each tick, restoring the blob onto an idle device of the same migration
-//! class ([`gpu_sim::Gpu::restore_compat`]); the batch resumes with every
+//! class ([`gpu_sim::Gpu::restore`]) and installing that device's fault plan
+//! ([`gpu_sim::Gpu::set_fault_plan`]); the batch resumes with every
 //! retry counter untouched. A migration that cannot find a spare within the
 //! configured patience falls back to the bounded-retry path, so the queue
 //! can never hold work forever.
@@ -70,8 +71,8 @@ pub struct PendingMigration {
     /// The serialized [`gpu_sim::SnapshotBlob`].
     pub blob: Vec<u8>,
     /// Migration class of the source device: only devices whose class
-    /// compat-fingerprint matches may receive the blob.
-    pub compat_fingerprint: u64,
+    /// device config fingerprints equal may receive the blob.
+    pub class_fingerprint: u64,
     /// Device the batch left.
     pub from_device: u32,
     /// Why it left.
@@ -86,7 +87,7 @@ gpu_sim::impl_snap_struct!(PendingMigration {
     started_at,
     gpu_cycle,
     blob,
-    compat_fingerprint,
+    class_fingerprint,
     from_device,
     reason,
     enqueued_at,
@@ -142,7 +143,7 @@ mod tests {
             started_at: 8_000,
             gpu_cycle: 12_000,
             blob: vec![1, 2, 3, 4],
-            compat_fingerprint: 0xDEAD_BEEF,
+            class_fingerprint: 0xDEAD_BEEF,
             from_device: 2,
             reason: MigrationReason::DeviceWedged,
             enqueued_at: 20_000,

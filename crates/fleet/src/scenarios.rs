@@ -49,7 +49,7 @@ fn base(seed: u64) -> FleetConfig {
         shed_exit_permille: 500,
         max_ticks: 600,
         tenants: Vec::new(),
-        faults: Vec::new(),
+        device_faults: Vec::new(),
         drains: Vec::new(),
     }
 }
@@ -146,7 +146,7 @@ pub fn chaos(seed: u64) -> FleetConfig {
             mem_bytes: 64 << 20,
         },
     ];
-    cfg.faults = vec![
+    cfg.device_faults = vec![
         FleetFault { at_cycle: 30_000, device: 1, kind: FaultKind::DeviceLoss },
         FleetFault { at_cycle: 50_000, device: 2, kind: FaultKind::DeviceWedge },
     ];
@@ -195,7 +195,7 @@ pub fn migration(seed: u64) -> FleetConfig {
     ];
     // Three small devices die in the same tick window; a big device drains
     // for maintenance shortly after. Devices 6 and 7 are the big class.
-    cfg.faults = vec![
+    cfg.device_faults = vec![
         FleetFault { at_cycle: 30_000, device: 0, kind: FaultKind::DeviceLoss },
         FleetFault { at_cycle: 30_000, device: 1, kind: FaultKind::DeviceLoss },
         FleetFault { at_cycle: 30_000, device: 2, kind: FaultKind::DeviceWedge },
@@ -242,7 +242,8 @@ pub fn diurnal(seed: u64) -> FleetConfig {
             mem_bytes: 96 << 20,
         },
     ];
-    cfg.faults = vec![FleetFault { at_cycle: 700_000, device: 1, kind: FaultKind::DeviceLoss }];
+    cfg.device_faults =
+        vec![FleetFault { at_cycle: 700_000, device: 1, kind: FaultKind::DeviceLoss }];
     cfg.drains = vec![PlannedDrain { at_cycle: 1_200_000, device: 0 }];
     cfg
 }
@@ -267,18 +268,18 @@ mod tests {
     #[test]
     fn chaos_schedules_a_loss_and_a_wedge() {
         let cfg = chaos(DEFAULT_SEED);
-        assert!(cfg.faults.iter().any(|f| f.kind == FaultKind::DeviceLoss));
-        assert!(cfg.faults.iter().any(|f| f.kind == FaultKind::DeviceWedge));
+        assert!(cfg.device_faults.iter().any(|f| f.kind == FaultKind::DeviceLoss));
+        assert!(cfg.device_faults.iter().any(|f| f.kind == FaultKind::DeviceWedge));
     }
 
     #[test]
     fn migration_storm_is_heterogeneous_with_same_tick_failures() {
         let cfg = migration(DEFAULT_SEED);
         assert!(cfg.classes.len() >= 2, "needs at least two migration classes");
-        assert!(cfg.faults.len() >= 3);
-        let storm_cycle = cfg.faults[0].at_cycle;
+        assert!(cfg.device_faults.len() >= 3);
+        let storm_cycle = cfg.device_faults[0].at_cycle;
         assert!(
-            cfg.faults.iter().filter(|f| f.at_cycle == storm_cycle).count() >= 3,
+            cfg.device_faults.iter().filter(|f| f.at_cycle == storm_cycle).count() >= 3,
             "the storm must land at least three failures in the same tick"
         );
         assert!(!cfg.drains.is_empty(), "the storm includes a planned drain");
@@ -299,6 +300,6 @@ mod tests {
                 t.arrival
             );
         }
-        assert!(!cfg.faults.is_empty() && !cfg.drains.is_empty());
+        assert!(!cfg.device_faults.is_empty() && !cfg.drains.is_empty());
     }
 }

@@ -7,7 +7,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::health::{FaultPlan, HealthConfig};
+use crate::health::HealthConfig;
 use crate::observe::TraceConfig;
 
 /// Error returned by [`GpuConfig::validate`] describing the first violated
@@ -196,8 +196,6 @@ pub struct GpuConfig {
     /// Health layer: forward-progress watchdog and epoch-boundary invariant
     /// audits. Disabled by default (zero overhead, identical behavior).
     pub health: HealthConfig,
-    /// Deterministic fault-injection schedule. Empty by default.
-    pub faults: FaultPlan,
     /// Idle-cycle fast-forward: when no warp on any SM can issue, the run
     /// loop jumps to the earliest event horizon instead of ticking every
     /// cycle (see DESIGN.md §3, "Fast-forward and event horizons"). Results
@@ -205,8 +203,8 @@ pub struct GpuConfig {
     /// per-cycle loop (the differential oracle in `tests/properties.rs`
     /// compares both paths).
     pub fast_forward: bool,
-    /// Flight-recorder configuration (DESIGN.md §12): event-trace level and
-    /// ring capacity. Off by default; at `Off` the only simulated-path cost
+    /// Flight-recorder configuration (DESIGN.md §12): the event-trace level.
+    /// Off by default; at `Off` the only simulated-path cost
     /// is one branch on a cached flag.
     pub trace: TraceConfig,
 }
@@ -231,7 +229,6 @@ impl GpuConfig {
             epoch_cycles: 10_000,
             samples_per_epoch: 100,
             health: HealthConfig::default(),
-            faults: FaultPlan::default(),
             fast_forward: true,
             trace: TraceConfig::default(),
         }
@@ -317,23 +314,13 @@ impl GpuConfig {
     }
 
     /// Stable 64-bit fingerprint of this configuration (FNV-1a over the
-    /// Snap encoding). Two configurations fingerprint equal iff every
-    /// snapshot-relevant field matches — including the fault plan.
+    /// Snap encoding). Two configurations fingerprint equal iff every field
+    /// matches, and only then does a snapshot taken on one restore on the
+    /// other. A fault plan is machine state ([`crate::Gpu::set_fault_plan`]),
+    /// so machines that differ only in their scheduled faults fingerprint
+    /// equal: that is a fleet's migration class.
     pub fn fingerprint(&self) -> u64 {
         crate::snap::fnv1a(&crate::snap::encode_to_vec(self))
-    }
-
-    /// Migration-class fingerprint: like [`GpuConfig::fingerprint`] but with
-    /// the fault-injection plan erased. Two devices in the same migration
-    /// class agree on every parameter that shapes machine *state* (SM count,
-    /// cache geometry, epoch length, health knobs, trace config) while being
-    /// free to carry different scheduled faults — exactly the condition under
-    /// which a snapshot taken on one can resume on the other
-    /// ([`crate::Gpu::restore_compat`]).
-    pub fn compat_fingerprint(&self) -> u64 {
-        let mut neutral = self.clone();
-        neutral.faults = FaultPlan::none();
-        crate::snap::fnv1a(&crate::snap::encode_to_vec(&neutral))
     }
 }
 
@@ -384,7 +371,6 @@ crate::impl_snap_struct!(GpuConfig {
     epoch_cycles,
     samples_per_epoch,
     health,
-    faults,
     fast_forward,
     trace,
 });
@@ -476,7 +462,7 @@ mod tests {
     fn health_layer_is_off_by_default() {
         let cfg = GpuConfig::paper_table1();
         assert_eq!(cfg.health, HealthConfig::default());
-        assert!(cfg.faults.is_empty());
+        assert!(crate::Gpu::new(cfg).fault_plan().is_empty());
     }
 
     #[test]

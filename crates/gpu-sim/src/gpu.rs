@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use crate::config::GpuConfig;
 use crate::health::{
-    AuditKind, AuditViolation, FaultKind, HealthReport, KernelHealth, SimError, SmHealth,
+    AuditKind, AuditViolation, FaultKind, FaultPlan, HealthReport, KernelHealth, SimError, SmHealth,
 };
 use crate::kernel::KernelDesc;
 use crate::memsys::MemSystem;
@@ -74,6 +74,10 @@ pub struct Gpu {
     last_epoch_cycle: Cycle,
     epoch_index: u64,
     sample_interval: Cycle,
+    /// The injected-fault schedule, in cycle order
+    /// ([`Gpu::set_fault_plan`]); `fault_cursor` indexes its first fault
+    /// still to fire.
+    faults: FaultPlan,
     fault_cursor: usize,
     ff_skipped: Cycle,
     trace_on: bool,
@@ -91,10 +95,8 @@ impl Gpu {
     /// # Panics
     ///
     /// Panics if the configuration fails [`GpuConfig::validate`].
-    pub fn new(mut cfg: GpuConfig) -> Self {
+    pub fn new(cfg: GpuConfig) -> Self {
         cfg.validate().expect("invalid GPU configuration");
-        // Faults are applied by a cursor walking the plan in cycle order.
-        cfg.faults.faults.sort_by_key(|f| f.at_cycle);
         let sms = (0..cfg.num_sms as usize).map(|i| Sm::new(SmId::new(i), &cfg)).collect();
         let sample_interval = (cfg.epoch_cycles / Cycle::from(cfg.samples_per_epoch)).max(1);
         Gpu {
@@ -108,14 +110,11 @@ impl Gpu {
             last_epoch_cycle: 0,
             epoch_index: 0,
             sample_interval,
+            faults: FaultPlan::none(),
             fault_cursor: 0,
             ff_skipped: 0,
             trace_on: cfg.trace.level.is_on(),
-            events: EventRing::new(if cfg.trace.level.is_on() {
-                cfg.trace.ring_capacity
-            } else {
-                0
-            }),
+            events: cfg.trace.ring(),
             was_idle: false,
             work: WorkCounters::default(),
             cycle: 0,
@@ -152,6 +151,34 @@ impl Gpu {
         self.kernels.push(KernelRuntime::new(desc));
         self.tb_sched.invalidate();
         kid
+    }
+
+    /// Installs `plan` as this machine's injected-fault schedule, replacing
+    /// the one it had ([`Gpu::restore`] replaces it too, with the blob's).
+    /// Every fault scheduled before the current cycle counts as consumed;
+    /// the rest fire on their cycle. Thaws every SM: a wedge belongs to the
+    /// sick device a plan describes, not to the workload, so a machine
+    /// restored from a wedged device's blob and given the receiver's plan
+    /// runs on healthy silicon (DESIGN.md §16.1). Call it between runs: a
+    /// run reads its first pending fault at entry, so a plan a controller
+    /// installs mid-run does not move that run's fault edge.
+    pub fn set_fault_plan(&mut self, mut plan: FaultPlan) {
+        plan.faults.sort_by_key(|f| f.at_cycle);
+        self.fault_cursor = plan.faults.iter().take_while(|f| f.at_cycle < self.cycle).count();
+        self.faults = plan;
+        for sm in &mut self.sms {
+            sm.clear_fault_effects();
+        }
+    }
+
+    /// The installed fault schedule, in cycle order.
+    pub fn fault_plan(&self) -> &FaultPlan {
+        &self.faults
+    }
+
+    /// The cycle of the first fault still to fire; `Cycle::MAX` when none is.
+    fn next_fault(&self) -> Cycle {
+        self.faults.faults.get(self.fault_cursor).map_or(Cycle::MAX, |f| f.at_cycle)
     }
 
     /// Runs the simulation for `cycles` cycles under `ctrl`.
@@ -216,8 +243,11 @@ impl Gpu {
         // moves one period on when reached. The clock never passes one
         // (`jump_target` clamps to it), so an executed cycle compares where
         // it would otherwise divide by a runtime period (DESIGN.md §3.1).
+        // The pending fault is an edge too, read at entry and again after
+        // every fault applied.
         let mut next_epoch = self.cycle.next_multiple_of(self.cfg.epoch_cycles);
         let mut next_sample = self.cycle.next_multiple_of(self.sample_interval);
+        let mut next_fault = self.next_fault();
         self.due.clear();
         self.due.extend(self.sms.iter().map(Sm::wake_at));
         // With fast-forward off no SM ever sleeps: every SM runs its full
@@ -227,10 +257,11 @@ impl Gpu {
         let num_sms = self.sms.len() as u64;
         while self.cycle < end {
             let now = self.cycle;
-            if self.cfg.faults.faults.get(self.fault_cursor).is_some_and(|f| f.at_cycle <= now) {
+            if now >= next_fault {
                 // A wedge freezes every SM's schedulers.
                 self.wake_sms(now);
                 self.apply_faults(now)?;
+                next_fault = self.next_fault();
             }
             if now == next_epoch {
                 next_epoch += self.cfg.epoch_cycles;
@@ -297,7 +328,7 @@ impl Gpu {
             }
             self.cycle += 1;
             if horizon > self.cycle {
-                let edge = end.min(next_epoch).min(next_sample).min(next_check);
+                let edge = end.min(next_epoch).min(next_sample).min(next_check).min(next_fault);
                 let target = self.jump_target(horizon, edge);
                 let skipped = target - self.cycle;
                 self.ff_skipped += skipped;
@@ -315,11 +346,11 @@ impl Gpu {
     /// `horizon` is clamped so that every externally observable event still
     /// fires on its exact cycle. `edge` is the nearest of the run loop's
     /// tracked edges, each at or after `self.cycle`: the end of the run, the
-    /// next epoch boundary, the next idle-warp sampling tick and the
-    /// watchdog's `next_check`. Clamped here are the first still-pending
-    /// `FaultPlan` entry and the next `DISPATCH_INTERVAL` service point
-    /// whenever the TB scheduler is not settled ([`TbScheduler::settled`]:
-    /// an input changed since its last pass). The memory system
+    /// next epoch boundary, the next idle-warp sampling tick, the
+    /// watchdog's `next_check` and the first still-pending fault. Clamped
+    /// here is the next `DISPATCH_INTERVAL` service point whenever the TB
+    /// scheduler is not settled ([`TbScheduler::settled`]: an input changed
+    /// since its last pass). The memory system
     /// contributes no horizon: transaction completions are computed eagerly
     /// at access time and carried by warp scoreboards (see
     /// [`MemSystem::serve`]). None of the clamps lies behind `self.cycle`; a
@@ -331,13 +362,10 @@ impl Gpu {
     /// to the TB scheduler moves the loop's code (EXPERIMENTS.md §options).
     #[inline(never)]
     fn jump_target(&self, horizon: Cycle, edge: Cycle) -> Cycle {
-        let mut target = horizon.min(edge);
-        if let Some(fault) = self.cfg.faults.faults.get(self.fault_cursor) {
-            target = target.min(fault.at_cycle);
-        }
+        let target = horizon.min(edge);
         let dispatch = self.cycle.next_multiple_of(DISPATCH_INTERVAL);
         if target > dispatch && !self.tb_sched.settled(&self.sms) {
-            target = dispatch;
+            return dispatch;
         }
         target
     }
@@ -350,10 +378,8 @@ impl Gpu {
     /// fires; the run loop propagates it immediately (mid-epoch), modeling
     /// a device that drops off the bus without warning.
     fn apply_faults(&mut self, now: Cycle) -> Result<(), SimError> {
-        while self.fault_cursor < self.cfg.faults.faults.len()
-            && self.cfg.faults.faults[self.fault_cursor].at_cycle <= now
-        {
-            let fault = self.cfg.faults.faults[self.fault_cursor];
+        while self.next_fault() <= now {
+            let fault = self.faults.faults[self.fault_cursor];
             self.fault_cursor += 1;
             self.record(now, TraceEventKind::FaultInjected { fault: fault.kind });
             match fault.kind {
@@ -806,15 +832,6 @@ impl Gpu {
         self.cfg.fingerprint()
     }
 
-    /// Migration-class fingerprint of this GPU's configuration: the config
-    /// fingerprint with the fault plan erased (see
-    /// [`GpuConfig::compat_fingerprint`]). Snapshots carry it so
-    /// [`Gpu::restore_compat`] can accept blobs from a same-class machine
-    /// that merely had different scheduled faults.
-    pub fn compat_fingerprint(&self) -> u64 {
-        self.cfg.compat_fingerprint()
-    }
-
     /// Captures the complete mutable state of the machine into a versioned
     /// [`SnapshotBlob`].
     ///
@@ -836,14 +853,12 @@ impl Gpu {
                 epoch_cycles: self.cfg.epoch_cycles,
             });
         }
-        let (config_fingerprint, compat_fingerprint) =
-            (self.config_fingerprint(), self.compat_fingerprint());
+        let config_fingerprint = self.config_fingerprint();
         // The header goes first with a zero length word, patched in below.
         let mut out = Vec::with_capacity(BLOB_HEADER_BYTES + self.payload_size_hint());
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         SNAPSHOT_SCHEMA_VERSION.encode(&mut out);
         config_fingerprint.encode(&mut out);
-        compat_fingerprint.encode(&mut out);
         0u64.encode(&mut out);
         self.cycle.encode(&mut out);
         self.sms.encode(&mut out);
@@ -855,6 +870,7 @@ impl Gpu {
         self.last_epoch_cycle.encode(&mut out);
         self.epoch_index.encode(&mut out);
         self.sample_interval.encode(&mut out);
+        self.faults.encode(&mut out);
         self.fault_cursor.encode(&mut out);
         self.ff_skipped.encode(&mut out);
         self.events.encode(&mut out);
@@ -864,7 +880,6 @@ impl Gpu {
         Ok(SnapshotBlob {
             version: SNAPSHOT_SCHEMA_VERSION,
             config_fingerprint,
-            compat_fingerprint,
             bytes: Cow::Owned(out),
         })
     }
@@ -884,70 +899,40 @@ impl Gpu {
             + FIXED_BYTES
     }
 
-    /// Replaces this machine's state with a previously captured snapshot.
+    /// Replaces this machine's state with a previously captured snapshot,
+    /// its fault plan and any wedge it carries included: resuming the same
+    /// machine reproduces the original run bit for bit, watchdog trip
+    /// included. A migration onto another device of the same configuration
+    /// follows with [`Gpu::set_fault_plan`] and the receiver's plan, which
+    /// thaws the wedge (DESIGN.md §16.1).
     ///
     /// The receiver must have been built from the **same configuration**
     /// that produced the blob (checked via the fingerprint); kernel launch
     /// state is part of the snapshot, so restoring into a freshly
-    /// constructed `Gpu::new(cfg)` is the intended use. On any error `self`
-    /// is left untouched.
+    /// constructed `Gpu::new(cfg)` is the intended use. Decodes fully into
+    /// locals before assigning, so on any error `self` is left untouched.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::SchemaVersion`] on a version mismatch,
     /// [`SnapshotError::ConfigFingerprint`] when the blob was taken under a
     /// different configuration, and [`SnapshotError::Corrupt`] when the
-    /// payload fails to decode.
+    /// payload fails to decode or does not fit the machine.
     pub fn restore(&mut self, blob: &SnapshotBlob<'_>) -> Result<(), SnapshotError> {
-        blob.check_header(blob.config_fingerprint, self.config_fingerprint())?;
-        self.restore_payload(&blob.bytes[BLOB_HEADER_BYTES..])
-    }
-
-    /// Restores a snapshot from a **migration-class-compatible** machine:
-    /// the blob's [`compat fingerprint`](SnapshotBlob::compat_fingerprint)
-    /// must match this machine's, but the full config fingerprints may
-    /// differ — i.e. the source may have carried a different fault plan.
-    ///
-    /// This is the receiving half of live migration: state captured on a
-    /// device that was about to fail (or be drained) resumes on a spare of
-    /// the same class. The snapshot's `fault_cursor` indexed the *source*
-    /// plan, so it is rebased onto the receiver's plan: every receiver fault
-    /// scheduled strictly before the restored cycle is treated as already
-    /// consumed (the fleet layer translates pending faults so none land in
-    /// the past), and faults at or after the restored cycle fire normally.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::SchemaVersion`] on a version mismatch,
-    /// [`SnapshotError::ConfigFingerprint`] when the blob's migration class
-    /// differs from the receiver's, and [`SnapshotError::Corrupt`] when the
-    /// payload fails to decode.
-    pub fn restore_compat(&mut self, blob: &SnapshotBlob<'_>) -> Result<(), SnapshotError> {
-        blob.check_header(blob.compat_fingerprint, self.compat_fingerprint())?;
-        self.restore_payload(&blob.bytes[BLOB_HEADER_BYTES..])?;
-        // Rebase the fault cursor from the source plan onto the receiver's
-        // (sorted) plan: faults strictly in the past are consumed, the rest
-        // remain armed.
-        self.fault_cursor =
-            self.cfg.faults.faults.iter().take_while(|f| f.at_cycle < self.cycle).count();
-        // The snapshot may have been taken after a silent fault fired on
-        // the source machine (a wedge freezes schedulers well before the
-        // watchdog can classify it). That freeze describes the sick
-        // device, not the workload — carrying it onto healthy silicon
-        // would wedge the receiver too, cascading one hardware failure
-        // across the fleet. The plain [`Gpu::restore`] path deliberately
-        // keeps them: resuming the *same* machine must reproduce the
-        // original run bit for bit, watchdog trip included.
-        for sm in &mut self.sms {
-            sm.clear_fault_effects();
+        if blob.version != SNAPSHOT_SCHEMA_VERSION {
+            return Err(SnapshotError::SchemaVersion {
+                found: blob.version,
+                expected: SNAPSHOT_SCHEMA_VERSION,
+            });
         }
-        Ok(())
-    }
-
-    /// Decodes a snapshot payload and swaps it in. Decodes fully into locals
-    /// before assigning, so `self` is untouched on any error.
-    fn restore_payload(&mut self, payload: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapReader::new(payload);
+        let expected = self.config_fingerprint();
+        if blob.config_fingerprint != expected {
+            return Err(SnapshotError::ConfigFingerprint {
+                found: blob.config_fingerprint,
+                expected,
+            });
+        }
+        let mut r = SnapReader::new(&blob.bytes[BLOB_HEADER_BYTES..]);
         let cycle = Cycle::decode(&mut r)?;
         let sms = Vec::<Sm>::decode(&mut r)?;
         let mem = MemSystem::decode(&mut r)?;
@@ -958,6 +943,7 @@ impl Gpu {
         let last_epoch_cycle = Cycle::decode(&mut r)?;
         let epoch_index = u64::decode(&mut r)?;
         let sample_interval = Cycle::decode(&mut r)?;
+        let faults = FaultPlan::decode(&mut r)?;
         let fault_cursor = usize::decode(&mut r)?;
         let ff_skipped = Cycle::decode(&mut r)?;
         let events = EventRing::decode(&mut r)?;
@@ -1001,6 +987,30 @@ impl Gpu {
                 "sample interval the configuration does not derive",
             )));
         }
+        // The run loop walks the plan in cycle order, and the next epoch's
+        // accounting subtracts the last epoch's clock and per-kernel totals
+        // from the current ones: a plan out of order, or a last epoch past
+        // the clock or above what the SMs retired, is a corrupt blob.
+        if !faults.faults.is_sorted_by_key(|f| f.at_cycle) {
+            return Err(SnapshotError::Corrupt(SnapError::Invalid(
+                "fault plan out of cycle order",
+            )));
+        }
+        let retired = |k: usize| {
+            sms.iter().try_fold(0u64, |sum, sm| {
+                sum.checked_add(sm.counters(KernelId::new(k)).thread_insts)
+            })
+        };
+        let behind = last_epoch_cycle <= cycle
+            && last_totals
+                .iter()
+                .enumerate()
+                .all(|(k, &last)| retired(k).is_some_and(|t| last <= t));
+        if !behind {
+            return Err(SnapshotError::Corrupt(SnapError::Invalid(
+                "last epoch ahead of the machine",
+            )));
+        }
         self.cycle = cycle;
         // The outgoing SMs take their counts with them.
         self.work = self.work_counters();
@@ -1012,6 +1022,7 @@ impl Gpu {
         self.last_totals = last_totals;
         self.last_epoch_cycle = last_epoch_cycle;
         self.epoch_index = epoch_index;
+        self.faults = faults;
         self.fault_cursor = fault_cursor;
         self.ff_skipped = ff_skipped;
         self.events = events;
@@ -1071,10 +1082,9 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// cache parameters (`l1_hit_latency`, `line_bytes`) to the per-SM record,
 /// for an SM↔memory port since removed; version 4 added the `dropped`
 /// discard counter to every [`EventRing`] so lossless trace capture can
-/// prove a recording never wrapped; version 5 added the
-/// migration-class `compat_fingerprint` to the blob header so live
-/// migration ([`Gpu::restore_compat`]) can accept snapshots from a
-/// same-class device with a different fault plan; version 6 added the
+/// prove a recording never wrapped; version 5 added a second, migration-class
+/// fingerprint to the blob header (the config's with the fault plan erased)
+/// for a second restore path; version 6 added the
 /// telemetry layer's deterministic state — per-SM per-kernel
 /// preemption-save latency histograms and the machine's epoch-sampled
 /// counter series (DESIGN.md §17); version 7 switched the hot
@@ -1091,16 +1101,20 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// series back out, as nothing outside tests read them (DESIGN.md §8.1);
 /// version 11 took the quota-freeze and preemption-stall flags out of every
 /// per-SM record and refuses [`FaultKind`] tags 0–2, with the faults that set
-/// them gone.
+/// them gone; version 12 moved the fault plan out of the configuration into
+/// the payload, beside its cursor ([`Gpu::set_fault_plan`]), took version 5's
+/// second fingerprint back out of the header (24 bytes, from 32), and took the
+/// ring capacity out of the embedded [`GpuConfig`] (and so out of the
+/// fingerprint).
 /// The run loop's [`WorkCounters`] are deliberately absent: they count how
 /// this process stepped the machine, not the machine.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 11;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 12;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";
 
-/// Wire bytes before a blob's payload: magic, version, fingerprints, length.
-const BLOB_HEADER_BYTES: usize = 32;
+/// Wire bytes before a blob's payload: magic, version, fingerprint, length.
+const BLOB_HEADER_BYTES: usize = 24;
 
 /// Why a snapshot could not be taken, serialized, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1168,14 +1182,13 @@ impl From<SnapError> for SnapshotError {
 /// The blob carries the schema version and a fingerprint of the producing
 /// configuration; [`Gpu::restore`] validates both before touching any
 /// state. It holds its stable on-disk form (magic + version + fingerprint +
-/// compat fingerprint + payload length + payload) in one buffer, which
+/// payload length + payload) in one buffer, which
 /// [`SnapshotBlob::to_bytes`] and [`SnapshotBlob::from_bytes`] borrow and
 /// [`SnapshotBlob::into_bytes`] hands over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotBlob<'a> {
     version: u32,
     config_fingerprint: u64,
-    compat_fingerprint: u64,
     bytes: Cow<'a, [u8]>,
 }
 
@@ -1190,31 +1203,9 @@ impl<'a> SnapshotBlob<'a> {
         self.config_fingerprint
     }
 
-    /// Migration-class fingerprint of the producing configuration (the
-    /// config fingerprint with the fault plan erased; see
-    /// [`GpuConfig::compat_fingerprint`]).
-    pub fn compat_fingerprint(&self) -> u64 {
-        self.compat_fingerprint
-    }
-
     /// Size of the encoded state payload in bytes.
     pub fn payload_len(&self) -> usize {
         self.bytes.len() - BLOB_HEADER_BYTES
-    }
-
-    /// What a receiver checks before it decodes the payload: the schema
-    /// version, then the blob's fingerprint `found` against its own.
-    fn check_header(&self, found: u64, expected: u64) -> Result<(), SnapshotError> {
-        if self.version != SNAPSHOT_SCHEMA_VERSION {
-            return Err(SnapshotError::SchemaVersion {
-                found: self.version,
-                expected: SNAPSHOT_SCHEMA_VERSION,
-            });
-        }
-        if found != expected {
-            return Err(SnapshotError::ConfigFingerprint { found, expected });
-        }
-        Ok(())
     }
 
     /// The blob's on-disk byte form, without a copy.
@@ -1238,13 +1229,12 @@ impl<'a> SnapshotBlob<'a> {
         let mut r = SnapReader::new(framed);
         let version = u32::decode(&mut r)?;
         let config_fingerprint = u64::decode(&mut r)?;
-        let compat_fingerprint = u64::decode(&mut r)?;
         let payload_len = usize::decode(&mut r)?;
         r.take(payload_len)?;
         if !r.is_exhausted() {
             return Err(SnapError::Invalid("trailing bytes after value").into());
         }
-        Ok(Self { version, config_fingerprint, compat_fingerprint, bytes: Cow::Borrowed(bytes) })
+        Ok(Self { version, config_fingerprint, bytes: Cow::Borrowed(bytes) })
     }
 }
 
@@ -1470,7 +1460,7 @@ mod tests {
         }
     }
 
-    use crate::health::{FaultKind, FaultPlan, SimError};
+    use crate::health::{FaultKind, FaultPlan, FaultSpec, SimError};
 
     /// From epoch 3 (cycle 3 000 on the tiny machine) on, makes every kernel
     /// on every SM a gated QoS kernel with zero quota and zero refill: a
@@ -1549,9 +1539,8 @@ mod tests {
 
     #[test]
     fn panic_fault_panics_inside_run() {
-        let mut cfg = GpuConfig::tiny();
-        cfg.faults = FaultPlan::one(1_000, FaultKind::Panic);
-        let mut gpu = Gpu::new(cfg);
+        let mut gpu = Gpu::new(GpuConfig::tiny());
+        gpu.set_fault_plan(FaultPlan::one(1_000, FaultKind::Panic));
         gpu.launch(compute_kernel("c"));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             gpu.run(5_000, &mut NullController);
@@ -1563,9 +1552,8 @@ mod tests {
 
     #[test]
     fn device_loss_surfaces_as_a_typed_error_mid_epoch() {
-        let mut cfg = GpuConfig::tiny();
-        cfg.faults = FaultPlan::one(2_500, FaultKind::DeviceLoss);
-        let mut gpu = Gpu::new(cfg);
+        let mut gpu = Gpu::new(GpuConfig::tiny());
+        gpu.set_fault_plan(FaultPlan::one(2_500, FaultKind::DeviceLoss));
         gpu.launch(compute_kernel("victim"));
         let err =
             gpu.try_run(50_000, &mut NullController).expect_err("a lost device must stop the run");
@@ -1582,8 +1570,8 @@ mod tests {
     fn watchdog_classifies_a_wedged_device_within_one_window() {
         let mut cfg = GpuConfig::tiny();
         cfg.health.watchdog_window = 2_000;
-        cfg.faults = FaultPlan::one(3_000, FaultKind::DeviceWedge);
         let mut gpu = Gpu::new(cfg);
+        gpu.set_fault_plan(FaultPlan::one(3_000, FaultKind::DeviceWedge));
         gpu.launch(compute_kernel("victim"));
         let err = gpu
             .try_run(50_000, &mut NullController)
@@ -1734,15 +1722,13 @@ mod tests {
         assert_eq!(other.cycle(), 0, "failed restore must leave the machine untouched");
     }
 
-    /// Restores `blob` into fresh machines of `cfg`, both ways, and expects
-    /// each to refuse it as corrupt and stay untouched.
+    /// Restores `blob` into a fresh machine of `cfg` and expects it to refuse
+    /// it as corrupt and stay untouched.
     fn assert_refused_as_corrupt(cfg: &GpuConfig, blob: &SnapshotBlob<'_>, what: &str) {
         let mut fresh = Gpu::new(cfg.clone());
-        for result in [fresh.restore(blob), fresh.restore_compat(blob)] {
-            match result {
-                Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
-                other => panic!("{what} must be refused, got {other:?}"),
-            }
+        match fresh.restore(blob) {
+            Err(SnapshotError::Corrupt(SnapError::Invalid(_))) => {}
+            other => panic!("{what} must be refused, got {other:?}"),
         }
         assert_eq!(fresh.cycle(), 0, "failed restore must leave the machine untouched");
     }
@@ -1762,9 +1748,11 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let gpu = smk_pair_at_5000(&cfg);
         let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
-        // The payload ends with the sampling interval, then the fault
-        // cursor, the skipped-cycle count, the event ring and the idle flag.
+        // The payload ends with the sampling interval, then the fault plan
+        // and its cursor, the skipped-cycle count, the event ring and the
+        // idle flag.
         let tail = [
+            crate::snap::encode_to_vec(&gpu.faults),
             crate::snap::encode_to_vec(&gpu.fault_cursor),
             crate::snap::encode_to_vec(&gpu.ff_skipped),
             crate::snap::encode_to_vec(&gpu.events),
@@ -1921,26 +1909,38 @@ mod tests {
     #[test]
     fn restore_refuses_a_flight_recorder_cursor_past_its_events() {
         let mut cfg = GpuConfig::tiny();
-        cfg.trace = crate::TraceConfig { level: crate::TraceLevel::Events, ring_capacity: 4 };
-        let gpu = smk_pair_at_5000(&cfg);
+        cfg.trace.level = crate::TraceLevel::Events;
+        // One-warp TBs of one short op, a dispatch and a drain event each.
+        let mut gpu = Gpu::new(cfg.clone());
+        gpu.launch(
+            KernelDesc::builder("short")
+                .threads_per_tb(32)
+                .regs_per_thread(16)
+                .grid_tbs(4_096)
+                .iterations(1)
+                .body(vec![Op::alu(1, 1)])
+                .build(),
+        );
+        gpu.run(5_000, &mut NullController);
         let bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
         // A ring encodes as `cap`, `start`, `dropped`, events; the machine's
         // sits right before the final idle flag, SM 0's inside its record.
         let machine = bytes.len() - 1 - crate::snap::encode_to_vec(&gpu.events).len();
         let sm_ring = crate::snap::encode_to_vec(gpu.sms[0].events());
-        assert_eq!(gpu.sms[0].events().len(), 4, "SM 0's ring wrapped");
+        let cap = crate::observe::RING_CAPACITY;
+        assert_eq!(gpu.sms[0].events().len(), cap as usize, "SM 0's ring wrapped");
         let sm0 = bytes.windows(sm_ring.len()).position(|w| w == sm_ring).expect("SM 0's ring");
         for ring in [machine, sm0] {
             let mut bad = bytes.clone();
-            assert_eq!(bad[ring..ring + 4], 4u32.to_le_bytes(), "the ring's capacity");
-            bad[ring + 4..ring + 8].copy_from_slice(&7u32.to_le_bytes());
+            assert_eq!(bad[ring..ring + 4], cap.to_le_bytes(), "the ring's capacity");
+            bad[ring + 4..ring + 8].copy_from_slice(&(cap + 3).to_le_bytes());
             let blob = SnapshotBlob::from_bytes(&bad).expect("the header is intact");
             assert_refused_as_corrupt(&cfg, &blob, "a ring cursor past its events");
         }
     }
 
     #[test]
-    fn restore_compat_accepts_different_fault_plan_and_rebases_cursor() {
+    fn set_fault_plan_consumes_past_faults_and_arms_future_ones() {
         // Source: clean machine, run to 5k, snapshot.
         let cfg = GpuConfig::tiny();
         let mut src = Gpu::new(cfg.clone());
@@ -1948,20 +1948,16 @@ mod tests {
         src.run(5_000, &mut NullController);
         let blob = src.snapshot().expect("cycle 5000 is an epoch boundary");
 
-        // Receiver: same class, different fault plan — one fault strictly in
-        // the past (must be treated as consumed, not re-fired), one in the
+        // Receiver: same configuration, and after the restore its own plan —
+        // one fault strictly in the past (consumed, not re-fired), one in the
         // future (must still fire).
-        let mut dst_cfg = cfg.clone();
-        dst_cfg.faults =
-            FaultPlan::one(2_000, FaultKind::DeviceLoss).with(9_000, FaultKind::DeviceLoss);
-        let mut dst = Gpu::new(dst_cfg);
-        dst.launch(compute_kernel("c"));
-        match dst.restore(&blob) {
-            Err(SnapshotError::ConfigFingerprint { .. }) => {}
-            other => panic!("full restore must refuse a fault-plan mismatch, got {other:?}"),
-        }
-        dst.restore_compat(&blob).expect("same migration class");
+        let mut dst = Gpu::new(cfg);
+        dst.restore(&blob).expect("same configuration");
+        dst.set_fault_plan(
+            FaultPlan::one(9_000, FaultKind::DeviceLoss).with(2_000, FaultKind::DeviceLoss),
+        );
         assert_eq!(dst.cycle(), 5_000);
+        assert_eq!(dst.fault_plan().faults[0].at_cycle, 2_000, "the plan is kept sorted");
         // The past fault is consumed: stepping does not fire it...
         dst.run(2_000, &mut NullController);
         assert_eq!(dst.cycle(), 7_000);
@@ -1972,15 +1968,33 @@ mod tests {
     }
 
     #[test]
-    fn compat_fingerprint_erases_faults_but_not_geometry() {
-        let clean = GpuConfig::tiny();
-        let mut faulty = clean.clone();
-        faulty.faults = FaultPlan::one(100, FaultKind::DeviceWedge);
-        assert_ne!(clean.fingerprint(), faulty.fingerprint());
-        assert_eq!(clean.compat_fingerprint(), faulty.compat_fingerprint());
-        let mut bigger = clean.clone();
-        bigger.num_sms = 4;
-        assert_ne!(clean.compat_fingerprint(), bigger.compat_fingerprint());
+    fn restore_refuses_a_fault_plan_out_of_cycle_order() {
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.set_fault_plan(FaultPlan::one(7_000, FaultKind::DeviceLoss));
+        gpu.faults.faults.insert(0, FaultSpec { at_cycle: 9_000, kind: FaultKind::DeviceLoss });
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a fault plan out of cycle order");
+    }
+
+    #[test]
+    fn restore_refuses_a_last_epoch_past_the_clock() {
+        // The next epoch's length is the clock less the last epoch's cycle.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.last_epoch_cycle = gpu.cycle + 1;
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a last epoch past the clock");
+    }
+
+    #[test]
+    fn restore_refuses_last_totals_above_what_the_sms_retired() {
+        // The next epoch's count is each kernel's total less its last one.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.last_totals[1] = gpu.kernel_totals()[1] + 1;
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a last total above the SMs' total");
     }
 
     #[test]
@@ -2050,7 +2064,7 @@ mod tests {
     }
 
     #[test]
-    fn compat_restore_thaws_fault_effects_but_full_restore_keeps_them() {
+    fn set_fault_plan_thaws_a_wedge_but_restore_keeps_it() {
         // A wedge is silent: schedulers freeze long before the watchdog can
         // classify the device, so a snapshot taken in that window carries
         // the frozen state. Migrating the blob onto healthy silicon must
@@ -2058,27 +2072,27 @@ mod tests {
         // resuming the same machine must keep it, watchdog trip included.
         let mut cfg = GpuConfig::tiny();
         cfg.health.watchdog_window = 2_000;
-        cfg.faults = FaultPlan::one(500, FaultKind::DeviceWedge);
         let mut src = Gpu::new(cfg.clone());
+        src.set_fault_plan(FaultPlan::one(500, FaultKind::DeviceWedge));
         src.launch(compute_kernel("c"));
         src.try_run(1_000, &mut NullController).expect("watchdog has not tripped yet");
         let blob = src.snapshot().expect("cycle 1000 is an epoch boundary");
 
-        // Same machine (same fault plan): the frozen schedulers survive the
-        // full restore and the watchdog classifies the wedge on schedule.
+        // Same machine: the plan and the frozen schedulers come from the
+        // blob, and the watchdog classifies the wedge when the source does.
         let mut same = Gpu::new(cfg.clone());
-        same.launch(compute_kernel("c"));
         same.restore(&blob).expect("identical fingerprint");
+        assert_eq!(same.fault_plan(), src.fault_plan());
         let err = same.try_run(50_000, &mut NullController).expect_err("still wedged");
         assert!(matches!(err, SimError::Watchdog(_)), "got {err}");
+        let tripped = src.try_run(50_000, &mut NullController).expect_err("the source too");
+        assert_eq!((same.cycle(), err), (src.cycle(), tripped), "on the source's schedule");
 
-        // Healthy spare of the same class: the thawed workload resumes and
-        // completes instead of wedging the receiver.
-        let mut clean_cfg = GpuConfig::tiny();
-        clean_cfg.health.watchdog_window = 2_000;
-        let mut spare = Gpu::new(clean_cfg);
-        spare.launch(compute_kernel("c"));
-        spare.restore_compat(&blob).expect("same migration class");
+        // Healthy spare: the receiver's (empty) plan thaws the workload,
+        // which resumes and completes instead of wedging the receiver.
+        let mut spare = Gpu::new(cfg);
+        spare.restore(&blob).expect("same configuration");
+        spare.set_fault_plan(FaultPlan::none());
         spare.try_run(200_000, &mut NullController).expect("healthy silicon must not wedge");
         assert!(
             spare.stats().kernel(KernelId::new(0)).launches_completed >= 1,

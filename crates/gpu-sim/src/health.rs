@@ -19,7 +19,9 @@
 //!   double-entry ledger, the machine-wide issue bound — at every epoch
 //!   boundary and fails fast with a typed [`AuditViolation`] when a
 //!   conservation law is broken.
-//! * A [`FaultPlan`] injects deterministic faults at fixed cycles; this is
+//! * A [`FaultPlan`], installed on a machine by
+//!   [`Gpu::set_fault_plan`](crate::Gpu::set_fault_plan), injects
+//!   deterministic faults at fixed cycles; this is
 //!   how the watchdog, the audits, and the harness recovery paths are
 //!   exercised in tests without depending on real bugs.
 
@@ -46,8 +48,8 @@ pub struct HealthConfig {
 /// One scheduled fault in a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// Cycle at which the fault fires (clamped to the next simulated cycle
-    /// if the plan is installed after `at_cycle` has passed).
+    /// Cycle at which the fault fires. A plan installed after `at_cycle`
+    /// has passed counts the fault as consumed.
     pub at_cycle: Cycle,
     /// What breaks.
     pub kind: FaultKind,
@@ -71,8 +73,9 @@ pub enum FaultKind {
     DeviceWedge,
 }
 
-/// A deterministic schedule of injected faults, carried on
-/// [`GpuConfig`](crate::GpuConfig). Empty by default.
+/// A deterministic schedule of injected faults: machine state, installed by
+/// [`Gpu::set_fault_plan`](crate::Gpu::set_fault_plan) and carried by its
+/// snapshots. Empty by default.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The scheduled faults. Order does not matter; the simulator applies

@@ -49,23 +49,32 @@ impl TraceLevel {
     }
 }
 
+/// Capacity of each event ring (one per SM plus one machine-level) while
+/// recording is on. Older events are overwritten once a ring is full.
+pub const RING_CAPACITY: u32 = 256;
+
 /// Flight-recorder configuration, carried on [`GpuConfig`](crate::GpuConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Event-recording level.
     pub level: TraceLevel,
-    /// Capacity of each event ring (one per SM plus one machine-level).
-    /// Older events are overwritten once a ring is full.
-    pub ring_capacity: u32,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig { level: TraceLevel::Off, ring_capacity: 256 }
+        TraceConfig { level: TraceLevel::Off }
     }
 }
 
-crate::impl_snap_struct!(TraceConfig { level, ring_capacity });
+impl TraceConfig {
+    /// An empty event ring for this level: [`RING_CAPACITY`] events when
+    /// recording, none at `Off`.
+    pub(crate) fn ring(self) -> EventRing {
+        EventRing::new(if self.level.is_on() { RING_CAPACITY } else { 0 })
+    }
+}
+
+crate::impl_snap_struct!(TraceConfig { level });
 
 /// The typed payload of a flight-recorder event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -239,11 +239,7 @@ impl Sm {
             idle_samples: 0,
             preempt_stats: PreemptStats::default(),
             trace_on: cfg.trace.level.is_on(),
-            events: EventRing::new(if cfg.trace.level.is_on() {
-                cfg.trace.ring_capacity
-            } else {
-                0
-            }),
+            events: cfg.trace.ring(),
             quota_blocked: per_kernel(|_| 0),
             quota_exhaustions: per_kernel(|_| 0),
             scoreboard_waits: per_kernel(|_| 0),

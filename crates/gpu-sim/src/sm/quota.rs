@@ -228,8 +228,8 @@ impl Sm {
         self.sched_frozen = true;
     }
 
-    /// Thaws a wedged SM's schedulers. Used by cross-device restore
-    /// ([`crate::Gpu::restore_compat`]): the freeze models sick hardware,
+    /// Thaws a wedged SM's schedulers. Used when a fault plan is installed
+    /// ([`crate::Gpu::set_fault_plan`]): the freeze models sick hardware,
     /// not workload state, so a batch migrating onto healthy silicon must
     /// not carry it along. Quota counters and gates are left untouched —
     /// they are workload state the controller owns.

@@ -116,8 +116,9 @@ fn apply_ablations(cfg: &mut GpuConfig, ab: &Ablations) {
 }
 
 /// The exact simulator configuration a case runs under (ablations, epoch
-/// override, watchdog, fault plan applied). `repro inspect` rebuilds a
-/// machine from this to restore a persisted failure snapshot into.
+/// override, watchdog applied). `repro inspect` rebuilds a machine from this
+/// to restore a persisted failure snapshot into; the case's fault plan is
+/// machine state, installed by [`prepare_case`] and carried by the snapshot.
 pub fn case_config(spec: &CaseSpec) -> GpuConfig {
     let mut cfg = spec.config.build();
     apply_ablations(&mut cfg, &spec.ablations);
@@ -126,7 +127,6 @@ pub fn case_config(spec: &CaseSpec) -> GpuConfig {
         cfg.samples_per_epoch = cfg.samples_per_epoch.min(epoch as u32);
     }
     cfg.health.watchdog_window = WATCHDOG_EPOCHS * cfg.epoch_cycles;
-    cfg.faults = spec.faults.clone();
     // Harness cases always fly with the recorder on: event recording never
     // perturbs simulated behaviour, and a watchdog report (or persisted
     // failure snapshot) then carries the last moments before the hang.
@@ -174,8 +174,9 @@ pub struct PreparedCase {
     pub goal_ipc: Vec<Option<f64>>,
 }
 
-/// Builds the machine for one case: config + ablations + watchdog, kernels
-/// launched with decorrelated seeds, isolated IPCs measured (cached).
+/// Builds the machine for one case: config + ablations + watchdog, the
+/// case's fault plan installed, kernels launched with decorrelated seeds,
+/// isolated IPCs measured (cached).
 ///
 /// # Errors
 ///
@@ -183,6 +184,7 @@ pub struct PreparedCase {
 /// cached error of a failed isolated measurement.
 pub fn prepare_case(spec: &CaseSpec, iso: &IsolatedCache) -> Result<PreparedCase, CaseError> {
     let mut gpu = Gpu::new(case_config(spec));
+    gpu.set_fault_plan(spec.faults.clone());
 
     let mut kids = Vec::new();
     let mut goal_ipc = Vec::new();

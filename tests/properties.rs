@@ -284,10 +284,10 @@ fn run_differential_case(
     cfg.trace.level = fgqos::sim::TraceLevel::Events;
     cfg.health.audit = audit;
     cfg.health.watchdog_window = if watchdog { 2 * cfg.epoch_cycles } else { 0 };
-    if let Some((at, kind)) = fault {
-        cfg.faults = fgqos::sim::FaultPlan::one(at, kind);
-    }
     let mut gpu = Gpu::new(cfg);
+    if let Some((at, kind)) = fault {
+        gpu.set_fault_plan(fgqos::sim::FaultPlan::one(at, kind));
+    }
     // A split of kind 1 launches the last kernel between the halves.
     for d in &descs[..descs.len() - usize::from(split == 1)] {
         gpu.launch(d.clone());

@@ -21,7 +21,7 @@ use fgqos::sim::trace::{records_hash, EpochRecord, Tracer};
 use fgqos::{
     Controller, Gpu, GpuConfig, KernelDesc, QosManager, QosSpec, QuotaScheme, SpartController,
 };
-use gpu_sim::{AccessPattern, KernelStats, Op, SharingMode, Snap, SnapshotBlob};
+use gpu_sim::{AccessPattern, FaultPlan, KernelStats, Op, SharingMode, Snap, SnapshotBlob};
 use proptest::prelude::*;
 
 // ----------------------------------------------------------------------
@@ -51,12 +51,18 @@ gpu_sim::impl_snap_enum!(Ctrl { Null = 0, Spart(controller) = 1, Quota(manager) 
 // Scenario construction (mirrors tests/properties.rs).
 // ----------------------------------------------------------------------
 
+/// A configuration and the fault plan its machines start with.
+struct Setup {
+    cfg: GpuConfig,
+    plan: FaultPlan,
+}
+
 fn build_config(
     fast_forward: bool,
     watchdog: bool,
     audit: bool,
     fault: Option<(u64, fgqos::sim::FaultKind)>,
-) -> GpuConfig {
+) -> Setup {
     let mut cfg = GpuConfig::tiny();
     cfg.fast_forward = fast_forward;
     // Recorder on: the counter registry and flight-recorder rings are part
@@ -64,14 +70,13 @@ fn build_config(
     cfg.trace.level = fgqos::sim::TraceLevel::Events;
     cfg.health.audit = audit;
     cfg.health.watchdog_window = if watchdog { 2 * cfg.epoch_cycles } else { 0 };
-    if let Some((at, kind)) = fault {
-        cfg.faults = fgqos::sim::FaultPlan::one(at, kind);
-    }
-    cfg
+    let plan = fault.map_or_else(FaultPlan::none, |(at, kind)| FaultPlan::one(at, kind));
+    Setup { cfg, plan }
 }
 
-fn build_gpu(cfg: &GpuConfig, descs: &[KernelDesc]) -> (Gpu, Vec<fgqos::KernelId>) {
-    let mut gpu = Gpu::new(cfg.clone());
+fn build_gpu(setup: &Setup, descs: &[KernelDesc]) -> (Gpu, Vec<fgqos::KernelId>) {
+    let mut gpu = Gpu::new(setup.cfg.clone());
+    gpu.set_fault_plan(setup.plan.clone());
     let kids = descs.iter().map(|d| gpu.launch(d.clone())).collect();
     (gpu, kids)
 }
@@ -159,13 +164,13 @@ fn summarize(
 
 /// One straight run of `total` cycles.
 fn run_straight(
-    cfg: &GpuConfig,
+    setup: &Setup,
     descs: &[KernelDesc],
     ctrl_sel: usize,
     goal: f64,
     total: u64,
 ) -> RunSummary {
-    let (mut gpu, kids) = build_gpu(cfg, descs);
+    let (mut gpu, kids) = build_gpu(setup, descs);
     let mut tracer = Tracer::new(build_ctrl(ctrl_sel, &kids, goal));
     let outcome = gpu.try_run(total, &mut tracer);
     summarize(outcome, &gpu, &kids, tracer.records())
@@ -176,7 +181,7 @@ fn run_straight(
 /// machine, and the controller + telemetry round-tripped through the binary
 /// codec; the second chunk then runs on the restored copy.
 fn run_split(
-    cfg: &GpuConfig,
+    setup: &Setup,
     descs: &[KernelDesc],
     ctrl_sel: usize,
     goal: f64,
@@ -184,7 +189,7 @@ fn run_split(
     total: u64,
     snapshot_restore: bool,
 ) -> RunSummary {
-    let (mut gpu, kids) = build_gpu(cfg, descs);
+    let (mut gpu, kids) = build_gpu(setup, descs);
     let mut tracer = Tracer::new(build_ctrl(ctrl_sel, &kids, goal));
     if let Err(e) = gpu.try_run(split, &mut tracer) {
         // The first chunk already failed; both chunked variants see the
@@ -201,7 +206,7 @@ fn run_split(
         let ctrl: Ctrl = decode_from_slice(&encode_to_vec(&ctrl)).expect("controller codec");
         let records: Vec<EpochRecord> =
             decode_from_slice(&encode_to_vec(&records)).expect("records codec");
-        let (fresh_gpu, fresh_kids) = build_gpu(cfg, descs);
+        let (fresh_gpu, fresh_kids) = build_gpu(setup, descs);
         assert_eq!(fresh_kids, kids, "kernel ids are deterministic");
         gpu = fresh_gpu;
         gpu.restore(&blob).expect("restore accepts a same-config snapshot");
@@ -264,20 +269,20 @@ proptest! {
         fault_cycle in 500u64..6_000,
     ) {
         let fault = wedged.then_some((fault_cycle, fgqos::sim::FaultKind::DeviceWedge));
-        let cfg = build_config(fast_forward, watchdog, audit, fault);
-        let split = split_epochs * cfg.epoch_cycles;
-        let total = split + extra_epochs * cfg.epoch_cycles;
+        let setup = build_config(fast_forward, watchdog, audit, fault);
+        let split = split_epochs * setup.cfg.epoch_cycles;
+        let total = split + extra_epochs * setup.cfg.epoch_cycles;
         let descs = diff_descs(nk, alu_lat, alu_repeat, trans, lanes, iters, seed);
         let goal = goal_frac * 100.0;
 
-        let chunked = run_split(&cfg, &descs, ctrl_sel, goal, split, total, false);
-        let restored = run_split(&cfg, &descs, ctrl_sel, goal, split, total, true);
+        let chunked = run_split(&setup, &descs, ctrl_sel, goal, split, total, false);
+        let restored = run_split(&setup, &descs, ctrl_sel, goal, split, total, true);
         prop_assert_eq!(&restored, &chunked, "restore must be invisible");
 
         if fault.is_none() {
             // A healthy chunked run also equals the straight run exactly
             // (the watchdog check schedule aligns to absolute windows).
-            let straight = run_straight(&cfg, &descs, ctrl_sel, goal, total);
+            let straight = run_straight(&setup, &descs, ctrl_sel, goal, total);
             prop_assert_eq!(&restored, &straight, "healthy chunking is invisible");
         }
     }
@@ -320,14 +325,12 @@ proptest! {
 /// event (cycle, SM, kind) of a busy traced run survives the wire form.
 #[test]
 fn counter_registry_and_events_survive_snapshot_restore() {
-    let mut cfg = GpuConfig::tiny();
-    cfg.fast_forward = true;
-    cfg.trace.level = fgqos::sim::TraceLevel::Events;
+    let setup = build_config(true, false, false, None);
     let descs = diff_descs(3, 4, 8, 6, 17, 3, 42);
 
-    let (mut gpu, kids) = build_gpu(&cfg, &descs);
+    let (mut gpu, kids) = build_gpu(&setup, &descs);
     let mut tracer = Tracer::new(build_ctrl(2, &kids, 80.0));
-    gpu.try_run(6 * cfg.epoch_cycles, &mut tracer).expect("healthy run");
+    gpu.try_run(6 * setup.cfg.epoch_cycles, &mut tracer).expect("healthy run");
 
     let registry = gpu.counter_registry();
     assert!(
@@ -338,7 +341,7 @@ fn counter_registry_and_events_survive_snapshot_restore() {
 
     let bytes = gpu.snapshot().expect("epoch-aligned").into_bytes();
     let blob = SnapshotBlob::from_bytes(&bytes).expect("wire round-trip");
-    let (mut fresh, _) = build_gpu(&cfg, &descs);
+    let (mut fresh, _) = build_gpu(&setup, &descs);
     fresh.restore(&blob).expect("same config");
 
     assert_eq!(fresh.counter_registry(), registry, "registry restores bit-exactly");
@@ -410,7 +413,9 @@ fn golden_scenario_survives_snapshot_restore() {
 /// Schema 10 is 7,456 bytes under schema 9: the 64 preemption-save
 /// histograms (4 kernel slots on each of 16 SMs) and the machine's
 /// never-enabled counter series. Schema 11 is 32 bytes under schema 10: the
-/// quota-freeze and preemption-stall flags on each of 16 SMs.
+/// quota-freeze and preemption-stall flags on each of 16 SMs. Schema 12 is 8
+/// bytes over schema 11: the (empty) fault plan's length, moved out of the
+/// configuration into the payload.
 #[test]
 fn warmed_trio_payload_size_is_pinned() {
     let cfg = GpuConfig::paper_table1();
@@ -422,7 +427,7 @@ fn warmed_trio_payload_size_is_pinned() {
         .with_kernel(q2, QosSpec::qos(20.0))
         .with_kernel(be, QosSpec::best_effort());
     gpu.run(3 * cfg.epoch_cycles, &mut manager);
-    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 744_718);
+    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 744_726);
 }
 
 // ----------------------------------------------------------------------
@@ -471,21 +476,21 @@ proptest! {
         extra_epochs in 1u64..4,
         fast_forward in any::<bool>(),
     ) {
-        let cfg = build_config(fast_forward, false, false, None);
+        let setup = build_config(fast_forward, false, false, None);
         let descs = barrier_descs(nk, seed);
-        let (mut gpu, _) = build_gpu(&cfg, &descs);
+        let (mut gpu, _) = build_gpu(&setup, &descs);
         let mut tracer = Tracer::new(Ctrl::Null);
-        gpu.try_run(split_epochs * cfg.epoch_cycles, &mut tracer).expect("healthy");
+        gpu.try_run(split_epochs * setup.cfg.epoch_cycles, &mut tracer).expect("healthy");
 
         let bytes = gpu.snapshot().expect("epoch-aligned").into_bytes();
         let blob = SnapshotBlob::from_bytes(&bytes).expect("wire round-trip");
-        let (mut fresh, _) = build_gpu(&cfg, &descs);
+        let (mut fresh, _) = build_gpu(&setup, &descs);
         fresh.restore(&blob).expect("same config");
         let rebytes = fresh.snapshot().expect("still epoch-aligned").into_bytes();
         prop_assert_eq!(&rebytes, &bytes, "re-encoded snapshot must be byte-identical");
 
         // And the restored table drives the machine to the same stream.
-        let extra = extra_epochs * cfg.epoch_cycles;
+        let extra = extra_epochs * setup.cfg.epoch_cycles;
         let mut t1 = Tracer::new(Ctrl::Null);
         let mut t2 = Tracer::new(Ctrl::Null);
         gpu.try_run(extra, &mut t1).expect("healthy");
