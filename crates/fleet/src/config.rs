@@ -143,7 +143,48 @@ impl FleetFault {
 
 gpu_sim::impl_snap_struct!(FleetFault { at_cycle, device, kind });
 
-/// Top-level fleet configuration.
+/// Device epoch length, in cycles; the per-device watchdog window is two
+/// epochs.
+pub const EPOCH_CYCLES: u64 = 1_000;
+
+/// The watchdog window each device runs with (two epochs, matching the
+/// harness's sweep configuration).
+pub const WATCHDOG_WINDOW: u64 = 2 * EPOCH_CYCLES;
+
+/// Fleet scheduler tick, in cycles. A multiple of the watchdog window, so
+/// every busy device sits at an epoch boundary — and is therefore
+/// snapshottable — at tick boundaries, and at least two windows long: the
+/// device watchdog re-arms on every `try_run` call, so a call must span a
+/// full window *beyond* the first check point for a stalled device to ever
+/// be classified (the same floor the harness applies to its sweep chunks).
+pub const TICK_CYCLES: u64 = 4_000;
+
+const _: () =
+    assert!(TICK_CYCLES.is_multiple_of(WATCHDOG_WINDOW) && TICK_CYCLES >= 2 * WATCHDOG_WINDOW);
+
+/// Bounded retry budget per request (timeouts and device failures).
+pub const MAX_RETRIES: u32 = 3;
+
+/// Exponential backoff base, in cycles; retry `n` waits `base << (n-1)`
+/// plus deterministic jitter in `[0, base)`.
+pub const BACKOFF_BASE: u64 = 2_000;
+
+/// Scheduler-visible runtime estimate per request, in device cycles — the
+/// online structural runtime prediction admission control projects
+/// occupancy with.
+pub const EST_SERVICE_CYCLES: u64 = 20_000;
+
+/// Load shedding engages when projected load exceeds this (permille).
+pub const SHED_ENTER_PERMILLE: u32 = 900;
+
+/// Load shedding disengages when projected load drops below this
+/// (permille): the hysteresis band that keeps shedding from flapping.
+pub const SHED_EXIT_PERMILLE: u32 = 500;
+
+const _: () = assert!(SHED_EXIT_PERMILLE < SHED_ENTER_PERMILLE);
+
+/// Top-level fleet configuration. Its scheduler's fixed policy values are
+/// the constants above ([`TICK_CYCLES`] and beside it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// The device classes making up the fleet. Devices are numbered in
@@ -155,33 +196,8 @@ pub struct FleetConfig {
     pub migration: MigrationConfig,
     /// Master seed; every stream/jitter seed derives from it.
     pub seed: u64,
-    /// Device epoch length; the per-device watchdog window is two epochs.
-    pub epoch_cycles: u64,
-    /// Fleet scheduler tick, in cycles. Must be a multiple of the watchdog
-    /// window (`2 * epoch_cycles`) so every busy device sits at an epoch
-    /// boundary — and is therefore snapshottable — at tick boundaries, and
-    /// at least two windows long: the device watchdog re-arms on every
-    /// `try_run` call, so a call must span a full window *beyond* the first
-    /// check point for a stalled device to ever be classified (the same
-    /// floor the harness applies to its sweep chunks).
-    pub tick_cycles: u64,
     /// Per-request timeout while running on a device, in fleet cycles.
     pub timeout_cycles: u64,
-    /// Bounded retry budget per request (timeouts and device failures).
-    pub max_retries: u32,
-    /// Exponential backoff base, in cycles; retry `n` waits
-    /// `base << (n-1)` plus deterministic jitter in `[0, base)`.
-    pub backoff_base: u64,
-    /// Scheduler-visible runtime estimate per request, in device cycles —
-    /// the online structural runtime prediction admission control projects
-    /// occupancy with.
-    pub est_service_cycles: u64,
-    /// Load shedding engages when projected load exceeds this (permille).
-    pub shed_enter_permille: u32,
-    /// Load shedding disengages when projected load drops below this
-    /// (permille); must be below `shed_enter_permille` — the hysteresis
-    /// band that keeps shedding from flapping.
-    pub shed_exit_permille: u32,
     /// Safety net: after this many ticks the fleet sheds whatever is still
     /// queued (with an explicit reason) and finishes.
     pub max_ticks: u64,
@@ -198,14 +214,7 @@ gpu_sim::impl_snap_struct!(FleetConfig {
     placement,
     migration,
     seed,
-    epoch_cycles,
-    tick_cycles,
     timeout_cycles,
-    max_retries,
-    backoff_base,
-    est_service_cycles,
-    shed_enter_permille,
-    shed_exit_permille,
     max_ticks,
     tenants,
     device_faults,
@@ -224,28 +233,11 @@ pub enum FleetConfigError {
         /// Name of the empty class.
         class: String,
     },
-    /// `epoch_cycles == 0`.
-    ZeroEpoch,
-    /// `tick_cycles` is not a multiple of the watchdog window, or spans
-    /// fewer than two windows.
-    BadTick {
-        /// The offending tick length.
-        tick_cycles: u64,
-        /// The watchdog window it must align to (two epochs).
-        watchdog_window: u64,
-    },
     /// A knob that must be positive is zero.
     ZeroKnob {
-        /// Which field (`timeout_cycles`, `est_service_cycles`,
-        /// `backoff_base`, `checkpoint_every_ticks`, or `patience_ticks`).
+        /// Which field (`timeout_cycles`, `checkpoint_every_ticks`, or
+        /// `patience_ticks`).
         field: &'static str,
-    },
-    /// `shed_exit_permille >= shed_enter_permille`.
-    InvertedHysteresis {
-        /// The engage threshold.
-        enter_permille: u32,
-        /// The (not lower) disengage threshold.
-        exit_permille: u32,
     },
     /// `tenants` is empty.
     NoTenants,
@@ -296,19 +288,7 @@ impl fmt::Display for FleetConfigError {
             FleetConfigError::EmptyClass { class } => {
                 write!(f, "device class {class:?} has count 0")
             }
-            FleetConfigError::ZeroEpoch => f.write_str("epoch_cycles must be positive"),
-            FleetConfigError::BadTick { tick_cycles, watchdog_window } => write!(
-                f,
-                "tick_cycles ({tick_cycles}) must be a multiple of the watchdog window \
-                 ({watchdog_window}) and at least two windows long, or wedged devices are \
-                 never classified"
-            ),
             FleetConfigError::ZeroKnob { field } => write!(f, "{field} must be positive"),
-            FleetConfigError::InvertedHysteresis { enter_permille, exit_permille } => write!(
-                f,
-                "hysteresis band is inverted: exit {exit_permille}‰ must be below enter \
-                 {enter_permille}‰"
-            ),
             FleetConfigError::NoTenants => f.write_str("a fleet needs at least one tenant"),
             FleetConfigError::TenantOverMemory { tenant, mem_bytes, largest_device } => write!(
                 f,
@@ -336,12 +316,6 @@ impl fmt::Display for FleetConfigError {
 impl Error for FleetConfigError {}
 
 impl FleetConfig {
-    /// The watchdog window each device runs with (two epochs, matching the
-    /// harness's sweep configuration).
-    pub fn watchdog_window(&self) -> u64 {
-        2 * self.epoch_cycles
-    }
-
     /// Total devices across every class.
     pub fn total_devices(&self) -> u32 {
         self.classes.iter().map(|c| c.count).sum()
@@ -372,9 +346,9 @@ impl FleetConfig {
         let mut cfg = GpuConfig::tiny();
         cfg.num_sms = spec.num_sms;
         cfg.mem.l2_bytes = u64::from(spec.l2_kb) * 1024;
-        cfg.epoch_cycles = self.epoch_cycles;
+        cfg.epoch_cycles = EPOCH_CYCLES;
         cfg.samples_per_epoch = 10;
-        cfg.health.watchdog_window = self.watchdog_window();
+        cfg.health.watchdog_window = WATCHDOG_WINDOW;
         cfg
     }
 
@@ -394,33 +368,14 @@ impl FleetConfig {
                 return Err(FleetConfigError::EmptyClass { class: class.name.clone() });
             }
         }
-        if self.epoch_cycles == 0 {
-            return Err(FleetConfigError::ZeroEpoch);
-        }
-        if !self.tick_cycles.is_multiple_of(self.watchdog_window())
-            || self.tick_cycles < 2 * self.watchdog_window()
-        {
-            return Err(FleetConfigError::BadTick {
-                tick_cycles: self.tick_cycles,
-                watchdog_window: self.watchdog_window(),
-            });
-        }
         for (field, value) in [
             ("timeout_cycles", self.timeout_cycles),
-            ("est_service_cycles", self.est_service_cycles),
-            ("backoff_base", self.backoff_base),
             ("migration.checkpoint_every_ticks", self.migration.checkpoint_every_ticks),
             ("migration.patience_ticks", self.migration.patience_ticks),
         ] {
             if value == 0 {
                 return Err(FleetConfigError::ZeroKnob { field });
             }
-        }
-        if self.shed_exit_permille >= self.shed_enter_permille {
-            return Err(FleetConfigError::InvertedHysteresis {
-                enter_permille: self.shed_enter_permille,
-                exit_permille: self.shed_exit_permille,
-            });
         }
         if self.tenants.is_empty() {
             return Err(FleetConfigError::NoTenants);
@@ -476,14 +431,7 @@ mod tests {
             placement: Placement::Spread,
             migration: MigrationConfig::default(),
             seed: 1,
-            epoch_cycles: 1_000,
-            tick_cycles: 4_000,
             timeout_cycles: 40_000,
-            max_retries: 3,
-            backoff_base: 2_000,
-            est_service_cycles: 10_000,
-            shed_enter_permille: 900,
-            shed_exit_permille: 600,
             max_ticks: 1_000,
             tenants: vec![TenantSpec {
                 name: "t".into(),
@@ -515,55 +463,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_epoch_is_typed() {
-        let mut cfg = base();
-        cfg.epoch_cycles = 0;
-        assert_eq!(cfg.validate(), Err(FleetConfigError::ZeroEpoch));
-    }
-
-    #[test]
-    fn tick_must_span_two_watchdog_windows() {
-        let mut cfg = base();
-        cfg.tick_cycles = 1_000; // one epoch: not even a full window
-        assert_eq!(
-            cfg.validate(),
-            Err(FleetConfigError::BadTick { tick_cycles: 1_000, watchdog_window: 2_000 })
-        );
-        cfg.tick_cycles = 2_000; // exactly one window: the per-call watchdog
-        assert!(cfg.validate().is_err()); // check point is never reached
-        cfg.tick_cycles = 6_000; // three windows: fine
-        cfg.validate().expect("two or more windows are legal");
-    }
-
-    #[test]
     fn zero_knobs_name_their_field() {
-        for field in [
-            "timeout_cycles",
-            "est_service_cycles",
-            "backoff_base",
-            "migration.checkpoint_every_ticks",
-            "migration.patience_ticks",
-        ] {
+        for field in
+            ["timeout_cycles", "migration.checkpoint_every_ticks", "migration.patience_ticks"]
+        {
             let mut cfg = base();
             match field {
                 "timeout_cycles" => cfg.timeout_cycles = 0,
-                "est_service_cycles" => cfg.est_service_cycles = 0,
-                "backoff_base" => cfg.backoff_base = 0,
                 "migration.checkpoint_every_ticks" => cfg.migration.checkpoint_every_ticks = 0,
                 _ => cfg.migration.patience_ticks = 0,
             }
             assert_eq!(cfg.validate(), Err(FleetConfigError::ZeroKnob { field }));
         }
-    }
-
-    #[test]
-    fn inverted_hysteresis_band_carries_both_thresholds() {
-        let mut cfg = base();
-        cfg.shed_exit_permille = cfg.shed_enter_permille;
-        assert_eq!(
-            cfg.validate(),
-            Err(FleetConfigError::InvertedHysteresis { enter_permille: 900, exit_permille: 900 })
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The fleet proper: many simulated GPUs behind one cluster scheduler.
 //!
-//! Execution is tick-based. One tick = [`FleetConfig::tick_cycles`] device
+//! Execution is tick-based. One tick = [`TICK_CYCLES`] device
 //! cycles, a multiple of the per-device watchdog window, so every busy
 //! device sits at an epoch boundary — and is therefore snapshottable — at
 //! every tick boundary. Each tick:
@@ -12,7 +12,7 @@
 //!    fleet's **working-set estimates** project device memory past
 //!    capacity;
 //! 2. the **load-shedding hysteresis** updates (enter above
-//!    `shed_enter_permille`, exit below `shed_exit_permille`) and, while
+//!    [`SHED_ENTER_PERMILLE`], exit below [`SHED_EXIT_PERMILLE`]) and, while
 //!    engaged, sheds queued best-effort work oldest-first;
 //! 3. **planned drains** retire their devices, snapshotting any running
 //!    batch into the pending-migration queue;
@@ -51,7 +51,10 @@ use gpu_sim::{
 use qos_core::{kernel_footprint_bytes, WorkingSetTracker};
 use workloads::arrival::{request_kernel, ArrivalStream};
 
-use crate::config::FleetConfig;
+use crate::config::{
+    FleetConfig, BACKOFF_BASE, EST_SERVICE_CYCLES, MAX_RETRIES, SHED_ENTER_PERMILLE,
+    SHED_EXIT_PERMILLE, TICK_CYCLES,
+};
 use crate::migrate::{MigrationReason, MigrationRecord, PendingMigration};
 use crate::placement::DeviceView;
 use crate::request::{Request, RequestState, ShedReason};
@@ -69,7 +72,10 @@ use crate::request::{Request, RequestState, ShedReason};
 /// series of any capacity but [`FLEET_SERIES_CAPACITY`], and embeds
 /// schema-10 device blobs. v6 dropped each batch's fault base and fault plan
 /// (the plan rides in the device blob) and embeds schema-12 device blobs.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 6;
+/// v7 dropped the seven scheduler knobs that became constants from the
+/// configuration ([`TICK_CYCLES`] and beside it) and embeds schema-13
+/// device blobs.
+pub const FLEET_SNAPSHOT_VERSION: u32 = 7;
 
 /// Ring capacity of the fleet's tick-sampled counter time series. Large
 /// enough that every shipped scenario (at most 1,500 ticks; the diurnal soak
@@ -484,7 +490,7 @@ impl Fleet {
             return true;
         }
         let now = self.cycle;
-        let end = now + self.cfg.tick_cycles;
+        let end = now + TICK_CYCLES;
 
         self.collect_arrivals(now);
         self.update_shedding(now);
@@ -560,7 +566,7 @@ impl Fleet {
                 matches!(r.state, RequestState::Running { .. } | RequestState::Migrating { .. })
             })
             .count() as u64;
-        let work = (running + self.queue.len() as u64 + extra) * self.cfg.est_service_cycles;
+        let work = (running + self.queue.len() as u64 + extra) * EST_SERVICE_CYCLES;
         work.saturating_mul(1000) / (healthy_slots * self.admission_horizon())
     }
 
@@ -611,9 +617,9 @@ impl Fleet {
     /// work while engaged.
     fn update_shedding(&mut self, now: u64) {
         let load = self.load_permille(0);
-        if !self.shedding && load > u64::from(self.cfg.shed_enter_permille) {
+        if !self.shedding && load > u64::from(SHED_ENTER_PERMILLE) {
             self.shedding = true;
-        } else if self.shedding && load < u64::from(self.cfg.shed_exit_permille) {
+        } else if self.shedding && load < u64::from(SHED_EXIT_PERMILLE) {
             self.shedding = false;
         }
         if !self.shedding {
@@ -621,7 +627,7 @@ impl Fleet {
         }
         // Shed queued best-effort oldest-first until the projection drops
         // back to the engage threshold (guaranteed work is never shed).
-        while self.load_permille(0) > u64::from(self.cfg.shed_enter_permille) {
+        while self.load_permille(0) > u64::from(SHED_ENTER_PERMILLE) {
             let Some(pos) = self
                 .queue
                 .iter()
@@ -906,7 +912,7 @@ impl Fleet {
 
     /// Steps every busy healthy device by one tick, in parallel.
     fn step_devices(&mut self) {
-        let tick = self.cfg.tick_cycles;
+        let tick = TICK_CYCLES;
         let busy: Vec<Mutex<&mut Device>> =
             self.devices.iter_mut().filter(|d| d.busy_healthy()).map(Mutex::new).collect();
         if busy.is_empty() {
@@ -1026,7 +1032,7 @@ impl Fleet {
         if self.pending_migrations.is_empty() {
             return;
         }
-        let patience = self.cfg.migration.patience_ticks.saturating_mul(self.cfg.tick_cycles);
+        let patience = self.cfg.migration.patience_ticks.saturating_mul(TICK_CYCLES);
         let pending = std::mem::take(&mut self.pending_migrations);
         for pm in pending {
             if end.saturating_sub(pm.started_at) >= self.cfg.timeout_cycles {
@@ -1074,7 +1080,7 @@ impl Fleet {
     fn retry_or_shed(&mut self, id: usize, end: u64) {
         let req = &mut self.requests[id];
         req.retries += 1;
-        if req.retries > self.cfg.max_retries {
+        if req.retries > MAX_RETRIES {
             self.shed(id, ShedReason::RetriesExhausted, end);
             return;
         }
@@ -1082,8 +1088,8 @@ impl Fleet {
         // is identical no matter how the run was interrupted and resumed.
         let exp = (req.retries - 1).min(16);
         let jitter_seed = derive_seed(self.cfg.seed, (id as u64) << 8 | u64::from(req.retries));
-        let jitter = SplitMix64::new(jitter_seed).next_below(self.cfg.backoff_base);
-        let not_before = end + (self.cfg.backoff_base << exp) + jitter;
+        let jitter = SplitMix64::new(jitter_seed).next_below(BACKOFF_BASE);
+        let not_before = end + (BACKOFF_BASE << exp) + jitter;
         req.state = RequestState::Queued { not_before };
         self.tenants[req.tenant].retries += 1;
         self.queue.push_back(id);
@@ -1478,7 +1484,7 @@ impl Fleet {
         let device_ok = |id: u32| id < cfg.total_devices();
         let batches = || devices.iter().filter_map(|d: &Device| d.batch.as_ref());
         let in_range = tick_index <= cfg.max_ticks
-            && tick_index.checked_mul(cfg.tick_cycles) == Some(cycle)
+            && tick_index.checked_mul(TICK_CYCLES) == Some(cycle)
             && streams.len() == tenants.len()
             && streams
                 .iter()
@@ -1566,28 +1572,24 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_best_effort_that_would_break_the_horizon() {
-        // One device (4 slots) defending a 5k-cycle guaranteed deadline with
-        // a 30k-cycle service estimate: slot capacity within the horizon is
-        // 4 * 5k = 20k cycles, so a single best-effort request (30k) already
-        // projects past it and must be rejected at the door.
+        // One device (4 slots) defending a 4k-cycle guaranteed deadline with
+        // the 20k-cycle service estimate: slot capacity within the horizon is
+        // 4 * 4k = 16k cycles, so a single best-effort request (20k) already
+        // projects past it and must be rejected at the door. The best-effort
+        // requests all arrive in the first tick, before any guaranteed work
+        // is outstanding, so shedding (which one outstanding request would
+        // engage) has not started and every rejection is admission's.
         let cfg = FleetConfig {
             classes: vec![DeviceClass::small(1)],
             placement: Placement::Binpack,
             migration: MigrationConfig::default(),
             seed: 3,
-            epoch_cycles: 1_000,
-            tick_cycles: 4_000,
             timeout_cycles: 60_000,
-            max_retries: 2,
-            backoff_base: 2_000,
-            est_service_cycles: 30_000,
-            shed_enter_permille: 100_000, // hysteresis far out of the way
-            shed_exit_permille: 99_999,
             max_ticks: 300,
             tenants: vec![
                 TenantSpec {
                     name: "gold".into(),
-                    class: TenantClass::guaranteed(SloTarget::new(5_000, 1)),
+                    class: TenantClass::guaranteed(SloTarget::new(4_000, 1)),
                     arrival: ArrivalModel::Open { mean_gap: 50_000 },
                     requests: 2,
                     grid_tbs: 4,
@@ -1596,7 +1598,7 @@ mod tests {
                 TenantSpec {
                     name: "riffraff".into(),
                     class: TenantClass::best_effort(),
-                    arrival: ArrivalModel::Open { mean_gap: 2_000 },
+                    arrival: ArrivalModel::Open { mean_gap: 1 },
                     requests: 8,
                     grid_tbs: 4,
                     mem_bytes: 1 << 20,
@@ -1683,14 +1685,7 @@ mod tests {
             placement: Placement::Binpack,
             migration: MigrationConfig { checkpoint_every_ticks: 1, patience_ticks: 2 },
             seed: 17,
-            epoch_cycles: 1_000,
-            tick_cycles: 4_000,
             timeout_cycles: 120_000,
-            max_retries: 3,
-            backoff_base: 2_000,
-            est_service_cycles: 20_000,
-            shed_enter_permille: 900,
-            shed_exit_permille: 500,
             max_ticks: 300,
             tenants: vec![TenantSpec {
                 name: "latency".into(),
@@ -1719,26 +1714,21 @@ mod tests {
     }
 
     #[test]
-    fn wedge_during_final_drain_tick_classifies_before_accounting() {
-        // A tiny request completes a few thousand cycles into the tick; the
-        // wedge fires later in the same tick (device cycle 12_000) and the
-        // watchdog classifies it before the tick ends. The fix under test:
-        // the device fate must be recorded BEFORE accounting, yet the
-        // completion that beat the wedge still counts — no eviction, no
-        // retry, no laundering of the sticky fault.
+    fn loss_during_final_drain_tick_classifies_before_accounting() {
+        // A tiny request completes its kernel a few thousand cycles into the
+        // tick; the device is lost later in the same tick. The fix under
+        // test: the device fate must be recorded BEFORE accounting, yet the
+        // completion that beat the fault still counts — no eviction, no
+        // retry, no laundering of the sticky fault. A wedge cannot stand in
+        // for the loss here: a tick spans two watchdog windows and its one
+        // check compares with the tick's start, so a wedge is classified
+        // only in a tick in which nothing issued, and nothing completed.
         let cfg = FleetConfig {
             classes: vec![DeviceClass::small(1)],
             placement: Placement::Binpack,
             migration: MigrationConfig::default(),
             seed: 9,
-            epoch_cycles: 1_000,
-            tick_cycles: 16_000,
             timeout_cycles: 120_000,
-            max_retries: 3,
-            backoff_base: 2_000,
-            est_service_cycles: 20_000,
-            shed_enter_permille: 900,
-            shed_exit_permille: 500,
             max_ticks: 40,
             tenants: vec![TenantSpec {
                 name: "lone".into(),
@@ -1749,24 +1739,24 @@ mod tests {
                 mem_bytes: 1 << 20,
             }],
             // The request arrives by cycle 2, is placed at the tick-1
-            // boundary (fleet cycle 16_000), so fleet cycle 28_000 is
-            // device cycle 12_000 — mid-tick, after the kernel completes.
+            // boundary (fleet cycle 4_000), so fleet cycle 7_000 is device
+            // cycle 3_000 — late in the tick, after the kernel completes.
             device_faults: vec![FleetFault {
-                at_cycle: 28_000,
+                at_cycle: 7_000,
                 device: 0,
-                kind: FaultKind::DeviceWedge,
+                kind: FaultKind::DeviceLoss,
             }],
             drains: Vec::new(),
         };
         let mut fleet = Fleet::new(cfg);
         fleet.run_to_completion();
         assert!(
-            matches!(fleet.devices[0].fate, DeviceFate::Wedged { .. }),
-            "the wedge must be classified even though the batch's work completed: {:?}",
+            matches!(fleet.devices[0].fate, DeviceFate::Lost { .. }),
+            "the loss must be classified even though the batch's work completed: {:?}",
             fleet.devices[0].fate
         );
         let c = &fleet.tenant_counters()[0];
-        assert_eq!(c.completed, 1, "the completion that beat the wedge still counts");
+        assert_eq!(c.completed, 1, "the completion that beat the loss still counts");
         assert_eq!(c.retries, 0, "no retry: the request finished");
         assert_eq!(fleet.evictions(), 0, "nothing was evicted");
         assert_eq!(fleet.requests()[0].retries, 0);
@@ -1784,14 +1774,7 @@ mod tests {
             placement: Placement::Binpack,
             migration: MigrationConfig::default(),
             seed: 17,
-            epoch_cycles: 1_000,
-            tick_cycles: 4_000,
             timeout_cycles: 120_000,
-            max_retries: 3,
-            backoff_base: 2_000,
-            est_service_cycles: 20_000,
-            shed_enter_permille: 900,
-            shed_exit_permille: 500,
             max_ticks: 300,
             tenants: vec![TenantSpec {
                 name: "latency".into(),
@@ -1826,8 +1809,9 @@ mod tests {
     #[test]
     fn shed_pressure_preempts_best_effort_for_guaranteed_work() {
         // One device. Four best-effort requests fill it early; the
-        // guaranteed request arrives while they run. Shedding engages
-        // (enter threshold sits between 4 and 5 outstanding requests), and
+        // guaranteed request arrives while they run. Against its 25k-cycle
+        // deadline each outstanding request projects 200‰, so shedding
+        // engages at 5 outstanding requests (1000‰) and not at 4 (800‰), and
         // the scheduler preempts the all-best-effort batch — snapshotted
         // fresh — to serve the guaranteed request immediately. The
         // preempted batch later resumes on the same device and completes.
@@ -1836,19 +1820,12 @@ mod tests {
             placement: Placement::Binpack,
             migration: MigrationConfig { checkpoint_every_ticks: 1, patience_ticks: 60 },
             seed: 2,
-            epoch_cycles: 1_000,
-            tick_cycles: 4_000,
             timeout_cycles: 400_000,
-            max_retries: 3,
-            backoff_base: 2_000,
-            est_service_cycles: 30_000,
-            shed_enter_permille: 280,
-            shed_exit_permille: 100,
             max_ticks: 600,
             tenants: vec![
                 TenantSpec {
                     name: "gold".into(),
-                    class: TenantClass::guaranteed(SloTarget::new(120_000, 1)),
+                    class: TenantClass::guaranteed(SloTarget::new(25_000, 1)),
                     arrival: ArrivalModel::Open { mean_gap: 8_000 },
                     requests: 1,
                     grid_tbs: 8,
@@ -1902,21 +1879,15 @@ mod tests {
     #[test]
     fn memory_admission_rejects_overcommitted_best_effort() {
         // Device memory is 1 GiB; each best-effort request declares 900 MiB.
-        // Cycle-load admission is disabled (tiny estimate, huge horizon), so
-        // any admission shed is memory-driven.
+        // Cycle-load admission stays out of the way (with no guarantee the
+        // horizon is the 500k-cycle timeout, and each request projects only
+        // 10‰ of it), so any admission shed is memory-driven.
         let cfg = FleetConfig {
             classes: vec![DeviceClass::small(1)],
             placement: Placement::Binpack,
             migration: MigrationConfig::default(),
             seed: 31,
-            epoch_cycles: 1_000,
-            tick_cycles: 4_000,
             timeout_cycles: 500_000,
-            max_retries: 3,
-            backoff_base: 2_000,
-            est_service_cycles: 1,
-            shed_enter_permille: 100_000,
-            shed_exit_permille: 99_999,
             max_ticks: 600,
             tenants: vec![TenantSpec {
                 name: "hog".into(),
@@ -2072,7 +2043,10 @@ mod tests {
     /// that placed them. Between them the five runs reach all three
     /// placements, all four migration reasons and the fallbacks, so a
     /// scheduler change that moves any decision moves a digest. Re-pin only
-    /// for a change that means to move them.
+    /// for a change that means to move them. Fleet snapshot version 7 moved
+    /// every snapshot digest and no report digest: the configuration lost
+    /// seven knobs and each embedded device blob its SMs' copies of the
+    /// Table 1 limits.
     #[test]
     fn scenario_reports_and_snapshots_are_pinned() {
         use gpu_sim::snap::fnv1a;
@@ -2083,9 +2057,9 @@ mod tests {
                 12,
                 [
                     0xf7f9_2cb5_3487_5f55,
-                    0x15ab_d441_ff63_8ddf,
+                    0x8830_03a4_e378_2ede,
                     0x46eb_52cb_c9b0_9981,
-                    0x0e2d_537c_219e_da4d,
+                    0xfa5b_2c16_11cf_345c,
                 ],
             ),
             (
@@ -2093,9 +2067,9 @@ mod tests {
                 7,
                 [
                     0x4c2a_6721_bb88_1b87,
-                    0x690e_424e_cd5f_402e,
+                    0x8915_a477_cc59_3e1f,
                     0xd87e_59ed_3295_a6c8,
-                    0x1271_49a4_4367_5fb4,
+                    0x2684_9dd2_bdbc_257b,
                 ],
             ),
             (
@@ -2103,9 +2077,9 @@ mod tests {
                 10,
                 [
                     0xe2b5_54a6_7c71_d5ba,
-                    0xc70e_66e2_16b3_b8fd,
+                    0x8fef_f55a_f7ae_6a84,
                     0x656f_424e_b3a3_831d,
-                    0xb72a_5bf6_4e64_f037,
+                    0xe492_7127_bb4b_dab0,
                 ],
             ),
             (
@@ -2113,9 +2087,9 @@ mod tests {
                 8,
                 [
                     0x6454_3830_9a98_c3b4,
-                    0x891b_4d73_eb0f_d647,
+                    0x2d1e_a179_6a46_96c6,
                     0x775c_2960_274f_f97e,
-                    0x0a68_02b4_1abd_a6e7,
+                    0x4b05_b598_1f80_7b2a,
                 ],
             ),
             (
@@ -2123,9 +2097,9 @@ mod tests {
                 177,
                 [
                     0x4677_8130_fbf8_cccc,
-                    0x96e6_e455_a163_8f18,
+                    0x9efc_0ac7_5f72_026a,
                     0x37ac_4b01_d5cb_923a,
-                    0x2ce7_13bd_f5b8_9b25,
+                    0x836a_006d_a831_7ed8,
                 ],
             ),
         ];

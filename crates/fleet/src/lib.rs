@@ -14,7 +14,7 @@
 //! * **Bounded retry with exponential backoff**: per-request timeouts and
 //!   device failures re-queue the request with `base << attempt` backoff
 //!   plus deterministic, seed-derived jitter — at most
-//!   [`FleetConfig::max_retries`] times, after which the request is shed
+//!   [`MAX_RETRIES`](config::MAX_RETRIES) times, after which the request is shed
 //!   with an explicit reason.
 //! * **Device-loss handling**: [`gpu_sim::FaultKind::DeviceLoss`] and
 //!   [`gpu_sim::FaultKind::DeviceWedge`] faults kill or wedge a device

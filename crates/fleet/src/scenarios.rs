@@ -1,7 +1,7 @@
 //! Named, fully-deterministic fleet scenarios.
 //!
 //! Each scenario is a complete [`FleetConfig`] — device classes, tenants,
-//! policy knobs, fault schedule, planned drains — so `repro fleet <name>`
+//! placement, migration policy, timeouts, fault schedule, planned drains — so `repro fleet <name>`
 //! needs nothing but a name and an optional seed override. The constants
 //! below are calibrated against the tiny device configuration: one 8-TB
 //! request kernel completes well inside 20k cycles solo, and inside ~3×
@@ -39,14 +39,7 @@ fn base(seed: u64) -> FleetConfig {
         placement: Placement::Spread,
         migration: MigrationConfig::default(),
         seed,
-        epoch_cycles: 1_000,
-        tick_cycles: 4_000,
         timeout_cycles: 60_000,
-        max_retries: 3,
-        backoff_base: 2_000,
-        est_service_cycles: 20_000,
-        shed_enter_permille: 900,
-        shed_exit_permille: 500,
         max_ticks: 600,
         tenants: Vec::new(),
         device_faults: Vec::new(),

@@ -113,7 +113,7 @@ impl Gpu {
             faults: FaultPlan::none(),
             fault_cursor: 0,
             ff_skipped: 0,
-            trace_on: cfg.trace.level.is_on(),
+            trace_on: cfg.trace.is_on(),
             events: cfg.trace.ring(),
             was_idle: false,
             work: WorkCounters::default(),
@@ -409,7 +409,7 @@ impl Gpu {
         let snap = &self.epoch_snapshot;
         let bound = snap.cycles
             * u64::from(self.cfg.num_sms)
-            * u64::from(self.cfg.sm.warp_schedulers)
+            * u64::from(self.cfg.warp_schedulers)
             * u64::from(crate::WARP_SIZE);
         let issued: u64 = snap.thread_insts.iter().sum();
         if issued > bound {
@@ -424,7 +424,7 @@ impl Gpu {
             }));
         }
         for sm in &self.sms {
-            if let Err((kind, detail)) = sm.audit_invariants() {
+            if let Err((kind, detail)) = sm.audit_invariants(now) {
                 return Err(SimError::Audit(AuditViolation {
                     cycle: now,
                     sm: Some(sm.id().index()),
@@ -895,7 +895,7 @@ impl Gpu {
         let mem = &self.cfg.mem;
         let cached = sms * mem.l1_bytes as usize + mem.num_mcs as usize * mem.l2_bytes as usize;
         cached / mem.line_bytes as usize * 8
-            + sms * self.cfg.sm.max_warps() as usize * WARP_ROW_BYTES
+            + sms * crate::config::MAX_WARPS as usize * WARP_ROW_BYTES
             + FIXED_BYTES
     }
 
@@ -962,10 +962,15 @@ impl Gpu {
         // refuse. Every SM holds the kernel list's descriptions and no
         // other, as `launch` gave them: the TB scheduler decides that a TB
         // fits with the list's copy, and `dispatch` asserts it with the
-        // SM's.
+        // SM's. No warp, resident or preempted, has drawn more memory ops
+        // than the clock allows, and no TB counts more warps retired or at
+        // its barrier than it has: address generation multiplies the one and
+        // barrier arrival subtracts the other unchecked.
         let launched = |k: usize| kernels.get(k).map(|r| &*r.desc);
         let fits = sms.len() == self.sms.len()
             && sms.iter().zip(&self.sms).all(|(sm, built)| sm.fits(built))
+            && sms.iter().all(|sm| sm.seqs_behind(cycle) && sm.tbs_fit())
+            && kernels.iter().all(|k| k.seqs_behind(cycle))
             && sms
                 .iter()
                 .all(|sm| (0..crate::MAX_KERNELS).all(|k| sm.kernel_desc(k) == launched(k)))
@@ -1079,7 +1084,7 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// Version of the snapshot payload layout. Bumped whenever the set, order,
 /// or encoding of snapshotted fields changes; [`Gpu::restore`] refuses
 /// blobs from any other version. Version 3 added the SM's copies of the
-/// cache parameters (`l1_hit_latency`, `line_bytes`) to the per-SM record,
+/// cache parameters (the L1 hit latency and the line size) to the per-SM record,
 /// for an SM↔memory port since removed; version 4 added the `dropped`
 /// discard counter to every [`EventRing`] so lossless trace capture can
 /// prove a recording never wrapped; version 5 added a second, migration-class
@@ -1105,10 +1110,14 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 /// the payload, beside its cursor ([`Gpu::set_fault_plan`]), took version 5's
 /// second fingerprint back out of the header (24 bytes, from 32), and took the
 /// ring capacity out of the embedded [`GpuConfig`] (and so out of the
-/// fingerprint).
+/// fingerprint); version 13 took the single-valued Table 1 limits and
+/// memory latencies out of the embedded [`GpuConfig`] and [`crate::MemConfig`],
+/// and the SM's copies of them (its five resource limits and the L1 hit
+/// latency) out of every per-SM record, as they became constants
+/// (DESIGN.md §8.1).
 /// The run loop's [`WorkCounters`] are deliberately absent: they count how
 /// this process stepped the machine, not the machine.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 12;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 13;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";
@@ -1770,16 +1779,14 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let gpu = smk_pair_at_5000(&cfg);
         let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
-        // An SM record starts with its id, its scheduler count, then its
-        // warp slots.
+        // An SM record starts with its id, then its scheduler count.
         let last = gpu.sms.last().expect("the machine has SMs");
         let record = crate::snap::encode_to_vec(last);
         let at = bytes.windows(record.len()).position(|w| w == record).expect("the last SM")
-            + crate::snap::encode_to_vec(&last.id()).len()
-            + 2;
-        let max_warps = cfg.sm.max_warps() as u16;
-        assert_eq!(bytes[at..at + 2], max_warps.to_le_bytes(), "the SM's warp slots");
-        bytes[at..at + 2].copy_from_slice(&(max_warps + 1).to_le_bytes());
+            + crate::snap::encode_to_vec(&last.id()).len();
+        let scheds = cfg.warp_schedulers as u16;
+        assert_eq!(bytes[at..at + 2], scheds.to_le_bytes(), "the SM's scheduler count");
+        bytes[at..at + 2].copy_from_slice(&(scheds + 1).to_le_bytes());
         let blob = SnapshotBlob::from_bytes(&bytes).expect("the header is intact");
         assert_refused_as_corrupt(&cfg, &blob, "an SM the config does not build");
     }
@@ -1793,6 +1800,32 @@ mod tests {
         gpu.sm_mut(SmId::new(1)).add_greedy_pick_for_test();
         let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
         assert_refused_as_corrupt(&cfg, &blob, "a greedy pick per scheduler and one more");
+    }
+
+    #[test]
+    fn restore_refuses_a_warp_that_drew_more_memory_ops_than_cycles() {
+        // A warp issues at most one memory op a cycle; address generation
+        // multiplies the draw count unchecked.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.sm_mut(SmId::new(1)).set_first_seq_for_test(5_000);
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        Gpu::new(cfg.clone()).restore(&blob).expect("a draw a cycle is the ceiling");
+        gpu.sm_mut(SmId::new(1)).set_first_seq_for_test(5_001);
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a warp's draw count past the clock");
+    }
+
+    #[test]
+    fn restore_refuses_a_barrier_holding_every_live_warp() {
+        // Arrival releases the barrier once every live warp is there, so a
+        // count that reaches them (or retirements past the warp count,
+        // which the live count subtracts) never occurs.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.sm_mut(SmId::new(0)).fill_first_barrier_for_test();
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a barrier holding every live warp");
     }
 
     #[test]
@@ -1909,7 +1942,7 @@ mod tests {
     #[test]
     fn restore_refuses_a_flight_recorder_cursor_past_its_events() {
         let mut cfg = GpuConfig::tiny();
-        cfg.trace.level = crate::TraceLevel::Events;
+        cfg.trace = crate::TraceLevel::Events;
         // One-warp TBs of one short op, a dispatch and a drain event each.
         let mut gpu = Gpu::new(cfg.clone());
         gpu.launch(

@@ -67,7 +67,7 @@ pub mod trace;
 pub mod types;
 pub mod warp;
 
-pub use config::{GpuConfig, InvalidConfig, MemConfig, PowerConfig, SmConfig};
+pub use config::{GpuConfig, InvalidConfig, MemConfig};
 pub use gpu::{
     Controller, Gpu, NullController, SmQuotaView, SnapshotBlob, SnapshotError,
     SNAPSHOT_SCHEMA_VERSION,
@@ -78,8 +78,7 @@ pub use health::{
 };
 pub use kernel::{AccessPattern, KernelDesc, KernelDescBuilder, MemSpace, Op};
 pub use observe::{
-    CounterEntry, CounterKind, CounterScope, EventRing, TraceConfig, TraceEvent, TraceEventKind,
-    TraceLevel,
+    CounterEntry, CounterKind, CounterScope, EventRing, TraceEvent, TraceEventKind, TraceLevel,
 };
 pub use snap::{Snap, SnapError, SnapReader};
 pub use stats::{EpochSnapshot, GpuStats, KernelStats};

@@ -9,7 +9,10 @@
 //! feed the power model and the harness reports.
 
 use crate::cache::{AccessOutcome, Cache};
-use crate::config::MemConfig;
+use crate::config::{
+    MemConfig, DRAM_LATENCY, L1_HIT_LATENCY, L2_HIT_LATENCY, L2_SERVICE_CYCLES, L2_WAYS,
+    XBAR_LATENCY,
+};
 use crate::dram::ServiceQueue;
 use crate::types::{per_kernel, Addr, Cycle, KernelId, PerKernel};
 
@@ -53,9 +56,9 @@ impl MemSystem {
     pub fn new(cfg: MemConfig) -> Self {
         let n = cfg.num_mcs as usize;
         MemSystem {
-            l2: (0..n).map(|_| Cache::new(cfg.l2_bytes, cfg.l2_ways, cfg.line_bytes)).collect(),
+            l2: (0..n).map(|_| Cache::new(cfg.l2_bytes, L2_WAYS, cfg.line_bytes)).collect(),
             l2_queue: (0..n)
-                .map(|_| ServiceQueue::new(cfg.l2_service_cycles, cfg.max_queue_backlog))
+                .map(|_| ServiceQueue::new(L2_SERVICE_CYCLES, cfg.max_queue_backlog))
                 .collect(),
             dram_queue: (0..n)
                 .map(|_| ServiceQueue::new(cfg.dram_service_cycles, cfg.max_queue_backlog))
@@ -85,7 +88,7 @@ impl MemSystem {
     /// addresses that already missed the issuing SM's private L1,
     /// `total_lines` the coalesced transaction count before filtering (L1
     /// accounting lives here so the whole traffic ledger is in one place).
-    /// Each miss crosses the crossbar (`xbar_latency`) both ways. Returns
+    /// Each miss crosses the crossbar ([`XBAR_LATENCY`]) both ways. Returns
     /// the completion cycle of the slowest transaction.
     ///
     /// This is the only entry point for SM-issued traffic; an SM calls it
@@ -98,22 +101,22 @@ impl MemSystem {
         now: Cycle,
     ) -> Cycle {
         let k = kernel.index();
-        let mut done = now + Cycle::from(self.cfg.l1_hit_latency);
+        let mut done = now + Cycle::from(L1_HIT_LATENCY);
         self.traffic.l1_accesses[k] += total_lines;
         for &addr in miss_lines {
             self.traffic.l2_accesses[k] += 1;
             let mc = self.mc_for(addr);
-            let at_l2 = now + Cycle::from(self.cfg.l1_hit_latency + self.cfg.xbar_latency);
+            let at_l2 = now + Cycle::from(L1_HIT_LATENCY + XBAR_LATENCY);
             let l2_served = self.l2_queue[mc].serve(at_l2);
             let filled = match self.l2[mc].access(addr) {
-                AccessOutcome::Hit => l2_served + Cycle::from(self.cfg.l2_hit_latency),
+                AccessOutcome::Hit => l2_served + Cycle::from(L2_HIT_LATENCY),
                 AccessOutcome::Miss => {
                     self.traffic.dram_accesses[k] += 1;
-                    self.dram_queue[mc].serve(l2_served + Cycle::from(self.cfg.l2_hit_latency))
-                        + Cycle::from(self.cfg.dram_latency)
+                    self.dram_queue[mc].serve(l2_served + Cycle::from(L2_HIT_LATENCY))
+                        + Cycle::from(DRAM_LATENCY)
                 }
             };
-            done = done.max(filled + Cycle::from(self.cfg.xbar_latency));
+            done = done.max(filled + Cycle::from(XBAR_LATENCY));
         }
         done
     }
@@ -129,7 +132,7 @@ impl MemSystem {
         for _ in 0..lines {
             let mc = self.context_rr;
             self.context_rr = (self.context_rr + 1) % self.dram_queue.len();
-            done = done.max(self.dram_queue[mc].serve(now) + Cycle::from(self.cfg.dram_latency));
+            done = done.max(self.dram_queue[mc].serve(now) + Cycle::from(DRAM_LATENCY));
         }
         done
     }
@@ -222,7 +225,7 @@ mod tests {
         let k = KernelId::new(0);
         let first = access_lines(&mut m, k, &mut l1, &[0x1000], 0);
         let second = access_lines(&mut m, k, &mut l1, &[0x1000], first);
-        assert_eq!(second - first, u64::from(m.config().l1_hit_latency));
+        assert_eq!(second - first, u64::from(L1_HIT_LATENCY));
         assert!(first > second - first, "first access (miss) must be slower");
     }
 

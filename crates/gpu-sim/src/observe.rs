@@ -4,7 +4,7 @@
 //! Three pieces, all snapshot-integrated so checkpoint/restore round-trips
 //! them bit-exactly:
 //!
-//! * [`TraceConfig`] — a per-machine trace level carried on
+//! * [`TraceLevel`] — a per-machine trace level carried on
 //!   [`GpuConfig`](crate::GpuConfig). At [`TraceLevel::Off`] (the default)
 //!   the only cost on the simulated path is a single branch on a cached
 //!   `bool`; the `fastforward` bench holds that overhead to ≤2%.
@@ -47,34 +47,17 @@ impl TraceLevel {
     pub fn is_on(self) -> bool {
         self != TraceLevel::Off
     }
+
+    /// An empty event ring for this level: [`RING_CAPACITY`] events when
+    /// recording, none at `Off`.
+    pub(crate) fn ring(self) -> EventRing {
+        EventRing::new(if self.is_on() { RING_CAPACITY } else { 0 })
+    }
 }
 
 /// Capacity of each event ring (one per SM plus one machine-level) while
 /// recording is on. Older events are overwritten once a ring is full.
 pub const RING_CAPACITY: u32 = 256;
-
-/// Flight-recorder configuration, carried on [`GpuConfig`](crate::GpuConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Event-recording level.
-    pub level: TraceLevel,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { level: TraceLevel::Off }
-    }
-}
-
-impl TraceConfig {
-    /// An empty event ring for this level: [`RING_CAPACITY`] events when
-    /// recording, none at `Off`.
-    pub(crate) fn ring(self) -> EventRing {
-        EventRing::new(if self.level.is_on() { RING_CAPACITY } else { 0 })
-    }
-}
-
-crate::impl_snap_struct!(TraceConfig { level });
 
 /// The typed payload of a flight-recorder event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,11 +431,11 @@ mod tests {
 
     #[test]
     fn trace_config_defaults_off() {
-        let cfg = TraceConfig::default();
-        assert_eq!(cfg.level, TraceLevel::Off);
-        assert!(!cfg.level.is_on());
+        let level = crate::GpuConfig::default().trace;
+        assert_eq!(level, TraceLevel::Off);
+        assert!(!level.is_on());
         assert!(TraceLevel::Events.is_on());
-        let back: TraceConfig = decode_from_slice(&encode_to_vec(&cfg)).expect("codec");
-        assert_eq!(back, cfg);
+        let back: TraceLevel = decode_from_slice(&encode_to_vec(&level)).expect("codec");
+        assert_eq!(back, level);
     }
 }

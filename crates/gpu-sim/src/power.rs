@@ -4,9 +4,29 @@
 //! and DRAM accesses) plus per-cycle static power for busy/idle SMs. The
 //! paper's Fig. 14 reports *relative* instructions-per-Watt, so the model
 //! needs faithful utilisation sensitivity, not absolute Watts.
+//!
+//! Units are arbitrary energy units per event; only *relative*
+//! instructions-per-Watt numbers are reported, so absolute calibration is
+//! unnecessary.
 
-use crate::config::PowerConfig;
 use crate::gpu::Gpu;
+
+/// Static energy per SM per cycle while the SM hosts at least one TB.
+pub const SM_STATIC_PER_CYCLE: f64 = 1.0;
+/// Idle (gated) energy per SM per cycle when the SM hosts no TB.
+pub const SM_IDLE_PER_CYCLE: f64 = 0.3;
+/// Energy per ALU thread-instruction.
+pub const ALU_PER_THREAD_INST: f64 = 0.010;
+/// Energy per SFU thread-instruction.
+pub const SFU_PER_THREAD_INST: f64 = 0.040;
+/// Energy per shared-memory thread-access.
+pub const SMEM_PER_THREAD_ACCESS: f64 = 0.015;
+/// Energy per L1 access (per transaction).
+pub const L1_PER_ACCESS: f64 = 0.20;
+/// Energy per L2 access (per transaction).
+pub const L2_PER_ACCESS: f64 = 0.60;
+/// Energy per DRAM access (per transaction).
+pub const DRAM_PER_ACCESS: f64 = 2.50;
 
 /// Energy totals by component, in the model's arbitrary energy units.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -45,28 +65,27 @@ impl EnergyBreakdown {
 
 /// Computes the energy consumed by a simulation so far.
 pub fn energy(gpu: &Gpu) -> EnergyBreakdown {
-    let p: &PowerConfig = &gpu.config().power;
     let cycles = gpu.cycle() as f64;
     let mut e = EnergyBreakdown::default();
 
     for sm in gpu.sms() {
         let busy = sm.busy_cycles() as f64;
-        e.sm_static += busy * p.sm_static_per_cycle;
-        e.sm_idle += (cycles - busy).max(0.0) * p.sm_idle_per_cycle;
+        e.sm_static += busy * SM_STATIC_PER_CYCLE;
+        e.sm_idle += (cycles - busy).max(0.0) * SM_IDLE_PER_CYCLE;
         for k in 0..crate::MAX_KERNELS {
             let kid = crate::types::KernelId::new(k);
-            e.alu += sm.alu_thread_insts(kid) as f64 * p.alu_per_thread_inst;
-            e.sfu += sm.sfu_thread_insts(kid) as f64 * p.sfu_per_thread_inst;
-            e.smem += sm.smem_accesses(kid) as f64 * p.smem_per_thread_access;
+            e.alu += sm.alu_thread_insts(kid) as f64 * ALU_PER_THREAD_INST;
+            e.sfu += sm.sfu_thread_insts(kid) as f64 * SFU_PER_THREAD_INST;
+            e.smem += sm.smem_accesses(kid) as f64 * SMEM_PER_THREAD_ACCESS;
         }
     }
 
     let traffic = gpu.mem().traffic();
     for k in 0..crate::MAX_KERNELS {
-        e.l1 += traffic.l1_accesses[k] as f64 * p.l1_per_access;
-        e.l2 += traffic.l2_accesses[k] as f64 * p.l2_per_access;
+        e.l1 += traffic.l1_accesses[k] as f64 * L1_PER_ACCESS;
+        e.l2 += traffic.l2_accesses[k] as f64 * L2_PER_ACCESS;
         e.dram +=
-            (traffic.dram_accesses[k] + traffic.context_transactions[k]) as f64 * p.dram_per_access;
+            (traffic.dram_accesses[k] + traffic.context_transactions[k]) as f64 * DRAM_PER_ACCESS;
     }
     e
 }

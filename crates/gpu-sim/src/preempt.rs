@@ -21,6 +21,14 @@ pub struct SavedTb {
     pub warps: Vec<WarpProgress>,
 }
 
+impl SavedTb {
+    /// Whether no saved warp has drawn more addresses than `clock` cycles
+    /// allow (see [`crate::sm::Sm::seqs_behind`]).
+    pub(crate) fn seqs_behind(&self, clock: Cycle) -> bool {
+        self.warps.iter().all(|p| p.seq <= clock)
+    }
+}
+
 /// Cycles to drain and save one TB of `desc` under `cfg`.
 pub fn save_cycles(desc: &KernelDesc, cfg: &PreemptConfig) -> Cycle {
     Cycle::from(cfg.drain_cycles)

@@ -17,6 +17,7 @@
 //! `Sm::greedy`, and the two gathers differ only in which candidates they
 //! show it.
 
+use crate::config::L1_HIT_LATENCY;
 use crate::kernel::{KernelDesc, MemSpace, Op};
 use crate::memsys::MemSystem;
 use crate::observe::TraceEventKind;
@@ -416,7 +417,7 @@ impl Sm {
             }
             Op::Mem { space: MemSpace::Shared, active_lanes, .. } => {
                 self.smem_accesses[k] += u64::from(active_lanes);
-                (active_lanes, now + Cycle::from(self.l1_hit_latency))
+                (active_lanes, now + Cycle::from(L1_HIT_LATENCY))
             }
             Op::Mem { space: MemSpace::Global, pattern, active_lanes, .. } => {
                 let tb_index = self.tbs.tb_index[usize::from(self.warps.tb_slot[i])].0;

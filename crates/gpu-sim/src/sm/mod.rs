@@ -41,7 +41,7 @@ pub(crate) use warp_table::{bit, slots, SlotColumn, SlotMask, Vacant, MAX_SLOTS}
 use std::sync::Arc;
 
 use crate::cache::Cache;
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, MAX_TBS, MAX_WARPS};
 use crate::kernel::KernelDesc;
 use crate::observe::{EventRing, TraceEvent, TraceEventKind};
 use crate::preempt::{PreemptStats, SavedTb};
@@ -96,11 +96,6 @@ struct Gate {
 pub struct Sm {
     id: SmId,
     num_scheds: u16,
-    max_warps: u16,
-    max_tbs: u16,
-    max_threads: u32,
-    regfile_bytes: u64,
-    smem_bytes: u64,
 
     l1: Cache,
     descs: PerKernel<Option<Arc<KernelDesc>>>,
@@ -111,9 +106,8 @@ pub struct Sm {
     // encoded, refilled by `rebuild_derived`.
     bodies: PerKernel<Vec<crate::kernel::Op>>,
 
-    // Copies of the memory config consulted on the issue path, so it reads
+    // A copy of the memory config consulted on the issue path, so it reads
     // no `MemSystem` field.
-    l1_hit_latency: u32,
     line_bytes: u32,
 
     used_threads: u32,
@@ -195,27 +189,19 @@ pub struct Sm {
 impl Sm {
     /// Builds an SM from the GPU configuration.
     pub fn new(id: SmId, cfg: &GpuConfig) -> Self {
-        let max_warps = cfg.sm.max_warps() as u16;
-        let max_tbs = cfg.sm.max_tbs as u16;
         let mut sm = Sm {
             id,
-            num_scheds: cfg.sm.warp_schedulers as u16,
-            max_warps,
-            max_tbs,
-            max_threads: cfg.sm.max_threads,
-            regfile_bytes: cfg.sm.register_file_bytes,
-            smem_bytes: cfg.sm.shared_mem_bytes,
+            num_scheds: cfg.warp_schedulers as u16,
             l1: Cache::new(cfg.mem.l1_bytes, cfg.mem.l1_ways, cfg.mem.line_bytes),
             descs: per_kernel(|_| None),
             bodies: per_kernel(|_| Vec::new()),
-            l1_hit_latency: cfg.mem.l1_hit_latency,
             line_bytes: cfg.mem.line_bytes,
             used_threads: 0,
             used_regs: 0,
             used_smem: 0,
-            warps: WarpTable::new(max_warps),
-            tbs: TbSlab::new(max_tbs),
-            greedy: vec![None; cfg.sm.warp_schedulers as usize],
+            warps: WarpTable::new(MAX_WARPS as u16),
+            tbs: TbSlab::new(MAX_TBS as u16),
+            greedy: vec![None; cfg.warp_schedulers as usize],
             next_age: 0,
             transitioning: Vec::new(),
             quota: per_kernel(|_| 0),
@@ -238,7 +224,7 @@ impl Sm {
             idle_warp_acc: per_kernel(|_| 0),
             idle_samples: 0,
             preempt_stats: PreemptStats::default(),
-            trace_on: cfg.trace.level.is_on(),
+            trace_on: cfg.trace.is_on(),
             events: cfg.trace.ring(),
             quota_blocked: per_kernel(|_| 0),
             quota_exhaustions: per_kernel(|_| 0),
@@ -286,11 +272,7 @@ impl Sm {
     /// ([`EventRing::fits`]), kernel descriptions that pass
     /// `KernelDesc::check`, and warps that fit ([`Sm::warps_fit`]).
     pub(crate) fn fits(&self, built: &Sm) -> bool {
-        let geometry = |sm: &Sm| {
-            let limits = (sm.num_scheds, sm.max_warps, sm.max_tbs, sm.max_threads);
-            let sizes = (sm.regfile_bytes, sm.smem_bytes, sm.l1_hit_latency, sm.line_bytes);
-            (sm.id, limits, sizes, sm.trace_on)
-        };
+        let geometry = |sm: &Sm| (sm.id, sm.num_scheds, sm.line_bytes, sm.trace_on);
         geometry(self) == geometry(built)
             && self.greedy.len() == built.greedy.len()
             && self.l1.fits(&built.l1)
@@ -311,6 +293,25 @@ impl Sm {
         self.greedy.push(None);
     }
 
+    /// Test-only backdoor: sets the first resident warp's address-stream
+    /// draw count to `seq`, which [`Sm::seqs_behind`] must refuse on restore
+    /// once it passes the clock.
+    #[cfg(test)]
+    pub(crate) fn set_first_seq_for_test(&mut self, seq: u64) {
+        let slot = slots(self.warps.occupied.0).next().expect("a resident warp");
+        self.warps.seq[slot] = seq;
+    }
+
+    /// Test-only backdoor: counts every live warp of the first occupied TB
+    /// as arrived at its barrier, a count [`Sm::tbs_fit`] must refuse on
+    /// restore (the barrier would have released).
+    #[cfg(test)]
+    pub(crate) fn fill_first_barrier_for_test(&mut self) {
+        let slot = usize::from(self.tbs.iter_occupied().next().expect("a resident TB"));
+        let live = self.tbs.warp_slots[slot].len() as u16 - self.tbs.warps_done[slot];
+        self.tbs.barrier_arrived[slot] = live;
+    }
+
     /// Whether the warp table and the TB slab have one entry per slot and
     /// every hosted warp points inside its kernel and its TB: its `pc` at an
     /// op of its kernel's body (or one past the end, once the warp is done),
@@ -318,7 +319,7 @@ impl Sm {
     /// barrier arrival and TB drain index by all three unchecked.
     pub(crate) fn warps_fit(&self) -> bool {
         let (w, t) = (&self.warps, &self.tbs);
-        let n = usize::from(self.max_warps);
+        let n = MAX_WARPS as usize;
         let columns = [
             w.kernel.len(),
             w.tb_slot.len(),
@@ -344,8 +345,33 @@ impl Sm {
                 && t.kernel[usize::from(tb)] == k
         };
         columns.iter().all(|&len| len == n)
-            && t.kernel.len() == usize::from(self.max_tbs)
+            && t.kernel.len() == MAX_TBS as usize
             && slots(w.occupied.0).all(|slot| slot < n && inside(slot))
+    }
+
+    /// Whether no warp has drawn more addresses than `clock` cycles allow:
+    /// a warp issues at most one memory op per cycle, so every resident
+    /// warp's and every saved warp's `seq` is at most the clock.
+    /// `AddrStream::gen_lines` multiplies it unchecked. Call after
+    /// [`Sm::warps_fit`], which sizes the columns this indexes.
+    pub(crate) fn seqs_behind(&self, clock: Cycle) -> bool {
+        let w = &self.warps;
+        slots(w.occupied.0).all(|slot| w.seq[slot] <= clock)
+            && self.saved.iter().all(|(_, tb)| tb.seqs_behind(clock))
+    }
+
+    /// Whether every occupied TB slot counts at most its warps as retired
+    /// and fewer warps at its barrier than it has live ones: barrier
+    /// arrival subtracts the first from the warp count, and releases the
+    /// barrier once the second reaches the difference.
+    pub(crate) fn tbs_fit(&self) -> bool {
+        let t = &self.tbs;
+        t.iter_occupied().all(|slot| {
+            let i = usize::from(slot);
+            let warps = t.warp_slots[i].len();
+            let done = usize::from(t.warps_done[i]);
+            done <= warps && usize::from(t.barrier_arrived[i]) < warps - done
+        })
     }
 
     /// This SM's identifier.
@@ -377,14 +403,8 @@ crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 crate::impl_snap_struct!(Sm {
     id,
     num_scheds,
-    max_warps,
-    max_tbs,
-    max_threads,
-    regfile_bytes,
-    smem_bytes,
     l1,
     descs,
-    l1_hit_latency,
     line_bytes,
     used_threads,
     used_regs,

@@ -2,6 +2,7 @@
 //! flight-recorder ring, and every statistics accessor the counter registry,
 //! power model, controllers, and harness read from an SM.
 
+use crate::config::{MAX_TBS, MAX_THREADS, REGISTER_FILE_BYTES, SHARED_MEM_BYTES};
 use crate::health::WarpStallCounts;
 use crate::observe::EventRing;
 use crate::preempt::PreemptStats;
@@ -103,7 +104,7 @@ impl Sm {
 
     /// TBs resident on this SM (all kernels, including transitioning ones).
     pub fn resident_tbs(&self) -> u32 {
-        (self.max_tbs as usize - self.tbs.free_slots()) as u32
+        (MAX_TBS as usize - self.tbs.free_slots()) as u32
     }
 
     /// Census of resident warps by stall state at cycle `now`.
@@ -150,17 +151,17 @@ impl Sm {
 
     /// Free thread capacity.
     pub fn free_threads(&self) -> u32 {
-        self.max_threads - self.used_threads
+        MAX_THREADS - self.used_threads
     }
 
     /// Free register-file bytes.
     pub fn free_regs(&self) -> u64 {
-        self.regfile_bytes - self.used_regs
+        REGISTER_FILE_BYTES - self.used_regs
     }
 
     /// Free shared-memory bytes.
     pub fn free_smem(&self) -> u64 {
-        self.smem_bytes - self.used_smem
+        SHARED_MEM_BYTES - self.used_smem
     }
 
     /// Free warp slots.

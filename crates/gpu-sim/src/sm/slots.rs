@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use crate::config::{MAX_TBS, MAX_THREADS, MAX_WARPS, REGISTER_FILE_BYTES, SHARED_MEM_BYTES};
 use crate::health::AuditKind;
 use crate::kernel::KernelDesc;
 use crate::observe::TraceEventKind;
@@ -34,23 +35,22 @@ impl Sm {
     pub fn can_host(&self, desc: &KernelDesc) -> bool {
         self.tbs.free_slots() > 0
             && self.warps.free_slots() >= desc.warps_per_tb() as usize
-            && self.used_threads + desc.threads_per_tb() <= self.max_threads
-            && self.used_regs + desc.regfile_bytes_per_tb() <= self.regfile_bytes
-            && self.used_smem + desc.smem_per_tb() <= self.smem_bytes
+            && self.used_threads + desc.threads_per_tb() <= MAX_THREADS
+            && self.used_regs + desc.regfile_bytes_per_tb() <= REGISTER_FILE_BYTES
+            && self.used_smem + desc.smem_per_tb() <= SHARED_MEM_BYTES
     }
 
     /// Maximum TBs of `desc` an (empty) SM of this configuration can hold.
     pub fn max_resident_tbs(&self, desc: &KernelDesc) -> u32 {
-        let by_tbs = u32::from(self.max_tbs);
-        let by_warps = u32::from(self.max_warps) / desc.warps_per_tb();
-        let by_threads = self.max_threads / desc.threads_per_tb();
-        let by_regs = (self.regfile_bytes / desc.regfile_bytes_per_tb().max(1)) as u32;
+        let by_warps = MAX_WARPS / desc.warps_per_tb();
+        let by_threads = MAX_THREADS / desc.threads_per_tb();
+        let by_regs = (REGISTER_FILE_BYTES / desc.regfile_bytes_per_tb().max(1)) as u32;
         let by_smem = if desc.smem_per_tb() == 0 {
             u32::MAX
         } else {
-            (self.smem_bytes / desc.smem_per_tb()) as u32
+            (SHARED_MEM_BYTES / desc.smem_per_tb()) as u32
         };
-        by_tbs.min(by_warps).min(by_threads).min(by_regs).min(by_smem)
+        MAX_TBS.min(by_warps).min(by_threads).min(by_regs).min(by_smem)
     }
 
     /// Number of TBs of kernel `k` currently resident (including loading /
@@ -302,13 +302,26 @@ impl Sm {
     }
 
     /// Re-derives this SM's bookkeeping from its resident TBs and checks it
-    /// against the incrementally maintained state. Returns the first
-    /// violated invariant. Called at epoch boundaries in audit mode.
-    pub fn audit_invariants(&self) -> Result<(), (AuditKind, String)> {
+    /// against the incrementally maintained state at cycle `now`. Returns
+    /// the first violated invariant. Called at epoch boundaries in audit
+    /// mode.
+    pub fn audit_invariants(&self, now: Cycle) -> Result<(), (AuditKind, String)> {
         if !self.warps_fit() {
             return Err((
                 AuditKind::SlotAccounting,
                 "a warp points outside its kernel body or its TB".to_string(),
+            ));
+        }
+        if !self.seqs_behind(now) {
+            return Err((
+                AuditKind::SlotAccounting,
+                format!("a warp drew more memory ops than {now} cycles allow"),
+            ));
+        }
+        if !self.tbs_fit() {
+            return Err((
+                AuditKind::SlotAccounting,
+                "a TB counts more warps retired or at its barrier than it has".to_string(),
             ));
         }
         let mut threads = 0u32;
@@ -359,13 +372,13 @@ impl Sm {
                 }
             }
         }
-        if threads > self.max_threads || regs > self.regfile_bytes || smem > self.smem_bytes {
+        if threads > MAX_THREADS || regs > REGISTER_FILE_BYTES || smem > SHARED_MEM_BYTES {
             return Err((
                 AuditKind::Occupancy,
                 format!(
                     "resident TBs need {threads} threads / {regs} reg bytes / {smem} smem \
-                     bytes, limits are {} / {} / {}",
-                    self.max_threads, self.regfile_bytes, self.smem_bytes
+                     bytes, limits are {MAX_THREADS} / {REGISTER_FILE_BYTES} / \
+                     {SHARED_MEM_BYTES}"
                 ),
             ));
         }
@@ -389,24 +402,22 @@ impl Sm {
                 ));
             }
         }
-        if self.tbs.free_slots() + live_tbs != self.max_tbs as usize {
+        if self.tbs.free_slots() + live_tbs != MAX_TBS as usize {
             return Err((
                 AuditKind::SlotAccounting,
                 format!(
-                    "{} free + {live_tbs} live TB slots != {} total",
-                    self.tbs.free_slots(),
-                    self.max_tbs
+                    "{} free + {live_tbs} live TB slots != {MAX_TBS} total",
+                    self.tbs.free_slots()
                 ),
             ));
         }
         let live_warps = self.warps.occupied.0.count_ones() as usize;
-        if self.warps.free_slots() + live_warps != self.max_warps as usize {
+        if self.warps.free_slots() + live_warps != MAX_WARPS as usize {
             return Err((
                 AuditKind::SlotAccounting,
                 format!(
-                    "{} free + {live_warps} live warp slots != {} total",
-                    self.warps.free_slots(),
-                    self.max_warps
+                    "{} free + {live_warps} live warp slots != {MAX_WARPS} total",
+                    self.warps.free_slots()
                 ),
             ));
         }

@@ -245,7 +245,7 @@ fn l1_lookup_count_matches_memory_domain_ledger() {
             "SM-side L1 lookups and memory-side L1 ledger must agree"
         );
         assert_eq!(sm.resident_tbs(), 0, "the TB ran to completion");
-        assert_eq!(sm.audit_invariants(), Ok(()));
+        assert_eq!(sm.audit_invariants(cycles), Ok(()));
     }
 }
 
@@ -311,7 +311,7 @@ struct Picker {
 impl Picker {
     fn new(gated: bool) -> Self {
         let mut cfg = GpuConfig::tiny();
-        cfg.sm.warp_schedulers = 1;
+        cfg.warp_schedulers = 1;
         let mut sm = Sm::new(SmId::new(0), &cfg);
         let k = KernelId::new(0);
         let desc = KernelDesc::builder("pick")
@@ -531,7 +531,7 @@ mod gate_oracle {
     /// body whose every instruction has `lanes[k]` active lanes.
     fn sm_hosting(scheds: u32, lanes: &[u8], order: &[usize]) -> Sm {
         let mut cfg = GpuConfig::tiny();
-        cfg.sm.warp_schedulers = scheds;
+        cfg.warp_schedulers = scheds;
         let mut sm = Sm::new(SmId::new(0), &cfg);
         for (k, &l) in lanes.iter().enumerate() {
             let desc = KernelDesc::builder(format!("k{k}"))
@@ -1088,14 +1088,15 @@ fn rollover_carry_keeps_surplus_discard_drops_it() {
 /// digest (and nothing else here) moved with snapshot schema 9, which takes
 /// the policy byte and the per-scheduler round-robin cursors out of the
 /// encoded SM, with schema 10, which takes out the per-kernel
-/// preemption-save histograms, and with schema 11, which takes out the
-/// quota-freeze and preemption-stall fault flags.
+/// preemption-save histograms, with schema 11, which takes out the
+/// quota-freeze and preemption-stall fault flags, and with schema 13, which
+/// takes out the SM's copies of the Table 1 limits and the L1 hit latency.
 #[test]
 fn odd_scheduler_count_matches_pinned_digest() {
     use crate::snap::{encode_to_vec, fnv1a};
     const CYCLES: Cycle = 3_000;
     let mut cfg = GpuConfig::tiny();
-    cfg.sm.warp_schedulers = 3;
+    cfg.warp_schedulers = 3;
     let mut sm = Sm::new(SmId::new(0), &cfg);
     let mut mem = MemSystem::new(cfg.mem.clone());
     let desc = |name: &str, threads, body| {
@@ -1135,5 +1136,5 @@ fn odd_scheduler_count_matches_pinned_digest() {
     ];
     assert_eq!(per_sched, [1788, 962, 935]);
     assert_eq!(counters, [3000, 9000, 112_768, 5152, 0]);
-    assert_eq!(digest, 0x77ec_de0a_c0e6_1143);
+    assert_eq!(digest, 0xf832_8f04_1441_8dae);
 }

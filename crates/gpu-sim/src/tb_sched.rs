@@ -61,6 +61,12 @@ impl KernelRuntime {
         KernelRuntime { desc, next_tb: 0, tbs_completed: 0, preempted: Vec::new() }
     }
 
+    /// Whether no preempted warp of this kernel has drawn more addresses
+    /// than `clock` cycles allow (see [`crate::sm::Sm::seqs_behind`]).
+    pub(crate) fn seqs_behind(&self, clock: Cycle) -> bool {
+        self.preempted.iter().all(|tb| tb.seqs_behind(clock))
+    }
+
     fn next_fresh_tb(&mut self) -> TbIndex {
         let idx = self.next_tb % self.desc.grid_tbs();
         self.next_tb = self.next_tb.wrapping_add(1);

@@ -499,17 +499,20 @@ impl Session {
     // ------------------------------------------------------------------
 
     fn table1(&self) -> Report {
+        use gpu_sim::config::{
+            CORE_MHZ, MAX_TBS, MAX_THREADS, REGISTER_FILE_BYTES, SHARED_MEM_BYTES,
+        };
         let cfg = gpu_sim::GpuConfig::paper_table1();
         let rows = [
-            ("Core Freq.", "1216 MHz", format!("{} MHz", cfg.core_mhz)),
+            ("Core Freq.", "1216 MHz", format!("{CORE_MHZ} MHz")),
             ("# of SMs", "16", cfg.num_sms.to_string()),
             ("# of MC", "4", cfg.mem.num_mcs.to_string()),
             ("Sched. Policy", "GTO", "GTO".to_string()),
-            ("Registers", "256KB", format!("{}KB", cfg.sm.register_file_bytes / 1024)),
-            ("Shared Memory", "96KB", format!("{}KB", cfg.sm.shared_mem_bytes / 1024)),
-            ("Threads", "2048", cfg.sm.max_threads.to_string()),
-            ("TB Limit", "32", cfg.sm.max_tbs.to_string()),
-            ("Warp Scheduler", "4", cfg.sm.warp_schedulers.to_string()),
+            ("Registers", "256KB", format!("{}KB", REGISTER_FILE_BYTES / 1024)),
+            ("Shared Memory", "96KB", format!("{}KB", SHARED_MEM_BYTES / 1024)),
+            ("Threads", "2048", MAX_THREADS.to_string()),
+            ("TB Limit", "32", MAX_TBS.to_string()),
+            ("Warp Scheduler", "4", cfg.warp_schedulers.to_string()),
             ("Epoch", "10K cycles", format!("{} cycles", cfg.epoch_cycles)),
         ];
         let mut t = Table::new(["parameter", "paper", "ours"]);

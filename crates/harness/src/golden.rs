@@ -76,7 +76,7 @@ pub fn run_scenario(name: &str) -> Vec<EpochRecord> {
 #[must_use]
 pub fn run_scenario_traced(name: &str) -> (Gpu, Vec<EpochRecord>) {
     let mut cfg = config(true);
-    cfg.trace.level = TraceLevel::Events;
+    cfg.trace = TraceLevel::Events;
     scenario_run(name, cfg)
 }
 

@@ -130,7 +130,7 @@ pub fn case_config(spec: &CaseSpec) -> GpuConfig {
     // Harness cases always fly with the recorder on: event recording never
     // perturbs simulated behaviour, and a watchdog report (or persisted
     // failure snapshot) then carries the last moments before the hang.
-    cfg.trace.level = TraceLevel::Events;
+    cfg.trace = TraceLevel::Events;
     cfg
 }
 

@@ -138,14 +138,15 @@ fn machine_blobs(snapshot: &[u8]) -> Vec<std::ops::Range<usize>> {
 /// (`gpu_restore_survives_length_bombs`), and of a machine's tables only the
 /// SMs' geometry, the caches, the memory system's configuration, the flight
 /// recorders, the kernel descriptions, where each warp points (its op and
-/// its TB), the fault plan's order and the last epoch's clock and totals are
-/// checked against the receiver yet (and kernel ids, as they decode). Of this
-/// drill's 9,203 windows inside machine blobs, none restores `Ok` and panics
-/// when stepped (166 in a dev build, which also traps overflowing counters):
-/// ROADMAP item 2, held as a ratchet by
-/// `count_machine_windows_that_restore_then_panic`. Schema 12 moved bytes
-/// inside each blob (the plan into the payload, a fingerprint out of the
-/// header) without changing its length, so the window count stayed 9,203.
+/// its TB), how many memory ops each warp has drawn, each TB's retired and
+/// barrier counts, the fault plan's order and the last epoch's clock and
+/// totals are checked against the receiver yet (and kernel ids, as they
+/// decode). Of this drill's 9,183 windows inside machine blobs, none
+/// restores `Ok` and panics when stepped (18 in a dev build, which also
+/// traps overflowing counters): ROADMAP item 4, held as a ratchet by
+/// `count_machine_windows_that_restore_then_panic`. Schema 13 took 28 bytes
+/// out of every SM record, so the blobs and their window count shrank (from
+/// 9,203).
 fn restore_fleet_window(blobs: &[std::ops::Range<usize>], real: &[u8], evil: &[u8]) {
     if real.len() != evil.len() || blobs.iter().any(|b| real[b.clone()] != evil[b.clone()]) {
         let _ = Fleet::restore(scenarios::chaos(99), evil);
@@ -162,14 +163,14 @@ fn fleet_restore_survives_length_bombs() {
     assert!(tried > 1_000, "{tried} windows");
 }
 
-/// The census behind ROADMAP item 2's figure: of the drill's windows that
+/// The census behind ROADMAP item 4's figure: of the drill's windows that
 /// fall inside an embedded machine blob, how many restore `Ok` and then panic
 /// when the fleet is stepped (each panic prints; the last line is the count).
-/// It is a ratchet: exactly 9,203 windows fall inside machine blobs, so a
-/// moved blob layout fails it, and none of them may panic (at most 166 in a
+/// It is a ratchet: exactly 9,183 windows fall inside machine blobs, so a
+/// moved blob layout fails it, and none of them may panic (at most 18 in a
 /// dev build, whose overflow checks and debug assertions trip on what a
 /// release build carries on with), so a more permissive restore fails it
-/// too. Lower the ceiling when a fix lowers the count. Item 2 is done when this prints 0 and
+/// too. Lower the ceiling when a fix lowers the count. Item 4 is done when this prints 0 and
 /// [`restore_fleet_window`]'s carve-out goes.
 #[test]
 #[ignore = "a measurement: cargo test --release -p harness --test hostile_bytes -- --ignored --nocapture"]
@@ -184,8 +185,8 @@ fn count_machine_windows_that_restore_then_panic() {
         }
     }
     println!("{inside} windows inside machine blobs, {panicked} restore Ok and panic when stepped");
-    assert_eq!(inside, 9_203, "the machine blobs moved inside the fleet snapshot");
-    let ceiling = if cfg!(debug_assertions) { 166 } else { 0 };
+    assert_eq!(inside, 9_183, "the machine blobs moved inside the fleet snapshot");
+    let ceiling = if cfg!(debug_assertions) { 18 } else { 0 };
     assert!(panicked <= ceiling, "{panicked} windows restore Ok and panic (at most {ceiling})");
 }
 
@@ -239,9 +240,9 @@ fn machine_blob(cfg: &GpuConfig) -> Vec<u8> {
 }
 
 /// Byte offset of SM 0's L1 in a serialized machine blob. Magic, version,
-/// fingerprint, payload length; cycle, SM count; SM 0 up to its L1: id,
-/// three u16 limits, max_threads, two sizes.
-const L1_AT: usize = (4 + 4 + 8 + 8) + (8 + 8) + (2 + 2 + 2 + 2 + 4 + 8 + 8);
+/// fingerprint, payload length; cycle, SM count; SM 0 up to its L1: id and
+/// scheduler count.
+const L1_AT: usize = (4 + 4 + 8 + 8) + (8 + 8) + (2 + 2);
 
 /// A bombed `sets` or `ways` decodes (both are plain `usize`s), and the
 /// restored L1 would index past its lines on the first access:
@@ -272,7 +273,7 @@ fn gpu_restore_refuses_a_warp_of_a_kernel_past_the_last_slot() {
     let cfg = GpuConfig::tiny();
     let blob = machine_blob(&cfg);
     // After the L1 (a word per line, sets, ways, shift and clock, two
-    // counters): the per-kernel descriptions, two latencies and three
+    // counters): the per-kernel descriptions, the line size and three
     // occupancy counters, then the warp table, whose first column is `kernel`.
     let lines = (cfg.mem.l1_bytes / u64::from(cfg.mem.line_bytes)) as usize;
     let descs = [Some("sgemm"), Some("lbm"), None, None]
@@ -280,8 +281,12 @@ fn gpu_restore_refuses_a_warp_of_a_kernel_past_the_last_slot() {
     let kernel_at = L1_AT
         + (8 + 8 * lines + 8 + 8 + 4 + 4 + 8 + 8)
         + gpu_sim::snap::encode_to_vec(&descs).len()
-        + (4 + 4 + 4 + 8 + 8);
-    assert_eq!(word(&blob, kernel_at), u64::from(cfg.sm.max_warps()), "the column's length");
+        + (4 + 4 + 8 + 8);
+    assert_eq!(
+        word(&blob, kernel_at),
+        u64::from(gpu_sim::config::MAX_WARPS),
+        "the column's length"
+    );
     let last_slot = gpu_sim::MAX_KERNELS as u8 - 1;
     assert!(blob[kernel_at + 8..][..8].iter().all(|&k| k <= last_slot), "real kernel ids");
     let bombed = bombed(&blob, kernel_at + 8);

@@ -1,6 +1,7 @@
 //! Static resource allocation: initial symmetric TB placement and the
 //! victim-selection rules for run-time TB adjustment (§3.6).
 
+use gpu_sim::config::{MAX_TBS, MAX_THREADS, MAX_WARPS, REGISTER_FILE_BYTES, SHARED_MEM_BYTES};
 use gpu_sim::{Gpu, KernelId, SmId};
 
 use crate::goals::QosSpec;
@@ -20,7 +21,6 @@ pub struct InitialPlan {
 /// `targets[k]` TBs per kernel fits every SM resource (threads, registers,
 /// shared memory, warp slots, TB slots).
 pub fn targets_feasible(gpu: &Gpu, targets: &[u16]) -> bool {
-    let sm = &gpu.config().sm;
     let (mut threads, mut regs, mut smem, mut warps, mut tbs) = (0u64, 0u64, 0u64, 0u64, 0u64);
     for (k, &t) in targets.iter().enumerate() {
         let d = gpu.kernel_desc(KernelId::new(k));
@@ -31,11 +31,11 @@ pub fn targets_feasible(gpu: &Gpu, targets: &[u16]) -> bool {
         warps += t * u64::from(d.warps_per_tb());
         tbs += t;
     }
-    threads <= u64::from(sm.max_threads)
-        && regs <= sm.register_file_bytes
-        && smem <= sm.shared_mem_bytes
-        && warps <= u64::from(sm.max_warps())
-        && tbs <= u64::from(sm.max_tbs)
+    threads <= u64::from(MAX_THREADS)
+        && regs <= REGISTER_FILE_BYTES
+        && smem <= SHARED_MEM_BYTES
+        && warps <= u64::from(MAX_WARPS)
+        && tbs <= u64::from(MAX_TBS)
 }
 
 /// Shrinks an infeasible target vector until it fits, never below one TB.
@@ -72,7 +72,6 @@ pub fn initial_plan(gpu: &Gpu, specs: &[QosSpec]) -> InitialPlan {
     let nk = gpu.num_kernels();
     assert_eq!(specs.len(), nk, "one spec per launched kernel");
     let num_sms = gpu.sms().len();
-    let max_threads = gpu.config().sm.max_threads;
 
     let nonqos: Vec<usize> = (0..nk).filter(|&k| !specs[k].is_qos()).collect();
     // Partition SMs among non-QoS kernels (QoS kernels go everywhere). With
@@ -89,7 +88,7 @@ pub fn initial_plan(gpu: &Gpu, specs: &[QosSpec]) -> InitialPlan {
     for (sm, row) in targets.iter_mut().enumerate() {
         let resident: Vec<usize> =
             (0..nk).filter(|&k| specs[k].is_qos() || owner_of_sm(sm) == Some(k)).collect();
-        let share = max_threads / resident.len().max(1) as u32;
+        let share = MAX_THREADS / resident.len().max(1) as u32;
         for &k in &resident {
             let kid = KernelId::new(k);
             let desc = gpu.kernel_desc(kid);

@@ -281,7 +281,7 @@ fn run_differential_case(
 
     let mut cfg = GpuConfig::tiny();
     cfg.fast_forward = fast_forward;
-    cfg.trace.level = fgqos::sim::TraceLevel::Events;
+    cfg.trace = fgqos::sim::TraceLevel::Events;
     cfg.health.audit = audit;
     cfg.health.watchdog_window = if watchdog { 2 * cfg.epoch_cycles } else { 0 };
     let mut gpu = Gpu::new(cfg);
@@ -466,7 +466,7 @@ fn simulator_invariants_hold_under_qos_management() {
     impl Controller for Checked {
         fn on_epoch(&mut self, gpu: &mut Gpu, epoch: u64) {
             self.inner.on_epoch(gpu, epoch);
-            let max_threads = gpu.config().sm.max_threads;
+            let max_threads = fgqos::sim::config::MAX_THREADS;
             for sm in gpu.sms() {
                 assert!(sm.used_threads() <= max_threads, "thread occupancy exceeded");
                 assert!(sm.free_threads() <= max_threads);

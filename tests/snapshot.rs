@@ -67,7 +67,7 @@ fn build_config(
     cfg.fast_forward = fast_forward;
     // Recorder on: the counter registry and flight-recorder rings are part
     // of the snapshot payload, so every case round-trips them too.
-    cfg.trace.level = fgqos::sim::TraceLevel::Events;
+    cfg.trace = fgqos::sim::TraceLevel::Events;
     cfg.health.audit = audit;
     cfg.health.watchdog_window = if watchdog { 2 * cfg.epoch_cycles } else { 0 };
     let plan = fault.map_or_else(FaultPlan::none, |(at, kind)| FaultPlan::one(at, kind));
@@ -415,7 +415,10 @@ fn golden_scenario_survives_snapshot_restore() {
 /// never-enabled counter series. Schema 11 is 32 bytes under schema 10: the
 /// quota-freeze and preemption-stall flags on each of 16 SMs. Schema 12 is 8
 /// bytes over schema 11: the (empty) fault plan's length, moved out of the
-/// configuration into the payload.
+/// configuration into the payload. Schema 13 is 472 bytes under schema 12:
+/// 28 bytes of Table 1 limits and L1 hit latency on each of 16 SMs, and
+/// the memory system's six latencies, ways and service rate (24 bytes),
+/// all constants now.
 #[test]
 fn warmed_trio_payload_size_is_pinned() {
     let cfg = GpuConfig::paper_table1();
@@ -427,7 +430,7 @@ fn warmed_trio_payload_size_is_pinned() {
         .with_kernel(q2, QosSpec::qos(20.0))
         .with_kernel(be, QosSpec::best_effort());
     gpu.run(3 * cfg.epoch_cycles, &mut manager);
-    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 744_726);
+    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 744_254);
 }
 
 // ----------------------------------------------------------------------
