@@ -59,23 +59,13 @@ use crate::migrate::{MigrationReason, MigrationRecord, PendingMigration};
 use crate::placement::DeviceView;
 use crate::request::{Request, RequestState, ShedReason};
 
-/// Schema version of the fleet snapshot encoding. v2 added heterogeneous
-/// device classes, live migration state (per-batch checkpoints, the
-/// pending-migration queue, migration records), planned drains, and the
-/// per-tenant working-set trackers. v3 added the telemetry layer's
-/// deterministic state: per-tenant latency / queue-wait / retry /
-/// migration-duration histograms and the tick-sampled counter
-/// [`TimeSeries`] (DESIGN.md §17). v4 dropped the migration switch from the
-/// configuration and the `Option` tag from every batch's checkpoint (a batch
-/// always has one), and embeds schema-9 device blobs. v5 dropped the
-/// per-tick sample list (the series is the one per-tick history), refuses a
-/// series of any capacity but [`FLEET_SERIES_CAPACITY`], and embeds
-/// schema-10 device blobs. v6 dropped each batch's fault base and fault plan
-/// (the plan rides in the device blob) and embeds schema-12 device blobs.
-/// v7 dropped the seven scheduler knobs that became constants from the
-/// configuration ([`TICK_CYCLES`] and beside it) and embeds schema-13
-/// device blobs.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 7;
+/// Schema version of the fleet snapshot encoding; [`Fleet::restore`]
+/// refuses any other. v8 embeds schema-14 device blobs, and a migration
+/// checkpoint is its blob alone: the clock and the migration class it used to
+/// restate are the blob's own cycle and header fingerprint. Each tenant's
+/// completed and migrated counts, latency sum and worst latency are read from
+/// its histograms (DESIGN.md §16.2).
+pub const FLEET_SNAPSHOT_VERSION: u32 = 8;
 
 /// Ring capacity of the fleet's tick-sampled counter time series. Large
 /// enough that every shipped scenario (at most 1,500 ticks; the diurnal soak
@@ -118,24 +108,11 @@ gpu_sim::impl_snap_enum!(DeviceFate {
     Drained { at } = 3,
 });
 
-/// A batch's migration checkpoint: a serialized device snapshot plus the
-/// device-relative cycle it was taken at (needed to translate fleet-cycle
-/// fault schedules onto a restore target).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Ckpt {
-    blob: Vec<u8>,
-    gpu_cycle: u64,
-}
-
-gpu_sim::impl_snap_struct!(Ckpt { blob, gpu_cycle });
-
-impl Ckpt {
-    /// A checkpoint of `gpu` as it stands: legal at every tick boundary,
-    /// where a busy device sits at an epoch boundary.
-    fn of(gpu: &Gpu) -> Self {
-        let blob = gpu.snapshot().expect("busy devices sit at epoch boundaries at ticks");
-        Ckpt { blob: blob.into_bytes(), gpu_cycle: gpu.cycle() }
-    }
+/// A batch's migration checkpoint: the serialized snapshot of `gpu` as it
+/// stands, legal at every tick boundary, where a busy device sits at an
+/// epoch boundary. The blob carries its own clock and migration class.
+fn checkpoint(gpu: &Gpu) -> Vec<u8> {
+    gpu.snapshot().expect("busy devices sit at epoch boundaries at ticks").into_bytes()
 }
 
 /// One in-flight batch: a fresh [`Gpu`] running up to [`MAX_KERNELS`]
@@ -150,9 +127,9 @@ struct Batch {
     /// Fleet cycle at which the batch was originally placed (the timeout
     /// base its requests keep, even across migrations).
     started_at: u64,
-    /// Latest migration checkpoint: taken at placement, refreshed on the
-    /// checkpoint cadence.
-    ckpt: Ckpt,
+    /// Latest migration checkpoint ([`checkpoint`]): taken at placement,
+    /// refreshed on the checkpoint cadence.
+    ckpt: Vec<u8>,
     /// The simulated device; it holds the batch's device-relative fault
     /// plan.
     gpu: Gpu,
@@ -215,8 +192,6 @@ fn retire_slot(gpu: &mut Gpu, slot: usize) {
 pub struct TenantCounters {
     /// Requests that arrived (entered the fleet).
     pub arrived: u64,
-    /// Requests completed.
-    pub completed: u64,
     /// Completed requests that met the tenant's SLO deadline (guaranteed
     /// tenants only; stays 0 for best-effort).
     pub slo_met: u64,
@@ -224,8 +199,6 @@ pub struct TenantCounters {
     pub timeouts: u64,
     /// Retries consumed (each timeout or device failure that re-queued).
     pub retries: u64,
-    /// Requests live-migrated to another device (retries untouched).
-    pub migrated: u64,
     /// Requests shed at admission.
     pub shed_admission: u64,
     /// Requests shed under overload.
@@ -234,12 +207,10 @@ pub struct TenantCounters {
     pub shed_retries: u64,
     /// Requests shed for any other reason (fleet dead, unfinished).
     pub shed_other: u64,
-    /// Sum of completion latencies, for the mean.
-    pub latency_sum: u64,
-    /// Worst completion latency.
-    pub latency_max: u64,
     /// End-to-end completion latency distribution (arrival → done), in
-    /// fleet cycles. Log-bucketed and integer-exact, so percentiles are
+    /// fleet cycles, one value per completed request: its count is the
+    /// requests completed, and its sum and maximum give the mean and worst
+    /// latency. Log-bucketed and integer-exact, so percentiles are
     /// deterministic and the state snapshots byte-identically.
     pub latency_hist: LatencyHistogram,
     /// Queue-wait distribution: arrival → first placement, in fleet
@@ -250,23 +221,20 @@ pub struct TenantCounters {
     /// request (value = total retries that request used).
     pub retry_hist: LatencyHistogram,
     /// Live-migration outage distribution: enqueue → restore, in fleet
-    /// cycles, recorded once per resumed request.
+    /// cycles, recorded once per resumed request: its count is the requests
+    /// live-migrated to another device (retries untouched).
     pub migration_hist: LatencyHistogram,
 }
 
 gpu_sim::impl_snap_struct!(TenantCounters {
     arrived,
-    completed,
     slo_met,
     timeouts,
     retries,
-    migrated,
     shed_admission,
     shed_overload,
     shed_retries,
     shed_other,
-    latency_sum,
-    latency_max,
     latency_hist,
     queue_wait_hist,
     retry_hist,
@@ -451,7 +419,7 @@ impl Fleet {
     /// Requests resumed via live migration over the run (one count per
     /// request per successful migration).
     pub fn migrated_requests(&self) -> u64 {
-        self.tenants.iter().map(|c| c.migrated).sum()
+        self.tenants.iter().map(|c| c.migration_hist.count()).sum()
     }
 
     /// Tenant `t`'s current measured working-set estimate, in bytes.
@@ -676,9 +644,13 @@ impl Fleet {
         }
         let pending = std::mem::take(&mut self.pending_migrations);
         for pm in pending {
-            let target = self.devices.iter().position(|d| {
-                d.idle_healthy() && self.class_fingerprints[d.class] == pm.class_fingerprint
-            });
+            // A blob that does not parse has no class: it matches no device
+            // and waits out its patience, as one that fails `restore` does.
+            let class = SnapshotBlob::from_bytes(&pm.blob).ok().map(|b| b.config_fingerprint());
+            let target = self
+                .devices
+                .iter()
+                .position(|d| d.idle_healthy() && Some(self.class_fingerprints[d.class]) == class);
             let refused = match target {
                 Some(di) => self.install_migration(di, pm, now).err(),
                 None => Some(pm),
@@ -699,13 +671,13 @@ impl Fleet {
     ) -> Result<(), PendingMigration> {
         let Ok(blob) = SnapshotBlob::from_bytes(&pm.blob) else { return Err(pm) };
         // The restore brings the source device's fault plan; the receiver's
-        // replaces it, translated into the restored clock, which reads
-        // `pm.gpu_cycle` at fleet cycle `now`.
+        // replaces it, translated into the restored clock, which reads the
+        // blob's cycle at fleet cycle `now`.
         let mut gpu = Gpu::new(self.cfg.device_config(self.devices[di].class));
         if gpu.restore(&blob).is_err() {
             return Err(pm);
         }
-        gpu.set_fault_plan(self.device_plan(di, pm.gpu_cycle, now));
+        gpu.set_fault_plan(self.device_plan(di, gpu.cycle(), now));
         // Gate every slot that retired after the checkpoint was taken so
         // finished work never re-runs (and can never double-complete).
         for (slot, _) in pm.active.iter().enumerate().filter(|(_, &live)| !live) {
@@ -728,7 +700,6 @@ impl Fleet {
                 _ => pm.started_at,
             };
             self.requests[id].state = RequestState::Running { device: device_id, started_at };
-            self.tenants[t].migrated += 1;
             self.tenants[t].migration_hist.record(now.saturating_sub(pm.enqueued_at));
             record.requests.push(id as u64);
             record.tenants.push(t as u64);
@@ -738,7 +709,7 @@ impl Fleet {
             requests: pm.slots.iter().map(|&x| x as usize).collect(),
             active: pm.active,
             started_at: pm.started_at,
-            ckpt: Ckpt { blob: pm.blob, gpu_cycle: pm.gpu_cycle },
+            ckpt: pm.blob,
             gpu,
             step_err: None,
         };
@@ -786,8 +757,8 @@ impl Fleet {
     /// fleet invariant violation).
     fn park_batch(&mut self, di: usize, at: u64, reason: MigrationReason) {
         let batch = self.devices[di].batch.take().expect("a parked device is busy");
-        let ckpt = match reason {
-            MigrationReason::Drain | MigrationReason::ShedPressure => Ckpt::of(&batch.gpu),
+        let blob = match reason {
+            MigrationReason::Drain | MigrationReason::ShedPressure => checkpoint(&batch.gpu),
             MigrationReason::DeviceLost | MigrationReason::DeviceWedged => batch.ckpt,
         };
         let device_id = self.devices[di].id;
@@ -795,9 +766,7 @@ impl Fleet {
             slots: batch.requests.iter().map(|&id| id as u64).collect(),
             active: batch.active,
             started_at: batch.started_at,
-            gpu_cycle: ckpt.gpu_cycle,
-            blob: ckpt.blob,
-            class_fingerprint: self.class_fingerprints[self.devices[di].class],
+            blob,
             from_device: device_id,
             reason,
             enqueued_at: at,
@@ -888,7 +857,7 @@ impl Fleet {
             // The initial checkpoint, taken before the first cycle runs:
             // even a first-tick device loss migrates instead of retrying
             // from scratch.
-            ckpt: Ckpt::of(&gpu),
+            ckpt: checkpoint(&gpu),
             gpu,
             step_err: None,
         };
@@ -1019,7 +988,7 @@ impl Fleet {
                 .wrapping_add(1)
                 .is_multiple_of(self.cfg.migration.checkpoint_every_ticks)
             {
-                batch.ckpt = Ckpt::of(&batch.gpu);
+                batch.ckpt = checkpoint(&batch.gpu);
             }
             self.devices[di].batch = Some(batch);
         }
@@ -1062,9 +1031,6 @@ impl Fleet {
         let latency = end - req.arrived_at;
         let retries = u64::from(req.retries);
         let c = &mut self.tenants[t];
-        c.completed += 1;
-        c.latency_sum += latency;
-        c.latency_max = c.latency_max.max(latency);
         c.latency_hist.record(latency);
         c.retry_hist.record(retries);
         if let Some(slo) = self.cfg.tenants[t].class.slo() {
@@ -1184,11 +1150,11 @@ impl Fleet {
         for (t, c) in self.tenants.iter().enumerate() {
             let scope = CounterScope::Tenant(t);
             push("arrived", scope, Counter, as_i64(c.arrived));
-            push("completed", scope, Counter, as_i64(c.completed));
+            push("completed", scope, Counter, as_i64(c.latency_hist.count()));
             push("slo_met", scope, Counter, as_i64(c.slo_met));
             push("timeouts", scope, Counter, as_i64(c.timeouts));
             push("retries", scope, Counter, as_i64(c.retries));
-            push("migrated", scope, Counter, as_i64(c.migrated));
+            push("migrated", scope, Counter, as_i64(c.migration_hist.count()));
             push("shed", scope, Counter, as_i64(c.shed_total()));
             push("queued", scope, Gauge, queued[t]);
             push("ws_estimate_bytes", scope, Gauge, as_i64(self.ws[t].estimate()));
@@ -1218,7 +1184,7 @@ impl Fleet {
             .tenants
             .iter()
             .filter(|c| c.arrived > 0)
-            .map(|c| c.completed as f64 / c.arrived as f64)
+            .map(|c| c.latency_hist.count() as f64 / c.arrived as f64)
             .collect();
         if ratios.is_empty() {
             return 1.0;
@@ -1267,7 +1233,6 @@ impl Fleet {
                 }
                 None => "slo -".to_string(),
             };
-            let mean_latency = c.latency_sum.checked_div(c.completed).unwrap_or(0);
             let _ = writeln!(
                 out,
                 "  tenant {:<12} {class}  arrived {:>4}  done {:>4}  {slo}  \
@@ -1275,17 +1240,17 @@ impl Fleet {
                  retries {}, other {})  latency mean {} max {} p50 {} p95 {} p99 {}",
                 spec.name,
                 c.arrived,
-                c.completed,
+                c.latency_hist.count(),
                 c.retries,
                 c.timeouts,
-                c.migrated,
+                c.migration_hist.count(),
                 c.shed_total(),
                 c.shed_admission,
                 c.shed_overload,
                 c.shed_retries,
                 c.shed_other,
-                mean_latency,
-                c.latency_max,
+                c.latency_hist.mean(),
+                c.latency_hist.max(),
                 c.latency_hist.p50(),
                 c.latency_hist.p95(),
                 c.latency_hist.p99()
@@ -1313,7 +1278,7 @@ impl Fleet {
             self.migration_fallbacks
         );
         let arrived: u64 = self.tenants.iter().map(|c| c.arrived).sum();
-        let completed: u64 = self.tenants.iter().map(|c| c.completed).sum();
+        let completed: u64 = self.tenants.iter().map(|c| c.latency_hist.count()).sum();
         let shed: u64 = self.tenants.iter().map(|c| c.shed_total()).sum();
         let _ = writeln!(
             out,
@@ -1454,7 +1419,7 @@ impl Fleet {
                     let requests = Vec::<usize>::decode(&mut r).map_err(fail)?;
                     let active = Vec::<bool>::decode(&mut r).map_err(fail)?;
                     let started_at = u64::decode(&mut r).map_err(fail)?;
-                    let ckpt = Ckpt::decode(&mut r).map_err(fail)?;
+                    let ckpt = Vec::<u8>::decode(&mut r).map_err(fail)?;
                     let blob_bytes = Vec::<u8>::decode(&mut r).map_err(fail)?;
                     let blob = SnapshotBlob::from_bytes(&blob_bytes)
                         .map_err(|e| format!("fleet snapshot: device blob: {e}"))?;
@@ -1555,7 +1520,7 @@ mod tests {
         fleet.run_to_completion();
         assert!(fleet.finished());
         assert_eq!(fleet.lost_requests(), 0, "every request must reach a terminal state");
-        let done: u64 = fleet.tenant_counters().iter().map(|c| c.completed).sum();
+        let done: u64 = fleet.tenant_counters().iter().map(|c| c.latency_hist.count()).sum();
         let arrived: u64 = fleet.tenant_counters().iter().map(|c| c.arrived).sum();
         assert_eq!(done, arrived, "an unloaded healthy fleet completes everything");
         assert!(fleet.all_guaranteed_met());
@@ -1709,7 +1674,7 @@ mod tests {
         assert_eq!(fleet.evictions(), 1, "the victim retries from scratch");
         assert_eq!(fleet.requests()[1].retries, 1);
         assert_eq!(fleet.migrated_requests(), 0, "no compatible spare ever existed");
-        assert_eq!(fleet.tenant_counters()[0].completed, 2);
+        assert_eq!(fleet.tenant_counters()[0].latency_hist.count(), 2);
         assert_eq!(fleet.lost_requests(), 0);
     }
 
@@ -1756,7 +1721,7 @@ mod tests {
             fleet.devices[0].fate
         );
         let c = &fleet.tenant_counters()[0];
-        assert_eq!(c.completed, 1, "the completion that beat the loss still counts");
+        assert_eq!(c.latency_hist.count(), 1, "the completion that beat the loss still counts");
         assert_eq!(c.retries, 0, "no retry: the request finished");
         assert_eq!(fleet.evictions(), 0, "nothing was evicted");
         assert_eq!(fleet.requests()[0].retries, 0);
@@ -1799,7 +1764,7 @@ mod tests {
             "the drained device's batch must migrate: {:?}",
             fleet.migrations()
         );
-        let done: u64 = fleet.tenant_counters().iter().map(|c| c.completed).sum();
+        let done: u64 = fleet.tenant_counters().iter().map(|c| c.latency_hist.count()).sum();
         let arrived: u64 = fleet.tenant_counters().iter().map(|c| c.arrived).sum();
         assert_eq!(done, arrived, "a planned drain loses nothing");
         assert_eq!(fleet.lost_requests(), 0);
@@ -1851,7 +1816,7 @@ mod tests {
             fleet.migrations()
         );
         assert!(fleet.all_guaranteed_met(), "the preemption exists to protect the guarantee");
-        let done: u64 = fleet.tenant_counters().iter().map(|c| c.completed).sum();
+        let done: u64 = fleet.tenant_counters().iter().map(|c| c.latency_hist.count()).sum();
         let arrived: u64 = fleet.tenant_counters().iter().map(|c| c.arrived).sum();
         assert_eq!(done, arrived, "preempted work resumes and completes — zero loss");
         assert_eq!(fleet.lost_requests(), 0);
@@ -1867,7 +1832,7 @@ mod tests {
         let declared = cfg.tenants[0].mem_bytes;
         let mut fleet = Fleet::new(cfg);
         fleet.run_to_completion();
-        assert!(fleet.tenant_counters()[0].completed > 0);
+        assert!(fleet.tenant_counters()[0].latency_hist.count() > 0);
         assert!(
             fleet.working_set_estimate(0) < declared,
             "measured working set ({}) must fall below the declaration ({declared})",
@@ -1907,7 +1872,7 @@ mod tests {
             c.shed_admission > 0,
             "co-queuing two 900 MiB working sets on a 1 GiB fleet must shed at admission: {c:?}"
         );
-        assert!(c.completed > 0, "the admitted request still completes");
+        assert!(c.latency_hist.count() > 0, "the admitted request still completes");
         assert_eq!(fleet.lost_requests(), 0);
     }
 
@@ -2043,10 +2008,11 @@ mod tests {
     /// that placed them. Between them the five runs reach all three
     /// placements, all four migration reasons and the fallbacks, so a
     /// scheduler change that moves any decision moves a digest. Re-pin only
-    /// for a change that means to move them. Fleet snapshot version 7 moved
-    /// every snapshot digest and no report digest: the configuration lost
-    /// seven knobs and each embedded device blob its SMs' copies of the
-    /// Table 1 limits.
+    /// for a change that means to move them. Fleet snapshot version 8 moved
+    /// every snapshot digest and no report digest: each embedded device blob
+    /// lost what the configuration fixes and its SMs' copies of the kernel
+    /// descriptions, each migration checkpoint the clock and class its blob
+    /// restates, and each tenant the four counts its histograms hold.
     #[test]
     fn scenario_reports_and_snapshots_are_pinned() {
         use gpu_sim::snap::fnv1a;
@@ -2057,9 +2023,9 @@ mod tests {
                 12,
                 [
                     0xf7f9_2cb5_3487_5f55,
-                    0x8830_03a4_e378_2ede,
+                    0xd1d7_24bf_b659_cc10,
                     0x46eb_52cb_c9b0_9981,
-                    0xfa5b_2c16_11cf_345c,
+                    0x08fc_afcf_d610_1ff2,
                 ],
             ),
             (
@@ -2067,9 +2033,9 @@ mod tests {
                 7,
                 [
                     0x4c2a_6721_bb88_1b87,
-                    0x8915_a477_cc59_3e1f,
+                    0xa6e4_12fc_fcdf_cba2,
                     0xd87e_59ed_3295_a6c8,
-                    0x2684_9dd2_bdbc_257b,
+                    0x5596_1d49_6f63_3f3f,
                 ],
             ),
             (
@@ -2077,9 +2043,9 @@ mod tests {
                 10,
                 [
                     0xe2b5_54a6_7c71_d5ba,
-                    0x8fef_f55a_f7ae_6a84,
+                    0x26b7_b0b6_004c_6a7d,
                     0x656f_424e_b3a3_831d,
-                    0xe492_7127_bb4b_dab0,
+                    0x33b1_dab4_3114_98f1,
                 ],
             ),
             (
@@ -2087,9 +2053,9 @@ mod tests {
                 8,
                 [
                     0x6454_3830_9a98_c3b4,
-                    0x2d1e_a179_6a46_96c6,
+                    0x5b56_3c76_1ac1_128b,
                     0x775c_2960_274f_f97e,
-                    0x4b05_b598_1f80_7b2a,
+                    0x429d_be55_ea4a_01ae,
                 ],
             ),
             (
@@ -2097,9 +2063,9 @@ mod tests {
                 177,
                 [
                     0x4677_8130_fbf8_cccc,
-                    0x9efc_0ac7_5f72_026a,
+                    0x3367_8d7c_c2ed_63ab,
                     0x37ac_4b01_d5cb_923a,
-                    0x836a_006d_a831_7ed8,
+                    0x8060_ec60_57c2_402b,
                 ],
             ),
         ];

@@ -51,7 +51,7 @@ gpu_sim::impl_snap_enum!(MigrationReason {
 
 /// A batch waiting for a compatible spare, with everything needed to
 /// resume it: the slot→request map, the snapshot blob, and the timing
-/// context that keeps fault translation and timeout accounting exact.
+/// context that keeps timeout accounting exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingMigration {
     /// Request ids per original kernel slot (slot order preserved so the
@@ -64,15 +64,11 @@ pub struct PendingMigration {
     /// Fleet cycle the batch was originally placed — the timeout base its
     /// requests keep across the migration.
     pub started_at: u64,
-    /// Device-relative cycle of the snapshot blob. Fault schedules on the
-    /// target translate through it: a fleet-cycle fault at `F`, installed
-    /// at fleet cycle `now`, fires at device cycle `gpu_cycle + (F - now)`.
-    pub gpu_cycle: u64,
-    /// The serialized [`gpu_sim::SnapshotBlob`].
+    /// The serialized [`gpu_sim::SnapshotBlob`]. Its header's configuration
+    /// fingerprint is the source device's migration class (only a device
+    /// whose class fingerprints equal may receive it), and the restored
+    /// machine's clock is what the target's fault plan translates through.
     pub blob: Vec<u8>,
-    /// Migration class of the source device: only devices whose class
-    /// device config fingerprints equal may receive the blob.
-    pub class_fingerprint: u64,
     /// Device the batch left.
     pub from_device: u32,
     /// Why it left.
@@ -85,9 +81,7 @@ gpu_sim::impl_snap_struct!(PendingMigration {
     slots,
     active,
     started_at,
-    gpu_cycle,
     blob,
-    class_fingerprint,
     from_device,
     reason,
     enqueued_at,
@@ -141,9 +135,7 @@ mod tests {
             slots: vec![4, 9, 11],
             active: vec![true, false, true],
             started_at: 8_000,
-            gpu_cycle: 12_000,
             blob: vec![1, 2, 3, 4],
-            class_fingerprint: 0xDEAD_BEEF,
             from_device: 2,
             reason: MigrationReason::DeviceWedged,
             enqueued_at: 20_000,

@@ -193,21 +193,22 @@ impl Cache {
         self.stats
     }
 
-    /// Whether this (decoded) cache can stand in for `built`, one that
-    /// [`Cache::new`] made: the same geometry and a line per way of every
-    /// set, so that no access indexes past `lines`. The clock needs no check:
-    /// every `u32` is a clock [`Cache::access`] handles, and a stamp out of
-    /// step with it reorders evictions, which a hostile blob can do with
-    /// legal stamps too.
-    pub(crate) fn fits(&self, built: &Cache) -> bool {
-        (self.sets, self.ways, self.line_shift, self.lines.len())
-            == (built.sets, built.ways, built.line_shift, built.lines.len())
+    /// Makes this decoded cache stand in for `built`, one [`Cache::new`]
+    /// made: takes its geometry, which the wire does not carry, and answers
+    /// whether there is a line per way of every set, so that no access
+    /// indexes past `lines`. The clock needs no check: every `u32` is a clock
+    /// [`Cache::access`] handles, and a stamp out of step with it reorders
+    /// evictions, which a hostile blob can do with legal stamps too.
+    pub(crate) fn adopt(&mut self, built: &Cache) -> bool {
+        (self.sets, self.ways, self.line_shift) = (built.sets, built.ways, built.line_shift);
+        self.lines.len() == built.lines.len()
     }
 }
 
 crate::impl_snap_struct!(CacheStats { hits, misses });
 
-crate::impl_snap_struct!(Cache { lines, sets, ways, line_shift, clock, stats });
+// The geometry is the configuration's: `adopt` takes it from the receiver.
+crate::impl_snap_struct!(Cache { lines, clock, stats } skip { sets, ways, line_shift });
 
 #[cfg(test)]
 mod tests {
@@ -318,9 +319,9 @@ mod tests {
 
     #[test]
     fn encodes_eight_bytes_a_line_and_a_fixed_header() {
-        // Length prefix, sets, ways (8 each), line_shift, clock (4 each) and
-        // the two counters.
-        const HEADER: usize = 8 + 8 + 8 + 4 + 4 + 16;
+        // Length prefix (8), clock (4) and the two counters; the geometry
+        // is the configuration's, not the blob's.
+        const HEADER: usize = 8 + 4 + 16;
         for (bytes, ways) in [(256, 2), (4 * 1024, 4), (512 * 1024, 8)] {
             let mut c = Cache::new(bytes, ways, 32);
             c.access(0x40);
@@ -461,7 +462,10 @@ mod tests {
                         }
                     }
                     if i == snap_at {
-                        packed = decode_from_slice(&encode_to_vec(&packed)).expect("own encoding");
+                        let mut back: Cache =
+                            decode_from_slice(&encode_to_vec(&packed)).expect("own encoding");
+                        prop_assert!(back.adopt(&packed), "a cache fits its own geometry");
+                        packed = back;
                     }
                 }
                 prop_assert_eq!(packed.stats(), reference.stats);

@@ -82,16 +82,27 @@ impl ServiceQueue {
     pub fn backlog_at(&self, now: Cycle) -> u64 {
         self.next_free.saturating_sub(now)
     }
+
+    /// Makes this decoded queue stand in for `built`, one
+    /// [`ServiceQueue::new`] made: takes its service time and backlog cap,
+    /// which the wire does not carry, and answers whether the decoded waits
+    /// fit the cap, as each wait [`ServiceQueue::serve`] adds to the total
+    /// unchecked does.
+    pub(crate) fn adopt(&mut self, built: &ServiceQueue) -> bool {
+        (self.service_cycles, self.max_backlog) = (built.service_cycles, built.max_backlog);
+        self.peak_wait <= self.max_backlog
+            && self.total_wait <= self.served.saturating_mul(self.max_backlog)
+    }
 }
 
+// The service time and the backlog cap are the configuration's: `adopt`
+// takes them from the receiver.
 crate::impl_snap_struct!(ServiceQueue {
     next_free,
-    service_cycles,
-    max_backlog,
     served,
     total_wait,
     peak_wait,
-});
+} skip { service_cycles, max_backlog });
 
 #[cfg(test)]
 mod tests {
@@ -147,6 +158,22 @@ mod tests {
         for w in completions.windows(2) {
             assert_eq!(w[1] - w[0], 4);
         }
+    }
+
+    #[test]
+    fn a_decoded_queue_takes_its_rates_and_keeps_its_waits_under_the_cap() {
+        use crate::snap::{decode_from_slice, encode_to_vec};
+        let mut q = ServiceQueue::new(2, 10);
+        for _ in 0..20 {
+            q.serve(0);
+        }
+        let mut back: ServiceQueue = decode_from_slice(&encode_to_vec(&q)).expect("codec");
+        assert!(back.adopt(&q), "its own waits fit");
+        assert_eq!((back.service_cycles, back.max_backlog), (2, 10));
+        let mut twin = q.clone();
+        assert_eq!((back.serve(0), back.total_wait()), (twin.serve(0), twin.total_wait()));
+        back.peak_wait = 11;
+        assert!(!back.adopt(&q), "a wait past the cap");
     }
 
     #[test]

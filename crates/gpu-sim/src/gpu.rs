@@ -15,12 +15,12 @@ use crate::observe::{
     CounterEntry, CounterKind, CounterScope, EventRing, TraceEvent, TraceEventKind,
 };
 use crate::preempt::PreemptStats;
-use crate::sm::{QuotaCarry, Sm};
+use crate::sm::{QuotaCarry, Sm, SmKernelCounters};
 use crate::snap::{Snap, SnapError, SnapReader};
 use crate::stats::{EpochSnapshot, GpuStats, KernelStats};
 use crate::tb_sched::{KernelRuntime, SharingMode, TbScheduler};
 use crate::telemetry::WorkCounters;
-use crate::types::{per_kernel, Cycle, KernelId, PerKernel, SmId};
+use crate::types::{checked_sum, per_kernel, Cycle, KernelId, PerKernel, SmId};
 
 /// Cycles between TB-scheduler service passes (dispatch / preemption checks).
 /// A power of two, so the run loop's test for a service point and
@@ -73,7 +73,6 @@ pub struct Gpu {
     last_totals: PerKernel<u64>,
     last_epoch_cycle: Cycle,
     epoch_index: u64,
-    sample_interval: Cycle,
     /// The injected-fault schedule, in cycle order
     /// ([`Gpu::set_fault_plan`]); `fault_cursor` indexes its first fault
     /// still to fire.
@@ -98,7 +97,6 @@ impl Gpu {
     pub fn new(cfg: GpuConfig) -> Self {
         cfg.validate().expect("invalid GPU configuration");
         let sms = (0..cfg.num_sms as usize).map(|i| Sm::new(SmId::new(i), &cfg)).collect();
-        let sample_interval = (cfg.epoch_cycles / Cycle::from(cfg.samples_per_epoch)).max(1);
         Gpu {
             due: vec![0; cfg.num_sms as usize],
             sms,
@@ -109,7 +107,6 @@ impl Gpu {
             last_totals: per_kernel(|_| 0),
             last_epoch_cycle: 0,
             epoch_index: 0,
-            sample_interval,
             faults: FaultPlan::none(),
             fault_cursor: 0,
             ff_skipped: 0,
@@ -246,7 +243,9 @@ impl Gpu {
         // The pending fault is an edge too, read at entry and again after
         // every fault applied.
         let mut next_epoch = self.cycle.next_multiple_of(self.cfg.epoch_cycles);
-        let mut next_sample = self.cycle.next_multiple_of(self.sample_interval);
+        let sample_interval =
+            (self.cfg.epoch_cycles / Cycle::from(self.cfg.samples_per_epoch)).max(1);
+        let mut next_sample = self.cycle.next_multiple_of(sample_interval);
         let mut next_fault = self.next_fault();
         self.due.clear();
         self.due.extend(self.sms.iter().map(Sm::wake_at));
@@ -308,7 +307,7 @@ impl Gpu {
             self.work.sm_ticks_run += ran;
             self.work.sm_ticks_slept += num_sms - ran;
             if now == next_sample {
-                next_sample += self.sample_interval;
+                next_sample += sample_interval;
                 for sm in &mut self.sms {
                     sm.sample_idle_warps(now);
                 }
@@ -359,7 +358,7 @@ impl Gpu {
     /// Kept out of line, like [`Gpu::service`]: each runs once in several
     /// cycles, and inlined they (and the TB scheduler's passes inside them)
     /// sit in the middle of `run_until`'s per-cycle loop, where every edit
-    /// to the TB scheduler moves the loop's code (EXPERIMENTS.md §options).
+    /// to the TB scheduler moves the loop's code (5% on `latency_sparse`).
     #[inline(never)]
     fn jump_target(&self, horizon: Cycle, edge: Cycle) -> Cycle {
         let target = horizon.min(edge);
@@ -421,6 +420,15 @@ impl Gpu {
                     "epoch {} retired {issued} thread insts, hardware bound is {bound}",
                     snap.epoch
                 ),
+            }));
+        }
+        if !self.mem.counts_behind(&kernel_sums(&self.sms, |c| c.warp_insts)) {
+            return Err(SimError::Audit(AuditViolation {
+                cycle: now,
+                sm: None,
+                kind: AuditKind::IssueBound,
+                detail: "a memory traffic count is past what the issued instructions reach"
+                    .to_string(),
             }));
         }
         for sm in &self.sms {
@@ -548,13 +556,7 @@ impl Gpu {
     }
 
     fn kernel_totals(&self) -> PerKernel<u64> {
-        let mut totals = per_kernel(|_| 0u64);
-        for sm in &self.sms {
-            for (k, total) in totals.iter_mut().enumerate() {
-                *total += sm.counters(KernelId::new(k)).thread_insts;
-            }
-        }
-        totals
+        kernel_sums(&self.sms, |c| c.thread_insts).map(|t| t.unwrap_or(u64::MAX))
     }
 
     // ------------------------------------------------------------------
@@ -869,7 +871,6 @@ impl Gpu {
         self.last_totals.encode(&mut out);
         self.last_epoch_cycle.encode(&mut out);
         self.epoch_index.encode(&mut out);
-        self.sample_interval.encode(&mut out);
         self.faults.encode(&mut out);
         self.fault_cursor.encode(&mut out);
         self.ff_skipped.encode(&mut out);
@@ -934,62 +935,54 @@ impl Gpu {
         }
         let mut r = SnapReader::new(&blob.bytes[BLOB_HEADER_BYTES..]);
         let cycle = Cycle::decode(&mut r)?;
-        let sms = Vec::<Sm>::decode(&mut r)?;
-        let mem = MemSystem::decode(&mut r)?;
+        let mut sms = Vec::<Sm>::decode(&mut r)?;
+        let mut mem = MemSystem::decode(&mut r)?;
         let kernels = Vec::<KernelRuntime>::decode(&mut r)?;
         let tb_sched = TbScheduler::decode(&mut r)?;
         let epoch_snapshot = EpochSnapshot::decode(&mut r)?;
         let last_totals = PerKernel::<u64>::decode(&mut r)?;
         let last_epoch_cycle = Cycle::decode(&mut r)?;
         let epoch_index = u64::decode(&mut r)?;
-        let sample_interval = Cycle::decode(&mut r)?;
         let faults = FaultPlan::decode(&mut r)?;
         let fault_cursor = usize::decode(&mut r)?;
         let ff_skipped = Cycle::decode(&mut r)?;
-        let events = EventRing::decode(&mut r)?;
+        let mut events = EventRing::decode(&mut r)?;
         let was_idle = bool::decode(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
                 "trailing bytes in snapshot payload",
             )));
         }
-        // The receiver's own SMs and memory system are what `Gpu::new`
-        // builds from the configuration the fingerprint matched: decoded
-        // ones of another geometry, cache shape or flight-recorder capacity
-        // would be indexed out of bounds on their first step. Likewise a
-        // TB scheduler with a table per SM of another count, more kernels
-        // than `launch` admits, or a kernel description the builder would
-        // refuse. Every SM holds the kernel list's descriptions and no
-        // other, as `launch` gave them: the TB scheduler decides that a TB
-        // fits with the list's copy, and `dispatch` asserts it with the
-        // SM's. No warp, resident or preempted, has drawn more memory ops
-        // than the clock allows, and no TB counts more warps retired or at
-        // its barrier than it has: address generation multiplies the one and
-        // barrier arrival subtracts the other unchecked.
-        let launched = |k: usize| kernels.get(k).map(|r| &*r.desc);
-        let fits = sms.len() == self.sms.len()
-            && sms.iter().zip(&self.sms).all(|(sm, built)| sm.fits(built))
-            && sms.iter().all(|sm| sm.seqs_behind(cycle) && sm.tbs_fit())
+        // A blob holds state, not configuration: what the configuration
+        // fixes is the receiver's, which the fingerprint showed was built
+        // from the same one. The decoded parts `adopt` it from the receiver's
+        // own, every SM first taking the kernel list's descriptions as
+        // `launch` gives them. What is checked is decoded state, each where
+        // issue, barrier arrival, TB drain or the memory path would index,
+        // add or subtract with it unchecked (DESIGN.md §11.1).
+        let fits = kernels.len() <= crate::MAX_KERNELS
+            && kernels.iter().all(|k| k.desc.check().is_ok())
+            && sms.len() == self.sms.len()
+            && sms.iter_mut().zip(&self.sms).all(|(sm, built)| {
+                for (k, runtime) in kernels.iter().enumerate() {
+                    sm.set_kernel_desc(KernelId::new(k), runtime.desc.clone());
+                }
+                sm.adopt(built)
+            })
+            && sms.iter().all(|sm| {
+                sm.seqs_behind(cycle)
+                    && sm.tbs_fit()
+                    && sm.occupancy_fits()
+                    && sm.counts_behind(cycle)
+            })
             && kernels.iter().all(|k| k.seqs_behind(cycle))
-            && sms
-                .iter()
-                .all(|sm| (0..crate::MAX_KERNELS).all(|k| sm.kernel_desc(k) == launched(k)))
-            && mem.fits(&self.mem)
-            && events.fits(&self.events)
-            && tb_sched.fits(&self.tb_sched)
-            && kernels.len() <= crate::MAX_KERNELS
-            && kernels.iter().all(|k| k.desc.check().is_ok());
+            && mem.adopt(&self.mem)
+            && mem.counts_behind(&kernel_sums(&sms, |c| c.warp_insts))
+            && events.adopt(&self.events)
+            && tb_sched.fits(&self.tb_sched);
         if !fits {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
                 "machine state that does not fit the configuration",
-            )));
-        }
-        // `Gpu::new` derives the sampling interval from the configuration
-        // the fingerprint already matched; any other value (0 divides by
-        // zero on the next step) is a corrupt blob.
-        if sample_interval != self.sample_interval {
-            return Err(SnapshotError::Corrupt(SnapError::Invalid(
-                "sample interval the configuration does not derive",
             )));
         }
         // The run loop walks the plan in cycle order, and the next epoch's
@@ -1001,16 +994,12 @@ impl Gpu {
                 "fault plan out of cycle order",
             )));
         }
-        let retired = |k: usize| {
-            sms.iter().try_fold(0u64, |sum, sm| {
-                sum.checked_add(sm.counters(KernelId::new(k)).thread_insts)
-            })
-        };
+        let retired = kernel_sums(&sms, |c| c.thread_insts);
         let behind = last_epoch_cycle <= cycle
             && last_totals
                 .iter()
                 .enumerate()
-                .all(|(k, &last)| retired(k).is_some_and(|t| last <= t));
+                .all(|(k, &last)| retired[k].is_some_and(|t| last <= t));
         if !behind {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
                 "last epoch ahead of the machine",
@@ -1034,6 +1023,11 @@ impl Gpu {
         self.was_idle = was_idle;
         Ok(())
     }
+}
+
+/// Each kernel's `count` summed over `sms`; `None` where a sum overflows.
+fn kernel_sums(sms: &[Sm], count: impl Fn(SmKernelCounters) -> u64) -> PerKernel<Option<u64>> {
+    per_kernel(|k| checked_sum(sms.iter().map(|sm| count(sm.counters(KernelId::new(k))))))
 }
 
 /// Borrowed control-plane view of one SM (see [`Gpu::sm_quota`]).
@@ -1083,41 +1077,14 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 
 /// Version of the snapshot payload layout. Bumped whenever the set, order,
 /// or encoding of snapshotted fields changes; [`Gpu::restore`] refuses
-/// blobs from any other version. Version 3 added the SM's copies of the
-/// cache parameters (the L1 hit latency and the line size) to the per-SM record,
-/// for an SM↔memory port since removed; version 4 added the `dropped`
-/// discard counter to every [`EventRing`] so lossless trace capture can
-/// prove a recording never wrapped; version 5 added a second, migration-class
-/// fingerprint to the blob header (the config's with the fault plan erased)
-/// for a second restore path; version 6 added the
-/// telemetry layer's deterministic state — per-SM per-kernel
-/// preemption-save latency histograms and the machine's epoch-sampled
-/// counter series (DESIGN.md §17); version 7 switched the hot
-/// per-SM state to struct-of-arrays layouts — the warp table
-/// ([`crate::sm::WarpTable`]), the TB slab ([`crate::tb::TbSlab`]), and the
-/// cache tag/LRU arrays — changing the field set and order of every per-SM
-/// record (DESIGN.md §18); version 8 packed each cache line's tag and LRU
-/// stamp into one `u64` word under a `u32` clock (DESIGN.md §3.2); version 9
-/// took out what only the removed options wrote — the per-SM policy byte and
-/// per-scheduler round-robin cursors, the TB scheduler's two time-multiplexing
-/// rotation words, and `sched_policy` from the embedded [`GpuConfig`] (and so
-/// from both fingerprints) — and refuses `SharingMode` tag 3 and kernel ids
-/// past [`crate::MAX_KERNELS`]; version 10 took version 6's histograms and
-/// series back out, as nothing outside tests read them (DESIGN.md §8.1);
-/// version 11 took the quota-freeze and preemption-stall flags out of every
-/// per-SM record and refuses [`FaultKind`] tags 0–2, with the faults that set
-/// them gone; version 12 moved the fault plan out of the configuration into
-/// the payload, beside its cursor ([`Gpu::set_fault_plan`]), took version 5's
-/// second fingerprint back out of the header (24 bytes, from 32), and took the
-/// ring capacity out of the embedded [`GpuConfig`] (and so out of the
-/// fingerprint); version 13 took the single-valued Table 1 limits and
-/// memory latencies out of the embedded [`GpuConfig`] and [`crate::MemConfig`],
-/// and the SM's copies of them (its five resource limits and the L1 hit
-/// latency) out of every per-SM record, as they became constants
-/// (DESIGN.md §8.1).
+/// blobs from any other version. Version 14 holds state only: what the
+/// configuration fixes (each SM's geometry, the caches' shape, the queues'
+/// rates, the recorders' capacity, the sampling interval) and the SMs'
+/// copies of the kernel list's descriptions are the receiver's, taken on
+/// restore (DESIGN.md §11.1).
 /// The run loop's [`WorkCounters`] are deliberately absent: they count how
 /// this process stepped the machine, not the machine.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 13;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 14;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";
@@ -1753,45 +1720,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_a_sample_interval_the_config_does_not_derive() {
-        let cfg = GpuConfig::tiny();
-        let gpu = smk_pair_at_5000(&cfg);
-        let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
-        // The payload ends with the sampling interval, then the fault plan
-        // and its cursor, the skipped-cycle count, the event ring and the
-        // idle flag.
-        let tail = [
-            crate::snap::encode_to_vec(&gpu.faults),
-            crate::snap::encode_to_vec(&gpu.fault_cursor),
-            crate::snap::encode_to_vec(&gpu.ff_skipped),
-            crate::snap::encode_to_vec(&gpu.events),
-            crate::snap::encode_to_vec(&gpu.was_idle),
-        ];
-        let at = bytes.len() - tail.iter().map(Vec::len).sum::<usize>() - 8;
-        assert_eq!(bytes[at..at + 8], gpu.sample_interval.to_le_bytes());
-        bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
-        let blob = SnapshotBlob::from_bytes(&bytes).expect("the header is intact");
-        assert_refused_as_corrupt(&cfg, &blob, "a zero sampling interval");
-    }
-
-    #[test]
-    fn restore_refuses_an_sm_geometry_the_config_does_not_build() {
-        let cfg = GpuConfig::tiny();
-        let gpu = smk_pair_at_5000(&cfg);
-        let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
-        // An SM record starts with its id, then its scheduler count.
-        let last = gpu.sms.last().expect("the machine has SMs");
-        let record = crate::snap::encode_to_vec(last);
-        let at = bytes.windows(record.len()).position(|w| w == record).expect("the last SM")
-            + crate::snap::encode_to_vec(&last.id()).len();
-        let scheds = cfg.warp_schedulers as u16;
-        assert_eq!(bytes[at..at + 2], scheds.to_le_bytes(), "the SM's scheduler count");
-        bytes[at..at + 2].copy_from_slice(&(scheds + 1).to_le_bytes());
-        let blob = SnapshotBlob::from_bytes(&bytes).expect("the header is intact");
-        assert_refused_as_corrupt(&cfg, &blob, "an SM the config does not build");
-    }
-
-    #[test]
     fn restore_refuses_a_greedy_list_longer_than_the_schedulers() {
         // The gated gather walks one greedy pick per list entry and one
         // stride mask per scheduler.
@@ -1829,6 +1757,46 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_tb_claiming_a_warp_it_does_not_own() {
+        // Barrier release and TB drain walk a TB's warp slots unchecked.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.sm_mut(SmId::new(0)).claim_foreign_warp_for_test();
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "a TB's warp slot past the table");
+    }
+
+    #[test]
+    fn restore_refuses_occupancy_other_than_the_resident_tbs_hold() {
+        // TB drain subtracts a TB's threads from the count unchecked.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.sm_mut(SmId::new(1)).shrink_occupancy_for_test();
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "occupancy a warp short of the TBs'");
+    }
+
+    #[test]
+    fn restore_refuses_an_issue_count_the_clock_does_not_reach() {
+        // Issue adds to every tally unchecked.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.sm_mut(SmId::new(0)).fill_alu_tally_for_test();
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "an ALU tally past the thread instructions");
+    }
+
+    #[test]
+    fn restore_refuses_memory_traffic_the_issued_instructions_do_not_reach() {
+        // `serve` adds to every traffic count unchecked.
+        let cfg = GpuConfig::tiny();
+        let mut gpu = smk_pair_at_5000(&cfg);
+        gpu.mem.traffic_mut().l1_accesses[1] = u64::MAX;
+        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
+        assert_refused_as_corrupt(&cfg, &blob, "more L1 accesses than a warp's lines per issue");
+    }
+
+    #[test]
     fn restore_refuses_tb_targets_for_fewer_sms_than_the_machine() {
         // An SMK pass reads a target row per SM.
         let cfg = GpuConfig::tiny();
@@ -1854,27 +1822,23 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_sm_kernel_descriptions_other_than_the_kernel_lists() {
-        // A pass checks `can_host` with the kernel list's description and
-        // `dispatch` asserts it with the SM's: a larger TB on one side
-        // panics the first dispatch after the restore. The body is kernel
-        // `a`'s, so the SM's warps still fit it.
+    fn restored_sms_share_the_kernel_lists_descriptions() {
+        // A blob carries each description once, in the kernel list; every
+        // SM of the restored machine holds that very `Arc`, as `launch`
+        // gives it, and no description past the list.
         let cfg = GpuConfig::tiny();
-        let heavier = KernelDesc::builder("a")
-            .threads_per_tb(256)
-            .regs_per_thread(64)
-            .grid_tbs(256)
-            .iterations(8)
-            .body(compute_kernel("a").body().to_vec())
-            .build();
-        let mut gpu = smk_pair_at_5000(&cfg);
-        gpu.sm_mut(SmId::new(1)).set_kernel_desc(KernelId::new(0), Arc::new(heavier));
-        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
-        assert_refused_as_corrupt(&cfg, &blob, "an SM's description unlike the list's");
-        let mut gpu = smk_pair_at_5000(&cfg);
-        gpu.sm_mut(SmId::new(1)).set_kernel_desc(KernelId::new(2), Arc::new(compute_kernel("c")));
-        let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
-        assert_refused_as_corrupt(&cfg, &blob, "an SM's description past the list");
+        let blob = smk_pair_at_5000(&cfg).snapshot().expect("cycle 5000 is a boundary");
+        let mut gpu = Gpu::new(cfg);
+        gpu.restore(&blob).expect("its own configuration");
+        for sm in &gpu.sms {
+            for k in 0..crate::MAX_KERNELS {
+                let listed = gpu.kernels.get(k).map(|r| &r.desc);
+                match (sm.kernel_desc(k), listed) {
+                    (Some(held), Some(listed)) => assert!(Arc::ptr_eq(held, listed), "kernel {k}"),
+                    (held, listed) => assert!(held.is_none() && listed.is_none(), "kernel {k}"),
+                }
+            }
+        }
     }
 
     /// Two SMK kernels whose TBs outlive the run, 3 + 1 TBs per SM, swapped
@@ -1956,8 +1920,9 @@ mod tests {
         );
         gpu.run(5_000, &mut NullController);
         let bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
-        // A ring encodes as `cap`, `start`, `dropped`, events; the machine's
-        // sits right before the final idle flag, SM 0's inside its record.
+        // A ring encodes as `start`, `dropped`, events (its capacity is the
+        // configuration's); the machine's sits right before the final idle
+        // flag, SM 0's inside its record.
         let machine = bytes.len() - 1 - crate::snap::encode_to_vec(&gpu.events).len();
         let sm_ring = crate::snap::encode_to_vec(gpu.sms[0].events());
         let cap = crate::observe::RING_CAPACITY;
@@ -1965,8 +1930,7 @@ mod tests {
         let sm0 = bytes.windows(sm_ring.len()).position(|w| w == sm_ring).expect("SM 0's ring");
         for ring in [machine, sm0] {
             let mut bad = bytes.clone();
-            assert_eq!(bad[ring..ring + 4], cap.to_le_bytes(), "the ring's capacity");
-            bad[ring + 4..ring + 8].copy_from_slice(&(cap + 3).to_le_bytes());
+            bad[ring..ring + 4].copy_from_slice(&(cap + 3).to_le_bytes());
             let blob = SnapshotBlob::from_bytes(&bad).expect("the header is intact");
             assert_refused_as_corrupt(&cfg, &blob, "a ring cursor past its events");
         }

@@ -7,6 +7,7 @@
 //! are not modeled; what matters for the paper's mechanisms is instruction
 //! *count*, *latency class* and *memory behaviour*.
 
+use crate::config::{MAX_THREADS, REGISTER_FILE_BYTES, SHARED_MEM_BYTES};
 use crate::types::Addr;
 
 /// Which address space a memory operation targets.
@@ -299,6 +300,14 @@ impl KernelDesc {
         if self.threads_per_tb == 0 || !self.threads_per_tb.is_multiple_of(crate::WARP_SIZE) {
             return Err("threads_per_tb must be a positive multiple of 32");
         }
+        // A TB that no SM can host never runs, and 64 that fit keep the
+        // occupancy sums far inside their integers.
+        if self.threads_per_tb > MAX_THREADS
+            || self.regfile_bytes_per_tb() > REGISTER_FILE_BYTES
+            || self.smem_per_tb > SHARED_MEM_BYTES
+        {
+            return Err("a TB must fit an empty SM");
+        }
         let warp = 1..=crate::WARP_SIZE as u8;
         for op in &self.body {
             let lanes = match *op {
@@ -316,6 +325,14 @@ impl KernelDesc {
                 }
                 if pattern.footprint_bytes == 0 {
                     return Err("footprint must be positive");
+                }
+                // Every address the pattern generates stays inside the
+                // kernel's region (`base_addr`), and so inside the caches'
+                // tag range: a tile pattern strides 1,024 tiles.
+                let tiles = if pattern.kind == PatternKind::Tile { 1024 } else { 1 };
+                let reach = pattern.footprint_bytes.checked_mul(tiles);
+                if reach.is_none_or(|bytes| bytes > KernelDesc::base_addr(1)) {
+                    return Err("footprint must fit the kernel's address region");
                 }
             }
         }
@@ -499,6 +516,27 @@ mod tests {
     #[should_panic(expected = "active_lanes")]
     fn divergent_rejects_zero_lanes() {
         let _ = Op::alu_divergent(4, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a TB must fit an empty SM")]
+    fn build_rejects_a_tb_no_sm_can_host() {
+        let _ = KernelDesc::builder("k").threads_per_tb(4096).body(vec![Op::alu(1, 1)]).build();
+    }
+
+    #[test]
+    fn check_keeps_every_footprint_inside_the_kernels_region() {
+        let region = KernelDesc::base_addr(1);
+        let with = |pattern| {
+            let b = KernelDesc::builder("k").threads_per_tb(32);
+            KernelDesc { body: vec![Op::mem_load(pattern)], ..b.body(vec![Op::alu(1, 1)]).build() }
+        };
+        assert_eq!(with(AccessPattern::random(region, 4)).check(), Ok(()));
+        assert_eq!(with(AccessPattern::tile(region / 1024)).check(), Ok(()));
+        let refused = Err("footprint must fit the kernel's address region");
+        assert_eq!(with(AccessPattern::random(region + 1, 4)).check(), refused);
+        assert_eq!(with(AccessPattern::tile(region / 1024 + 1)).check(), refused);
+        assert_eq!(with(AccessPattern::tile(u64::MAX)).check(), refused);
     }
 
     #[test]

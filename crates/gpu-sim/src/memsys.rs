@@ -14,7 +14,7 @@ use crate::config::{
     XBAR_LATENCY,
 };
 use crate::dram::ServiceQueue;
-use crate::types::{per_kernel, Addr, Cycle, KernelId, PerKernel};
+use crate::types::{checked_sum, per_kernel, Addr, Cycle, KernelId, PerKernel};
 
 /// Per-kernel memory traffic counters (in transactions).
 #[derive(Debug, Clone)]
@@ -137,21 +137,52 @@ impl MemSystem {
         done
     }
 
-    /// Whether this (decoded) memory system can stand in for `built`, the
-    /// one `Gpu::new` made: the same configuration, as many queues and
-    /// slices, every L2 slice of the same shape ([`Cache::fits`]), and a
-    /// context-traffic cursor on a channel.
-    pub(crate) fn fits(&self, built: &MemSystem) -> bool {
+    /// Makes this decoded memory system stand in for `built`, the one
+    /// `Gpu::new` made: takes the configuration and every queue's and
+    /// slice's fixed parameters ([`ServiceQueue::adopt`], [`Cache::adopt`]),
+    /// and answers whether the decoded state fits them: as many queues and
+    /// slices, each fitting, and a context-traffic cursor on a channel.
+    pub(crate) fn adopt(&mut self, built: &MemSystem) -> bool {
+        self.cfg = built.cfg.clone();
         let queues = |m: &MemSystem| (m.l2.len(), m.l2_queue.len(), m.dram_queue.len());
-        self.cfg == built.cfg
-            && queues(self) == queues(built)
+        let queues_fit = |own: &mut [ServiceQueue], built: &[ServiceQueue]| {
+            own.iter_mut().zip(built).all(|(q, b)| q.adopt(b))
+        };
+        queues(self) == queues(built)
             && self.context_rr < self.dram_queue.len()
-            && self.l2.iter().zip(&built.l2).all(|(c, b)| c.fits(b))
+            && queues_fit(&mut self.l2_queue, &built.l2_queue)
+            && queues_fit(&mut self.dram_queue, &built.dram_queue)
+            && self.l2.iter_mut().zip(&built.l2).all(|(c, b)| c.adopt(b))
+    }
+
+    /// Whether every traffic count is one that `issued` (each kernel's warp
+    /// instructions across the SMs) reaches: a warp's lines of L1 accesses
+    /// per instruction, an L2 access per L1 access, a DRAM access per L2
+    /// access, a queue service per L2 access and per DRAM or context
+    /// transaction. [`MemSystem::serve`] adds to them unchecked.
+    pub(crate) fn counts_behind(&self, issued: &PerKernel<Option<u64>>) -> bool {
+        let t = &self.traffic;
+        let lines = u64::from(crate::WARP_SIZE);
+        let served = |queues: &[ServiceQueue]| checked_sum(queues.iter().map(ServiceQueue::served));
+        let dram = checked_sum(t.dram_accesses.iter().chain(&t.context_transactions).copied());
+        (0..crate::MAX_KERNELS).all(|k| {
+            issued[k].is_some_and(|i| t.l1_accesses[k] <= i.saturating_mul(lines))
+                && t.l2_accesses[k] <= t.l1_accesses[k]
+                && t.dram_accesses[k] <= t.l2_accesses[k]
+        }) && served(&self.l2_queue).is_some_and(|s| Some(s) == checked_sum(t.l2_accesses))
+            && served(&self.dram_queue).is_some_and(|s| Some(s) == dram)
     }
 
     /// Per-kernel traffic counters.
     pub fn traffic(&self) -> &MemTraffic {
         &self.traffic
+    }
+
+    /// Test-only backdoor: the traffic counters, for a count
+    /// [`MemSystem::counts_behind`] must refuse on restore.
+    #[cfg(test)]
+    pub(crate) fn traffic_mut(&mut self) -> &mut MemTraffic {
+        &mut self.traffic
     }
 
     /// L2 slice hit/miss statistics, aggregated over all slices.
@@ -192,7 +223,8 @@ crate::impl_snap_struct!(MemTraffic {
     context_transactions,
 });
 
-crate::impl_snap_struct!(MemSystem { cfg, l2, l2_queue, dram_queue, traffic, context_rr });
+// The configuration is the receiver's: `adopt` takes it.
+crate::impl_snap_struct!(MemSystem { l2, l2_queue, dram_queue, traffic, context_rr } skip { cfg });
 
 #[cfg(test)]
 mod tests {

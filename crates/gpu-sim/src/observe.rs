@@ -220,7 +220,8 @@ pub struct EventRing {
     events: Vec<TraceEvent>,
 }
 
-crate::impl_snap_struct!(EventRing { cap, start, dropped, events });
+// The capacity is the configuration's: `adopt` takes it from the receiver.
+crate::impl_snap_struct!(EventRing { start, dropped, events } skip { cap });
 
 impl EventRing {
     /// Creates an empty ring holding at most `cap` events.
@@ -267,18 +268,18 @@ impl EventRing {
         }
     }
 
-    /// Whether this (decoded) ring can stand in for `built`, the one
-    /// [`EventRing::new`] made from the receiver's configuration: the same
-    /// capacity, at most that many events, and a `start` that [`push`]
-    /// reaches — 0 until the ring is full, below the capacity once it is.
-    /// Any other shape indexes past `events` on the next push.
+    /// Makes this decoded ring stand in for `built`, the one
+    /// [`EventRing::new`] made: takes its capacity, which the wire does not
+    /// carry, and answers whether at most that many events are held and
+    /// `start` is one [`push`] reaches — 0 until the ring is full, below the
+    /// capacity once it is. Any other shape indexes past `events` on the
+    /// next push.
     ///
     /// [`push`]: EventRing::push
-    pub(crate) fn fits(&self, built: &EventRing) -> bool {
+    pub(crate) fn adopt(&mut self, built: &EventRing) -> bool {
+        self.cap = built.cap;
         let (len, cap) = (self.events.len(), self.cap as usize);
-        self.cap == built.cap
-            && len <= cap
-            && (self.start == 0 || (len == cap && self.start < self.cap))
+        len <= cap && (self.start == 0 || (len == cap && self.start < self.cap))
     }
 
     /// Events in recording order, oldest first.
@@ -398,7 +399,8 @@ mod tests {
         for c in 0..7 {
             ring.push(ev(c));
         }
-        let back: EventRing = decode_from_slice(&encode_to_vec(&ring)).expect("codec");
+        let mut back: EventRing = decode_from_slice(&encode_to_vec(&ring)).expect("codec");
+        assert!(back.adopt(&EventRing::new(4)), "the cursor fits the capacity");
         assert_eq!(back, ring);
         let a: Vec<&TraceEvent> = ring.iter().collect();
         let b: Vec<&TraceEvent> = back.iter().collect();

@@ -46,7 +46,7 @@ use crate::kernel::KernelDesc;
 use crate::observe::{EventRing, TraceEvent, TraceEventKind};
 use crate::preempt::{PreemptStats, SavedTb};
 use crate::tb::TbSlab;
-use crate::types::{per_kernel, Cycle, KernelId, PerKernel, SmId, TbIndex};
+use crate::types::{checked_sum, per_kernel, Cycle, KernelId, PerKernel, SmId, TbIndex};
 
 /// Per-kernel issue counters of one SM for one epoch.
 #[derive(Debug, Clone, Copy, Default)]
@@ -102,8 +102,8 @@ pub struct Sm {
     // Flattened mirror of each registered kernel's op body, which `issue`
     // reads at an op boundary for the body's length and the next op (the
     // op itself it reads from the warp's I-buffer, `WarpTable::op`).
-    // Written alongside `descs` in `set_kernel_desc`; derived and never
-    // encoded, refilled by `rebuild_derived`.
+    // Written alongside `descs` in `set_kernel_desc`, the one writer of
+    // both; never encoded.
     bodies: PerKernel<Vec<crate::kernel::Op>>,
 
     // A copy of the memory config consulted on the issue path, so it reads
@@ -241,16 +241,12 @@ impl Sm {
         sm
     }
 
-    /// Rebuilds every derived field that is not per-tick scratch from the
-    /// state it mirrors: `bodies` from `descs`, the stripe masks from the
-    /// geometry and each warp's I-buffer entry from its kernel's body at its
-    /// `pc`. Runs at the end of `Sm::new` and of every decode, so a decoded
-    /// SM issues correctly whether or not it went through `Gpu::restore`.
-    /// A hostile blob's kernel, `pc` or slot count is looked up with
-    /// `.get()` and left vacant; [`Sm::fits`] refuses such a blob afterwards.
+    /// Rebuilds the stripe masks from the geometry and each warp's I-buffer
+    /// entry from its kernel's body at its `pc`, at the end of `Sm::new` and
+    /// of [`Sm::adopt`]. A hostile blob's kernel, `pc` or slot count is
+    /// looked up with `.get()` and left vacant; [`Sm::warps_fit`] refuses
+    /// such a blob afterwards.
     fn rebuild_derived(&mut self) {
-        self.bodies =
-            per_kernel(|k| self.descs[k].as_ref().map_or(Vec::new(), |d| d.body().to_vec()));
         let scheds = usize::from(self.num_scheds).max(1);
         self.stride_masks = vec![0; scheds];
         let t = &mut self.warps;
@@ -266,28 +262,30 @@ impl Sm {
         }
     }
 
-    /// Whether this (decoded) SM can stand in for `built`, the SM
-    /// `Gpu::new` made for its slot: the same geometry, an L1 of the same
-    /// shape ([`Cache::fits`]), a flight recorder that fits
-    /// ([`EventRing::fits`]), kernel descriptions that pass
-    /// `KernelDesc::check`, and warps that fit ([`Sm::warps_fit`]).
-    pub(crate) fn fits(&self, built: &Sm) -> bool {
-        let geometry = |sm: &Sm| (sm.id, sm.num_scheds, sm.line_bytes, sm.trace_on);
-        geometry(self) == geometry(built)
-            && self.greedy.len() == built.greedy.len()
-            && self.l1.fits(&built.l1)
-            && self.events.fits(&built.events)
-            && self.descs.iter().flatten().all(|d| d.check().is_ok())
-            && self.warps_fit()
+    /// Makes this decoded SM, holding the kernel list's descriptions
+    /// (`set_kernel_desc`), stand in for `built`, the SM `Gpu::new` made for
+    /// its slot: takes what the configuration fixes (ids, geometry, the L1's
+    /// shape, the recorder's capacity), rebuilds the derived state, and
+    /// answers whether the decoded state fits: a greedy pick per scheduler,
+    /// an L1 with its lines, a recorder cursor in range, warps that fit.
+    pub(crate) fn adopt(&mut self, built: &Sm) -> bool {
+        (self.id, self.num_scheds, self.line_bytes, self.trace_on) =
+            (built.id, built.num_scheds, built.line_bytes, built.trace_on);
+        let fits = self.l1.adopt(&built.l1)
+            && self.events.adopt(&built.events)
+            && self.greedy.len() == built.greedy.len();
+        self.rebuild_derived();
+        fits && self.warps_fit()
     }
 
     /// The description this SM holds of kernel slot `k`, if any.
-    pub(crate) fn kernel_desc(&self, k: usize) -> Option<&KernelDesc> {
-        self.descs[k].as_deref()
+    #[cfg(test)]
+    pub(crate) fn kernel_desc(&self, k: usize) -> Option<&Arc<KernelDesc>> {
+        self.descs[k].as_ref()
     }
 
     /// Test-only backdoor: gives the SM one greedy pick more than it has
-    /// schedulers, a list [`Sm::fits`] must refuse on restore.
+    /// schedulers, a list [`Sm::adopt`] must refuse on restore.
     #[cfg(test)]
     pub(crate) fn add_greedy_pick_for_test(&mut self) {
         self.greedy.push(None);
@@ -300,6 +298,25 @@ impl Sm {
     pub(crate) fn set_first_seq_for_test(&mut self, seq: u64) {
         let slot = slots(self.warps.occupied.0).next().expect("a resident warp");
         self.warps.seq[slot] = seq;
+    }
+
+    /// Test-only backdoor: a warp slot past the table for the first TB.
+    #[cfg(test)]
+    pub(crate) fn claim_foreign_warp_for_test(&mut self) {
+        let slot = usize::from(self.tbs.iter_occupied().next().expect("a resident TB"));
+        self.tbs.warp_slots[slot].push(MAX_SLOTS as u16);
+    }
+
+    /// Test-only backdoor: a warp's threads off the occupancy count.
+    #[cfg(test)]
+    pub(crate) fn shrink_occupancy_for_test(&mut self) {
+        self.used_threads -= crate::WARP_SIZE;
+    }
+
+    /// Test-only backdoor: kernel 0's ALU lane tally at the top of a `u64`.
+    #[cfg(test)]
+    pub(crate) fn fill_alu_tally_for_test(&mut self) {
+        self.alu_thread_insts[0] = u64::MAX;
     }
 
     /// Test-only backdoor: counts every live warp of the first occupied TB
@@ -360,18 +377,72 @@ impl Sm {
             && self.saved.iter().all(|(_, tb)| tb.seqs_behind(clock))
     }
 
-    /// Whether every occupied TB slot counts at most its warps as retired
-    /// and fewer warps at its barrier than it has live ones: barrier
-    /// arrival subtracts the first from the warp count, and releases the
-    /// barrier once the second reaches the difference.
+    /// Whether every occupied TB owns its warp slots (hosted warps of its
+    /// kernel that point back at it), which barrier release and TB drain
+    /// walk unchecked, and counts at most them as retired and fewer at its
+    /// barrier than it has live ones: arrival subtracts the first from the
+    /// warp count and releases the barrier once the second reaches the
+    /// difference. Call after [`Sm::warps_fit`], which sizes the columns.
     pub(crate) fn tbs_fit(&self) -> bool {
-        let t = &self.tbs;
+        let (w, t) = (&self.warps, &self.tbs);
+        let owned = |slot: u16, ws: u16| {
+            usize::from(ws) < MAX_SLOTS
+                && w.is_occupied(ws)
+                && w.kernel[usize::from(ws)] == t.kernel[usize::from(slot)]
+                && w.tb_slot[usize::from(ws)] == slot
+        };
         t.iter_occupied().all(|slot| {
             let i = usize::from(slot);
             let warps = t.warp_slots[i].len();
             let done = usize::from(t.warps_done[i]);
-            done <= warps && usize::from(t.barrier_arrived[i]) < warps - done
+            t.warp_slots[i].iter().all(|&ws| owned(slot, ws))
+                && done <= warps
+                && usize::from(t.barrier_arrived[i]) < warps - done
         })
+    }
+
+    /// Whether the occupancy counters are what the resident TBs hold, every
+    /// one of a kernel with a description: `can_host` adds to the counters
+    /// and TB drain subtracts from them unchecked.
+    pub(crate) fn occupancy_fits(&self) -> bool {
+        let mut held = (0u64, 0u64, 0u64);
+        for slot in self.tbs.iter_occupied() {
+            let k = self.tbs.kernel[usize::from(slot)].index();
+            let Some(desc) = &self.descs[k] else { return false };
+            held.0 += u64::from(desc.threads_per_tb());
+            held.1 += desc.regfile_bytes_per_tb();
+            held.2 += desc.smem_per_tb();
+        }
+        held == (u64::from(self.used_threads), self.used_regs, self.used_smem)
+    }
+
+    /// Whether every count is one `clock` cycles reach: a busy cycle and an
+    /// idle sample per cycle up to the clock's own (a watchdog stop has
+    /// ticked it), a slot per scheduler per busy cycle, an issue per slot, a
+    /// warp's lanes per issue, each lane in at most one of the ALU, SFU and
+    /// shared-memory tallies, an exhaustion per issue, and a count per warp
+    /// per cycle (or idle sample) of quota blocking, scoreboard waits and
+    /// idle warps. The tick adds to them unchecked. Call after
+    /// [`Sm::adopt`], which sets the scheduler count.
+    pub(crate) fn counts_behind(&self, clock: Cycle) -> bool {
+        let (lanes, warps) = (u64::from(crate::WARP_SIZE), MAX_SLOTS as u64);
+        let cycles = clock.saturating_add(1);
+        self.busy_cycles <= cycles
+            && self.idle_samples <= cycles
+            && Some(self.issue_slots) == self.busy_cycles.checked_mul(u64::from(self.num_scheds))
+            && self.issued_total <= self.issue_slots
+            && checked_sum(self.counters.map(|c| c.warp_insts)) == Some(self.issued_total)
+            && (0..crate::MAX_KERNELS).all(|k| {
+                let c = self.counters[k];
+                let tallies =
+                    [self.alu_thread_insts[k], self.sfu_thread_insts[k], self.smem_accesses[k]];
+                c.thread_insts <= c.warp_insts.saturating_mul(lanes)
+                    && checked_sum(tallies).is_some_and(|t| t <= c.thread_insts)
+                    && self.quota_exhaustions[k] <= c.warp_insts
+                    && self.quota_blocked[k].max(self.scoreboard_waits[k])
+                        <= cycles.saturating_mul(warps)
+                    && self.idle_warp_acc[k] <= self.idle_samples.saturating_mul(warps)
+            })
     }
 
     /// This SM's identifier.
@@ -391,21 +462,18 @@ impl Sm {
 
 crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 
-// `bodies` (a mirror of `descs`), `stride_masks` (a function of the
-// geometry) and the warp table's I-buffer are derived: `rebuild_derived`
-// refills them as the decode ends. `live` is per-tick scratch, always
-// rebuilt before use, and `gate` a cache that a default value marks
-// unevaluated; `sleep` is `None` wherever a snapshot can be
-// taken (the machine wakes every SM before an epoch boundary's controller
-// call and on every exit of a run); `residency_moved` only unsettles a TB
-// scheduler that a restore leaves unsettled anyway. A decoded SM
-// therefore starts with default values for the last four.
+// What the configuration fixes and the kernel list's descriptions (with
+// their mirror `bodies`) are the receiver's: `Gpu::restore` hands them over
+// (`set_kernel_desc`, `adopt`), and `adopt` refills `stride_masks` and the
+// warp table's I-buffer. `live` is per-tick scratch, always rebuilt before
+// use, and `gate` a cache that a default value marks unevaluated; `sleep` is
+// `None` wherever a snapshot can be taken (the machine wakes every SM before
+// an epoch boundary's controller call and on every exit of a run);
+// `residency_moved` only unsettles a TB scheduler that a restore leaves
+// unsettled anyway. A decoded SM therefore starts with default values for
+// the last four.
 crate::impl_snap_struct!(Sm {
-    id,
-    num_scheds,
     l1,
-    descs,
-    line_bytes,
     used_threads,
     used_regs,
     used_smem,
@@ -434,7 +502,6 @@ crate::impl_snap_struct!(Sm {
     idle_warp_acc,
     idle_samples,
     preempt_stats,
-    trace_on,
     events,
     quota_blocked,
     quota_exhaustions,
@@ -442,10 +509,15 @@ crate::impl_snap_struct!(Sm {
     completed,
     saved,
 } skip {
+    id,
+    num_scheds,
+    line_bytes,
+    trace_on,
+    descs,
     bodies,
     live,
     gate,
     stride_masks,
     sleep,
     residency_moved
-} then rebuild_derived);
+});

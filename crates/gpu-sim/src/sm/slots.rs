@@ -321,26 +321,32 @@ impl Sm {
         if !self.tbs_fit() {
             return Err((
                 AuditKind::SlotAccounting,
-                "a TB counts more warps retired or at its barrier than it has".to_string(),
+                "a TB claims a warp it does not own, or counts more warps retired or at \
+                 its barrier than it has"
+                    .to_string(),
             ));
         }
-        let mut threads = 0u32;
-        let mut regs = 0u64;
-        let mut smem = 0u64;
+        if !self.counts_behind(now) {
+            return Err((
+                AuditKind::IssueBound,
+                format!("an issue or sampling count is past what {now} cycles allow"),
+            ));
+        }
+        let (threads, regs, smem) = (self.used_threads, self.used_regs, self.used_smem);
+        if !self.occupancy_fits() {
+            return Err((
+                AuditKind::Occupancy,
+                format!(
+                    "tracked occupancy {threads}t/{regs}r/{smem}s is not what the resident TBs \
+                     of registered kernels hold"
+                ),
+            ));
+        }
         let mut hosted = [0u16; MAX_KERNELS];
         let mut live_tbs = 0usize;
         for slot in self.tbs.iter_occupied() {
             let i = usize::from(slot);
             let k = self.tbs.kernel[i].index();
-            let Some(desc) = self.descs[k].as_ref() else {
-                return Err((
-                    AuditKind::SlotAccounting,
-                    format!("TB slot {slot} hosts unregistered kernel {k}"),
-                ));
-            };
-            threads += desc.threads_per_tb();
-            regs += desc.regfile_bytes_per_tb();
-            smem += desc.smem_per_tb();
             hosted[k] += 1;
             live_tbs += 1;
             let (want_active, want_loading) = match self.tbs.phase[i] {
@@ -349,15 +355,6 @@ impl Sm {
                 TbPhase::Saving(_) => (false, false),
             };
             for &ws in &self.tbs.warp_slots[i] {
-                let ok = self.warps.is_occupied(ws)
-                    && self.warps.kernel[usize::from(ws)] == self.tbs.kernel[i]
-                    && self.warps.tb_slot[usize::from(ws)] == slot;
-                if !ok {
-                    return Err((
-                        AuditKind::SlotAccounting,
-                        format!("TB slot {slot} claims warp slot {ws} it does not own"),
-                    ));
-                }
                 let is_active = self.warps.tb_active.0 & bit(ws) != 0;
                 let is_loading = self.warps.tb_loading.0 & bit(ws) != 0;
                 if (is_active, is_loading) != (want_active, want_loading) {
@@ -379,15 +376,6 @@ impl Sm {
                     "resident TBs need {threads} threads / {regs} reg bytes / {smem} smem \
                      bytes, limits are {MAX_THREADS} / {REGISTER_FILE_BYTES} / \
                      {SHARED_MEM_BYTES}"
-                ),
-            ));
-        }
-        if threads != self.used_threads || regs != self.used_regs || smem != self.used_smem {
-            return Err((
-                AuditKind::Occupancy,
-                format!(
-                    "tracked occupancy {}t/{}r/{}s != recomputed {threads}t/{regs}r/{smem}s",
-                    self.used_threads, self.used_regs, self.used_smem
                 ),
             ));
         }

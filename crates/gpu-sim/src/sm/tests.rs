@@ -944,14 +944,31 @@ fn dispatch_onto_a_sleeping_sm_issues_on_the_cycle_its_awake_twin_does() {
     assert_eq!(issue_cycles(true, true), awake, "sleeping with clock jumps");
 }
 
+/// `sm` and `mem` through their bytes, made to stand in for themselves as
+/// `Gpu::restore` makes a decoded machine stand in for the receiver: the
+/// kernel descriptions given back through `set_kernel_desc`, then the rest
+/// of the configuration adopted.
+fn decoded(sm: &Sm, mem: &MemSystem) -> (Sm, MemSystem) {
+    use crate::snap::{decode_from_slice, encode_to_vec};
+    let mut back: Sm = decode_from_slice(&encode_to_vec(sm)).expect("sm decodes");
+    for (k, desc) in sm.descs.iter().enumerate() {
+        if let Some(desc) = desc {
+            back.set_kernel_desc(KernelId::new(k), desc.clone());
+        }
+    }
+    assert!(back.adopt(sm), "a decoded SM fits its own configuration");
+    let mut back_mem: MemSystem = decode_from_slice(&encode_to_vec(mem)).expect("memsys decodes");
+    assert!(back_mem.adopt(mem), "a decoded memory system fits its own configuration");
+    (back, back_mem)
+}
+
 #[test]
 fn sm_decoded_from_a_snapshot_ticks_bit_identically() {
-    use crate::snap::{decode_from_slice, encode_to_vec};
+    use crate::snap::encode_to_vec;
     let mut live = Sleeper::new(false, false);
     live.run_to(1_234);
     let mut back = Sleeper::new(false, false);
-    back.sm = decode_from_slice(&encode_to_vec(&live.sm)).expect("sm decodes");
-    back.mem = decode_from_slice(&encode_to_vec(&live.mem)).expect("memsys decodes");
+    (back.sm, back.mem) = decoded(&live.sm, &live.mem);
     back.now = live.now;
     assert_eq!(back.sm.wake_counts(), (0, 0), "the wake queue is rebuilt, not decoded");
     for end in (1_300..3_000).step_by(100) {
@@ -967,10 +984,10 @@ fn sm_decoded_from_a_snapshot_ticks_bit_identically() {
 /// onto the decoded one before either ticks again, and steps both: every
 /// cycle they must encode alike and hold the same I-buffer for every warp
 /// that can still issue. The I-buffer is never encoded, so this holds only
-/// if the decode refills it from the kernel bodies and the dispatch fills
+/// if `Sm::adopt` refills it from the kernel bodies and the dispatch fills
 /// the new warps' entries from the description.
 fn decoded_twin_issues_like_the_live_sm(at: impl Fn(Cycle, &WarpTable) -> bool) {
-    use crate::snap::{decode_from_slice, encode_to_vec};
+    use crate::snap::encode_to_vec;
     let (mut live, mut mem, desc) = setup(vec![Op::alu(4, 3), Op::sfu(20, 1), Op::alu(2, 2)], 40);
     let k = KernelId::new(0);
     live.set_kernel_desc(k, desc);
@@ -981,8 +998,7 @@ fn decoded_twin_issues_like_the_live_sm(at: impl Fn(Cycle, &WarpTable) -> bool) 
         now += 1;
         assert!(now < 1_000, "the snapshot point comes inside the first TB's run");
     }
-    let mut back: Sm = decode_from_slice(&encode_to_vec(&live)).expect("sm decodes");
-    let mut back_mem: MemSystem = decode_from_slice(&encode_to_vec(&mem)).expect("memsys decodes");
+    let (mut back, mut back_mem) = decoded(&live, &mem);
     live.dispatch(k, TbIndex(1), None, now, 0);
     back.dispatch(k, TbIndex(1), None, now, 0);
     for t in now..now + 600 {
@@ -1089,8 +1105,11 @@ fn rollover_carry_keeps_surplus_discard_drops_it() {
 /// the policy byte and the per-scheduler round-robin cursors out of the
 /// encoded SM, with schema 10, which takes out the per-kernel
 /// preemption-save histograms, with schema 11, which takes out the
-/// quota-freeze and preemption-stall fault flags, and with schema 13, which
-/// takes out the SM's copies of the Table 1 limits and the L1 hit latency.
+/// quota-freeze and preemption-stall fault flags, with schema 13, which
+/// takes out the SM's copies of the Table 1 limits and the L1 hit latency,
+/// and with schema 14, which takes out what the configuration fixes (id,
+/// scheduler count, line size, trace switch, L1 geometry, ring capacity) and
+/// the SM's copies of the kernel descriptions.
 #[test]
 fn odd_scheduler_count_matches_pinned_digest() {
     use crate::snap::{encode_to_vec, fnv1a};
@@ -1136,5 +1155,5 @@ fn odd_scheduler_count_matches_pinned_digest() {
     ];
     assert_eq!(per_sched, [1788, 962, 935]);
     assert_eq!(counters, [3000, 9000, 112_768, 5152, 0]);
-    assert_eq!(digest, 0xf832_8f04_1441_8dae);
+    assert_eq!(digest, 0x9929_0446_f115_c8df);
 }

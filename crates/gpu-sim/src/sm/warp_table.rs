@@ -247,8 +247,7 @@ pub struct WarpTable {
     /// The I-buffer: the op at `pc` in the warp's kernel body, which
     /// `issue` reads instead of looking the body up. Derived and never
     /// encoded: `Sm::dispatch` writes it from the kernel's description,
-    /// `issue` whenever `pc` moves, and `Sm::rebuild_derived` after a
-    /// decode.
+    /// `issue` whenever `pc` moves, and `Sm::rebuild_derived` on restore.
     pub(crate) op: SlotColumn<Op>,
     // --- one-word bitmasks (bit = warp slot) ---
     pub(crate) occupied: SlotMask,

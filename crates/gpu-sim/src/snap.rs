@@ -402,18 +402,16 @@ impl<T: Snap> Snap for Box<T> {
 /// Must be invoked inside the module that can see the fields. An optional
 /// trailing `skip { .. }` block names fields that are *not* persisted; they
 /// decode as `Default::default()` (scratch that is empty between the
-/// simulator's public calls, which is the only place snapshots are taken).
-/// A derived field that must hold its value as soon as the struct exists
-/// is refilled by a post-decode step, `skip { .. } then method`: decoding
-/// ends in `value.method()`, which must not panic on any decoded value.
-/// A skipped field may carry attributes (`#[cfg(test)]` on a mutation switch).
+/// simulator's public calls, which is the only place snapshots are taken,
+/// or configuration a restore takes from the receiver). A skipped field may
+/// carry attributes (`#[cfg(test)]` on a mutation switch).
 #[macro_export]
 macro_rules! impl_snap_struct {
     ($ty:ty { $($field:tt),+ $(,)? }) => {
         $crate::impl_snap_struct!($ty { $($field),+ } skip {});
     };
     ($ty:ty { $($field:tt),+ $(,)? }
-        skip { $($(#[$attr:meta])* $scratch:ident),* $(,)? } $(then $post:ident)?) => {
+        skip { $($(#[$attr:meta])* $scratch:ident),* $(,)? }) => {
         impl $crate::snap::Snap for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
                 $($crate::snap::Snap::encode(&self.$field, out);)+
@@ -421,16 +419,10 @@ macro_rules! impl_snap_struct {
             fn decode(
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> Result<Self, $crate::snap::SnapError> {
-                let value = Self {
+                Ok(Self {
                     $($field: $crate::snap::Snap::decode(r)?,)+
                     $($(#[$attr])* $scratch: Default::default(),)*
-                };
-                $(let value = {
-                    let mut value = value;
-                    value.$post();
-                    value
-                };)?
-                Ok(value)
+                })
             }
         }
     };

@@ -40,7 +40,7 @@ impl fmt::Display for KernelId {
 }
 
 /// Identifier of a streaming multiprocessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SmId(pub(crate) u16);
 
 impl SmId {
@@ -82,6 +82,11 @@ crate::impl_snap_struct!(TbIndex { 0 });
 /// fixed arrays so the per-cycle issue loop performs no hashing or bounds
 /// churn beyond a constant-size array index.
 pub type PerKernel<T> = [T; crate::MAX_KERNELS];
+
+/// The sum of `xs`, or `None` where it overflows.
+pub(crate) fn checked_sum(xs: impl IntoIterator<Item = u64>) -> Option<u64> {
+    xs.into_iter().try_fold(0u64, u64::checked_add)
+}
 
 /// Builds a `PerKernel` array by calling `f` for each slot.
 pub fn per_kernel<T, F: FnMut(usize) -> T>(f: F) -> PerKernel<T> {

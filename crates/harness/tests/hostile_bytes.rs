@@ -135,18 +135,18 @@ fn machine_blobs(snapshot: &[u8]) -> Vec<std::ops::Range<usize>> {
 /// [`restore_fleet`] for a tampered copy `evil` of the snapshot `real`, whose
 /// `blobs` are [`machine_blobs`]. A copy tampered inside a machine blob is
 /// only restored: what `Gpu::restore` lets through is that decoder's to vet
-/// (`gpu_restore_survives_length_bombs`), and of a machine's tables only the
-/// SMs' geometry, the caches, the memory system's configuration, the flight
-/// recorders, the kernel descriptions, where each warp points (its op and
-/// its TB), how many memory ops each warp has drawn, each TB's retired and
-/// barrier counts, the fault plan's order and the last epoch's clock and
-/// totals are checked against the receiver yet (and kernel ids, as they
-/// decode). Of this drill's 9,183 windows inside machine blobs, none
-/// restores `Ok` and panics when stepped (18 in a dev build, which also
-/// traps overflowing counters): ROADMAP item 4, held as a ratchet by
-/// `count_machine_windows_that_restore_then_panic`. Schema 13 took 28 bytes
-/// out of every SM record, so the blobs and their window count shrank (from
-/// 9,203).
+/// (`gpu_restore_survives_length_bombs`). A machine blob holds state only
+/// (what the configuration fixes is the receiver's), and of its tables the
+/// caches' and queues' shape, the flight recorders, the kernel
+/// descriptions, where each warp points (its op and its TB), how many
+/// memory ops each warp has drawn, which warps each TB owns and its retired
+/// and barrier counts, each SM's occupancy and issue counts, the memory
+/// system's traffic counts, the fault plan's order and the last epoch's
+/// clock and totals are checked on restore (and kernel ids, as they
+/// decode). Of this drill's 9,020 windows inside machine blobs, none
+/// restores `Ok` and panics when stepped, in a release or a dev build:
+/// ROADMAP item 4, held as a ratchet by
+/// `count_machine_windows_that_restore_then_panic`.
 fn restore_fleet_window(blobs: &[std::ops::Range<usize>], real: &[u8], evil: &[u8]) {
     if real.len() != evil.len() || blobs.iter().any(|b| real[b.clone()] != evil[b.clone()]) {
         let _ = Fleet::restore(scenarios::chaos(99), evil);
@@ -166,12 +166,12 @@ fn fleet_restore_survives_length_bombs() {
 /// The census behind ROADMAP item 4's figure: of the drill's windows that
 /// fall inside an embedded machine blob, how many restore `Ok` and then panic
 /// when the fleet is stepped (each panic prints; the last line is the count).
-/// It is a ratchet: exactly 9,183 windows fall inside machine blobs, so a
-/// moved blob layout fails it, and none of them may panic (at most 18 in a
-/// dev build, whose overflow checks and debug assertions trip on what a
-/// release build carries on with), so a more permissive restore fails it
-/// too. Lower the ceiling when a fix lowers the count. Item 4 is done when this prints 0 and
-/// [`restore_fleet_window`]'s carve-out goes.
+/// It is a ratchet: exactly 9,020 windows fall inside machine blobs, so a
+/// moved blob layout fails it, and none of them may panic, in a release
+/// build or in a dev build (whose overflow checks and debug assertions trip
+/// on what a release build carries on with), so a more permissive restore
+/// fails it too. Item 4 is done when [`restore_fleet_window`]'s carve-out
+/// goes.
 #[test]
 #[ignore = "a measurement: cargo test --release -p harness --test hostile_bytes -- --ignored --nocapture"]
 fn count_machine_windows_that_restore_then_panic() {
@@ -185,9 +185,8 @@ fn count_machine_windows_that_restore_then_panic() {
         }
     }
     println!("{inside} windows inside machine blobs, {panicked} restore Ok and panic when stepped");
-    assert_eq!(inside, 9_183, "the machine blobs moved inside the fleet snapshot");
-    let ceiling = if cfg!(debug_assertions) { 18 } else { 0 };
-    assert!(panicked <= ceiling, "{panicked} windows restore Ok and panic (at most {ceiling})");
+    assert_eq!(inside, 9_020, "the machine blobs moved inside the fleet snapshot");
+    assert_eq!(panicked, 0, "windows that restore Ok and panic");
 }
 
 /// A queued request id one past the request table: `Fleet::restore` must
@@ -240,28 +239,31 @@ fn machine_blob(cfg: &GpuConfig) -> Vec<u8> {
 }
 
 /// Byte offset of SM 0's L1 in a serialized machine blob. Magic, version,
-/// fingerprint, payload length; cycle, SM count; SM 0 up to its L1: id and
-/// scheduler count.
-const L1_AT: usize = (4 + 4 + 8 + 8) + (8 + 8) + (2 + 2);
+/// fingerprint, payload length; cycle, SM count. An SM record starts with
+/// its L1: what the configuration fixes before it is not on the wire.
+const L1_AT: usize = (4 + 4 + 8 + 8) + (8 + 8);
 
-/// A bombed `sets` or `ways` decodes (both are plain `usize`s), and the
-/// restored L1 would index past its lines on the first access:
-/// `Gpu::restore` must refuse the cache for not fitting the machine.
+/// A bombed line count fails to decode, and an L1 one line short decodes
+/// but would index past its lines on the first access to its last set:
+/// `Gpu::restore` must refuse both.
 #[test]
 fn gpu_restore_refuses_a_cache_that_does_not_fit_the_machine() {
     let cfg = GpuConfig::tiny();
     let blob = machine_blob(&cfg);
     let lines = cfg.mem.l1_bytes / u64::from(cfg.mem.line_bytes);
-    let sets_at = L1_AT + 8 + 8 * lines as usize;
-    let ways_at = sets_at + 8;
     assert_eq!(word(&blob, L1_AT), lines, "the L1's line count");
-    assert_eq!(word(&blob, sets_at), lines / u64::from(cfg.mem.l1_ways), "its sets");
-    assert_eq!(word(&blob, ways_at), u64::from(cfg.mem.l1_ways), "its ways");
-    for at in [sets_at, ways_at] {
-        let bombed = bombed(&blob, at);
-        let evil = SnapshotBlob::from_bytes(&bombed).expect("the framing is untouched");
+    let short = {
+        let mut short = blob.clone();
+        short.drain(L1_AT + 8..L1_AT + 16);
+        short[L1_AT..L1_AT + 8].copy_from_slice(&(lines - 1).to_le_bytes());
+        let payload = word(&blob, 16) - 8;
+        short[16..24].copy_from_slice(&payload.to_le_bytes());
+        short
+    };
+    for evil in [bombed(&blob, L1_AT), short] {
+        let evil = SnapshotBlob::from_bytes(&evil).expect("the framing is intact");
         let refused = Gpu::new(cfg.clone()).restore(&evil);
-        assert!(matches!(refused, Err(SnapshotError::Corrupt(_))), "byte {at}: {refused:?}");
+        assert!(matches!(refused, Err(SnapshotError::Corrupt(_))), "{refused:?}");
     }
 }
 
@@ -272,16 +274,11 @@ fn gpu_restore_refuses_a_cache_that_does_not_fit_the_machine() {
 fn gpu_restore_refuses_a_warp_of_a_kernel_past_the_last_slot() {
     let cfg = GpuConfig::tiny();
     let blob = machine_blob(&cfg);
-    // After the L1 (a word per line, sets, ways, shift and clock, two
-    // counters): the per-kernel descriptions, the line size and three
-    // occupancy counters, then the warp table, whose first column is `kernel`.
+    // After the L1 (a word per line, the clock, two counters), three
+    // occupancy counters, then the warp table, whose first column is
+    // `kernel`.
     let lines = (cfg.mem.l1_bytes / u64::from(cfg.mem.line_bytes)) as usize;
-    let descs = [Some("sgemm"), Some("lbm"), None, None]
-        .map(|name| name.map(|n| workloads::by_name(n).expect("known workload")));
-    let kernel_at = L1_AT
-        + (8 + 8 * lines + 8 + 8 + 4 + 4 + 8 + 8)
-        + gpu_sim::snap::encode_to_vec(&descs).len()
-        + (4 + 4 + 8 + 8);
+    let kernel_at = L1_AT + (8 + 8 * lines + 4 + 16) + (4 + 8 + 8);
     assert_eq!(
         word(&blob, kernel_at),
         u64::from(gpu_sim::config::MAX_WARPS),

@@ -57,11 +57,10 @@ impl Default for QosSpec {
 /// Captures the OS-level accounting that precedes architectural QoS
 /// management: the application's deadline minus data-transfer and queueing
 /// time gives the kernel-execution budget, which together with the predicted
-/// instruction count yields the IPC goal.
+/// instruction count yields the IPC goal at the core clock
+/// ([`gpu_sim::config::CORE_MHZ`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoalTranslation {
-    /// GPU core clock in MHz.
-    pub core_mhz: u32,
     /// Predicted total (thread-level) instructions of the kernel. In data
     /// centres this is stable and predictable across invocations (§3.2).
     pub kernel_instructions: u64,
@@ -75,9 +74,8 @@ pub struct GoalTranslation {
 
 impl GoalTranslation {
     /// Translation for a unified-memory system (no transfer cost).
-    pub fn unified(core_mhz: u32, kernel_instructions: u64) -> Self {
+    pub fn unified(kernel_instructions: u64) -> Self {
         GoalTranslation {
-            core_mhz,
             kernel_instructions,
             transfer_bytes: 0,
             pcie_bytes_per_us: 0.0,
@@ -105,7 +103,7 @@ impl GoalTranslation {
         if budget_us <= 0.0 {
             return None;
         }
-        let budget_cycles = budget_us * f64::from(self.core_mhz);
+        let budget_cycles = budget_us * f64::from(gpu_sim::config::CORE_MHZ);
         Some(self.kernel_instructions as f64 / budget_cycles)
     }
 
@@ -331,14 +329,14 @@ mod tests {
 
     #[test]
     fn unified_memory_has_no_overhead() {
-        let t = GoalTranslation::unified(1216, 1_000_000);
+        let t = GoalTranslation::unified(1_000_000);
         assert_eq!(t.overhead_us(), 0.0);
     }
 
     #[test]
     fn deadline_translation_matches_formula() {
         // 1216 MHz, 1e9 instructions, 16.667 ms budget -> IPC = 1e9 / (16667 * 1216)
-        let t = GoalTranslation::unified(1216, 1_000_000_000);
+        let t = GoalTranslation::unified(1_000_000_000);
         let ipc = t.ipc_goal_for_deadline(16_667.0).expect("feasible deadline");
         let expect = 1e9 / (16_667.0 * 1216.0);
         assert!((ipc - expect).abs() < 1e-9);
@@ -346,7 +344,7 @@ mod tests {
 
     #[test]
     fn rate_is_deadline_reciprocal() {
-        let t = GoalTranslation::unified(1216, 1_000_000_000);
+        let t = GoalTranslation::unified(1_000_000_000);
         let by_rate = t.ipc_goal_for_rate(60.0).expect("feasible rate");
         let by_deadline = t.ipc_goal_for_deadline(1e6 / 60.0).expect("feasible deadline");
         assert!((by_rate - by_deadline).abs() < 1e-9);
@@ -354,7 +352,7 @@ mod tests {
 
     #[test]
     fn transfer_overhead_shrinks_budget() {
-        let mut t = GoalTranslation::unified(1216, 1_000_000_000);
+        let mut t = GoalTranslation::unified(1_000_000_000);
         let base = t.ipc_goal_for_deadline(10_000.0).expect("feasible");
         t.transfer_bytes = 100 << 20; // 100 MiB
         t.pcie_bytes_per_us = 16_000.0; // ~16 GB/s
@@ -364,7 +362,7 @@ mod tests {
 
     #[test]
     fn infeasible_deadline_is_none() {
-        let mut t = GoalTranslation::unified(1216, 1_000);
+        let mut t = GoalTranslation::unified(1_000);
         t.fixed_latency_us = 50.0;
         assert_eq!(t.ipc_goal_for_deadline(40.0), None);
         assert_eq!(t.ipc_goal_for_rate(0.0), None);

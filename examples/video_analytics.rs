@@ -22,7 +22,6 @@ fn main() {
     // 1216 MHz; instruction count comes from the kernel model.)
     let insts_per_frame = u64::from(frame_kernel.grid_tbs()) * frame_kernel.thread_insts_per_tb();
     let translation = GoalTranslation {
-        core_mhz: fgqos::sim::config::CORE_MHZ,
         kernel_instructions: insts_per_frame,
         transfer_bytes: 1920 * 1080 * 4,
         pcie_bytes_per_us: 16_000.0, // ~16 GB/s effective PCIe 3.0 x16

@@ -418,7 +418,13 @@ fn golden_scenario_survives_snapshot_restore() {
 /// configuration into the payload. Schema 13 is 472 bytes under schema 12:
 /// 28 bytes of Table 1 limits and L1 hit latency on each of 16 SMs, and
 /// the memory system's six latencies, ways and service rate (24 bytes),
-/// all constants now.
+/// all constants now. Schema 14 is 5,360 bytes under schema 13: on each of
+/// 16 SMs, 33 bytes of what the configuration fixes (id, scheduler count,
+/// line size, trace switch, the L1's sets, ways and shift, the ring's
+/// capacity) and 288 of its copies of the three kernel descriptions, which
+/// the kernel list already holds; and 224 machine-wide (the four L2 slices'
+/// geometry, the memory configuration, the eight queues' rates, the
+/// machine ring's capacity and the sampling interval).
 #[test]
 fn warmed_trio_payload_size_is_pinned() {
     let cfg = GpuConfig::paper_table1();
@@ -430,7 +436,7 @@ fn warmed_trio_payload_size_is_pinned() {
         .with_kernel(q2, QosSpec::qos(20.0))
         .with_kernel(be, QosSpec::best_effort());
     gpu.run(3 * cfg.epoch_cycles, &mut manager);
-    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 744_254);
+    assert_eq!(gpu.snapshot().expect("epoch-aligned").payload_len(), 738_894);
 }
 
 // ----------------------------------------------------------------------
@@ -656,7 +662,9 @@ fn enum_wire_bytes_are_pinned() {
     // sets, ways, then line_shift and clock as `u32`s, hits, misses.
     let mut cache = fgqos::sim::cache::Cache::new(64, 1, 32);
     cache.access(0x60);
+    // Its lines (their count, a word each), its clock and its two counters;
+    // the geometry is the configuration's, not the wire's.
     let words = |le: &[u64]| tagged(0, le)[1..].to_vec();
-    let shift_and_clock = vec![5, 0, 0, 0, 1, 0, 0, 0];
-    pin(&cache, &[words(&[2, 0, 1 << 32 | 1, 2, 1]), shift_and_clock, words(&[0, 1])].concat());
+    let clock = vec![1, 0, 0, 0];
+    pin(&cache, &[words(&[2, 0, 1 << 32 | 1]), clock, words(&[0, 1])].concat());
 }
