@@ -143,24 +143,15 @@ impl FleetFault {
 
 gpu_sim::impl_snap_struct!(FleetFault { at_cycle, device, kind });
 
-/// Device epoch length, in cycles; the per-device watchdog window is two
-/// epochs.
+/// Device epoch length, in cycles.
 pub const EPOCH_CYCLES: u64 = 1_000;
 
-/// The watchdog window each device runs with (two epochs, matching the
-/// harness's sweep configuration).
-pub const WATCHDOG_WINDOW: u64 = 2 * EPOCH_CYCLES;
-
-/// Fleet scheduler tick, in cycles. A multiple of the watchdog window, so
-/// every busy device sits at an epoch boundary — and is therefore
-/// snapshottable — at tick boundaries, and at least two windows long: the
-/// device watchdog re-arms on every `try_run` call, so a call must span a
-/// full window *beyond* the first check point for a stalled device to ever
-/// be classified (the same floor the harness applies to its sweep chunks).
+/// Fleet scheduler tick, in cycles. A multiple of the epoch, so every busy
+/// device sits at an epoch boundary — and is therefore snapshottable — at
+/// tick boundaries.
 pub const TICK_CYCLES: u64 = 4_000;
 
-const _: () =
-    assert!(TICK_CYCLES.is_multiple_of(WATCHDOG_WINDOW) && TICK_CYCLES >= 2 * WATCHDOG_WINDOW);
+const _: () = assert!(TICK_CYCLES.is_multiple_of(EPOCH_CYCLES));
 
 /// Bounded retry budget per request (timeouts and device failures).
 pub const MAX_RETRIES: u32 = 3;
@@ -348,7 +339,7 @@ impl FleetConfig {
         cfg.mem.l2_bytes = u64::from(spec.l2_kb) * 1024;
         cfg.epoch_cycles = EPOCH_CYCLES;
         cfg.samples_per_epoch = 10;
-        cfg.health.watchdog_window = WATCHDOG_WINDOW;
+        cfg.health.watchdog = true;
         cfg
     }
 

@@ -1,9 +1,9 @@
 //! The fleet proper: many simulated GPUs behind one cluster scheduler.
 //!
 //! Execution is tick-based. One tick = [`TICK_CYCLES`] device
-//! cycles, a multiple of the per-device watchdog window, so every busy
-//! device sits at an epoch boundary — and is therefore snapshottable — at
-//! every tick boundary. Each tick:
+//! cycles, a multiple of the device epoch, so every busy device sits at an
+//! epoch boundary — and is therefore snapshottable — at every tick
+//! boundary. Each tick:
 //!
 //! 1. **arrivals** are collected from every tenant stream (deterministic,
 //!    per-tenant seeded) and pass **admission control**: best-effort
@@ -60,12 +60,12 @@ use crate::placement::DeviceView;
 use crate::request::{Request, RequestState, ShedReason};
 
 /// Schema version of the fleet snapshot encoding; [`Fleet::restore`]
-/// refuses any other. v8 embeds schema-14 device blobs, and a migration
+/// refuses any other. v9 embeds schema-15 device blobs, and a migration
 /// checkpoint is its blob alone: the clock and the migration class it used to
 /// restate are the blob's own cycle and header fingerprint. Each tenant's
 /// completed and migrated counts, latency sum and worst latency are read from
 /// its histograms (DESIGN.md §16.2).
-pub const FLEET_SNAPSHOT_VERSION: u32 = 8;
+pub const FLEET_SNAPSHOT_VERSION: u32 = 9;
 
 /// Ring capacity of the fleet's tick-sampled counter time series. Large
 /// enough that every shipped scenario (at most 1,500 ticks; the diurnal soak
@@ -1684,10 +1684,9 @@ mod tests {
         // tick; the device is lost later in the same tick. The fix under
         // test: the device fate must be recorded BEFORE accounting, yet the
         // completion that beat the fault still counts — no eviction, no
-        // retry, no laundering of the sticky fault. A wedge cannot stand in
-        // for the loss here: a tick spans two watchdog windows and its one
-        // check compares with the tick's start, so a wedge is classified
-        // only in a tick in which nothing issued, and nothing completed.
+        // retry, no laundering of the sticky fault. A loss fires on its own
+        // cycle; a wedge would be classified only at the edge that closes its
+        // second idle epoch.
         let cfg = FleetConfig {
             classes: vec![DeviceClass::small(1)],
             placement: Placement::Binpack,
@@ -2008,11 +2007,11 @@ mod tests {
     /// that placed them. Between them the five runs reach all three
     /// placements, all four migration reasons and the fallbacks, so a
     /// scheduler change that moves any decision moves a digest. Re-pin only
-    /// for a change that means to move them. Fleet snapshot version 8 moved
-    /// every snapshot digest and no report digest: each embedded device blob
-    /// lost what the configuration fixes and its SMs' copies of the kernel
-    /// descriptions, each migration checkpoint the clock and class its blob
-    /// restates, and each tenant the four counts its histograms hold.
+    /// for a change that means to move them. Fleet snapshot version 9 moved
+    /// every snapshot digest and no report digest: the two schema versions
+    /// and each device configuration's fingerprint (its watchdog setting
+    /// became a switch) are in the bytes, and a device blob now holds its
+    /// last epoch's idle flag whether or not it traces.
     #[test]
     fn scenario_reports_and_snapshots_are_pinned() {
         use gpu_sim::snap::fnv1a;
@@ -2023,9 +2022,9 @@ mod tests {
                 12,
                 [
                     0xf7f9_2cb5_3487_5f55,
-                    0xd1d7_24bf_b659_cc10,
+                    0x44ab_2c15_080f_cf67,
                     0x46eb_52cb_c9b0_9981,
-                    0x08fc_afcf_d610_1ff2,
+                    0x8b9a_6d7f_c269_c9d5,
                 ],
             ),
             (
@@ -2033,9 +2032,9 @@ mod tests {
                 7,
                 [
                     0x4c2a_6721_bb88_1b87,
-                    0xa6e4_12fc_fcdf_cba2,
+                    0x07e3_948e_6fa1_8df5,
                     0xd87e_59ed_3295_a6c8,
-                    0x5596_1d49_6f63_3f3f,
+                    0x59d8_a6ff_42ab_3a48,
                 ],
             ),
             (
@@ -2043,9 +2042,9 @@ mod tests {
                 10,
                 [
                     0xe2b5_54a6_7c71_d5ba,
-                    0x26b7_b0b6_004c_6a7d,
+                    0xd779_8f99_34d5_48e0,
                     0x656f_424e_b3a3_831d,
-                    0x33b1_dab4_3114_98f1,
+                    0x8af7_edf5_5f09_8c22,
                 ],
             ),
             (
@@ -2053,9 +2052,9 @@ mod tests {
                 8,
                 [
                     0x6454_3830_9a98_c3b4,
-                    0x5b56_3c76_1ac1_128b,
+                    0x1111_d597_9811_5728,
                     0x775c_2960_274f_f97e,
-                    0x429d_be55_ea4a_01ae,
+                    0x662c_362d_3679_d161,
                 ],
             ),
             (
@@ -2063,9 +2062,9 @@ mod tests {
                 177,
                 [
                     0x4677_8130_fbf8_cccc,
-                    0x3367_8d7c_c2ed_63ab,
+                    0xa140_c35c_75a0_be60,
                     0x37ac_4b01_d5cb_923a,
-                    0x8060_ec60_57c2_402b,
+                    0x1ebc_414c_8bb9_c47a,
                 ],
             ),
         ];

@@ -81,7 +81,10 @@ pub struct Gpu {
     ff_skipped: Cycle,
     trace_on: bool,
     events: EventRing,
-    was_idle: bool,
+    /// Whether the last closed epoch issued nothing while kernels were
+    /// launched: the watchdog's memory of the epoch before the closing one,
+    /// and the state behind the `IdleStart` / `IdleEnd` events.
+    last_epoch_idle: bool,
     // Host-work counts; deterministic, but they describe how this process
     // stepped the machine, not the machine, so they stay out of snapshots,
     // digests and the counter registry.
@@ -112,7 +115,7 @@ impl Gpu {
             ff_skipped: 0,
             trace_on: cfg.trace.is_on(),
             events: cfg.trace.ring(),
-            was_idle: false,
+            last_epoch_idle: false,
             work: WorkCounters::default(),
             cycle: 0,
             cfg,
@@ -156,13 +159,16 @@ impl Gpu {
     /// the rest fire on their cycle. Thaws every SM: a wedge belongs to the
     /// sick device a plan describes, not to the workload, so a machine
     /// restored from a wedged device's blob and given the receiver's plan
-    /// runs on healthy silicon (DESIGN.md §16.1). Call it between runs: a
-    /// run reads its first pending fault at entry, so a plan a controller
-    /// installs mid-run does not move that run's fault edge.
+    /// runs on healthy silicon (DESIGN.md §16.1). For the same reason it
+    /// forgets an idle epoch the wedge left behind, which would otherwise
+    /// have the watchdog trip the receiver at its first edge. Call it
+    /// between runs: a run reads its first pending fault at entry, so a plan
+    /// a controller installs mid-run does not move that run's fault edge.
     pub fn set_fault_plan(&mut self, mut plan: FaultPlan) {
         plan.faults.sort_by_key(|f| f.at_cycle);
         self.fault_cursor = plan.faults.iter().take_while(|f| f.at_cycle < self.cycle).count();
         self.faults = plan;
+        self.last_epoch_idle = false;
         for sm in &mut self.sms {
             sm.clear_fault_effects();
         }
@@ -202,13 +208,14 @@ impl Gpu {
     ///
     /// # Errors
     ///
-    /// [`SimError::Watchdog`] when no instruction issues machine-wide for a
-    /// full watchdog window while kernels are resident;
-    /// [`SimError::Audit`] when audit mode finds a violated invariant at an
-    /// epoch boundary;
+    /// [`SimError::Watchdog`] at an epoch edge that closes the second
+    /// consecutive epoch in which no instruction issued machine-wide while
+    /// kernels are launched; [`SimError::Audit`] when audit mode finds a
+    /// violated invariant at an epoch edge. Both leave `self` on that edge
+    /// with nothing of it done, so the state can be inspected or
+    /// snapshotted, and running it on fails again at once.
     /// [`SimError::DeviceLost`] when a [`FaultKind::DeviceLoss`] fault
-    /// fires. On error `self` is left at the failing cycle so the state can
-    /// be inspected.
+    /// fires, leaving `self` at that cycle.
     pub fn try_run(&mut self, cycles: Cycle, ctrl: &mut dyn Controller) -> Result<(), SimError> {
         let outcome = self.run_until(self.cycle + cycles, ctrl);
         // Every way out, `Err` included, leaves the SMs awake with nothing
@@ -227,19 +234,11 @@ impl Gpu {
     }
 
     fn run_until(&mut self, end: Cycle, ctrl: &mut dyn Controller) -> Result<(), SimError> {
-        let window = self.cfg.health.watchdog_window;
-        let mut last_progress_cycle = self.cycle;
-        let mut last_issued = self.total_issued();
-        // checked_div: window == 0 disables the watchdog entirely.
-        let mut next_check = match self.cycle.checked_div(window) {
-            Some(windows_elapsed) => (windows_elapsed + 1) * window,
-            None => Cycle::MAX,
-        };
-        // The periodic edges are cycles, like `next_check`: each starts at
-        // the first multiple of its period at or after the entry cycle and
-        // moves one period on when reached. The clock never passes one
-        // (`jump_target` clamps to it), so an executed cycle compares where
-        // it would otherwise divide by a runtime period (DESIGN.md §3.1).
+        // The periodic edges are cycles: each starts at the first multiple
+        // of its period at or after the entry cycle and moves one period on
+        // when reached. The clock never passes one (`jump_target` clamps to
+        // it), so an executed cycle compares where it would otherwise divide
+        // by a runtime period (DESIGN.md §3.1).
         // The pending fault is an edge too, read at entry and again after
         // every fault applied.
         let mut next_epoch = self.cycle.next_multiple_of(self.cfg.epoch_cycles);
@@ -264,14 +263,13 @@ impl Gpu {
             }
             if now == next_epoch {
                 next_epoch += self.cfg.epoch_cycles;
-                // Epoch accounting and the controller read every counter and
-                // write quotas; a snapshot taken in there sees no sleep state.
+                // The health verdict, epoch accounting and the controller
+                // read every counter, and the controller writes quotas; a
+                // snapshot taken in there sees no sleep state.
                 self.wake_sms(now);
+                self.judge_epoch(now)?;
                 self.record(now, TraceEventKind::EpochBoundary { epoch: self.epoch_index });
                 self.finish_epoch(now);
-                if self.cfg.health.audit {
-                    self.audit_epoch(now)?;
-                }
                 ctrl.on_epoch(self, self.epoch_index);
                 self.epoch_index += 1;
                 for sm in &mut self.sms {
@@ -312,22 +310,9 @@ impl Gpu {
                     sm.sample_idle_warps(now);
                 }
             }
-            if now >= next_check {
-                let issued = self.total_issued();
-                if issued > last_issued {
-                    last_issued = issued;
-                    last_progress_cycle = now;
-                } else if !self.kernels.is_empty() {
-                    let mut report = self.health_report();
-                    report.window = window;
-                    report.last_progress_cycle = last_progress_cycle;
-                    return Err(SimError::Watchdog(Box::new(report)));
-                }
-                next_check += window;
-            }
             self.cycle += 1;
             if horizon > self.cycle {
-                let edge = end.min(next_epoch).min(next_sample).min(next_check).min(next_fault);
+                let edge = end.min(next_epoch).min(next_sample).min(next_fault);
                 let target = self.jump_target(horizon, edge);
                 let skipped = target - self.cycle;
                 self.ff_skipped += skipped;
@@ -345,13 +330,12 @@ impl Gpu {
     /// `horizon` is clamped so that every externally observable event still
     /// fires on its exact cycle. `edge` is the nearest of the run loop's
     /// tracked edges, each at or after `self.cycle`: the end of the run, the
-    /// next epoch boundary, the next idle-warp sampling tick, the
-    /// watchdog's `next_check` and the first still-pending fault. Clamped
-    /// here is the next `DISPATCH_INTERVAL` service point whenever the TB
-    /// scheduler is not settled ([`TbScheduler::settled`]: an input changed
-    /// since its last pass). The memory system
-    /// contributes no horizon: transaction completions are computed eagerly
-    /// at access time and carried by warp scoreboards (see
+    /// next epoch boundary, the next idle-warp sampling tick and the first
+    /// still-pending fault. Clamped here is the next `DISPATCH_INTERVAL`
+    /// service point whenever the TB scheduler is not settled
+    /// ([`TbScheduler::settled`]: an input changed since its last pass). The
+    /// memory system contributes no horizon: transaction completions are
+    /// computed eagerly at access time and carried by warp scoreboards (see
     /// [`MemSystem::serve`]). None of the clamps lies behind `self.cycle`; a
     /// result equal to it means "simulate the very next cycle".
     ///
@@ -402,15 +386,43 @@ impl Gpu {
         self.sms.iter().map(Sm::issued_total).sum()
     }
 
-    /// Checks machine-wide and per-SM invariants; called at epoch
-    /// boundaries when [`crate::HealthConfig::audit`] is set.
-    fn audit_epoch(&self, now: Cycle) -> Result<(), SimError> {
-        let snap = &self.epoch_snapshot;
-        let bound = snap.cycles
+    /// The health layer's verdict on the epoch closing at `now`, the first
+    /// thing its edge does: nothing of the edge has happened and no SM has
+    /// stepped `now`, so a machine stopped here is an epoch-boundary state
+    /// like any other, and run on it reaches the same verdict again.
+    ///
+    /// The watchdog trips when the closing epoch and the one before it
+    /// issued nothing while kernels are launched. Every op has at least one
+    /// lane, so thread instructions stand still exactly when no warp
+    /// issues; the verdict reads only machine state, so it does not depend
+    /// on how the run was split into calls.
+    fn judge_epoch(&self, now: Cycle) -> Result<(), SimError> {
+        let health = self.cfg.health;
+        let totals = self.kernel_totals();
+        if health.watchdog
+            && self.last_epoch_idle
+            && !self.kernels.is_empty()
+            && totals == self.last_totals
+        {
+            let mut report = self.health_report();
+            report.window = 2 * self.cfg.epoch_cycles;
+            report.last_progress_cycle = now.saturating_sub(report.window);
+            return Err(SimError::Watchdog(Box::new(report)));
+        }
+        if health.audit {
+            self.audit_epoch(now, &totals)?;
+        }
+        Ok(())
+    }
+
+    /// Checks machine-wide and per-SM invariants, the closing epoch's
+    /// issue bound from the clock and totals it ends with.
+    fn audit_epoch(&self, now: Cycle, totals: &PerKernel<u64>) -> Result<(), SimError> {
+        let bound = (now - self.last_epoch_cycle)
             * u64::from(self.cfg.num_sms)
             * u64::from(self.cfg.warp_schedulers)
             * u64::from(crate::WARP_SIZE);
-        let issued: u64 = snap.thread_insts.iter().sum();
+        let issued: u64 = totals.iter().zip(&self.last_totals).map(|(t, last)| t - last).sum();
         if issued > bound {
             return Err(SimError::Audit(AuditViolation {
                 cycle: now,
@@ -418,7 +430,7 @@ impl Gpu {
                 kind: AuditKind::IssueBound,
                 detail: format!(
                     "epoch {} retired {issued} thread insts, hardware bound is {bound}",
-                    snap.epoch
+                    self.epoch_index
                 ),
             }));
         }
@@ -491,7 +503,7 @@ impl Gpu {
             .collect();
         HealthReport {
             cycle: now,
-            window: self.cfg.health.watchdog_window,
+            window: 0,
             last_progress_cycle: now,
             total_issued: self.total_issued(),
             kernels,
@@ -540,17 +552,17 @@ impl Gpu {
         self.last_totals = totals;
         self.last_epoch_cycle = now;
         self.epoch_snapshot = snap;
-        // Watchdog-relevant idle transitions: an epoch that retired nothing
-        // while kernels were resident marks the machine as idle; the first
-        // productive epoch after that ends the idle spell. Both edges land
-        // on epoch boundaries, which fast-forward never skips, so traced
-        // runs stay bit-identical across the fast-forward toggle.
-        if self.trace_on && now > 0 && !self.kernels.is_empty() {
+        // An epoch that retired nothing while kernels were launched marks
+        // the machine idle, for the watchdog's next verdict; the first
+        // productive epoch after that ends the idle spell. Both transitions
+        // land on epoch boundaries, which fast-forward never skips, so
+        // traced runs stay bit-identical across the fast-forward toggle.
+        if now > 0 && !self.kernels.is_empty() {
             let idle = self.epoch_snapshot.thread_insts.iter().sum::<u64>() == 0;
-            if idle != self.was_idle {
+            if idle != self.last_epoch_idle {
                 let kind = if idle { TraceEventKind::IdleStart } else { TraceEventKind::IdleEnd };
                 self.record(now, kind);
-                self.was_idle = idle;
+                self.last_epoch_idle = idle;
             }
         }
     }
@@ -841,9 +853,8 @@ impl Gpu {
     /// of `epoch_cycles`, including cycle 0) — the one point where no
     /// intra-epoch loop state is implicit in the call stack, so a restored
     /// machine continues bit-identically to one that never stopped. The
-    /// watchdog and epoch audits also fire only on such cycles (the harness
-    /// sizes the watchdog window as a multiple of the epoch), so failure
-    /// states are snapshot-legal too.
+    /// watchdog and the audits stop a run on such a cycle, before its edge,
+    /// so failure states are snapshot-legal too.
     ///
     /// # Errors
     ///
@@ -875,7 +886,7 @@ impl Gpu {
         self.fault_cursor.encode(&mut out);
         self.ff_skipped.encode(&mut out);
         self.events.encode(&mut out);
-        self.was_idle.encode(&mut out);
+        self.last_epoch_idle.encode(&mut out);
         let payload_len = (out.len() - BLOB_HEADER_BYTES) as u64;
         out[BLOB_HEADER_BYTES - 8..BLOB_HEADER_BYTES].copy_from_slice(&payload_len.to_le_bytes());
         Ok(SnapshotBlob {
@@ -947,7 +958,7 @@ impl Gpu {
         let fault_cursor = usize::decode(&mut r)?;
         let ff_skipped = Cycle::decode(&mut r)?;
         let mut events = EventRing::decode(&mut r)?;
-        let was_idle = bool::decode(&mut r)?;
+        let last_epoch_idle = bool::decode(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
                 "trailing bytes in snapshot payload",
@@ -1020,7 +1031,7 @@ impl Gpu {
         self.fault_cursor = fault_cursor;
         self.ff_skipped = ff_skipped;
         self.events = events;
-        self.was_idle = was_idle;
+        self.last_epoch_idle = last_epoch_idle;
         Ok(())
     }
 }
@@ -1077,14 +1088,17 @@ const HEALTH_REPORT_EVENTS: usize = 32;
 
 /// Version of the snapshot payload layout. Bumped whenever the set, order,
 /// or encoding of snapshotted fields changes; [`Gpu::restore`] refuses
-/// blobs from any other version. Version 14 holds state only: what the
+/// blobs from any other version. A blob holds state only: what the
 /// configuration fixes (each SM's geometry, the caches' shape, the queues'
 /// rates, the recorders' capacity, the sampling interval) and the SMs'
 /// copies of the kernel list's descriptions are the receiver's, taken on
 /// restore (DESIGN.md §11.1).
+/// Version 15 keeps the last-epoch idle flag whether or not tracing is on
+/// (the watchdog reads it); a version-14 blob taken untraced holds `false`
+/// for an idle epoch.
 /// The run loop's [`WorkCounters`] are deliberately absent: they count how
 /// this process stepped the machine, not the machine.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 14;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 15;
 
 /// Leading magic of a serialized [`SnapshotBlob`].
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FGQS";
@@ -1464,7 +1478,7 @@ mod tests {
     #[test]
     fn watchdog_stays_silent_while_progressing() {
         let mut cfg = GpuConfig::tiny();
-        cfg.health.watchdog_window = 1_000;
+        cfg.health.watchdog = true;
         let mut gpu = Gpu::new(cfg);
         gpu.launch(compute_kernel("c"));
         gpu.try_run(20_000, &mut NullController).expect("healthy run must not trip");
@@ -1473,9 +1487,9 @@ mod tests {
 
     #[test]
     fn watchdog_observation_does_not_perturb_results() {
-        let run = |window: Cycle| {
+        let run = |watchdog: bool| {
             let mut cfg = GpuConfig::tiny();
-            cfg.health.watchdog_window = window;
+            cfg.health.watchdog = watchdog;
             let mut gpu = Gpu::new(cfg);
             let a = gpu.launch(compute_kernel("a"));
             let b = gpu.launch(memory_kernel("b"));
@@ -1483,13 +1497,13 @@ mod tests {
             gpu.try_run(15_000, &mut NullController).expect("healthy");
             (gpu.stats().kernel(a).thread_insts, gpu.stats().kernel(b).thread_insts)
         };
-        assert_eq!(run(0), run(500), "the watchdog is observation-only");
+        assert_eq!(run(false), run(true), "the watchdog is observation-only");
     }
 
     #[test]
     fn watchdog_trips_on_starved_quota_livelock_and_names_the_kernel() {
         let mut cfg = GpuConfig::tiny();
-        cfg.health.watchdog_window = 2_000;
+        cfg.health.watchdog = true;
         let mut gpu = Gpu::new(cfg);
         gpu.launch(compute_kernel("victim"));
         gpu.launch(memory_kernel("other"));
@@ -1545,7 +1559,7 @@ mod tests {
     #[test]
     fn watchdog_classifies_a_wedged_device_within_one_window() {
         let mut cfg = GpuConfig::tiny();
-        cfg.health.watchdog_window = 2_000;
+        cfg.health.watchdog = true;
         let mut gpu = Gpu::new(cfg);
         gpu.set_fault_plan(FaultPlan::one(3_000, FaultKind::DeviceWedge));
         gpu.launch(compute_kernel("victim"));
@@ -1556,21 +1570,56 @@ mod tests {
         let SimError::Watchdog(report) = err else {
             panic!("expected a watchdog trip, got {err}");
         };
-        // The wedge fires at 3 000; the first full window with zero issues is
-        // (4 000, 6 000], so classification lands at 6 000 — one window after
-        // the first check that still saw pre-wedge progress.
-        assert!(
-            report.cycle <= 3_000 + 2 * 2_000,
-            "wedge must be classified within one window of the first silent check \
-             (tripped at {})",
-            report.cycle
+        // The wedge fires at 3 000, so the epochs closing at 4 000 and
+        // 5 000 issue nothing, and the edge at 5 000 trips: two idle epochs,
+        // not a cycle more.
+        assert_eq!(
+            (report.cycle, report.window, report.last_progress_cycle),
+            (5_000, 2_000, 3_000)
         );
+        assert_eq!(gpu.cycle(), 5_000, "the machine stops on the edge it judged");
         assert!(
             report.starved_kernels().count() == 0,
             "a wedged device is not a quota livelock; no kernel is quota-starved"
         );
         for sm in &report.sms {
             assert!(sm.warps.ready > 0, "ready warps that cannot issue mark a frozen scheduler");
+        }
+    }
+
+    /// Runs `gpu` to `budget` in calls of `chunk` cycles, stopping at the
+    /// first error.
+    fn run_in_chunks(gpu: &mut Gpu, chunk: Cycle, budget: Cycle) -> Result<(), SimError> {
+        while gpu.cycle() < budget {
+            gpu.try_run(chunk.min(budget - gpu.cycle()), &mut NullController)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn watchdog_trip_does_not_depend_on_how_the_run_is_split() {
+        let mut cfg = GpuConfig::tiny();
+        cfg.health.watchdog = true;
+        for (wedge, trip) in [(1_500, 4_000), (2_500, 5_000)] {
+            let build = || {
+                let mut gpu = Gpu::new(cfg.clone());
+                gpu.set_fault_plan(FaultPlan::one(wedge, FaultKind::DeviceWedge));
+                gpu.launch(compute_kernel("victim"));
+                gpu
+            };
+            let mut straight = build();
+            let err = run_in_chunks(&mut straight, 50_000, 50_000).expect_err("wedged");
+            let SimError::Watchdog(report) = &err else { panic!("expected a trip, got {err}") };
+            assert_eq!((straight.cycle(), report.cycle), (trip, trip), "wedge at {wedge}");
+            for chunk in [1_000, 4_000, 6_000] {
+                let mut chunked = build();
+                let split = run_in_chunks(&mut chunked, chunk, 50_000).expect_err("wedged");
+                assert_eq!(
+                    (chunked.cycle(), &split),
+                    (trip, &err),
+                    "wedge at {wedge}, {chunk}-cycle chunks"
+                );
+            }
         }
     }
 
@@ -2042,22 +2091,48 @@ mod tests {
 
     #[test]
     fn failure_state_is_snapshot_legal() {
-        // The watchdog trips at a multiple of its window; with the window a
-        // multiple of the epoch length (the harness convention), the failing
-        // machine sits on an epoch boundary and can be snapshotted for
-        // offline inspection.
+        // The watchdog trips at an epoch edge before any SM steps it, so the
+        // failing machine is an epoch-boundary state: it snapshots for
+        // offline inspection, and restored and run on it trips again at
+        // once, with the same report.
         let mut cfg = GpuConfig::tiny();
-        cfg.health.watchdog_window = 2_000;
+        cfg.health.watchdog = true;
         let mut gpu = Gpu::new(cfg.clone());
         gpu.launch(compute_kernel("victim"));
         let err = gpu.try_run(50_000, &mut Starver).expect_err("must trip");
         assert!(matches!(err, SimError::Watchdog(_)));
+        for sm in gpu.sms() {
+            assert!(sm.busy_cycles() <= gpu.cycle(), "{} ran the cycle it stopped at", sm.id());
+        }
         let blob = gpu.snapshot().expect("trip cycle is an epoch boundary");
         let mut inspect = Gpu::new(cfg);
         inspect.restore(&blob).expect("restore for inspection");
         assert_eq!(inspect.cycle(), gpu.cycle());
         let report = inspect.health_report();
         assert!(report.kernels[0].quota_starved());
+        let again = inspect.try_run(50_000, &mut Starver).expect_err("still starved");
+        assert_eq!((inspect.cycle(), again), (gpu.cycle(), err), "the same trip");
+    }
+
+    #[test]
+    fn audit_failure_snapshot_fails_again_where_it_stopped() {
+        // An audit failure also stops on the edge it judged, before the
+        // epoch closes: restored and run on, the machine fails with the same
+        // violation at the same cycle.
+        let mut cfg = GpuConfig::tiny();
+        cfg.health.audit = true;
+        let mut gpu = Gpu::new(cfg.clone());
+        let k = gpu.launch(compute_kernel("c"));
+        gpu.run(5_000, &mut NullController);
+        gpu.sm_mut(SmId::new(0)).corrupt_quota_for_test(k, 7);
+        let err = gpu.try_run(5_000, &mut NullController).expect_err("the ledger is off");
+        assert!(matches!(err, SimError::Audit(_)), "got {err}");
+        assert_eq!(gpu.cycle(), 5_000, "the edge it judged is not run");
+        let blob = gpu.snapshot().expect("an audit stops on an epoch boundary");
+        let mut resumed = Gpu::new(cfg);
+        resumed.restore(&blob).expect("same configuration");
+        let again = resumed.try_run(5_000, &mut NullController).expect_err("still off");
+        assert_eq!((resumed.cycle(), again), (gpu.cycle(), err), "the same violation");
     }
 
     #[test]
@@ -2068,7 +2143,7 @@ mod tests {
         // thaw it (the sickness belongs to the machine, not the workload);
         // resuming the same machine must keep it, watchdog trip included.
         let mut cfg = GpuConfig::tiny();
-        cfg.health.watchdog_window = 2_000;
+        cfg.health.watchdog = true;
         let mut src = Gpu::new(cfg.clone());
         src.set_fault_plan(FaultPlan::one(500, FaultKind::DeviceWedge));
         src.launch(compute_kernel("c"));
@@ -2087,10 +2162,33 @@ mod tests {
 
         // Healthy spare: the receiver's (empty) plan thaws the workload,
         // which resumes and completes instead of wedging the receiver.
-        let mut spare = Gpu::new(cfg);
+        let mut spare = Gpu::new(cfg.clone());
         spare.restore(&blob).expect("same configuration");
         spare.set_fault_plan(FaultPlan::none());
         spare.try_run(200_000, &mut NullController).expect("healthy silicon must not wedge");
+        assert!(
+            spare.stats().kernel(KernelId::new(0)).launches_completed >= 1,
+            "the migrated kernel finishes on the spare"
+        );
+
+        // A checkpoint refreshed later carries a closed idle epoch (1 000 to
+        // 2 000), and the one closing at 3 000 is idle too: the same machine
+        // trips on that edge, while a spare forgets the idle epoch with the
+        // wedge and finishes the kernel.
+        let mut src = Gpu::new(cfg.clone());
+        src.set_fault_plan(FaultPlan::one(500, FaultKind::DeviceWedge));
+        src.launch(compute_kernel("c"));
+        src.try_run(3_000, &mut NullController).expect("one idle epoch does not trip");
+        let blob = src.snapshot().expect("cycle 3000 is an epoch boundary");
+        let mut same = Gpu::new(cfg.clone());
+        same.restore(&blob).expect("identical fingerprint");
+        let err = same.try_run(50_000, &mut NullController).expect_err("still wedged");
+        assert!(matches!(err, SimError::Watchdog(_)), "got {err}");
+        assert_eq!(same.cycle(), 3_000, "the idle epoch rode the blob");
+        let mut spare = Gpu::new(cfg);
+        spare.restore(&blob).expect("same configuration");
+        spare.set_fault_plan(FaultPlan::none());
+        spare.try_run(200_000, &mut NullController).expect("healthy silicon must not trip");
         assert!(
             spare.stats().kernel(KernelId::new(0)).launches_completed >= 1,
             "the migrated kernel finishes on the spare"

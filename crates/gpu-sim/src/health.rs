@@ -5,15 +5,15 @@
 //! disabled, so the plain [`Gpu::run`](crate::Gpu::run) path stays
 //! bit-identical to a build without this module.
 //!
-//! * The **watchdog** observes machine-wide forward progress (warp
-//!   instructions issued) once every
-//!   [`watchdog_window`](HealthConfig::watchdog_window) cycles. If a full
-//!   window elapses with kernels resident and not a single instruction
-//!   issued anywhere, the machine is wedged — quota starvation, a barrier
-//!   deadlock, frozen schedulers — and
+//! * The **watchdog** ([`HealthConfig::watchdog`]) judges liveness at every
+//!   epoch edge, before the edge does anything else: when the epoch closing
+//!   there and the one before it both issued no instruction anywhere while
+//!   kernels are launched, the machine is wedged — quota starvation, a
+//!   barrier deadlock, frozen schedulers — and
 //!   [`Gpu::try_run`](crate::Gpu::try_run) returns [`SimError::Watchdog`]
 //!   carrying a [`HealthReport`] instead of spinning to the end of the
-//!   cycle budget.
+//!   cycle budget. The verdict reads only machine state, so it falls on
+//!   the same cycle however a caller splits the run.
 //! * **Audit mode** ([`HealthConfig::audit`]) re-derives SM bookkeeping —
 //!   occupancy against hardware limits, warp/TB slot free lists, the quota
 //!   double-entry ledger, the machine-wide issue bound — at every epoch
@@ -34,12 +34,14 @@ use crate::types::Cycle;
 /// behavior identical to a simulator without the health layer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthConfig {
-    /// Forward-progress window in cycles; `0` disables the watchdog.
+    /// Trip the forward-progress watchdog at the first epoch edge that
+    /// closes a second consecutive epoch in which no warp issued while
+    /// kernels are launched.
     ///
-    /// The watchdog samples the machine-wide issued-instruction total at
-    /// every multiple of this window. One full window with kernels
-    /// resident and zero issues trips it.
-    pub watchdog_window: Cycle,
+    /// Two epochs, not one: a controller may legitimately gate a kernel for
+    /// most of an epoch, while two give it a full intervention opportunity
+    /// that had no effect, so a trip is a livelock, not a policy transient.
+    pub watchdog: bool,
     /// Check simulator invariants at every epoch boundary
     /// (see [`AuditKind`] for the list). Intended for tests.
     pub audit: bool,
@@ -69,7 +71,8 @@ pub enum FaultKind {
     /// Wedge the device: every SM's warp schedulers freeze at once, so the
     /// machine stops issuing but keeps consuming cycles. Unlike
     /// [`FaultKind::DeviceLoss`] the failure is *silent* — only the
-    /// forward-progress watchdog can classify it, within one window.
+    /// forward-progress watchdog can classify it, at the edge that closes
+    /// the second idle epoch.
     DeviceWedge,
 }
 
@@ -176,10 +179,11 @@ pub struct SmHealth {
 pub struct HealthReport {
     /// Cycle at which the snapshot was taken.
     pub cycle: Cycle,
-    /// The configured watchdog window (0 when taken on demand).
+    /// The idle run the watchdog judged: two epochs (0 when taken on
+    /// demand).
     pub window: Cycle,
-    /// Last watchdog checkpoint at which forward progress was observed.
-    /// Granularity is one window.
+    /// Start of the idle run the watchdog judged, `cycle − window`: no warp
+    /// issued from there to `cycle`. Equals `cycle` when taken on demand.
     pub last_progress_cycle: Cycle,
     /// Machine-wide warp instructions issued since construction.
     pub total_issued: u64,
@@ -358,7 +362,7 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-crate::impl_snap_struct!(HealthConfig { watchdog_window, audit });
+crate::impl_snap_struct!(HealthConfig { watchdog, audit });
 
 crate::impl_snap_enum!(FaultKind {
     Panic = 3,
@@ -413,7 +417,7 @@ mod tests {
     #[test]
     fn defaults_disable_everything() {
         let h = HealthConfig::default();
-        assert_eq!(h.watchdog_window, 0);
+        assert!(!h.watchdog);
         assert!(!h.audit);
         assert!(FaultPlan::default().is_empty());
     }

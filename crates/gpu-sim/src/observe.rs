@@ -103,8 +103,8 @@ pub enum TraceEventKind {
         /// Index of the epoch that just finished.
         epoch: u64,
     },
-    /// The epoch that just finished issued no thread instructions at all —
-    /// the watchdog-relevant idle transition into a stalled window.
+    /// The epoch that just finished issued no thread instructions at all;
+    /// the watchdog trips at the next edge if that epoch is idle too.
     IdleStart,
     /// The epoch that just finished issued instructions again after one or
     /// more fully idle epochs.

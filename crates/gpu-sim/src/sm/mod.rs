@@ -417,18 +417,17 @@ impl Sm {
     }
 
     /// Whether every count is one `clock` cycles reach: a busy cycle and an
-    /// idle sample per cycle up to the clock's own (a watchdog stop has
-    /// ticked it), a slot per scheduler per busy cycle, an issue per slot, a
-    /// warp's lanes per issue, each lane in at most one of the ALU, SFU and
-    /// shared-memory tallies, an exhaustion per issue, and a count per warp
-    /// per cycle (or idle sample) of quota blocking, scoreboard waits and
-    /// idle warps. The tick adds to them unchecked. Call after
-    /// [`Sm::adopt`], which sets the scheduler count.
+    /// idle sample per cycle before the clock's own, a slot per scheduler
+    /// per busy cycle, an issue per slot, a warp's lanes per issue, each
+    /// lane in at most one of the ALU, SFU and shared-memory tallies, an
+    /// exhaustion per issue, and a count per warp per cycle (or idle
+    /// sample) of quota blocking, scoreboard waits and idle warps. The tick
+    /// adds to them unchecked. Call after [`Sm::adopt`], which sets the
+    /// scheduler count.
     pub(crate) fn counts_behind(&self, clock: Cycle) -> bool {
         let (lanes, warps) = (u64::from(crate::WARP_SIZE), MAX_SLOTS as u64);
-        let cycles = clock.saturating_add(1);
-        self.busy_cycles <= cycles
-            && self.idle_samples <= cycles
+        self.busy_cycles <= clock
+            && self.idle_samples <= clock
             && Some(self.issue_slots) == self.busy_cycles.checked_mul(u64::from(self.num_scheds))
             && self.issued_total <= self.issue_slots
             && checked_sum(self.counters.map(|c| c.warp_insts)) == Some(self.issued_total)
@@ -440,7 +439,7 @@ impl Sm {
                     && checked_sum(tallies).is_some_and(|t| t <= c.thread_insts)
                     && self.quota_exhaustions[k] <= c.warp_insts
                     && self.quota_blocked[k].max(self.scoreboard_waits[k])
-                        <= cycles.saturating_mul(warps)
+                        <= clock.saturating_mul(warps)
                     && self.idle_warp_acc[k] <= self.idle_samples.saturating_mul(warps)
             })
     }

@@ -34,7 +34,7 @@ use gpu_sim::{Gpu, SimError, SnapshotBlob};
 use crate::cases::CaseSpec;
 use crate::error::CaseError;
 use crate::metrics::CaseResult;
-use crate::runner::{case_config, CaseController, WATCHDOG_EPOCHS};
+use crate::runner::{case_config, CaseController};
 use crate::scale::RunScale;
 
 /// Magic prefix of a case file and of the manifest.
@@ -49,8 +49,8 @@ pub const FAILURE_MAGIC: [u8; 4] = *b"FGFS";
 /// per file plus a [`Manifest`] replace the sweep-wide generations, and a
 /// failure snapshot no longer carries a sweep position.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 4;
-/// Default chunk cadence in cycles (rounded up to whole watchdog windows per
-/// case configuration); unjournaled runs use it too.
+/// Default chunk cadence of a journaled run in cycles (rounded up to whole
+/// epochs per case configuration).
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 20_000;
 /// File name of the manifest inside a journal directory.
 pub const MANIFEST_FILE: &str = "manifest.bin";
@@ -130,15 +130,15 @@ pub struct Manifest {
     pub experiments: Vec<String>,
     /// The run scale.
     pub scale: RunScale,
-    /// Requested chunk cadence in cycles. Chunk boundaries shift
-    /// watchdog-check timing in faulted cases, so a resume replays it.
+    /// Requested chunk cadence in cycles; a resume saves at the same points.
     pub checkpoint_every: u64,
 }
 
 gpu_sim::impl_snap_struct!(Manifest { experiments, scale, checkpoint_every });
 
 /// A failing machine persisted at the moment a watchdog or audit error
-/// surfaced (both land on epoch boundaries, so the snapshot is legal).
+/// surfaced (both stop on an epoch edge before running it, so the snapshot
+/// is legal, and restored and run on it fails again there).
 #[derive(Debug, Clone)]
 pub struct FailureSnapshot {
     /// The case that failed.
@@ -159,20 +159,11 @@ pub(crate) fn case_key(spec: &CaseSpec) -> u64 {
     gpu_sim::snap::fnv1a(&gpu_sim::snap::encode_to_vec(spec))
 }
 
-/// Rounds the requested cadence up to a whole number of watchdog windows for
-/// this case — at least two — so every chunk ends on an epoch-aligned
-/// boundary where [`Gpu::snapshot`] is legal.
-///
-/// The two-window floor matters for liveness detection: `try_run` checks for
-/// progress at absolute multiples of the window *strictly inside* the call,
-/// so a chunk spanning exactly one window would contain no check at all and
-/// a livelock would run to its cycle budget undetected. With ≥ 2 windows per
-/// chunk every chunk contains an interior check, and a wedged machine trips
-/// within at most two windows (one later than a straight run at worst —
-/// checks coinciding with chunk boundaries are skipped).
+/// Rounds the requested cadence up to a whole number of epochs for this
+/// case, so every chunk ends on an epoch boundary, where [`Gpu::snapshot`]
+/// is legal.
 pub(crate) fn chunk_cycles(every: u64, epoch_cycles: u64) -> u64 {
-    let window = WATCHDOG_EPOCHS * epoch_cycles;
-    every.max(1).div_ceil(window).max(2).saturating_mul(window)
+    every.max(1).div_ceil(epoch_cycles).saturating_mul(epoch_cycles)
 }
 
 /// A journal directory: the [`Manifest`], one `case-<key>.bin` per case and
@@ -268,8 +259,7 @@ impl CheckpointDir {
         gpu: &Gpu,
         tracer: &Tracer<CaseController>,
     ) {
-        let blob =
-            gpu.snapshot().expect("chunk boundaries are watchdog-window (hence epoch) aligned");
+        let blob = gpu.snapshot().expect("chunk boundaries are epoch-aligned");
         let state = CaseState::InProgress(InProgressCase {
             cycles_done: done,
             gpu_blob: blob.into_bytes(),
@@ -441,12 +431,11 @@ mod tests {
     }
 
     #[test]
-    fn chunking_rounds_up_to_watchdog_windows() {
-        // window = 2 × epoch; the floor is two windows so every chunk
-        // contains an interior liveness check.
-        assert_eq!(chunk_cycles(1, 10_000), 40_000);
-        assert_eq!(chunk_cycles(20_000, 10_000), 40_000);
-        assert_eq!(chunk_cycles(40_001, 10_000), 60_000);
+    fn chunking_rounds_up_to_epochs() {
+        assert_eq!(chunk_cycles(0, 10_000), 10_000);
+        assert_eq!(chunk_cycles(1, 10_000), 10_000);
+        assert_eq!(chunk_cycles(20_000, 10_000), 20_000);
+        assert_eq!(chunk_cycles(20_001, 10_000), 30_000);
         assert_eq!(chunk_cycles(100_000, 1_000), 100_000);
         assert_eq!(chunk_cycles(u64::MAX, 10_000), u64::MAX, "a hostile cadence saturates");
     }

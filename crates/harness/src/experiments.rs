@@ -245,8 +245,8 @@ pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
 }
 
 /// The epoch override of the smoke drills: even a `Bench`-scale case spans
-/// several watchdog windows, so killing and resuming one exercises mid-case
-/// state cheaply.
+/// several epochs, so killing and resuming one exercises mid-case state
+/// cheaply.
 const SMOKE_EPOCH_CYCLES: u64 = 2_000;
 
 /// The header of the summary's markdown table.

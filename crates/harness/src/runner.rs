@@ -19,21 +19,9 @@ use gpu_sim::{Controller, Gpu, GpuConfig, KernelId, NullController, SnapshotBlob
 use qos_core::{QosManager, QosSpec, SpartController};
 
 use crate::cases::{Ablations, CaseSpec, ConfigKind, Policy};
-use crate::checkpoint::{
-    chunk_cycles, CaseRecord, CaseState, CheckpointDir, InProgressCase, DEFAULT_CHECKPOINT_EVERY,
-};
+use crate::checkpoint::{chunk_cycles, CaseRecord, CaseState, CheckpointDir, InProgressCase};
 use crate::error::CaseError;
 use crate::metrics::CaseResult;
-
-/// Watchdog window used for every harness-driven simulation, in epochs: a
-/// wedged case is detected after at most two controller epochs with zero
-/// machine-wide progress, instead of burning the rest of its cycle budget.
-///
-/// Kept a multiple of the epoch length on purpose: the watchdog trips at a
-/// multiple of its window, so every failure (and every chunk boundary of the
-/// case runner) lands on an epoch boundary — the only cycles at
-/// which [`Gpu::snapshot`] is legal.
-pub const WATCHDOG_EPOCHS: u64 = 2;
 
 /// Shared cache of isolated-IPC measurements, keyed by
 /// `(benchmark, config, cycles)`.
@@ -99,7 +87,7 @@ impl IsolatedCache {
 
 fn measure_isolated(name: &str, config: ConfigKind, cycles: u64) -> Result<f64, CaseError> {
     let mut cfg = config.build();
-    cfg.health.watchdog_window = WATCHDOG_EPOCHS * cfg.epoch_cycles;
+    cfg.health.watchdog = true;
     let mut gpu = Gpu::new(cfg);
     let desc = workloads::by_name(name)
         .ok_or_else(|| CaseError::UnknownBenchmark { name: name.to_string() })?;
@@ -126,7 +114,7 @@ pub fn case_config(spec: &CaseSpec) -> GpuConfig {
         cfg.epoch_cycles = epoch;
         cfg.samples_per_epoch = cfg.samples_per_epoch.min(epoch as u32);
     }
-    cfg.health.watchdog_window = WATCHDOG_EPOCHS * cfg.epoch_cycles;
+    cfg.health.watchdog = true;
     // Harness cases always fly with the recorder on: event recording never
     // perturbs simulated behaviour, and a watchdog report (or persisted
     // failure snapshot) then carries the last moments before the hang.
@@ -221,8 +209,7 @@ pub fn finish_case(
     }
 }
 
-/// Runs one case and computes its result, in chunks of the default
-/// cadence and persisting nothing.
+/// Runs one case and computes its result in one call, persisting nothing.
 ///
 /// # Errors
 ///
@@ -235,11 +222,12 @@ pub fn run_case(spec: &CaseSpec, iso: &IsolatedCache) -> Result<CaseResult, Case
 }
 
 /// The one loop that advances a case's machine: chunks of [`chunk_cycles`]
-/// of the journal's cadence, or of the default one without a journal, so a
-/// case's results never depend on whether it is journaled. With a journal it
-/// continues `resume` when that restores, saves the case after every chunk
-/// but the last, and leaves a failure snapshot when the simulator reports a
-/// health error.
+/// of the journal's cadence, or the whole case in one chunk without a
+/// journal. The simulator judges liveness in whole epochs, so a case's
+/// results never depend on how it is chunked, nor on whether it is
+/// journaled. With a journal it continues `resume` when that restores, saves
+/// the case after every chunk but the last, and leaves a failure snapshot
+/// when the simulator reports a health error.
 fn run_chunked(
     spec: &CaseSpec,
     iso: &IsolatedCache,
@@ -263,8 +251,8 @@ fn run_chunked(
     let (mut tracer, mut done) = restored.unwrap_or_else(|| {
         (Tracer::new(build_controller(spec, &prepared.kids, &prepared.goal_ipc)), 0)
     });
-    let every = journal.map_or(DEFAULT_CHECKPOINT_EVERY, |j| j.manifest().checkpoint_every);
-    let chunk = chunk_cycles(every, prepared.gpu.config().epoch_cycles);
+    let epoch = prepared.gpu.config().epoch_cycles;
+    let chunk = journal.map_or(spec.cycles, |j| chunk_cycles(j.manifest().checkpoint_every, epoch));
     while done < spec.cycles {
         let step = chunk.min(spec.cycles - done);
         if let Err(e) = prepared.gpu.try_run(step, &mut tracer) {
@@ -549,5 +537,37 @@ mod tests {
         };
         assert!(report.cycle < 100_000, "watchdog saves the rest of the budget");
         assert!(report.summary().contains("frozen scheduler"), "{}", report.summary());
+    }
+
+    #[test]
+    fn a_wedged_case_fails_alike_however_it_is_journaled() {
+        // Wedged at 15 000 on 10 000-cycle epochs, the case trips at 40 000,
+        // at the edge that closes its second idle epoch, whether it runs in
+        // one call or in journaled chunks of one or of six epochs.
+        let cache = IsolatedCache::new();
+        let mut spec = CaseSpec::new(
+            &["sgemm", "lbm"],
+            &[Some(0.5), None],
+            Policy::Quota(QuotaScheme::Rollover),
+            100_000,
+        );
+        spec.faults = FaultPlan::one(15_000, FaultKind::DeviceWedge);
+        let failure = |err: CaseError| (err.kind(), err.to_string());
+        let plain = failure(run_case(&spec, &cache).expect_err("wedged"));
+        assert!(plain.1.starts_with("watchdog tripped at cycle 40000: "), "{}", plain.1);
+        for every in [10_000, 60_000] {
+            let root = std::env::temp_dir()
+                .join(format!("fgqos-runner-wedge-{every}-{}", std::process::id()));
+            let manifest = crate::checkpoint::Manifest {
+                experiments: vec!["smoke-faulty".to_string()],
+                scale: crate::scale::RunScale::Bench,
+                checkpoint_every: every,
+            };
+            let journal = CheckpointDir::create(&root, manifest).expect("create");
+            let mut outcomes = run_journaled(std::slice::from_ref(&spec), &cache, Some(&journal));
+            let journaled = failure(outcomes.remove(0).expect_err("wedged"));
+            assert_eq!(journaled, plain, "journaled every {every} cycles");
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 }

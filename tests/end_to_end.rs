@@ -119,7 +119,7 @@ fn audit_mode_stays_clean_on_a_managed_pair() {
     let goal = 0.6 * isolated_ipc("sgemm");
     let mut cfg = GpuConfig::paper_table1();
     cfg.health.audit = true;
-    cfg.health.watchdog_window = 2 * cfg.epoch_cycles;
+    cfg.health.watchdog = true;
     let mut gpu = Gpu::new(cfg);
     let q = gpu.launch(workloads::by_name("sgemm").expect("known"));
     let b = gpu.launch(workloads::by_name("spmv").expect("known"));

@@ -283,7 +283,7 @@ fn run_differential_case(
     cfg.fast_forward = fast_forward;
     cfg.trace = fgqos::sim::TraceLevel::Events;
     cfg.health.audit = audit;
-    cfg.health.watchdog_window = if watchdog { 2 * cfg.epoch_cycles } else { 0 };
+    cfg.health.watchdog = watchdog;
     let mut gpu = Gpu::new(cfg);
     if let Some((at, kind)) = fault {
         gpu.set_fault_plan(fgqos::sim::FaultPlan::one(at, kind));

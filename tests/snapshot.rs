@@ -8,12 +8,10 @@
 //! schemes, injected faults, and with the idle-cycle fast-forward both on
 //! and off.
 //!
-//! Comparison rules mirror the fault-tolerance suite: a *healthy* chunked
-//! run equals a straight run exactly; a *faulted* chunked run is still
-//! deterministic but may trip the watchdog up to one window later than a
-//! straight run (the per-call check schedule). So the snapshotted run is
-//! always compared against an identically-chunked run, and additionally
-//! against the straight run when no fault is injected.
+//! The health layer judges whole epochs at the epoch edge, so a chunked or
+//! restored run equals the straight run exactly, a faulted one included:
+//! the watchdog trips on the same cycle with the same report however the
+//! run is split.
 
 use fgqos::sim::rng::SplitMix64;
 use fgqos::sim::snap::{decode_from_slice, encode_to_vec};
@@ -69,7 +67,7 @@ fn build_config(
     // of the snapshot payload, so every case round-trips them too.
     cfg.trace = fgqos::sim::TraceLevel::Events;
     cfg.health.audit = audit;
-    cfg.health.watchdog_window = if watchdog { 2 * cfg.epoch_cycles } else { 0 };
+    cfg.health.watchdog = watchdog;
     let plan = fault.map_or_else(FaultPlan::none, |(at, kind)| FaultPlan::one(at, kind));
     Setup { cfg, plan }
 }
@@ -278,13 +276,8 @@ proptest! {
         let chunked = run_split(&setup, &descs, ctrl_sel, goal, split, total, false);
         let restored = run_split(&setup, &descs, ctrl_sel, goal, split, total, true);
         prop_assert_eq!(&restored, &chunked, "restore must be invisible");
-
-        if fault.is_none() {
-            // A healthy chunked run also equals the straight run exactly
-            // (the watchdog check schedule aligns to absolute windows).
-            let straight = run_straight(&setup, &descs, ctrl_sel, goal, total);
-            prop_assert_eq!(&restored, &straight, "healthy chunking is invisible");
-        }
+        let straight = run_straight(&setup, &descs, ctrl_sel, goal, total);
+        prop_assert_eq!(&restored, &straight, "chunking is invisible");
     }
 
     /// Satellite: `SplitMix64` snapshotted mid-stream reproduces the exact
