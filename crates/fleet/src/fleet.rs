@@ -2011,7 +2011,11 @@ mod tests {
     /// every snapshot digest and no report digest: the two schema versions
     /// and each device configuration's fingerprint (its watchdog setting
     /// became a switch) are in the bytes, and a device blob now holds its
-    /// last epoch's idle flag whether or not it traces.
+    /// last epoch's idle flag whether or not it traces. Idle-warp sample
+    /// points leaving the clock's jump edges moved the overload, chaos and
+    /// migration mid-run snapshot digests and nothing else: a device blob
+    /// holds `ff_skipped_cycles`, the cycles the clock jumped, and a jump
+    /// may now pass a sample point.
     #[test]
     fn scenario_reports_and_snapshots_are_pinned() {
         use gpu_sim::snap::fnv1a;
@@ -2032,7 +2036,7 @@ mod tests {
                 7,
                 [
                     0x4c2a_6721_bb88_1b87,
-                    0x07e3_948e_6fa1_8df5,
+                    0x4862_fcaa_8a26_b9b7,
                     0xd87e_59ed_3295_a6c8,
                     0x59d8_a6ff_42ab_3a48,
                 ],
@@ -2042,7 +2046,7 @@ mod tests {
                 10,
                 [
                     0xe2b5_54a6_7c71_d5ba,
-                    0xd779_8f99_34d5_48e0,
+                    0x9cba_7f95_ce58_fa18,
                     0x656f_424e_b3a3_831d,
                     0x8af7_edf5_5f09_8c22,
                 ],
@@ -2052,7 +2056,7 @@ mod tests {
                 8,
                 [
                     0x6454_3830_9a98_c3b4,
-                    0x1111_d597_9811_5728,
+                    0xc380_edfc_559f_09a4,
                     0x775c_2960_274f_f97e,
                     0x662c_362d_3679_d161,
                 ],

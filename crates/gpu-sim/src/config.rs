@@ -207,6 +207,13 @@ impl GpuConfig {
         cfg
     }
 
+    /// Cycles between two idle-warp sample points: the epoch split
+    /// `samples_per_epoch` ways, rounded down (the points are the multiples
+    /// of it, so they need not divide the epoch).
+    pub(crate) fn sample_interval(&self) -> u64 {
+        (self.epoch_cycles / u64::from(self.samples_per_epoch)).max(1)
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors

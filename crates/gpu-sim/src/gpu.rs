@@ -236,14 +236,15 @@ impl Gpu {
     fn run_until(&mut self, end: Cycle, ctrl: &mut dyn Controller) -> Result<(), SimError> {
         // The periodic edges are cycles: each starts at the first multiple
         // of its period at or after the entry cycle and moves one period on
-        // when reached. The clock never passes one (`jump_target` clamps to
-        // it), so an executed cycle compares where it would otherwise divide
-        // by a runtime period (DESIGN.md §3.1).
-        // The pending fault is an edge too, read at entry and again after
-        // every fault applied.
+        // when reached. The clock never passes an epoch (`jump_target` clamps
+        // to it), so an executed cycle compares where it would otherwise
+        // divide by a runtime period (DESIGN.md §3.1). The pending fault is
+        // an edge too, read at entry and again after every fault applied.
+        // A sample point is no edge: a jump may pass it, the sleeping SMs
+        // count it when they wake (`Sm::catch_up`), and the loop derives the
+        // next one again after the jump.
         let mut next_epoch = self.cycle.next_multiple_of(self.cfg.epoch_cycles);
-        let sample_interval =
-            (self.cfg.epoch_cycles / Cycle::from(self.cfg.samples_per_epoch)).max(1);
+        let sample_interval = self.cfg.sample_interval();
         let mut next_sample = self.cycle.next_multiple_of(sample_interval);
         let mut next_fault = self.next_fault();
         self.due.clear();
@@ -286,38 +287,53 @@ impl Gpu {
                 debug_assert_eq!(due, sm.wake_at(), "{} wake column at cycle {now}", sm.id());
             }
             // Step every SM that is due, in SM-index order; each serves its
-            // own L1 misses as its warps issue (DESIGN.md §13). A sleeping SM
+            // own L1 misses as its warps issue (DESIGN.md §13), and at a
+            // sample point takes its idle-warp sample right after its tick;
+            // one that goes to sleep keeps `next_sample`, the first point it
+            // has not counted, for its wake to replay from. A sleeping SM
             // costs one compare in the wake column; an SM that issued stays
             // awake (due at 0), so `horizon` ends above `now` only when the
-            // whole machine is asleep.
+            // whole machine is asleep. Only a tick moves residency outside a
+            // TB-scheduler pass, so the ticked SMs' flags are the scheduler's
+            // whole verdict on them.
+            let sampling = now == next_sample;
+            if sampling {
+                next_sample += sample_interval;
+            }
             let mut horizon = Cycle::MAX;
             let mut ran = 0;
+            let mut moved = false;
             for (sm, due) in self.sms.iter_mut().zip(&mut self.due) {
                 if *due <= now {
                     ran += 1;
-                    if !sm.tick(now, &mut self.mem) && may_sleep {
-                        sm.sleep_from(now + 1);
+                    let issued = sm.tick(now, &mut self.mem);
+                    if sampling {
+                        sm.sample_idle_warps(now);
                     }
+                    if !issued && may_sleep {
+                        sm.sleep_from(now + 1, next_sample);
+                    }
+                    moved |= sm.residency_moved();
                     *due = sm.wake_at();
                 }
                 horizon = horizon.min(*due);
             }
+            if moved {
+                self.tb_sched.invalidate();
+            }
             self.work.sm_ticks_run += ran;
             self.work.sm_ticks_slept += num_sms - ran;
-            if now == next_sample {
-                next_sample += sample_interval;
-                for sm in &mut self.sms {
-                    sm.sample_idle_warps(now);
-                }
-            }
             self.cycle += 1;
             if horizon > self.cycle {
-                let edge = end.min(next_epoch).min(next_sample).min(next_fault);
+                let edge = end.min(next_epoch).min(next_fault);
                 let target = self.jump_target(horizon, edge);
                 let skipped = target - self.cycle;
                 self.ff_skipped += skipped;
                 self.work.sm_ticks_slept += skipped * num_sms;
                 self.cycle = target;
+                if next_sample < target {
+                    next_sample = target.next_multiple_of(sample_interval);
+                }
             }
         }
         Ok(())
@@ -330,8 +346,9 @@ impl Gpu {
     /// `horizon` is clamped so that every externally observable event still
     /// fires on its exact cycle. `edge` is the nearest of the run loop's
     /// tracked edges, each at or after `self.cycle`: the end of the run, the
-    /// next epoch boundary, the next idle-warp sampling tick and the first
-    /// still-pending fault. Clamped here is the next `DISPATCH_INTERVAL`
+    /// next epoch boundary and the first still-pending fault. An idle-warp
+    /// sample point is none: the SMs count the ones they slept through when
+    /// they wake. Clamped here is the next `DISPATCH_INTERVAL`
     /// service point whenever the TB scheduler is not settled
     /// ([`TbScheduler::settled`]: an input changed since its last pass). The
     /// memory system contributes no horizon: transaction completions are
@@ -347,7 +364,7 @@ impl Gpu {
     fn jump_target(&self, horizon: Cycle, edge: Cycle) -> Cycle {
         let target = horizon.min(edge);
         let dispatch = self.cycle.next_multiple_of(DISPATCH_INTERVAL);
-        if target > dispatch && !self.tb_sched.settled(&self.sms) {
+        if target > dispatch && !self.tb_sched.settled() {
             return dispatch;
         }
         target
@@ -519,7 +536,7 @@ impl Gpu {
     /// skipped pass anyway, uncounted, and check that it did nothing.
     #[inline(never)]
     fn service(&mut self, now: Cycle) {
-        let settled = self.cfg.fast_forward && self.tb_sched.settled(&self.sms);
+        let settled = self.cfg.fast_forward && self.tb_sched.settled();
         if settled && !cfg!(debug_assertions) {
             return;
         }
@@ -1447,6 +1464,104 @@ mod tests {
             if fast_forward {
                 assert!(straight.work_counters().sm_ticks_slept > 0, "no SM slept");
             }
+        }
+    }
+
+    /// Every SM's idle-warp census: samples counted, each kernel's mean idle
+    /// warps (as bits) and its scoreboard-wait samples.
+    type Census = Vec<(u64, PerKernel<u64>, PerKernel<u64>)>;
+
+    fn census(gpu: &Gpu) -> Census {
+        let read = |sm: &Sm| {
+            let avg = per_kernel(|k| sm.idle_warp_avg(KernelId::new(k)).to_bits());
+            let waits = per_kernel(|k| sm.scoreboard_wait_samples(KernelId::new(k)));
+            (sm.idle_samples(), avg, waits)
+        };
+        gpu.sms.iter().map(read).collect()
+    }
+
+    /// Records the census the controller reads at each epoch edge, before
+    /// handing the edge to `inner`.
+    struct CensusProbe {
+        inner: Box<dyn Controller>,
+        seen: Vec<Census>,
+    }
+
+    impl Controller for CensusProbe {
+        fn on_epoch(&mut self, gpu: &mut Gpu, epoch: u64) {
+            self.seen.push(census(gpu));
+            self.inner.on_epoch(gpu, epoch);
+        }
+    }
+
+    /// The machines of the census differential: a quota-gated SMK pair, the
+    /// same pair wedged at cycle 2 345 (every SM frozen, asleep for good,
+    /// its live warps still sampled), and a memory-bound pair sampled three
+    /// times an epoch, an interval of 333 cycles that does not divide it.
+    const CENSUS_CASES: [&str; 3] = ["gated", "wedged", "thirds"];
+
+    /// Runs `case` for 7 012 cycles in three calls, each ending mid-epoch
+    /// and off the sample grid, and returns the census at every epoch edge
+    /// and after each call. `count_wake` arms the wake-cycle mutation.
+    fn census_run(case: &str, fast_forward: bool, count_wake: bool) -> Vec<Census> {
+        let mut cfg = GpuConfig::tiny();
+        cfg.fast_forward = fast_forward;
+        if case == "thirds" {
+            cfg.samples_per_epoch = 3;
+        }
+        let mut gpu = Gpu::new(cfg);
+        let (a, b) = if case == "thirds" {
+            (gpu.launch(memory_kernel("m0")), gpu.launch(memory_kernel("m1").with_seed(5)))
+        } else {
+            (gpu.launch(compute_kernel("qos")), gpu.launch(memory_kernel("best-effort")))
+        };
+        gpu.set_sharing_mode(SharingMode::Smk);
+        for sm in gpu.sm_ids().collect::<Vec<_>>() {
+            gpu.set_tb_target(sm, a, 4);
+            gpu.set_tb_target(sm, b, 4);
+        }
+        if case == "wedged" {
+            gpu.set_fault_plan(FaultPlan::one(2_345, FaultKind::DeviceWedge));
+        }
+        if count_wake {
+            gpu.sms.iter_mut().for_each(Sm::count_wake_cycle_for_test);
+        }
+        let inner: Box<dyn Controller> =
+            if case == "gated" { Box::new(Rollover) } else { Box::new(NullController) };
+        let mut probe = CensusProbe { inner, seen: Vec::new() };
+        let mut after = Vec::new();
+        for cycles in [2_777, 1_234, 3_001] {
+            gpu.run(cycles, &mut probe);
+            after.push(census(&gpu));
+        }
+        if fast_forward {
+            assert!(gpu.ff_skipped > 0, "{case}: the clock never jumped");
+        }
+        probe.seen.extend(after);
+        probe.seen
+    }
+
+    /// The idle-warp census a controller reads is the one naive stepping
+    /// takes, although a sleeping SM is not sampled and the clock jumps
+    /// over sample points: its points are counted when it wakes.
+    #[test]
+    fn census_matches_naive_stepping() {
+        for case in CENSUS_CASES {
+            let naive = census_run(case, false, false);
+            assert!(naive.iter().flatten().any(|sm| sm.1.iter().any(|&avg| avg != 0)), "{case}");
+            assert!(naive.iter().flatten().any(|sm| sm.2.iter().any(|&w| w != 0)), "{case}");
+            assert_eq!(census_run(case, true, false), naive, "{case}");
+        }
+    }
+
+    /// The off-by-one the wake replay must not have, kept in-tree: a replay
+    /// that also counts the wake cycle (`Sm::replay_counts_wake`) counts a
+    /// point the waking tick counts again, and
+    /// `census_matches_naive_stepping` must tell it apart on every machine.
+    #[test]
+    fn wake_cycle_replay_mutation_is_caught() {
+        for case in CENSUS_CASES {
+            assert_ne!(census_run(case, true, true), census_run(case, false, false), "{case}");
         }
     }
 

@@ -133,12 +133,14 @@ impl Sm {
 
     /// Puts the SM to sleep from cycle `from` if nothing on it can change at
     /// `from`. Call only right after a [`Sm::tick`] at `from - 1` that issued
-    /// nothing; whether SMs sleep at all is the machine's decision
+    /// nothing, and after its idle-warp sample if `from - 1` is a sample
+    /// point; `census` is the first sample point at or after `from`. Whether
+    /// SMs sleep at all is the machine's decision
     /// (`GpuConfig::fast_forward`), which is why `tick` does not do this.
-    pub(crate) fn sleep_from(&mut self, from: Cycle) {
+    pub(crate) fn sleep_from(&mut self, from: Cycle, census: Cycle) {
         let until = self.next_event().unwrap_or(Cycle::MAX);
         if until > from {
-            self.sleep = Some(super::Sleep { since: from, until });
+            self.sleep = Some(super::Sleep { since: from, until, census });
         }
     }
 
@@ -155,11 +157,23 @@ impl Sm {
     /// the horizon), and transitioning TBs stay un-issuable throughout
     /// because their completion is itself a horizon. No-op while awake.
     ///
+    /// The idle-warp sample points the sleep covered, `[census, now)`, are
+    /// counted first ([`Sm::replay_census`]): a frozen or empty SM is
+    /// sampled too. The point at `now`, if it is one, is counted after the
+    /// tick at `now`.
+    ///
     /// Called from the run loop on every due SM, so it stays small: the
-    /// gated replay is [`Sm::replay_blocked`], out of line.
+    /// replays are out of line, and the census one is reached only when a
+    /// sample point fell in the window.
     pub(crate) fn catch_up(&mut self, now: Cycle) {
-        let Some(super::Sleep { since, until }) = self.sleep.take() else { return };
+        let Some(super::Sleep { since, until, census }) = self.sleep.take() else { return };
         debug_assert!(now <= until, "{} slept past its horizon {until} to {now}", self.id);
+        let end = now;
+        #[cfg(test)]
+        let end = end + u64::from(self.replay_counts_wake);
+        if census < end {
+            self.replay_census(census, end);
+        }
         if now <= since || self.sched_frozen || self.used_threads == 0 {
             return;
         }

@@ -60,11 +60,14 @@ pub struct SmKernelCounters {
 /// An SM's sleep state: nothing on it can change before cycle `until`
 /// (`Cycle::MAX` when nothing ever will unprompted), and the cycles from
 /// `since` on are not yet in its statistics — [`Sm::catch_up`] replays them
-/// before anything mutates an input of the horizon (DESIGN.md §3.1).
+/// before anything mutates an input of the horizon (DESIGN.md §3.1). Nor
+/// are the idle-warp sample points from `census` on, the first at or after
+/// `since`: an awake SM is sampled at every point, a sleeping one at none.
 #[derive(Debug, Clone, Copy)]
 struct Sleep {
     since: Cycle,
     until: Cycle,
+    census: Cycle,
 }
 
 /// Scratch of the quota-gated gather (DESIGN.md §3.1); never encoded.
@@ -184,6 +187,14 @@ pub struct Sm {
     // machine's say-so; `None` at every epoch boundary and between runs, so
     // restore-as-`None` is what a snapshot would have held anyway.
     sleep: Option<Sleep>,
+    // Cycles between two idle-warp sample points
+    // (`GpuConfig::sample_interval`); configuration, taken in `adopt`.
+    sample_interval: Cycle,
+    // Mutation switch: the wake replay also counts the wake cycle, which the
+    // waking SM's own tick counts again; the census differential in `gpu.rs`
+    // must catch it.
+    #[cfg(test)]
+    replay_counts_wake: bool,
 }
 
 impl Sm {
@@ -236,6 +247,9 @@ impl Sm {
             gate: Gate::default(),
             stride_masks: Vec::new(),
             sleep: None,
+            sample_interval: cfg.sample_interval(),
+            #[cfg(test)]
+            replay_counts_wake: false,
         };
         sm.rebuild_derived();
         sm
@@ -265,12 +279,14 @@ impl Sm {
     /// Makes this decoded SM, holding the kernel list's descriptions
     /// (`set_kernel_desc`), stand in for `built`, the SM `Gpu::new` made for
     /// its slot: takes what the configuration fixes (ids, geometry, the L1's
-    /// shape, the recorder's capacity), rebuilds the derived state, and
-    /// answers whether the decoded state fits: a greedy pick per scheduler,
-    /// an L1 with its lines, a recorder cursor in range, warps that fit.
+    /// shape, the recorder's capacity, the sample interval), rebuilds the
+    /// derived state, and answers whether the decoded state fits: a greedy
+    /// pick per scheduler, an L1 with its lines, a recorder cursor in range,
+    /// warps that fit.
     pub(crate) fn adopt(&mut self, built: &Sm) -> bool {
         (self.id, self.num_scheds, self.line_bytes, self.trace_on) =
             (built.id, built.num_scheds, built.line_bytes, built.trace_on);
+        self.sample_interval = built.sample_interval;
         let fits = self.l1.adopt(&built.l1)
             && self.events.adopt(&built.events)
             && self.greedy.len() == built.greedy.len();
@@ -469,8 +485,8 @@ crate::impl_snap_struct!(SmKernelCounters { thread_insts, warp_insts });
 // `None` wherever a snapshot can be taken (the machine wakes every SM before
 // an epoch boundary's controller call and on every exit of a run);
 // `residency_moved` only unsettles a TB scheduler that a restore leaves
-// unsettled anyway. A decoded SM therefore starts with default values for
-// the last four.
+// unsettled anyway; the sample interval is taken in `adopt`. A decoded SM
+// therefore starts with default values for the last five.
 crate::impl_snap_struct!(Sm {
     l1,
     used_threads,
@@ -518,5 +534,8 @@ crate::impl_snap_struct!(Sm {
     gate,
     stride_masks,
     sleep,
-    residency_moved
+    residency_moved,
+    sample_interval,
+    #[cfg(test)]
+    replay_counts_wake
 });

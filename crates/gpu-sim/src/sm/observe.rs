@@ -1,6 +1,7 @@
-//! Sampling and read-only introspection: idle-warp/scoreboard censuses, the
-//! flight-recorder ring, and every statistics accessor the counter registry,
-//! power model, controllers, and harness read from an SM.
+//! Sampling and read-only introspection: the idle-warp/scoreboard census
+//! (taken after a tick, replayed after a sleep), the flight-recorder ring,
+//! and every statistics accessor the counter registry, power model,
+//! controllers, and harness read from an SM.
 
 use crate::config::{MAX_TBS, MAX_THREADS, REGISTER_FILE_BYTES, SHARED_MEM_BYTES};
 use crate::health::WarpStallCounts;
@@ -10,27 +11,101 @@ use crate::types::{per_kernel, Cycle, KernelId};
 
 use super::warp_table::slots;
 use super::{Sm, SmKernelCounters};
+use crate::MAX_KERNELS;
 
 impl Sm {
-    /// Records one idle-warp sample (call right after [`Sm::tick`]).
+    /// Records one idle-warp sample at the sample point `now`. Call right
+    /// after the SM's [`Sm::tick`] at `now`, before it goes to sleep; a
+    /// sleeping SM is not sampled, [`Sm::catch_up`] counts its points when
+    /// it wakes.
     ///
     /// A warp is *idle* if it could issue (ready operands, active TB) but was
     /// not selected this cycle — including warps throttled by quota, which
-    /// occupy static resources without contributing progress (§3.6).
+    /// occupy static resources without contributing progress (§3.6). A live
+    /// warp whose operands are not ready is *waiting* on its scoreboard, a
+    /// census that rides on the same cadence. After the tick `tb_active` is
+    /// the TB's phase exactly: the tick finished every load due at `now`.
+    #[inline(never)]
     pub(crate) fn sample_idle_warps(&mut self, now: Cycle) {
         self.idle_samples += 1;
         let t = &self.warps;
-        for slot in slots(t.live()) {
-            let k = t.kernel[slot].index();
-            if t.ready_at[slot] > now {
-                // Scoreboard census rides on the same sampling cadence: live
-                // warps waiting on operand latencies accumulate into the
-                // per-kernel scoreboard-wait counter.
-                self.scoreboard_waits[k] += 1;
-            } else if self.tbs.issuable(t.tb_slot[slot], now) {
-                self.idle_warp_acc[k] += 1;
+        let live = t.live();
+        let ready = t.released(live, now);
+        self.count_census(live & !ready, ready & t.tb_active.0, 1);
+    }
+
+    /// Counts the sample points in `[first, end)`, which a sleep covered, as
+    /// a sample after a tick at each would have: nothing on the SM changed
+    /// in between, so a live warp is waiting at the points before its
+    /// `ready_at` and idle at the rest if its TB is active (a loading TB's
+    /// completion bounds the sleep, so `tb_active` is its phase throughout).
+    ///
+    /// One division counts the points; only a warp released after the first
+    /// of them and at or before the last takes another. The warps the wake
+    /// queue holds released were released before the sleep began, so before
+    /// the first point: they are idle at every point and counted by
+    /// popcount, not walked. Each of the others adds to its kernel's tallies
+    /// directly, which on an SM of a few warps costs less than a popcount
+    /// per kernel. Out of line, like [`Sm::catch_up`]'s other replay: the
+    /// run loop inlines `catch_up`.
+    #[inline(never)]
+    pub(super) fn replay_census(&mut self, first: Cycle, end: Cycle) {
+        let step = self.sample_interval;
+        let points = (end - 1 - first) / step + 1;
+        let last = first + (points - 1) * step;
+        self.idle_samples += points;
+        let t = &self.warps;
+        let (live, active) = (t.live(), t.tb_active.0);
+        let early = live & t.held_ready(first);
+        for slot in slots(live & !early) {
+            let (k, ready_at) = (t.kernel[slot].index(), t.ready_at[slot]);
+            // The points before the release, at which the warp waits.
+            let before = if ready_at <= first {
+                0
+            } else if ready_at > last {
+                points
+            } else {
+                (ready_at - 1 - first) / step + 1
+            };
+            self.scoreboard_waits[k] += before;
+            if active >> slot & 1 != 0 {
+                self.idle_warp_acc[k] += points - before;
             }
         }
+        self.count_census(0, early & active, points);
+    }
+
+    /// Adds `times` to the scoreboard-wait tally of the kernel of every warp
+    /// of `waiting` and to the idle-warp tally of that of every warp of
+    /// `idle`: a popcount per kernel that owns any of them.
+    fn count_census(&mut self, waiting: u64, idle: u64, times: u64) {
+        if waiting | idle == 0 {
+            return;
+        }
+        for k in 0..MAX_KERNELS {
+            let mask = self.warps.kernel_mask[k].0;
+            let (w, i) = (waiting & mask, idle & mask);
+            if w != 0 {
+                self.scoreboard_waits[k] += times * u64::from(w.count_ones());
+            }
+            if i != 0 {
+                self.idle_warp_acc[k] += times * u64::from(i.count_ones());
+            }
+        }
+    }
+
+    /// Idle-warp samples counted since the last
+    /// [`Sm::reset_idle_sampling`] call.
+    #[cfg(test)]
+    pub(crate) fn idle_samples(&self) -> u64 {
+        self.idle_samples
+    }
+
+    /// Test-only backdoor: the wake replay also counts the wake cycle
+    /// (`replay_counts_wake`).
+    #[cfg(test)]
+    pub(crate) fn count_wake_cycle_for_test(&mut self) {
+        self.replay_counts_wake = true;
     }
 
     /// Mean idle warps of kernel `k` since the last
@@ -64,8 +139,9 @@ impl Sm {
         self.issue_slots
     }
 
-    /// Cycle-slots in which an otherwise-issuable warp of `k` was denied by
-    /// quota admission (issue/stall telemetry for the counter registry).
+    /// Cycle-slots in which a warp of `k` that could otherwise issue was
+    /// denied by quota admission (issue/stall telemetry for the counter
+    /// registry).
     pub fn quota_blocked_cycles(&self, k: KernelId) -> u64 {
         self.quota_blocked[k.index()]
     }

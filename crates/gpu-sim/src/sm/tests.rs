@@ -768,8 +768,10 @@ mod gate_oracle {
 /// an exhausted, gated QoS kernel `q` (ready warps, all quota-inert) beside
 /// a best-effort kernel `b` that spends most cycles stalled on long ALU and
 /// memory latencies: tick when due, go to sleep after an issue-free tick,
-/// move the clock when everything sleeps. With `sleepy` off every cycle
-/// runs the full gather — the reference the sleeping runs must equal.
+/// take the idle-warp sample after a tick at a sample point, move the clock
+/// when everything sleeps. With `sleepy` off every cycle runs the full
+/// gather and every sample point is sampled — the reference the sleeping
+/// runs must equal.
 struct Sleeper {
     sm: Sm,
     mem: MemSystem,
@@ -802,12 +804,16 @@ impl Sleeper {
     }
 
     fn run_to(&mut self, end: Cycle) {
+        let interval = GpuConfig::tiny().sample_interval();
         while self.now < end {
-            if self.sm.wake_at() <= self.now
-                && !self.sm.tick(self.now, &mut self.mem)
-                && self.sleepy
-            {
-                self.sm.sleep_from(self.now + 1);
+            if self.sm.wake_at() <= self.now {
+                let issued = self.sm.tick(self.now, &mut self.mem);
+                if self.now.is_multiple_of(interval) {
+                    self.sm.sample_idle_warps(self.now);
+                }
+                if !issued && self.sleepy {
+                    self.sm.sleep_from(self.now + 1, (self.now + 1).next_multiple_of(interval));
+                }
             }
             self.now += 1;
             if self.jumps && self.sm.wake_at() > self.now {
@@ -825,10 +831,15 @@ impl Sleeper {
     }
 
     /// What the run leaves behind once the machine's exit sync has run.
-    fn finish(mut self) -> [u64; 8] {
+    fn finish(mut self) -> [u64; 13] {
         self.sm.catch_up(self.now);
         let sm = &self.sm;
         [
+            sm.idle_samples(),
+            sm.idle_warp_avg(Q).to_bits(),
+            sm.idle_warp_avg(B).to_bits(),
+            sm.scoreboard_wait_samples(Q),
+            sm.scoreboard_wait_samples(B),
             sm.quota_blocked_cycles(Q),
             sm.quota_blocked_cycles(B),
             sm.busy_cycles(),
@@ -851,7 +862,7 @@ fn sleep_matches_naive(script: impl Fn(&mut Sleeper)) {
         s.finish()
     };
     let naive = run(false, false);
-    assert!(naive[0] > 1_000, "q's ready warps are quota-blocked most cycles: {naive:?}");
+    assert!(naive[5] > 1_000, "q's ready warps are quota-blocked most cycles: {naive:?}");
     assert_eq!(run(true, false), naive, "sleeping");
     assert_eq!(run(true, true), naive, "sleeping with clock jumps");
 }

@@ -399,6 +399,33 @@ impl WarpTable {
         }
     }
 
+    /// The slots of `among` whose scoreboard is released at `now`: the wake
+    /// queue's word when it stands at `now` (an SM right after a tick that
+    /// reached its gather), a compare over the column otherwise.
+    #[inline]
+    pub(crate) fn released(&self, among: u64, now: Cycle) -> u64 {
+        let q = &self.wake;
+        if q.built && q.clock == now {
+            return among & q.ready;
+        }
+        slots(among)
+            .filter(|&slot| self.ready_at[slot] <= now)
+            .fold(0, |m, slot| m | bit(slot as u16))
+    }
+
+    /// Slots released by cycle `at` that the wake queue already holds: its
+    /// `ready` word while it stands at or before `at`, none otherwise. Only
+    /// a subset of the released slots for an `at` past the queue's clock.
+    #[inline]
+    pub(crate) fn held_ready(&self, at: Cycle) -> u64 {
+        let q = &self.wake;
+        if q.built && q.clock <= at {
+            q.ready
+        } else {
+            0
+        }
+    }
+
     /// Brings `wake.ready` to cycle `now`, at a cost proportional to the
     /// hints that came due since the last call. Time running backwards (only
     /// tests restart a clock) rebuilds like the unbuilt state does.

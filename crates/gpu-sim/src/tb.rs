@@ -130,15 +130,6 @@ impl TbSlab {
         usize::from(self.warps_done[i]) == self.warp_slots[i].len()
     }
 
-    /// Whether warps of the TB in `slot` may issue at `now`.
-    pub fn issuable(&self, slot: u16, now: Cycle) -> bool {
-        match self.phase[usize::from(slot)] {
-            TbPhase::Active => true,
-            TbPhase::Loading(until) => now >= until,
-            TbPhase::Saving(_) => false,
-        }
-    }
-
     /// The cycle at which an in-flight context transition (load or save) of
     /// the TB in `slot` completes, if one is pending.
     pub fn transition_done_at(&self, slot: u16) -> Option<Cycle> {
@@ -187,14 +178,6 @@ mod tests {
         assert!(!s.finished(slot));
         s.warps_done[usize::from(slot)] = 4;
         assert!(s.finished(slot));
-    }
-
-    #[test]
-    fn issuable_by_phase() {
-        assert!(slab_with_one(TbPhase::Active).0.issuable(0, 0));
-        assert!(!slab_with_one(TbPhase::Loading(10)).0.issuable(0, 9));
-        assert!(slab_with_one(TbPhase::Loading(10)).0.issuable(0, 10));
-        assert!(!slab_with_one(TbPhase::Saving(10)).0.issuable(0, 100));
     }
 
     #[test]

@@ -103,9 +103,9 @@ pub struct TbScheduler {
     owner: Vec<Option<KernelId>>,
     completed_scratch: Vec<(KernelId, TbIndex)>,
     saved_scratch: Vec<(KernelId, SavedTb)>,
-    /// Whether a pass ran and no setter, launch or restore came after it;
-    /// an SM's [`Sm::residency_moved`] flag, checked on every read,
-    /// unsettles it too.
+    /// Whether a pass ran and no setter, launch, restore or residency move
+    /// came after it: the run loop unsettles it after a tick that left an
+    /// SM's [`Sm::residency_moved`] flag raised.
     settled: bool,
     /// Mutation switch: keep `settled` across `set_target`, the missed
     /// invalidation the dev-build no-op check in `Gpu::service` must catch.
@@ -153,16 +153,16 @@ impl TbScheduler {
         self.settled = false;
     }
 
-    /// Unsettles the scheduler; for writers of an input outside this type
-    /// and the SMs (a kernel launch).
+    /// Unsettles the scheduler; for writers of an input outside this type:
+    /// a kernel launch, and a tick that moved an SM's residency.
     pub(crate) fn invalidate(&mut self) {
         self.settled = false;
     }
 
     /// Whether a pass would do nothing: one ran, and neither a setter nor
     /// an SM has changed an input of it since.
-    pub(crate) fn settled(&self, sms: &[Sm]) -> bool {
-        self.settled && !sms.iter().any(Sm::residency_moved)
+    pub(crate) fn settled(&self) -> bool {
+        self.settled
     }
 
     /// Owner kernel of SM `sm` (spatial mode).
