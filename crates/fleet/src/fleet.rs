@@ -52,20 +52,22 @@ use qos_core::{kernel_footprint_bytes, WorkingSetTracker};
 use workloads::arrival::{request_kernel, ArrivalStream};
 
 use crate::config::{
-    FleetConfig, BACKOFF_BASE, EST_SERVICE_CYCLES, MAX_RETRIES, SHED_ENTER_PERMILLE,
-    SHED_EXIT_PERMILLE, TICK_CYCLES,
+    FleetConfig, FleetFault, PlannedDrain, BACKOFF_BASE, EST_SERVICE_CYCLES, MAX_RETRIES,
+    SHED_ENTER_PERMILLE, SHED_EXIT_PERMILLE, TICK_CYCLES,
 };
 use crate::migrate::{MigrationReason, MigrationRecord, PendingMigration};
 use crate::placement::DeviceView;
 use crate::request::{Request, RequestState, ShedReason};
 
 /// Schema version of the fleet snapshot encoding; [`Fleet::restore`]
-/// refuses any other. v9 embeds schema-15 device blobs, and a migration
-/// checkpoint is its blob alone: the clock and the migration class it used to
-/// restate are the blob's own cycle and header fingerprint. Each tenant's
-/// completed and migrated counts, latency sum and worst latency are read from
-/// its histograms (DESIGN.md §16.2).
-pub const FLEET_SNAPSHOT_VERSION: u32 = 9;
+/// refuses any other. v10 embeds schema-15 device blobs and holds each fact
+/// once: the clock is the tick index, a device's id is its index and its
+/// pending faults and drains are the configuration's, a request's id is its
+/// index and its timeout base is its batch's, and a migration record's
+/// tenants are its requests'. What the configuration fixes (each arrival
+/// stream's model and total, the working-set floor, the series capacity) is
+/// the receiver's (DESIGN.md §14.4, §16.2).
+pub const FLEET_SNAPSHOT_VERSION: u32 = 10;
 
 /// Ring capacity of the fleet's tick-sampled counter time series. Large
 /// enough that every shipped scenario (at most 1,500 ticks; the diurnal soak
@@ -124,8 +126,8 @@ struct Batch {
     requests: Vec<usize>,
     /// Whether slot `i` is still live (not yet completed / timed out).
     active: Vec<bool>,
-    /// Fleet cycle at which the batch was originally placed (the timeout
-    /// base its requests keep, even across migrations).
+    /// Fleet cycle at which the batch was originally placed: the timeout
+    /// base of its requests, kept across migrations.
     started_at: u64,
     /// Latest migration checkpoint ([`checkpoint`]): taken at placement,
     /// refreshed on the checkpoint cadence.
@@ -138,11 +140,12 @@ struct Batch {
 }
 
 /// One fleet device: a slot that hosts consecutive batches until a fault
-/// or a planned drain retires it.
+/// or a planned drain retires it. Its id is its index in the fleet's device
+/// table; its scheduled faults and drains are the configuration's, pending
+/// for as long as it stays healthy.
 #[derive(Debug)]
 struct Device {
-    id: u32,
-    /// Index into `FleetConfig::classes` (derived from `id`, not
+    /// Index into `FleetConfig::classes` (derived from the id, not
     /// snapshotted).
     class: usize,
     fate: DeviceFate,
@@ -150,17 +153,8 @@ struct Device {
     batches: u64,
     /// Requests completed on this device.
     served: u64,
-    /// Scheduled faults that have not yet retired the device,
-    /// fleet-absolute. Every fleet fault is terminal, so one that fired in a
-    /// batch whose work finished before the watchdog tripped stays here: the
-    /// next batch meets it at cycle zero.
-    pending_faults: Vec<FleetFault>,
-    /// Scheduled planned drains not yet taken, fleet-absolute cycles.
-    pending_drains: Vec<u64>,
     batch: Option<Batch>,
 }
-
-use crate::config::FleetFault;
 
 impl Device {
     fn idle_healthy(&self) -> bool {
@@ -257,7 +251,6 @@ pub struct Fleet {
     class_fingerprints: Vec<u64>,
     /// Per-class DRAM line size, config-derived (footprint samples).
     line_bytes: Vec<u32>,
-    cycle: u64,
     tick_index: u64,
     shedding: bool,
     finished: bool,
@@ -299,23 +292,10 @@ impl Fleet {
         let ws_floor = u64::from(line_bytes.iter().copied().min().unwrap_or(32));
         let devices = (0..cfg.total_devices())
             .map(|id| Device {
-                id,
                 class: cfg.class_of(id),
                 fate: DeviceFate::Healthy,
                 batches: 0,
                 served: 0,
-                pending_faults: cfg
-                    .device_faults
-                    .iter()
-                    .copied()
-                    .filter(|f| f.device == id)
-                    .collect(),
-                pending_drains: cfg
-                    .drains
-                    .iter()
-                    .filter(|d| d.device == id)
-                    .map(|d| d.at_cycle)
-                    .collect(),
                 batch: None,
             })
             .collect();
@@ -336,7 +316,6 @@ impl Fleet {
             cfg,
             class_fingerprints,
             line_bytes,
-            cycle: 0,
             tick_index: 0,
             shedding: false,
             finished: false,
@@ -359,9 +338,9 @@ impl Fleet {
         &self.cfg
     }
 
-    /// Current fleet cycle (a multiple of the tick length).
+    /// Current fleet cycle: the ticks executed times the tick length.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.tick_index * TICK_CYCLES
     }
 
     /// Ticks executed so far.
@@ -457,7 +436,7 @@ impl Fleet {
         if self.finished {
             return true;
         }
-        let now = self.cycle;
+        let now = self.cycle();
         let end = now + TICK_CYCLES;
 
         self.collect_arrivals(now);
@@ -468,7 +447,6 @@ impl Fleet {
         for di in 0..self.devices.len() {
             self.harvest_device(di, end);
         }
-        self.cycle = end;
         self.tick_index += 1;
         self.expire_migrations(end);
         self.record_sample();
@@ -499,14 +477,7 @@ impl Fleet {
                     None
                 };
                 let state = RequestState::Queued { not_before: 0 };
-                self.requests.push(Request {
-                    id,
-                    tenant: t,
-                    seq,
-                    arrived_at: at,
-                    retries: 0,
-                    state,
-                });
+                self.requests.push(Request { tenant: t, seq, arrived_at: at, retries: 0, state });
                 match shed {
                     Some(reason) => self.shed(id, reason, now),
                     None => self.queue.push_back(id),
@@ -530,9 +501,7 @@ impl Fleet {
         let running = self
             .requests
             .iter()
-            .filter(|r| {
-                matches!(r.state, RequestState::Running { .. } | RequestState::Migrating { .. })
-            })
+            .filter(|r| matches!(r.state, RequestState::Running | RequestState::Migrating))
             .count() as u64;
         let work = (running + self.queue.len() as u64 + extra) * EST_SERVICE_CYCLES;
         work.saturating_mul(1000) / (healthy_slots * self.admission_horizon())
@@ -557,9 +526,7 @@ impl Fleet {
             .filter(|r| {
                 matches!(
                     r.state,
-                    RequestState::Queued { .. }
-                        | RequestState::Running { .. }
-                        | RequestState::Migrating { .. }
+                    RequestState::Queued { .. } | RequestState::Running | RequestState::Migrating
                 )
             })
             .map(|r| self.ws[r.tenant].estimate())
@@ -608,18 +575,15 @@ impl Fleet {
         }
     }
 
-    /// Takes every planned drain that is due: the device's running batch
-    /// (if any) is snapshotted fresh at this tick boundary and queued for
-    /// migration, and the device leaves service.
+    /// Takes every planned drain that is due on a healthy device: its
+    /// running batch (if any) is snapshotted fresh at this tick boundary and
+    /// queued for migration, and the device leaves service.
     fn process_drains(&mut self, now: u64) {
         for di in 0..self.devices.len() {
-            if !self.devices[di].fate.is_healthy()
-                || !self.devices[di].pending_drains.iter().any(|&at| at <= now)
-            {
+            let due = |d: &PlannedDrain| d.device as usize == di && d.at_cycle <= now;
+            if !self.devices[di].fate.is_healthy() || !self.cfg.drains.iter().any(due) {
                 continue;
             }
-            self.devices[di].pending_drains.clear();
-            self.devices[di].pending_faults.clear();
             if self.devices[di].batch.is_some() {
                 self.park_batch(di, now, MigrationReason::Drain);
             }
@@ -683,26 +647,19 @@ impl Fleet {
         for (slot, _) in pm.active.iter().enumerate().filter(|(_, &live)| !live) {
             retire_slot(&mut gpu, slot);
         }
-        let device_id = self.devices[di].id;
         let mut record = MigrationRecord {
             from_device: pm.from_device,
-            to_device: device_id,
+            to_device: di as u32,
             reason: pm.reason,
             requests: Vec::new(),
-            tenants: Vec::new(),
             enqueued_at: pm.enqueued_at,
             restored_at: now,
         };
         for id in pm.live_requests() {
             let t = self.requests[id].tenant;
-            let started_at = match self.requests[id].state {
-                RequestState::Migrating { started_at, .. } => started_at,
-                _ => pm.started_at,
-            };
-            self.requests[id].state = RequestState::Running { device: device_id, started_at };
+            self.requests[id].state = RequestState::Running;
             self.tenants[t].migration_hist.record(now.saturating_sub(pm.enqueued_at));
             record.requests.push(id as u64);
-            record.tenants.push(t as u64);
         }
         self.migrations.push(record);
         let batch = Batch {
@@ -761,22 +718,17 @@ impl Fleet {
             MigrationReason::Drain | MigrationReason::ShedPressure => checkpoint(&batch.gpu),
             MigrationReason::DeviceLost | MigrationReason::DeviceWedged => batch.ckpt,
         };
-        let device_id = self.devices[di].id;
         let pm = PendingMigration {
             slots: batch.requests.iter().map(|&id| id as u64).collect(),
             active: batch.active,
             started_at: batch.started_at,
             blob,
-            from_device: device_id,
+            from_device: di as u32,
             reason,
             enqueued_at: at,
         };
         for id in pm.live_requests() {
-            let started_at = match self.requests[id].state {
-                RequestState::Running { started_at, .. } => started_at,
-                _ => batch.started_at,
-            };
-            self.requests[id].state = RequestState::Migrating { from: device_id, started_at };
+            self.requests[id].state = RequestState::Migrating;
         }
         self.pending_migrations.push(pm);
     }
@@ -838,7 +790,6 @@ impl Fleet {
         let mut gpu = Gpu::new(self.cfg.device_config(self.devices[di].class));
         gpu.set_fault_plan(self.device_plan(di, 0, now));
         gpu.set_sharing_mode(gpu_sim::SharingMode::Smk);
-        let device_id = self.devices[di].id;
         for &id in &ids {
             let req = &self.requests[id];
             let spec = &self.cfg.tenants[req.tenant];
@@ -848,7 +799,7 @@ impl Fleet {
             if req.retries == 0 {
                 self.tenants[req.tenant].queue_wait_hist.record(now.saturating_sub(req.arrived_at));
             }
-            self.requests[id].state = RequestState::Running { device: device_id, started_at: now };
+            self.requests[id].state = RequestState::Running;
         }
         let batch = Batch {
             active: vec![true; ids.len()],
@@ -864,10 +815,14 @@ impl Fleet {
         self.open_batch(di, batch);
     }
 
-    /// Device `di`'s fleet-absolute pending faults, translated into the
-    /// clock of a GPU that reads `gpu_cycle` at fleet cycle `now`.
+    /// Healthy device `di`'s scheduled faults, fleet-absolute, translated
+    /// into the clock of a GPU that reads `gpu_cycle` at fleet cycle `now`.
+    /// Every fleet fault is terminal, so one that fired in a batch whose work
+    /// finished before the watchdog tripped is still pending: the next batch
+    /// meets it at cycle zero.
     fn device_plan(&self, di: usize, gpu_cycle: u64, now: u64) -> FaultPlan {
-        self.devices[di].pending_faults.iter().fold(FaultPlan::none(), |plan, f| {
+        let faults = self.cfg.device_faults.iter().filter(|f| f.device as usize == di);
+        faults.fold(FaultPlan::none(), |plan, f| {
             plan.with(gpu_cycle + f.at_cycle.saturating_sub(now), f.kind)
         })
     }
@@ -916,8 +871,6 @@ impl Fleet {
                 _ => (DeviceFate::Wedged { at: end }, MigrationReason::DeviceWedged),
             };
             self.devices[di].fate = fate;
-            self.devices[di].pending_faults.clear();
-            self.devices[di].pending_drains.clear();
             // THEN account: kernels that completed before the fault hit in
             // this same tick produced real results — harvest them as done.
             let stats = batch.gpu.stats();
@@ -948,12 +901,9 @@ impl Fleet {
             }
             let id = batch.requests[slot];
             let k = KernelId::new(slot);
-            let started_at = match self.requests[id].state {
-                RequestState::Running { started_at, .. } => started_at,
-                _ => unreachable!("active slots hold running requests"),
-            };
             let done = stats.kernel(k).launches_completed >= 1;
-            let timed_out = !done && end.saturating_sub(started_at) >= self.cfg.timeout_cycles;
+            let timed_out =
+                !done && end.saturating_sub(batch.started_at) >= self.cfg.timeout_cycles;
             if !done && !timed_out {
                 continue;
             }
@@ -1078,7 +1028,7 @@ impl Fleet {
     /// Records the per-tick observability sample: one series row.
     fn record_sample(&mut self) {
         let entries = self.counter_registry();
-        self.series.sample(self.cycle, &entries);
+        self.series.sample(self.cycle(), &entries);
     }
 
     /// Decides whether the run is over. A dead fleet, or one out of ticks,
@@ -1107,8 +1057,9 @@ impl Fleet {
         let queued = std::mem::take(&mut self.queue);
         let parked = std::mem::take(&mut self.pending_migrations);
         let live = parked.iter().flat_map(PendingMigration::live_requests);
+        let now = self.cycle();
         for id in running.into_iter().chain(queued).chain(live) {
-            self.shed(id, reason, self.cycle);
+            self.shed(id, reason, now);
         }
         self.finished = true;
     }
@@ -1128,7 +1079,7 @@ impl Fleet {
         };
         let machine = CounterScope::Machine;
         let as_i64 = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        push("fleet_cycle", machine, Gauge, as_i64(self.cycle));
+        push("fleet_cycle", machine, Gauge, as_i64(self.cycle()));
         push("fleet_ticks", machine, Counter, as_i64(self.tick_index));
         push("fleet_queue_depth", machine, Gauge, self.queue.len() as i64);
         push(
@@ -1209,7 +1160,7 @@ impl Fleet {
             self.cfg.total_devices(),
             self.cfg.tenants.len(),
             self.tick_index,
-            self.cycle
+            self.cycle()
         );
         for (spec, c) in self.cfg.tenants.iter().zip(&self.tenants) {
             let class = if spec.class.is_guaranteed() { "guaranteed " } else { "best-effort" };
@@ -1256,7 +1207,7 @@ impl Fleet {
                 c.latency_hist.p99()
             );
         }
-        for d in &self.devices {
+        for (di, d) in self.devices.iter().enumerate() {
             let fate = match d.fate {
                 DeviceFate::Healthy => "healthy".to_string(),
                 DeviceFate::Lost { at } => format!("lost at {at}"),
@@ -1265,8 +1216,8 @@ impl Fleet {
             };
             let _ = writeln!(
                 out,
-                "  device {} ({}): {:<16} batches {:>3}  served {:>4}",
-                d.id, self.cfg.classes[d.class].name, fate, d.batches, d.served
+                "  device {di} ({}): {:<16} batches {:>3}  served {:>4}",
+                self.cfg.classes[d.class].name, fate, d.batches, d.served
             );
         }
         let _ = writeln!(
@@ -1314,7 +1265,6 @@ impl Fleet {
         let mut out = Vec::new();
         FLEET_SNAPSHOT_VERSION.encode(&mut out);
         self.cfg.fingerprint().encode(&mut out);
-        self.cycle.encode(&mut out);
         self.tick_index.encode(&mut out);
         self.shedding.encode(&mut out);
         self.finished.encode(&mut out);
@@ -1330,12 +1280,9 @@ impl Fleet {
         self.series.encode(&mut out);
         (self.devices.len() as u64).encode(&mut out);
         for d in &self.devices {
-            d.id.encode(&mut out);
             d.fate.encode(&mut out);
             d.batches.encode(&mut out);
             d.served.encode(&mut out);
-            d.pending_faults.encode(&mut out);
-            d.pending_drains.encode(&mut out);
             match &d.batch {
                 None => out.push(0),
                 Some(b) => {
@@ -1353,7 +1300,10 @@ impl Fleet {
         out
     }
 
-    /// Reconstructs a fleet from [`Fleet::snapshot`] bytes under `cfg`.
+    /// Reconstructs a fleet from [`Fleet::snapshot`] bytes under `cfg`. The
+    /// snapshot holds state, not configuration: the fleet is built from
+    /// `cfg` first and the state decoded into it, each stream, working-set
+    /// tracker and the series adopting what `cfg` gave the one it replaces.
     ///
     /// # Errors
     ///
@@ -1370,50 +1320,41 @@ impl Fleet {
                 "fleet snapshot version {version}, this build expects {FLEET_SNAPSHOT_VERSION}"
             ));
         }
-        let fingerprint = u64::decode(&mut r).map_err(fail)?;
-        if fingerprint != cfg.fingerprint() {
+        if u64::decode(&mut r).map_err(fail)? != cfg.fingerprint() {
             return Err("fleet snapshot was taken under a different configuration".to_string());
         }
-        let cycle = u64::decode(&mut r).map_err(fail)?;
-        let tick_index = u64::decode(&mut r).map_err(fail)?;
-        let shedding = bool::decode(&mut r).map_err(fail)?;
-        let finished = bool::decode(&mut r).map_err(fail)?;
-        let requests = Vec::<Request>::decode(&mut r).map_err(fail)?;
-        let queue = VecDeque::from(Vec::<usize>::decode(&mut r).map_err(fail)?);
-        let streams = Vec::<ArrivalStream>::decode(&mut r).map_err(fail)?;
-        let tenants = Vec::<TenantCounters>::decode(&mut r).map_err(fail)?;
-        let ws = Vec::<WorkingSetTracker>::decode(&mut r).map_err(fail)?;
-        let pending_migrations = Vec::<PendingMigration>::decode(&mut r).map_err(fail)?;
-        let migrations = Vec::<MigrationRecord>::decode(&mut r).map_err(fail)?;
-        let migration_fallbacks = u64::decode(&mut r).map_err(fail)?;
-        let evictions = u64::decode(&mut r).map_err(fail)?;
-        let series = TimeSeries::decode(&mut r).map_err(fail)?;
-        // Both counts come from the stream; refuse a wrong one before it
-        // sizes an allocation (the bytes may be a re-sealed checkpoint file).
+        let mut fleet = Fleet::new(cfg);
+        fleet.tick_index = u64::decode(&mut r).map_err(fail)?;
+        fleet.shedding = bool::decode(&mut r).map_err(fail)?;
+        fleet.finished = bool::decode(&mut r).map_err(fail)?;
+        fleet.requests = Vec::decode(&mut r).map_err(fail)?;
+        fleet.queue = VecDeque::from(Vec::decode(&mut r).map_err(fail)?);
+        let streams = decode_into(&mut r, &mut fleet.streams, ArrivalStream::adopt);
+        let streams_fit = streams.map_err(fail)?;
+        let tenants_fit = decode_into(&mut r, &mut fleet.tenants, |_, _| {}).map_err(fail)?;
+        let ws_fit = decode_into(&mut r, &mut fleet.ws, WorkingSetTracker::adopt).map_err(fail)?;
+        fleet.pending_migrations = Vec::decode(&mut r).map_err(fail)?;
+        fleet.migrations = Vec::decode(&mut r).map_err(fail)?;
+        fleet.migration_fallbacks = u64::decode(&mut r).map_err(fail)?;
+        fleet.evictions = u64::decode(&mut r).map_err(fail)?;
+        let mut series = TimeSeries::decode(&mut r).map_err(fail)?;
+        // `sample` evicts at the capacity, so a series holding more rows
+        // would be indexed past them on the next tick.
+        let series_fits = series.adopt(&fleet.series);
+        fleet.series = series;
+        // The count comes from the stream; refuse a wrong one before the
+        // devices are decoded (the bytes may be a re-sealed checkpoint file).
         let misshapen = || "fleet snapshot shape does not match the configuration".to_string();
         let n_devices = u64::decode(&mut r).map_err(fail)?;
-        if n_devices != u64::from(cfg.total_devices()) || tenants.len() != cfg.tenants.len() {
+        let tables_fit = streams_fit && tenants_fit && ws_fit && series_fits;
+        if n_devices != fleet.devices.len() as u64 || !tables_fit {
             return Err(misshapen());
         }
-        // `sample` evicts at `capacity`, so a series of another capacity
-        // (0 included) would be indexed past its rows on the next tick.
-        if series.capacity() != FLEET_SERIES_CAPACITY || series.rows().len() > FLEET_SERIES_CAPACITY
-        {
-            return Err(misshapen());
-        }
-        let mut devices = Vec::with_capacity(n_devices as usize);
-        for _ in 0..n_devices {
-            let id = u32::decode(&mut r).map_err(fail)?;
-            let fate = DeviceFate::decode(&mut r).map_err(fail)?;
-            let batches = u64::decode(&mut r).map_err(fail)?;
-            let served = u64::decode(&mut r).map_err(fail)?;
-            let pending_faults = Vec::<FleetFault>::decode(&mut r).map_err(fail)?;
-            let pending_drains = Vec::<u64>::decode(&mut r).map_err(fail)?;
-            if id >= cfg.total_devices() {
-                return Err(misshapen());
-            }
-            let class = cfg.class_of(id);
-            let batch = match u8::decode(&mut r).map_err(fail)? {
+        for d in &mut fleet.devices {
+            d.fate = DeviceFate::decode(&mut r).map_err(fail)?;
+            d.batches = u64::decode(&mut r).map_err(fail)?;
+            d.served = u64::decode(&mut r).map_err(fail)?;
+            d.batch = match u8::decode(&mut r).map_err(fail)? {
                 0 => None,
                 1 => {
                     let requests = Vec::<usize>::decode(&mut r).map_err(fail)?;
@@ -1423,84 +1364,57 @@ impl Fleet {
                     let blob_bytes = Vec::<u8>::decode(&mut r).map_err(fail)?;
                     let blob = SnapshotBlob::from_bytes(&blob_bytes)
                         .map_err(|e| format!("fleet snapshot: device blob: {e}"))?;
-                    let mut gpu = Gpu::new(cfg.device_config(class));
+                    let mut gpu = Gpu::new(fleet.cfg.device_config(d.class));
                     gpu.restore(&blob)
                         .map_err(|e| format!("fleet snapshot: device restore: {e}"))?;
                     Some(Batch { requests, active, started_at, ckpt, gpu, step_err: None })
                 }
                 _ => return Err("fleet snapshot: invalid batch tag".to_string()),
             };
-            devices.push(Device {
-                id,
-                class,
-                fate,
-                batches,
-                served,
-                pending_faults,
-                pending_drains,
-                batch,
-            });
         }
-        // `step` indexes its tables with every id the stream carried and
-        // does arithmetic on its clock and arrival models; what the
-        // configuration fixes must equal it and every id must point inside
-        // its table, or the bytes are refused here, not met there.
-        let request_ok = |id: usize| id < requests.len();
-        let device_ok = |id: u32| id < cfg.total_devices();
-        let batches = || devices.iter().filter_map(|d: &Device| d.batch.as_ref());
-        let in_range = tick_index <= cfg.max_ticks
-            && tick_index.checked_mul(TICK_CYCLES) == Some(cycle)
-            && streams.len() == tenants.len()
-            && streams
-                .iter()
-                .zip(&cfg.tenants)
-                .all(|(s, t)| s.model() == t.arrival && s.total() == t.requests)
-            && ws.len() == tenants.len()
-            && queue.iter().all(|&id| request_ok(id))
-            && requests.iter().all(|req| {
-                req.tenant < tenants.len()
-                    && match req.state {
-                        RequestState::Running { device, .. }
-                        | RequestState::Migrating { from: device, .. } => device_ok(device),
-                        _ => true,
-                    }
+        // `step` and the exports index their tables with every id the stream
+        // carried, so every id must point inside its table, or the bytes are
+        // refused here, not met there. A tick index up to `max_ticks` is one
+        // a fleet under `cfg` reaches, and so is its clock.
+        let requests = fleet.requests.len();
+        let request_ok = |id: usize| id < requests;
+        let ids_ok = |ids: &[u64]| ids.iter().all(|&id| id < requests as u64);
+        let devices = fleet.cfg.total_devices();
+        let device_faults_only = |gpu: &Gpu| {
+            gpu.fault_plan().faults.iter().all(|f| FleetFault::strikes_a_device(f.kind))
+        };
+        let in_range = fleet.tick_index <= fleet.cfg.max_ticks
+            && fleet.queue.iter().all(|&id| request_ok(id))
+            && fleet.requests.iter().all(|req| req.tenant < fleet.tenants.len())
+            && fleet.pending_migrations.iter().all(|pm| {
+                pm.active.len() == pm.slots.len() && pm.from_device < devices && ids_ok(&pm.slots)
             })
-            && pending_migrations.iter().all(|pm| {
-                pm.active.len() == pm.slots.len()
-                    && device_ok(pm.from_device)
-                    && pm.slots.iter().all(|&id| id < requests.len() as u64)
-            })
-            // Every fleet fault is one a device can suffer (`validate`).
-            && devices.iter().all(|d| {
-                d.pending_faults.iter().all(|f| FleetFault::strikes_a_device(f.kind))
-            })
-            && batches().all(|b| {
+            && fleet.migrations.iter().all(|m| ids_ok(&m.requests))
+            && fleet.devices.iter().filter_map(|d| d.batch.as_ref()).all(|b| {
                 b.active.len() == b.requests.len()
                     && b.requests.iter().all(|&id| request_ok(id))
-                    && b.gpu.fault_plan().faults.iter().all(|f| FleetFault::strikes_a_device(f.kind))
+                    && device_faults_only(&b.gpu)
             });
         if !in_range {
             return Err(misshapen());
         }
-        Ok(Fleet {
-            cycle,
-            tick_index,
-            shedding,
-            finished,
-            devices,
-            requests,
-            queue,
-            streams,
-            tenants,
-            ws,
-            pending_migrations,
-            migrations,
-            migration_fallbacks,
-            evictions,
-            series,
-            ..Fleet::new(cfg)
-        })
+        Ok(fleet)
     }
+}
+
+/// Decodes a table the configuration sized into `built`, each decoded entry
+/// adopting what the configuration gave the one it replaces; answers whether
+/// the table kept its length.
+fn decode_into<T: Snap>(
+    r: &mut SnapReader<'_>,
+    built: &mut Vec<T>,
+    adopt: impl Fn(&mut T, &T),
+) -> Result<bool, SnapError> {
+    let mut decoded = Vec::<T>::decode(r)?;
+    decoded.iter_mut().zip(built.iter()).for_each(|(d, b)| adopt(d, b));
+    let fits = decoded.len() == built.len();
+    *built = decoded;
+    Ok(fits)
 }
 
 #[cfg(test)]
@@ -1926,6 +1840,36 @@ mod tests {
         assert_eq!(restored.lost_requests(), 0);
     }
 
+    /// A fleet restored from any tick's snapshot steps like the one it was
+    /// taken from: what the snapshot leaves out (the clock, each device's
+    /// pending faults and drains, each request's timeout base) is rebuilt
+    /// exactly, with drains and faults scheduled but not yet taken and
+    /// requests running or migrating across the ticks.
+    #[test]
+    fn restore_at_every_tick_steps_like_the_original() {
+        let runs = [
+            ("steady", None),
+            ("overload", None),
+            ("chaos", None),
+            ("migration", None),
+            ("diurnal", Some(177)),
+        ];
+        for (name, last_tick) in runs {
+            let cfg = scenarios::by_name(name, scenarios::DEFAULT_SEED).expect("a scenario");
+            let mut live = Fleet::new(cfg.clone());
+            let mut bytes = live.snapshot();
+            while !live.finished() && last_tick.is_none_or(|t| live.ticks() < t) {
+                let mut restored = Fleet::restore(cfg.clone(), &bytes).expect("restore");
+                live.step();
+                restored.step();
+                bytes = live.snapshot();
+                let tick = live.ticks();
+                assert!(restored.snapshot() == bytes, "{name}: tick {tick} snapshots differ");
+                assert_eq!(restored.report(name), live.report(name), "{name}: tick {tick}");
+            }
+        }
+    }
+
     #[test]
     fn restore_rejects_a_different_configuration() {
         let mut fleet = Fleet::new(scenarios::steady(5));
@@ -1934,18 +1878,6 @@ mod tests {
         let other = scenarios::steady(6); // different seed, different fingerprint
         let err = Fleet::restore(other, &bytes).expect_err("must reject");
         assert!(err.contains("different configuration"), "{err}");
-    }
-
-    #[test]
-    fn restore_refuses_a_pending_fault_a_device_cannot_suffer() {
-        let cfg = scenarios::steady(5);
-        let mut fleet = Fleet::new(cfg.clone());
-        fleet.step();
-        Fleet::restore(cfg.clone(), &fleet.snapshot()).expect("a healthy snapshot restores");
-        let panic = FleetFault { at_cycle: 1 << 40, device: 0, kind: FaultKind::Panic };
-        fleet.devices[0].pending_faults.push(panic);
-        let err = Fleet::restore(cfg, &fleet.snapshot()).expect_err("must refuse");
-        assert!(err.contains("does not match"), "{err}");
     }
 
     #[test]
@@ -2007,15 +1939,13 @@ mod tests {
     /// that placed them. Between them the five runs reach all three
     /// placements, all four migration reasons and the fallbacks, so a
     /// scheduler change that moves any decision moves a digest. Re-pin only
-    /// for a change that means to move them. Fleet snapshot version 9 moved
-    /// every snapshot digest and no report digest: the two schema versions
-    /// and each device configuration's fingerprint (its watchdog setting
-    /// became a switch) are in the bytes, and a device blob now holds its
-    /// last epoch's idle flag whether or not it traces. Idle-warp sample
-    /// points leaving the clock's jump edges moved the overload, chaos and
-    /// migration mid-run snapshot digests and nothing else: a device blob
-    /// holds `ff_skipped_cycles`, the cycles the clock jumped, and a jump
-    /// may now pass a sample point.
+    /// for a change that means to move them. Fleet snapshot version 10
+    /// moved every snapshot digest and no report digest: the version is in
+    /// the bytes, and the clock, device and request ids, pending faults and
+    /// drains, request timeout bases, migration records' tenants and what
+    /// the configuration fixes (stream models and totals, the working-set
+    /// floor, the series capacity) left them, while the behaviour the
+    /// reports pin stayed.
     #[test]
     fn scenario_reports_and_snapshots_are_pinned() {
         use gpu_sim::snap::fnv1a;
@@ -2026,9 +1956,9 @@ mod tests {
                 12,
                 [
                     0xf7f9_2cb5_3487_5f55,
-                    0x44ab_2c15_080f_cf67,
+                    0x8b9b_c936_e182_81c8,
                     0x46eb_52cb_c9b0_9981,
-                    0x8b9a_6d7f_c269_c9d5,
+                    0x46b0_281c_6e94_58aa,
                 ],
             ),
             (
@@ -2036,9 +1966,9 @@ mod tests {
                 7,
                 [
                     0x4c2a_6721_bb88_1b87,
-                    0x4862_fcaa_8a26_b9b7,
+                    0x4747_22c2_ffa4_b2bc,
                     0xd87e_59ed_3295_a6c8,
-                    0x59d8_a6ff_42ab_3a48,
+                    0x73cb_d686_d210_52dc,
                 ],
             ),
             (
@@ -2046,9 +1976,9 @@ mod tests {
                 10,
                 [
                     0xe2b5_54a6_7c71_d5ba,
-                    0x9cba_7f95_ce58_fa18,
+                    0x3528_8385_4d1c_ba1a,
                     0x656f_424e_b3a3_831d,
-                    0x8af7_edf5_5f09_8c22,
+                    0x111b_be3f_47ad_55af,
                 ],
             ),
             (
@@ -2056,9 +1986,9 @@ mod tests {
                 8,
                 [
                     0x6454_3830_9a98_c3b4,
-                    0xc380_edfc_559f_09a4,
+                    0xfcb6_2da5_da4e_63e7,
                     0x775c_2960_274f_f97e,
-                    0x662c_362d_3679_d161,
+                    0x50d3_2406_2435_f369,
                 ],
             ),
             (
@@ -2066,9 +1996,9 @@ mod tests {
                 177,
                 [
                     0x4677_8130_fbf8_cccc,
-                    0xa140_c35c_75a0_be60,
+                    0xcd49_f959_3743_6263,
                     0x37ac_4b01_d5cb_923a,
-                    0x1ebc_414c_8bb9_c47a,
+                    0x64a2_26c1_9ec2_617b,
                 ],
             ),
         ];

@@ -106,8 +106,6 @@ pub struct MigrationRecord {
     pub reason: MigrationReason,
     /// Live request ids that resumed.
     pub requests: Vec<u64>,
-    /// Owning tenant per entry of `requests`.
-    pub tenants: Vec<u64>,
     /// Fleet cycle the batch entered the pending queue.
     pub enqueued_at: u64,
     /// Fleet cycle it resumed on the target.
@@ -119,7 +117,6 @@ gpu_sim::impl_snap_struct!(MigrationRecord {
     to_device,
     reason,
     requests,
-    tenants,
     enqueued_at,
     restored_at,
 });

@@ -50,13 +50,9 @@ pub enum RequestState {
         /// Earliest fleet cycle at which placement may consider it.
         not_before: u64,
     },
-    /// Resident on a device, occupying one kernel slot.
-    Running {
-        /// Device index serving it.
-        device: u32,
-        /// Fleet cycle at which this placement started (timeout base).
-        started_at: u64,
-    },
+    /// Resident on a device, occupying one kernel slot of its batch, whose
+    /// `started_at` is the request's timeout base.
+    Running,
     /// Completed: one full grid execution finished.
     Done {
         /// Fleet cycle at which completion was observed.
@@ -70,30 +66,24 @@ pub enum RequestState {
         at: u64,
     },
     /// In flight between devices: its batch snapshot sits in the
-    /// pending-migration queue waiting for a compatible spare. Retries are
-    /// untouched — migration is not a failure of the request.
-    Migrating {
-        /// Device the batch left.
-        from: u32,
-        /// Fleet cycle at which the original placement started (preserved
-        /// across the migration as the timeout base).
-        started_at: u64,
-    },
+    /// pending-migration queue waiting for a compatible spare, and keeps the
+    /// batch's `started_at` as the timeout base. Retries are untouched —
+    /// migration is not a failure of the request.
+    Migrating,
 }
 
 gpu_sim::impl_snap_enum!(RequestState {
     Queued { not_before } = 0,
-    Running { device, started_at } = 1,
+    Running = 1,
     Done { finished_at } = 2,
     Shed { reason, at } = 3,
-    Migrating { from, started_at } = 4,
+    Migrating = 4,
 });
 
-/// One tenant request, from arrival to a terminal state.
+/// One tenant request, from arrival to a terminal state. Its id is its
+/// index in the fleet's request table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
-    /// Global request id (index into the fleet's request table).
-    pub id: usize,
     /// Tenant index (into the fleet config's tenant list).
     pub tenant: usize,
     /// Per-tenant sequence number (from the arrival stream).
@@ -106,7 +96,7 @@ pub struct Request {
     pub state: RequestState,
 }
 
-gpu_sim::impl_snap_struct!(Request { id, tenant, seq, arrived_at, retries, state });
+gpu_sim::impl_snap_struct!(Request { tenant, seq, arrived_at, retries, state });
 
 impl Request {
     /// Whether the request reached a terminal state (done or shed).
@@ -132,13 +122,13 @@ mod tests {
     fn request_states_round_trip() {
         let states = [
             RequestState::Queued { not_before: 7 },
-            RequestState::Running { device: 3, started_at: 4_000 },
+            RequestState::Running,
             RequestState::Done { finished_at: 9_000 },
             RequestState::Shed { reason: ShedReason::Overload, at: 5_000 },
-            RequestState::Migrating { from: 2, started_at: 4_000 },
+            RequestState::Migrating,
         ];
         for state in states {
-            let req = Request { id: 1, tenant: 0, seq: 2, arrived_at: 100, retries: 1, state };
+            let req = Request { tenant: 0, seq: 2, arrived_at: 100, retries: 1, state };
             let back: Request = decode_from_slice(&encode_to_vec(&req)).expect("codec");
             assert_eq!(back, req);
         }
@@ -147,7 +137,6 @@ mod tests {
     #[test]
     fn latency_only_for_completed() {
         let mut req = Request {
-            id: 0,
             tenant: 0,
             seq: 0,
             arrived_at: 1_000,

@@ -1013,24 +1013,26 @@ impl Gpu {
                 "machine state that does not fit the configuration",
             )));
         }
-        // The run loop walks the plan in cycle order, and the next epoch's
+        // The run loop walks the plan in cycle order, the next epoch's
         // accounting subtracts the last epoch's clock and per-kernel totals
-        // from the current ones: a plan out of order, or a last epoch past
-        // the clock or above what the SMs retired, is a corrupt blob.
+        // from the current ones, and a snapshot is only taken on the epoch
+        // grid: a plan out of order, a clock off the grid, or a last epoch
+        // past the clock or above what the SMs retired, is a corrupt blob.
         if !faults.faults.is_sorted_by_key(|f| f.at_cycle) {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
                 "fault plan out of cycle order",
             )));
         }
         let retired = kernel_sums(&sms, |c| c.thread_insts);
-        let behind = last_epoch_cycle <= cycle
+        let behind = cycle.is_multiple_of(self.cfg.epoch_cycles)
+            && last_epoch_cycle <= cycle
             && last_totals
                 .iter()
                 .enumerate()
                 .all(|(k, &last)| retired[k].is_some_and(|t| last <= t));
         if !behind {
             return Err(SnapshotError::Corrupt(SnapError::Invalid(
-                "last epoch ahead of the machine",
+                "clock off the epoch grid or last epoch ahead of it",
             )));
         }
         self.cycle = cycle;
@@ -2146,6 +2148,19 @@ mod tests {
         gpu.last_epoch_cycle = gpu.cycle + 1;
         let blob = gpu.snapshot().expect("cycle 5000 is a boundary");
         assert_refused_as_corrupt(&cfg, &blob, "a last epoch past the clock");
+    }
+
+    #[test]
+    fn restore_refuses_a_clock_off_the_epoch_grid() {
+        // A snapshot is taken on an epoch boundary, and a restored machine
+        // is snapshotted again at its next one, which it finds by stepping
+        // whole epochs from its clock.
+        let cfg = GpuConfig::tiny();
+        let gpu = smk_pair_at_5000(&cfg);
+        let mut bytes = gpu.snapshot().expect("cycle 5000 is a boundary").into_bytes();
+        bytes[BLOB_HEADER_BYTES..][..8].copy_from_slice(&5_001u64.to_le_bytes());
+        let blob = SnapshotBlob::from_bytes(&bytes).expect("the framing is intact");
+        assert_refused_as_corrupt(&cfg, &blob, "a clock off the epoch grid");
     }
 
     #[test]

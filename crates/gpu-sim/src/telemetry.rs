@@ -209,9 +209,11 @@ crate::impl_snap_struct!(SeriesRow { stamp, values });
 ///
 /// Columns are fixed by the first sample (scope-qualified counter names);
 /// each subsequent sample appends one row, evicting the oldest once
-/// `capacity` rows are held. Everything — names, rows, the eviction count —
-/// is [`Snap`](crate::snap::Snap)-encoded, so the series survives checkpoint/restore
-/// byte-identically and is part of the determinism surface.
+/// `capacity` rows are held. Names, rows and the eviction count are
+/// [`Snap`](crate::snap::Snap)-encoded, so the series survives
+/// checkpoint/restore byte-identically and is part of the determinism
+/// surface; the capacity is the owner's configuration, which
+/// [`TimeSeries::adopt`] takes from the series it replaces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSeries {
     capacity: usize,
@@ -220,7 +222,7 @@ pub struct TimeSeries {
     evicted: u64,
 }
 
-crate::impl_snap_struct!(TimeSeries { capacity, names, rows, evicted });
+crate::impl_snap_struct!(TimeSeries { names, rows, evicted } skip { capacity });
 
 impl TimeSeries {
     /// A series holding at most `capacity` rows; sampling into a series of
@@ -229,9 +231,14 @@ impl TimeSeries {
         TimeSeries { capacity, names: Vec::new(), rows: Vec::new(), evicted: 0 }
     }
 
-    /// Maximum number of rows retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Makes this decoded series stand in for `built`, the one its owner
+    /// made with [`TimeSeries::new`]: takes its capacity, which the wire does
+    /// not carry, and answers whether at most that many rows are held. A
+    /// fuller series would be indexed past its rows on the next sample.
+    #[must_use]
+    pub fn adopt(&mut self, built: &TimeSeries) -> bool {
+        self.capacity = built.capacity;
+        self.rows.len() <= self.capacity
     }
 
     /// Scope-qualified column names, fixed by the first sample.
@@ -427,7 +434,21 @@ mod tests {
         for i in 0..4u64 {
             s.sample(i, &[entry("x", i as i64 * 3)]);
         }
-        let back: TimeSeries = decode_from_slice(&encode_to_vec(&s)).expect("codec");
+        let mut back: TimeSeries = decode_from_slice(&encode_to_vec(&s)).expect("codec");
+        assert!(back.adopt(&TimeSeries::new(2)));
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn adopt_refuses_more_rows_than_the_capacity() {
+        let mut s = TimeSeries::new(3);
+        for i in 0..3u64 {
+            s.sample(i, &[entry("x", 1)]);
+        }
+        let bytes = encode_to_vec(&s);
+        let decoded = || decode_from_slice::<TimeSeries>(&bytes).expect("codec");
+        assert!(decoded().adopt(&TimeSeries::new(3)), "a full ring fits");
+        assert!(!decoded().adopt(&TimeSeries::new(2)), "a row past the capacity");
+        assert!(!decoded().adopt(&TimeSeries::new(0)), "no row fits capacity 0");
     }
 }

@@ -224,7 +224,8 @@ pub fn render_fleet_trace(fleet: &fleet::Fleet, name: &str) -> String {
     // span covers the window the request was off-device (enqueue → resume).
     for rec in fleet.migrations() {
         let dur = rec.restored_at.saturating_sub(rec.enqueued_at).max(1);
-        for (req, tenant) in rec.requests.iter().zip(&rec.tenants) {
+        for &req in &rec.requests {
+            let tenant = fleet.requests()[req as usize].tenant;
             events.push(format!(
                 "{{\"name\": \"migration/{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {dur}, \
                  \"pid\": {}, \"tid\": 1, \"args\": {{\"request\": {req}, \"from_device\": {}, \

@@ -46,7 +46,8 @@ pub struct WorkingSetTracker {
     samples: u64,
 }
 
-gpu_sim::impl_snap_struct!(WorkingSetTracker { estimate_bytes, floor_bytes, samples });
+// The floor is the fleet's configuration: `adopt` takes it from the receiver.
+gpu_sim::impl_snap_struct!(WorkingSetTracker { estimate_bytes, samples } skip { floor_bytes });
 
 impl WorkingSetTracker {
     /// A tracker seeded with the tenant's declared reservation.
@@ -68,6 +69,13 @@ impl WorkingSetTracker {
     /// Current working-set estimate in bytes.
     pub fn estimate(&self) -> u64 {
         self.estimate_bytes
+    }
+
+    /// Makes this decoded tracker stand in for `built`, the one
+    /// [`WorkingSetTracker::new`] made for the same tenant: takes its floor,
+    /// which the wire does not carry.
+    pub fn adopt(&mut self, built: &WorkingSetTracker) {
+        self.floor_bytes = built.floor_bytes;
     }
 
     /// Number of samples folded in so far (0 ⇒ the estimate is still the
@@ -122,7 +130,8 @@ mod tests {
         ws.observe(100_000);
         let bytes = gpu_sim::snap::encode_to_vec(&ws);
         let mut r = gpu_sim::snap::SnapReader::new(&bytes);
-        let back = <WorkingSetTracker as gpu_sim::Snap>::decode(&mut r).expect("round trip");
+        let mut back = <WorkingSetTracker as gpu_sim::Snap>::decode(&mut r).expect("round trip");
+        back.adopt(&WorkingSetTracker::new(12_345, 64));
         assert_eq!(back, ws);
     }
 }

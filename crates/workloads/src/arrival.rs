@@ -71,6 +71,14 @@ pub fn diurnal_mean_gap(mean_gap: u64, period: u64, swing_permille: u32, at: u64
     (mean_gap as i64 - tri * swing / 1000).max(1) as u64
 }
 
+/// What a decoded [`ArrivalStream`] holds until [`ArrivalStream::adopt`]
+/// gives it its tenant's model.
+impl Default for ArrivalModel {
+    fn default() -> Self {
+        ArrivalModel::Open { mean_gap: 1 }
+    }
+}
+
 gpu_sim::impl_snap_enum!(ArrivalModel {
     Open { mean_gap } = 0,
     Closed { think, population } = 1,
@@ -130,16 +138,6 @@ impl ArrivalStream {
         ArrivalStream { model, rng, emitted: 0, total, ready, next_open }
     }
 
-    /// The model this stream follows.
-    pub fn model(&self) -> ArrivalModel {
-        self.model
-    }
-
-    /// Total requests the stream will emit over its lifetime.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Requests emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
@@ -148,6 +146,13 @@ impl ArrivalStream {
     /// Whether every request has been emitted.
     pub fn exhausted(&self) -> bool {
         self.emitted >= self.total
+    }
+
+    /// Makes this decoded stream stand in for `built`, the one
+    /// [`ArrivalStream::new`] made for the same tenant: takes its model and
+    /// request total, which the wire does not carry.
+    pub fn adopt(&mut self, built: &ArrivalStream) {
+        (self.model, self.total) = (built.model, built.total);
     }
 
     /// Collects the sequence numbers and arrival cycles of every request
@@ -196,7 +201,9 @@ impl ArrivalStream {
     }
 }
 
-gpu_sim::impl_snap_struct!(ArrivalStream { model, rng, emitted, total, ready, next_open });
+// The model and the total are the tenant's configuration: `adopt` takes them
+// from the receiver.
+gpu_sim::impl_snap_struct!(ArrivalStream { rng, emitted, ready, next_open } skip { model, total });
 
 /// Builds the kernel for one serving request.
 ///
@@ -299,6 +306,7 @@ mod tests {
         let mut s = ArrivalStream::new(ArrivalModel::Open { mean_gap: 200 }, 11, 30);
         let _ = s.arrivals_before(2_000);
         let mut back: ArrivalStream = decode_from_slice(&encode_to_vec(&s)).expect("codec");
+        back.adopt(&ArrivalStream::new(ArrivalModel::Open { mean_gap: 200 }, 11, 30));
         assert_eq!(back, s);
         assert_eq!(back.arrivals_before(20_000), s.arrivals_before(20_000));
     }
@@ -338,6 +346,7 @@ mod tests {
         let mut s = ArrivalStream::new(model, 21, 60);
         let _ = s.arrivals_before(5_000);
         let mut back: ArrivalStream = decode_from_slice(&encode_to_vec(&s)).expect("codec");
+        back.adopt(&ArrivalStream::new(model, 21, 60));
         assert_eq!(back, s);
         assert_eq!(back.arrivals_before(u64::MAX), s.arrivals_before(u64::MAX));
     }

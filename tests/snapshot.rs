@@ -602,19 +602,13 @@ fn enum_wire_bytes_are_pinned() {
     pin(&ArrivalModel::Diurnal { mean_gap: 500, period: 10_000, swing_permille: 250 }, &diurnal);
 
     pin(&RequestState::Queued { not_before: 6 }, &tagged(0, &[6]));
-    pin(
-        &RequestState::Running { device: 2, started_at: 8 },
-        &[1, 2, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0],
-    );
+    pin(&RequestState::Running, &[1]);
     pin(&RequestState::Done { finished_at: 11 }, &tagged(2, &[11]));
     pin(
         &RequestState::Shed { reason: ShedReason::FleetDead, at: 12 },
         &[3, 3, 12, 0, 0, 0, 0, 0, 0, 0],
     );
-    pin(
-        &RequestState::Migrating { from: 5, started_at: 8 },
-        &[4, 5, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0],
-    );
+    pin(&RequestState::Migrating, &[4]);
 
     pin(&DeviceFate::Healthy, &[0]);
     pin(&DeviceFate::Lost { at: 21 }, &tagged(1, &[21]));
